@@ -19,7 +19,9 @@ Two checks:
    registers (``argparse`` string literals in ``repro/serving/cli.py``)
    must appear in the serving CLI section of ``docs/CONFIG.md``, and every
    wire verb in ``repro/serving/protocol.py`` (``UPDATE_VERBS`` +
-   ``QUERY_VERBS``) must appear in ``docs/SERVING.md``.
+   ``QUERY_VERBS``) must appear in ``docs/SERVING.md``, as must the
+   snapshot format tag the daemon writes (``SNAPSHOT_FORMAT`` in
+   ``repro/serving/checkpoint.py``).
 
 4. **Fault-kind coverage** — every injectable fault kind in
    ``repro/dn/faults.py`` (``FAULT_KINDS``) must be documented in
@@ -149,6 +151,21 @@ def string_tuples(module_path: pathlib.Path, names: tuple[str, ...]) -> list[str
     return values
 
 
+def string_constant(module_path: pathlib.Path, name: str) -> str:
+    """The value of the module-level string assignment ``name``."""
+
+    tree = ast.parse(module_path.read_text(), filename=str(module_path))
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        ):
+            return node.value.value
+    raise SystemExit(f"no string constant {name} found in {module_path}")
+
+
 def diagnostic_codes(module_path: pathlib.Path) -> list[str]:
     """The analyzer's diagnostic codes: keys of the ``CODES`` dict literal."""
 
@@ -218,6 +235,15 @@ def main() -> int:
             if f"`{verb}`" not in serving_md:
                 print(f"UNDOCUMENTED VERB: {verb} not mentioned in docs/SERVING.md")
                 failures += 1
+        snapshot_format = string_constant(
+            root / "src" / "repro" / "serving" / "checkpoint.py", "SNAPSHOT_FORMAT"
+        )
+        if f"`{snapshot_format}`" not in serving_md:
+            print(
+                f"UNDOCUMENTED SNAPSHOT FORMAT: {snapshot_format} not "
+                "mentioned in docs/SERVING.md"
+            )
+            failures += 1
 
     faults_md_path = root / "docs" / "FAULTS.md"
     if not faults_md_path.exists():
@@ -280,7 +306,7 @@ def main() -> int:
         return 1
     print(
         "docs check: all modules documented, all config fields, serving "
-        "flags, wire verbs, fault kinds, diagnostic codes, lint flags, "
+        "flags, wire verbs, snapshot format, fault kinds, diagnostic codes, lint flags, "
         "and obs metric/span names covered"
     )
     return 0

@@ -8,9 +8,13 @@ Exercises the full serving stack the way an operator would, end to end:
    churn schedule as live updates, two threads reading best paths — over
    the real socket;
 3. check the runtime invariant monitors are green and every update settled;
-4. SIGKILL the daemon mid-life, restart it, and require the recovered
+4. require ``snapshot.pkl`` to track live state, not history: the churn
+   schedule is driven ``CHURN_PASSES`` times, every pass ends with all links
+   restored, and the snapshot after the last pass may not exceed the one
+   after the first by more than 25 %;
+5. SIGKILL the daemon mid-life, restart it, and require the recovered
    ``Trace.fingerprint()`` to be **byte-identical** to the pre-kill state;
-5. write the collected evidence to ``--artifacts`` for upload.
+6. write the collected evidence to ``--artifacts`` for upload.
 
 Exits non-zero on any failure.  Usage::
 
@@ -34,13 +38,17 @@ from repro.serving import ServingClient  # noqa: E402
 FAMILY = "tree"
 SIZE = 20
 CHURN_EVENTS = 6
+CHURN_PASSES = 3
+SNAPSHOT_EVERY = 4
+#: how much larger than the first pass's snapshot the last pass's may be
+SNAPSHOT_GROWTH_LIMIT = 1.25
 
 
 def boot(state_dir: Path, log_path: Path) -> subprocess.Popen:
     return start_daemon(
         state_dir, log_path,
         "--family", FAMILY, "--size", str(SIZE),
-        "--snapshot-every", "4",
+        "--snapshot-every", str(SNAPSHOT_EVERY),
     )
 
 
@@ -58,8 +66,10 @@ def main() -> int:
     scenario = generate_scenario(
         FAMILY, size=SIZE, seed=0, churn_events=CHURN_EVENTS, churn_restore_delay=1.0
     )
-    updates = churn_updates(scenario)
-    assert updates, "scenario produced no churn to drive"
+    one_pass = churn_updates(scenario)
+    assert one_pass, "scenario produced no churn to drive"
+    assert len(one_pass) % SNAPSHOT_EVERY == 0, "a pass must end on a snapshot"
+    updates = one_pass * CHURN_PASSES
 
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
@@ -68,12 +78,17 @@ def main() -> int:
         daemon = boot(state_dir, log_path)
         try:
             acks: list = []
+            snapshot_sizes: dict = {}  # seq -> bytes of the snapshot taken there
             query_count = [0, 0]
 
             def updater() -> None:
                 with ServingClient.from_state_dir(state_dir, timeout=120) as client:
                     for update in updates:
-                        acks.append(client.call(update["verb"], update["args"]))
+                        ack = client.call(update["verb"], update["args"])
+                        acks.append(ack)
+                        if ack["seq"] % SNAPSHOT_EVERY == 0:
+                            # written before the ack; the next update is not sent yet
+                            snapshot_sizes[ack["seq"]] = (state_dir / "snapshot.pkl").stat().st_size
 
             def querier(slot: int) -> None:
                 with ServingClient.from_state_dir(state_dir, timeout=120) as client:
@@ -102,8 +117,16 @@ def main() -> int:
             evidence["monitors"] = status["monitors"]
             evidence["pre_kill_fingerprint"] = fingerprint["fingerprint"]
             evidence["pre_kill_seq"] = fingerprint["seq"]
+            # same live state (every link up) after the first and the last pass
+            first, last = snapshot_sizes[len(one_pass)], snapshot_sizes[len(updates)]
+            evidence["snapshot_bytes"] = snapshot_sizes
+            evidence["snapshot_bytes_first"] = first
+            evidence["snapshot_bytes_last"] = last
+            evidence["snapshot_bounded"] = last <= SNAPSHOT_GROWTH_LIMIT * first
             if not (evidence["all_settled"] and evidence["monitors_ok"]):
                 raise SystemExit(f"serving smoke failed pre-kill: {evidence}")
+            if not evidence["snapshot_bounded"]:
+                raise SystemExit(f"snapshot.pkl grows with history: {snapshot_sizes}")
 
             # hard-kill mid-life, restart, demand byte-identical recovery
             daemon.kill()
@@ -132,7 +155,8 @@ def main() -> int:
         return 1
     print(
         f"serving smoke OK: {evidence['updates_acked']} updates, "
-        f"{evidence['queries_answered']} queries, monitors green, "
+        f"{evidence['queries_answered']} queries, monitors green, snapshot "
+        f"{evidence['snapshot_bytes_first']} -> {evidence['snapshot_bytes_last']} bytes, "
         f"crash recovery byte-identical ({evidence['recovered_from']})"
     )
     return 0

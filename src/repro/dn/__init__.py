@@ -14,7 +14,7 @@ from .network import Channel, Link, Message, NodeId, Topology
 from .node import Node, NodeStats
 from .partition import PARTITION_STRATEGIES, edge_cut, partition_nodes
 from .shard import ShardCrash, ShardedEngine, ShardError, ShardTimeout, ShardWorker
-from .trace import MessageRecord, StateChange, Trace
+from .trace import MessageRecord, StateChange, Trace, TraceCompacted
 
 __all__ = [
     "Channel",
@@ -41,6 +41,7 @@ __all__ = [
     "StateChange",
     "Topology",
     "Trace",
+    "TraceCompacted",
     "create_engine",
     "edge_cut",
     "partition_nodes",

@@ -235,12 +235,12 @@ def execute_run(
         seeds=dict(trace.seeds),
         quiescent=trace.quiescent,
         finished_at=trace.finished_at,
-        convergence_time=trace.convergence_time(),
+        convergence_time=trace.last_change_time(),
         events=trace.events_processed,
         messages=trace.message_count,
         delivered_messages=trace.delivered_message_count,
         dropped_messages=engine.channel.dropped,
-        retraction_messages=len(trace.retraction_messages()),
+        retraction_messages=trace.retraction_message_count,
         retractions=trace.retraction_count,
         state_changes=trace.state_change_count,
         route_count=len(engine.rows(schema.best_predicate)),

@@ -1,13 +1,24 @@
-"""Fingerprint-stamped engine snapshots for daemon crash recovery.
+"""Checksummed, fingerprint-stamped engine snapshots for daemon crash recovery.
 
 A snapshot is a structured capture of a *settled* single-process engine —
 scheduler clock and pending maintenance events, loss-channel RNG state,
-the whole :class:`~repro.dn.trace.Trace`, topology, and every node's
-tables (rows, support counts, **and** hash-index buckets) — stamped with
-the update sequence number and ``Trace.fingerprint()`` it was taken at.
-Recovery rebuilds an engine from the capture, verifies the stamp, then
-replays the update-ledger tail; the crash-recovery tests assert the result
-is byte-identical to an uninterrupted run.
+topology, every node's tables (rows, support counts, **and** hash-index
+buckets), monitor state, and the engine's :class:`~repro.dn.trace.Trace` —
+stamped with the update sequence number and ``Trace.fingerprint()`` it was
+taken at.  The serving settle loop compacts the trace
+(:meth:`~repro.dn.trace.Trace.compact`), so what is captured of it is two
+digest chains, the counters, and a sub-block tail of records — not the
+history — and the whole snapshot is O(live state): its size does not grow
+with the number of updates served.
+
+On disk a snapshot is one header line, ``SNAPSHOT_FORMAT`` and the SHA-256
+of the pickled body, followed by the body (:func:`seal_snapshot`).
+:func:`open_snapshot` rejects anything else — a torn write, a flipped byte
+anywhere in the body, or a file written by an older format — and the daemon
+then recovers by full ledger replay.  Recovery from an accepted snapshot
+rebuilds an engine from the capture, verifies the config and fingerprint
+stamps, then replays the update-ledger tail; the crash-recovery tests
+assert the result is byte-identical to an uninterrupted run.
 
 Two order-sensitive details make the capture structural rather than a
 naive rebuild:
@@ -26,8 +37,11 @@ sharded daemons recover by full ledger replay instead.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
+import pickle
+from typing import Optional
 
 from ..dn.engine import DistributedEngine
 from ..dn.events import Event
@@ -41,8 +55,36 @@ from ..ndlog.store import StoredTuple
 MAINTENANCE_KINDS = ("refresh", "expiry")
 
 
+#: On-disk format tag, first token of a snapshot file's header line.  Bump
+#: it whenever the pickled body changes shape: older files then fall back
+#: to full ledger replay instead of being misread.
+SNAPSHOT_FORMAT = "fvn-snapshot/2"
+
+
 class SnapshotUnsupported(RuntimeError):
     """The engine's state cannot be captured (sharded, or mid-work)."""
+
+
+def _header(body: bytes) -> bytes:
+    return f"{SNAPSHOT_FORMAT} {hashlib.sha256(body).hexdigest()}".encode()
+
+
+def seal_snapshot(snapshot: dict) -> bytes:
+    """The snapshot's file bytes: format + body-checksum header line, then
+    the pickled body."""
+
+    body = pickle.dumps(snapshot)
+    return _header(body) + b"\n" + body
+
+
+def open_snapshot(data: bytes) -> Optional[dict]:
+    """The snapshot sealed in ``data``, or None when it is not an intact
+    file of the current format (truncated, corrupted, or older)."""
+
+    header, _, body = data.partition(b"\n")
+    if header != _header(body):
+        return None
+    return pickle.loads(body)
 
 
 def _maintenance_callbacks(engine: DistributedEngine) -> dict:

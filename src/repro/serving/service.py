@@ -13,8 +13,12 @@ update is
 4. **settled** — the settle loop drives the scheduler to the next fixpoint,
    excluding periodic maintenance timers (which never drain);
 5. optionally **snapshotted** — every ``snapshot_every`` updates, a
-   fingerprint-stamped :mod:`~repro.serving.checkpoint` capture is written
-   atomically.
+   checksummed, fingerprint-stamped :mod:`~repro.serving.checkpoint`
+   capture is written atomically.
+
+Every settle also compacts the engine's ``Trace`` (digest chains, counters
+and a sub-block tail survive; the folded records are dropped), so the
+daemon's memory and its snapshots track live state, not uptime.
 
 Because the simulation schedule is a pure function of the update sequence,
 ``Trace.fingerprint()`` after recovery (snapshot + ledger-tail replay, or
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -55,8 +58,10 @@ from .checkpoint import (
     SnapshotUnsupported,
     build_topology,
     capture_engine,
+    open_snapshot,
     restore_engine,
     restore_monitors,
+    seal_snapshot,
 )
 from .config import ServerConfig
 from .protocol import UPDATE_VERBS, ProtocolError, as_tuple, canonical
@@ -252,10 +257,12 @@ class RouteService:
         ):
             return None
         try:
-            with self.snapshot_path.open("rb") as handle:
-                snapshot = pickle.load(handle)
+            snapshot = open_snapshot(self.snapshot_path.read_bytes())
         except Exception:
-            return None  # torn/corrupt snapshot: full replay still recovers
+            snapshot = None  # unreadable, or a body this code cannot unpickle
+        if snapshot is None:
+            # torn, corrupt, or older-format file: full replay still recovers
+            return None
         stamped_config = dict(snapshot.get("config", {}))
         current_config = self.config.to_dict()
         for key in ServerConfig.RESTART_SAFE:
@@ -296,7 +303,7 @@ class RouteService:
             "engine": capture,
             "acks": list(self._acks.items()),
         }
-        payload = pickle.dumps(snapshot)
+        payload = seal_snapshot(snapshot)
         if self.fault_injector is not None:
             fault = self.fault_injector.draw("tear_snapshot", SERVING_SCOPE)
             if fault is not None:
@@ -318,7 +325,10 @@ class RouteService:
         """Drive the engine to its next fixpoint, leaving only maintenance
         timers queued.  Returns True when it fully settled within the event
         budget.  Trace bookkeeping is set from the scheduler afterwards so
-        the fingerprint stays a pure function of the update sequence."""
+        the fingerprint stays a pure function of the update sequence, and
+        the trace is compacted: the daemon keeps digests and counters, never
+        more than one update's records (live apply, ledger replay and
+        ``what_if`` forks all pass through here, 1 and N shards alike)."""
 
         engine = self.engine
         scheduler = engine.scheduler
@@ -338,6 +348,7 @@ class RouteService:
         trace.events_processed = scheduler.processed
         trace.finished_at = scheduler.now
         trace.quiescent = scheduler.is_empty
+        trace.compact()
         self.settled = scheduler.pending_kinds() <= MAINTENANCE
         return self.settled
 

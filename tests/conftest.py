@@ -1,0 +1,77 @@
+"""Shared fixtures for the test tree.
+
+``Trace.fingerprint()`` changed definition once (to the streaming ``fp2``
+fold).  The previous definition — hash every state change, then every
+message, then the bookkeeping — survives only here, as the reference the
+equality suites use to show that nothing observable was lost: two
+executions are equal under v1 iff they are equal under fp2.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.dn.trace import Trace
+
+
+def _fingerprint_v1(trace: Trace) -> str:
+    """The pre-fp2 fingerprint; needs the complete record lists."""
+
+    assert not trace.compacted
+    digest = hashlib.sha256()
+    for c in trace.state_changes:
+        digest.update(repr((c.time, c.node, c.predicate, c.values, c.kind)).encode())
+    digest.update(b"|messages|")
+    for m in trace.messages:
+        digest.update(
+            repr((m.time, m.src, m.dst, m.predicate, m.values, m.delivered, m.kind)).encode()
+        )
+    digest.update(
+        repr(
+            (trace.events_processed, trace.finished_at, trace.quiescent, sorted(trace.seeds.items()))
+        ).encode()
+    )
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def fingerprint_v1():
+    return _fingerprint_v1
+
+
+@pytest.fixture(scope="session")
+def fp_pairs() -> tuple[dict, dict]:
+    """Every (v1, fp2) pair ``fp_agreement`` saw this session: v1 → fp2 and
+    fp2 → v1."""
+
+    return {}, {}
+
+
+@pytest.fixture(scope="module")
+def fp_agreement(fp_pairs):
+    """Check v1 ⇔ fp2 on every ``Trace.fingerprint()`` call of the module
+    (module scope so hypothesis tests can use it).
+
+    Each call on a complete (never compacted) trace also computes the v1
+    value, and the pair must extend a one-to-one mapping that is shared by
+    the whole session: equal v1 values never get different fp2 values and
+    vice versa, across every run pair the equality suites build.  Yields
+    the list of fp2 values checked so a test can assert it was not vacuous.
+    """
+
+    v1_to_fp2, fp2_to_v1 = fp_pairs
+    real = Trace.fingerprint
+    checked: list[str] = []
+
+    def fingerprint(trace: Trace) -> str:
+        value = real(trace)
+        if not trace.compacted:
+            old = _fingerprint_v1(trace)
+            assert v1_to_fp2.setdefault(old, value) == value, "equal under v1, not under fp2"
+            assert fp2_to_v1.setdefault(value, old) == old, "equal under fp2, not under v1"
+            checked.append(value)
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Trace, "fingerprint", fingerprint)
+        yield checked

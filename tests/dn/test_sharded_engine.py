@@ -31,6 +31,10 @@ from repro.ndlog.ast import MaterializeDecl
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
 
+#: every fingerprint compared here is also checked against the pre-fp2
+#: definition (tests/conftest.py): equal under v1 iff equal under fp2
+pytestmark = pytest.mark.usefixtures("fp_agreement")
+
 
 def nonempty(snapshot: dict) -> dict:
     return {pred: rows for pred, rows in snapshot.items() if rows}

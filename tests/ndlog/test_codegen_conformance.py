@@ -27,6 +27,10 @@ from repro.ndlog.parser import parse_program
 from repro.ndlog.seminaive import IncrementalEvaluator, evaluate
 from repro.scenarios import generate_scenario
 
+#: every fingerprint compared here is also checked against the pre-fp2
+#: definition (tests/conftest.py): equal under v1 iff equal under fp2
+pytestmark = pytest.mark.usefixtures("fp_agreement")
+
 
 # ---------------------------------------------------------------------------
 # Strategies (the retraction-suite feature matrix)

@@ -17,6 +17,10 @@ from repro.obs import metrics, tracing
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 
+#: every fingerprint compared here is also checked against the pre-fp2
+#: definition (tests/conftest.py): equal under v1 iff equal under fp2
+pytestmark = pytest.mark.usefixtures("fp_agreement")
+
 
 @pytest.fixture(autouse=True)
 def restore_obs_state():

@@ -68,15 +68,15 @@ class TestCrashRecovery:
             daemon.kill()
             daemon.wait(timeout=30)
 
-        # snapshot cadence 3 ⇒ the kill left a snapshot at seq 6 or
-        # earlier plus a ledger tail; recovery must replay to seq 6
+        # snapshot cadence 3 ⇒ the kill left the seq-6 snapshot (written
+        # before that update was acknowledged): digests, counters and live
+        # tables, no history — recovery restores it and is byte-identical,
+        # record counts included
         daemon = start_daemon(state)
         try:
             status = send(state, "query", "status")
-            assert status["recovered_from"] in ("snapshot+replay", "replay")
-            after = send(state, "query", "fingerprint")
-            assert after["seq"] == before["seq"]
-            assert after["fingerprint"] == before["fingerprint"]
+            assert status["recovered_from"] == "snapshot+replay"
+            assert send(state, "query", "fingerprint") == before
             # and the daemon keeps working after recovery
             ack = send(state, "update", "link_fail", "--src", "0", "--dst", "1")
             assert ack["seq"] == 7 and ack["settled"]

@@ -2,17 +2,24 @@
 recovery all reach byte-identical ``Trace.fingerprint()`` state."""
 
 import pickle
+import struct
 
 import pytest
 
+from repro.dn.trace import Trace
 from repro.serving import RouteService, ServerConfig
 from repro.serving.checkpoint import (
+    SNAPSHOT_FORMAT,
     SnapshotUnsupported,
     build_topology,
     capture_engine,
+    open_snapshot,
     restore_engine,
+    seal_snapshot,
 )
 from repro.serving.service import LEDGER_NAME, SNAPSHOT_NAME
+
+COMPACT = Trace.compact
 
 UPDATES = [
     ("link_fail", {"src": 0, "dst": 1}),
@@ -140,6 +147,93 @@ class TestRecovery:
         finally:
             recovered.close()
 
+    def recover(self, tmp_path) -> tuple[str, str]:
+        recovered = RouteService(durable_config(tmp_path))
+        try:
+            return recovered.recovered_from, recovered.query("fingerprint", {})["fingerprint"]
+        finally:
+            recovered.close()
+
+    def test_flipped_byte_in_a_table_row_falls_back_to_replay(self, tmp_path):
+        """The fingerprint stamp only vouches for the trace; a bit flipped in
+        a table row that still unpickles is caught by the body checksum."""
+
+        service = RouteService(durable_config(tmp_path))
+        try:
+            service.apply_update("set_fact", {"predicate": "link", "values": [0, 5, 1234.5]})
+            service.apply_update("link_fail", {"src": 0, "dst": 1})  # pushes it out of the tail
+            reference = service.query("fingerprint", {})["fingerprint"]
+        finally:
+            service.close()
+        path = tmp_path / "state" / SNAPSHOT_NAME
+        data = path.read_bytes()
+        intact = open_snapshot(data)
+        # flip the lowest mantissa bit of a pickled 1234.5 that only a table
+        # row holds (a row still in the trace's tail shares its tuple with it)
+        needle = b"G" + struct.pack(">d", 1234.5)
+        at = data.find(needle)
+        while at >= 0:
+            last = at + len(needle) - 1
+            tampered = data[:last] + bytes([data[last] ^ 1]) + data[last + 1 :]
+            forged = pickle.loads(tampered.partition(b"\n")[2])
+            if (
+                forged["engine"]["nodes"] != intact["engine"]["nodes"]
+                and forged["engine"]["trace"].fingerprint() == intact["fingerprint"]
+            ):
+                break
+            at = data.find(needle, at + 1)
+        else:
+            pytest.fail("no table row alone holds the marker cost")
+        # the config and fingerprint stamps still verify: only the checksum tells
+        assert forged["config"] == intact["config"]
+        assert open_snapshot(tampered) is None
+        path.write_bytes(tampered)
+        assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_truncated_snapshot_falls_back_to_replay(self, tmp_path):
+        reference = run_durable(durable_config(tmp_path))
+        path = tmp_path / "state" / SNAPSHOT_NAME
+        data = path.read_bytes()
+        for cut in (len(data) - 1, len(data) // 2, len(SNAPSHOT_FORMAT) + 3, 0):
+            path.write_bytes(data[:cut])
+            assert self.recover(tmp_path) == ("replay", reference)
+        path.write_bytes(data)
+        assert self.recover(tmp_path) == ("snapshot+replay", reference)
+
+    def test_previous_format_snapshot_falls_back_to_replay(
+        self, tmp_path, monkeypatch, fingerprint_v1
+    ):
+        """What the daemon wrote before ``SNAPSHOT_FORMAT``: a bare pickle
+        carrying the full Trace, stamped with the v1 fingerprint."""
+
+        config = durable_config(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(Trace, "compact", lambda trace: None)  # keep history
+            service = RouteService(config)
+            try:
+                for verb, args in UPDATES:
+                    service.apply_update(verb, args)
+                reference = service.query("fingerprint", {})["fingerprint"]
+                old_snapshot = {
+                    "seq": service.seq,
+                    "fingerprint": fingerprint_v1(service.engine.trace),
+                    "config": service.config.to_dict(),
+                    "engine": capture_engine(service.engine),
+                    "acks": [],
+                }
+                payload = pickle.dumps(old_snapshot)
+            finally:
+                service.close()
+        assert open_snapshot(payload) is None
+        (tmp_path / "state" / SNAPSHOT_NAME).write_bytes(payload)
+        assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_sealed_snapshot_round_trips(self):
+        snapshot = {"seq": 3, "engine": {"nodes": {0: [("link", (0, 1, 2.5))]}}}
+        data = seal_snapshot(snapshot)
+        assert data.startswith(SNAPSHOT_FORMAT.encode() + b" ")
+        assert open_snapshot(data) == snapshot
+
     def test_recovery_continues_accepting_updates(self, tmp_path):
         run_durable(durable_config(tmp_path))
         recovered = RouteService(durable_config(tmp_path))
@@ -171,3 +265,43 @@ class TestRecovery:
             assert recovered.config.topo_seed == 0
         finally:
             recovered.close()
+
+
+class TestFingerprintAgreement:
+    """v1 ⇔ fp2 over the recovery suite's run pairs.  v1 needs the complete
+    record lists, so these daemons run with compaction switched off — which
+    fp2, being a pure function of the record stream, cannot observe."""
+
+    @pytest.fixture(autouse=True)
+    def keep_history(self, monkeypatch, fp_agreement):
+        monkeypatch.setattr(Trace, "compact", lambda trace: None)
+        self.checked = fp_agreement
+
+    def test_recovery_paths_and_perturbed_runs(self, tmp_path):
+        before = len(self.checked)
+        reference = reference_fingerprint()
+        assert run_durable(durable_config(tmp_path)) == reference
+        for expected in ("snapshot+replay", "replay"):
+            recovered = RouteService(durable_config(tmp_path))
+            try:
+                assert recovered.recovered_from == expected
+                assert recovered.query("fingerprint", {})["fingerprint"] == reference
+            finally:
+                recovered.close()
+            (tmp_path / "state" / SNAPSHOT_NAME).unlink(missing_ok=True)
+        # negative pairs: another channel seed, loss, another update order
+        assert reference_fingerprint(seed=3) != reference
+        assert reference_fingerprint(loss=0.2) != reference
+        reordered = RouteService(ServerConfig(family="tree", size=16, snapshot_every=0))
+        try:
+            for verb, args in reversed(UPDATES[:2]):
+                reordered.apply_update(verb, args)
+            for verb, args in UPDATES[2:]:
+                reordered.apply_update(verb, args)
+            assert reordered.query("fingerprint", {})["fingerprint"] != reference
+        finally:
+            reordered.close()
+        assert len(self.checked) - before >= 7  # every one of them was v1-checked
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Trace, "compact", COMPACT)  # and a compacting daemon agrees
+            assert reference_fingerprint() == reference
