@@ -31,10 +31,10 @@ re-queues, aggregate recompute-and-diff at quiescence) are documented on
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from ..ndlog.aggregates import diff_rows
-from ..ndlog.ast import Program, Rule
+from ..ndlog.ast import Program, Rule, Var
 from ..ndlog.plan import NEGATION_DELTA_SUFFIX, RuleFiring
 from ..ndlog.seminaive import DeltaIndex, RuleEngine, row_key
 from ..obs import metrics as obs_metrics
@@ -55,9 +55,21 @@ Send = Callable[[object, object, str, tuple, str], None]
 #: its replica tables for crash-resync to be byte-faithful — ``support`` (a
 #: duplicate derivation counted / soft-state lifetime refreshed),
 #: ``release`` (a support dropped with the row surviving), ``mark`` /
-#: ``unmark`` (displacement marks), and ``index`` (a lazy hash index built,
-#: ``values`` = the indexed positions)
-META_KINDS = ("support", "release", "mark", "unmark", "index")
+#: ``unmark`` (displacement marks), ``index`` (a lazy hash index built,
+#: ``values`` = the indexed positions), and ``unswept`` / ``swept`` (the
+#: predicate entered / left ``Node.unswept``)
+META_KINDS = ("support", "release", "mark", "unmark", "index", "unswept", "swept")
+
+
+class SweepSeed(NamedTuple):
+    """How the scoped consistency check enters one sweep rule by head key:
+    the rows of body predicate ``predicate`` whose arguments at
+    ``positions`` (ascending) equal the touched primary key's components
+    at ``slots`` are the only rows that can derive a head under that key."""
+
+    predicate: str
+    positions: tuple[int, ...]
+    slots: tuple[int, ...]
 
 
 class FixpointExecutor:
@@ -113,6 +125,14 @@ class FixpointExecutor:
         #: every derivation is *purely local* (head stored at the deriving
         #: node) — the predicates :meth:`_consistency_sweep` may repair
         self._sweep_rules: dict[str, tuple[Rule, ...]] = {}
+        #: sweepable predicate → the body predicates whose deletions trigger
+        #: its check, and → per deriving rule the equally selective seeds of
+        #: the scoped check (absent when some rule has none: that predicate
+        #: always takes the full sweep)
+        self._sweep_bodies: dict[str, frozenset[str]] = {}
+        self._sweep_plans: dict[
+            str, tuple[tuple[Rule, tuple[SweepSeed, ...]], ...]
+        ] = {}
         #: predicates seeded with base facts (injected, not derived): the
         #: sweep must never judge them by rule derivability
         self._protected: set[str] = set()
@@ -133,6 +153,22 @@ class FixpointExecutor:
                     continue  # view-maintained (recompute-and-diff) predicates
                 if all(self._purely_local(rule) for rule in rules):
                     self._sweep_rules[predicate] = tuple(rules)
+            for predicate, rules in self._sweep_rules.items():
+                bodies = frozenset(
+                    body for rule in rules for body in rule.body_predicates()
+                )
+                self._sweep_bodies[predicate] = bodies
+                plans = tuple((rule, self._sweep_seeds(rule)) for rule in rules)
+                # FIFO eviction removes rows without a deletion delta, so no
+                # key is ever touched for it: size-capped tables stay on the
+                # full sweep
+                capped = any(
+                    decl.max_size != float("inf")
+                    for decl in map(program.materialized.get, bodies | {predicate})
+                    if decl is not None
+                )
+                if not capped and all(seeds for _, seeds in plans):
+                    self._sweep_plans[predicate] = plans
 
     @staticmethod
     def _purely_local(rule: Rule) -> bool:
@@ -154,6 +190,57 @@ class FixpointExecutor:
             if lit.location is not None
         ]
         return bool(body_terms) and all(term == head_term for term in body_terms)
+
+    def _sweep_seeds(self, rule: Rule) -> tuple[SweepSeed, ...]:
+        """The body literals through which ``rule`` can be derived for a
+        handful of head primary keys instead of for the whole node.
+
+        A positive literal qualifies when it carries head-key variables
+        (beyond the location variable, which every local row shares): its
+        rows matching a touched key there are a superset of the rows any
+        binding under that key can use, so feeding them as the ``delta`` of
+        an ordinary ``derive`` enumerates every such binding.  Key
+        attributes computed by assignments (``P=f_concatPath(S,P2)``) bind
+        nothing and are filtered after the derive.  Only the seeds binding
+        the most key attributes are kept, in body order; the check picks
+        among them at run time by which lookup is free.
+        """
+
+        head = rule.head
+        args = head.plain_args()
+        decl = self.program.materialized.get(head.predicate)
+        key_positions = (
+            tuple(k - 1 for k in decl.keys)
+            if decl is not None and decl.keys
+            else tuple(range(len(args)))
+        )
+        slot_of: dict[Var, int] = {}
+        for slot, position in enumerate(key_positions):
+            term = args[position]
+            if isinstance(term, Var):
+                slot_of.setdefault(term, slot)
+        location = args[head.location] if head.location is not None else None
+        ranked: list[tuple[int, SweepSeed]] = []
+        for literal in rule.positive_literals:
+            bound: dict[Var, int] = {}
+            for position, arg in enumerate(literal.args):
+                if isinstance(arg, Var) and arg in slot_of:
+                    bound.setdefault(arg, position)
+            selective = sum(1 for var in bound if var != location)
+            if selective:
+                pairs = sorted((position, slot_of[var]) for var, position in bound.items())
+                ranked.append(
+                    (
+                        selective,
+                        SweepSeed(
+                            literal.predicate,
+                            tuple(position for position, _ in pairs),
+                            tuple(slot for _, slot in pairs),
+                        ),
+                    )
+                )
+        best = max((selective for selective, _ in ranked), default=0)
+        return tuple(seed for selective, seed in ranked if selective == best)
 
     def protect(self, predicate: str) -> bool:
         """Exclude a predicate from consistency sweeps (it carries injected
@@ -257,6 +344,9 @@ class FixpointExecutor:
 
         changed: set[str] = set()
         deleted: set[str] = set()
+        #: sweepable predicate → primary keys a deletion round handled
+        #: since the predicate was last checked
+        touched: dict[str, set[tuple]] = {}
         rounds = 0
         while queue or changed:
             if not queue:
@@ -265,7 +355,13 @@ class FixpointExecutor:
                 for rule in aggregate:
                     self._recompute_view(node, rule, queue, now)
                 if not queue and deleted:
-                    self._consistency_sweep(node, deleted, queue, now)
+                    clean = self._sweep_is_clean(node, deleted, touched, now)
+                    if obs_metrics.ENABLED:
+                        obs_metrics.inc("engine.sweep_checks")
+                        if not clean:
+                            obs_metrics.inc("engine.sweep_repairs")
+                    if not clean:
+                        self._consistency_sweep(node, deleted, queue, now)
                     deleted = set()
                 continue
             del_ops: list[Op] = []
@@ -288,13 +384,138 @@ class FixpointExecutor:
             if del_ops or ins_ops:
                 rounds += 1
             if del_ops:
-                removed = self._deletion_subround(node, del_ops, queue, now)
+                removed = self._deletion_subround(node, del_ops, queue, now, touched)
                 changed |= removed
                 deleted |= removed
             if ins_ops:
                 changed |= self._insertion_subround(node, ins_ops, queue, now)
+        if self.batch_deltas:
+            for predicate, keys in touched.items():
+                # touched, but its sweep never came due (no body predicate
+                # lost a row): check the keys now; a dirty one is left as
+                # the full sweep would leave it, and remembered
+                if (
+                    predicate not in self._protected
+                    and predicate not in node.unswept
+                    and not self._keys_consistent(node, predicate, keys)
+                ):
+                    self._set_unswept(node, predicate, True, now)
         if rounds and obs_metrics.ENABLED:
             obs_metrics.observe("engine.fixpoint_rounds", rounds)
+
+    def _sweep_due(self, deleted: set[str]):
+        """The sweepable predicates whose check is due: unprotected, and
+        reading a predicate that lost rows."""
+
+        for predicate, rules in self._sweep_rules.items():
+            if predicate not in self._protected and not self._sweep_bodies[
+                predicate
+            ].isdisjoint(deleted):
+                yield predicate, rules
+
+    def _set_unswept(self, node: Node, predicate: str, unswept: bool, now: float) -> None:
+        """Set or clear ``predicate``'s mark in ``Node.unswept`` (mirrored
+        to the sharded coordinator's replica like a displacement mark)."""
+
+        if unswept:
+            node.unswept.add(predicate)
+        else:
+            node.unswept.discard(predicate)
+        if self.record_meta is not None:
+            self.record_meta(
+                now, node.id, predicate, (), "unswept" if unswept else "swept"
+            )
+
+    def _sweep_is_clean(
+        self, node: Node, deleted: set[str], touched: dict[str, set[tuple]], now: float
+    ) -> bool:
+        """Would :meth:`_consistency_sweep` find nothing to repair?
+
+        The scoped form of the sweep: instead of re-deriving every due
+        predicate over the whole node, derive only under the primary keys
+        this settle's deletion rounds **touched** (every key a retract,
+        delete, expiry, displacement or purge named — see
+        :meth:`_deletion_subround`) and compare with the row stored under
+        each (:meth:`_keys_consistent`).  That is exact because a binding
+        can only break in a settle whose deletion delta enumerated it: the
+        deletion join runs against the old database, so every derivation
+        that loses a body row (or gains a blocking negated one) queues a
+        retract for its head in this very settle, and a key only goes empty
+        through a deletion round.  Keys nobody touched were consistent at
+        the predicate's previous check and still are.
+
+        ``False`` — and the full sweep runs, unchanged — on any stored but
+        underivable row or derivable row under an empty key, on a predicate
+        without a seed plan, on one whose keys an earlier settle left dirty
+        (``Node.unswept``), and in per-tuple mode (nested settles see each
+        other's half-dispatched retractions).  Either way every due
+        predicate ends up checked: its touched keys and mark are dropped.
+        """
+
+        if not self.batch_deltas:
+            return False
+        clean = True
+        for predicate, _ in self._sweep_due(deleted):
+            keys = touched.pop(predicate, set())
+            if predicate in node.unswept:
+                self._set_unswept(node, predicate, False, now)
+                clean = False
+            elif clean:
+                clean = self._keys_consistent(node, predicate, keys)
+        return clean
+
+    def _keys_consistent(self, node: Node, predicate: str, keys: set[tuple]) -> bool:
+        """Is every row stored under ``keys`` derivable, and no row
+        derivable under a key of ``keys`` that stores none?
+
+        Each deriving rule is entered through one of its seeds
+        (:meth:`_sweep_seeds`): the seed predicate's rows that agree with a
+        key go in as the ``delta`` of an ordinary ``derive``, whose firings
+        are then filtered to ``keys``.  ``False`` without looking when the
+        predicate has no seed plan.
+        """
+
+        plans = self._sweep_plans.get(predicate)
+        if plans is None:
+            return False
+        if not keys:
+            return True
+        db = node.db
+        table = db.table(predicate)
+        key_of = table.key_of
+        node_id = node.id
+        #: touched primary key → the rows derivable under it
+        derivable: dict[tuple, set[tuple]] = {}
+        for rule, seeds in plans:
+            seed = next(
+                (s for s in seeds if db.table(s.predicate).has_lookup(s.positions)),
+                seeds[0],
+            )
+            source = db.table(seed.predicate)
+            slots = seed.slots
+            rows = [
+                row
+                for values in {tuple(key[slot] for slot in slots) for key in keys}
+                for row in source.lookup(seed.positions, values)
+            ]
+            if not rows:
+                continue
+            for firing in node.derive(rule, delta={seed.predicate: rows}):
+                values = firing.values
+                location = firing.location
+                if location is not None and values[location] != node_id:
+                    continue
+                key = key_of(values)
+                if key in keys:
+                    derivable.setdefault(key, set()).add(row_key(values))
+        for key in keys:
+            stored = table.lookup(table.keys, key)
+            if stored:
+                if row_key(stored[0]) not in derivable.get(key, ()):
+                    return False
+            elif key in derivable:
+                return False
+        return True
 
     def _consistency_sweep(
         self, node: Node, deleted: set[str], queue, now: float
@@ -316,13 +537,7 @@ class FixpointExecutor:
         """
 
         progressed = False
-        for predicate, rules in self._sweep_rules.items():
-            if predicate in self._protected:
-                continue
-            if not any(
-                body in deleted for rule in rules for body in rule.body_predicates()
-            ):
-                continue
+        for predicate, rules in self._sweep_due(deleted):
             table = node.db.table(predicate)
             derivable: dict[tuple, tuple] = {}
             for rule in rules:
@@ -343,14 +558,18 @@ class FixpointExecutor:
                     progressed = True
         return progressed
 
-    def _deletion_subround(self, node: Node, del_ops, requeue, now: float) -> set[str]:
+    def _deletion_subround(
+        self, node: Node, del_ops, requeue, now: float, touched: dict[str, set[tuple]]
+    ) -> set[str]:
         """One deletion round: decide, fire old-database joins, remove.
 
         Counted retracts release one support, forced deletes/expiries match
         the stored row; the retraction joins fire while the condemned rows
         are still stored (the deletion delta joins against the *old*
-        database) and only then are the rows removed.  Returns the changed
-        predicates.
+        database) and only then are the rows removed.  Every op on a
+        sweepable predicate records its primary key in ``touched`` — the
+        keys the settle-end check (:meth:`_sweep_is_clean`) re-derives.
+        Returns the changed predicates.
         """
 
         changed: set[str] = set()
@@ -360,9 +579,12 @@ class FixpointExecutor:
             displacing: set[tuple[str, tuple]] = set()
             seen: set[tuple[str, tuple]] = set()
             pending_inserts: Optional[set[tuple]] = None
+            sweepable = self._sweep_rules
             for kind, predicate, values in del_ops:
                 table = node.db.table(predicate)
                 row = tuple(values)
+                if predicate in sweepable:
+                    touched.setdefault(predicate, set()).add(table.key_of(row))
                 if kind == "retract":
                     if table.current(row) != row:
                         if pending_inserts is None:

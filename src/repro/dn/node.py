@@ -70,6 +70,11 @@ class Node:
         #: displaced row's support count was destroyed; when the stored row
         #: under such a key is retracted, the key is re-derived locally)
         self.displaced: dict[str, set[tuple]] = {}
+        #: sweepable predicates holding a key that was inconsistent at the
+        #: end of a settle in which their consistency sweep was not due (so
+        #: it was left alone): their next sweep is the full one (see
+        #: ``FixpointExecutor._sweep_is_clean``)
+        self.unswept: set[str] = set()
         for decl in program.materialized.values():
             self.db.declare_from(decl)
 

@@ -48,8 +48,8 @@ state stays readable afterwards.
 ``EngineConfig.shard_timeout``) raises :class:`ShardCrash` inside the
 coordinator, which respawns the worker and **resyncs** its partition from
 the replica tables: rows with their support counts and timestamps,
-displacement marks, index bucket orders, protected base predicates, and
-node stats are pushed back (``load_state``), aggregate view memos are
+displacement/unswept marks, index bucket orders, protected predicates,
+and node stats are pushed back (``load_state``), aggregate view memos are
 recomputed worker-side, and the crashed request is retried.  Because the
 replica is only advanced *after* a request's results return, a worker that
 dies mid-request leaves the replica at the pre-request state, so the retry
@@ -254,8 +254,8 @@ class ShardWorker:
         ``state`` is the coordinator's export of its replica (see
         :meth:`ShardedEngine._export_shard_state`): per-node tables as
         ``(key, values, inserted_at, expires_at, count)`` rows in replica
-        iteration order, index buckets verbatim, displacement marks, node
-        stats, and the protected-predicate set.  Aggregate view memos are
+        iteration order, index buckets verbatim, displacement/unswept marks,
+        node stats, and the protected-predicate set.  Aggregate view memos are
         process-local (keyed by rule identity) and replica nodes never fire
         rules, so they are **recomputed** here — sound because resync
         happens at a settle point, where each memo equals a fresh recompute
@@ -275,6 +275,7 @@ class ShardWorker:
                 predicate: set(tuple(key) for key in keys)
                 for predicate, keys in entry["displaced"].items()
             }
+            node.unswept = set(entry["unswept"])
             for predicate, rows, _indexes in entry["tables"]:
                 table = node.db.table(predicate)
                 table._rows.clear()
@@ -669,6 +670,7 @@ class ShardedEngine(DistributedEngine):
                     predicate: list(keys)
                     for predicate, keys in node.displaced.items()
                 },
+                "unswept": sorted(node.unswept),
                 "tables": tables,
             }
         return {"nodes": nodes, "protected": sorted(self.executor._protected)}
@@ -760,6 +762,12 @@ class ShardedEngine(DistributedEngine):
                     continue
                 elif kind == "index":
                     node.db.table(predicate).index_on(values)
+                    continue
+                elif kind == "unswept":
+                    node.unswept.add(predicate)
+                    continue
+                elif kind == "swept":
+                    node.unswept.discard(predicate)
                     continue
                 else:
                     node.delete(predicate, values)

@@ -426,6 +426,25 @@ class Table:
         bucket = self.index_on(positions).get(values)
         return bucket.values() if bucket else ()
 
+    def lookup(self, positions: tuple[int, ...], values: tuple) -> Iterable[tuple]:
+        """:meth:`probe_iter` that builds no index for a primary-key probe.
+
+        When ``positions`` *are* the table's key attributes, the row map
+        already is the index: the (at most one) match is read straight from
+        it.  Any other position set goes through the lazy hash index.
+        """
+
+        if positions == self.keys:
+            stored = self._rows.get(values)
+            return (stored.values,) if stored is not None else ()
+        return self.probe_iter(positions, values)
+
+    def has_lookup(self, positions: tuple[int, ...]) -> bool:
+        """Is :meth:`lookup` on ``positions`` free of an index build (they
+        are the primary key, or their index already exists)?"""
+
+        return positions == self.keys or positions in self._indexes
+
     @property
     def index_count(self) -> int:
         return len(self._indexes)

@@ -48,6 +48,8 @@ METRIC_NAMES = (
     "engine.fixpoint_rounds",
     "engine.delta_batch_size",
     "engine.retraction_cascade",
+    "engine.sweep_checks",
+    "engine.sweep_repairs",
     # dn/shard.py
     "shard.requests",
     "shard.request_seconds",

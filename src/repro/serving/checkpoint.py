@@ -139,6 +139,7 @@ def capture_engine(engine: DistributedEngine) -> dict:
         node_state[node_id] = {
             "stats": node.stats.as_dict(),
             "displaced": {p: set(keys) for p, keys in node.displaced.items()},
+            "unswept": sorted(node.unswept),
             "view_memo": {
                 rule_index[rid]: set(rows)
                 for rid, rows in node.view_memo.items()
@@ -231,6 +232,8 @@ def restore_engine(engine: DistributedEngine, state: dict) -> None:
         node = engine.nodes[node_id]
         node.stats = NodeStats(**node_state["stats"])
         node.displaced = {p: set(keys) for p, keys in node_state["displaced"].items()}
+        # absent in captures that predate the scoped consistency check
+        node.unswept = set(node_state.get("unswept", ()))
         node.view_memo = {
             id(rules[index]): set(rows)
             for index, rows in node_state["view_memo"].items()

@@ -354,8 +354,28 @@ class TestConsistencySweep:
 
     EDGES = [(0, 1, 1), (0, 2, 1), (0, 3, 4), (0, 4, 2), (2, 3, 1), (3, 4, 2)]
 
+    @pytest.fixture
+    def full_sweeps(self, monkeypatch):
+        """Nodes at which the full sweep ran: since the settle-end check is
+        scoped to the touched keys, the ghosts below are only repaired if a
+        dirty verdict takes the repair path."""
+
+        from repro.dn.executor import FixpointExecutor
+
+        ran = []
+        real = FixpointExecutor._consistency_sweep
+
+        def sweep(self, node, deleted, queue, now):
+            ran.append(node.id)
+            return real(self, node, deleted, queue, now)
+
+        monkeypatch.setattr(FixpointExecutor, "_consistency_sweep", sweep)
+        return ran
+
     @pytest.mark.parametrize("batch_deltas", [True, False])
-    def test_isolating_a_node_leaves_no_ghost_best_paths(self, batch_deltas):
+    def test_isolating_a_node_leaves_no_ghost_best_paths(
+        self, batch_deltas, full_sweeps
+    ):
         # failing 0-1 isolates node 1 entirely: every route to/from it must go
         engine = DistributedEngine(
             pv_program(),
@@ -373,8 +393,9 @@ class TestConsistencySweep:
         )
         for predicate in ("path", "bestPath", "bestPathCost"):
             assert not [r for r in engine.rows(predicate) if 1 in r[:2]]
+        assert full_sweeps
 
-    def test_sweep_records_retract_kinds(self):
+    def test_sweep_records_retract_kinds(self, full_sweeps):
         engine = DistributedEngine(pv_program(), Topology.from_edges(self.EDGES))
         engine.seed_facts()
         engine.schedule_link_failure(0, 1, at=1.0)
@@ -384,3 +405,6 @@ class TestConsistencySweep:
             c for c in trace.changes_of_kind("retract") if c.predicate == "bestPath"
         ]
         assert swept
+        # ... and they went through the repair path, at the nodes that held
+        # ghosts only (every other settle-end check was clean)
+        assert full_sweeps and len(set(full_sweeps)) < len(engine.nodes)

@@ -95,6 +95,16 @@ class TestEngineIdentity:
         # the instrumented run must actually have recorded something...
         recorded = metrics.registry().export()
         assert recorded["counters"].get("engine.events", 0) > 0
+        if retract:
+            # the churn removed rows: settle-end consistency checks came
+            # due, and a clean network needs the full sweep only where the
+            # scoped check cannot run (per-tuple mode)
+            checks = recorded["counters"].get("engine.sweep_checks", 0)
+            repairs = recorded["counters"].get("engine.sweep_repairs", 0)
+            assert checks > 0
+            assert repairs == (0 if batch else checks)
+        else:
+            assert "engine.sweep_checks" not in recorded["counters"]
         assert tracing.tracer().export()["spans"]
         # ...while changing nothing observable
         assert observed == plain
@@ -104,6 +114,8 @@ class TestEngineIdentity:
         observed = run_once(obs=True, shards=4)
         recorded = metrics.registry().export()
         assert recorded["counters"].get("shard.flush_waves", 0) > 0
+        # worker-side counters reach the coordinator's registry
+        assert recorded["counters"].get("engine.sweep_checks", 0) > 0
         assert observed == plain
 
 
