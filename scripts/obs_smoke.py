@@ -6,9 +6,11 @@ nothing* — and that each pillar actually produces its artifact:
 
 1. **Campaign leg** — run the same small campaign grid twice, plain and
    with ``obs`` + a Chrome trace; require ``results.jsonl`` byte-identical
-   across the two, the merged ``metrics.json`` to cover every run, and the
-   trace to be a loadable Chrome trace-event document (also summarized
-   through the ``fvn-trace`` CLI).
+   across the two, the merged ``metrics.json`` to cover every run — with
+   its ``engine.events`` counter equal to the sum of the records'
+   ``events`` column, so the weighted seeding event can never drift from
+   what the trace reports — and the trace to be a loadable Chrome
+   trace-event document (also summarized through the ``fvn-trace`` CLI).
 2. **Serving leg** — boot a daemon with ``--trace-out`` over the real
    socket; push an update; resolve a derived ``bestPath`` row to base
    facts through the ``explain`` verb; read the ``metrics`` verb; stop and
@@ -47,6 +49,9 @@ CAMPAIGN = {
     "churn_events": [2],
     "loss": [0.0],
     "until": 15.0,
+    # the stale-route reference engine would run under the same registry
+    # and add its own events to the counter checked below
+    "record_stale_routes": False,
 }
 
 
@@ -66,6 +71,7 @@ def campaign_leg(evidence: dict, artifacts: Path, tmp: Path) -> None:
         "results_identical": plain_bytes == obs_bytes,
         "metrics_runs_covered": metrics["runs_covered"],
         "metric_counters": metrics["metrics"]["counters"],
+        "record_events": sum(record.events for record in observed.records),
         "trace_events": len(events),
         "trace_span_names": sorted({e["name"] for e in events}),
         "trace_summary": summarize_trace(events)[:5],
@@ -75,6 +81,12 @@ def campaign_leg(evidence: dict, artifacts: Path, tmp: Path) -> None:
         raise SystemExit("obs smoke: obs-enabled results.jsonl diverged from plain run")
     if leg["metrics_runs_covered"] != len(plain.records):
         raise SystemExit("obs smoke: metrics.json does not cover every run")
+    if leg["metric_counters"].get("engine.events") != leg["record_events"]:
+        raise SystemExit(
+            f"obs smoke: merged engine.events counter "
+            f"{leg['metric_counters'].get('engine.events')} != "
+            f"{leg['record_events']} events summed over the records"
+        )
     if not leg["trace_events"]:
         raise SystemExit("obs smoke: campaign trace holds no complete-span events")
     if "harness.run" not in leg["trace_span_names"]:

@@ -151,6 +151,10 @@ class EngineMonitor(Protocol):
     fixpoint (``on_settle``) — the points at which FVN safety properties are
     meaningful during execution.  See :mod:`repro.fvn.monitors` for the
     property-derived implementations.
+
+    A monitor whose ``on_change`` ignores every predicate outside a fixed
+    set may also define ``change_predicates()`` returning that set (``None``
+    for "all"); the engine then only calls it for those predicates.
     """
 
     def attach(self, engine: "DistributedEngine") -> None: ...
@@ -234,6 +238,11 @@ class DistributedEngine:
         #: runtime invariant monitors (see :class:`EngineMonitor`); empty by
         #: default so the hot paths pay a single truthiness check
         self.monitors: list[EngineMonitor] = []
+        #: predicate → the monitors whose ``on_change`` wants it, in attach
+        #: order; predicates absent here go to ``_unfiltered_monitors`` (the
+        #: monitors that declared no ``change_predicates``) alone
+        self._change_watchers: dict[str, tuple[EngineMonitor, ...]] = {}
+        self._unfiltered_monitors: tuple[EngineMonitor, ...] = ()
         self._per_tuple_depth = 0
         #: >0 while a node's fixpoint rounds (or the sharded replay of one)
         #: are executing — mid-fixpoint states are deliberately inconsistent
@@ -285,12 +294,28 @@ class DistributedEngine:
 
         monitor.attach(self)
         self.monitors.append(monitor)
+        # fan state changes out by predicate: ``_record_change`` runs once
+        # per stored-row change, and most monitors care about a few
+        # predicates (none of them configuration like ``exportDeny``)
+        declared = getattr(monitor, "change_predicates", None)
+        predicates = declared() if declared is not None else None
+        if predicates is None:
+            self._unfiltered_monitors += (monitor,)
+            self._change_watchers = {
+                predicate: watchers + (monitor,)
+                for predicate, watchers in self._change_watchers.items()
+            }
+        else:
+            for predicate in predicates:
+                self._change_watchers[predicate] = self._change_watchers.get(
+                    predicate, self._unfiltered_monitors
+                ) + (monitor,)
 
     def _record_change(
         self, time: float, node_id: NodeId, predicate: str, values: tuple, kind: str
     ) -> None:
         self.trace.record_change(time, node_id, predicate, values, kind)
-        for monitor in self.monitors:
+        for monitor in self._change_watchers.get(predicate, self._unfiltered_monitors):
             monitor.on_change(time, node_id, predicate, values, kind)
 
     def _notify_settle(self, node_id: NodeId) -> None:
@@ -342,22 +367,47 @@ class DistributedEngine:
             for link_fact in self.topology.link_facts():
                 facts.append((link_fact[0], self.config.link_predicate, tuple(link_fact)))
         self._base_facts = facts
-        for node_id, predicate, values in facts:
-            # injected base facts are exempt from consistency sweeps (no
-            # rule derives them, so derivability must not be demanded)
+        # injected base facts are exempt from consistency sweeps (no rule
+        # derives them, so derivability must not be demanded)
+        for predicate in dict.fromkeys(predicate for _, predicate, _ in facts):
             self._protect_predicate(predicate)
-            self._schedule_local_insert(node_id, predicate, values, delay=0.0)
+        if facts:
+            # configuration is loaded, not simulated: one weighted event
+            # stands for the whole burst, at one unit of event budget per
+            # fact (``events_processed`` and ``max_events`` count every one)
+            self.scheduler.schedule(
+                0.0, Event("seed", self._fact_loader(facts), units=len(facts))
+            )
         if self.config.refresh_interval:
             self.scheduler.schedule(
                 self.config.refresh_interval,
-                Event("refresh", self._refresh_base_facts, "soft-state refresh"),
+                Event("refresh", self._refresh_base_facts),
             )
         if self._has_soft_state():
             self.scheduler.schedule(
                 self.config.expiry_scan_interval,
-                Event("expiry", self._expire_soft_state, "soft-state expiry scan"),
+                Event("expiry", self._expire_soft_state),
             )
         self._seeded = True
+
+    def _fact_loader(self, facts: list[tuple[NodeId, str, tuple]]):
+        """The callback of the seeding event: each call feeds the next
+        ``allowance`` facts through :meth:`_enqueue` in list order, which
+        fixes each node's pending ops, the order of the per-node flush
+        events and, per-tuple, the order of application.  A ``max_events``
+        cut-off inside the burst leaves the rest for the next ``run()``,
+        which resumes at the first unloaded fact."""
+
+        loaded = 0
+
+        def load(allowance: int) -> None:
+            nonlocal loaded
+            enqueue = self._enqueue
+            for node_id, predicate, values in facts[loaded : loaded + allowance]:
+                enqueue(node_id, ("insert", predicate, values))
+            loaded += allowance
+
+        return load
 
     def _has_soft_state(self) -> bool:
         return any(decl.is_soft_state for decl in self.program.materialized.values())
@@ -379,14 +429,6 @@ class DistributedEngine:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _schedule_local_insert(
-        self, node_id: NodeId, predicate: str, values: tuple, *, delay: float
-    ) -> None:
-        def deliver() -> None:
-            self._handle_insert(node_id, predicate, values)
-
-        self.scheduler.schedule(delay, Event("insert", deliver, f"{predicate}@{node_id}"))
-
     def _send(
         self, src: NodeId, dst: NodeId, predicate: str, values: tuple, kind: str = "assert"
     ) -> None:
@@ -408,7 +450,7 @@ class DistributedEngine:
             else:
                 self._handle_insert(dst, predicate, values)
 
-        self.scheduler.schedule(delay, Event("message", deliver, f"{src}->{dst} {predicate}"))
+        self.scheduler.schedule(delay, Event("message", deliver))
 
     # ------------------------------------------------------------------
     # Batched semi-naive execution
@@ -435,12 +477,7 @@ class DistributedEngine:
         self._flush_marks[node_id] = now
         self.scheduler.schedule(
             0.0,
-            Event(
-                "flush",
-                lambda: self._flush(node_id),
-                f"batch flush@{node_id}",
-                target=node_id,
-            ),
+            Event("flush", lambda: self._flush(node_id), target=node_id),
         )
 
     def _apply_immediate(self, node_id: NodeId, op: tuple[str, str, tuple]) -> None:
@@ -545,12 +582,7 @@ class DistributedEngine:
 
         values = tuple(values)
         self.scheduler.schedule_at(
-            at,
-            Event(
-                "delete",
-                lambda: self.delete_fact(predicate, values),
-                f"-{predicate}{values}",
-            ),
+            at, Event("delete", lambda: self.delete_fact(predicate, values))
         )
 
     def refresh_soft_state(self) -> None:
@@ -569,9 +601,7 @@ class DistributedEngine:
         """Schedule a one-shot soft-state refresh round at an absolute
         simulation time (no periodic rescheduling)."""
 
-        self.scheduler.schedule_at(
-            at, Event("refresh_once", self._refresh_round, "one-shot soft-state refresh")
-        )
+        self.scheduler.schedule_at(at, Event("refresh_once", self._refresh_round))
 
     # ------------------------------------------------------------------
     # Soft state
@@ -581,7 +611,7 @@ class DistributedEngine:
         if self.config.refresh_interval:
             self.scheduler.schedule(
                 self.config.refresh_interval,
-                Event("refresh", self._refresh_base_facts, "soft-state refresh"),
+                Event("refresh", self._refresh_base_facts),
             )
 
     def _refresh_round(self) -> None:
@@ -651,7 +681,7 @@ class DistributedEngine:
         ):
             self.scheduler.schedule(
                 self.config.expiry_scan_interval,
-                Event("expiry", self._expire_soft_state, "soft-state expiry scan"),
+                Event("expiry", self._expire_soft_state),
             )
 
     def _expire_node_monotonic(self, node: Node, now: float) -> dict[str, list[tuple]]:
@@ -698,7 +728,7 @@ class DistributedEngine:
                         # node's settle point is right here
                         self._notify_settle(link.src)
 
-        self.scheduler.schedule_at(at, Event("link_failure", fail, f"{src}-{dst} down"))
+        self.scheduler.schedule_at(at, Event("link_failure", fail))
 
     def _monotonic_delete(self, node_id: NodeId, predicate: str, values: tuple) -> bool:
         """Remove a base row without retraction (monotonic-mode hook).
@@ -726,7 +756,7 @@ class DistributedEngine:
             for link in affected:
                 self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
 
-        self.scheduler.schedule_at(at, Event("link_restore", restore, f"{src}-{dst} up"))
+        self.scheduler.schedule_at(at, Event("link_restore", restore))
 
     def schedule_cost_change(
         self, src: NodeId, dst: NodeId, cost: float, at: float, *, symmetric: bool = True
@@ -744,7 +774,7 @@ class DistributedEngine:
                 if link.up:
                     self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
 
-        self.scheduler.schedule_at(at, Event("cost_change", change, f"{src}-{dst} cost={cost}"))
+        self.scheduler.schedule_at(at, Event("cost_change", change))
 
     def _protect_predicate(self, predicate: str) -> None:
         """Mark a predicate as carrying injected base facts (sweep-exempt).
@@ -758,12 +788,7 @@ class DistributedEngine:
         values = tuple(values)
         self._protect_predicate(predicate)
         self.scheduler.schedule_at(
-            at,
-            Event(
-                "inject",
-                lambda: self._handle_insert(values[0], predicate, values),
-                f"{predicate}{values}",
-            ),
+            at, Event("inject", lambda: self._handle_insert(values[0], predicate, values))
         )
 
     # ------------------------------------------------------------------

@@ -27,12 +27,21 @@ class Event:
     distributed engine tags per-node batch flushes with the node id), so
     schedulers layered on top — the shard coordinator — can recognize and
     coalesce same-timestamp events without inspecting callbacks.
+
+    ``units`` makes the event *weighted*: it stands for that many units of
+    event budget — ``n`` one-unit events scheduled back to back — without
+    occupying ``n`` queue entries.  The scheduler calls a weighted event's
+    callback as ``callback(allowance)`` with ``1 <= allowance <= units``,
+    the callback does exactly that many units of its work, and the event
+    stays queued under its original ``(time, sequence)`` until its units
+    are spent (see :meth:`EventScheduler.run`).  ``None`` is an ordinary
+    event: one unit, ``callback()``.
     """
 
     kind: str
-    callback: Callable[[], None]
-    detail: str = ""
+    callback: Callable[..., None]
     target: object = None
+    units: Optional[int] = None
 
 
 class EventScheduler:
@@ -99,7 +108,15 @@ class EventScheduler:
     ) -> int:
         """Process events in order until the queue drains, ``until`` is
         reached, or ``max_events`` have been processed.  Returns the number
-        of events processed by this call."""
+        of events processed by this call.
+
+        A weighted event (``Event.units``) counts as its units, not as one:
+        it is handed ``min(units left, budget left)``, ``processed`` and the
+        budget are charged that much, and what remains waits in its
+        original queue position for the next call — so a budget that runs
+        out inside it stops exactly where it would have stopped among the
+        one-unit events it stands for.
+        """
 
         if self.running:
             raise RuntimeError(
@@ -113,17 +130,34 @@ class EventScheduler:
             while self._queue and self._budget > 0:
                 if self._queue[0][0] > until:
                     break
-                at, _, event = heapq.heappop(self._queue)
-                self.now = at
-                self._budget -= 1
-                self.processed += 1
-                event.callback()
+                self._execute(heapq.heappop(self._queue))
         finally:
             self._budget = float("inf")
             self.running = False
         if self._queue and self._queue[0][0] > until and until != float("inf"):
             self.now = until
         return self.processed - start
+
+    def _execute(self, entry: _QueueEntry) -> None:
+        """Run one popped queue entry against the current budget (which the
+        caller has checked is positive), charging before the callback so
+        out-of-band pops made from inside it see what is left."""
+
+        at, _, event = entry
+        self.now = at
+        units = event.units
+        if units is None:
+            self._budget -= 1
+            self.processed += 1
+            event.callback()
+            return
+        allowance = min(units, self._budget)
+        event.units = units - allowance
+        self._budget -= allowance
+        self.processed += allowance
+        event.callback(allowance)
+        if event.units:
+            heapq.heappush(self._queue, entry)
 
     def pop_if(self, match: Callable[[float, Event], bool]) -> Optional[Event]:
         """Pop and return the head event when ``match(time, event)`` holds.
@@ -132,13 +166,15 @@ class EventScheduler:
         exactly as if the run loop had processed it (the caller is taking
         over that event's execution), so engines that coalesce events — the
         shard coordinator batching same-timestamp flushes — keep byte-
-        identical budget semantics with the one-at-a-time loop.
+        identical budget semantics with the one-at-a-time loop.  Weighted
+        events are never handed out: only the run loop knows how to charge
+        them.
         """
 
         if not self._queue or self._budget <= 0:
             return None
         at, _, event = self._queue[0]
-        if not match(at, event):
+        if event.units is not None or not match(at, event):
             return None
         heapq.heappop(self._queue)
         self.now = at
@@ -147,12 +183,10 @@ class EventScheduler:
         return event
 
     def step(self) -> bool:
-        """Process a single event.  Returns False when the queue is empty."""
+        """Process a single queue entry (a weighted event whole).  Returns
+        False when the queue is empty."""
 
         if not self._queue:
             return False
-        at, _, event = heapq.heappop(self._queue)
-        self.now = at
-        event.callback()
-        self.processed += 1
+        self._execute(heapq.heappop(self._queue))
         return True

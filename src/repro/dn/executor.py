@@ -364,23 +364,32 @@ class FixpointExecutor:
                         self._consistency_sweep(node, deleted, queue, now)
                     deleted = set()
                 continue
-            del_ops: list[Op] = []
+            # the leading run of inserts cannot follow a retraction of the
+            # same tuple, so it is taken without cancellation keys — the
+            # whole round, for a seeding flush or an assert-only message wave
             ins_ops: list[Op] = []
-            seen_del: set[tuple[str, tuple]] = set()
-            seen_ins: set[tuple[str, tuple]] = set()
-            while queue:
-                kind, predicate, values = queue[0]
-                key = (predicate, row_key(tuple(values)))
-                if kind == "insert":
-                    if key in seen_del:
-                        break
-                    seen_ins.add(key)
-                    ins_ops.append(queue.popleft())
-                else:
-                    if key in seen_ins:
-                        break
-                    seen_del.add(key)
-                    del_ops.append(queue.popleft())
+            while queue and queue[0][0] == "insert":
+                ins_ops.append(queue.popleft())
+            del_ops: list[Op] = []
+            if queue:
+                seen_del: set[tuple[str, tuple]] = set()
+                seen_ins = {
+                    (predicate, row_key(tuple(values)))
+                    for _, predicate, values in ins_ops
+                }
+                while queue:
+                    kind, predicate, values = queue[0]
+                    key = (predicate, row_key(tuple(values)))
+                    if kind == "insert":
+                        if key in seen_del:
+                            break
+                        seen_ins.add(key)
+                        ins_ops.append(queue.popleft())
+                    else:
+                        if key in seen_ins:
+                            break
+                        seen_del.add(key)
+                        del_ops.append(queue.popleft())
             if del_ops or ins_ops:
                 rounds += 1
             if del_ops:
@@ -689,26 +698,40 @@ class FixpointExecutor:
         changed: set[str] = set()
         if ins_ops:
             delta: dict[str, list[tuple]] = {}
+            db = node.db
+            stats = node.stats
+            node_id = node.id
+            record_change = self.record_change
+            record_meta = self.record_meta
+            run_predicate = None
             for _, predicate, values in ins_ops:
-                table = node.db.table(predicate)
+                if predicate != run_predicate:
+                    # ops come in same-predicate runs (a configuration
+                    # burst, a message wave): resolve the table per run
+                    run_predicate = predicate
+                    table = db.table(predicate)
+                    upsert = table.upsert_unless_displacing
+                    kind = "replace" if table.keys else "insert"
                 row = tuple(values)
-                # only keyed tables can displace (keyless rows are their own
-                # key, so an existing different row is impossible)
-                previous = table.current(row) if table.keys else None
-                if previous is not None and previous != row:
+                inserted, occupant = upsert(row, now)
+                if occupant is not None:
                     # keyed displacement (e.g. a link cost change): retract
                     # the displaced row's consequences before re-inserting,
                     # and remember the key for refills (see deletion round)
                     node.displaced.setdefault(predicate, set()).add(
                         table.key_of(row)
                     )
-                    if self.record_meta is not None:
-                        self.record_meta(now, node.id, predicate, row, "mark")
-                    requeue.append(("displace", predicate, previous))
+                    if record_meta is not None:
+                        record_meta(now, node_id, predicate, row, "mark")
+                    requeue.append(("displace", predicate, occupant))
                     requeue.append(("insert", predicate, row))
-                    continue
-                if self._apply_insert(node, predicate, row, now):
+                elif inserted:
+                    stats.tuples_inserted += 1
+                    record_change(now, node_id, predicate, row, kind)
                     delta.setdefault(predicate, []).append(row)
+                elif record_meta is not None:
+                    # a duplicate support was counted (see _apply_insert)
+                    record_meta(now, node_id, predicate, row, "support")
             if delta:
                 if obs_metrics.ENABLED:
                     obs_metrics.observe(

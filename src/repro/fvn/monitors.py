@@ -164,6 +164,15 @@ class RuntimeMonitor:
             keys = tuple(k - 1 for k in decl.keys) if decl is not None else ()
             self._key_getters[predicate] = _make_key_getter(keys)
 
+    def change_predicates(self) -> Optional[frozenset[str]]:
+        """The predicates ``on_change`` acts on, so the engine can skip the
+        call for every other one — ``None`` (all of them) for a subclass
+        that replaces ``on_change``, like :class:`SoftStateBoundMonitor`."""
+
+        if type(self).on_change is not RuntimeMonitor.on_change:
+            return None
+        return frozenset(self.watched)
+
     def on_change(
         self, time: float, node: object, predicate: str, values: tuple, kind: str
     ) -> None:

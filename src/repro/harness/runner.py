@@ -18,6 +18,7 @@ resume re-reads the ledger, skips completed runs, and executes the rest.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..bgp.generator import policy_path_vector_program
+from ..bgp.generator import policy_path_vector_source
 from ..dn.engine import DistributedEngine, EngineConfig, create_engine
 from ..fvn.monitors import (
     MonitorSchema,
@@ -37,9 +38,10 @@ from ..fvn.monitors import (
     schema_for_program,
 )
 from ..ndlog.ast import MaterializeDecl, Program
+from ..ndlog.parser import parse_program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from ..protocols.pathvector import path_vector_program
+from ..protocols.pathvector import PATH_VECTOR_SOURCE
 from ..scenarios.generator import Scenario, generate_scenario
 from .records import (
     LEDGER_NAME,
@@ -56,15 +58,33 @@ from .records import (
 from .spec import CampaignSpec, RunDescriptor
 
 
+@functools.lru_cache(maxsize=8)
+def _parsed(source: str, name: str) -> Program:
+    """One lex + parse per source text per process (a pool worker runs its
+    whole chunk, and every stale-route reference engine, off two texts).
+    The cached program is never handed out: see :func:`build_program`."""
+
+    return parse_program(source, name)
+
+
 def build_program(descriptor: RunDescriptor) -> Program:
     """The run's NDlog program: plain path-vector, or the generated policy
     path-vector when the descriptor carries a policy kind, with the
-    descriptor's soft-state lifetime overrides applied."""
+    descriptor's soft-state lifetime overrides applied.
+
+    Parsed once per process; each call returns a fresh :class:`Program`
+    with its own ``rules`` / ``facts`` lists and ``materialized`` dict over
+    the shared (immutable) rules, facts and declarations, so one run's
+    overrides never reach another's.
+    """
 
     if descriptor.policy is None:
-        program = path_vector_program()
+        parsed = _parsed(PATH_VECTOR_SOURCE, "pathvector")
     else:
-        program = policy_path_vector_program()
+        parsed = _parsed(policy_path_vector_source(), "policy_pathvector")
+    program = Program(
+        parsed.name, list(parsed.rules), list(parsed.facts), dict(parsed.materialized)
+    )
     for predicate, lifetime in descriptor.soft_state:
         decl = program.materialized.get(predicate)
         if decl is None:

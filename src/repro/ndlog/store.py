@@ -147,8 +147,35 @@ class Table:
 
         row = tuple(values)
         key = self._key_getter(row)
-        lifetime = self.lifetime
+        return self._upsert_at(key, row, self._rows.get(key), now)
+
+    def upsert_unless_displacing(
+        self, values: Sequence[object], now: float = 0.0
+    ) -> tuple[bool, Optional[tuple]]:
+        """:meth:`upsert` that refuses to re-bind an occupied key.
+
+        Returns ``(False, occupant)`` — the table untouched — when a
+        *different* row is stored under the key of ``values``; otherwise
+        ``(changed, None)`` exactly as :meth:`upsert` reports a new key or
+        another support of the stored row.  The retraction-aware runtime
+        inserts through this: a keyed displacement must first retract the
+        occupant's consequences, and telling the three cases apart here
+        costs one key computation instead of ``current`` + ``upsert``.
+        """
+
+        row = tuple(values)
+        key = self._key_getter(row)
         existing = self._rows.get(key)
+        if existing is not None and existing.values != row:
+            return False, existing.values
+        return self._upsert_at(key, row, existing, now)[0], None
+
+    def _upsert_at(
+        self, key: tuple, row: tuple, existing: Optional[StoredTuple], now: float
+    ) -> tuple[bool, Optional[tuple]]:
+        """:meth:`upsert` once the key is computed and looked up."""
+
+        lifetime = self.lifetime
         if existing is not None and existing.values == row:
             # another support for the same row (a duplicate derivation or a
             # soft-state re-announcement): count it, and rewrite the stored

@@ -210,7 +210,7 @@ def restore_engine(engine: DistributedEngine, state: dict) -> None:
     sched._counter = itertools.count(sched_state["counter"])
     callbacks = _maintenance_callbacks(engine)
     sched._queue = [
-        (at, seqno, Event(kind, callbacks[kind], f"restored {kind} timer"))
+        (at, seqno, Event(kind, callbacks[kind]))
         for at, seqno, kind in sched_state["events"]
     ]
     heapq.heapify(sched._queue)

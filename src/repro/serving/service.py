@@ -365,7 +365,7 @@ class RouteService:
         if engine._live_soft_rows():
             engine.scheduler.schedule(
                 engine.config.expiry_scan_interval,
-                Event("expiry", engine._expire_soft_state, "soft-state expiry scan"),
+                Event("expiry", engine._expire_soft_state),
             )
 
     # ------------------------------------------------------------------

@@ -63,6 +63,41 @@ class TestEventScheduler:
         processed = scheduler.run(max_events=25)
         assert processed == 25
 
+    def test_weighted_event_is_charged_by_units_and_keeps_its_place(self):
+        """An event standing for 5 units behaves like 5 one-unit events
+        scheduled back to back: a budget cut inside it stops mid-way, and
+        the remainder still runs before everything scheduled after it."""
+
+        scheduler = EventScheduler()
+        fired = []
+
+        units = iter(range(5))
+
+        def burst(allowance):
+            for _ in range(allowance):
+                unit = next(units)
+                fired.append(f"u{unit}")
+                if unit == 0:
+                    # scheduled from inside the burst, at the same time
+                    scheduler.schedule(0.0, Event("inner", lambda: fired.append("inner")))
+
+        scheduler.schedule(0.0, Event("before", lambda: fired.append("before")))
+        scheduler.schedule(0.0, Event("burst", burst, units=5))
+        scheduler.schedule(0.0, Event("after", lambda: fired.append("after")))
+        assert scheduler.pending == 3
+        assert scheduler.run(max_events=3) == 3
+        assert fired == ["before", "u0", "u1"]
+        assert scheduler.processed == 3 and scheduler.pending_kinds() == {
+            "burst", "after", "inner",
+        }
+        # nobody but the run loop may take a weighted event off the queue
+        assert scheduler.pop_if(lambda at, event: True) is None
+        assert scheduler.run(max_events=2) == 2
+        assert fired[3:] == ["u2", "u3"]
+        assert scheduler.run() == 3
+        assert fired[5:] == ["u4", "after", "inner"]
+        assert scheduler.processed == 8 and scheduler.is_empty
+
 
 class TestTopology:
     def test_symmetric_links_and_facts(self):

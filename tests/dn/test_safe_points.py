@@ -131,7 +131,7 @@ class TestReentrantRun:
     def test_event_callback_driving_scheduler_is_refused(self):
         engine = build_engine()
         engine.scheduler.schedule_at(
-            0.5, Event("test", lambda: engine.run(), "re-entrant run")
+            0.5, Event("test", lambda: engine.run())
         )
         with pytest.raises(RuntimeError, match="re-entrant"):
             engine.run()
@@ -140,7 +140,7 @@ class TestReentrantRun:
     def test_running_flag_resets_after_refusal(self):
         engine = build_engine()
         engine.scheduler.schedule_at(
-            0.5, Event("test", lambda: engine.scheduler.run(), "re-entrant run")
+            0.5, Event("test", lambda: engine.scheduler.run())
         )
         with pytest.raises(RuntimeError, match="re-entrant"):
             engine.run()

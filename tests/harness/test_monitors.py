@@ -67,6 +67,45 @@ class TestHookPlumbing:
             assert monitor.ok, monitor.report()
             assert monitor.first_violation is None
 
+    def test_changes_fan_out_by_predicate(self):
+        """A monitor on ``RuntimeMonitor.on_change`` is only called for the
+        predicates it watches; one that replaces ``on_change`` — or is no
+        ``RuntimeMonitor`` at all — keeps receiving every change, and all of
+        them in attach order."""
+
+        calls = []
+
+        class Recording(CycleFreedomMonitor):
+            def _row_added(self, node, predicate, row, old):
+                calls.append(("cycle", predicate))
+                super()._row_added(node, predicate, row, old)
+
+        class Bare:  # the EngineMonitor protocol and nothing else
+            def attach(self, engine): ...
+            def on_change(self, time, node, predicate, values, kind):
+                calls.append(("bare", predicate))
+            def on_settle(self, time, node): ...
+            def finalize(self, time): ...
+
+        class Everything(SoftStateBoundMonitor):
+            def on_change(self, time, node, predicate, values, kind):
+                calls.append(("soft", predicate))
+                super().on_change(time, node, predicate, values, kind)
+
+        watching = Recording()
+        engine, _ = pv_engine(size=4, monitors=[Bare(), watching, Everything()])
+        trace = engine.run()
+        seen = {who: {p for w, p in calls if w == who} for who in ("cycle", "bare", "soft")}
+        assert seen["bare"] == seen["soft"] == {c.predicate for c in trace.state_changes}
+        assert "link" in seen["bare"] and "link" not in watching.watched
+        assert seen["cycle"] == set(watching.watched) & seen["bare"]
+        assert len([c for c in calls if c[0] == "bare"]) == trace.state_change_count
+        # attach order within one change: bare, (cycle when watched), soft
+        first_path = next(i for i, c in enumerate(calls) if c[1] == "path")
+        assert [who for who, _ in calls[first_path : first_path + 3]] == [
+            "bare", "cycle", "soft",
+        ]
+
     def test_seeds_recorded_in_trace(self):
         engine, _ = pv_engine(config=EngineConfig(seed=17))
         assert engine.trace.seeds == {"engine_config": 17, "channel": 17}

@@ -72,6 +72,34 @@ class TestExecuteRun:
         assert program.materialized["link"].lifetime == 5.0
         assert program.materialized["path"].lifetime == float("inf")
 
+    def test_programs_share_one_parse_but_not_their_overrides(self):
+        from repro.dn import DistributedEngine, Topology
+        from repro.harness import build_program
+        from repro.ndlog import codegen
+
+        soft, other, plain = (
+            build_program(small_spec(soft_state=override).expand()[0])
+            for override in ({"link": 5.0}, {"link": 9.0, "path": 2.0}, {})
+        )
+        assert [p.materialized["link"].lifetime for p in (soft, other, plain)] == [
+            5.0, 9.0, float("inf"),
+        ]
+        assert soft.materialized["path"].lifetime == float("inf")
+        assert other.materialized["path"].lifetime == 2.0
+        # one parse behind all three (the rules are the same objects), but
+        # every container a run may mutate is its own
+        assert all(a is b for a, b in zip(soft.rules, plain.rules))
+        assert soft.rules is not plain.rules and soft.facts is not plain.facts
+        plain.rules.clear()
+        assert build_program(small_spec().expand()[0]).rules
+        # and the shared rules keep hitting the codegen source cache: a
+        # second engine over a rebuilt program compiles nothing new
+        topology = Topology.from_edges([("a", "b")])
+        DistributedEngine(build_program(small_spec().expand()[0]), topology)
+        compiled = len(codegen._CODEGEN_CACHE)
+        DistributedEngine(build_program(small_spec().expand()[0]), topology)
+        assert len(codegen._CODEGEN_CACHE) == compiled
+
 
 class TestCampaigns:
     def test_campaign_writes_all_artifacts(self, tmp_path):

@@ -64,6 +64,19 @@ class TestTable:
         assert table.rows() == [("a", "b", 3)]
         assert len(table) == 1
 
+    def test_upsert_unless_displacing_tells_three_cases_apart(self):
+        table = Table("route", keys=(0, 1))
+        table.index_on((0,))
+        assert table.upsert_unless_displacing(("a", "b", 5)) == (True, None)
+        assert table.upsert_unless_displacing(("a", "b", 5)) == (False, None)
+        assert table.count_of(("a", "b", 5)) == 2  # the duplicate was counted
+        # an occupied key is reported, not re-bound: rows, count, index intact
+        assert table.upsert_unless_displacing(("a", "b", 3)) == (False, ("a", "b", 5))
+        assert table.rows() == [("a", "b", 5)] and table.count_of(("a", "b", 3)) == 2
+        assert table.probe((0,), ("a",)) == [("a", "b", 5)]
+        # where upsert itself re-binds and reports what it displaced
+        assert table.upsert(("a", "b", 3)) == (True, ("a", "b", 5))
+
     def test_soft_state_expiry(self):
         table = Table("hb", lifetime=2.0)
         table.insert(("a",), now=0.0)
