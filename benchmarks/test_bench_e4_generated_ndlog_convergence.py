@@ -113,13 +113,8 @@ def test_bench_spvp_delayed_convergence(benchmark, experiment_report):
     assert conflicted["mean_activations"] >= free["mean_activations"]
 
 
-def _run_scenario_engine(scenario, *, batch_deltas=True, use_indexes=True, compile_rules=True):
-    config = EngineConfig(
-        batch_deltas=batch_deltas,
-        use_indexes=use_indexes,
-        compile_rules=compile_rules,
-        max_events=10_000_000,
-    )
+def _run_scenario_engine(scenario, *, compile_rules=True):
+    config = EngineConfig(compile_rules=compile_rules, max_events=10_000_000)
     engine = DistributedEngine(policy_path_vector_program(), scenario.topology, config=config)
     trace = engine.run(extra_facts=scenario.policy_fact_list())
     return engine, trace
@@ -147,17 +142,16 @@ def test_bench_generated_policy_convergence_power_law50(benchmark, experiment_re
     )
 
 
-def test_bench_batched_indexed_vs_pre_pr_engine_tree50(benchmark, experiment_report):
-    """Before/after on a generated 50-node tree: the compiled + batched +
-    indexed engine against the interpreted per-tuple scan-join execution
-    path (the pre-PR-1 engine), plus the compiled-vs-interpreted contrast
-    with batching and indexes held fixed."""
+def test_bench_compiled_vs_interpreted_engine_tree50(benchmark, experiment_report):
+    """The compiled engine against the AST-interpreting rule tier on a
+    generated 50-node tree: identical final state; the wall-clock ratio is
+    reported in ``benchmark.extra_info``, not asserted."""
 
     scenario = generate_scenario("tree", size=50, seed=7, policy="shortest_path")
 
     def compare():
         # best-of-two for the fast side so a noisy-CPU blip cannot inflate
-        # the denominator of the speedup assertion
+        # the denominator of the reported speedup
         new_s = float("inf")
         for _ in range(2):
             start = time.perf_counter()
@@ -166,42 +160,26 @@ def test_bench_batched_indexed_vs_pre_pr_engine_tree50(benchmark, experiment_rep
         start = time.perf_counter()
         interp_engine, interp_trace = _run_scenario_engine(scenario, compile_rules=False)
         interp_s = time.perf_counter() - start
-        start = time.perf_counter()
-        old_engine, old_trace = _run_scenario_engine(
-            scenario, batch_deltas=False, use_indexes=False, compile_rules=False
-        )
-        old_s = time.perf_counter() - start
-        return (
-            new_engine, new_trace, new_s,
-            interp_engine, interp_trace, interp_s,
-            old_engine, old_trace, old_s,
-        )
+        return new_engine, new_trace, new_s, interp_engine, interp_trace, interp_s
 
     (
-        new_engine, new_trace, new_s,
-        interp_engine, interp_trace, interp_s,
-        old_engine, old_trace, old_s,
+        new_engine, new_trace, new_s, interp_engine, interp_trace, interp_s,
     ) = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert new_trace.quiescent and interp_trace.quiescent and old_trace.quiescent
-    assert len(new_engine.rows("bestRoute")) == len(old_engine.rows("bestRoute"))
+    assert new_trace.quiescent and interp_trace.quiescent
     assert new_engine.global_snapshot() == interp_engine.global_snapshot()
     compile_speedup = interp_s / new_s
-    speedup = old_s / new_s
     rows = [
-        ["compiled + batched + indexed", f"{new_s:.2f}s", new_trace.message_count],
-        ["interpreted + batched + indexed", f"{interp_s:.2f}s", interp_trace.message_count],
-        ["pre-PR per-tuple scan-join", f"{old_s:.2f}s", old_trace.message_count],
+        ["compiled", f"{new_s:.2f}s", new_trace.message_count],
+        ["interpreted", f"{interp_s:.2f}s", interp_trace.message_count],
     ]
     experiment_report(
         "E4",
-        [
-            f"tree-50 engine comparison ({compile_speedup:.1f}x from compilation, "
-            f"{speedup:.1f}x total)"
-        ]
+        [f"tree-50 engine comparison ({compile_speedup:.1f}x from compilation)"]
         + render_table(["engine", "wall time", "messages"], rows).splitlines(),
     )
-    assert compile_speedup >= 1.5
-    assert speedup >= 3.0
+    # reported, not asserted: tier-1 holds no wall-clock ratio here; the two
+    # tiers agreeing on the final state above is the behavioural claim
+    benchmark.extra_info["compile_speedup"] = round(compile_speedup, 2)
 
 
 def test_bench_codegen_vs_compiled_plan_rederivation(benchmark, experiment_report):

@@ -5,11 +5,10 @@ running the paper's path-vector program sustains a link fail/restore cycle
 and must reconverge to exactly the fixpoint of the surviving topology —
 zero stale route tuples anywhere — with the deletion wave propagated
 incrementally (counts + deletion deltas) instead of by global recomputation.
-The monotonic-mode contrast quantifies the stale state the original engine
-left behind, and the regression gate tracks the retraction overhead.
+The regression gate tracks the retraction overhead.
 """
 
-from repro.dn.engine import DistributedEngine, EngineConfig
+from repro.dn.engine import DistributedEngine
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
 from repro.scenarios import generate_scenario
@@ -85,30 +84,3 @@ def test_bench_churn_failure_only_tree50(benchmark, experiment_report):
             f"remain, {trace.retraction_count} tuples retracted"
         ],
     )
-
-
-def test_bench_monotonic_contrast_tree50(experiment_report):
-    """The bug being fixed, quantified: monotonic mode leaves every route
-    through a dead link in place after the link fails."""
-
-    def fail_only(config):
-        topology = tree50()
-        link = topology.up_links()[0]
-        engine = DistributedEngine(pv_program(), topology, config=config)
-        engine.seed_facts()
-        engine.run(until=0.99)
-        engine.schedule_link_failure(link.src, link.dst, at=1.0)
-        engine.run()
-        return engine
-
-    stale_mono = stale_routes(fail_only(EngineConfig(retract_derivations=False)))
-    stale_retract = stale_routes(fail_only(None))
-    experiment_report(
-        "E8",
-        [
-            f"stale best-path tuples after link failure: monotonic={stale_mono}, "
-            f"retract_derivations={stale_retract}"
-        ],
-    )
-    assert stale_mono > 0
-    assert stale_retract == 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation gate for CI (stdlib only).
 
-Two checks:
+Six checks:
 
 1. **Module docstrings** — every ``*.py`` module under ``src/repro`` must
    open with a module-level docstring stating what it implements (the
@@ -13,7 +13,9 @@ Two checks:
    and ``repro.serving.config.ServerConfig`` must be mentioned in
    ``docs/CONFIG.md``, so new knobs cannot land undocumented.  Field names
    are read from the class bodies with ``ast`` (annotated assignments), so
-   the check needs no runtime dependencies.
+   the check needs no runtime dependencies.  In reverse, every backticked
+   name in the first column of those classes' tables must still be a field
+   of the class, so deleted knobs cannot linger in the reference.
 
 3. **Serving surface coverage** — every ``--flag`` the ``fvn-serve`` CLI
    registers (``argparse`` string literals in ``repro/serving/cli.py``)
@@ -32,7 +34,9 @@ Two checks:
    ``repro/ndlog/analysis/diagnostics.py``) must be documented in
    ``docs/ANALYSIS.md``, and every ``--flag`` of the ``fvn-lint`` CLI
    (``repro/ndlog/analysis/cli.py``) must appear there too, so
-   ``fvn-lint`` cannot grow undocumented diagnostics or flags.
+   ``fvn-lint`` cannot grow undocumented diagnostics or flags.  In reverse,
+   every code in the first column of the ANALYSIS.md code tables must
+   still be in ``CODES``.
 
 6. **Observability coverage** — every metric in
    ``repro/obs/metrics.py`` (``METRIC_NAMES``) and every span in
@@ -52,6 +56,7 @@ from __future__ import annotations
 import argparse
 import ast
 import pathlib
+import re
 import sys
 
 
@@ -103,6 +108,16 @@ def undocumented_fields(
         for field in dataclass_fields(module_path, class_name)
         if f"`{field}`" not in section
     ]
+
+
+def first_column_names(markdown: str) -> list[str]:
+    """The backticked names in the first column of every table row."""
+
+    names = []
+    for line in markdown.splitlines():
+        if line.startswith("|"):
+            names.extend(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return names
 
 
 def cli_flags(module_path: pathlib.Path) -> list[str]:
@@ -215,6 +230,11 @@ def main() -> int:
         for field in undocumented_fields(config_md, module, cls):
             print(f"UNDOCUMENTED FIELD: {cls}.{field} not mentioned in docs/CONFIG.md")
             failures += 1
+        fields = set(dataclass_fields(module, cls))
+        for name in first_column_names(class_section(config_md, cls)):
+            if name not in fields:
+                print(f"STALE FIELD: docs/CONFIG.md documents {cls}.{name}, no such field")
+                failures += 1
 
     serving_cli_section = class_section(config_md, "Serving CLI")
     for flag in cli_flags(root / "src" / "repro" / "serving" / "cli.py"):
@@ -267,12 +287,17 @@ def main() -> int:
         diagnostics_py = (
             root / "src" / "repro" / "ndlog" / "analysis" / "diagnostics.py"
         )
-        for code in diagnostic_codes(diagnostics_py):
+        codes = diagnostic_codes(diagnostics_py)
+        for code in codes:
             if f"`{code}`" not in analysis_md:
                 print(
                     f"UNDOCUMENTED DIAGNOSTIC: {code} not mentioned in "
                     "docs/ANALYSIS.md"
                 )
+                failures += 1
+        for name in first_column_names(analysis_md):
+            if name.startswith("NDL") and name not in codes:
+                print(f"STALE DIAGNOSTIC: docs/ANALYSIS.md lists {name}, not in CODES")
                 failures += 1
         for flag in cli_flags(root / "src" / "repro" / "ndlog" / "analysis" / "cli.py"):
             if flag not in analysis_md:
@@ -307,7 +332,7 @@ def main() -> int:
     print(
         "docs check: all modules documented, all config fields, serving "
         "flags, wire verbs, snapshot format, fault kinds, diagnostic codes, lint flags, "
-        "and obs metric/span names covered"
+        "and obs metric/span names covered; no stale config fields or codes"
     )
     return 0
 

@@ -1,9 +1,9 @@
 """Distributed declarative-networking runtime (the FVN execution substrate).
 
 Simulates a network of nodes each running the localized NDlog program, with
-pipelined semi-naive evaluation, message delays/loss, topology dynamics, and
-execution traces for convergence analysis.  This package plays the role the
-P2 system plays in the paper (arc 7 of Figure 1).
+batched, retraction-aware semi-naive evaluation, message delays/loss,
+topology dynamics, and execution traces for convergence analysis.  This
+package plays the role the P2 system plays in the paper (arc 7 of Figure 1).
 """
 
 from .engine import DistributedEngine, EngineConfig, create_engine, run_program

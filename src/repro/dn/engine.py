@@ -27,28 +27,28 @@ whole run: the localized program is compiled into
 predicate→triggered-rules map (plus its per-delta plain/aggregate split) is
 memoized instead of being rebuilt on every delivery round.
 
-5. execution is **non-monotonic**: with ``EngineConfig(retract_derivations)``
-   (the default) base-fact deletions — link failures, keyed cost-change
-   displacements, soft-state expiry — propagate through derived state.
-   Every stored row carries a derivation count; a deletion round fires the
-   triggered rules with the retracted tuples as a deletion delta *before*
-   physically removing them (so the join sees the old database), releases
-   one support per lost derivation, ships ``retract`` messages for
-   remotely-located heads, and recomputes-and-diffs aggregate rules against
-   a per-node memo so vanished groups (stale best routes) are withdrawn.
-   Rules with negated body literals get compiled negation-delta variants so
-   changes of the negated relation assert/retract exactly the bindings they
-   unblock/block.  Settles that removed rows end with a **consistency
-   sweep**: purely-local derived predicates are re-derived and stored rows
-   no longer derivable are force-retracted, repairing the support counts a
-   multi-round deletion cascade can strand (see
+5. execution is **non-monotonic**: base-fact deletions — link failures,
+   keyed cost-change displacements, soft-state expiry — propagate through
+   derived state.  Every stored row carries a derivation count; a deletion
+   round fires the triggered rules with the retracted tuples as a deletion
+   delta *before* physically removing them (so the join sees the old
+   database), releases one support per lost derivation, ships ``retract``
+   messages for remotely-located heads, and recomputes-and-diffs aggregate
+   rules against a per-node memo so vanished groups (stale best routes) are
+   withdrawn.  Rules with negated body literals get compiled negation-delta
+   variants so changes of the negated relation assert/retract exactly the
+   bindings they unblock/block.  Settles that removed rows end with a
+   **consistency sweep**: purely-local derived predicates are re-derived and
+   stored rows no longer derivable are force-retracted, repairing the
+   support counts a multi-round deletion cascade can strand (see
    :meth:`repro.dn.executor.FixpointExecutor.settle`).
 
-``EngineConfig(batch_deltas=False)`` restores the original per-tuple
-pipelined firing, ``compile_rules=False`` the AST-interpreting rule
-evaluation, and ``retract_derivations=False`` the original monotonic
-semantics (derived state never removed), for comparison experiments and
-differential testing.
+Batched, retraction-aware rounds are the engine's only execution mode:
+every settle point is reached by the same
+:meth:`~repro.dn.executor.FixpointExecutor.settle` whether the node runs
+here or on a shard worker.  The rule tier beneath it is selectable
+(``compile_rules=False`` the AST-interpreting evaluation, ``codegen=False``
+the closure-compiled join plans) for differential testing.
 
 Like the centralized :class:`~repro.ndlog.seminaive.IncrementalEvaluator`,
 the distributed counting scheme is exact for programs whose recursion is
@@ -65,7 +65,6 @@ recovery, cost changes) plus soft-state expiry and periodic refresh.
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Protocol
@@ -99,9 +98,6 @@ class EngineConfig:
     expiry_scan_interval: float = 1.0
     #: Safety budget on processed events.
     max_events: int = 500_000
-    #: Drain same-timestamp deltas per node into one semi-naive round
-    #: (False restores the original per-tuple pipelined firing).
-    batch_deltas: bool = True
     #: Probe per-predicate hash indexes during rule joins (False restores
     #: the original scan-join behaviour).
     use_indexes: bool = True
@@ -113,11 +109,6 @@ class EngineConfig:
     #: ``compile_rules``).  False stops at the closure-compiled join plans.
     #: All tiers are trace-fingerprint-identical.
     codegen: bool = True
-    #: Propagate base-fact deletions through derived state: link failures,
-    #: cost changes, and soft-state expiry retract the derivations they fed
-    #: via per-tuple support counts and deletion deltas (False restores the
-    #: original monotonic semantics, where derived state is never removed).
-    retract_derivations: bool = True
     #: Partition the node set across this many shard workers (1 = the
     #: classic single-process engine).  Use :func:`create_engine` (or the
     #: harness) to honor this field; constructing :class:`DistributedEngine`
@@ -181,23 +172,6 @@ class DistributedEngine:
     ) -> None:
         program.check()
         self.original_program = program
-        if config is not None and not config.retract_derivations:
-            # retraction-free evaluation is only sound for monotonic
-            # programs — diagnostic NDL401 (docs/ANALYSIS.md)
-            from ..ndlog.analysis.monotonic import (
-                UnsoundConfigWarning,
-                non_monotonic_predicates,
-            )
-
-            unsound = non_monotonic_predicates(program)
-            if unsound:
-                warnings.warn(
-                    f"retract_derivations=False with non-monotonic predicates "
-                    f"{unsound} in program {program.name!r}: deletions will "
-                    "not propagate (NDL401)",
-                    UnsoundConfigWarning,
-                    stacklevel=2,
-                )
         localization = localize_program(program)
         self.program = localization.program
         self.localization = localization
@@ -243,7 +217,6 @@ class DistributedEngine:
         #: monitors that declared no ``change_predicates``) alone
         self._change_watchers: dict[str, tuple[EngineMonitor, ...]] = {}
         self._unfiltered_monitors: tuple[EngineMonitor, ...] = ()
-        self._per_tuple_depth = 0
         #: >0 while a node's fixpoint rounds (or the sharded replay of one)
         #: are executing — mid-fixpoint states are deliberately inconsistent
         #: (deletion deltas fire against the old database), so external
@@ -260,8 +233,6 @@ class DistributedEngine:
         self.executor = FixpointExecutor(
             self.program,
             self.rule_engine,
-            batch_deltas=self.config.batch_deltas,
-            retract_derivations=self.config.retract_derivations,
             build_rule_state=fires_rules,
             record_change=self._record_change,
             send=self._send,
@@ -393,10 +364,9 @@ class DistributedEngine:
     def _fact_loader(self, facts: list[tuple[NodeId, str, tuple]]):
         """The callback of the seeding event: each call feeds the next
         ``allowance`` facts through :meth:`_enqueue` in list order, which
-        fixes each node's pending ops, the order of the per-node flush
-        events and, per-tuple, the order of application.  A ``max_events``
-        cut-off inside the burst leaves the rest for the next ``run()``,
-        which resumes at the first unloaded fact."""
+        fixes each node's pending ops and the order of the per-node flush
+        events.  A ``max_events`` cut-off inside the burst leaves the rest
+        for the next ``run()``, which resumes at the first unloaded fact."""
 
         loaded = 0
 
@@ -467,9 +437,6 @@ class DistributedEngine:
         self._enqueue(node_id, (kind, predicate, values))
 
     def _enqueue(self, node_id: NodeId, op: tuple[str, str, tuple]) -> None:
-        if not self.config.batch_deltas:
-            self._apply_immediate(node_id, op)
-            return
         self._pending[node_id].append(op)
         now = self.scheduler.now
         if self._flush_marks.get(node_id) == now:
@@ -479,21 +446,6 @@ class DistributedEngine:
             0.0,
             Event("flush", lambda: self._flush(node_id), target=node_id),
         )
-
-    def _apply_immediate(self, node_id: NodeId, op: tuple[str, str, tuple]) -> None:
-        """Per-tuple mode: apply one op synchronously (recursing through
-        local firings inside the executor); the node settles when the
-        outermost application returns."""
-
-        self._per_tuple_depth += 1
-        self._fixpoint_depth += 1
-        try:
-            self.executor.apply_op(self.nodes[node_id], op, self.scheduler.now)
-        finally:
-            self._per_tuple_depth -= 1
-            self._fixpoint_depth -= 1
-        if self._per_tuple_depth == 0 and self.monitors:
-            self._notify_settle(node_id)
 
     def _flush(self, node_id: NodeId) -> None:
         """Drain every tuple that accumulated for a node at this timestamp.
@@ -515,7 +467,7 @@ class DistributedEngine:
         self._fixpoint_depth += 1
         try:
             with obs_tracing.span("engine.flush", node=str(node_id), ops=len(ops)):
-                self.executor.drain(self.nodes[node_id], ops, self.scheduler.now)
+                self.executor.settle(self.nodes[node_id], ops, self.scheduler.now)
         finally:
             self._fixpoint_depth -= 1
         if self.monitors:
@@ -526,8 +478,8 @@ class DistributedEngine:
     # ------------------------------------------------------------------
     @property
     def in_fixpoint(self) -> bool:
-        """Is a node's fixpoint (drain / per-tuple recursion / sharded
-        replay) currently executing?  External updates are only legal when
+        """Is a node's fixpoint (drain / sharded replay) currently
+        executing?  External updates are only legal when
         this is False — between events, the engine's safe points."""
 
         return self._fixpoint_depth > 0
@@ -546,9 +498,8 @@ class DistributedEngine:
 
         The safe-point twin of :meth:`schedule_fact`: callable between
         events (e.g. by a serving layer applying a live update), refused
-        mid-fixpoint where the database is transiently inconsistent.  In
-        batched mode the fact lands at the node's next flush at this
-        timestamp; in per-tuple mode it applies immediately.
+        mid-fixpoint where the database is transiently inconsistent.  The
+        fact lands at the node's next flush at this timestamp.
         """
 
         self._assert_safe_point("inject_fact")
@@ -559,22 +510,14 @@ class DistributedEngine:
     def delete_fact(self, predicate: str, values: tuple) -> None:
         """Remove a located base fact at the current simulation time.
 
-        With ``retract_derivations`` (the default) the deletion rides the
-        retraction pipeline, withdrawing every derivation the fact fed;
-        in monotonic mode only the base row is removed.  Refused
-        mid-fixpoint like :meth:`inject_fact`.
+        The deletion rides the retraction pipeline, withdrawing every
+        derivation the fact fed.  Refused mid-fixpoint like
+        :meth:`inject_fact`.
         """
 
         self._assert_safe_point("delete_fact")
         values = tuple(values)
-        node_id = values[0]
-        if self.config.retract_derivations:
-            self._handle_retract(node_id, predicate, values, kind="delete")
-            return
-        if self._monotonic_delete(node_id, predicate, values):
-            self._record_change(self.scheduler.now, node_id, predicate, values, "delete")
-            if self.monitors:
-                self._notify_settle(node_id)
+        self._handle_retract(values[0], predicate, values, kind="delete")
 
     def schedule_fact_delete(self, predicate: str, values: tuple, at: float) -> None:
         """Delete a located fact at an absolute simulation time (the
@@ -634,7 +577,7 @@ class DistributedEngine:
                 refreshed.append((node_id, predicate, values))
             else:
                 # the tuple expired — reinsert through the engine so rules
-                # re-derive downstream state (queued in batched mode)
+                # re-derive downstream state
                 self._handle_insert(node_id, predicate, values)
         if refreshed:
             self._apply_refresh(refreshed, now)
@@ -654,24 +597,14 @@ class DistributedEngine:
 
     def _expire_soft_state(self) -> None:
         now = self.scheduler.now
-        if self.config.retract_derivations:
-            # route expiry through the retraction pipeline: the rows stay in
-            # place until the node's deletion round has fired the retraction
-            # joins against them (the round re-checks the lifetime, so a
-            # same-instant refresh wins)
-            for node in self.nodes.values():
-                for predicate in node.db.predicates():
-                    for row in node.db.table(predicate).expired(now):
-                        self._handle_retract(node.id, predicate, row, kind="expire")
-        else:
-            for node in self.nodes.values():
-                removed = self._expire_node_monotonic(node, now)
-                for predicate, rows in removed.items():
-                    for row in rows:
-                        node.stats.tuples_deleted += 1
-                        self._record_change(now, node.id, predicate, row, "expire")
-                if removed and self.monitors:
-                    self._notify_settle(node.id)
+        # expiry rides the retraction pipeline: the rows stay in place until
+        # the node's deletion round has fired the retraction joins against
+        # them (the round re-checks the lifetime, so a same-instant refresh
+        # wins)
+        for node in self.nodes.values():
+            for predicate in node.db.predicates():
+                for row in node.db.table(predicate).expired(now):
+                    self._handle_retract(node.id, predicate, row, kind="expire")
         if (
             not self.scheduler.is_empty
             or self.config.refresh_interval
@@ -684,29 +617,17 @@ class DistributedEngine:
                 Event("expiry", self._expire_soft_state),
             )
 
-    def _expire_node_monotonic(self, node: Node, now: float) -> dict[str, list[tuple]]:
-        """Physically expire one node's soft state (monotonic mode only).
-
-        Hook point for the sharded coordinator, which expires the shard
-        worker's authoritative tables alongside its own replica (both hold
-        identical rows and timestamps, so they agree on what expires).
-        """
-
-        return node.db.expire(now)
-
     # ------------------------------------------------------------------
     # Topology dynamics
     # ------------------------------------------------------------------
     def schedule_link_failure(self, src: NodeId, dst: NodeId, at: float, *, symmetric: bool = True) -> None:
         """Fail a link at an absolute simulation time.
 
-        The link tuples are removed from the endpoints' databases and — with
-        ``retract_derivations`` (the default) — the deletion propagates
-        through derived state: shipped copies (``link_d``), paths, and best
-        routes that depended on the dead link are retracted across the
-        network via deletion deltas and support counts.  With
-        ``retract_derivations=False`` only the base link tuples are removed
-        (the original monotonic semantics).
+        The link tuples are removed from the endpoints' databases and the
+        deletion propagates through derived state: shipped copies
+        (``link_d``), paths, and best routes that depended on the dead link
+        are retracted across the network via deletion deltas and support
+        counts.
         """
 
         def fail() -> None:
@@ -714,30 +635,11 @@ class DistributedEngine:
             if not self.config.link_predicate:
                 return
             for link in affected:
-                if self.config.retract_derivations:
-                    self._handle_retract(
-                        link.src, self.config.link_predicate, link.as_fact(), kind="delete"
-                    )
-                    continue
-                if self._monotonic_delete(link.src, self.config.link_predicate, link.as_fact()):
-                    self._record_change(
-                        self.scheduler.now, link.src, self.config.link_predicate, link.as_fact(), "delete"
-                    )
-                    if self.monitors:
-                        # monotonic deletions bypass the drain loop, so the
-                        # node's settle point is right here
-                        self._notify_settle(link.src)
+                self._handle_retract(
+                    link.src, self.config.link_predicate, link.as_fact(), kind="delete"
+                )
 
         self.scheduler.schedule_at(at, Event("link_failure", fail))
-
-    def _monotonic_delete(self, node_id: NodeId, predicate: str, values: tuple) -> bool:
-        """Remove a base row without retraction (monotonic-mode hook).
-
-        The sharded coordinator overrides this to delete at the owning
-        worker as well as in its replica.
-        """
-
-        return self.nodes[node_id].delete(predicate, values)
 
     def schedule_link_restore(self, src: NodeId, dst: NodeId, at: float, *, symmetric: bool = True) -> None:
         """Restore a failed link at an absolute simulation time.

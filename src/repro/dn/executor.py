@@ -3,7 +3,7 @@
 :class:`FixpointExecutor` is the node-local half of the distributed runtime:
 given one node's queued ops (``insert`` / ``retract`` / ``delete`` /
 ``expire`` / ``displace``) it runs the batched retraction-aware semi-naive
-rounds (or the monotonic / per-tuple variants) against that node's database
+rounds — the engine's one execution mode — against that node's database
 and *emits* the externally visible effects through two callbacks:
 
 * ``record_change(now, node_id, predicate, values, kind)`` — a tuple was
@@ -19,7 +19,7 @@ engine (:mod:`repro.dn.shard`) possible: a worker process hosts the nodes of
 its shard and runs the *identical* code the single-process engine runs, with
 the callbacks collecting effects to replay at the coordinator instead of
 recording/sending directly.  Determinism of the split therefore reduces to
-determinism of this class, which both execution modes share.
+determinism of this class, which both engines share.
 
 The op-queue semantics (deletion sub-rounds before insertion sub-rounds,
 FIFO prefixes cut at opposite-direction duplicates, keyed displacement
@@ -87,8 +87,6 @@ class FixpointExecutor:
         program: Program,
         rule_engine: RuleEngine,
         *,
-        batch_deltas: bool = True,
-        retract_derivations: bool = True,
         build_rule_state: bool = True,
         record_change: RecordChange,
         send: Send,
@@ -96,8 +94,6 @@ class FixpointExecutor:
     ) -> None:
         self.program = program
         self.rule_engine = rule_engine
-        self.batch_deltas = batch_deltas
-        self.retract_derivations = retract_derivations
         self.record_change = record_change
         self.send = send
         #: optional side channel for invisible bookkeeping (see META_KINDS);
@@ -118,7 +114,7 @@ class FixpointExecutor:
         ] = {}
         #: negated predicate → compiled negation-delta variant rules, and
         #: head predicate → non-aggregate rules deriving it (for keyed
-        #: refills); only built when retraction semantics are on
+        #: refills)
         self._negation_triggers: dict[str, list[Rule]] = {}
         self._head_rules: dict[str, list[Rule]] = {}
         #: head predicate → deriving rules, restricted to predicates whose
@@ -139,7 +135,7 @@ class FixpointExecutor:
         # build_rule_state=False skips the retraction-state compilation for
         # executors that never drain (the sharded coordinator keeps one only
         # for its sweep-protection set; its workers build the full state)
-        if retract_derivations and build_rule_state:
+        if build_rule_state:
             for rule in program.rules:
                 for predicate, variant in rule_engine.negation_variants(rule):
                     self._negation_triggers.setdefault(predicate, []).append(variant)
@@ -253,64 +249,11 @@ class FixpointExecutor:
         return True
 
     # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def drain(self, node: Node, ops, now: float) -> None:
-        """Process a node's queued ops in batched semi-naive rounds.
-
-        Each round drains every queued op (everything that arrived at this
-        timestamp, plus everything derived/retracted locally by the previous
-        round): deletions first (retraction joins fire against the old
-        database), then insertions, then triggered aggregate recomputation.
-        """
-
-        queue: deque[Op] = deque(ops)
-        if not self.retract_derivations:
-            rounds = 0
-            while queue:
-                delta: dict[str, list[tuple]] = {}
-                while queue:
-                    _, predicate, values = queue.popleft()
-                    if self._apply_insert(node, predicate, values, now):
-                        delta.setdefault(predicate, []).append(values)
-                if not delta:
-                    continue
-                rounds += 1
-                if obs_metrics.ENABLED:
-                    obs_metrics.observe(
-                        "engine.delta_batch_size", sum(len(v) for v in delta.values())
-                    )
-                plain, aggregate = self.triggered_rules(delta)
-                # one shared view so the delta is copied/grouped once per
-                # round, not once per triggered rule
-                view = DeltaIndex(delta)
-                for rule in plain:
-                    self._dispatch(node, node.fire(rule, delta=view), queue, now)
-                # aggregate recomputation is deferred to the end of the batch
-                # so large deltas pay one recomputation instead of one per
-                # tuple
-                for rule in aggregate:
-                    self._dispatch(node, node.fire(rule), queue, now)
-            if rounds and obs_metrics.ENABLED:
-                obs_metrics.observe("engine.fixpoint_rounds", rounds)
-            return
-        self.settle(node, queue, now)
-
-    def apply_op(self, node: Node, op: Op, now: float) -> None:
-        """Per-tuple processing (``batch_deltas=False``): one op, applied
-        immediately; locally-derived heads recurse through this method the
-        way the pipelined engine recursed through its delivery path."""
-
-        if op[0] == "insert" and not self.retract_derivations:
-            self._apply_and_fire(node, op[1], op[2], now)
-        else:
-            self.settle(node, deque([op]), now)
-
-    # ------------------------------------------------------------------
     # Retraction-aware rounds
     # ------------------------------------------------------------------
-    def settle(self, node: Node, queue: deque, now: float) -> None:
-        """Run a node's op queue to quiescence in retraction-aware rounds.
+    def settle(self, node: Node, ops, now: float) -> None:
+        """Run a node's queued ops (everything that arrived at this
+        timestamp) to quiescence in retraction-aware rounds.
 
         Each round batches a FIFO prefix of the queue, split into a
         deletion sub-round (processed first, so retraction joins see the
@@ -342,6 +285,7 @@ class FixpointExecutor:
         empty), restoring exact local consistency at every settle point.
         """
 
+        queue: deque[Op] = deque(ops)
         changed: set[str] = set()
         deleted: set[str] = set()
         #: sweepable predicate → primary keys a deletion round handled
@@ -353,7 +297,7 @@ class FixpointExecutor:
                 _, aggregate = self.triggered_rules(changed)
                 changed = set()
                 for rule in aggregate:
-                    self._recompute_view(node, rule, queue, now)
+                    self._recompute_view(node, rule, queue)
                 if not queue and deleted:
                     clean = self._sweep_is_clean(node, deleted, touched, now)
                     if obs_metrics.ENABLED:
@@ -398,17 +342,16 @@ class FixpointExecutor:
                 deleted |= removed
             if ins_ops:
                 changed |= self._insertion_subround(node, ins_ops, queue, now)
-        if self.batch_deltas:
-            for predicate, keys in touched.items():
-                # touched, but its sweep never came due (no body predicate
-                # lost a row): check the keys now; a dirty one is left as
-                # the full sweep would leave it, and remembered
-                if (
-                    predicate not in self._protected
-                    and predicate not in node.unswept
-                    and not self._keys_consistent(node, predicate, keys)
-                ):
-                    self._set_unswept(node, predicate, True, now)
+        for predicate, keys in touched.items():
+            # touched, but its sweep never came due (no body predicate lost
+            # a row): check the keys now; a dirty one is left as the full
+            # sweep would leave it, and remembered
+            if (
+                predicate not in self._protected
+                and predicate not in node.unswept
+                and not self._keys_consistent(node, predicate, keys)
+            ):
+                self._set_unswept(node, predicate, True, now)
         if rounds and obs_metrics.ENABLED:
             obs_metrics.observe("engine.fixpoint_rounds", rounds)
 
@@ -455,14 +398,11 @@ class FixpointExecutor:
 
         ``False`` — and the full sweep runs, unchanged — on any stored but
         underivable row or derivable row under an empty key, on a predicate
-        without a seed plan, on one whose keys an earlier settle left dirty
-        (``Node.unswept``), and in per-tuple mode (nested settles see each
-        other's half-dispatched retractions).  Either way every due
-        predicate ends up checked: its touched keys and mark are dropped.
+        without a seed plan, and on one whose keys an earlier settle left
+        dirty (``Node.unswept``).  Either way every due predicate ends up
+        checked: its touched keys and mark are dropped.
         """
 
-        if not self.batch_deltas:
-            return False
         clean = True
         for predicate, _ in self._sweep_due(deleted):
             keys = touched.pop(predicate, set())
@@ -664,9 +604,9 @@ class FixpointExecutor:
                 changed.update(removed)
                 if obs_metrics.ENABLED:
                     obs_metrics.observe("engine.retraction_cascade", len(decided))
-                self._dispatch_retractions(node, retractions, requeue, now)
+                self._dispatch(node, retractions, requeue, retract=True)
                 # rows leaving a negated predicate enable blocked bindings
-                self._fire_negation_deltas(node, removed, requeue, now, retracting=False)
+                self._fire_negation_deltas(node, removed, requeue, retracting=False)
                 # re-derive once-displaced keys whose stored row is now gone
                 # (the displaced alternatives' support counts were destroyed)
                 for predicate, keys in refill.items():
@@ -730,7 +670,9 @@ class FixpointExecutor:
                     record_change(now, node_id, predicate, row, kind)
                     delta.setdefault(predicate, []).append(row)
                 elif record_meta is not None:
-                    # a duplicate support was counted (see _apply_insert)
+                    # a duplicate support was counted (and, for soft state,
+                    # the row's lifetime refreshed): invisible to the trace,
+                    # but the sharded replica must mirror it for crash-resync
                     record_meta(now, node_id, predicate, row, "support")
             if delta:
                 if obs_metrics.ENABLED:
@@ -740,11 +682,11 @@ class FixpointExecutor:
                 plain, _ = self.triggered_rules(delta)
                 view = DeltaIndex(delta)
                 for rule in plain:
-                    self._dispatch(node, node.derive(rule, delta=view), requeue, now)
+                    self._dispatch(node, node.derive(rule, delta=view), requeue)
                 changed.update(delta)
                 # rows entering a negated predicate block bindings that
                 # relied on their absence
-                self._fire_negation_deltas(node, delta, requeue, now, retracting=True)
+                self._fire_negation_deltas(node, delta, requeue, retracting=True)
         return changed
 
     def _fire_negation_deltas(
@@ -752,7 +694,6 @@ class FixpointExecutor:
         node: Node,
         changed: Mapping[str, list[tuple]],
         queue,
-        now: float,
         *,
         retracting: bool,
     ) -> None:
@@ -764,13 +705,11 @@ class FixpointExecutor:
                 continue
             delta = {predicate + NEGATION_DELTA_SUFFIX: rows}
             for variant in variants:
-                firings = node.derive(variant, delta=delta)
-                if retracting:
-                    self._dispatch_retractions(node, firings, queue, now)
-                else:
-                    self._dispatch(node, firings, queue, now)
+                self._dispatch(
+                    node, node.derive(variant, delta=delta), queue, retract=retracting
+                )
 
-    def _recompute_view(self, node: Node, rule: Rule, queue, now: float) -> None:
+    def _recompute_view(self, node: Node, rule: Rule, queue) -> None:
         """Recompute an aggregate rule and diff against the node's memo."""
 
         firings = node.fire(rule)
@@ -785,66 +724,33 @@ class FixpointExecutor:
         name = rule.name
         # removals first so a keyed aggregate table retracts the stale group
         # value before the replacement asserts
-        self._dispatch_retractions(
+        self._dispatch(
             node, [RuleFiring(name, predicate, row, location) for row in removed],
-            queue, now,
+            queue, retract=True,
         )
         self._dispatch(
-            node, [RuleFiring(name, predicate, row, location) for row in added],
-            queue, now,
+            node, [RuleFiring(name, predicate, row, location) for row in added], queue
         )
 
     # ------------------------------------------------------------------
     # Shared plumbing
     # ------------------------------------------------------------------
-    def _apply_insert(self, node: Node, predicate: str, values: tuple, now: float) -> bool:
-        """Insert one tuple into a node's store, recording the change."""
+    def _dispatch(self, node: Node, firings, queue, *, retract: bool = False) -> None:
+        """Route derived tuples: local heads re-enter the node's delta
+        queue as inserts, remote heads become assert sends — or, with
+        ``retract``, lost derivations become counted retract ops and
+        retraction sends."""
 
-        changed, table = node.upsert(predicate, values, now)
-        if not changed:
-            # a duplicate support was counted (and, for soft state, the
-            # row's lifetime refreshed): invisible to the trace, but the
-            # sharded replica must mirror it for crash-resync
-            if self.record_meta is not None:
-                self.record_meta(now, node.id, predicate, values, "support")
-            return False
-        kind = "replace" if table.keys else "insert"
-        self.record_change(now, node.id, predicate, values, kind)
-        return True
-
-    def _dispatch(self, node: Node, firings, queue, now: float) -> None:
-        """Route derived tuples: local heads re-enter the node's delta queue
-        (or recurse in per-tuple mode), remote heads become sends."""
-
+        op_kind, send_kind = ("retract", "retract") if retract else ("insert", "assert")
         node_id = node.id
         for firing in firings:
             values = firing.values
             location = firing.location
             destination = values[location] if location is not None else None
             if destination is None or destination == node_id:
-                if self.batch_deltas:
-                    queue.append(("insert", firing.predicate, values))
-                else:
-                    self.apply_op(node, ("insert", firing.predicate, values), now)
+                queue.append((op_kind, firing.predicate, values))
             else:
-                self.send(node_id, destination, firing.predicate, values, "assert")
-
-    def _dispatch_retractions(self, node: Node, firings, queue, now: float) -> None:
-        """Route lost derivations: local heads queue counted retract ops,
-        remote heads become retraction sends."""
-
-        node_id = node.id
-        for firing in firings:
-            values = firing.values
-            location = firing.location
-            destination = values[location] if location is not None else None
-            if destination is None or destination == node_id:
-                if self.batch_deltas:
-                    queue.append(("retract", firing.predicate, values))
-                else:
-                    self.apply_op(node, ("retract", firing.predicate, values), now)
-            else:
-                self.send(node_id, destination, firing.predicate, values, "retract")
+                self.send(node_id, destination, firing.predicate, values, send_kind)
 
     def triggered_rules(
         self, delta
@@ -871,16 +777,3 @@ class FixpointExecutor:
             )
             self._trigger_cache[key] = cached
         return cached
-
-    def _apply_and_fire(self, node: Node, predicate: str, values: tuple, now: float) -> None:
-        """The original per-tuple pipelined firing (monotonic mode)."""
-
-        if not self._apply_insert(node, predicate, values, now):
-            return
-        delta = {predicate: [values]}
-        for rule in self._triggers.get(predicate, ()):
-            if rule.head.has_aggregate:
-                firings = node.fire(rule)
-            else:
-                firings = node.fire(rule, delta=delta)
-            self._dispatch(node, firings, None, now)

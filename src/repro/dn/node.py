@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional
 
 from ..ndlog.ast import Program, Rule
 from ..ndlog.seminaive import RuleEngine, RuleFiring
-from ..ndlog.store import Database
+from ..ndlog.store import Database, StoredTuple
 from .network import NodeId
 
 
@@ -142,6 +142,67 @@ class Node:
 
         return self.db.release(predicate, values)
 
+    def export_state(self) -> dict:
+        """The node's structural state at a settle point, as plain data: stats,
+        displacement/unswept marks, and per table its rows as ``(key, values,
+        inserted_at, expires_at, count)`` in iteration order plus its hash-index
+        buckets verbatim.  View memos are left out — :meth:`load_state`
+        rebuilds them.
+
+        Buckets are captured rather than rebuilt because after a keyed upsert
+        re-binds a row, its bucket entry sits at the *end* of the bucket while
+        the row kept its position, so lazily rebuilt indexes would iterate
+        joins in a different order and diverge the trace.
+        """
+
+        tables = []
+        for predicate, table in self.db._tables.items():
+            rows = [
+                (key, stored.values, stored.inserted_at, stored.expires_at,
+                 table._counts.get(key, 1))
+                for key, stored in table._rows.items()
+            ]
+            tables.append((predicate, rows, _copy_indexes(table._indexes)))
+        return {
+            "stats": self.stats.as_dict(),
+            "displaced": {p: set(keys) for p, keys in self.displaced.items()},
+            "unswept": sorted(self.unswept),
+            "tables": tables,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Adopt a state captured by :meth:`export_state`.
+
+        View memos are **recomputed**: at a settle point each memo equals a
+        fresh evaluation of its aggregate rule (any body change re-triggers
+        the recompute before quiescence).  The recompute runs against the
+        restored rows *and* index buckets, so it enumerates — and builds its
+        memo set — in the order the live node's last recompute did, and
+        ``diff_rows`` later emits retractions in the live order.  It goes to
+        the rule engine directly (no semantic firing, so stats stay
+        untouched), and the captured buckets are put back afterwards so
+        indexes it built lazily are dropped.
+        """
+
+        self.stats = NodeStats(**state["stats"])
+        self.displaced = {p: set(keys) for p, keys in state["displaced"].items()}
+        self.unswept = set(state["unswept"])
+        for predicate, rows, indexes in state["tables"]:
+            table = self.db.table(predicate)
+            table._rows.clear()
+            table._counts.clear()
+            for key, values, inserted_at, expires_at, count in rows:
+                table._rows[key] = StoredTuple(values, inserted_at, expires_at)
+                table._counts[key] = count
+            table._indexes = _copy_indexes(indexes)
+        self.view_memo = {
+            id(rule): {f.values for f in self.rule_engine.fire_rule(rule, self.db)}
+            for rule in self.program.rules
+            if rule.head.has_aggregate
+        }
+        for predicate, _rows, indexes in state["tables"]:
+            self.db.table(predicate)._indexes = _copy_indexes(indexes)
+
     def rows(self, predicate: str) -> list[tuple]:
         return self.db.rows(predicate)
 
@@ -150,3 +211,12 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.id!r}, {self.db.fact_count()} facts)"
+
+
+def _copy_indexes(indexes: dict) -> dict:
+    """A table's ``positions → bucket key → bucket`` map, buckets copied."""
+
+    return {
+        positions: {bucket_key: dict(bucket) for bucket_key, bucket in buckets.items()}
+        for positions, buckets in indexes.items()
+    }

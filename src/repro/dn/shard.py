@@ -13,9 +13,10 @@ budget accounting.  The split follows from a locality argument:
 * Everything *expensive* is per-node and moves to the workers: each shard
   worker process owns the authoritative :class:`~repro.dn.node.Node`
   databases of its partition and runs the identical
-  :class:`~repro.dn.executor.FixpointExecutor` the single-process engine
-  runs.  A drain touches exactly one node, so all flushes scheduled at one
-  timestamp are independent and execute **in parallel across shards**.
+  :class:`~repro.dn.executor.FixpointExecutor` settle the single-process
+  engine runs (the engine's one execution mode).  A drain touches exactly
+  one node, so all flushes scheduled at one timestamp are independent and
+  execute **in parallel across shards**.
 
 The coordinator batches every same-timestamp flush event (taking them off
 the scheduler through :meth:`~repro.dn.events.EventScheduler.pop_if`, which
@@ -50,10 +51,11 @@ coordinator, which respawns the worker and **resyncs** its partition from
 the replica tables: rows with their support counts and timestamps,
 displacement/unswept marks, index bucket orders, protected predicates,
 and node stats are pushed back (``load_state``), aggregate view memos are
-recomputed worker-side, and the crashed request is retried.  Because the
-replica is only advanced *after* a request's results return, a worker that
-dies mid-request leaves the replica at the pre-request state, so the retry
-recomputes exactly what the dead worker would have produced —
+rebuilt worker-side by :meth:`~repro.dn.node.Node.load_state` (the code a
+snapshot restore runs too), and the crashed request is retried.  Because
+the replica is only advanced *after* a request's results return, a worker
+that dies mid-request leaves the replica at the pre-request state, so the
+retry recomputes exactly what the dead worker would have produced —
 ``Trace.fingerprint()`` stays byte-identical to an undisturbed run (the
 supervision tests sweep kill points to enforce this).  After
 ``EngineConfig.shard_restarts`` respawns of one shard the engine degrades
@@ -78,14 +80,13 @@ from ..ndlog.ast import NDlogError, Program
 from ..ndlog.functions import builtin_registry
 from ..ndlog.localization import localize_program
 from ..ndlog.seminaive import RuleEngine
-from ..ndlog.store import StoredTuple
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .engine import DistributedEngine, EngineConfig
 from .executor import FixpointExecutor, Op
 from .faults import FaultInjector, FaultPlan
 from .network import NodeId, Topology
-from .node import Node, NodeStats
+from .node import Node
 from .partition import edge_cut, partition_nodes, shard_members
 
 #: a state change collected at a worker: (node, predicate, values, kind)
@@ -148,8 +149,6 @@ class ShardWorker:
         self.executor = FixpointExecutor(
             self.program,
             self.rule_engine,
-            batch_deltas=config.batch_deltas,
-            retract_derivations=config.retract_derivations,
             record_change=self._collect_change,
             send=self._collect_send,
             record_meta=self._collect_change,
@@ -192,17 +191,9 @@ class ShardWorker:
 
         out = []
         for node_id, ops in items:
-            self.executor.drain(self.nodes[node_id], ops, now)
+            self.executor.settle(self.nodes[node_id], ops, now)
             out.append(self._collected())
         return out
-
-    def apply_op(
-        self, now: float, node_id: NodeId, op: Op
-    ) -> tuple[list[ChangeRecord], list[SendRecord]]:
-        """Per-tuple mode: apply one op (recursing through local firings)."""
-
-        self.executor.apply_op(self.nodes[node_id], op, now)
-        return self._collected()
 
     def refresh(self, now: float, items: list[tuple[NodeId, str, tuple]]) -> None:
         """Extend soft-state lifetimes (keeps worker expiry timestamps in
@@ -210,19 +201,6 @@ class ShardWorker:
 
         for node_id, predicate, values in items:
             self.nodes[node_id].db.table(predicate).refresh(tuple(values), now)
-
-    def delete_row(self, now: float, node_id: NodeId, predicate: str, values: tuple) -> bool:
-        """Monotonic-mode forced removal of a base row."""
-
-        return self.nodes[node_id].delete(predicate, tuple(values))
-
-    def expire_monotonic(self, now: float, node_id: NodeId) -> dict[str, list[tuple]]:
-        """Monotonic-mode physical expiry sweep of one node."""
-
-        removed = self.nodes[node_id].db.expire(now)
-        for rows in removed.values():
-            self.nodes[node_id].stats.tuples_deleted += len(rows)
-        return removed
 
     def protect(self, predicate: str) -> None:
         """Mirror the coordinator's sweep exemptions (injected base facts)."""
@@ -252,56 +230,20 @@ class ShardWorker:
         """Adopt a partition's full structural state after a respawn.
 
         ``state`` is the coordinator's export of its replica (see
-        :meth:`ShardedEngine._export_shard_state`): per-node tables as
-        ``(key, values, inserted_at, expires_at, count)`` rows in replica
-        iteration order, index buckets verbatim, displacement/unswept marks,
-        node stats, and the protected-predicate set.  Aggregate view memos are
-        process-local (keyed by rule identity) and replica nodes never fire
-        rules, so they are **recomputed** here — sound because resync
-        happens at a settle point, where each memo equals a fresh recompute
-        of its rule (any body change before the crash re-triggered the
-        recompute before quiescence).  The scratch indexes those recomputes
-        may lazily build are discarded: the exported buckets are restored
-        afterwards, so the worker ends bit-identical to one that never
-        died.
+        :meth:`ShardedEngine._export_shard_state`): each node's
+        :meth:`~repro.dn.node.Node.export_state` plus the protected-predicate
+        set.  Replica nodes never fire rules, so aggregate view memos are
+        rebuilt here by :meth:`~repro.dn.node.Node.load_state` — resync
+        happens at a settle point — and the worker ends bit-identical to one
+        that never died.
         """
 
         for predicate in state["protected"]:
             self.executor.protect(predicate)
         for node_id, entry in state["nodes"].items():
-            node = self.nodes[node_id]
-            node.stats = NodeStats(**entry["stats"])
-            node.displaced = {
-                predicate: set(tuple(key) for key in keys)
-                for predicate, keys in entry["displaced"].items()
-            }
-            node.unswept = set(entry["unswept"])
-            for predicate, rows, _indexes in entry["tables"]:
-                table = node.db.table(predicate)
-                table._rows.clear()
-                table._counts.clear()
-                table._indexes = {}
-                for key, values, inserted_at, expires_at, count in rows:
-                    table._rows[tuple(key)] = StoredTuple(
-                        tuple(values), inserted_at, expires_at
-                    )
-                    table._counts[tuple(key)] = count
-            node.view_memo = {}
-            for rule in self.program.rules:
-                if rule.head.has_aggregate:
-                    # rule_engine directly: a resync recompute is not a
-                    # semantic rule firing, so stats stay untouched
-                    firings = self.rule_engine.fire_rule(rule, node.db)
-                    node.view_memo[id(rule)] = {f.values for f in firings}
-            for predicate, _rows, indexes in entry["tables"]:
-                node.db.table(predicate)._indexes = {
-                    tuple(positions): {
-                        bucket_key: dict(bucket) for bucket_key, bucket in buckets
-                    }
-                    for positions, buckets in indexes
-                }
-        # the memo recomputes above may have emitted scratch index-build
-        # records; they were superseded by the restored buckets
+            self.nodes[node_id].load_state(entry)
+        # the memo rebuilds may have emitted scratch index-build records;
+        # they were superseded by the restored buckets
         self._records.clear()
         self._sends.clear()
         return True
@@ -646,34 +588,13 @@ class ShardedEngine(DistributedEngine):
         payload of a resync push; consumed by :meth:`ShardWorker.
         load_state`)."""
 
-        nodes = {}
-        for node_id in self._members[shard]:
-            node = self.nodes[node_id]
-            tables = []
-            for predicate, table in node.db._tables.items():
-                rows = [
-                    (key, stored.values, stored.inserted_at, stored.expires_at,
-                     table._counts.get(key, 1))
-                    for key, stored in table._rows.items()
-                ]
-                indexes = [
-                    (positions, [
-                        (bucket_key, list(bucket.items()))
-                        for bucket_key, bucket in buckets.items()
-                    ])
-                    for positions, buckets in table._indexes.items()
-                ]
-                tables.append((predicate, rows, indexes))
-            nodes[node_id] = {
-                "stats": node.stats.as_dict(),
-                "displaced": {
-                    predicate: list(keys)
-                    for predicate, keys in node.displaced.items()
-                },
-                "unswept": sorted(node.unswept),
-                "tables": tables,
-            }
-        return {"nodes": nodes, "protected": sorted(self.executor._protected)}
+        return {
+            "nodes": {
+                node_id: self.nodes[node_id].export_state()
+                for node_id in self._members[shard]
+            },
+            "protected": sorted(self.executor._protected),
+        }
 
     def _submit(self, shard: int, method: str, args: tuple) -> None:
         """Supervised fire-and-collect-later submit to one shard."""
@@ -833,18 +754,6 @@ class ShardedEngine(DistributedEngine):
                 if self.monitors:
                     self._notify_settle(nid)
 
-    def _apply_immediate(self, node_id: NodeId, op: Op) -> None:
-        """Per-tuple mode: run the op on the owning worker, then replay."""
-
-        records, sends = self._call(
-            self.partition_map[node_id],
-            "apply_op",
-            (self.scheduler.now, node_id, op),
-        )
-        self._replay(records, sends)
-        if self.monitors:
-            self._notify_settle(node_id)
-
     def _apply_refresh(self, refreshed, now: float) -> None:
         super()._apply_refresh(refreshed, now)  # the replica's lifetimes
         by_shard: dict[int, list] = {}
@@ -858,26 +767,6 @@ class ShardedEngine(DistributedEngine):
             for shard, members in enumerate(self._members):
                 if members:
                     self._call(shard, "protect", (predicate,))
-
-    def _monotonic_delete(self, node_id: NodeId, predicate: str, values: tuple) -> bool:
-        deleted = self._call(
-            self.partition_map[node_id],
-            "delete_row",
-            (self.scheduler.now, node_id, predicate, values),
-        )
-        if deleted:
-            self.nodes[node_id].delete(predicate, values)
-        return deleted
-
-    def _expire_node_monotonic(self, node, now: float) -> dict[str, list[tuple]]:
-        removed = node.db.expire(now)  # the replica agrees on what expires
-        if removed:
-            # retry-safe: a crash resyncs the worker from the already-
-            # expired replica, so the re-run sweep finds nothing extra
-            self._call(
-                self.partition_map[node.id], "expire_monotonic", (now, node.id)
-            )
-        return removed
 
     # ------------------------------------------------------------------
     # Lifecycle and observability

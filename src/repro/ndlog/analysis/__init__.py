@@ -8,8 +8,9 @@ Program` and returns an :class:`AnalysisReport` of coded diagnostics (see
 * schema & type inference (NDL1xx),
 * stratification (NDL2xx),
 * location-specifier well-formedness (NDL3xx),
-* monotonicity classification (NDL4xx),
-* code-generation support (NDL5xx: rules falling back off the fast tier).
+* code-generation support (NDL5xx: rules falling back off the fast tier),
+
+plus a per-predicate monotonicity classification (``report.monotonicity``).
 
 Static *obligation discharge* — proving campaign monitor properties ahead
 of time with the tactic prover — lives in :mod:`.discharge` and is imported
@@ -18,8 +19,6 @@ here stay dependency-light so the engines can call them at boot).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..ast import Program
 from .codegen_support import check_codegen_support
@@ -33,12 +32,7 @@ from .diagnostics import (
     severity_of,
 )
 from .locspec import check_locations
-from .monotonic import (
-    UnsoundConfigWarning,
-    check_monotonicity,
-    classify_monotonicity,
-    non_monotonic_predicates,
-)
+from .monotonic import classify_monotonicity
 from .safety import check_safety
 from .schema import check_schema
 from .strat import check_stratification
@@ -50,30 +44,19 @@ __all__ = [
     "WARNING_CODES",
     "AnalysisReport",
     "Diagnostic",
-    "UnsoundConfigWarning",
     "analyze_program",
     "check_codegen_support",
     "check_locations",
-    "check_monotonicity",
     "check_safety",
     "check_schema",
     "check_stratification",
     "classify_monotonicity",
-    "non_monotonic_predicates",
     "severity_of",
 ]
 
 
-def analyze_program(
-    program: Program, *, retract_derivations: Optional[bool] = None
-) -> AnalysisReport:
-    """Run all static passes over ``program``.
-
-    ``retract_derivations`` describes the engine configuration the program
-    is destined for: pass ``False`` to get NDL401 warnings for
-    non-monotonic predicates that would be evaluated without retraction
-    (``None``/``True`` suppresses them — retraction is the sound default).
-    """
+def analyze_program(program: Program) -> AnalysisReport:
+    """Run all static passes over ``program``."""
 
     report = AnalysisReport(program=program.name)
     report.extend(check_safety(program))
@@ -82,6 +65,4 @@ def analyze_program(
     report.extend(check_locations(program))
     report.extend(check_codegen_support(program))
     report.monotonicity = classify_monotonicity(program)
-    if retract_derivations is False:
-        report.extend(check_monotonicity(program, retract_derivations=False))
     return report

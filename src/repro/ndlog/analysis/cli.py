@@ -75,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run static obligation discharge (monitor property proofs)",
     )
     parser.add_argument(
-        "--no-retraction",
-        action="store_true",
-        help="analyze for an engine with retract_derivations=False (NDL401)",
-    )
-    parser.add_argument(
         "--emit-codegen",
         action="store_true",
         help="print each program's generated evaluator source (the codegen "
@@ -95,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _analyze_one(
-    name: str, program: Program, *, no_retraction: bool, prove: bool
+    name: str, program: Program, *, prove: bool
 ) -> tuple[AnalysisReport, Optional[dict]]:
-    report = analyze_program(
-        program, retract_derivations=False if no_retraction else None
-    )
+    report = analyze_program(program)
     report.program = name
     discharge_data: Optional[dict] = None
     if prove:
@@ -148,11 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     reports: list[tuple[AnalysisReport, Optional[dict]]] = []
     for name, program in programs:
-        reports.append(
-            _analyze_one(
-                name, program, no_retraction=args.no_retraction, prove=args.prove
-            )
-        )
+        reports.append(_analyze_one(name, program, prove=args.prove))
 
     if args.format == "json":
         payload = []

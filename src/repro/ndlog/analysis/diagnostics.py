@@ -2,7 +2,7 @@
 
 Every finding the analyzer can emit has a stable ``NDL###`` code listed in
 :data:`CODES` (the hundreds digit groups the pass: 0xx safety, 1xx schema,
-2xx stratification, 3xx location, 4xx monotonicity, 5xx code generation).  ``docs/ANALYSIS.md``
+2xx stratification, 3xx location, 5xx code generation).  ``docs/ANALYSIS.md``
 documents each code with an example and a fix — ``scripts/check_docs.py``
 extracts the keys of :data:`CODES` with ``ast`` and fails the build if one
 is undocumented.
@@ -10,8 +10,8 @@ is undocumented.
 Severities are two-valued: an ``error`` means the program is rejected by
 (or unsound under) at least one of the repository's evaluators, a
 ``warning`` flags something the engines tolerate but the operator should
-know about (e.g. aggregation through recursion, which only the pipelined
-distributed engine evaluates meaningfully).
+know about (e.g. aggregation through recursion, which only the distributed
+engine evaluates meaningfully).
 """
 
 from __future__ import annotations
@@ -35,22 +35,21 @@ CODES = {
     "NDL103": "materialize declaration for a predicate the program never mentions",
     "NDL104": "conflicting field types inferred for one predicate position",
     "NDL201": "negation through a recursive cycle (no stratified semantics)",
-    "NDL202": "aggregation through a recursive cycle (pipelined engine only)",
+    "NDL202": "aggregation through a recursive cycle (distributed engine only)",
     "NDL203": "rule negates its own head predicate",
     "NDL301": "rule body spans more than two locations",
     "NDL302": "multi-location rule has no connecting (link-restricted) literal",
     "NDL303": "head shipped to a location no positive body literal carries",
     "NDL304": "negated literal at a location other than the rule's body location",
-    "NDL401": "non-monotonic predicate evaluated without derivation retraction",
     "NDL501": "rule not lowerable by the code generator; falls back to the compiled join plan",
 }
 
 #: Codes reported at ``warning`` severity; everything else in :data:`CODES`
-#: is an ``error``.  NDL202 is a warning because the pipelined distributed
-#: engine evaluates monotonic aggregates through recursion (the generated
+#: is an ``error``.  NDL202 is a warning because the distributed engine
+#: evaluates monotonic aggregates through recursion (the generated
 #: policy path-vector program relies on this), even though stratified
 #: centralized evaluation rejects such programs.
-WARNING_CODES = frozenset({"NDL103", "NDL202", "NDL303", "NDL401", "NDL501"})
+WARNING_CODES = frozenset({"NDL103", "NDL202", "NDL303", "NDL501"})
 
 
 def severity_of(code: str) -> str:

@@ -1,30 +1,20 @@
-"""Monotonicity classification (code NDL401).
+"""Monotonicity classification (the report's ``monotonicity`` field).
 
 A derived predicate is *non-monotonic* when some derivation path into it
 passes through a negated literal or an aggregate head: inserting a body
 tuple can then **remove** previously derived tuples.  The distributed
-engine handles that by retracting derivations (``EngineConfig.
-retract_derivations``); switching retraction off is a sound optimisation
-only for monotonic programs.  This pass computes the per-predicate
-classification the engine consults, and — when the analyzer is told the
-intended configuration — emits NDL401 for each non-monotonic predicate
-that would be evaluated without retraction.
+engine always evaluates with derivation retraction, so the classification
+is lint output for the operator — which predicates can shrink when the
+configuration grows — and emits no diagnostic.
 """
 
 from __future__ import annotations
 
 from ..ast import Program
 from ..stratification import DependencyGraph
-from .diagnostics import Diagnostic
 
 MONOTONIC = "monotonic"
 NON_MONOTONIC = "non_monotonic"
-
-
-class UnsoundConfigWarning(UserWarning):
-    """Raised (as a warning) when an engine is configured with
-    ``retract_derivations=False`` for a program with non-monotonic
-    predicates — see diagnostic NDL401 in ``docs/ANALYSIS.md``."""
 
 
 def classify_monotonicity(program: Program) -> dict[str, str]:
@@ -49,32 +39,3 @@ def classify_monotonicity(program: Program) -> dict[str, str]:
         pred: (NON_MONOTONIC if pred in tainted else MONOTONIC)
         for pred in sorted(program.derived_predicates())
     }
-
-
-def non_monotonic_predicates(program: Program) -> list[str]:
-    return [
-        pred
-        for pred, kind in classify_monotonicity(program).items()
-        if kind == NON_MONOTONIC
-    ]
-
-
-def check_monotonicity(
-    program: Program, *, retract_derivations: bool = True
-) -> list[Diagnostic]:
-    """NDL401 for each non-monotonic predicate under a no-retraction config."""
-
-    if retract_derivations:
-        return []
-    span_of = {r.head.predicate: r.head.span or r.span for r in program.rules}
-    return [
-        Diagnostic(
-            "NDL401",
-            f"predicate {pred!r} is non-monotonic (derived through negation "
-            "or aggregation) but retract_derivations is disabled; deletions "
-            "will not propagate and stale tuples may persist",
-            predicate=pred,
-            span=span_of.get(pred),
-        )
-        for pred in non_monotonic_predicates(program)
-    ]

@@ -10,8 +10,8 @@ Self-negation (``p :- ..., !p ...``) gets its own code (NDL203) because it
 is almost always a typo rather than an intended fixpoint.  Negation through
 a longer cycle is NDL201 (an error: no evaluator in this repository gives
 it a semantics).  Aggregation through a cycle is NDL202 and only a
-*warning*: the pipelined distributed engine evaluates monotonic aggregates
-through recursion — the generated policy path-vector program depends on
+*warning*: the distributed engine evaluates monotonic aggregates through
+recursion — the generated policy path-vector program depends on
 exactly this — even though stratified centralized evaluation rejects it.
 """
 
@@ -163,8 +163,8 @@ def check_stratification(program: Program) -> list[Diagnostic]:
                 Diagnostic(
                     "NDL202",
                     f"rule {dep.rule} aggregates over {dep.body!r} inside the "
-                    f"recursive cycle {cycle}; only the pipelined distributed "
-                    "engine evaluates this (stratified evaluation rejects it)",
+                    f"recursive cycle {cycle}; only the distributed engine "
+                    "evaluates this (stratified evaluation rejects it)",
                     rule=dep.rule,
                     predicate=dep.head,
                     span=span,

@@ -20,15 +20,15 @@ rebuilds an engine from the capture, verifies the config and fingerprint
 stamps, then replays the update-ledger tail; the crash-recovery tests
 assert the result is byte-identical to an uninterrupted run.
 
-Two order-sensitive details make the capture structural rather than a
-naive rebuild:
-
-* index buckets are captured verbatim — after a keyed upsert re-binds a
-  row, its bucket entry sits at the *end* of the bucket while the row kept
-  its ``OrderedDict`` position, so lazily rebuilt indexes would iterate
-  joins in a different order and diverge the fingerprint;
-* ``view_memo`` is keyed by ``id(rule)``, unstable across processes, so it
-  is remapped through the rule's index in ``engine.program.rules``.
+Each node is captured by :meth:`~repro.dn.node.Node.export_state` and
+restored by :meth:`~repro.dn.node.Node.load_state` — the same pair a
+respawned shard worker is resynced with.  Index buckets travel verbatim
+(lazily rebuilt ones could iterate joins in another order); aggregate view
+memos do not travel at all.  A memo is a set, and a set rebuilt from a
+pickle can iterate in another order than the live one, which would reorder
+the retractions ``diff_rows`` emits from it; ``load_state`` instead
+re-evaluates each aggregate rule against the restored tables, as the live
+node's last recompute did.
 
 Sharded engines keep authoritative state inside worker processes and are
 not captured: ``capture_engine`` raises :class:`SnapshotUnsupported`, and
@@ -46,8 +46,6 @@ from typing import Optional
 from ..dn.engine import DistributedEngine
 from ..dn.events import Event
 from ..dn.network import Link, Topology
-from ..dn.node import NodeStats
-from ..ndlog.store import StoredTuple
 
 #: Event kinds a settled engine may legitimately have queued: the periodic
 #: soft-state maintenance timers.  Their callbacks are the engine's own
@@ -58,7 +56,7 @@ MAINTENANCE_KINDS = ("refresh", "expiry")
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
 #: to full ledger replay instead of being misread.
-SNAPSHOT_FORMAT = "fvn-snapshot/2"
+SNAPSHOT_FORMAT = "fvn-snapshot/3"
 
 
 class SnapshotUnsupported(RuntimeError):
@@ -118,34 +116,6 @@ def capture_engine(engine: DistributedEngine) -> dict:
                 "only at settled states"
             )
         events.append((at, seqno, event.kind))
-    rule_index = {id(rule): i for i, rule in enumerate(engine.program.rules)}
-    node_state = {}
-    for node_id, node in engine.nodes.items():
-        tables = []
-        for predicate, table in node.db._tables.items():
-            rows = [
-                (key, stored.values, stored.inserted_at, stored.expires_at,
-                 table._counts.get(key, 1))
-                for key, stored in table._rows.items()
-            ]
-            indexes = {
-                positions: {
-                    bucket_key: dict(bucket)
-                    for bucket_key, bucket in buckets.items()
-                }
-                for positions, buckets in table._indexes.items()
-            }
-            tables.append((predicate, rows, indexes))
-        node_state[node_id] = {
-            "stats": node.stats.as_dict(),
-            "displaced": {p: set(keys) for p, keys in node.displaced.items()},
-            "unswept": sorted(node.unswept),
-            "view_memo": {
-                rule_index[rid]: set(rows)
-                for rid, rows in node.view_memo.items()
-            },
-            "tables": tables,
-        }
     topology = engine.topology
     return {
         "scheduler": {
@@ -172,7 +142,7 @@ def capture_engine(engine: DistributedEngine) -> dict:
         },
         "protected": sorted(engine.executor._protected),
         "base_facts": list(engine._base_facts),
-        "nodes": node_state,
+        "nodes": {node_id: node.export_state() for node_id, node in engine.nodes.items()},
         "monitors": [
             {
                 key: value
@@ -227,31 +197,8 @@ def restore_engine(engine: DistributedEngine, state: dict) -> None:
     ]
     engine._seeded = True
 
-    rules = engine.program.rules
     for node_id, node_state in state["nodes"].items():
-        node = engine.nodes[node_id]
-        node.stats = NodeStats(**node_state["stats"])
-        node.displaced = {p: set(keys) for p, keys in node_state["displaced"].items()}
-        # absent in captures that predate the scoped consistency check
-        node.unswept = set(node_state.get("unswept", ()))
-        node.view_memo = {
-            id(rules[index]): set(rows)
-            for index, rows in node_state["view_memo"].items()
-        }
-        for predicate, rows, indexes in node_state["tables"]:
-            table = node.db.table(predicate)
-            table._rows.clear()
-            table._counts.clear()
-            for key, values, inserted_at, expires_at, count in rows:
-                table._rows[key] = StoredTuple(values, inserted_at, expires_at)
-                table._counts[key] = count
-            table._indexes = {
-                positions: {
-                    bucket_key: dict(bucket)
-                    for bucket_key, bucket in buckets.items()
-                }
-                for positions, buckets in indexes.items()
-            }
+        engine.nodes[node_id].load_state(node_state)
 
 
 def restore_monitors(engine: DistributedEngine, state: dict) -> None:

@@ -5,12 +5,21 @@ fold).  The previous definition — hash every state change, then every
 message, then the bookkeeping — survives only here, as the reference the
 equality suites use to show that nothing observable was lost: two
 executions are equal under v1 iff they are equal under fp2.
+
+``retract_dropping_engine`` is the adversarial engine of the lossy-retraction
+and monitor suites: its channel loses every ``retract`` message.
+
+``rule_tier`` parametrizes a test over the rule-evaluation tiers beneath the
+engine's one execution mode (generated code, closure-compiled plans, the AST
+interpreter, scan joins).  The tiers are trace-fingerprint-identical, so a
+claim that holds on one must hold on all of them.
 """
 
 import hashlib
 
 import pytest
 
+from repro.dn.engine import DistributedEngine
 from repro.dn.trace import Trace
 
 
@@ -75,3 +84,41 @@ def fp_agreement(fp_pairs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Trace, "fingerprint", fingerprint)
         yield checked
+
+
+class RetractDroppingEngine(DistributedEngine):
+    """An engine whose channel loses every ``retract`` message — the
+    adversarial worst case for distributed deletion."""
+
+    def _send(self, src, dst, predicate, values, kind="assert"):
+        if kind == "retract":
+            self.nodes[src].stats.messages_sent += 1
+            self.trace.record_message(
+                self.scheduler.now, src, dst, predicate, values,
+                delivered=False, kind=kind,
+            )
+            self.channel.dropped += 1
+            return
+        super()._send(src, dst, predicate, values, kind=kind)
+
+
+@pytest.fixture
+def retract_dropping_engine():
+    return RetractDroppingEngine
+
+
+#: ``EngineConfig`` overrides selecting each rule-evaluation tier
+RULE_TIERS = {
+    "codegen": {},
+    "closures": {"codegen": False},
+    "interpreted": {"compile_rules": False},
+    "scan-join": {"use_indexes": False},
+}
+
+
+@pytest.fixture(params=list(RULE_TIERS))
+def rule_tier(request) -> dict:
+    """One tier's ``EngineConfig`` overrides; narrow the set with
+    ``@pytest.mark.parametrize("rule_tier", [...], indirect=True)``."""
+
+    return RULE_TIERS[request.param]

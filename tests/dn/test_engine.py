@@ -123,7 +123,7 @@ class TestSoftStateRefresh:
     ping(@1,2).
     """
 
-    def _run(self, batch_deltas: bool):
+    def _run(self):
         from repro.ndlog.parser import parse_program
 
         program = parse_program(self.SOURCE, "softstate")
@@ -132,7 +132,6 @@ class TestSoftStateRefresh:
             link_predicate=None,
             refresh_interval=3.0,
             expiry_scan_interval=0.5,
-            batch_deltas=batch_deltas,
         )
         engine = DistributedEngine(program, topo, config=config)
         engine.run(until=10.0)
@@ -142,10 +141,6 @@ class TestSoftStateRefresh:
         # regression: with deferred flushes, a refresh after expiry used to
         # insert the base fact directly first, so the queued re-insert saw
         # no change and derived soft state was never re-derived
-        engine = self._run(batch_deltas=True)
+        engine = self._run()
         assert (1, 2) in engine.node(1).db.table("ping")
-        assert (1, 2) in engine.node(1).db.table("echo")
-
-    def test_refresh_rederives_after_expiry_per_tuple(self):
-        engine = self._run(batch_deltas=False)
         assert (1, 2) in engine.node(1).db.table("echo")

@@ -7,11 +7,11 @@ the state is *soft*, the paper's own remedy (§4.2): un-refreshed rows expire
 within their lifetime, so dropped retractions bound staleness instead of
 leaking it.
 
-These tests pin that contract across the batched and per-tuple execution
-paths:
+These tests pin that contract, on the generated-code and interpreted rule
+tiers:
 
 * ``loss=0`` on a loss-configured channel is exactly the reliable-channel
-  fixpoint (and byte-equal across batched/per-tuple);
+  fixpoint;
 * with an adversarial channel dropping **every** retract message, hard state
   goes permanently stale while soft state is clean again within
   ``lifetime + scan interval`` of the failure;
@@ -45,22 +45,6 @@ def pv_program(soft: bool):
     return parse_program(SOFT_PV_SOURCE if soft else PATH_VECTOR_SOURCE, "pv")
 
 
-class RetractDroppingEngine(DistributedEngine):
-    """An engine whose channel loses every ``retract`` message — the
-    adversarial worst case for distributed deletion."""
-
-    def _send(self, src, dst, predicate, values, kind="assert"):
-        if kind == "retract":
-            self.nodes[src].stats.messages_sent += 1
-            self.trace.record_message(
-                self.scheduler.now, src, dst, predicate, values,
-                delivered=False, kind=kind,
-            )
-            self.channel.dropped += 1
-            return
-        super()._send(src, dst, predicate, values, kind=kind)
-
-
 def dead_edge_rows(engine, src, dst) -> list[tuple]:
     """Path tuples whose vector still traverses the failed edge."""
 
@@ -73,21 +57,23 @@ def dead_edge_rows(engine, src, dst) -> list[tuple]:
     return stale
 
 
+TIERS = pytest.mark.parametrize("rule_tier", ["codegen", "interpreted"], indirect=True)
+
 REFRESH = 2.5  # > LIFETIME: base facts expire and re-announce, so derived
 #              soft state oscillates through expiry/re-derivation cycles and
 #              live routes keep coming back while dead ones cannot
 
 
-def run_with_failure(engine_cls, *, soft, batch, seed=0, size=8, until=11.0):
+def run_with_failure(engine_cls, *, soft, seed=0, size=8, until=11.0, **tier):
     scenario = generate_scenario("tree", size=size, seed=seed)
     link = scenario.topology.up_links()[0]
     config = EngineConfig(
         seed=seed,
-        batch_deltas=batch,
         expiry_scan_interval=SCAN,
         # re-announcement keeps live soft state coming back; stale rows
         # whose sources died are never re-announced and must expire
         refresh_interval=REFRESH if soft else None,
+        **tier,
     )
     engine = engine_cls(pv_program(soft), scenario.topology, config=config)
     engine.seed_facts()
@@ -98,11 +84,11 @@ def run_with_failure(engine_cls, *, soft, batch, seed=0, size=8, until=11.0):
 
 
 class TestLossZeroMatchesReliable:
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_loss_zero_equals_reliable_fixpoint(self, batch):
+    @TIERS
+    def test_loss_zero_equals_reliable_fixpoint(self, rule_tier):
         reliable = generate_scenario("tree", size=10, seed=5)
         lossy_configured = generate_scenario("tree", size=10, seed=5, loss=0.0)
-        config = EngineConfig(seed=5, batch_deltas=batch)
+        config = EngineConfig(seed=5, **rule_tier)
         a = DistributedEngine(pv_program(False), reliable.topology, config=config)
         a.run()
         b = DistributedEngine(
@@ -113,34 +99,17 @@ class TestLossZeroMatchesReliable:
         assert a.global_snapshot() == b.global_snapshot()
         assert b.channel.dropped == 0
 
-    def test_per_tuple_loss_zero_also_matches(self):
-        reliable = generate_scenario("tree", size=10, seed=5)
-        a = DistributedEngine(
-            pv_program(False),
-            reliable.topology,
-            config=EngineConfig(seed=5, batch_deltas=False),
-        )
-        a.run()
-        b = DistributedEngine(
-            pv_program(False),
-            generate_scenario("tree", size=10, seed=5, loss=0.0).topology,
-            config=EngineConfig(seed=5, batch_deltas=True),
-        )
-        b.run()
-        # loss=0 on either execution path is exactly the reliable fixpoint
-        assert a.global_snapshot() == b.global_snapshot()
-
 
 class TestDroppedRetractions:
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_hard_state_goes_permanently_stale(self, batch):
-        engine, link = run_with_failure(RetractDroppingEngine, soft=False, batch=batch)
+    @TIERS
+    def test_hard_state_goes_permanently_stale(self, retract_dropping_engine, rule_tier):
+        engine, link = run_with_failure(retract_dropping_engine, soft=False, **rule_tier)
         assert engine.channel.dropped > 0
         assert dead_edge_rows(engine, link.src, link.dst)
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_soft_state_expiry_bounds_the_staleness(self, batch):
-        engine, link = run_with_failure(RetractDroppingEngine, soft=True, batch=batch)
+    @TIERS
+    def test_soft_state_expiry_bounds_the_staleness(self, retract_dropping_engine, rule_tier):
+        engine, link = run_with_failure(retract_dropping_engine, soft=True, **rule_tier)
         assert engine.channel.dropped > 0  # retractions were genuinely lost
         # by failure + lifetime + scan the stale rows must have expired
         assert engine.scheduler.now >= 1.0 + LIFETIME + SCAN
@@ -151,11 +120,11 @@ class TestDroppedRetractions:
             c.predicate == "path" for c in engine.trace.changes_of_kind("expire")
         )
 
-    def test_staleness_clears_within_the_expiry_bound(self):
+    def test_staleness_clears_within_the_expiry_bound(self, retract_dropping_engine):
         # sample the stale set over time: present right after the failure,
         # gone once lifetime + one scan interval have elapsed
         engine, link = run_with_failure(
-            RetractDroppingEngine, soft=True, batch=True, until=1.25
+            retract_dropping_engine, soft=True, until=1.25
         )
         assert dead_edge_rows(engine, link.src, link.dst)
         engine.run(until=1.0 + LIFETIME + 2 * SCAN)
@@ -167,24 +136,19 @@ class TestLossySoftStateProperty:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_probabilistic_loss_respects_expiry_bound(self, seed):
         """Under real probabilistic loss (asserts and retracts both dropped)
-        the soft-state engine never holds a dead-edge row at the end, on
-        either execution path."""
+        the soft-state engine never holds a dead-edge row at the end."""
 
-        for batch in (True, False):
-            scenario = generate_scenario("tree", size=8, seed=seed, loss=0.3)
-            link = scenario.topology.up_links()[0]
-            engine = DistributedEngine(
-                pv_program(True),
-                scenario.topology,
-                config=EngineConfig(
-                    seed=seed,
-                    batch_deltas=batch,
-                    expiry_scan_interval=SCAN,
-                    refresh_interval=REFRESH,
-                ),
-            )
-            engine.seed_facts()
-            engine.run(until=1.0)
-            engine.schedule_link_failure(link.src, link.dst, at=1.0)
-            engine.run(until=6.0)
-            assert dead_edge_rows(engine, link.src, link.dst) == []
+        scenario = generate_scenario("tree", size=8, seed=seed, loss=0.3)
+        link = scenario.topology.up_links()[0]
+        engine = DistributedEngine(
+            pv_program(True),
+            scenario.topology,
+            config=EngineConfig(
+                seed=seed, expiry_scan_interval=SCAN, refresh_interval=REFRESH
+            ),
+        )
+        engine.seed_facts()
+        engine.run(until=1.0)
+        engine.schedule_link_failure(link.src, link.dst, at=1.0)
+        engine.run(until=6.0)
+        assert dead_edge_rows(engine, link.src, link.dst) == []

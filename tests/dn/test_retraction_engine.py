@@ -3,10 +3,8 @@
 Link failure, restore, cost change, and soft-state expiry must leave every
 node's database exactly where a fresh engine started on the resulting
 topology would converge — no stale best paths, no orphaned localized
-(``link_d``) copies at remote nodes — across the batched, per-tuple,
-compiled, and interpreted execution paths.  The
-``retract_derivations=False`` knob restores the original monotonic
-semantics.
+(``link_d``) copies at remote nodes — across the generated-code,
+closure-compiled, interpreted and scan-join rule tiers.
 """
 
 import pytest
@@ -237,13 +235,8 @@ class TestRestoreAndCostChange:
 class TestExecutionPathMatrix:
     @pytest.mark.parametrize(
         "overrides",
-        [
-            dict(batch_deltas=False),
-            dict(compile_rules=False),
-            dict(use_indexes=False),
-            dict(batch_deltas=False, compile_rules=False),
-        ],
-        ids=["per-tuple", "interpreted", "scan-join", "per-tuple-interpreted"],
+        [dict(codegen=False), dict(compile_rules=False), dict(use_indexes=False)],
+        ids=["closures", "interpreted", "scan-join"],
     )
     def test_failure_retraction_across_paths(self, overrides):
         config = EngineConfig(**overrides)
@@ -266,8 +259,8 @@ class TestFifoOpOrdering:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(), dict(batch_deltas=False), dict(compile_rules=False)],
-        ids=["batched", "per-tuple", "interpreted"],
+        [dict(), dict(codegen=False), dict(compile_rules=False), dict(use_indexes=False)],
+        ids=["batched", "closures", "interpreted", "scan-join"],
     )
     def test_same_flush_assert_then_retract_cancels_in_order(self, overrides):
         # regression (PR 3 review): a keyed displacement at node 1 ships an
@@ -287,22 +280,6 @@ class TestFifoOpOrdering:
         assert trace.quiescent
         assert engine.node(2).rows("b") == [(2, "v2")]
         assert engine.node(1).rows("k") == [(1, "v2")]
-
-
-class TestMonotonicKnob:
-    def test_retract_derivations_false_restores_stale_behaviour(self):
-        config = EngineConfig(retract_derivations=False)
-        engine = DistributedEngine(pv_program(), triangle(), config=config)
-        engine.seed_facts()
-        engine.schedule_link_failure("a", "b", at=1.0)
-        engine.run()
-        after = triangle()
-        after.fail_link("a", "b")
-        # the base tuples are gone but derived state survives (monotonic)
-        assert ("a", "b", 1) not in engine.node("a").db.table("link")
-        fresh = fresh_snapshot(after)
-        assert set(engine.rows("bestPath")) - fresh.get("bestPath", set())
-        assert not engine.trace.retraction_messages()
 
 
 class TestSoftStateRetraction:
@@ -372,16 +349,9 @@ class TestConsistencySweep:
         monkeypatch.setattr(FixpointExecutor, "_consistency_sweep", sweep)
         return ran
 
-    @pytest.mark.parametrize("batch_deltas", [True, False])
-    def test_isolating_a_node_leaves_no_ghost_best_paths(
-        self, batch_deltas, full_sweeps
-    ):
+    def test_isolating_a_node_leaves_no_ghost_best_paths(self, full_sweeps):
         # failing 0-1 isolates node 1 entirely: every route to/from it must go
-        engine = DistributedEngine(
-            pv_program(),
-            Topology.from_edges(self.EDGES),
-            config=EngineConfig(batch_deltas=batch_deltas),
-        )
+        engine = DistributedEngine(pv_program(), Topology.from_edges(self.EDGES))
         engine.seed_facts()
         engine.schedule_link_failure(0, 1, at=1.0)
         trace = engine.run()

@@ -3,9 +3,10 @@
 Mid-fixpoint the database is deliberately inconsistent (deletion deltas
 fire against the old tables, aggregate memos lag the rows), so
 ``inject_fact`` / ``delete_fact`` / ``refresh_soft_state`` raise
-``NDlogError`` while a node fixpoint is executing — across all four
-execution paths (batched/per-tuple × retraction/monotonic) — and a
-rejected injection leaves the trace byte-identical to an undisturbed run.
+``NDlogError`` while a node fixpoint is executing — in a node's drain and
+in the sharded coordinator's replay of one, whichever rule tier fires the
+rules — and a rejected injection leaves the trace byte-identical to an
+undisturbed run.
 The scheduler itself refuses re-entrant ``run`` calls.
 """
 
@@ -18,12 +19,11 @@ from repro.ndlog.ast import NDlogError
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
 
-FOUR_PATHS = [
-    pytest.param(dict(batch_deltas=True, retract_derivations=True), id="batched-retract"),
-    pytest.param(dict(batch_deltas=True, retract_derivations=False), id="batched-monotonic"),
-    pytest.param(dict(batch_deltas=False, retract_derivations=True), id="pertuple-retract"),
-    pytest.param(dict(batch_deltas=False, retract_derivations=False), id="pertuple-monotonic"),
+ENGINES = [
+    pytest.param(dict(), id="single"),
+    pytest.param(dict(shards=2, shard_transport="inline"), id="sharded"),
 ]
+TIERS = pytest.mark.parametrize("rule_tier", ["codegen", "interpreted"], indirect=True)
 
 
 def square() -> Topology:
@@ -74,9 +74,13 @@ class Saboteur:
 
 
 class TestMidFixpointRefusal:
-    @pytest.mark.parametrize("config", FOUR_PATHS)
+    @TIERS
+    @pytest.mark.parametrize("config", ENGINES)
     @pytest.mark.parametrize("operation", ["inject", "delete", "refresh"])
-    def test_every_path_refuses_and_trace_is_undisturbed(self, config, operation):
+    def test_every_engine_refuses_and_trace_is_undisturbed(
+        self, config, operation, rule_tier
+    ):
+        config = {**config, **rule_tier}
         clean = build_engine(**config)
         clean.run()
         clean_fingerprint = clean.trace.fingerprint()
@@ -105,9 +109,10 @@ class TestMidFixpointRefusal:
         assert sabotaged == control.trace.fingerprint()
         assert sabotaged != clean_fingerprint  # the churn itself did land
 
-    @pytest.mark.parametrize("config", FOUR_PATHS)
-    def test_safe_point_updates_work_between_runs(self, config):
-        engine = build_engine(**config)
+    @TIERS
+    @pytest.mark.parametrize("config", ENGINES)
+    def test_safe_point_updates_work_between_runs(self, config, rule_tier):
+        engine = build_engine(**config, **rule_tier)
         engine.run()
         assert not engine.in_fixpoint
         engine.inject_fact("link", ("a", "c", 1.0))
@@ -118,9 +123,10 @@ class TestMidFixpointRefusal:
         assert ("a", "c", 1.0) not in engine.rows("link", "a")
         engine.close()
 
-    @pytest.mark.parametrize("config", FOUR_PATHS)
-    def test_schedule_fact_delete_lands_at_its_time(self, config):
-        engine = build_engine(**config)
+    @TIERS
+    @pytest.mark.parametrize("config", ENGINES)
+    def test_schedule_fact_delete_lands_at_its_time(self, config, rule_tier):
+        engine = build_engine(**config, **rule_tier)
         engine.schedule_fact_delete("link", ("a", "d", 5.0), at=1.0)
         engine.run()
         assert ("a", "d", 5.0) not in engine.rows("link", "a")

@@ -7,8 +7,8 @@ node queues in list order.  Everything observable must be exactly what the
 per-fact path produced: ``events_processed``, ``quiescent``, where a
 ``max_events`` cut-off lands inside the burst, what a resumed ``run()``
 does, the place of other ``t=0`` events relative to the burst, and every
-fingerprint — on 1 shard, 2 inline shards, process shards, per-tuple and
-monotonic engines, and through a serving boot + SIGKILL recovery.
+fingerprint — on 1 shard, 2 inline shards, process shards, every rule tier,
+and through a serving boot + SIGKILL recovery.
 
 Every literal in :data:`PINS` was computed at the parent commit (per-fact
 seeding) *before* the change, by running this module's own builders; a
@@ -19,7 +19,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -55,8 +54,6 @@ PINS = {
         "fact_after_seed": "c7a560e80dfd00cad08b7db9fffcab044f6311bb8e5a4a53af7482ed3b9691b4",
         "failure_first": "3f9db425cdbc755a8e1090fbcd69730ae5e0d3e2921d06e7a5cecfe265fb9670",
         "failure_after_seed": "7a8bc5a5affd6b6c6780699085e2b8aabff014a5d1681689c1c5ff23e359a4a7",
-        "per_tuple": "6e0ad0df9048cbc8894f30b17951e249f0c67ee6396bfbf517211c2e8c5f3585",
-        "monotonic": "c1089cee57cfd4cf98ab3ada17eb91af97bfd542789fec8528d6e33175d0a94c",
     },
     # power_law-20 / gao_rexford / seed 1 / churn 2 / loss 0.01; the parent
     # queued 7472 events in seed_facts
@@ -185,22 +182,18 @@ def test_t0_events_keep_their_place(pin, seed_first, what, shards):
 
 
 # ----------------------------------------------------------------------
-# (c) the other engine cells, real worker processes, the daemon
+# (c) the other rule tiers, real worker processes, the daemon
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 2])
-def test_per_tuple_cell(shards):
-    engine, facts = small_engine(shards, batch_deltas=False)
+@pytest.mark.parametrize(
+    "rule_tier", ["closures", "interpreted", "scan-join"], indirect=True
+)
+def test_rule_tier_cell(rule_tier, shards):
+    # the tiers are fingerprint-identical: each lands on the pinned value
+    engine, facts = small_engine(shards, **rule_tier)
     engine.seed_facts(facts)
-    assert finish(engine) == PINS["small"]["per_tuple"]
-
-
-@pytest.mark.parametrize("shards", [1, 2])
-def test_monotonic_cell(shards):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # NDL401: the cell is unsound by design
-        engine, facts = small_engine(shards, retract_derivations=False)
-    engine.seed_facts(facts)
-    assert finish(engine) == PINS["small"]["monotonic"]
+    assert finish(engine) == PINS["small"]["fingerprint"]
+    assert engine.trace.events_processed == PINS["small"]["events"]
 
 
 def test_process_shards():
@@ -224,7 +217,7 @@ def _boot(state_dir: Path) -> subprocess.Popen:
     daemon = subprocess.Popen(
         _serving(
             state_dir, "serve", "--family", "tree", "--size", "10",
-            "--policy", "gao_rexford", "--snapshot-every", "3",
+            "--policy", "gao_rexford", "--snapshot-every", "4",
         ),
         env=_serving_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )

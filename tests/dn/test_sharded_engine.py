@@ -4,8 +4,7 @@ The sharded engine's contract is *byte-identity*: for the same program,
 topology, config, and seed, :class:`~repro.dn.shard.ShardedEngine` must
 produce exactly the trace, final tables, seeds, stats, and monitor reports
 of the single-process :class:`~repro.dn.engine.DistributedEngine` — for
-every shard count, partition strategy, and transport, across the
-batched/per-tuple × retraction/monotonic config matrix, under churn, loss,
+every shard count, partition strategy, and transport, under churn, loss,
 and soft-state refresh/expiry.  The hypothesis sweep uses the inline
 transport (same code path minus the IPC) so each example is cheap; the
 process-transport tests cover real worker processes including pickling.
@@ -68,8 +67,6 @@ def execute(
     seed=0,
     churn=2,
     loss=0.01,
-    batch_deltas=True,
-    retract_derivations=True,
     soft=False,
     transport="inline",
     partition="hash",
@@ -86,8 +83,6 @@ def execute(
         shards=shards,
         partition=partition,
         shard_transport=transport,
-        batch_deltas=batch_deltas,
-        retract_derivations=retract_derivations,
         refresh_interval=1.5 if soft else None,
     )
     engine = create_engine(program, scenario.topology, config=config)
@@ -116,7 +111,7 @@ def execute(
 
 
 class TestShardDeterminism:
-    """Sharded == single-process, across the whole config matrix."""
+    """Sharded == single-process, across scenarios and partitions."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -126,21 +121,9 @@ class TestShardDeterminism:
         churn=st.integers(min_value=0, max_value=3),
         loss=st.sampled_from([0.0, 0.02]),
         shards=st.sampled_from([2, 3]),
-        batch_deltas=st.booleans(),
-        retract_derivations=st.booleans(),
     )
-    def test_sharded_equals_single_process(
-        self, seed, family, size, churn, loss, shards, batch_deltas, retract_derivations
-    ):
-        kwargs = dict(
-            family=family,
-            size=size,
-            seed=seed,
-            churn=churn,
-            loss=loss,
-            batch_deltas=batch_deltas,
-            retract_derivations=retract_derivations,
-        )
+    def test_sharded_equals_single_process(self, seed, family, size, churn, loss, shards):
+        kwargs = dict(family=family, size=size, seed=seed, churn=churn, loss=loss)
         single = execute(1, **kwargs)
         sharded = execute(shards, **kwargs)
         assert sharded == single
@@ -157,19 +140,11 @@ class TestShardDeterminism:
         assert sharded == single
         assert single["events"] > 0
 
-    @pytest.mark.parametrize(
-        "batch_deltas,retract_derivations", [(True, True), (False, True), (True, False)]
-    )
-    def test_process_transport_identical(self, batch_deltas, retract_derivations):
+    def test_process_transport_identical(self):
         """Real worker processes (pickling, pipes) — still byte-identical."""
 
-        kwargs = dict(
-            size=10,
-            batch_deltas=batch_deltas,
-            retract_derivations=retract_derivations,
-        )
-        single = execute(1, **kwargs)
-        sharded = execute(2, transport="process", **kwargs)
+        single = execute(1, size=10)
+        sharded = execute(2, transport="process", size=10)
         assert sharded == single
 
     def test_trace_seeds_and_replayability(self):

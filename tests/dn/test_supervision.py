@@ -38,15 +38,15 @@ def execute(
     shards=3,
     faults=None,
     seed=0,
-    batch_deltas=True,
-    retract_derivations=True,
     soft=False,
     transport="inline",
     shard_restarts=2,
     shard_timeout=None,
     until=12.0,
+    **tier,
 ):
-    """One sharded run (optionally under a fault plan) → observables."""
+    """One sharded run (optionally under a fault plan) → observables;
+    ``tier`` holds rule-tier overrides."""
 
     scenario = generate_scenario(
         "tree",
@@ -66,9 +66,8 @@ def execute(
         shard_transport=transport,
         shard_restarts=shard_restarts,
         shard_timeout=shard_timeout,
-        batch_deltas=batch_deltas,
-        retract_derivations=retract_derivations,
         refresh_interval=1.5 if soft else None,
+        **tier,
     )
     engine = create_engine(program, scenario.topology, config=config)
     assert isinstance(engine, ShardedEngine)
@@ -95,18 +94,15 @@ def execute(
 
 
 class TestKillResyncIdentity:
-    """Worker kills leave no fingerprint residue, across the config matrix."""
+    """Worker kills leave no fingerprint residue."""
 
-    @pytest.mark.parametrize("batch", [True, False], ids=["batched", "per-tuple"])
-    @pytest.mark.parametrize(
-        "retract", [True, False], ids=["retraction", "monotonic"]
-    )
-    def test_kill_mid_fixpoint_matches_fault_free(self, batch, retract):
-        control = execute(batch_deltas=batch, retract_derivations=retract)
+    def test_kill_mid_fixpoint_matches_fault_free(self, rule_tier):
+        # the resync re-fires aggregate rules to rebuild view memos, so the
+        # respawned worker must match under every rule tier
+        control = execute(**rule_tier)
         faulted = execute(
-            batch_deltas=batch,
-            retract_derivations=retract,
             faults=FaultPlan((Fault(kind="kill_worker", scope=ANY_SCOPE, at=5),)),
+            **rule_tier,
         )
         assert faulted["injected"], "the fault never fired"
         assert sum(faulted["restarts"]) >= 1

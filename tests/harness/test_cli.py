@@ -69,7 +69,8 @@ class TestSubcommands:
             policies=["none"],
             churn_events=[2],
             churn_restore_delay=None,
-            engine=[{"retract_derivations": False}],
+            # lost retract messages leave hard-state routes through dead links
+            loss=[0.3],
         )
         code = main(
             ["run", str(spec), "--out", str(tmp_path / "out"), "--quiet",

@@ -24,9 +24,11 @@ from repro.protocols.pathvector import PATH_VECTOR_SOURCE, path_vector_program
 from repro.scenarios import generate_scenario
 
 
-def pv_engine(size=10, seed=3, config=None, monitors=None, family="tree"):
+def pv_engine(
+    size=10, seed=3, config=None, monitors=None, family="tree", engine_cls=DistributedEngine
+):
     scenario = generate_scenario(family, size=size, seed=seed)
-    engine = DistributedEngine(
+    engine = engine_cls(
         path_vector_program(), scenario.topology, config=config or EngineConfig(seed=seed)
     )
     for monitor in monitors or ():
@@ -39,9 +41,9 @@ def active_keys(monitor):
 
 
 class TestHookPlumbing:
-    def test_clean_run_mirror_matches_engine_state(self):
+    def test_clean_run_mirror_matches_engine_state(self, rule_tier):
         monitors = standard_monitors()
-        engine, _ = pv_engine(monitors=monitors)
+        engine, _ = pv_engine(config=EngineConfig(seed=3, **rule_tier), monitors=monitors)
         trace = engine.run()
         engine.finalize_monitors()
         assert trace.quiescent
@@ -53,14 +55,9 @@ class TestHookPlumbing:
                         node.db.rows(predicate)
                     ), (monitor.name, node_id, predicate)
 
-    @pytest.mark.parametrize("batch", [True, False])
-    @pytest.mark.parametrize("retract", [True, False])
-    def test_clean_convergence_has_no_violations_on_any_path(self, batch, retract):
+    def test_clean_convergence_has_no_violations(self, rule_tier):
         monitors = standard_monitors()
-        engine, _ = pv_engine(
-            config=EngineConfig(seed=1, batch_deltas=batch, retract_derivations=retract),
-            monitors=monitors,
-        )
+        engine, _ = pv_engine(config=EngineConfig(seed=1, **rule_tier), monitors=monitors)
         engine.run()
         engine.finalize_monitors()
         for monitor in monitors:
@@ -146,10 +143,16 @@ class TestViolationsAndAgreement:
         engine.run()
         engine.finalize_monitors()
 
-    def test_monotonic_failure_found_at_failure_time_and_agrees_posthoc(self):
+    def test_lost_retractions_found_at_failure_time_and_agree_posthoc(
+        self, retract_dropping_engine
+    ):
+        # hard state whose retract messages are all lost keeps the dead
+        # link's routes at remote nodes: a violation from the failure on
         monitors = standard_monitors()
         engine, scenario = pv_engine(
-            config=EngineConfig(seed=1, retract_derivations=False), monitors=monitors
+            config=EngineConfig(seed=1),
+            monitors=monitors,
+            engine_cls=retract_dropping_engine,
         )
         self.fail_first_link(engine, scenario)
         validity = monitors[0]

@@ -19,7 +19,7 @@ class TestExpansion:
             seeds=(0, 1, 2),
             churn_events=(0, 2),
             loss=(0.0, 0.05),
-            engine=({}, {"batch_deltas": False}),
+            engine=({}, {"codegen": False}),
         )
         descriptors = spec.expand()
         assert spec.run_count == 2 * 2 * 2 * 3 * 2 * 2 * 2
@@ -43,22 +43,22 @@ class TestExpansion:
     def test_descriptor_round_trips_through_json(self):
         descriptor = CampaignSpec(
             name="rt",
-            engine=({"retract_derivations": False},),
+            engine=({"codegen": False},),
             soft_state={"link": 5.0},
         ).expand()[0]
         rebuilt = RunDescriptor.from_dict(json.loads(json.dumps(descriptor.to_dict())))
         assert rebuilt == descriptor
         config = rebuilt.engine_config()
-        assert config.retract_derivations is False
+        assert config.codegen is False
         assert config.seed == descriptor.seed
 
     def test_engine_matrix_produces_distinct_configs(self):
         spec = CampaignSpec(
-            name="engines", engine=({}, {"batch_deltas": False, "use_indexes": False})
+            name="engines", engine=({}, {"compile_rules": False, "use_indexes": False})
         )
         configs = [d.engine_config() for d in spec.expand()]
-        assert configs[0].batch_deltas is True
-        assert configs[1].batch_deltas is False and configs[1].use_indexes is False
+        assert configs[0].compile_rules is True
+        assert configs[1].compile_rules is False and configs[1].use_indexes is False
 
 
 class TestValidation:
@@ -77,6 +77,12 @@ class TestValidation:
     def test_unknown_engine_field_rejected(self):
         with pytest.raises(SpecError, match="unknown EngineConfig fields"):
             CampaignSpec(name="bad", engine=({"warp_speed": True},))
+
+    def test_removed_execution_mode_fields_rejected(self):
+        # the engine has one execution mode; specs naming the old switches fail
+        for field_name in ("batch_deltas", "retract_derivations"):
+            with pytest.raises(SpecError, match="unknown EngineConfig fields"):
+                CampaignSpec(name="bad", engine=({field_name: False},))
 
     def test_loss_must_be_probability(self):
         with pytest.raises(SpecError, match="probabilities"):
@@ -158,7 +164,7 @@ class TestShardsAxis:
     def test_shards_axis_merges_into_engine_overrides(self):
         spec = spec_from_mapping(
             {"name": "y", "families": ["tree"], "sizes": [8], "seeds": [0],
-             "shards": [1, 4], "engine": [{}, {"batch_deltas": False}]}
+             "shards": [1, 4], "engine": [{}, {"codegen": False}]}
         )
         descriptors = spec.expand()
         assert spec.run_count == len(descriptors) == 4

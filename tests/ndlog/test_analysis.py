@@ -9,17 +9,13 @@ the analyzer passes evaluate without raising on random small inputs.
 
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ndlog.analysis import (
     CODES,
     WARNING_CODES,
-    UnsoundConfigWarning,
     analyze_program,
-    check_monotonicity,
     classify_monotonicity,
-    non_monotonic_predicates,
     severity_of,
 )
 from repro.ndlog.analysis.cli import main as lint_main
@@ -28,9 +24,8 @@ from repro.ndlog.seminaive import evaluate
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
 
 
-def analyze(source: str, *, retract_derivations=None):
-    program = parse_program(source, "t", strict=False)
-    return analyze_program(program, retract_derivations=retract_derivations)
+def analyze(source: str):
+    return analyze_program(parse_program(source, "t", strict=False))
 
 
 class TestSafetyPass:
@@ -183,48 +178,13 @@ class TestMonotonicityPass:
         kinds = classify_monotonicity(program)
         assert kinds["reach"] == "monotonic"
         assert kinds["blocked"] == "non_monotonic"
-        assert non_monotonic_predicates(program) == ["blocked"]
 
-    def test_ndl401_only_without_retraction(self):
-        program = parse_program(self.SOURCE, "t", strict=False)
-        assert check_monotonicity(program, retract_derivations=True) == []
-        diags = check_monotonicity(program, retract_derivations=False)
-        assert [d.code for d in diags] == ["NDL401"]
-        assert diags[0].predicate == "blocked"
-        assert not diags[0].is_error
-
-    def test_analyze_program_threads_retraction_flag(self):
-        report = analyze(self.SOURCE, retract_derivations=False)
-        assert report.by_code("NDL401")
+    def test_report_carries_classification_and_no_diagnostic(self):
+        # the engine always retracts, so non-monotonic predicates are lint
+        # output, not a warning
+        report = analyze(self.SOURCE)
         assert report.monotonicity["blocked"] == "non_monotonic"
-        assert not analyze(self.SOURCE).by_code("NDL401")
-
-    def test_engine_warns_on_unsound_config(self):
-        from repro.dn.engine import DistributedEngine, EngineConfig
-        from repro.workloads.topologies import line_topology
-
-        program = parse_program(
-            "r1 reach(@X,Y) :- link(@X,Y,C).\n"
-            "r2 none(@X,Y) :- link(@X,Y,C), !reach(@X,Y)."
-        )
-        with pytest.warns(UnsoundConfigWarning, match="none"):
-            DistributedEngine(
-                program,
-                line_topology(3),
-                config=EngineConfig(retract_derivations=False),
-            )
-
-    def test_engine_silent_for_monotonic_program(self, recwarn):
-        from repro.dn.engine import DistributedEngine, EngineConfig
-        from repro.workloads.topologies import line_topology
-
-        program = parse_program("r1 reach(@X,Y) :- link(@X,Y,C).")
-        DistributedEngine(
-            program,
-            line_topology(3),
-            config=EngineConfig(retract_derivations=False),
-        )
-        assert not [w for w in recwarn if w.category is UnsoundConfigWarning]
+        assert not {c for c in report.codes() if c.startswith("NDL4")}
 
 
 class TestBundledPrograms:
@@ -289,11 +249,14 @@ class TestCLI:
     def test_missing_file_is_io_error(self, tmp_path):
         assert lint_main([str(tmp_path / "absent.ndl")]) == 2
 
-    def test_no_retraction_flag_reports_ndl401(self, tmp_path, capsys):
+    def test_json_reports_monotonicity(self, tmp_path, capsys):
         path = tmp_path / "np.ndl"
         path.write_text(TestMonotonicityPass.SOURCE)
-        lint_main([str(path), "--no-retraction", "--fail-on", "never"])
-        assert "NDL401" in capsys.readouterr().out
+        lint_main([str(path), "--format", "json", "--fail-on", "never"])
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert entry["monotonicity"] == {
+            "blocked": "non_monotonic", "reach": "monotonic"
+        }
 
 
 # -- property: analyzer-clean programs evaluate without raising ------------

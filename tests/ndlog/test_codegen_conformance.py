@@ -6,8 +6,8 @@ same fixpoint as the closure-compiled join plans and the AST interpreter —
 across recursion, negation, aggregation, duplicate variables, constants,
 keyed displacement, and interleaved insert/delete sequences — and a
 distributed run with ``codegen=True`` has to be ``Trace.fingerprint()``
-byte-identical to ``codegen=False`` across the batched/per-tuple ×
-retraction/monotonic × 1/4-shard config matrix, soft state included.
+byte-identical to the closure, interpreted and scan-join tiers on 1 and 4
+shards, soft state included.
 
 Randomized programs and operation sequences come from hypothesis; the rule
 templates mirror ``test_retraction_properties.py`` so the three tiers are
@@ -207,7 +207,7 @@ class TestRetractionConformance:
 
 
 # ---------------------------------------------------------------------------
-# Distributed byte-identity: codegen=True vs codegen=False
+# Distributed byte-identity: codegen=True vs the reference tiers
 # ---------------------------------------------------------------------------
 
 
@@ -219,9 +219,10 @@ def soften_links(program, lifetime: float = 3.0):
     return program
 
 
-def run_distributed(*, codegen, shards, batch_deltas, retract_derivations, soft=False):
+def run_distributed(*, shards, soft=False, **tier):
     """One distributed run → everything the identity contract quantifies
-    over (inline shard transport: same code path as processes, minus IPC)."""
+    over (inline shard transport: same code path as processes, minus IPC).
+    ``tier`` holds rule-tier overrides; none is the codegen tier."""
 
     scenario = generate_scenario(
         "tree",
@@ -239,10 +240,8 @@ def run_distributed(*, codegen, shards, batch_deltas, retract_derivations, soft=
         seed=3,
         shards=shards,
         shard_transport="inline",
-        batch_deltas=batch_deltas,
-        retract_derivations=retract_derivations,
-        codegen=codegen,
         refresh_interval=1.5 if soft else None,
+        **tier,
     )
     engine = create_engine(program, scenario.topology, config=config)
     if scenario.churn is not None:
@@ -263,37 +262,22 @@ def run_distributed(*, codegen, shards, batch_deltas, retract_derivations, soft=
 
 class TestDistributedFingerprintIdentity:
     """codegen flips nothing observable: trace fingerprints (the full
-    ordered change stream) and final tables are byte-identical."""
+    ordered change stream) and final tables are byte-identical to every
+    other rule tier's."""
 
-    @pytest.mark.parametrize("batch_deltas", [True, False])
-    @pytest.mark.parametrize("retract_derivations", [True, False])
+    @pytest.mark.parametrize(
+        "rule_tier", ["closures", "interpreted", "scan-join"], indirect=True
+    )
     @pytest.mark.parametrize("shards", [1, 4])
-    def test_config_matrix(self, batch_deltas, retract_derivations, shards):
-        kwargs = dict(
-            shards=shards,
-            batch_deltas=batch_deltas,
-            retract_derivations=retract_derivations,
-        )
-        with_codegen = run_distributed(codegen=True, **kwargs)
-        without = run_distributed(codegen=False, **kwargs)
-        assert with_codegen == without
+    def test_config_matrix(self, shards, rule_tier):
+        with_codegen = run_distributed(shards=shards)
+        reference = run_distributed(shards=shards, **rule_tier)
+        assert with_codegen == reference
         assert with_codegen["events"] > 0
 
     def test_soft_state_expiry_identical(self):
-        with_codegen = run_distributed(
-            codegen=True,
-            shards=2,
-            batch_deltas=True,
-            retract_derivations=True,
-            soft=True,
-        )
-        without = run_distributed(
-            codegen=False,
-            shards=2,
-            batch_deltas=True,
-            retract_derivations=True,
-            soft=True,
-        )
+        with_codegen = run_distributed(shards=2, soft=True)
+        without = run_distributed(shards=2, soft=True, codegen=False)
         assert with_codegen == without
 
 

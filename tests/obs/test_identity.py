@@ -3,9 +3,9 @@
 Metrics and tracing read clocks and bump counters but never touch the
 scheduler, channel RNG, or replay streams — so ``Trace.fingerprint()``
 and every deterministic observable must match exactly between a run with
-the whole subsystem on and the same run with it off, across the
-batched/per-tuple × retraction/monotonic engine matrix, a 4-way sharded
-coordinator, and serving crash recovery."""
+the whole subsystem on and the same run with it off, on the single-process
+engine under every rule tier, a 4-way sharded coordinator, and serving
+crash recovery."""
 
 import json
 
@@ -43,8 +43,9 @@ def set_obs(on: bool) -> None:
         tracing.disable()
 
 
-def run_once(*, obs: bool, batch=True, retract=True, shards=1) -> dict:
-    """One churn+loss run → every deterministic observable."""
+def run_once(*, obs: bool, shards=1, **tier) -> dict:
+    """One churn+loss run → every deterministic observable; ``tier`` holds
+    rule-tier overrides."""
 
     set_obs(obs)
     scenario = generate_scenario(
@@ -56,13 +57,7 @@ def run_once(*, obs: bool, batch=True, retract=True, shards=1) -> dict:
         churn_restore_delay=1.0,
         loss=0.01,
     )
-    config = EngineConfig(
-        seed=0,
-        shards=shards,
-        shard_transport="inline",
-        batch_deltas=batch,
-        retract_derivations=retract,
-    )
+    config = EngineConfig(seed=0, shards=shards, shard_transport="inline", **tier)
     engine = create_engine(
         policy_path_vector_program(), scenario.topology, config=config
     )
@@ -86,25 +81,16 @@ def run_once(*, obs: bool, batch=True, retract=True, shards=1) -> dict:
 
 
 class TestEngineIdentity:
-    @pytest.mark.parametrize(
-        "batch,retract", [(True, True), (True, False), (False, True), (False, False)]
-    )
-    def test_obs_on_matches_obs_off(self, batch, retract):
-        plain = run_once(obs=False, batch=batch, retract=retract)
-        observed = run_once(obs=True, batch=batch, retract=retract)
+    def test_obs_on_matches_obs_off(self, rule_tier):
+        plain = run_once(obs=False, **rule_tier)
+        observed = run_once(obs=True, **rule_tier)
         # the instrumented run must actually have recorded something...
         recorded = metrics.registry().export()
         assert recorded["counters"].get("engine.events", 0) > 0
-        if retract:
-            # the churn removed rows: settle-end consistency checks came
-            # due, and a clean network needs the full sweep only where the
-            # scoped check cannot run (per-tuple mode)
-            checks = recorded["counters"].get("engine.sweep_checks", 0)
-            repairs = recorded["counters"].get("engine.sweep_repairs", 0)
-            assert checks > 0
-            assert repairs == (0 if batch else checks)
-        else:
-            assert "engine.sweep_checks" not in recorded["counters"]
+        # the churn removed rows: settle-end consistency checks came due,
+        # and a clean network never needs the full sweep
+        assert recorded["counters"].get("engine.sweep_checks", 0) > 0
+        assert recorded["counters"].get("engine.sweep_repairs", 0) == 0
         assert tracing.tracer().export()["spans"]
         # ...while changing nothing observable
         assert observed == plain

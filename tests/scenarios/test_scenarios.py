@@ -9,7 +9,7 @@ topologies, across at least the grid, tree, and power-law families.
 import networkx as nx
 import pytest
 
-from repro.dn.engine import DistributedEngine, EngineConfig
+from repro.dn.engine import DistributedEngine
 from repro.ndlog.seminaive import evaluate
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import (
@@ -200,18 +200,3 @@ class TestCrossValidation:
         indexed = evaluate(program, scenario.link_facts(), use_indexes=True)
         naive = evaluate(program, scenario.link_facts(), use_indexes=False)
         assert indexed.snapshot() == naive.snapshot()
-
-    def test_batched_engine_matches_per_tuple_engine(self):
-        scenario = generate_scenario("grid", size=9, seed=4)
-        program = path_vector_program()
-        batched = DistributedEngine(
-            program, scenario.topology, config=EngineConfig(batch_deltas=True)
-        )
-        batched.run()
-        per_tuple = DistributedEngine(
-            program,
-            generate_scenario("grid", size=9, seed=4).topology,
-            config=EngineConfig(batch_deltas=False),
-        )
-        per_tuple.run()
-        assert batched.global_snapshot() == per_tuple.global_snapshot()

@@ -1,12 +1,15 @@
 """Durability contract: snapshot round-trips, ledger replay, and crash
 recovery all reach byte-identical ``Trace.fingerprint()`` state."""
 
+import hashlib
 import pickle
+import random
 import struct
 
 import pytest
 
 from repro.dn.trace import Trace
+from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 from repro.serving.checkpoint import (
     SNAPSHOT_FORMAT,
@@ -147,8 +150,8 @@ class TestRecovery:
         finally:
             recovered.close()
 
-    def recover(self, tmp_path) -> tuple[str, str]:
-        recovered = RouteService(durable_config(tmp_path))
+    def recover(self, tmp_path, **overrides) -> tuple[str, str]:
+        recovered = RouteService(durable_config(tmp_path, **overrides))
         try:
             return recovered.recovered_from, recovered.query("fingerprint", {})["fingerprint"]
         finally:
@@ -228,6 +231,17 @@ class TestRecovery:
         (tmp_path / "state" / SNAPSHOT_NAME).write_bytes(payload)
         assert self.recover(tmp_path) == ("replay", reference)
 
+    def test_intact_format_2_snapshot_falls_back_to_replay(self, tmp_path):
+        """A format-2 file carried pickled view memos; even sealed with a
+        valid checksum it is refused, so its memos never reach an engine."""
+
+        reference = run_durable(durable_config(tmp_path))
+        path = tmp_path / "state" / SNAPSHOT_NAME
+        body = path.read_bytes().partition(b"\n")[2]
+        older = f"fvn-snapshot/2 {hashlib.sha256(body).hexdigest()}".encode()
+        path.write_bytes(older + b"\n" + body)
+        assert self.recover(tmp_path) == ("replay", reference)
+
     def test_sealed_snapshot_round_trips(self):
         snapshot = {"seq": 3, "engine": {"nodes": {0: [("link", (0, 1, 2.5))]}}}
         data = seal_snapshot(snapshot)
@@ -242,6 +256,51 @@ class TestRecovery:
             assert ack["seq"] == len(UPDATES) + 1 and ack["settled"]
         finally:
             recovered.close()
+
+    def churn_then_recover(self, tmp_path, links, **overrides) -> tuple[str, str, str]:
+        """Fail and restore each of ``links`` in turn on a durable daemon,
+        then reopen it: ``(live fingerprint, recovered_from, recovered
+        fingerprint)``."""
+
+        service = RouteService(durable_config(tmp_path, **overrides))
+        try:
+            for src, dst in links:
+                service.apply_update("link_fail", {"src": src, "dst": dst})
+                service.apply_update("link_restore", {"src": src, "dst": dst})
+            live = service.query("fingerprint", {})["fingerprint"]
+        finally:
+            service.close()
+        return (live, *self.recover(tmp_path, **overrides))
+
+    def test_policy_daemon_recovers_restored_view_memos_in_live_order(self, tmp_path):
+        """A restored aggregate memo must iterate like the live one: the
+        retractions ``diff_rows`` emits from it follow its order.  Memos
+        unpickled from a snapshot did not (this daemon recovered to another
+        fingerprint); rebuilt ones do."""
+
+        live, how, recovered = self.churn_then_recover(
+            tmp_path, [(0, 1), (0, 2), (0, 1)],
+            size=10, policy="gao_rexford", snapshot_every=4,
+        )
+        assert how == "snapshot+replay"
+        assert recovered == live
+
+    @pytest.mark.parametrize("topo_seed", [1, 2])
+    def test_policy_daemon_recovers_after_random_churn(self, tmp_path, topo_seed):
+        topology = generate_scenario(
+            "power_law", size=16, seed=topo_seed, policy="gao_rexford"
+        ).topology
+        links = sorted(
+            (link.src, link.dst) for link in topology.links() if link.src < link.dst
+        )
+        rng = random.Random(topo_seed)
+        live, how, recovered = self.churn_then_recover(
+            tmp_path, [rng.choice(links) for _ in range(12)],
+            family="power_law", size=16, topo_seed=topo_seed,
+            policy="gao_rexford", snapshot_every=5,
+        )
+        assert how == "snapshot+replay"
+        assert recovered == live
 
     def test_sharded_daemon_recovers_by_replay(self, tmp_path):
         reference = reference_fingerprint()
