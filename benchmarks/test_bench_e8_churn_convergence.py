@@ -51,7 +51,7 @@ def test_bench_churn_cycle_tree50(benchmark, experiment_report):
     # routes through the (restored) link, nothing missing
     assert stale_routes(engine) == 0
     assert len(engine.rows("bestPath")) == 50 * 49
-    retracts = len(trace.retraction_messages())
+    retracts = trace.retraction_message_count
     experiment_report(
         "E8",
         [

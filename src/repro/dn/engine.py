@@ -58,7 +58,8 @@ closure without a decreasing measure) should bound stale state with
 soft-state lifetimes, the paper's own remedy.
 
 The engine records a :class:`~repro.dn.trace.Trace` for convergence and
-message accounting, and supports runtime topology dynamics (link failure,
+message accounting — each ``run()`` first compacts away the records of the
+runs before it — and supports runtime topology dynamics (link failure,
 recovery, cost changes) plus soft-state expiry and periodic refresh.
 """
 
@@ -702,8 +703,15 @@ class DistributedEngine:
         until: float = float("inf"),
         extra_facts: Iterable[Fact | tuple] = (),
     ) -> Trace:
-        """Execute until quiescence, ``until``, or the event budget."""
+        """Execute until quiescence, ``until``, or the event budget.
 
+        Earlier runs' records are folded into the trace's digests and
+        dropped first (:meth:`Trace.compact`), so a long-lived engine holds
+        one run's records, not its history; counts and the fingerprint stay
+        exact, and ``trace.state_changes[count_before_run:]`` is this run's.
+        """
+
+        self.trace.compact()
         if not self._seeded:
             self.seed_facts(extra_facts)
         with obs_tracing.span("engine.run"):

@@ -11,39 +11,50 @@ two record streams: every whole block of :attr:`Trace.FOLD_BLOCK` records is
 chained into a 32-byte digest (``chain = sha256(chain ‖ block)``), the
 sub-block tail stays as records, and the value is ``sha256("fp2:" ‖
 chain_changes ‖ tail ‖ chain_messages ‖ tail ‖ (events_processed,
-finished_at, quiescent, seeds))``.  Blocks sit at fixed record indices, so
-the value is a pure function of the record streams — it does not depend on
-when (or whether) :meth:`~Trace.fingerprint` / :meth:`~Trace.compact` ran
-before.  Folding is lazy: ``record_change`` / ``record_message`` are plain
-appends, and each record is hashed once, by the first ``fingerprint()``
-after it.
+finished_at, quiescent, seeds))``.  A block's bytes are the ``repr`` of its
+list of records, each record a plain tuple.  Blocks sit at fixed record
+indices, so the value is a pure function of the record streams — it does
+not depend on when (or whether) :meth:`~Trace.fingerprint` /
+:meth:`~Trace.compact` ran before.  Folding is lazy: ``record_change`` /
+``record_message`` are plain appends, and each record is hashed once, by
+the first ``fingerprint()`` or ``compact()`` after it.
 
 **Compaction.**  :meth:`Trace.compact` folds and then *drops* the folded
 records; the counts (``state_change_count``, ``message_count``,
 ``delivered_message_count``, ``retraction_count``,
-``retraction_message_count``) and ``last_change_time()`` stay exact as
-counters, while the history queries (``changes_for``, ``convergence_time``,
-…) raise :class:`TraceCompacted` instead of answering from the surviving
-tail.  Only the serving daemon compacts (at every settle, so its memory and
-snapshots are O(live state)); library engines never do, so
-``engine.trace.state_changes`` is the complete list there.
+``retraction_message_count``), ``last_change_time()`` and
+``convergence_time()`` stay exact as counters.  Every engine compacts at
+the start of each ``run()``, so a long-lived engine holds the records of
+its current run (plus a sub-block tail of the one before), never its whole
+history; the serving daemon also compacts after every settle, since it
+drives the scheduler without ``run()``.  ``state_changes`` and
+``messages`` are read-only views (:class:`RecordView`) indexed from the
+start of the execution: ``len()`` counts every record,
+``trace.state_changes[before:]`` is exact for any ``before`` at or past
+:attr:`RecordView.dropped` (the count taken before a ``run()`` always
+is), and a read that needs a dropped
+record — an index below it, plain iteration, the history queries
+(``changes_for``, ``messages_between``, …) — raises
+:class:`TraceCompacted` rather than answer from the tail.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 from .network import NodeId
 
 #: ``StateChange.kind`` values that remove a tuple.
 RETRACTION_KINDS = frozenset(("delete", "expire", "retract"))
 
+#: builds a record from a field tuple without the generated ``__new__``
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class StateChange:
+
+class StateChange(NamedTuple):
     """One tuple insertion/replacement/deletion at a node.
 
     ``kind`` distinguishes base-fact removals (``delete``), soft-state
@@ -57,9 +68,11 @@ class StateChange:
     values: tuple
     kind: str = "insert"  # insert | replace | delete | expire | retract
 
+    # the fingerprint hashes records in plain tuple syntax
+    __repr__ = tuple.__repr__
 
-@dataclass(frozen=True, slots=True)
-class MessageRecord:
+
+class MessageRecord(NamedTuple):
     """One tuple shipment between nodes.
 
     ``kind`` is ``assert`` for a derived-tuple announcement and ``retract``
@@ -74,52 +87,107 @@ class MessageRecord:
     delivered: bool = True
     kind: str = "assert"  # assert | retract
 
-
-_CHANGE_FIELDS = attrgetter("time", "node", "predicate", "values", "kind")
-_MESSAGE_FIELDS = attrgetter(
-    "time", "src", "dst", "predicate", "values", "delivered", "kind"
-)
+    __repr__ = tuple.__repr__
 
 
-def _encode(records: list, fields) -> bytes:
+def _encode(records: list) -> bytes:
     """Canonical bytes of a run of records (what the fingerprint hashes)."""
 
-    return repr(list(map(fields, records))).encode()
+    return repr(records).encode()
 
 
 class TraceCompacted(RuntimeError):
-    """A history query on a trace whose records ``Trace.compact()`` dropped."""
+    """A read of trace records that ``Trace.compact()`` dropped."""
 
 
 @dataclass(slots=True)
-class _Fold:
-    """Where one record stream stands: records before ``dropped`` are gone
-    from the list, records before ``folded`` are hashed into ``chain``,
-    records before ``tallied`` are covered by the trace's counters.  All
-    three count from the start of the execution; plain picklable data."""
+class _Stream:
+    """One record stream: the records still held, and where the stream
+    stands — records before ``dropped`` are gone from ``records``, records
+    before ``folded`` are hashed into ``chain``, records before ``tallied``
+    are covered by the trace's counters.  All three count from the start of
+    the execution; plain picklable data."""
 
+    records: list = field(default_factory=list)
     chain: bytes = bytes(32)
     folded: int = 0
     dropped: int = 0
     tallied: int = 0
 
-    def fold(self, records: list, fields, block: int) -> None:
+    def fold(self, block: int) -> None:
+        records = self.records
         start = self.folded - self.dropped
         while len(records) - start >= block:
             digest = hashlib.sha256(self.chain)
-            digest.update(_encode(records[start : start + block], fields))
+            digest.update(_encode(records[start : start + block]))
             self.chain = digest.digest()
             start += block
         self.folded = self.dropped + start
 
-    def untallied(self, records: list) -> list:
-        new = records[self.tallied - self.dropped :]
-        self.tallied = self.dropped + len(records)
+    def unfolded(self) -> list:
+        return self.records[self.folded - self.dropped :]
+
+    def untallied(self) -> list:
+        new = self.records[self.tallied - self.dropped :]
+        self.tallied = self.dropped + len(self.records)
         return new
 
-    def drop_folded(self, records: list) -> None:
-        del records[: self.folded - self.dropped]
+    def drop_folded(self) -> None:
+        del self.records[: self.folded - self.dropped]
         self.dropped = self.folded
+
+
+class RecordView(Sequence):
+    """A read-only view of one record stream, indexed from the start of the
+    execution.  ``len()`` counts every record ever made; records below
+    :attr:`dropped` were folded away by :meth:`Trace.compact`, and any read
+    that needs one raises :class:`TraceCompacted`.  Slices are lists."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: _Stream) -> None:
+        self._stream = stream
+
+    @property
+    def dropped(self) -> int:
+        """Absolute index of the first record still held."""
+
+        return self._stream.dropped
+
+    def __len__(self) -> int:
+        return self._stream.dropped + len(self._stream.records)
+
+    def _need(self, index: int) -> None:
+        if index < self._stream.dropped:
+            raise TraceCompacted(
+                f"Trace.compact() dropped the first {self._stream.dropped} "
+                f"records of this stream and record {index} is among them; "
+                "reads never answer from the surviving tail (counts, "
+                "last_change_time() and convergence_time() stay exact, and "
+                "the records of the current run() start at the count taken "
+                "before it)"
+            )
+
+    def __iter__(self):
+        self._need(0)
+        return iter(self._stream.records)
+
+    def __getitem__(self, index):
+        records, dropped = self._stream.records, self._stream.dropped
+        if isinstance(index, slice):
+            indices = range(*index.indices(len(self)))
+            if not indices:
+                return []
+            self._need(min(indices[0], indices[-1]))
+            if indices.step == 1:
+                return records[indices.start - dropped : indices.stop - dropped]
+            return [records[i - dropped] for i in indices]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("trace record index out of range")
+        self._need(index)
+        return records[index - dropped]
 
 
 @dataclass
@@ -129,10 +197,6 @@ class Trace:
     #: records per chained fingerprint block (part of the fp2 definition)
     FOLD_BLOCK: ClassVar[int] = 256
 
-    #: the recorded state changes — all of them, unless :meth:`compact`
-    #: dropped a folded prefix (then only the sub-block tail)
-    state_changes: list[StateChange] = field(default_factory=list)
-    messages: list[MessageRecord] = field(default_factory=list)
     events_processed: int = 0
     finished_at: float = 0.0
     quiescent: bool = False
@@ -143,10 +207,11 @@ class Trace:
     #: exact loss/delivery pattern even when the original seed was None.
     seeds: dict = field(default_factory=dict)
 
-    # fold state and counters, advanced lazily by fingerprint()/compact()
-    # and the counter properties — never by record_change/record_message
-    _changes: _Fold = field(default_factory=_Fold, repr=False, compare=False)
-    _messages: _Fold = field(default_factory=_Fold, repr=False, compare=False)
+    # the record streams with their fold state, and the counters; advanced
+    # lazily by fingerprint()/compact() and the counter properties — never
+    # by record_change/record_message
+    _changes: _Stream = field(default_factory=_Stream, repr=False)
+    _messages: _Stream = field(default_factory=_Stream, repr=False)
     _retractions: int = field(default=0, repr=False, compare=False)
     _delivered: int = field(default=0, repr=False, compare=False)
     _retract_messages: int = field(default=0, repr=False, compare=False)
@@ -156,7 +221,7 @@ class Trace:
     def record_change(
         self, time: float, node: NodeId, predicate: str, values: tuple, kind: str = "insert"
     ) -> None:
-        self.state_changes.append(StateChange(time, node, predicate, values, kind))
+        self._changes.records.append(_new(StateChange, (time, node, predicate, values, kind)))
 
     def record_message(
         self,
@@ -168,30 +233,43 @@ class Trace:
         delivered: bool = True,
         kind: str = "assert",
     ) -> None:
-        self.messages.append(
-            MessageRecord(time, src, dst, predicate, values, delivered, kind)
+        self._messages.records.append(
+            _new(MessageRecord, (time, src, dst, predicate, values, delivered, kind))
         )
+
+    @property
+    def state_changes(self) -> RecordView:
+        """Every recorded state change, by absolute index (see
+        :class:`RecordView`)."""
+
+        return RecordView(self._changes)
+
+    @property
+    def messages(self) -> RecordView:
+        """Every recorded message, by absolute index."""
+
+        return RecordView(self._messages)
 
     # -- counters (exact on a compacted trace) -------------------------------
     def _tally(self) -> None:
         """Advance the counters over the records appended since last time."""
 
         last = self._last_change
-        for change in self._changes.untallied(self.state_changes):
-            if change.kind in RETRACTION_KINDS:
+        for time, _, predicate, _, kind in self._changes.untallied():
+            if kind in RETRACTION_KINDS:
                 self._retractions += 1
-            seen = last.get(change.predicate)
-            if seen is None or change.time > seen:
-                last[change.predicate] = change.time
-        for message in self._messages.untallied(self.messages):
-            if message.delivered:
+            seen = last.get(predicate)
+            if seen is None or time > seen:
+                last[predicate] = time
+        for _, _, _, _, _, delivered, kind in self._messages.untallied():
+            if delivered:
                 self._delivered += 1
-            if message.kind == "retract":
+            if kind == "retract":
                 self._retract_messages += 1
 
     @property
     def message_count(self) -> int:
-        return self._messages.dropped + len(self.messages)
+        return self._messages.dropped + len(self._messages.records)
 
     @property
     def delivered_message_count(self) -> int:
@@ -200,7 +278,7 @@ class Trace:
 
     @property
     def state_change_count(self) -> int:
-        return self._changes.dropped + len(self.state_changes)
+        return self._changes.dropped + len(self._changes.records)
 
     @property
     def retraction_count(self) -> int:
@@ -216,71 +294,55 @@ class Trace:
         self._tally()
         return self._retract_messages
 
+    def _last_time(self, predicate: Optional[str]) -> Optional[float]:
+        self._tally()
+        if predicate is not None:
+            return self._last_change.get(predicate)
+        return max(self._last_change.values(), default=None)
+
     def last_change_time(self, predicate: Optional[str] = None) -> float:
         """Time of the last state change (optionally for one predicate)."""
 
-        self._tally()
-        if predicate is not None:
-            return self._last_change.get(predicate, 0.0)
-        return max(self._last_change.values(), default=0.0)
-
-    # -- history queries (need the complete record lists) --------------------
-    @property
-    def compacted(self) -> bool:
-        """Has :meth:`compact` dropped records (are the lists incomplete)?"""
-
-        return bool(self._changes.dropped or self._messages.dropped)
-
-    def _complete(self) -> None:
-        dropped = self._changes.dropped + self._messages.dropped
-        if dropped:
-            raise TraceCompacted(
-                f"Trace.compact() dropped {dropped} folded records; history "
-                "queries need the complete lists and will not answer from the "
-                "surviving tail (counts and last_change_time() stay exact; "
-                "library engines never compact, the serving daemon always does)"
-            )
-
-    def changes_of_kind(self, kind: str) -> list[StateChange]:
-        self._complete()
-        return [c for c in self.state_changes if c.kind == kind]
-
-    def retraction_messages(self) -> list[MessageRecord]:
-        self._complete()
-        return [m for m in self.messages if m.kind == "retract"]
+        last = self._last_time(predicate)
+        return 0.0 if last is None else last
 
     def convergence_time(self, predicate: Optional[str] = None, since: float = 0.0) -> float:
-        """Convergence time = last state change at or after ``since``.
+        """Convergence time = last state change at or after ``since``,
+        measured from ``since`` (0.0 when nothing changed since then).
 
         Only meaningful when the run ended quiescent; callers should check
         :attr:`quiescent` (a non-quiescent run hit its time/event budget,
         i.e. it had not converged when observation stopped).
         """
 
-        self._complete()
-        times = [
-            c.time
-            for c in self.state_changes
-            if c.time >= since and (predicate is None or c.predicate == predicate)
-        ]
-        return (max(times) - since) if times else 0.0
+        last = self._last_time(predicate)
+        return 0.0 if last is None or last < since else last - since
+
+    # -- history queries (need every record of their stream) ------------------
+    @property
+    def compacted(self) -> bool:
+        """Has :meth:`compact` dropped records (are the views incomplete)?"""
+
+        return bool(self._changes.dropped or self._messages.dropped)
+
+    def changes_of_kind(self, kind: str) -> list[StateChange]:
+        return [c for c in self.state_changes if c.kind == kind]
+
+    def retraction_messages(self) -> list[MessageRecord]:
+        return [m for m in self.messages if m.kind == "retract"]
 
     def messages_between(self, start: float, end: float) -> int:
-        self._complete()
         return sum(1 for m in self.messages if start <= m.time < end)
 
     def changes_for(self, predicate: str) -> list[StateChange]:
-        self._complete()
         return [c for c in self.state_changes if c.predicate == predicate]
 
     def changes_at(self, node: NodeId) -> list[StateChange]:
-        self._complete()
         return [c for c in self.state_changes if c.node == node]
 
     def message_histogram(self, bucket: float = 1.0) -> dict[int, int]:
         """Messages per time bucket (for plotting convergence activity)."""
 
-        self._complete()
         hist: dict[int, int] = {}
         for m in self.messages:
             index = int(m.time // bucket)
@@ -288,12 +350,6 @@ class Trace:
         return hist
 
     # -- fingerprint ---------------------------------------------------------
-    def _streams(self):
-        return (
-            (self._changes, self.state_changes, _CHANGE_FIELDS),
-            (self._messages, self.messages, _MESSAGE_FIELDS),
-        )
-
     def fingerprint(self) -> str:
         """SHA-256 digest (``fp2``) of everything observable about the
         execution.
@@ -309,10 +365,10 @@ class Trace:
         """
 
         digest = hashlib.sha256(b"fp2:")
-        for fold, records, fields in self._streams():
-            fold.fold(records, fields, self.FOLD_BLOCK)
-            digest.update(fold.chain)
-            digest.update(_encode(records[fold.folded - fold.dropped :], fields))
+        for stream in (self._changes, self._messages):
+            stream.fold(self.FOLD_BLOCK)
+            digest.update(stream.chain)
+            digest.update(_encode(stream.unfolded()))
         digest.update(
             repr(
                 (
@@ -328,13 +384,13 @@ class Trace:
     def compact(self) -> None:
         """Fold every whole block into the digest chains and drop the folded
         records, leaving counters, chains, and the sub-block tail.  The
-        fingerprint and every counter are unchanged; history queries raise
-        :class:`TraceCompacted` from here on."""
+        fingerprint and every counter are unchanged; reads of the dropped
+        records raise :class:`TraceCompacted` from here on."""
 
         self._tally()
-        for fold, records, fields in self._streams():
-            fold.fold(records, fields, self.FOLD_BLOCK)
-            fold.drop_folded(records)
+        for stream in (self._changes, self._messages):
+            stream.fold(self.FOLD_BLOCK)
+            stream.drop_folded()
 
     def summary(self) -> str:
         status = "quiescent" if self.quiescent else "budget-exhausted"

@@ -55,8 +55,10 @@ MAINTENANCE_KINDS = ("refresh", "expiry")
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.
-SNAPSHOT_FORMAT = "fvn-snapshot/3"
+#: to full ledger replay instead of being misread.  (``/4``: the ``Trace``
+#: holds its records as tuples inside per-stream fold state; ``/3`` pickled
+#: record dataclasses in bare lists.)
+SNAPSHOT_FORMAT = "fvn-snapshot/4"
 
 
 class SnapshotUnsupported(RuntimeError):

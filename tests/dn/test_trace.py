@@ -9,9 +9,21 @@ from hypothesis import strategies as st
 from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.dn.node import Node
-from repro.dn.trace import RETRACTION_KINDS, Trace, TraceCompacted
+from repro.dn.trace import (
+    RETRACTION_KINDS,
+    MessageRecord,
+    StateChange,
+    Trace,
+    TraceCompacted,
+)
 from repro.ndlog.parser import parse_program
 from repro.scenarios import generate_scenario
+
+
+def retained(view) -> int:
+    """Records a trace view still holds (its ``len`` counts dropped ones)."""
+
+    return len(view) - view.dropped
 
 
 class TestTrace:
@@ -100,9 +112,9 @@ class TestFold:
                 t.events_processed, t.finished_at, t.seeds = 7, 3.5, {"channel": 1}
             assert trace.fingerprint() == control.fingerprint()
 
-            changes, messages = control.state_changes, control.messages
+            changes, messages = list(control.state_changes), list(control.messages)
             assert not control.compacted
-            assert len(trace.state_changes) <= len(changes)
+            assert retained(trace.state_changes) <= len(changes) == len(trace.state_changes)
             assert trace.state_change_count == len(changes)
             assert trace.message_count == len(messages)
             assert trace.delivered_message_count == sum(m.delivered for m in messages)
@@ -114,8 +126,22 @@ class TestFold:
                 assert trace.last_change_time(predicate) == max(
                     (c.time for c in changes if c.predicate == predicate), default=0.0
                 )
+            for predicate in (None, *PREDICATES):
+                for since in (0.0, 10.0, 25.0, 49.0):
+                    times = [
+                        c.time for c in changes
+                        if c.time >= since and predicate in (None, c.predicate)
+                    ]
+                    expected = max(times) - since if times else 0.0
+                    assert trace.convergence_time(predicate, since) == expected
+            for view, records in ((trace.state_changes, changes), (trace.messages, messages)):
+                for start in range(view.dropped, len(records) + 1):
+                    assert view[start:] == records[start:]
+                if view.dropped:
+                    with pytest.raises(TraceCompacted):
+                        view[view.dropped - 1 :]
             trace.compact()
-            assert len(trace.state_changes) < block and len(trace.messages) < block
+            assert retained(trace.state_changes) < block and retained(trace.messages) < block
             assert trace.fingerprint() == control.fingerprint()
 
     def test_compact_keeps_less_than_a_block(self):
@@ -124,7 +150,10 @@ class TestFold:
             trace.record_change(float(i), "a", "path", ("a", i))
         before = trace.fingerprint()
         trace.compact()
-        assert len(trace.state_changes) == 5 and trace.state_change_count == 2 * Trace.FOLD_BLOCK + 5
+        assert retained(trace.state_changes) == 5
+        assert len(trace.state_changes) == trace.state_change_count == 2 * Trace.FOLD_BLOCK + 5
+        last = 2 * Trace.FOLD_BLOCK + 4
+        assert trace.state_changes[-1] == (float(last), "a", "path", ("a", last), "insert")
         assert trace.compacted and trace.fingerprint() == before
         assert len(pickle.dumps(trace)) < 2_000
 
@@ -134,9 +163,19 @@ class TestFold:
             trace.record_change(float(i), "a", "path", ("a", i))
             trace.record_message(float(i), "a", "b", "path", ("a", i))
         trace.compact()
-        assert trace.last_change_time("path") == float(Trace.FOLD_BLOCK)  # counters still answer
+        # counters still answer
+        assert trace.last_change_time("path") == float(Trace.FOLD_BLOCK)
+        assert trace.convergence_time("path", since=1.0) == float(Trace.FOLD_BLOCK - 1)
+        assert trace.state_changes[Trace.FOLD_BLOCK:] == [
+            (float(Trace.FOLD_BLOCK), "a", "path", ("a", Trace.FOLD_BLOCK), "insert")
+        ]
         for query in (
-            lambda: trace.convergence_time("path", since=1.0),
+            lambda: list(trace.state_changes),
+            lambda: list(trace.messages),
+            lambda: trace.state_changes[0],
+            lambda: trace.messages[-Trace.FOLD_BLOCK - 1],
+            lambda: trace.state_changes[Trace.FOLD_BLOCK - 1 :],
+            lambda: trace.state_changes[::-1],
             lambda: trace.changes_for("path"),
             lambda: trace.changes_at("a"),
             lambda: trace.changes_of_kind("insert"),
@@ -146,6 +185,16 @@ class TestFold:
         ):
             with pytest.raises(TraceCompacted, match=r"Trace\.compact\(\)"):
                 query()
+        with pytest.raises(IndexError):
+            trace.state_changes[Trace.FOLD_BLOCK + 1]
+
+    def test_records_are_plain_tuples(self):
+        trace = TestTrace()._trace()
+        change, message = trace.state_changes[0], trace.messages[1]
+        assert isinstance(change, StateChange) and isinstance(message, MessageRecord)
+        assert change == (0.1, "a", "path", ("a", "b"), "insert") and change.kind == "insert"
+        assert repr(message) == "(1.2, 'b', 'a', 'path', ('b', 'a'), False, 'assert')"
+        assert StateChange(0.1, "a", "path", ("a", "b")) == change
 
     def test_sub_block_compaction_drops_nothing(self):
         trace = TestTrace()._trace()
@@ -187,6 +236,115 @@ class TestV1Agreement:
         other.seeds["scenario"] = 9
         assert fingerprint_v1(other) != fingerprint_v1(base)
         assert other.fingerprint() != base.fingerprint()
+
+
+#: N for the long-lived engine below: fail/restore cycles of the first run
+CYCLES = 4
+
+
+def long_lived_engine(shards: int = 1):
+    """A converged engine on the tree-10 gao_rexford scenario and its
+    links; every later ``run()`` compacts what the runs before recorded."""
+
+    scenario = generate_scenario("tree", size=10, seed=2, policy="gao_rexford")
+    config = EngineConfig(seed=4, shards=shards, shard_transport="inline")
+    engine = create_engine(policy_path_vector_program(), scenario.topology, config=config)
+    engine.run(extra_facts=scenario.policy_fact_list())
+    links = [(link.src, link.dst) for link in scenario.topology.up_links() if link.src < link.dst]
+    return engine, links
+
+
+def churn(engine, links, cycles: range, *, check_bound: bool = True) -> None:
+    """Fail and restore one link per cycle, one ``run()`` each, checking
+    after every run that earlier runs left at most a sub-block tail."""
+
+    trace = engine.trace
+    for i in cycles:
+        src, dst = links[i % len(links)]
+        for schedule in (engine.schedule_link_failure, engine.schedule_link_restore):
+            changes, messages = trace.state_change_count, trace.message_count
+            schedule(src, dst, at=engine.scheduler.now + 1.0)
+            engine.run()
+            if check_bound:
+                ran = trace.state_change_count - changes
+                assert retained(trace.state_changes) <= ran + Trace.FOLD_BLOCK
+                ran = trace.message_count - messages
+                assert retained(trace.messages) <= ran + Trace.FOLD_BLOCK
+
+
+def observed(engine) -> tuple:
+    trace = engine.trace
+    counts = (
+        trace.state_change_count, trace.message_count, trace.delivered_message_count,
+        trace.retraction_count, trace.retraction_message_count, trace.last_change_time(),
+    )
+    return trace.fingerprint(), counts, sorted(engine.rows("bestRoute"))
+
+
+def checkpoints(shards: int, *, check_bound: bool = True) -> tuple:
+    """What a long-lived engine reports after N and after 4N cycles."""
+
+    engine, links = long_lived_engine(shards)
+    try:
+        churn(engine, links, range(CYCLES), check_bound=check_bound)
+        at_n = observed(engine)
+        churn(engine, links, range(CYCLES, 4 * CYCLES), check_bound=check_bound)
+        assert engine.trace.compacted == check_bound
+        return at_n, observed(engine)
+    finally:
+        engine.close()
+
+
+class TestLongLivedEngine:
+    """Each ``run()`` folds away what the runs before it recorded: a
+    long-lived engine holds one run's records, not its history, and every
+    fingerprint and count is the uncompacted control's."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_memory_tracks_one_run_not_history(self, shards):
+        compacted = checkpoints(shards)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Trace, "compact", lambda trace: None)
+            control = checkpoints(shards, check_bound=False)
+        assert compacted == control
+        # history grew past many blocks, so the bound was not vacuous
+        assert control[1][1][0] > 4 * Trace.FOLD_BLOCK
+
+    def test_per_run_slice_is_what_a_monitor_saw(self):
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def attach(self, engine):
+                pass
+
+            def on_change(self, time, node, predicate, values, kind):
+                self.seen.append((time, node, predicate, values, kind))
+
+            def on_settle(self, time, node):
+                pass
+
+            def finalize(self, time):
+                pass
+
+        engine, links = long_lived_engine()
+        recorder = Recorder()
+        engine.attach_monitor(recorder)
+        trace = engine.trace
+        assert not trace.compacted and trace.state_change_count > Trace.FOLD_BLOCK
+        for src, dst in links[:2]:
+            before = trace.state_change_count
+            recorder.seen.clear()
+            engine.schedule_link_failure(src, dst, at=engine.scheduler.now + 1.0)
+            engine.run()
+            assert trace.state_changes.dropped <= before
+            assert trace.state_changes[before:] == recorder.seen != []
+            assert len(trace.state_changes) == trace.state_change_count
+        assert trace.compacted
+        with pytest.raises(TraceCompacted):
+            trace.state_changes[0]
+        with pytest.raises(TraceCompacted):
+            list(trace.state_changes)
 
 
 class TestNode:

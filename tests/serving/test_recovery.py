@@ -231,15 +231,31 @@ class TestRecovery:
         (tmp_path / "state" / SNAPSHOT_NAME).write_bytes(payload)
         assert self.recover(tmp_path) == ("replay", reference)
 
-    def test_intact_format_2_snapshot_falls_back_to_replay(self, tmp_path):
-        """A format-2 file carried pickled view memos; even sealed with a
-        valid checksum it is refused, so its memos never reach an engine."""
+    def reseal_as(self, tmp_path, older_format: str) -> str:
+        """Run UPDATES durably, then re-seal the snapshot under an older
+        format tag with a valid body checksum; returns the reference
+        fingerprint."""
 
         reference = run_durable(durable_config(tmp_path))
         path = tmp_path / "state" / SNAPSHOT_NAME
         body = path.read_bytes().partition(b"\n")[2]
-        older = f"fvn-snapshot/2 {hashlib.sha256(body).hexdigest()}".encode()
+        older = f"{older_format} {hashlib.sha256(body).hexdigest()}".encode()
         path.write_bytes(older + b"\n" + body)
+        return reference
+
+    def test_intact_format_2_snapshot_falls_back_to_replay(self, tmp_path):
+        """A format-2 file carried pickled view memos; even sealed with a
+        valid checksum it is refused, so its memos never reach an engine."""
+
+        reference = self.reseal_as(tmp_path, "fvn-snapshot/2")
+        assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_intact_format_3_snapshot_falls_back_to_replay(self, tmp_path):
+        """A format-3 file pickled the Trace's records as dataclasses in bare
+        lists; sealed intact, it is still refused for full replay."""
+
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/4"
+        reference = self.reseal_as(tmp_path, "fvn-snapshot/3")
         assert self.recover(tmp_path) == ("replay", reference)
 
     def test_sealed_snapshot_round_trips(self):

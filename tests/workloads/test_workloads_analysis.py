@@ -83,6 +83,30 @@ class TestAnalysis:
         assert metrics.converged and metrics.messages == 1
         assert metrics.convergence_time == 0.2
 
+    def test_convergence_metrics_from_a_compacted_trace(self):
+        """The metrics are answered from counters: compaction, which drops
+        every whole block of records, changes none of them."""
+
+        full, compacted = Trace(), Trace()
+        for trace in (full, compacted):
+            for i in range(3 * Trace.FOLD_BLOCK + 7):
+                predicate = "bestPath" if i % 3 else "path"
+                trace.record_change(i / 10, "a", predicate, ("a", i))
+                trace.record_message(i / 10, "a", "b", predicate, ("a", i))
+            trace.quiescent = True
+        compacted.compact()
+        assert compacted.compacted and not full.compacted
+        for predicate in (None, "path", "bestPath", "link"):
+            for since in (0.0, 30.0, 80.0, 500.0):
+                assert ConvergenceMetrics.from_trace(
+                    compacted, predicate=predicate, since=since
+                ) == ConvergenceMetrics.from_trace(full, predicate=predicate, since=since)
+        metrics = ConvergenceMetrics.from_trace(compacted, predicate="path", since=30.0)
+        assert metrics.convergence_time == pytest.approx(
+            max(i / 10 for i in range(3 * Trace.FOLD_BLOCK + 7) if i % 3 == 0) - 30.0
+        )
+        assert metrics.messages == metrics.state_changes == 3 * Trace.FOLD_BLOCK + 7
+
     def test_proof_effort_accounting(self):
         effort = ProofEffort()
         effort.add(
