@@ -9,9 +9,6 @@ Disagree-style policies (messages, state changes, convergence), plus the
 SPVP view of the same contrast.
 """
 
-import statistics
-import time
-
 import pytest
 
 from repro.analysis import ConvergenceMetrics, render_table
@@ -21,6 +18,7 @@ from repro.bgp.simulation import SPVPSimulator
 from repro.bgp.spp import disagree, shortest_path_instance
 from repro.dn.engine import DistributedEngine, EngineConfig
 from repro.dn.network import Topology
+from repro.ndlog.reference import ReferenceEngine
 from repro.ndlog.seminaive import RuleEngine
 from repro.scenarios import generate_scenario
 from repro.workloads.topologies import full_mesh_topology, random_topology, ring_topology
@@ -113,8 +111,8 @@ def test_bench_spvp_delayed_convergence(benchmark, experiment_report):
     assert conflicted["mean_activations"] >= free["mean_activations"]
 
 
-def _run_scenario_engine(scenario, *, compile_rules=True):
-    config = EngineConfig(compile_rules=compile_rules, max_events=10_000_000)
+def _run_scenario_engine(scenario):
+    config = EngineConfig(seed=7, max_events=10_000_000)
     engine = DistributedEngine(policy_path_vector_program(), scenario.topology, config=config)
     trace = engine.run(extra_facts=scenario.policy_fact_list())
     return engine, trace
@@ -122,7 +120,7 @@ def _run_scenario_engine(scenario, *, compile_rules=True):
 
 def test_bench_generated_policy_convergence_power_law50(benchmark, experiment_report):
     """The generated policy path-vector program converging on a generated
-    50-node power-law topology (compiled + batched + indexed engine)."""
+    50-node power-law topology (generated code, batched rounds)."""
 
     scenario = generate_scenario("power_law", size=50, seed=7, policy="shortest_path")
     engine, trace = benchmark.pedantic(
@@ -142,123 +140,78 @@ def test_bench_generated_policy_convergence_power_law50(benchmark, experiment_re
     )
 
 
-def test_bench_compiled_vs_interpreted_engine_tree50(benchmark, experiment_report):
-    """The compiled engine against the AST-interpreting rule tier on a
-    generated 50-node tree: identical final state; the wall-clock ratio is
-    reported in ``benchmark.extra_info``, not asserted."""
+def test_bench_codegen_vs_reference_engine_tree50(
+    benchmark, experiment_report, reference_rules
+):
+    """The engine on generated code against the same engine on the
+    reference rule interpreter, on a generated 50-node tree: identical
+    traces and final state."""
 
     scenario = generate_scenario("tree", size=50, seed=7, policy="shortest_path")
-
-    def compare():
-        # best-of-two for the fast side so a noisy-CPU blip cannot inflate
-        # the denominator of the reported speedup
-        new_s = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            new_engine, new_trace = _run_scenario_engine(scenario)
-            new_s = min(new_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        interp_engine, interp_trace = _run_scenario_engine(scenario, compile_rules=False)
-        interp_s = time.perf_counter() - start
-        return new_engine, new_trace, new_s, interp_engine, interp_trace, interp_s
-
-    (
-        new_engine, new_trace, new_s, interp_engine, interp_trace, interp_s,
-    ) = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert new_trace.quiescent and interp_trace.quiescent
-    assert new_engine.global_snapshot() == interp_engine.global_snapshot()
-    compile_speedup = interp_s / new_s
-    rows = [
-        ["compiled", f"{new_s:.2f}s", new_trace.message_count],
-        ["interpreted", f"{interp_s:.2f}s", interp_trace.message_count],
-    ]
+    engine, trace = benchmark.pedantic(
+        lambda: _run_scenario_engine(scenario), rounds=1, iterations=1
+    )
+    with reference_rules():
+        reference_engine, reference_trace = _run_scenario_engine(scenario)
+    assert trace.quiescent and reference_trace.quiescent
+    assert trace.fingerprint() == reference_trace.fingerprint()
+    assert engine.global_snapshot() == reference_engine.global_snapshot()
     experiment_report(
         "E4",
-        [f"tree-50 engine comparison ({compile_speedup:.1f}x from compilation)"]
-        + render_table(["engine", "wall time", "messages"], rows).splitlines(),
+        [
+            f"tree-50 engine: {trace.message_count} messages, "
+            f"{trace.state_change_count} state changes, trace identical to the "
+            "reference interpreter's"
+        ],
     )
-    # reported, not asserted: tier-1 holds no wall-clock ratio here; the two
-    # tiers agreeing on the final state above is the behavioural claim
-    benchmark.extra_info["compile_speedup"] = round(compile_speedup, 2)
 
 
-def test_bench_codegen_vs_compiled_plan_rederivation(benchmark, experiment_report):
-    """The per-rule code-generation tier against the closure-compiled plan
-    tier on a full re-derivation of the generated policy path-vector program
-    over converged state.
+def test_bench_codegen_rederivation_sweep(benchmark, experiment_report):
+    """A full re-derivation of the generated policy path-vector program over
+    converged state, checked against the reference interpreter.
 
     This is the executor's consistency-sweep workload: every rule fires in
     full (no deltas) against each node's converged database, and almost
     every derived row is a duplicate of one already stored.  The sweep is
     therefore pure rule-evaluation work — join enumeration, policy checks,
     path concatenation — which is exactly what the generated code
-    specializes.  codegen=True must be at least 2x the compiled-plan tier
-    and derive the identical row multiset.
+    specializes.  Both evaluators must derive the identical row multiset.
     """
 
     program = policy_path_vector_program()
     meshes = [("K10", 10), ("K14", 14)]
-
-    codegen_engine = RuleEngine(codegen=True)
-    plan_engine = RuleEngine(codegen=False)
-    for rule_engine in (codegen_engine, plan_engine):
-        rule_engine.precompile(program.rules)
+    codegen_engine = RuleEngine()
+    codegen_engine.precompile(program.rules)
+    reference_engine = ReferenceEngine()
+    reference_engine.precompile(program.rules)
 
     def sweep(rule_engine, dbs):
-        total = 0
-        for db in dbs:
-            for rule in program.rules:
-                total += len(rule_engine.fire_rule_rows(rule, db))
-        return total
+        return sum(
+            len(rule_engine.fire_rule_rows(rule, db))
+            for db in dbs
+            for rule in program.rules
+        )
 
-    def contrast():
-        results = []
-        for name, n in meshes:
-            topology = full_mesh_topology(n)
-            engine = DistributedEngine(
-                program, topology, config=EngineConfig(max_events=10_000_000)
-            )
-            trace = engine.run(
-                extra_facts=policy_facts(shortest_path_policies(), topology.nodes)
-            )
-            assert trace.quiescent
-            dbs = [node.db for node in engine.nodes.values()]
-            plan_times, codegen_times = [], []
-            plan_total = codegen_total = 0
-            # interleaved repetitions so machine-load drift hits both tiers
-            for _ in range(3):
-                start = time.perf_counter()
-                plan_total = sweep(plan_engine, dbs)
-                plan_times.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                codegen_total = sweep(codegen_engine, dbs)
-                codegen_times.append(time.perf_counter() - start)
-            assert codegen_total == plan_total
-            results.append(
-                (
-                    name,
-                    codegen_total,
-                    statistics.median(plan_times),
-                    statistics.median(codegen_times),
-                )
-            )
-        return results
+    converged = []
+    for name, n in meshes:
+        topology = full_mesh_topology(n)
+        engine = DistributedEngine(
+            program, topology, config=EngineConfig(max_events=10_000_000)
+        )
+        trace = engine.run(extra_facts=policy_facts(shortest_path_policies(), topology.nodes))
+        assert trace.quiescent
+        converged.append((name, [node.db for node in engine.nodes.values()]))
 
-    results = benchmark.pedantic(contrast, rounds=1, iterations=1)
-    rows = [
-        [name, fired, f"{plan_s*1000:.1f}ms", f"{cg_s*1000:.1f}ms", f"{plan_s/cg_s:.2f}x"]
-        for name, fired, plan_s, cg_s in results
-    ]
+    totals = benchmark.pedantic(
+        lambda: [sweep(codegen_engine, dbs) for _, dbs in converged],
+        rounds=1,
+        iterations=1,
+    )
+    for (_, dbs), total in zip(converged, totals):
+        assert total == sweep(reference_engine, dbs)
+    rows = [[name, total] for (name, _), total in zip(converged, totals)]
     experiment_report(
         "E4",
-        ["consistency-sweep re-derivation: generated per-rule code vs compiled plans"]
-        + render_table(
-            ["mesh", "rows fired", "compiled plan", "codegen", "speedup"], rows
-        ).splitlines(),
+        ["consistency-sweep re-derivation (row multiset equal to the reference's)"]
+        + render_table(["mesh", "rows fired"], rows).splitlines(),
     )
-    speedups = [plan_s / cg_s for _, _, plan_s, cg_s in results]
-    benchmark.extra_info["codegen_speedup"] = {
-        name: round(plan_s / cg_s, 2) for name, _, plan_s, cg_s in results
-    }
-    assert max(speedups) >= 2.0
-    assert min(speedups) >= 1.5

@@ -9,8 +9,13 @@ Also adds ``--update-goldens``: golden-file tests (the NDlog corpus in
 ``tests/ndlog/corpus/``) rewrite their pinned expectations instead of
 asserting against them.  Rerun without the flag afterwards and review the
 diff before committing.
+
+The ``reference_rules`` fixture (shared by ``tests/`` and ``benchmarks/``)
+runs a block of a test on the reference rule interpreter instead of
+generated code.
 """
 
+import contextlib
 import json
 import pathlib
 
@@ -72,3 +77,22 @@ def pytest_sessionfinish(session, exitstatus):
         terminal.write_line(
             f"benchmark-ci: wrote {len(results)} benchmark timings to {output}"
         )
+
+
+@pytest.fixture(scope="session")
+def reference_rules():
+    """A context manager: inside it, every evaluator and engine built runs
+    its rules on :class:`repro.ndlog.reference.ReferenceEngine` (it swaps
+    ``repro.ndlog.seminaive.RULE_ENGINE``).  Session-scoped so hypothesis
+    tests can use it."""
+
+    from repro.ndlog import seminaive
+    from repro.ndlog.reference import ReferenceEngine
+
+    @contextlib.contextmanager
+    def install():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seminaive, "RULE_ENGINE", ReferenceEngine)
+            yield
+
+    return install

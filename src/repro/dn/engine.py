@@ -21,11 +21,11 @@ P2 / declarative-networking execution model:
    paper's BGP decomposition but without per-tuple recomputation overhead.
 
 Per-program execution state is built once at load time and cached for the
-whole run: the localized program is compiled into
-:class:`~repro.ndlog.plan.CompiledRule` join plans shared by every node
-(``EngineConfig(compile_rules=True)``, the default), and the
-predicate→triggered-rules map (plus its per-delta plain/aggregate split) is
-memoized instead of being rebuilt on every delivery round.
+whole run: every rule of the localized program is lowered to generated
+Python source (:class:`~repro.ndlog.codegen.CodegenRule`) shared by every
+node, and the predicate→triggered-rules map (plus its per-delta
+plain/aggregate split) is memoized instead of being rebuilt on every
+delivery round.
 
 5. execution is **non-monotonic**: base-fact deletions — link failures,
    keyed cost-change displacements, soft-state expiry — propagate through
@@ -43,12 +43,13 @@ memoized instead of being rebuilt on every delivery round.
    support counts a multi-round deletion cascade can strand (see
    :meth:`repro.dn.executor.FixpointExecutor.settle`).
 
-Batched, retraction-aware rounds are the engine's only execution mode:
-every settle point is reached by the same
-:meth:`~repro.dn.executor.FixpointExecutor.settle` whether the node runs
-here or on a shard worker.  The rule tier beneath it is selectable
-(``compile_rules=False`` the AST-interpreting evaluation, ``codegen=False``
-the closure-compiled join plans) for differential testing.
+Batched, retraction-aware rounds are the engine's only execution mode, and
+generated code its only rule evaluator: every settle point is reached by
+the same :meth:`~repro.dn.executor.FixpointExecutor.settle` over the same
+generated rules whether the node runs here or on a shard worker.  The rule
+engine comes from :data:`repro.ndlog.seminaive.RULE_ENGINE`, which
+differential tests point at the reference interpreter
+(:mod:`repro.ndlog.reference`).
 
 Like the centralized :class:`~repro.ndlog.seminaive.IncrementalEvaluator`,
 the distributed counting scheme is exact for programs whose recursion is
@@ -74,7 +75,7 @@ from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import Fact, NDlogError, Program
 from ..ndlog.functions import builtin_registry
 from ..ndlog.localization import localize_program
-from ..ndlog.seminaive import RuleEngine
+from ..ndlog import seminaive
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .events import Event, EventScheduler
@@ -99,17 +100,6 @@ class EngineConfig:
     expiry_scan_interval: float = 1.0
     #: Safety budget on processed events.
     max_events: int = 500_000
-    #: Probe per-predicate hash indexes during rule joins (False restores
-    #: the original scan-join behaviour).
-    use_indexes: bool = True
-    #: Compile the localized program into cached join plans at load time
-    #: (False restores the AST-interpreting evaluation path).
-    compile_rules: bool = True
-    #: Lower compiled rules further, to generated Python source executed as
-    #: straight-line nested loops (the fastest tier; effective only with
-    #: ``compile_rules``).  False stops at the closure-compiled join plans.
-    #: All tiers are trace-fingerprint-identical.
-    codegen: bool = True
     #: Partition the node set across this many shard workers (1 = the
     #: classic single-process engine).  Use :func:`create_engine` (or the
     #: harness) to honor this field; constructing :class:`DistributedEngine`
@@ -182,12 +172,7 @@ class DistributedEngine:
         #: sharded subclass can forward the same argument to its workers
         self._registry_arg = registry
         self.registry = registry or builtin_registry()
-        self.rule_engine = RuleEngine(
-            self.registry,
-            use_indexes=self.config.use_indexes,
-            compile_rules=self.config.compile_rules,
-            codegen=self.config.codegen,
-        )
+        self.rule_engine = seminaive.RULE_ENGINE(self.registry)
         # compile the localized program once; every node shares the plans.
         # A sharded coordinator never fires rules itself (its workers each
         # compile their own copy; its nodes are a replay-maintained replica),

@@ -3,11 +3,12 @@
 Each simulated node owns a :class:`~repro.ndlog.store.Database` holding the
 tuples whose location specifier names that node, plus counters used by the
 experiments (messages sent/received, rule firings).  Every node also holds a
-reference to the run's shared :class:`~repro.ndlog.seminaive.RuleEngine`, so
-rule firings at a node reuse the compiled join plans of the localized
-program (built once at engine construction) instead of re-analyzing rules
-per delivery.  The node stays a thin state container so it is easy to
-snapshot and compare against the centralized evaluator.
+reference to the run's shared rule engine (built by
+:data:`repro.ndlog.seminaive.RULE_ENGINE`), so rule firings at a node reuse
+the generated code of the localized program (compiled once at engine
+construction) instead of re-analyzing rules per delivery.  The node stays a
+thin state container so it is easy to snapshot and compare against the
+centralized evaluator.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from ..ndlog.ast import Program, Rule
+from ..ndlog import seminaive
 from ..ndlog.seminaive import RuleEngine, RuleFiring
 from ..ndlog.store import Database, StoredTuple
 from .network import NodeId
@@ -62,7 +64,9 @@ class Node:
         # Shared by all nodes of a distributed run: one engine caches the
         # compiled localized program for the whole network.  Standalone
         # nodes (tests, tooling) get a private engine on demand.
-        self.rule_engine = rule_engine if rule_engine is not None else RuleEngine()
+        self.rule_engine = (
+            rule_engine if rule_engine is not None else seminaive.RULE_ENGINE()
+        )
         #: rule identity → memoized output rows of the last recompute of a
         #: view (aggregate) rule at this node, diffed to emit retractions
         self.view_memo: dict[int, set[tuple]] = {}
@@ -83,7 +87,7 @@ class Node:
         rule: Rule,
         delta: Optional[Mapping[str, Iterable[tuple]]] = None,
     ) -> list[RuleFiring]:
-        """Fire one rule against the local database via its cached plan."""
+        """Fire one rule against the local database via its cached code."""
 
         self.stats.rule_firings += 1
         return self.rule_engine.fire_rule(rule, self.db, delta=delta)

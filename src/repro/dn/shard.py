@@ -79,7 +79,7 @@ from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import NDlogError, Program
 from ..ndlog.functions import builtin_registry
 from ..ndlog.localization import localize_program
-from ..ndlog.seminaive import RuleEngine
+from ..ndlog import seminaive
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .engine import DistributedEngine, EngineConfig
@@ -127,18 +127,12 @@ class ShardWorker:
         self,
         program: Program,
         node_ids: list[NodeId],
-        config: EngineConfig,
         registry: Optional[FunctionRegistry] = None,
     ) -> None:
         program.check()
         self.program = localize_program(program).program
         self.registry = registry or builtin_registry()
-        self.rule_engine = RuleEngine(
-            self.registry,
-            use_indexes=config.use_indexes,
-            compile_rules=config.compile_rules,
-            codegen=config.codegen,
-        )
+        self.rule_engine = seminaive.RULE_ENGINE(self.registry)
         self.rule_engine.precompile(self.program.rules)
         self.nodes: dict[NodeId, Node] = {
             node_id: Node(node_id, self.program, rule_engine=self.rule_engine)
@@ -249,11 +243,11 @@ class ShardWorker:
         return True
 
 
-def _shard_worker_main(conn, program, node_ids, config, registry) -> None:
+def _shard_worker_main(conn, program, node_ids, registry) -> None:
     """Entry point of a shard worker process: serve requests until EOF."""
 
     try:
-        worker = ShardWorker(program, node_ids, config, registry)
+        worker = ShardWorker(program, node_ids, registry)
     except BaseException:
         conn.send(("error", traceback.format_exc()))
         return
@@ -341,7 +335,6 @@ class ProcessShardClient:
         self,
         program: Program,
         node_ids: list[NodeId],
-        config: EngineConfig,
         registry: Optional[FunctionRegistry] = None,
         *,
         timeout: Optional[float] = None,
@@ -356,7 +349,7 @@ class ProcessShardClient:
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_shard_worker_main,
-            args=(child, program, node_ids, config, registry),
+            args=(child, program, node_ids, registry),
             daemon=True,
             name=f"fvn-shard-{node_ids[:1]}",
         )
@@ -499,14 +492,13 @@ class ShardedEngine(DistributedEngine):
             return ProcessShardClient(
                 self.original_program,
                 shard_nodes,
-                cfg,
                 self._registry_arg,
                 timeout=cfg.shard_timeout,
             )
         # inline transport, and empty shards (never addressed —
         # not worth an OS process)
         return InlineShardClient(
-            ShardWorker(self.original_program, shard_nodes, cfg, self._registry_arg)
+            ShardWorker(self.original_program, shard_nodes, self._registry_arg)
         )
 
     def inject_faults(self, plan) -> FaultInjector:

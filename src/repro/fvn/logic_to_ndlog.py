@@ -232,11 +232,7 @@ def check_translation_equivalence(
                 raise ComponentError(f"ambiguous or unknown external input {key!r}")
             comp_name, port_name = matches[0][0], matches[0][1].name
         facts.append((f"{composite.name}{IN_SUFFIX}_{port_name}", tuple(value)))
-    # one-shot differential check over a handful of facts: rule-compilation
-    # cost dominates evaluation, and the per-call registry (fresh policy
-    # closures) defeats the codegen source cache — stop at the compiled-plan
-    # tier, whose compilation is cheap
-    db = evaluate(program, facts, registry=registry, codegen=False)
+    db = evaluate(program, facts, registry=registry)
 
     component_outputs = composite.run(**{k: tuple(v) for k, v in external_inputs.items()})
     ndlog_outputs: dict[str, set[tuple]] = {}

@@ -2,10 +2,12 @@
 
 This package implements the intermediary language of the FVN framework
 (paper Section 2.2): an NDlog parser, program AST, built-in functions,
-stratified semi-naive evaluation, the rule compiler that turns programs
-into cached join plans (:mod:`repro.ndlog.plan`), the localization rewrite
-used for distributed execution, and tuple stores with primary keys and
-soft-state lifetimes.
+stratified semi-naive evaluation, the code generator that lowers each rule
+to specialized Python (:mod:`repro.ndlog.codegen`, planned by
+:mod:`repro.ndlog.plan`) and the reference interpreter it is checked
+against (:mod:`repro.ndlog.reference`), the localization rewrite used for
+distributed execution, and tuple stores with primary keys and soft-state
+lifetimes.
 
 Quick use::
 
@@ -32,7 +34,7 @@ from .ast import (
 from .functions import BUILTIN_FUNCTIONS, builtin_registry
 from .localization import LocalizationResult, is_localized, localize_program, localize_rule
 from .parser import ParseError, parse_program, parse_rule, tokenize
-from .plan import CompiledRule, compile_rule, negation_delta_rules, order_body
+from .plan import negation_delta_rules, order_body
 from .seminaive import (
     EvaluationStats,
     Evaluator,
@@ -49,7 +51,6 @@ __all__ = [
     "Aggregate",
     "Assignment",
     "BUILTIN_FUNCTIONS",
-    "CompiledRule",
     "Condition",
     "Database",
     "DependencyGraph",
@@ -74,7 +75,6 @@ __all__ = [
     "aggregate_rows",
     "apply_aggregate",
     "builtin_registry",
-    "compile_rule",
     "evaluate",
     "needs_recompute",
     "negation_delta_rules",

@@ -94,7 +94,7 @@ def aggregate_rows(head: HeadLiteral, rows: Iterable[tuple]) -> list[tuple]:
 
     agg_positions = head.aggregates
     if not agg_positions:
-        # rows are always tuples here (every evaluator tier builds them as
+        # rows are always tuples here (every evaluator builds them as
         # such), so dedup straight through dict.fromkeys without re-wrapping
         return list(dict.fromkeys(rows))
     for _, agg in agg_positions:

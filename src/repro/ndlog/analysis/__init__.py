@@ -8,7 +8,6 @@ Program` and returns an :class:`AnalysisReport` of coded diagnostics (see
 * schema & type inference (NDL1xx),
 * stratification (NDL2xx),
 * location-specifier well-formedness (NDL3xx),
-* code-generation support (NDL5xx: rules falling back off the fast tier),
 
 plus a per-predicate monotonicity classification (``report.monotonicity``).
 
@@ -21,7 +20,6 @@ here stay dependency-light so the engines can call them at boot).
 from __future__ import annotations
 
 from ..ast import Program
-from .codegen_support import check_codegen_support
 from .diagnostics import (
     CODES,
     ERROR,
@@ -45,7 +43,6 @@ __all__ = [
     "AnalysisReport",
     "Diagnostic",
     "analyze_program",
-    "check_codegen_support",
     "check_locations",
     "check_safety",
     "check_schema",
@@ -63,6 +60,5 @@ def analyze_program(program: Program) -> AnalysisReport:
     report.extend(check_schema(program))
     report.extend(check_stratification(program))
     report.extend(check_locations(program))
-    report.extend(check_codegen_support(program))
     report.monotonicity = classify_monotonicity(program)
     return report

@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--emit-codegen",
         action="store_true",
-        help="print each program's generated evaluator source (the codegen "
-        "tier's per-rule Python) instead of lint diagnostics",
+        help="print each program's generated evaluator source (the per-rule "
+        "Python the engines run) instead of lint diagnostics",
     )
     parser.add_argument(
         "--fail-on",

@@ -2,7 +2,7 @@
 
 Every finding the analyzer can emit has a stable ``NDL###`` code listed in
 :data:`CODES` (the hundreds digit groups the pass: 0xx safety, 1xx schema,
-2xx stratification, 3xx location, 5xx code generation).  ``docs/ANALYSIS.md``
+2xx stratification, 3xx location).  ``docs/ANALYSIS.md``
 documents each code with an example and a fix — ``scripts/check_docs.py``
 extracts the keys of :data:`CODES` with ``ast`` and fails the build if one
 is undocumented.
@@ -41,7 +41,6 @@ CODES = {
     "NDL302": "multi-location rule has no connecting (link-restricted) literal",
     "NDL303": "head shipped to a location no positive body literal carries",
     "NDL304": "negated literal at a location other than the rule's body location",
-    "NDL501": "rule not lowerable by the code generator; falls back to the compiled join plan",
 }
 
 #: Codes reported at ``warning`` severity; everything else in :data:`CODES`
@@ -49,7 +48,7 @@ CODES = {
 #: evaluates monotonic aggregates through recursion (the generated
 #: policy path-vector program relies on this), even though stratified
 #: centralized evaluation rejects such programs.
-WARNING_CODES = frozenset({"NDL103", "NDL202", "NDL303", "NDL501"})
+WARNING_CODES = frozenset({"NDL103", "NDL202", "NDL303"})
 
 
 def severity_of(code: str) -> str:

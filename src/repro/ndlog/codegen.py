@@ -1,29 +1,26 @@
-"""Per-rule Python source generation: the fastest evaluator tier.
+"""Per-rule Python source generation: the rule evaluator the engines run.
 
-PR 2's :class:`~repro.ndlog.plan.CompiledRule` join plans removed the AST
-interpretation cost but still dispatch through generic machinery per tuple:
-every row flows through step closures reading op tuples, binding slots in a
-shared flat array, and calling ``emit`` continuations.  This module pushes
-one level further — for each rule it **emits specialized Python source**
-(nested probe loops with inlined index lookups, constant checks,
-comparisons, arithmetic, and head construction), ``compile()``\\ s it once at
-program load, and wraps the resulting functions in a :class:`CodegenRule`
-that is call-compatible with ``CompiledRule`` (``fire`` /
-``fire_derivations``).  CPython then executes straight-line loops over
-locals with no per-literal dispatch at all.
+For each rule this module **emits specialized Python source** (nested probe
+loops with inlined index lookups, constant checks, comparisons, arithmetic,
+and head construction), ``compile()``\\ s it once at program load, and wraps
+the resulting functions in a :class:`CodegenRule` (``fire`` /
+``fire_rows`` / ``fire_derivations``).  CPython then executes straight-line
+loops over locals with no per-literal dispatch at all.
 
-Both back ends consume the same :func:`~repro.ndlog.plan.rule_layout`
-structural analysis, so body order, slot assignment, probe positions, and
-check placement are identical by construction; the differential conformance
-suite (``tests/ndlog/test_codegen_conformance.py``) checks fixpoint and
-trace-fingerprint equality against the compiled-plan and interpreted tiers.
+The source is lowered from :func:`~repro.ndlog.plan.rule_layout`, so body
+order, slot assignment, probe positions, and check placement are decided
+once, in :mod:`repro.ndlog.plan`.  Every rule lowers: a **dead plan** (a
+body literal argument unevaluable at match time) becomes body functions
+that emit nothing, and a rule with **unsafe head variables** raises the
+canonical :class:`~repro.ndlog.ast.NDlogError` at compile time.  The
+differential conformance suite (``tests/ndlog/test_codegen_conformance.py``)
+checks fixpoint and trace-fingerprint equality against the reference
+interpreter (:mod:`repro.ndlog.reference`).
 
-Public entry points: :func:`codegen_rule` (one rule → :class:`CodegenRule`,
-raising :class:`CodegenUnsupported` where the generator must fall back to
-the closure compiler), :func:`generate_rule_source` (the emitted source and
-its namespace, for debugging and golden-pinning), and
-:func:`emit_program_source` (whole-program dump backing
-``fvn-lint --emit-codegen``).
+Public entry points: :func:`codegen_rule` (one rule → :class:`CodegenRule`),
+:func:`generate_rule_source` (the emitted source and its namespace, for
+debugging and golden-pinning), and :func:`emit_program_source`
+(whole-program dump backing ``fvn-lint --emit-codegen``).
 """
 
 from __future__ import annotations
@@ -48,26 +45,14 @@ from .plan import (
 
 __all__ = [
     "CodegenRule",
-    "CodegenUnsupported",
     "codegen_rule",
     "generate_rule_source",
     "emit_program_source",
 ]
 
 
-class CodegenUnsupported(Exception):
-    """Raised when a rule cannot be lowered to generated source.
-
-    The engine falls back to the closure-compiled plan for such rules (which
-    reproduces the reference behaviour exactly: dead plans derive nothing,
-    unsafe heads raise the canonical ``NDlogError``).  The static analyzer
-    surfaces the fallback as diagnostic ``NDL501``.
-    """
-
-
 #: Binary arithmetic inlined as Python operators when the registry still
-#: maps the name to the default interpretation (mirrors the closure
-#: compiler's ``_C_ARITHMETIC`` substitution — ``operator.add`` *is* ``+``).
+#: maps the name to the default interpretation (``operator.add`` *is* ``+``).
 _INLINE_BINOPS = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
 #: Memoization sentinels for the hoisted probe indexes: ``_EMPTY`` pins "no
@@ -115,12 +100,10 @@ class _RuleEmitter:
         rule: Rule,
         layout: RuleLayout,
         registry: FunctionRegistry,
-        use_indexes: bool,
     ) -> None:
         self.rule = rule
         self.layout = layout
         self.registry = registry
-        self.use_indexes = use_indexes
         self.namespace: dict[str, object] = {
             "EvaluationError": EvaluationError,
             "NDlogError": NDlogError,
@@ -128,6 +111,12 @@ class _RuleEmitter:
             "_EMPTY": _EMPTY,
             "_SCAN": _SCAN,
         }
+        if not layout.dead:
+            unsafe = layout.unsafe_head_variables()
+            if unsafe:
+                raise NDlogError(
+                    f"rule {rule.name}: unsafe head variables {{{', '.join(unsafe)}}}"
+                )
         self.slot_names = self._allocate_slot_names(layout.slots)
         self._counters: dict[str, int] = {}
         self.source = self._generate()
@@ -176,9 +165,9 @@ class _RuleEmitter:
             may_raise = any(m for _, m in parts)
             fn = self.registry.resolve(name)
             if fn is None:
-                # unknown at compile time: late registry dispatch, exactly
-                # like the closure compiler (raises EvaluationError for
-                # names still unregistered at call time)
+                # unknown at compile time: late registry dispatch (raises
+                # EvaluationError for names still unregistered at call time,
+                # exactly like the reference interpreter's ground_eval)
                 call = f"_registry.call({name!r}, [{', '.join(exprs)}])"
                 return call, True
             if fn is DEFAULT_ARITHMETIC.get(name):
@@ -188,14 +177,12 @@ class _RuleEmitter:
                 if name in ("min", "max"):
                     return f"{name}({', '.join(exprs)})", may_raise
                 # default arithmetic at an unexpected arity: snapshot the
-                # callable; the wrong-arity TypeError propagates as in the
-                # closure tier
+                # callable; the wrong-arity TypeError propagates
                 return f"{self._bind('f', fn)}({', '.join(exprs)})", may_raise
             # custom function: snapshot the resolved callable (registering a
-            # new interpretation later does not update existing plans — same
-            # contract as compile_term)
+            # new interpretation later does not update existing plans)
             return f"{self._bind('f', fn)}({', '.join(exprs)})", True
-        raise CodegenUnsupported(f"cannot generate code for term {term!r}")
+        raise NDlogError(f"cannot generate code for term {term!r}")
 
     # ------------------------------------------------------------------
     # Body emission
@@ -255,7 +242,7 @@ class _RuleEmitter:
         rows = f"_rows{sid}"
         row = f"_r{sid}"
         scan_src = f"view.rows({pred!r})" if is_delta else f"_db_rows({pred!r})"
-        if not self.use_indexes or not positions:
+        if not positions:
             # scan-primary literal: the row list was hoisted to the function
             # top (it is binding-independent and the db is stable during a
             # fire), so the loop header reads it directly
@@ -264,7 +251,7 @@ class _RuleEmitter:
             values = self._fresh("v")
             w.emit(f"{values} = {self._probe_values_expr(getters)}")
             # unhashable probe value — fall back to scanning with the
-            # pre-checks applied inline (exactly the closure tier's scan_ops)
+            # pre-checks applied inline
             conds = [f"len(_x) == {arity}"] + self._pre_check_conds("_x", pre)
             fallback = f"[_x for _x in {scan_src} if {' and '.join(conds)}]"
             if is_delta:
@@ -341,7 +328,7 @@ class _RuleEmitter:
         else:
             # tuple unpacking binds every needed position in one opcode and
             # doubles as the arity check (wrong-length rows raise ValueError
-            # — exactly the rows the closure tier's len guard skips).
+            # — exactly the rows a literal of this arity cannot match).
             # Moving the stores ahead of the checks is unobservable: checks
             # are pure and only ever read slots bound before this point
             names = ["_"] * arity
@@ -440,7 +427,7 @@ class _RuleEmitter:
             # ordering comparisons inline as Python operators; an unordered
             # operand pair raises the canonical EvaluationError with the
             # same message as plan.comparison_fn, and — emitted outside any
-            # term-eval try — it propagates exactly like the closure tier
+            # term-eval try — it propagates to the caller
             w.emit("try:")
             w.indent()
             w.emit(f"if not ({lname} {op} {rname}):")
@@ -499,8 +486,8 @@ class _RuleEmitter:
                 parts.append(self._const_expr(term.value))
             else:
                 # evaluated head arguments run as statements in argument
-                # order so failure ordering matches the closure tier's
-                # left-to-right row_fn
+                # order, so the first failing argument (left to right) is
+                # the one the error names
                 expr, may_raise = self._term_expr(term)
                 hname = self._fresh("h")
                 if may_raise:
@@ -533,11 +520,19 @@ class _RuleEmitter:
         params = "db, _append" if delta_sid < 0 else "db, view, _seen, _append"
         w.emit(f"def {name}({params}):")
         w.indent()
+        if self.layout.dead:
+            # the reference interpreter rejects every row at the unevaluable
+            # literal argument, so the rule derives nothing (its head may
+            # name variables that only that argument mentions)
+            w.emit("return")
+            w.depth = 0
+            w.emit()
+            return
         # hoist everything binding-independent to the function top: the db
         # and the delta view are stable for the duration of a fire, so scan
         # row lists are snapshotted once (db.rows builds a fresh list per
         # call) and probe indexes are memoized per literal instead of being
-        # re-resolved through db.probe_iter on every outer binding
+        # re-resolved on every outer binding
         need_db_rows = False
         need_db_get = False
         need_db_table = False
@@ -548,7 +543,7 @@ class _RuleEmitter:
             if kind == "literal":
                 _, pred, _arity, sid, positions = spec[:5]
                 is_delta = sid == delta_sid
-                if not self.use_indexes or not positions:
+                if not positions:
                     src = (
                         f"view.rows({pred!r})"
                         if is_delta
@@ -598,6 +593,9 @@ class _RuleEmitter:
         w = _Writer()
         w.emit(f"# codegen for rule {self.rule.name}: "
                f"{self.rule.head.predicate}/{len(self.rule.head.args)}")
+        if self.layout.dead:
+            w.emit("# dead plan: a body literal argument is unevaluable at "
+                   "match time")
         self._emit_body_fn(w, "_full", -1)
         for sid, _pred in self.layout.delta_candidates:
             self._emit_body_fn(w, f"_delta_{sid}", sid)
@@ -607,11 +605,12 @@ class _RuleEmitter:
 class CodegenRule:
     """One rule compiled to generated Python source.
 
-    Call-compatible with :class:`~repro.ndlog.plan.CompiledRule`: ``fire``
-    and ``fire_derivations`` take ``(db, view=None)`` and return
-    :class:`~repro.ndlog.plan.RuleFiring` lists with identical enumeration
-    order, deduplication, aggregate handling, and error behaviour.  The
-    emitted source is kept on :attr:`source` for debugging and golden tests.
+    ``fire``, ``fire_rows`` and ``fire_derivations`` take
+    ``(db, view=None)``: ``view`` is a semi-naive delta view
+    (``DeltaIndex``-shaped: ``in`` / ``rows`` / ``groups``) restricting the
+    join to one pass per delta-matched positive literal, or ``None`` for a
+    full evaluation.  The emitted source is kept on :attr:`source` for
+    debugging and golden tests.
     """
 
     __slots__ = (
@@ -650,7 +649,9 @@ class CodegenRule:
         self._delta_candidates = delta_candidates
 
     def fire(self, db, view=None) -> list[RuleFiring]:
-        """Evaluate the generated plan (see ``CompiledRule.fire``)."""
+        """The derived head tuples as :class:`~repro.ndlog.plan.RuleFiring`
+        records, deduplicated (aggregate heads are recomputed over the full
+        body and ignore ``view``)."""
 
         name = self.name
         predicate = self.head_predicate
@@ -661,8 +662,12 @@ class CodegenRule:
         ]
 
     def fire_rows(self, db, view=None) -> list[tuple]:
-        """:meth:`fire` without the ``RuleFiring`` wrapping (see
-        ``CompiledRule.fire_rows``)."""
+        """:meth:`fire` without the per-row ``RuleFiring`` wrapping.
+
+        The centralized fixpoint driver consumes this directly — rule name,
+        predicate, and location are constant per rule, so wrapping every
+        derived row there is pure allocation overhead.
+        """
 
         raw: list[tuple] = []
         append = raw.append
@@ -679,7 +684,17 @@ class CodegenRule:
         return aggregate_rows(self.head, raw)
 
     def fire_derivations(self, db, view=None) -> list[RuleFiring]:
-        """Retraction/counting variant (see ``CompiledRule.fire_derivations``)."""
+        """The retraction/counting variant of :meth:`fire`.
+
+        Enumerates head tuples at **body-binding multiplicity**: one firing
+        per distinct body binding, with no same-row deduplication, which is
+        what derivation-count maintenance needs (two bindings deriving the
+        same head row are two supports, and losing one of them must
+        decrement — not delete — the row).  With a ``view`` holding
+        retracted tuples still present in ``db`` this is the deletion-delta
+        join against the old database.  Aggregate heads are recomputed and
+        diffed instead, and rejected here.
+        """
 
         if self.has_aggregate:
             raise NDlogError(
@@ -702,37 +717,18 @@ class CodegenRule:
         return [RuleFiring(name, predicate, row, location) for row in raw]
 
 
-def _check_supported(rule: Rule, layout: RuleLayout) -> None:
-    if layout.dead:
-        raise CodegenUnsupported(
-            f"rule {rule.name}: a body literal argument is unevaluable at "
-            "match time (dead plan)"
-        )
-    unsafe = layout.unsafe_head_variables()
-    if unsafe:
-        raise CodegenUnsupported(
-            f"rule {rule.name}: unsafe head variables {{{', '.join(unsafe)}}}"
-        )
-
-
 def generate_rule_source(
-    rule: Rule,
-    registry: Optional[FunctionRegistry] = None,
-    *,
-    use_indexes: bool = True,
+    rule: Rule, registry: Optional[FunctionRegistry] = None
 ) -> tuple[str, dict]:
     """The generated source and exec namespace for one rule.
 
-    Raises :class:`CodegenUnsupported` for rules the generator cannot
-    lower (dead plans, unsafe heads) — callers fall back to
-    :func:`~repro.ndlog.plan.compile_rule`.
+    Raises :class:`~repro.ndlog.ast.NDlogError` for a rule with unsafe
+    head variables or a body that cannot be ordered.
     """
 
     if registry is None:
         registry = FunctionRegistry()
-    layout = rule_layout(rule)
-    _check_supported(rule, layout)
-    emitter = _RuleEmitter(rule, layout, registry, use_indexes)
+    emitter = _RuleEmitter(rule, rule_layout(rule), registry)
     return emitter.source, emitter.namespace
 
 
@@ -751,21 +747,15 @@ _CODEGEN_CACHE: dict[tuple, tuple[FunctionRegistry, "CodegenRule"]] = {}
 _CODEGEN_CACHE_MAX = 512
 
 
-def codegen_rule(
-    rule: Rule,
-    registry: FunctionRegistry,
-    *,
-    use_indexes: bool = True,
-) -> CodegenRule:
+def codegen_rule(rule: Rule, registry: FunctionRegistry) -> CodegenRule:
     """Compile one rule to a :class:`CodegenRule` via generated source."""
 
-    key = (rule, registry.signature(), use_indexes)
+    key = (rule, registry.signature())
     cached = _CODEGEN_CACHE.get(key)
     if cached is not None:
         return cached[1]
     layout = rule_layout(rule)
-    _check_supported(rule, layout)
-    emitter = _RuleEmitter(rule, layout, registry, use_indexes)
+    emitter = _RuleEmitter(rule, layout, registry)
     source = emitter.source
     namespace = emitter.namespace
     code = compile(source, f"<codegen:{rule.name}>", "exec")
@@ -789,16 +779,14 @@ def codegen_rule(
 
 
 def emit_program_source(
-    program: Program,
-    registry: Optional[FunctionRegistry] = None,
-    *,
-    use_indexes: bool = True,
+    program: Program, registry: Optional[FunctionRegistry] = None
 ) -> str:
     """Dump every rule's generated source (``fvn-lint --emit-codegen``).
 
-    Rules the generator cannot lower are listed with the fallback reason so
-    the dump is total over the program; output is deterministic for a given
-    program/registry, which is what the golden corpus pins.
+    A rule the generator rejects (unsafe head, unorderable body — programs
+    the linter's lenient parse lets through) is listed with the reason, so
+    the dump is total over the program; output is deterministic for a
+    given program/registry, which is what the golden corpus pins.
     """
 
     if registry is None:
@@ -806,13 +794,9 @@ def emit_program_source(
     chunks: list[str] = []
     for rule in program.rules:
         try:
-            source, _ = generate_rule_source(
-                rule, registry, use_indexes=use_indexes
-            )
-        except CodegenUnsupported as exc:
-            chunks.append(
-                f"# rule {rule.name}: falls back to compiled plan -- {exc}\n"
-            )
+            source, _ = generate_rule_source(rule, registry)
+        except NDlogError as exc:
+            chunks.append(f"# rule {rule.name}: rejected -- {exc}\n")
         else:
             chunks.append(source)
     return "\n".join(chunks)

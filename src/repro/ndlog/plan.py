@@ -1,30 +1,20 @@
-"""Rule compilation: NDlog rules to specialized join plans.
+"""Rule plans: the per-rule analysis the code generator lowers.
 
-The semi-naive evaluator originally interpreted the rule AST on every pass:
-body items were re-ordered per call, variable bindings lived in dicts that
-were copied per candidate row, index probe positions were recomputed per
-binding, and every comparison/function application went through a dispatch
-on the term structure.  This module compiles each rule **once per program**
-into a :class:`CompiledRule` — a chain of specialized step closures over a
-flat binding array — so the hot join loop does none of that work:
+Every rule runs as generated Python source (:mod:`repro.ndlog.codegen`).
+This module holds what is decided about a rule before any source is
+emitted, once per program, so neither the generator nor the reference
+interpreter (:mod:`repro.ndlog.reference`) re-derives it:
 
-* the body order (:func:`order_body`) is fixed at compile time;
-* every variable is assigned a **slot** in a flat binding list, and each
-  literal argument becomes a precomputed *store* (write ``row[pos]`` into a
-  slot), *check* (compare ``row[pos]`` against a slot or constant), or
-  *eval-check* (compare against a compiled term evaluator);
-* the argument positions an index probe can use are resolved statically,
-  so probing a stored table is a dict lookup with no per-binding analysis;
-* comparisons and built-in functions are pre-dispatched to plain callables
-  (:func:`comparison_fn`, :func:`compile_term`);
-* the semi-naive delta restriction is a pass per positive body literal,
-  deduplicated on the binding array itself (no per-binding sorting).
-
-The compiled plan is behaviourally identical to the interpreter — the
-property tests in ``tests/ndlog/test_plan_properties.py`` check fixpoint
-equality on randomized programs covering negation, aggregates, and
-soft-state expiry — and the interpreter remains available via
-``compile_rules=False`` for differential testing.
+* the body order (:func:`order_body`), shared by both;
+* the join layout (:func:`rule_layout`): every variable gets a **slot**,
+  each positive literal argument becomes a *store* (bind ``row[pos]``), a
+  *check* (compare ``row[pos]`` against a slot or constant) or an
+  *eval-check* (compare against a term over bound slots), the argument
+  positions an index probe can use are fixed statically, and a literal
+  argument unevaluable at match time marks the plan **dead**;
+* the negation-delta variants retraction fires (:func:`negation_delta_rules`);
+* :func:`comparison_fn`, the pre-dispatched condition operators, and
+  :class:`RuleFiring`, the derived-tuple record every evaluator returns.
 """
 
 from __future__ import annotations
@@ -32,16 +22,14 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
-from ..logic.bmc import DEFAULT_ARITHMETIC, EvaluationError, FunctionRegistry
-from ..logic.terms import Const, Func, Term, Var
-from .aggregates import aggregate_rows
+from ..logic.bmc import EvaluationError
+from ..logic.terms import Const, Var
 from .ast import (
     Assignment,
     BodyItem,
     Condition,
-    HeadLiteral,
     Literal,
     NDlogError,
     Rule,
@@ -49,7 +37,7 @@ from .ast import (
 
 
 # ---------------------------------------------------------------------------
-# Body ordering (shared with the interpreted path in ``seminaive``)
+# Body ordering (shared with the reference interpreter)
 # ---------------------------------------------------------------------------
 
 
@@ -120,7 +108,7 @@ class RuleFiring(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Pre-dispatched comparisons and term evaluators
+# Pre-dispatched comparisons
 # ---------------------------------------------------------------------------
 
 _EQUALITY_OPS: dict[str, Callable[[object, object], bool]] = {
@@ -169,535 +157,11 @@ def comparison_fn(op: str) -> Callable[[object, object], bool]:
     return fn
 
 
-#: env → value evaluator for one term over the flat binding array.
-TermFn = Callable[[list], object]
-
-#: C-level equivalents of the default arithmetic interpretations, substituted
-#: at compile time when the registry still maps the name to the default.
-_C_ARITHMETIC: dict[str, Callable] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "min": min,
-    "max": max,
-}
-
-
-def _make_unop(fn: Callable, t0: Term, slots, registry) -> TermFn:
-    if isinstance(t0, Var):
-        s0 = slots[t0]
-        return lambda env: fn(env[s0])
-    if isinstance(t0, Const):
-        c0 = t0.value
-        return lambda env: fn(c0)
-    f0 = compile_term(t0, slots, registry)
-    return lambda env: fn(f0(env))
-
-
-def _make_binop(fn: Callable, t0: Term, t1: Term, slots, registry) -> TermFn:
-    """Specialized two-argument application with operand access inlined.
-
-    Slot and constant operands are read directly instead of through nested
-    evaluator closures, so ``C1+C2`` or ``Pref*1024+C`` costs one closure
-    call per application rather than one per sub-term.
-    """
-
-    if isinstance(t0, Var):
-        s0 = slots[t0]
-        if isinstance(t1, Var):
-            s1 = slots[t1]
-            return lambda env: fn(env[s0], env[s1])
-        if isinstance(t1, Const):
-            c1 = t1.value
-            return lambda env: fn(env[s0], c1)
-        f1 = compile_term(t1, slots, registry)
-        return lambda env: fn(env[s0], f1(env))
-    if isinstance(t0, Const):
-        c0 = t0.value
-        if isinstance(t1, Var):
-            s1 = slots[t1]
-            return lambda env: fn(c0, env[s1])
-        if isinstance(t1, Const):
-            c1 = t1.value
-            return lambda env: fn(c0, c1)
-        f1 = compile_term(t1, slots, registry)
-        return lambda env: fn(c0, f1(env))
-    f0 = compile_term(t0, slots, registry)
-    if isinstance(t1, Var):
-        s1 = slots[t1]
-        return lambda env: fn(f0(env), env[s1])
-    if isinstance(t1, Const):
-        c1 = t1.value
-        return lambda env: fn(f0(env), c1)
-    f1 = compile_term(t1, slots, registry)
-    return lambda env: fn(f0(env), f1(env))
-
-
-def compile_term(
-    term: Term, slots: dict[Var, int], registry: FunctionRegistry
-) -> TermFn:
-    """Compile a term into an evaluator over the flat binding array.
-
-    Constants close over their value, variables over their slot, and
-    function applications over the registry callable resolved at compile
-    time (functions unknown at compile time fall back to a late registry
-    lookup so behaviour matches the interpreter's ``ground_eval``).
-    Arithmetic still bound to the registry defaults is dispatched to the
-    C-level ``operator`` equivalents, and one/two-argument applications
-    inline their slot/constant operand access.
-
-    Note that resolved functions are **snapshotted**: re-registering a name
-    after its rules were compiled does not update existing plans (register
-    custom functions before constructing the evaluator/engine, or pass
-    ``compile_rules=False`` for late-binding semantics).
-    """
-
-    if isinstance(term, Const):
-        value = term.value
-        return lambda env: value
-    if isinstance(term, Var):
-        slot = slots[term]
-        return lambda env: env[slot]
-    if isinstance(term, Func):
-        name = term.name
-        fn = registry.resolve(name)
-        if fn is None:
-            arg_fns = tuple(compile_term(a, slots, registry) for a in term.args)
-
-            def late(env: list) -> object:
-                return registry.call(name, [f(env) for f in arg_fns])
-
-            return late
-        c_fn = _C_ARITHMETIC.get(name)
-        if c_fn is not None and fn is DEFAULT_ARITHMETIC.get(name):
-            fn = c_fn
-        if len(term.args) == 1:
-            return _make_unop(fn, term.args[0], slots, registry)
-        if len(term.args) == 2:
-            return _make_binop(fn, term.args[0], term.args[1], slots, registry)
-        arg_fns = tuple(compile_term(a, slots, registry) for a in term.args)
-        return lambda env: fn(*(f(env) for f in arg_fns))
-    raise NDlogError(f"cannot compile term {term!r}")
-
-
-# ---------------------------------------------------------------------------
-# Step closures
-#
-# Every step has the signature step(env, db, view, delta_sid, emit):
-#   env       — flat binding array (mutated in place; slot liveness is static)
-#   db        — the Database joined against
-#   view      — the semi-naive delta view (duck-typed DeltaIndex) or None
-#   delta_sid — id of the positive literal reading the delta this pass (-1:
-#               no restriction)
-#   emit      — called with env once all steps have matched
-# ---------------------------------------------------------------------------
-
-# Row-op kinds inside a literal step (see _make_row_loop).
+# Row-op kinds of a positive literal's layout (see :func:`rule_layout`).
 _OP_STORE = 0  # write row[pos] into a slot
 _OP_CONST = 1  # reject unless row[pos] == constant
 _OP_SLOT = 2  # reject unless row[pos] == env[slot]
-_OP_EVAL = 3  # reject unless row[pos] == compiled-term(env)
-
-
-def _make_row_loop(arity: int, ops: tuple, nxt: Callable) -> Callable:
-    """The per-row matcher for one positive literal.
-
-    ``ops`` is the precompiled store/check sequence; the common store-only
-    shapes (all checks subsumed by the index probe) are unrolled so the hot
-    join loop is a few list writes per row.
-    """
-
-    if all(op[0] == _OP_STORE for op in ops):
-        pairs = tuple((pos, slot) for _, pos, slot in ops)
-        if len(pairs) == 1:
-            ((p0, s0),) = pairs
-
-            def loop1(rows, env, db, view, delta_sid, emit):
-                for row in rows:
-                    if len(row) == arity:
-                        env[s0] = row[p0]
-                        nxt(env, db, view, delta_sid, emit)
-
-            return loop1
-        if len(pairs) == 2:
-            (p0, s0), (p1, s1) = pairs
-
-            def loop2(rows, env, db, view, delta_sid, emit):
-                for row in rows:
-                    if len(row) == arity:
-                        env[s0] = row[p0]
-                        env[s1] = row[p1]
-                        nxt(env, db, view, delta_sid, emit)
-
-            return loop2
-        if len(pairs) == 3:
-            (p0, s0), (p1, s1), (p2, s2) = pairs
-
-            def loop3(rows, env, db, view, delta_sid, emit):
-                for row in rows:
-                    if len(row) == arity:
-                        env[s0] = row[p0]
-                        env[s1] = row[p1]
-                        env[s2] = row[p2]
-                        nxt(env, db, view, delta_sid, emit)
-
-            return loop3
-
-        def loop_stores(rows, env, db, view, delta_sid, emit):
-            for row in rows:
-                if len(row) == arity:
-                    for pos, slot in pairs:
-                        env[slot] = row[pos]
-                    nxt(env, db, view, delta_sid, emit)
-
-        return loop_stores
-
-    def loop(rows, env, db, view, delta_sid, emit):
-        for row in rows:
-            if len(row) != arity:
-                continue
-            ok = True
-            for kind, pos, payload in ops:
-                if kind == _OP_STORE:
-                    env[payload] = row[pos]
-                elif kind == _OP_CONST:
-                    if row[pos] != payload:
-                        ok = False
-                        break
-                elif kind == _OP_SLOT:
-                    if row[pos] != env[payload]:
-                        ok = False
-                        break
-                else:
-                    try:
-                        if payload(env) != row[pos]:
-                            ok = False
-                            break
-                    except EvaluationError:
-                        ok = False
-                        break
-            if ok:
-                nxt(env, db, view, delta_sid, emit)
-
-    return loop
-
-
-def _make_probe_values(getters: tuple) -> Callable[[list], tuple]:
-    """Build the probe-key constructor for a literal's bound positions.
-
-    ``getters`` pairs ``(slot, const)`` per probe position — ``slot`` set
-    for positions bound to an earlier variable, ``const`` for constant
-    arguments.  The common one/two-variable shapes are unrolled.
-    """
-
-    if all(slot is None for slot, _ in getters):
-        fixed = tuple(const for _, const in getters)
-        return lambda env: fixed
-    if len(getters) == 1:
-        s0 = getters[0][0]
-        return lambda env: (env[s0],)
-    if len(getters) == 2:
-        (s0, c0), (s1, c1) = getters
-        if s0 is not None and s1 is not None:
-            return lambda env: (env[s0], env[s1])
-    return lambda env: tuple(env[s] if s is not None else c for s, c in getters)
-
-
-def _make_literal_step(
-    pred: str,
-    arity: int,
-    sid: int,
-    probe_positions: tuple[int, ...],
-    probe_getters: tuple,
-    scan_ops: tuple,
-    probe_ops: tuple,
-    use_indexes: bool,
-    nxt: Callable,
-) -> Callable:
-    scan_loop = _make_row_loop(arity, scan_ops, nxt)
-    if not use_indexes or not probe_positions:
-
-        def scan_step(env, db, view, delta_sid, emit):
-            rows = view.rows(pred) if sid == delta_sid else db.rows(pred)
-            scan_loop(rows, env, db, view, delta_sid, emit)
-
-        return scan_step
-
-    probe_loop = _make_row_loop(arity, probe_ops, nxt)
-    values_fn = _make_probe_values(probe_getters)
-
-    def step(env, db, view, delta_sid, emit):
-        values = values_fn(env)
-        if sid == delta_sid:
-            try:
-                rows = view.probe(pred, probe_positions, values)
-            except TypeError:  # unhashable probe value — fall back to scanning
-                scan_loop(view.rows(pred), env, db, view, delta_sid, emit)
-                return
-        else:
-            try:
-                rows = db.probe_iter(pred, probe_positions, values)
-            except TypeError:
-                scan_loop(db.rows(pred), env, db, view, delta_sid, emit)
-                return
-        probe_loop(rows, env, db, view, delta_sid, emit)
-
-    return step
-
-
-def _make_negation_step(pred: str, arg_fns: tuple, nxt: Callable) -> Callable:
-    def step(env, db, view, delta_sid, emit):
-        try:
-            values = tuple(f(env) for f in arg_fns)
-        except EvaluationError:
-            return
-        if values not in db.table(pred):
-            nxt(env, db, view, delta_sid, emit)
-
-    return step
-
-
-def _make_assignment_step(slot: int, fn: TermFn, fresh: bool, nxt: Callable) -> Callable:
-    if fresh:
-
-        def assign(env, db, view, delta_sid, emit):
-            try:
-                env[slot] = fn(env)
-            except EvaluationError:
-                return
-            nxt(env, db, view, delta_sid, emit)
-
-        return assign
-
-    def recheck(env, db, view, delta_sid, emit):
-        try:
-            value = fn(env)
-        except EvaluationError:
-            return
-        if env[slot] == value:
-            nxt(env, db, view, delta_sid, emit)
-
-    return recheck
-
-
-def _make_condition_step(
-    compare: Callable, left_fn: TermFn, right_fn: TermFn, nxt: Callable
-) -> Callable:
-    def step(env, db, view, delta_sid, emit):
-        try:
-            left = left_fn(env)
-            right = right_fn(env)
-        except EvaluationError:
-            return
-        if compare(left, right):
-            nxt(env, db, view, delta_sid, emit)
-
-    return step
-
-
-def _tail(env, db, view, delta_sid, emit):
-    emit(env)
-
-
-# ---------------------------------------------------------------------------
-# Head row construction
-# ---------------------------------------------------------------------------
-
-
-def _make_row_fn(
-    rule_name: str,
-    head_args: Sequence[Term],
-    slots: dict[Var, int],
-    registry: FunctionRegistry,
-) -> Callable[[list], tuple]:
-    if all(isinstance(a, Var) for a in head_args):
-        head_slots = tuple(slots[a] for a in head_args)
-        if not head_slots:
-            return lambda env: ()
-        if len(head_slots) == 1:
-            s0 = head_slots[0]
-            return lambda env: (env[s0],)
-        return operator.itemgetter(*head_slots)
-
-    specs = tuple((compile_term(a, slots, registry), a) for a in head_args)
-
-    def row_fn(env: list) -> tuple:
-        row = []
-        for fn, term in specs:
-            try:
-                row.append(fn(env))
-            except EvaluationError as exc:
-                raise NDlogError(
-                    f"rule {rule_name}: cannot evaluate head argument {term}: {exc}"
-                ) from exc
-        return tuple(row)
-
-    return row_fn
-
-
-# ---------------------------------------------------------------------------
-# The compiled rule
-# ---------------------------------------------------------------------------
-
-
-class CompiledRule:
-    """One rule compiled to a specialized join plan.
-
-    ``fire`` is a drop-in replacement for the interpreter's
-    ``RuleEngine.fire_rule``: it enumerates the body over a database (with an
-    optional semi-naive delta view) and returns the derived head tuples as
-    :class:`RuleFiring` objects, recomputing aggregate heads over the full
-    body exactly like the interpreted path.
-    """
-
-    __slots__ = (
-        "rule",
-        "name",
-        "head",
-        "head_predicate",
-        "head_location",
-        "has_aggregate",
-        "n_slots",
-        "_root",
-        "_row_fn",
-        "_delta_candidates",
-        "_dead",
-    )
-
-    def __init__(
-        self,
-        rule: Rule,
-        n_slots: int,
-        root: Callable,
-        row_fn: Callable[[list], tuple],
-        delta_candidates: tuple[tuple[int, str], ...],
-        dead: bool,
-    ) -> None:
-        self.rule = rule
-        self.name = rule.name
-        self.head: HeadLiteral = rule.head
-        self.head_predicate = rule.head.predicate
-        self.head_location = rule.head.location
-        self.has_aggregate = rule.head.has_aggregate
-        self.n_slots = n_slots
-        self._root = root
-        self._row_fn = row_fn
-        self._delta_candidates = delta_candidates
-        self._dead = dead
-
-    def fire(self, db, view=None) -> list[RuleFiring]:
-        """Evaluate the plan, returning the derived head tuples.
-
-        ``view`` is a delta view (``DeltaIndex``-shaped: ``in``/``rows``/
-        ``probe``) restricting the join semi-naively, or ``None`` for a full
-        evaluation.  Aggregate heads ignore the view (aggregation is not
-        incremental under insert-only deltas).
-        """
-
-        name = self.name
-        predicate = self.head_predicate
-        location = self.head_location
-        return [
-            RuleFiring(name, predicate, row, location)
-            for row in self.fire_rows(db, view)
-        ]
-
-    def fire_rows(self, db, view=None) -> list[tuple]:
-        """:meth:`fire` without the per-row ``RuleFiring`` wrapping.
-
-        The centralized fixpoint driver consumes this directly — rule name,
-        predicate, and location are constant per rule, so wrapping every
-        derived row there is pure allocation overhead.
-        """
-
-        if self._dead:
-            return []
-        raw: list[tuple] = []
-        append = raw.append
-        row_fn = self._row_fn
-        env: list = [None] * self.n_slots
-        if view is None or self.has_aggregate:
-
-            def build(env: list) -> None:
-                append(row_fn(env))
-
-            self._root(env, db, None, -1, build)
-        else:
-            # One pass per delta-restricted positive literal.  No
-            # binding-level dedup: a binding matched by two delta literals
-            # yields duplicate head rows, which aggregate_rows'
-            # dict.fromkeys collapses — the same way duplicates within a
-            # full pass always have been.
-            def build(env: list) -> None:
-                append(row_fn(env))
-
-            for sid, pred in self._delta_candidates:
-                if pred in view:
-                    self._root(env, db, view, sid, build)
-        return aggregate_rows(self.head, raw)
-
-    def fire_derivations(self, db, view=None) -> list[RuleFiring]:
-        """The retraction/counting variant of :meth:`fire`.
-
-        Enumerates head tuples at **body-binding multiplicity**: one firing
-        per distinct body binding, with no same-row deduplication, which is
-        what derivation-count maintenance needs (two bindings deriving the
-        same head row are two supports, and losing one of them must
-        decrement — not delete — the row).
-
-        With a ``view``, this is the deletion-delta join: the caller passes
-        the retracted tuples as the view **before physically removing them
-        from** ``db``, so the join enumerates exactly the derivations that
-        involved a retracted tuple against the old database — the same
-        index-probe machinery as the insertion path, pointed at the other
-        direction of the delta.  Aggregate heads have no binding-level
-        deletion semantics (they are recomputed and diffed instead) and are
-        rejected.
-        """
-
-        if self.has_aggregate:
-            raise NDlogError(
-                f"rule {self.name}: aggregate heads are recomputed, not "
-                "incrementally retracted"
-            )
-        if self._dead:
-            return []
-        raw: list[tuple] = []
-        append = raw.append
-        row_fn = self._row_fn
-        env: list = [None] * self.n_slots
-        if view is None:
-
-            def build(env: list) -> None:
-                append(row_fn(env))
-
-            self._root(env, db, None, -1, build)
-        else:
-            seen: set[tuple] = set()
-            add = seen.add
-
-            def build(env: list) -> None:
-                key = tuple(env)
-                try:
-                    if key in seen:
-                        return
-                except TypeError:  # a slot holds an unhashable (list) value
-                    key = tuple(
-                        tuple(v) if isinstance(v, list) else v for v in env
-                    )
-                    if key in seen:
-                        return
-                add(key)
-                append(row_fn(env))
-
-            for sid, pred in self._delta_candidates:
-                if pred in view:
-                    self._root(env, db, view, sid, build)
-        name = self.name
-        predicate = self.head_predicate
-        location = self.head_location
-        return [RuleFiring(name, predicate, row, location) for row in raw]
+_OP_EVAL = 3  # reject unless row[pos] == the value of a term over bound slots
 
 
 #: Suffix naming the synthetic delta predicate a negated literal is matched
@@ -743,21 +207,19 @@ def negation_delta_rules(rule: Rule) -> tuple[tuple[str, Rule], ...]:
 
 @dataclass(frozen=True, slots=True)
 class RuleLayout:
-    """The structural join plan of one rule, independent of execution tier.
+    """The structural join plan of one rule.
 
-    Produced by :func:`rule_layout` and consumed by both back ends — the
-    closure compiler here (:func:`compile_rule`) and the source-generating
-    compiler (:mod:`repro.ndlog.codegen`) — so slot assignment, body order,
-    probe-position selection, and check placement are decided exactly once
-    and can never drift between tiers.
+    Produced by :func:`rule_layout` and lowered by the code generator
+    (:mod:`repro.ndlog.codegen`): slot assignment, body order,
+    probe-position selection, and check placement are decided here, once.
 
     ``specs`` is one tuple per ordered body item:
 
     * ``("literal", predicate, arity, sid, probe_positions, probe_getters,
       pre_checks, stores, post_checks)`` — a positive literal.  Checks and
       stores are ``(_OP_* , position, payload)`` triples; ``_OP_EVAL``
-      payloads are the raw :class:`~repro.logic.terms.Term` (each back end
-      lowers them itself).  ``probe_getters`` pairs ``(slot, const)`` per
+      payloads are the raw :class:`~repro.logic.terms.Term` (the generator
+      lowers them to expressions).  ``probe_getters`` pairs ``(slot, const)`` per
       probe position.
     * ``("negation", predicate, arg_terms)``
     * ``("assignment", slot, expression_term, fresh)``
@@ -777,7 +239,7 @@ class RuleLayout:
 
 
 def rule_layout(rule: Rule) -> RuleLayout:
-    """Compute the tier-independent join-plan structure of ``rule``."""
+    """Compute the join-plan structure of ``rule``."""
 
     ordered = order_body(rule)
     slots: dict[Var, int] = {}
@@ -819,9 +281,9 @@ def rule_layout(rule: Rule) -> RuleLayout:
                     if arg.free_vars() <= bound:
                         post_checks.append((_OP_EVAL, pos, arg))
                     else:
-                        # the interpreter rejects every row here (the term is
-                        # unevaluable at match time), so the rule derives
-                        # nothing — compile it to a dead plan
+                        # the reference interpreter rejects every row here
+                        # (the term is unevaluable at match time), so the
+                        # rule derives nothing — a dead plan
                         dead = True
             specs.append(
                 (
@@ -851,66 +313,4 @@ def rule_layout(rule: Rule) -> RuleLayout:
             raise NDlogError(f"unsupported body item {item!r}")
     return RuleLayout(
         rule, tuple(specs), slots, tuple(delta_candidates), dead
-    )
-
-
-def compile_rule(
-    rule: Rule, registry: FunctionRegistry, *, use_indexes: bool = True
-) -> CompiledRule:
-    """Compile one rule into a :class:`CompiledRule` join plan."""
-
-    layout = rule_layout(rule)
-    slots = layout.slots
-    delta_candidates = layout.delta_candidates
-    dead = layout.dead
-
-    def lower(op: tuple) -> tuple:
-        """Lower an ``_OP_EVAL`` payload from a Term to a compiled closure."""
-
-        if op[0] == _OP_EVAL:
-            return (_OP_EVAL, op[1], compile_term(op[2], slots, registry))
-        return op
-
-    chain: Callable = _tail
-    for spec in reversed(layout.specs):
-        kind = spec[0]
-        if kind == "literal":
-            _, pred, arity, lit_sid, positions, getters, pre, stores, post = spec
-            scan_ops = tuple(lower(op) for op in pre + stores + post)
-            probe_ops = tuple(lower(op) for op in stores + post)
-            chain = _make_literal_step(
-                pred, arity, lit_sid, positions, getters, scan_ops, probe_ops,
-                use_indexes, chain,
-            )
-        elif kind == "negation":
-            _, pred, arg_terms = spec
-            arg_fns = tuple(
-                compile_term(a, slots, registry) for a in arg_terms
-            )
-            chain = _make_negation_step(pred, arg_fns, chain)
-        elif kind == "assignment":
-            _, slot, expression, fresh = spec
-            fn = compile_term(expression, slots, registry)
-            chain = _make_assignment_step(slot, fn, fresh, chain)
-        else:
-            _, op, left, right = spec
-            compare = comparison_fn(op)
-            left_fn = compile_term(left, slots, registry)
-            right_fn = compile_term(right, slots, registry)
-            chain = _make_condition_step(compare, left_fn, right_fn, chain)
-
-    if dead:
-        # A dead plan never emits, so its head row is never built; variables
-        # reachable only through the unevaluable literal have no slots, which
-        # is fine (the interpreter likewise derives nothing for such rules).
-        return CompiledRule(
-            rule, len(slots), chain, lambda env: (), tuple(delta_candidates), True
-        )
-    unsafe = [v for v in rule.head.variables() if v not in slots]
-    if unsafe:
-        names = ", ".join(sorted(v.name for v in unsafe))
-        raise NDlogError(f"rule {rule.name}: unsafe head variables {{{names}}}")
-    row_fn = _make_row_fn(rule.name, rule.head.plain_args(), slots, registry)
-    return CompiledRule(
-        rule, len(slots), chain, row_fn, tuple(delta_candidates), False
     )

@@ -1,99 +1,45 @@
-"""Centralized NDlog evaluation (compiled or interpreted joins, semi-naive fixpoint).
+"""Centralized NDlog evaluation: stratified semi-naive fixpoints over generated code.
 
-This is the reference evaluator: it computes the stratified model of an
-NDlog program over a single database, ignoring distribution.  It is used to
+This module computes the stratified model of an NDlog program over a single
+database, ignoring distribution.  It is used to
 
 * validate the distributed runtime (both must agree on the final state),
 * validate the NDlog→logic translation (the finite-model fixpoint of the
   generated inductive definitions must match),
 * execute programs generated from component models (paper Section 3.2.2).
 
-Rules are evaluated by joining body literals left-to-right (after a greedy
-reordering that keeps assignments and conditions evaluable), with semi-naive
-iteration inside each stratum so recursive programs such as the path-vector
-protocol do not recompute the full join every round.
+Rules run through :class:`RuleEngine`, which lowers each rule once to
+specialized Python source (:mod:`repro.ndlog.codegen`) and caches it —
+the same evaluator the distributed engine and its shard workers run.
+Inside each stratum, semi-naive iteration restricts every pass to
+derivations that use at least one new tuple, so recursive programs such as
+the path-vector protocol do not recompute the full join every round.
 
-Two execution paths share those semantics:
-
-* the **compiled path** (default, ``compile_rules=True``) compiles each rule
-  once into a :class:`~repro.ndlog.plan.CompiledRule` join plan — fixed body
-  order, flat binding arrays, statically resolved index probe positions, and
-  pre-dispatched comparison/function callables (see :mod:`repro.ndlog.plan`);
-* the **interpreted path** (``compile_rules=False``) walks the rule AST per
-  pass; it is kept as the reference for differential/property testing.
-
-Orthogonally, ``use_indexes`` selects between hash-index probing and full
-scans for body literal matching on either path.
+:data:`RULE_ENGINE` is the one place an evaluator's rule engine comes from;
+the reference interpreter (:mod:`repro.ndlog.reference`) is what tests put
+there to check generated code against.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from ..logic.bmc import EvaluationError, FunctionRegistry, ground_eval
-from ..logic.terms import Const, Var
-from .aggregates import aggregate_rows, diff_rows
-from .ast import (
-    Assignment,
-    BodyItem,
-    Condition,
-    Fact,
-    Literal,
-    NDlogError,
-    Program,
-    Rule,
-)
-from .codegen import CodegenRule, CodegenUnsupported, codegen_rule
+from ..logic.bmc import FunctionRegistry
+from .aggregates import diff_rows
+from .ast import Fact, NDlogError, Program, Rule
+from .codegen import CodegenRule, codegen_rule
 from .functions import builtin_registry
 from .plan import (  # noqa: F401  (re-exported: public API of this module)
     NEGATION_DELTA_SUFFIX,
-    CompiledRule,
     RuleFiring,
     comparison_fn,
-    compile_rule,
     negation_delta_rules,
     order_body,
 )
 from .store import Database
 from .stratification import DependencyGraph, Stratification, needs_recompute, stratify
-
-
-Bindings = dict[Var, object]
-
-
-def _compare(op: str, left: object, right: object) -> bool:
-    """Interpreted-path comparison (delegates to the pre-dispatched callables)."""
-
-    return comparison_fn(op)(left, right)
-
-
-def match_literal(
-    literal: Literal,
-    row: Sequence[object],
-    bindings: Bindings,
-    registry: FunctionRegistry,
-) -> Optional[Bindings]:
-    """Match a body literal against a stored row, extending ``bindings``."""
-
-    if len(row) != literal.arity:
-        return None
-    local = dict(bindings)
-    for arg, value in zip(literal.args, row):
-        if isinstance(arg, Var):
-            if arg in local:
-                if local[arg] != value:
-                    return None
-            else:
-                local[arg] = value
-        else:
-            try:
-                if ground_eval(arg, registry, local) != value:
-                    return None
-            except EvaluationError:
-                return None
-    return local
 
 
 class DeltaIndex:
@@ -125,7 +71,7 @@ class DeltaIndex:
         Built on first use and cached for the pass.  Raises ``TypeError``
         when a row holds an unhashable value at a grouped position (callers
         fall back to scanning ``rows``, exactly like stored-table probes).
-        The generated-code tier hoists this dict out of its probe loops.
+        Generated code hoists this dict out of its probe loops.
         """
 
         key = (predicate, positions)
@@ -139,82 +85,32 @@ class DeltaIndex:
             self._groups[key] = groups
         return groups
 
-    def probe(
-        self, predicate: str, positions: tuple[int, ...], values: tuple
-    ) -> Sequence[tuple]:
-        return self.groups(predicate, positions).get(tuple(values), ())
-
 
 class RuleEngine:
-    """Evaluates individual rules against a database.
+    """Evaluates individual rules against a database through generated code.
 
-    With ``compile_rules`` (the default) each rule is compiled once into a
-    :class:`~repro.ndlog.plan.CompiledRule` join plan and cached for the
-    lifetime of the engine; ``compile_rules=False`` keeps the original AST
-    interpreter (the reference implementation for differential testing).
-    Compilation snapshots the function registry — register custom functions
-    before evaluating (the interpreted path late-binds every call).
-
-    With ``use_indexes`` (the default) body literals are matched by probing
-    per-predicate hash indexes on the argument positions already bound at
-    that point of the join, instead of scanning the whole relation.  The
-    index positions are selected automatically from each rule's join
-    pattern; ``use_indexes=False`` keeps the original scan-join behaviour
-    (used as the reference in property tests and benchmarks).
-
-    With ``codegen`` (the default, effective only when ``compile_rules`` is
-    on) each rule is lowered further, to specialized Python source executed
-    as straight-line nested loops (:mod:`repro.ndlog.codegen`); rules the
-    generator cannot lower fall back to the closure-compiled plan.  All
-    three tiers — interpreter, compiled plan, generated code — are
-    behaviourally identical and cross-checked by the differential
-    conformance suite.
+    Each rule is lowered once to a :class:`~repro.ndlog.codegen.CodegenRule`
+    (specialized Python source, :mod:`repro.ndlog.codegen`) and cached for
+    the lifetime of the engine.  Compilation snapshots the function
+    registry — register custom functions before evaluating.
     """
 
-    def __init__(
-        self,
-        registry: Optional[FunctionRegistry] = None,
-        *,
-        use_indexes: bool = True,
-        compile_rules: bool = True,
-        codegen: bool = True,
-    ) -> None:
+    def __init__(self, registry: Optional[FunctionRegistry] = None) -> None:
         self.registry = registry or builtin_registry()
-        self.use_indexes = use_indexes
-        self.compile_rules = compile_rules
-        self.codegen = codegen and compile_rules
-        # All caches key by rule identity and retain the rule object so a
-        # recycled id() can never alias a stale entry.
-        self._order_cache: dict[int, tuple[Rule, list[BodyItem]]] = {}
-        self._plan_cache: dict[int, tuple[Rule, CompiledRule | CodegenRule]] = {}
+        # caches key by rule identity and retain the rule object so a
+        # recycled id() can never alias a stale entry
+        self._plan_cache: dict[int, tuple[Rule, CodegenRule]] = {}
         self._negation_cache: dict[int, tuple[Rule, tuple[tuple[str, Rule], ...]]] = {}
 
-    # ------------------------------------------------------------------
-    # Per-program compiled state
-    # ------------------------------------------------------------------
     def precompile(self, rules: Iterable[Rule]) -> None:
-        """Build the per-program execution state up front.
-
-        Compiles every rule (or computes its body order on the interpreted
-        path) at program-load time so no analysis happens on the hot
-        evaluation path.
-        """
+        """Compile every rule up front, at program-load time, so no code
+        generation happens on the hot evaluation path."""
 
         for rule in rules:
-            if self.compile_rules:
-                self.plan_for(rule)
-            else:
-                self._ordered_body(rule)
+            self.plan_for(rule)
 
-    def plan_for(self, rule: Rule) -> CompiledRule | CodegenRule:
-        """The cached execution plan for ``rule`` (compiled on first use).
-
-        On the ``codegen`` tier this is a :class:`CodegenRule` built from
-        generated source, falling back to the closure-compiled
-        :class:`CompiledRule` for rules the generator cannot lower (dead
-        plans, unsafe heads — the fallback reproduces their reference
-        behaviour exactly).
-        """
+    def plan_for(self, rule: Rule) -> CodegenRule:
+        """The cached generated plan for ``rule`` (compiled on first use)."""
 
         entry = self._plan_cache.get(id(rule))
         if entry is not None and entry[0] is rule:
@@ -223,18 +119,7 @@ class RuleEngine:
         # reference keeps id(rule) from being recycled, and the identity
         # check stays valid even when the codegen cache returns a shared
         # CodegenRule built from a structurally-equal rule instance
-        compiled: CompiledRule | CodegenRule | None = None
-        if self.codegen:
-            try:
-                compiled = codegen_rule(
-                    rule, self.registry, use_indexes=self.use_indexes
-                )
-            except CodegenUnsupported:
-                compiled = None
-        if compiled is None:
-            compiled = compile_rule(
-                rule, self.registry, use_indexes=self.use_indexes
-            )
+        compiled = codegen_rule(rule, self.registry)
         self._plan_cache[id(rule)] = (rule, compiled)
         return compiled
 
@@ -243,171 +128,17 @@ class RuleEngine:
 
         ``(negated_predicate, variant_rule)`` pairs (see
         :func:`repro.ndlog.plan.negation_delta_rules`); variants are
-        precompiled on the compiled path so retraction rounds pay no
-        per-round analysis.
+        precompiled so retraction rounds pay no per-round analysis.
         """
 
         entry = self._negation_cache.get(id(rule))
         if entry is None or entry[0] is not rule:
             variants = negation_delta_rules(rule)
-            if self.compile_rules:
-                for _, variant in variants:
-                    self.plan_for(variant)
+            self.precompile(variant for _, variant in variants)
             entry = (rule, variants)
             self._negation_cache[id(rule)] = entry
         return entry[1]
 
-    # ------------------------------------------------------------------
-    # Body solving
-    # ------------------------------------------------------------------
-    def _ordered_body(self, rule: Rule) -> list[BodyItem]:
-        entry = self._order_cache.get(id(rule))
-        if entry is None or entry[0] is not rule:
-            entry = (rule, order_body(rule))
-            self._order_cache[id(rule)] = entry
-        return entry[1]
-
-    def solve_body(
-        self,
-        rule: Rule,
-        db: Database,
-        *,
-        delta: Optional[Mapping[str, Iterable[tuple]]] = None,
-        initial: Optional[Bindings] = None,
-    ) -> Iterator[Bindings]:
-        """Enumerate variable bindings satisfying the rule body.
-
-        When ``delta`` is given, at least one positive body literal must be
-        matched against a delta tuple (semi-naive restriction).  This is
-        implemented by running one pass per delta-restricted literal
-        position, matching that position against the delta relation and all
-        other positions against the full database.
-        """
-
-        ordered = self._ordered_body(rule)
-        if delta is None:
-            yield from self._solve(ordered, 0, dict(initial or {}), db, None, -1)
-            return
-        view = delta if isinstance(delta, DeltaIndex) else DeltaIndex(delta)
-        positive_positions = [
-            i for i, item in enumerate(ordered) if isinstance(item, Literal) and not item.negated
-        ]
-        seen: set[tuple] = set()
-        for position in positive_positions:
-            literal = ordered[position]
-            assert isinstance(literal, Literal)
-            if literal.predicate not in view:
-                continue
-            for binding in self._solve(ordered, 0, dict(initial or {}), db, view, position):
-                key = tuple(sorted((v.name, _hashable(val)) for v, val in binding.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield binding
-
-    def _bound_positions(
-        self, literal: Literal, bindings: Bindings
-    ) -> tuple[tuple[int, ...], tuple]:
-        """Argument positions of ``literal`` whose value is already known.
-
-        A position is bound when it holds a variable present in ``bindings``
-        or a constant; these are the positions an index probe can use.
-        """
-
-        positions: list[int] = []
-        values: list[object] = []
-        for i, arg in enumerate(literal.args):
-            if isinstance(arg, Var):
-                if arg in bindings:
-                    positions.append(i)
-                    values.append(bindings[arg])
-            elif isinstance(arg, Const):
-                positions.append(i)
-                values.append(arg.value)
-        return tuple(positions), tuple(values)
-
-    def _db_rows(self, literal: Literal, bindings: Bindings, db: Database) -> Iterable[tuple]:
-        if not self.use_indexes:
-            return db.rows(literal.predicate)
-        positions, values = self._bound_positions(literal, bindings)
-        if not positions:
-            return db.rows(literal.predicate)
-        try:
-            return db.probe(literal.predicate, positions, values)
-        except TypeError:  # unhashable probe value — fall back to scanning
-            return db.rows(literal.predicate)
-
-    def _delta_rows(
-        self, literal: Literal, bindings: Bindings, delta: "DeltaIndex"
-    ) -> Iterable[tuple]:
-        if not self.use_indexes:
-            return delta.rows(literal.predicate)
-        positions, values = self._bound_positions(literal, bindings)
-        if not positions:
-            return delta.rows(literal.predicate)
-        try:
-            return delta.probe(literal.predicate, positions, values)
-        except TypeError:
-            return delta.rows(literal.predicate)
-
-    def _solve(
-        self,
-        items: list[BodyItem],
-        index: int,
-        bindings: Bindings,
-        db: Database,
-        delta: Optional["DeltaIndex"],
-        delta_position: int,
-    ) -> Iterator[Bindings]:
-        if index == len(items):
-            yield bindings
-            return
-        item = items[index]
-        if isinstance(item, Literal) and not item.negated:
-            if delta is not None and index == delta_position:
-                rows: Iterable[tuple] = self._delta_rows(item, bindings, delta)
-            else:
-                rows = self._db_rows(item, bindings, db)
-            for row in rows:
-                local = match_literal(item, row, bindings, self.registry)
-                if local is not None:
-                    yield from self._solve(items, index + 1, local, db, delta, delta_position)
-            return
-        if isinstance(item, Literal) and item.negated:
-            try:
-                values = tuple(ground_eval(a, self.registry, bindings) for a in item.args)
-            except EvaluationError:
-                return
-            if values not in db.table(item.predicate):
-                yield from self._solve(items, index + 1, bindings, db, delta, delta_position)
-            return
-        if isinstance(item, Assignment):
-            try:
-                value = ground_eval(item.expression, self.registry, bindings)
-            except EvaluationError:
-                return
-            if item.variable in bindings:
-                if bindings[item.variable] == value:
-                    yield from self._solve(items, index + 1, bindings, db, delta, delta_position)
-                return
-            local = dict(bindings)
-            local[item.variable] = value
-            yield from self._solve(items, index + 1, local, db, delta, delta_position)
-            return
-        if isinstance(item, Condition):
-            try:
-                left = ground_eval(item.left, self.registry, bindings)
-                right = ground_eval(item.right, self.registry, bindings)
-            except EvaluationError:
-                return
-            if _compare(item.op, left, right):
-                yield from self._solve(items, index + 1, bindings, db, delta, delta_position)
-            return
-        raise NDlogError(f"unsupported body item {item!r}")
-
-    # ------------------------------------------------------------------
-    # Head instantiation
-    # ------------------------------------------------------------------
     def fire_rule(
         self,
         rule: Rule,
@@ -417,35 +148,15 @@ class RuleEngine:
     ) -> list[RuleFiring]:
         """Evaluate a rule, returning the derived head tuples.
 
-        Dispatches to the rule's cached compiled plan when ``compile_rules``
-        is set, otherwise interprets the AST.  Aggregate rules are recomputed
+        ``delta`` restricts the join semi-naively (at least one positive
+        body literal matches a delta tuple).  Aggregate rules are recomputed
         over the full body (aggregation is not meaningfully incremental for
         ``min``/``max`` under insert-only deltas), grouping per the head's
         non-aggregate attributes.
         """
 
-        if self.compile_rules:
-            view = None
-            if delta is not None:
-                view = delta if isinstance(delta, DeltaIndex) else DeltaIndex(delta)
-            return self.plan_for(rule).fire(db, view)
-        head = rule.head
-        raw_rows: list[tuple] = []
-        effective_delta = None if head.has_aggregate else delta
-        for binding in self.solve_body(rule, db, delta=effective_delta):
-            row = []
-            for arg in head.plain_args():
-                try:
-                    row.append(ground_eval(arg, self.registry, binding))
-                except EvaluationError as exc:
-                    raise NDlogError(
-                        f"rule {rule.name}: cannot evaluate head argument {arg}: {exc}"
-                    ) from exc
-            raw_rows.append(tuple(row))
-        rows = aggregate_rows(head, raw_rows)
-        return [
-            RuleFiring(rule.name, head.predicate, row, head.location) for row in rows
-        ]
+        view = delta if delta is None or isinstance(delta, DeltaIndex) else DeltaIndex(delta)
+        return self.plan_for(rule).fire(db, view)
 
     def fire_rule_rows(
         self,
@@ -461,12 +172,8 @@ class RuleEngine:
         make the ``RuleFiring`` wrapper pure allocation overhead there.
         """
 
-        if self.compile_rules:
-            view = None
-            if delta is not None:
-                view = delta if isinstance(delta, DeltaIndex) else DeltaIndex(delta)
-            return self.plan_for(rule).fire_rows(db, view)
-        return [firing.values for firing in self.fire_rule(rule, db, delta=delta)]
+        view = delta if delta is None or isinstance(delta, DeltaIndex) else DeltaIndex(delta)
+        return self.plan_for(rule).fire_rows(db, view)
 
     def derive(
         self,
@@ -485,31 +192,17 @@ class RuleEngine:
         recomputed and diffed instead.
         """
 
-        if self.compile_rules:
-            view = None
-            if delta is not None:
-                view = delta if isinstance(delta, DeltaIndex) else DeltaIndex(delta)
-            return self.plan_for(rule).fire_derivations(db, view)
-        head = rule.head
-        if head.has_aggregate:
-            raise NDlogError(
-                f"rule {rule.name}: aggregate heads are recomputed, not "
-                "incrementally retracted"
-            )
-        firings: list[RuleFiring] = []
-        for binding in self.solve_body(rule, db, delta=delta):
-            row = []
-            for arg in head.plain_args():
-                try:
-                    row.append(ground_eval(arg, self.registry, binding))
-                except EvaluationError as exc:
-                    raise NDlogError(
-                        f"rule {rule.name}: cannot evaluate head argument {arg}: {exc}"
-                    ) from exc
-            firings.append(
-                RuleFiring(rule.name, head.predicate, tuple(row), head.location)
-            )
-        return firings
+        view = delta if delta is None or isinstance(delta, DeltaIndex) else DeltaIndex(delta)
+        return self.plan_for(rule).fire_derivations(db, view)
+
+
+#: The rule engine class every evaluator builds — :class:`Evaluator`,
+#: :class:`IncrementalEvaluator`, :class:`~repro.dn.engine.DistributedEngine`
+#: and :class:`~repro.dn.shard.ShardWorker` all call
+#: ``RULE_ENGINE(registry)``.  The library never reassigns it; tests swap in
+#: :class:`repro.ndlog.reference.ReferenceEngine` to run a suite against the
+#: reference interpreter (forked shard workers inherit the swap).
+RULE_ENGINE = RuleEngine
 
 
 def _hashable(value: object) -> object:
@@ -537,21 +230,13 @@ class Evaluator:
         program: Program,
         *,
         registry: Optional[FunctionRegistry] = None,
-        use_indexes: bool = True,
-        compile_rules: bool = True,
-        codegen: bool = True,
     ) -> None:
         program.check()
         self.program = program
-        self.engine = RuleEngine(
-            registry,
-            use_indexes=use_indexes,
-            compile_rules=compile_rules,
-            codegen=codegen,
-        )
+        self.engine = RULE_ENGINE(registry)
         self.stratification: Stratification = stratify(program)
-        # Per-program execution state (join plans / body orders) is built
-        # once at load time, not rebuilt per semi-naive pass.
+        # Per-program execution state (generated rule code) is built once at
+        # load time, not rebuilt per semi-naive pass.
         self.engine.precompile(program.rules)
 
     def _prepare_database(self, extra_facts: Iterable[Fact | tuple]) -> Database:
@@ -689,19 +374,11 @@ class IncrementalEvaluator:
         program: Program,
         *,
         registry: Optional[FunctionRegistry] = None,
-        use_indexes: bool = True,
-        compile_rules: bool = True,
-        codegen: bool = True,
         max_rounds: int = 100_000,
     ) -> None:
         program.check()
         self.program = program
-        self.engine = RuleEngine(
-            registry,
-            use_indexes=use_indexes,
-            compile_rules=compile_rules,
-            codegen=codegen,
-        )
+        self.engine = RULE_ENGINE(registry)
         self.stratification: Stratification = stratify(program)
         self.recursive_predicates = DependencyGraph(program).recursive_predicates()
         self.max_rounds = max_rounds
@@ -1074,17 +751,8 @@ def evaluate(
     extra_facts: Iterable[Fact | tuple] = (),
     *,
     registry: Optional[FunctionRegistry] = None,
-    use_indexes: bool = True,
-    compile_rules: bool = True,
-    codegen: bool = True,
 ) -> Database:
     """Convenience wrapper: evaluate and return just the database."""
 
-    db, _ = Evaluator(
-        program,
-        registry=registry,
-        use_indexes=use_indexes,
-        compile_rules=compile_rules,
-        codegen=codegen,
-    ).run(extra_facts)
+    db, _ = Evaluator(program, registry=registry).run(extra_facts)
     return db

@@ -442,7 +442,7 @@ class Table:
     def probe_iter(
         self, positions: tuple[int, ...], values: tuple
     ) -> Iterable[tuple]:
-        """Zero-copy variant of :meth:`probe` for compiled join plans.
+        """Zero-copy variant of :meth:`probe`.
 
         Returns a live view of the matching index bucket; callers must not
         mutate the table while iterating (the evaluators collect all firings
@@ -556,7 +556,7 @@ class Database:
         """The predicate's table if one exists, else ``None``.
 
         Unlike :meth:`table` this never materializes an empty table; the
-        generated-code tier uses it to hoist ``index_on`` lookups out of
+        generated rule code uses it to hoist ``index_on`` lookups out of
         its probe loops.
         """
 
@@ -582,25 +582,6 @@ class Database:
 
     def rows(self, predicate: str) -> list[tuple]:
         return self.table(predicate).rows() if predicate in self._tables else []
-
-    def probe(
-        self, predicate: str, positions: Sequence[int], values: Sequence[object]
-    ) -> list[tuple]:
-        """Indexed lookup of a predicate's rows by argument positions."""
-
-        if predicate not in self._tables:
-            return []
-        return self._tables[predicate].probe(positions, values)
-
-    def probe_iter(
-        self, predicate: str, positions: tuple[int, ...], values: tuple
-    ) -> Iterable[tuple]:
-        """Zero-copy indexed lookup (see :meth:`Table.probe_iter`)."""
-
-        table = self._tables.get(predicate)
-        if table is None:
-            return ()
-        return table.probe_iter(positions, values)
 
     def expire(self, now: float) -> dict[str, list[tuple]]:
         """Expire soft state in every table; returns removed rows per predicate."""

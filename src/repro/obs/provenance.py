@@ -10,7 +10,7 @@ got before failing for a row that does *not* exist.
 
 Provenance is reconstructed **after the fact** rather than recorded
 during evaluation: runtime recording would thread extra state through the
-compiled join plans and the shard replay channel, risking exactly the
+generated rule code and the shard replay channel, risking exactly the
 fingerprint perturbation the observability contract forbids.  Instead we
 
 1. build a *union database* of every node's replica tables (sound for
@@ -20,10 +20,10 @@ fingerprint perturbation the observability contract forbids.  Instead we
 2. unify the target row with each candidate rule head (aggregate head
    arguments unify through their underlying variable, so for
    ``min<C>`` heads only min-achieving bodies survive);
-3. enumerate supporting body bindings with the *interpreted* solver
-   (``compile_rules=False`` — the only path that honors initial
-   bindings), and recurse into the ground rows of positive body
-   literals.
+3. enumerate supporting body bindings with the reference interpreter
+   (:class:`~repro.ndlog.reference.ReferenceEngine` — the evaluator that
+   honors initial bindings and solves body prefixes), and recurse into the
+   ground rows of positive body literals.
 
 Leaves are **base facts**: predicates protected by the executor
 (externally injected) or predicates no rule derives.  Memoization, cycle
@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 from ..logic.bmc import EvaluationError, ground_eval
 from ..logic.terms import Const, Var
 from ..ndlog.ast import Literal, Rule
-from ..ndlog.seminaive import RuleEngine
+from ..ndlog.reference import ReferenceEngine
 from ..ndlog.store import Database
 
 #: Wildcard marker accepted in ``why_not`` target values (``None`` on the
@@ -133,7 +133,7 @@ class _Explainer:
         for rule in engine.program.rules:
             self.rules_by_head.setdefault(rule.head.predicate, []).append(rule)
         self.protected = set(getattr(engine.executor, "_protected", ()))
-        self.interp = RuleEngine(engine.registry, use_indexes=False, compile_rules=False)
+        self.interp = ReferenceEngine(engine.registry)
         self.max_depth = max_depth
         self.max_derivations = max_derivations
         self._memo: dict[tuple, dict] = {}
@@ -218,11 +218,11 @@ class _Explainer:
                 attempts.append({"rule": rule.name, "unifies": False})
                 continue
             initial, _ = unified
-            ordered = self.interp._ordered_body(rule)
+            ordered = self.interp.ordered_body(rule)
             satisfied = 0
             blocking = None
             for k in range(1, len(ordered) + 1):
-                solutions = self.interp._solve(ordered[:k], 0, dict(initial), self.db, None, -1)
+                solutions = self.interp.solve_items(ordered[:k], self.db, initial)
                 if next(solutions, None) is None:
                     blocking = str(ordered[k - 1])
                     break

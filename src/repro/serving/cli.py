@@ -72,12 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--partition", default="hash", help="node partition strategy (hash|metis-lite)"
     )
     serve.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help="run on closure-compiled join plans instead of the generated-"
-        "code evaluator tier (fingerprint-identical, slower)",
-    )
-    serve.add_argument(
         "--refresh-interval",
         type=float,
         default=None,
@@ -212,7 +206,6 @@ def _serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         shards=args.shards,
         partition=args.partition,
-        codegen=not args.no_codegen,
         refresh_interval=args.refresh_interval,
         soft_state=soft_state,
         sim_step=args.sim_step,

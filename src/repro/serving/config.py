@@ -48,11 +48,6 @@ class ServerConfig:
     shards: int = 1
     #: Node→shard assignment strategy (``"hash"`` or ``"metis-lite"``).
     partition: str = "hash"
-    #: Run rules on the code-generation evaluator tier (specialized Python
-    #: source per rule); False stops at closure-compiled join plans.  The
-    #: tiers are fingerprint-identical, so this is restart-safe in effect,
-    #: but it is persisted with the boot record like every engine knob.
-    codegen: bool = True
     #: Periodic soft-state refresh interval for base facts (None disables).
     refresh_interval: Optional[float] = None
     #: Soft-state lifetime overrides, predicate → lifetime seconds.

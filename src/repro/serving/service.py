@@ -154,7 +154,6 @@ class RouteService:
             max_events=self.config.settle_max_events,
             shards=self.config.shards,
             partition=self.config.partition,
-            codegen=self.config.codegen,
         )
 
     def _boot(self) -> None:

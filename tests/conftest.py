@@ -9,10 +9,13 @@ executions are equal under v1 iff they are equal under fp2.
 ``retract_dropping_engine`` is the adversarial engine of the lossy-retraction
 and monitor suites: its channel loses every ``retract`` message.
 
-``rule_tier`` parametrizes a test over the rule-evaluation tiers beneath the
-engine's one execution mode (generated code, closure-compiled plans, the AST
-interpreter, scan joins).  The tiers are trace-fingerprint-identical, so a
-claim that holds on one must hold on all of them.
+``rule_tier`` parametrizes a test over the two rule evaluators: generated
+code (what every engine runs) and the reference interpreter it is checked
+against.  Each parameter installs its evaluator as
+``repro.ndlog.seminaive.RULE_ENGINE`` for the test's duration — the one
+attribute every evaluator, engine and forked shard worker builds its rule
+engine from.  The two are trace-fingerprint-identical, so a claim that
+holds on one must hold on the other.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ import pytest
 
 from repro.dn.engine import DistributedEngine
 from repro.dn.trace import Trace
+from repro.ndlog import seminaive
+from repro.ndlog.reference import ReferenceEngine
 
 
 def _fingerprint_v1(trace: Trace) -> str:
@@ -107,18 +112,17 @@ def retract_dropping_engine():
     return RetractDroppingEngine
 
 
-#: ``EngineConfig`` overrides selecting each rule-evaluation tier
+#: the rule engine class each ``rule_tier`` parameter installs
 RULE_TIERS = {
-    "codegen": {},
-    "closures": {"codegen": False},
-    "interpreted": {"compile_rules": False},
-    "scan-join": {"use_indexes": False},
+    "codegen": seminaive.RuleEngine,
+    "reference": ReferenceEngine,
 }
 
 
 @pytest.fixture(params=list(RULE_TIERS))
-def rule_tier(request) -> dict:
-    """One tier's ``EngineConfig`` overrides; narrow the set with
-    ``@pytest.mark.parametrize("rule_tier", [...], indirect=True)``."""
+def rule_tier(request, monkeypatch) -> str:
+    """Run the test on one rule evaluator; returns its name.  Narrow the set
+    with ``@pytest.mark.parametrize("rule_tier", [...], indirect=True)``."""
 
-    return RULE_TIERS[request.param]
+    monkeypatch.setattr(seminaive, "RULE_ENGINE", RULE_TIERS[request.param])
+    return request.param

@@ -7,8 +7,8 @@ the state is *soft*, the paper's own remedy (§4.2): un-refreshed rows expire
 within their lifetime, so dropped retractions bound staleness instead of
 leaking it.
 
-These tests pin that contract, on the generated-code and interpreted rule
-tiers:
+These tests pin that contract, on generated code and on the reference
+rule interpreter:
 
 * ``loss=0`` on a loss-configured channel is exactly the reliable-channel
   fixpoint;
@@ -19,7 +19,6 @@ tiers:
   probabilistic loss, where both asserts and retracts are dropped.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,14 +56,12 @@ def dead_edge_rows(engine, src, dst) -> list[tuple]:
     return stale
 
 
-TIERS = pytest.mark.parametrize("rule_tier", ["codegen", "interpreted"], indirect=True)
-
 REFRESH = 2.5  # > LIFETIME: base facts expire and re-announce, so derived
 #              soft state oscillates through expiry/re-derivation cycles and
 #              live routes keep coming back while dead ones cannot
 
 
-def run_with_failure(engine_cls, *, soft, seed=0, size=8, until=11.0, **tier):
+def run_with_failure(engine_cls, *, soft, seed=0, size=8, until=11.0):
     scenario = generate_scenario("tree", size=size, seed=seed)
     link = scenario.topology.up_links()[0]
     config = EngineConfig(
@@ -73,7 +70,6 @@ def run_with_failure(engine_cls, *, soft, seed=0, size=8, until=11.0, **tier):
         # re-announcement keeps live soft state coming back; stale rows
         # whose sources died are never re-announced and must expire
         refresh_interval=REFRESH if soft else None,
-        **tier,
     )
     engine = engine_cls(pv_program(soft), scenario.topology, config=config)
     engine.seed_facts()
@@ -84,11 +80,10 @@ def run_with_failure(engine_cls, *, soft, seed=0, size=8, until=11.0, **tier):
 
 
 class TestLossZeroMatchesReliable:
-    @TIERS
     def test_loss_zero_equals_reliable_fixpoint(self, rule_tier):
         reliable = generate_scenario("tree", size=10, seed=5)
         lossy_configured = generate_scenario("tree", size=10, seed=5, loss=0.0)
-        config = EngineConfig(seed=5, **rule_tier)
+        config = EngineConfig(seed=5)
         a = DistributedEngine(pv_program(False), reliable.topology, config=config)
         a.run()
         b = DistributedEngine(
@@ -101,15 +96,13 @@ class TestLossZeroMatchesReliable:
 
 
 class TestDroppedRetractions:
-    @TIERS
     def test_hard_state_goes_permanently_stale(self, retract_dropping_engine, rule_tier):
-        engine, link = run_with_failure(retract_dropping_engine, soft=False, **rule_tier)
+        engine, link = run_with_failure(retract_dropping_engine, soft=False)
         assert engine.channel.dropped > 0
         assert dead_edge_rows(engine, link.src, link.dst)
 
-    @TIERS
     def test_soft_state_expiry_bounds_the_staleness(self, retract_dropping_engine, rule_tier):
-        engine, link = run_with_failure(retract_dropping_engine, soft=True, **rule_tier)
+        engine, link = run_with_failure(retract_dropping_engine, soft=True)
         assert engine.channel.dropped > 0  # retractions were genuinely lost
         # by failure + lifetime + scan the stale rows must have expired
         assert engine.scheduler.now >= 1.0 + LIFETIME + SCAN

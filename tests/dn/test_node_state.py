@@ -5,7 +5,7 @@ View memos are not exported.  ``load_state`` rebuilds each one by re-firing
 its aggregate rule against the restored rows and index buckets, and the
 rebuilt memo must iterate in the live memo's order: ``diff_rows`` emits
 retractions in that order, so a reordered memo reorders the trace.  The
-round trip must hold under every rule tier, leave the node's stats alone,
+round trip must hold under either rule evaluator, leave the node's stats alone,
 and put the captured index buckets back over any the rebuild built lazily.
 """
 
@@ -18,7 +18,7 @@ from repro.scenarios import generate_scenario
 pytestmark = pytest.mark.usefixtures("fp_agreement")
 
 
-def churned_engine(family: str = "power_law", size: int = 16, seed: int = 2, **tier):
+def churned_engine(family: str = "power_law", size: int = 16, seed: int = 2):
     """A gao_rexford engine with churn scheduled: ``(engine, policy facts)``."""
 
     scenario = generate_scenario(
@@ -32,7 +32,7 @@ def churned_engine(family: str = "power_law", size: int = 16, seed: int = 2, **t
     engine = create_engine(
         policy_path_vector_program(),
         scenario.topology,
-        config=EngineConfig(seed=seed, max_events=10_000_000, **tier),
+        config=EngineConfig(seed=seed, max_events=10_000_000),
     )
     scenario.churn.apply_to_engine(engine)
     return engine, scenario.policy_fact_list()
@@ -52,7 +52,7 @@ def test_export_leaves_view_memos_out():
 
 @pytest.mark.parametrize("family", ["tree", "power_law"])
 def test_rebuilt_memos_iterate_in_live_order(family, rule_tier):
-    engine, facts = churned_engine(family, **rule_tier)
+    engine, facts = churned_engine(family)
     assert engine.run(until=30.0, extra_facts=facts).quiescent
     for node_id, node in engine.nodes.items():
         live = memo_orders(node)
@@ -75,11 +75,11 @@ def test_round_trip_between_runs_leaves_the_trace_unchanged(rule_tier):
     """Round-tripping every node between two ``run`` calls — with churn
     still to come — must not move the final fingerprint."""
 
-    uninterrupted, facts = churned_engine(**rule_tier)
+    uninterrupted, facts = churned_engine()
     expected = uninterrupted.run(until=30.0, extra_facts=facts)
     assert expected.quiescent
 
-    engine, facts = churned_engine(**rule_tier)
+    engine, facts = churned_engine()
     engine.run(until=1.5, extra_facts=facts)
     assert not engine.in_fixpoint
     for node in engine.nodes.values():

@@ -233,21 +233,16 @@ class TestRestoreAndCostChange:
 
 
 class TestExecutionPathMatrix:
-    @pytest.mark.parametrize(
-        "overrides",
-        [dict(codegen=False), dict(compile_rules=False), dict(use_indexes=False)],
-        ids=["closures", "interpreted", "scan-join"],
-    )
-    def test_failure_retraction_across_paths(self, overrides):
-        config = EngineConfig(**overrides)
-        engine = DistributedEngine(pv_program(), triangle(), config=config)
+    @pytest.mark.parametrize("rule_tier", ["reference"], indirect=True)
+    def test_failure_retraction_across_paths(self, rule_tier):
+        engine = DistributedEngine(pv_program(), triangle())
         engine.seed_facts()
         engine.schedule_link_failure("a", "b", at=1.0)
         trace = engine.run()
         assert trace.quiescent
         after = triangle()
         after.fail_link("a", "b")
-        assert nonempty(engine.global_snapshot()) == fresh_snapshot(after, config=config)
+        assert nonempty(engine.global_snapshot()) == fresh_snapshot(after)
 
 
 class TestFifoOpOrdering:
@@ -257,12 +252,7 @@ class TestFifoOpOrdering:
     r2 b(@M,V) :- k(@N,V), link(@N,M,C).
     """
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [dict(), dict(codegen=False), dict(compile_rules=False), dict(use_indexes=False)],
-        ids=["batched", "closures", "interpreted", "scan-join"],
-    )
-    def test_same_flush_assert_then_retract_cancels_in_order(self, overrides):
+    def test_same_flush_assert_then_retract_cancels_in_order(self, rule_tier):
         # regression (PR 3 review): a keyed displacement at node 1 ships an
         # assert of b(2,v1) and then its retract; both land in one flush at
         # node 2.  A deletions-first batch round processed the retract
@@ -271,7 +261,6 @@ class TestFifoOpOrdering:
         engine = DistributedEngine(
             parse_program(self.SOURCE, "fifo"),
             Topology.from_edges([(1, 2, 1)]),
-            config=EngineConfig(**overrides),
         )
         engine.seed_facts()
         engine.schedule_fact("a", (1, "v1"), at=1.0)

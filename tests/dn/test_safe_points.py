@@ -4,8 +4,8 @@ Mid-fixpoint the database is deliberately inconsistent (deletion deltas
 fire against the old tables, aggregate memos lag the rows), so
 ``inject_fact`` / ``delete_fact`` / ``refresh_soft_state`` raise
 ``NDlogError`` while a node fixpoint is executing — in a node's drain and
-in the sharded coordinator's replay of one, whichever rule tier fires the
-rules — and a rejected injection leaves the trace byte-identical to an
+in the sharded coordinator's replay of one, whichever rule evaluator fires
+the rules — and a rejected injection leaves the trace byte-identical to an
 undisturbed run.
 The scheduler itself refuses re-entrant ``run`` calls.
 """
@@ -23,7 +23,8 @@ ENGINES = [
     pytest.param(dict(), id="single"),
     pytest.param(dict(shards=2, shard_transport="inline"), id="sharded"),
 ]
-TIERS = pytest.mark.parametrize("rule_tier", ["codegen", "interpreted"], indirect=True)
+#: applied outermost, so the evaluator stays the last test-id component
+TIERS = pytest.mark.parametrize("rule_tier", ["codegen", "reference"], indirect=True)
 
 
 def square() -> Topology:
@@ -80,7 +81,6 @@ class TestMidFixpointRefusal:
     def test_every_engine_refuses_and_trace_is_undisturbed(
         self, config, operation, rule_tier
     ):
-        config = {**config, **rule_tier}
         clean = build_engine(**config)
         clean.run()
         clean_fingerprint = clean.trace.fingerprint()
@@ -112,7 +112,7 @@ class TestMidFixpointRefusal:
     @TIERS
     @pytest.mark.parametrize("config", ENGINES)
     def test_safe_point_updates_work_between_runs(self, config, rule_tier):
-        engine = build_engine(**config, **rule_tier)
+        engine = build_engine(**config)
         engine.run()
         assert not engine.in_fixpoint
         engine.inject_fact("link", ("a", "c", 1.0))
@@ -126,7 +126,7 @@ class TestMidFixpointRefusal:
     @TIERS
     @pytest.mark.parametrize("config", ENGINES)
     def test_schedule_fact_delete_lands_at_its_time(self, config, rule_tier):
-        engine = build_engine(**config, **rule_tier)
+        engine = build_engine(**config)
         engine.schedule_fact_delete("link", ("a", "d", 5.0), at=1.0)
         engine.run()
         assert ("a", "d", 5.0) not in engine.rows("link", "a")

@@ -7,8 +7,8 @@ node queues in list order.  Everything observable must be exactly what the
 per-fact path produced: ``events_processed``, ``quiescent``, where a
 ``max_events`` cut-off lands inside the burst, what a resumed ``run()``
 does, the place of other ``t=0`` events relative to the burst, and every
-fingerprint — on 1 shard, 2 inline shards, process shards, every rule tier,
-and through a serving boot + SIGKILL recovery.
+fingerprint — on 1 shard, 2 inline shards, process shards, the reference
+rule interpreter, and through a serving boot + SIGKILL recovery.
 
 Every literal in :data:`PINS` was computed at the parent commit (per-fact
 seeding) *before* the change, by running this module's own builders; a
@@ -182,15 +182,14 @@ def test_t0_events_keep_their_place(pin, seed_first, what, shards):
 
 
 # ----------------------------------------------------------------------
-# (c) the other rule tiers, real worker processes, the daemon
+# (c) the reference rule interpreter, real worker processes, the daemon
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize(
-    "rule_tier", ["closures", "interpreted", "scan-join"], indirect=True
-)
+@pytest.mark.parametrize("rule_tier", ["reference"], indirect=True)
 def test_rule_tier_cell(rule_tier, shards):
-    # the tiers are fingerprint-identical: each lands on the pinned value
-    engine, facts = small_engine(shards, **rule_tier)
+    # generated code and the reference are fingerprint-identical: the
+    # reference lands on the pinned value too
+    engine, facts = small_engine(shards)
     engine.seed_facts(facts)
     assert finish(engine) == PINS["small"]["fingerprint"]
     assert engine.trace.events_processed == PINS["small"]["events"]

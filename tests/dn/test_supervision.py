@@ -43,10 +43,8 @@ def execute(
     shard_restarts=2,
     shard_timeout=None,
     until=12.0,
-    **tier,
 ):
-    """One sharded run (optionally under a fault plan) → observables;
-    ``tier`` holds rule-tier overrides."""
+    """One sharded run (optionally under a fault plan) → observables."""
 
     scenario = generate_scenario(
         "tree",
@@ -67,7 +65,6 @@ def execute(
         shard_restarts=shard_restarts,
         shard_timeout=shard_timeout,
         refresh_interval=1.5 if soft else None,
-        **tier,
     )
     engine = create_engine(program, scenario.topology, config=config)
     assert isinstance(engine, ShardedEngine)
@@ -98,11 +95,10 @@ class TestKillResyncIdentity:
 
     def test_kill_mid_fixpoint_matches_fault_free(self, rule_tier):
         # the resync re-fires aggregate rules to rebuild view memos, so the
-        # respawned worker must match under every rule tier
-        control = execute(**rule_tier)
+        # respawned worker must match under either rule evaluator
+        control = execute()
         faulted = execute(
             faults=FaultPlan((Fault(kind="kill_worker", scope=ANY_SCOPE, at=5),)),
-            **rule_tier,
         )
         assert faulted["injected"], "the fault never fired"
         assert sum(faulted["restarts"]) >= 1

@@ -43,7 +43,7 @@ def active_keys(monitor):
 class TestHookPlumbing:
     def test_clean_run_mirror_matches_engine_state(self, rule_tier):
         monitors = standard_monitors()
-        engine, _ = pv_engine(config=EngineConfig(seed=3, **rule_tier), monitors=monitors)
+        engine, _ = pv_engine(config=EngineConfig(seed=3), monitors=monitors)
         trace = engine.run()
         engine.finalize_monitors()
         assert trace.quiescent
@@ -57,7 +57,7 @@ class TestHookPlumbing:
 
     def test_clean_convergence_has_no_violations(self, rule_tier):
         monitors = standard_monitors()
-        engine, _ = pv_engine(config=EngineConfig(seed=1, **rule_tier), monitors=monitors)
+        engine, _ = pv_engine(config=EngineConfig(seed=1), monitors=monitors)
         engine.run()
         engine.finalize_monitors()
         for monitor in monitors:

@@ -190,15 +190,16 @@ class TestCampaigns:
         """The headline contrast, at campaign scale: on a reliable channel
         retraction reaches the fresh fixpoint (no stale routes); on a lossy
         one, lost retract messages leave stale hard state that the monitors
-        flag when churn strikes.  The evaluator-tier override of the engine
-        axis changes nothing a record measures."""
+        flag when churn strikes.  An engine-axis override this program never
+        exercises (it has no soft-state table to scan) changes nothing a
+        record measures."""
 
         spec = small_spec(
             seeds=(0, 1),
             churn_events=(2,),
             churn_restore_delay=None,  # failures are permanent: staleness shows
             loss=(0.0, 0.3),
-            engine=({}, {"codegen": False}),
+            engine=({}, {"expiry_scan_interval": 0.5}),
         )
         result = run_campaign(spec, tmp_path / "out")
         cells = {}

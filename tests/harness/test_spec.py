@@ -19,7 +19,7 @@ class TestExpansion:
             seeds=(0, 1, 2),
             churn_events=(0, 2),
             loss=(0.0, 0.05),
-            engine=({}, {"codegen": False}),
+            engine=({}, {"max_events": 1_000}),
         )
         descriptors = spec.expand()
         assert spec.run_count == 2 * 2 * 2 * 3 * 2 * 2 * 2
@@ -43,22 +43,23 @@ class TestExpansion:
     def test_descriptor_round_trips_through_json(self):
         descriptor = CampaignSpec(
             name="rt",
-            engine=({"codegen": False},),
+            engine=({"expiry_scan_interval": 0.25},),
             soft_state={"link": 5.0},
         ).expand()[0]
         rebuilt = RunDescriptor.from_dict(json.loads(json.dumps(descriptor.to_dict())))
         assert rebuilt == descriptor
         config = rebuilt.engine_config()
-        assert config.codegen is False
+        assert config.expiry_scan_interval == 0.25
         assert config.seed == descriptor.seed
 
     def test_engine_matrix_produces_distinct_configs(self):
         spec = CampaignSpec(
-            name="engines", engine=({}, {"compile_rules": False, "use_indexes": False})
+            name="engines", engine=({}, {"max_events": 1_000, "expiry_scan_interval": 0.25})
         )
         configs = [d.engine_config() for d in spec.expand()]
-        assert configs[0].compile_rules is True
-        assert configs[1].compile_rules is False and configs[1].use_indexes is False
+        assert configs[0].max_events == spec.max_events
+        assert configs[0].expiry_scan_interval == 1.0
+        assert configs[1].max_events == 1_000 and configs[1].expiry_scan_interval == 0.25
 
 
 class TestValidation:
@@ -79,8 +80,15 @@ class TestValidation:
             CampaignSpec(name="bad", engine=({"warp_speed": True},))
 
     def test_removed_execution_mode_fields_rejected(self):
-        # the engine has one execution mode; specs naming the old switches fail
-        for field_name in ("batch_deltas", "retract_derivations"):
+        # the engine has one execution mode and one rule evaluator; specs
+        # naming the old switches fail
+        for field_name in (
+            "batch_deltas",
+            "retract_derivations",
+            "use_indexes",
+            "compile_rules",
+            "codegen",
+        ):
             with pytest.raises(SpecError, match="unknown EngineConfig fields"):
                 CampaignSpec(name="bad", engine=({field_name: False},))
 
@@ -164,7 +172,7 @@ class TestShardsAxis:
     def test_shards_axis_merges_into_engine_overrides(self):
         spec = spec_from_mapping(
             {"name": "y", "families": ["tree"], "sizes": [8], "seeds": [0],
-             "shards": [1, 4], "engine": [{}, {"codegen": False}]}
+             "shards": [1, 4], "engine": [{}, {"expiry_scan_interval": 0.5}]}
         )
         descriptors = spec.expand()
         assert spec.run_count == len(descriptors) == 4

@@ -3,12 +3,12 @@
 ``tests/ndlog/corpus/*.ndl`` holds the bundled paper programs (path vector,
 distance vector, link state, heartbeat, the generated policy path vector)
 plus edge-case texts (negation, aggregates, duplicate variables, soft
-state, a rule the generator cannot lower).  For each text the suite pins
+state, a dead plan).  For each text the suite pins
 
 * ``<name>.parse.txt`` — a deterministic dump of the parsed AST, and
 * ``<name>.codegen.txt`` — the specialized Python source the code
   generator emits (:func:`repro.ndlog.codegen.emit_program_source`),
-  fallback rules included as annotated comments,
+  dead plans included as their no-op body functions,
 
 so any change to parser output or generated code shows up as a reviewable
 diff.  Regenerate with ``pytest --update-goldens tests/ndlog`` and review
@@ -72,13 +72,13 @@ def test_codegen_source_golden(ndl, update_goldens):
 
 
 def test_fallback_entry_actually_falls_back():
-    """The corpus keeps at least one rule on the compiled-plan fallback so
-    the NDL501 path stays covered by the goldens."""
+    """The corpus keeps one dead plan so the generator's no-op lowering of
+    it stays covered by the goldens."""
 
     program = parse_program((CORPUS_DIR / "fallback.ndl").read_text(), "fallback")
     source = emit_program_source(program, builtin_registry())
-    assert "falls back to compiled plan" in source
-    # the fallback rule still evaluates (to nothing — its plan is dead)
-    db = evaluate(program, [("e", (1, 2, 3))], codegen=True)
+    assert "# dead plan:" in source
+    # the dead rule loads and evaluates — to nothing
+    db = evaluate(program, [("e", (1, 2, 3))])
     assert db.rows("p") == [(1, 2)]
     assert db.rows("q") == []

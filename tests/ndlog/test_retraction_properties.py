@@ -4,9 +4,9 @@ The incremental evaluator must be invisible: for any program and any
 interleaved insert/delete sequence over base facts, the database kept at
 fixpoint by :class:`~repro.ndlog.seminaive.IncrementalEvaluator` has to
 equal the from-scratch fixpoint of the surviving facts — across recursion,
-negation, aggregation, compiled and interpreted join paths, and indexed and
-scan-join matching.  Randomized programs/operation sequences come from
-hypothesis strategies.
+negation and aggregation, on generated code and on the reference
+interpreter.  Randomized programs/operation sequences come from hypothesis
+strategies.
 """
 
 import pytest
@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 
 from repro.ndlog.ast import NDlogError
 from repro.ndlog.parser import parse_program
-from repro.ndlog.plan import (
-    NEGATION_DELTA_SUFFIX,
-    compile_rule,
-    negation_delta_rules,
-)
+from repro.ndlog.codegen import codegen_rule
 from repro.ndlog.functions import builtin_registry
+from repro.ndlog.plan import NEGATION_DELTA_SUFFIX, negation_delta_rules
 from repro.ndlog.seminaive import IncrementalEvaluator, evaluate
 from repro.ndlog.store import Table
 from repro.protocols.pathvector import path_vector_program
@@ -41,7 +38,7 @@ operations = st.lists(
     st.tuples(st.sampled_from(["insert", "delete"]), edge), min_size=1, max_size=25
 )
 
-#: The rule templates of the indexed/compiled property suites: recursion
+#: The rule templates of the conformance suite: recursion
 #: (cost-bounded, hence well-founded), constants, conditions, negation,
 #: aggregation, repeated variables.
 RULE_TEMPLATES = [
@@ -96,13 +93,11 @@ def apply_ops(inc: IncrementalEvaluator, ops) -> set:
     return facts
 
 
-def assert_matches_scratch(source: str, ops, **kwargs) -> None:
-    inc = IncrementalEvaluator(parse_program(source, "incremental"), **kwargs)
+def assert_matches_scratch(source: str, ops) -> None:
+    inc = IncrementalEvaluator(parse_program(source, "incremental"))
     inc.load()
     facts = apply_ops(inc, ops)
-    scratch = evaluate(
-        parse_program(source, "scratch"), [("e", f) for f in facts], **kwargs
-    )
+    scratch = evaluate(parse_program(source, "scratch"), [("e", f) for f in facts])
     assert nonempty(inc.db.snapshot()) == nonempty(scratch.snapshot())
 
 
@@ -119,13 +114,9 @@ class TestIncrementalMatchesScratch:
 
     @settings(max_examples=20, deadline=None)
     @given(source=programs, ops=operations)
-    def test_randomized_programs_interpreted(self, source, ops):
-        assert_matches_scratch(source, ops, compile_rules=False)
-
-    @settings(max_examples=20, deadline=None)
-    @given(source=programs, ops=operations)
-    def test_randomized_programs_scan_join(self, source, ops):
-        assert_matches_scratch(source, ops, use_indexes=False)
+    def test_randomized_programs_reference(self, source, ops, reference_rules):
+        with reference_rules():
+            assert_matches_scratch(source, ops)
 
     @settings(max_examples=25, deadline=None)
     @given(ops=operations)
@@ -241,7 +232,7 @@ class TestDerivationCounts:
 
 
 # ---------------------------------------------------------------------------
-# Compiled retraction variants
+# Generated retraction variants
 # ---------------------------------------------------------------------------
 
 
@@ -251,7 +242,7 @@ class TestRetractionPlans:
         # fire_derivations must report both supports
         program = parse_program("h(@X,Z) :- e(@X,Y), e(@Y,Z).")
         rule = program.rules[0]
-        compiled = compile_rule(rule, builtin_registry())
+        compiled = codegen_rule(rule, builtin_registry())
         from repro.ndlog.store import Database
 
         db = Database()
@@ -264,7 +255,7 @@ class TestRetractionPlans:
 
     def test_fire_derivations_rejects_aggregates(self):
         program = parse_program("m(@X,min<C>) :- e(@X,Y,C).")
-        compiled = compile_rule(program.rules[0], builtin_registry())
+        compiled = codegen_rule(program.rules[0], builtin_registry())
         with pytest.raises(NDlogError, match="recomputed"):
             compiled.fire_derivations(None)
 
@@ -274,7 +265,7 @@ class TestRetractionPlans:
         variants = negation_delta_rules(rule)
         assert [pred for pred, _ in variants] == ["q"]
         variant = variants[0][1]
-        compiled = compile_rule(variant, builtin_registry())
+        compiled = codegen_rule(variant, builtin_registry())
         from repro.ndlog.seminaive import DeltaIndex
         from repro.ndlog.store import Database
 

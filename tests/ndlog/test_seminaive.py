@@ -114,10 +114,10 @@ class TestComparisonErrors:
 
     def test_uncomparable_operands_name_both_types(self):
         from repro.logic.bmc import EvaluationError
-        from repro.ndlog.seminaive import _compare
+        from repro.ndlog.plan import comparison_fn
 
         with pytest.raises(EvaluationError, match="str and int"):
-            _compare("<=", "s", 3)
+            comparison_fn("<=")("s", 3)
 
     def test_equality_on_mixed_types_still_works(self):
         # = and /= are defined for any operand pair; only orderings raise

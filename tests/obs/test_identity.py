@@ -4,7 +4,7 @@ Metrics and tracing read clocks and bump counters but never touch the
 scheduler, channel RNG, or replay streams — so ``Trace.fingerprint()``
 and every deterministic observable must match exactly between a run with
 the whole subsystem on and the same run with it off, on the single-process
-engine under every rule tier, a 4-way sharded coordinator, and serving
+engine under either rule evaluator, a 4-way sharded coordinator, and serving
 crash recovery."""
 
 import json
@@ -43,9 +43,8 @@ def set_obs(on: bool) -> None:
         tracing.disable()
 
 
-def run_once(*, obs: bool, shards=1, **tier) -> dict:
-    """One churn+loss run → every deterministic observable; ``tier`` holds
-    rule-tier overrides."""
+def run_once(*, obs: bool, shards=1) -> dict:
+    """One churn+loss run → every deterministic observable."""
 
     set_obs(obs)
     scenario = generate_scenario(
@@ -57,7 +56,7 @@ def run_once(*, obs: bool, shards=1, **tier) -> dict:
         churn_restore_delay=1.0,
         loss=0.01,
     )
-    config = EngineConfig(seed=0, shards=shards, shard_transport="inline", **tier)
+    config = EngineConfig(seed=0, shards=shards, shard_transport="inline")
     engine = create_engine(
         policy_path_vector_program(), scenario.topology, config=config
     )
@@ -82,8 +81,8 @@ def run_once(*, obs: bool, shards=1, **tier) -> dict:
 
 class TestEngineIdentity:
     def test_obs_on_matches_obs_off(self, rule_tier):
-        plain = run_once(obs=False, **rule_tier)
-        observed = run_once(obs=True, **rule_tier)
+        plain = run_once(obs=False)
+        observed = run_once(obs=True)
         # the instrumented run must actually have recorded something...
         recorded = metrics.registry().export()
         assert recorded["counters"].get("engine.events", 0) > 0

@@ -194,9 +194,10 @@ class TestCrossValidation:
         assert project(engine.rows("bestPath")) == project(central.rows("bestPath"))
 
     @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_indexed_matches_naive_on_scenarios(self, family):
+    def test_indexed_matches_naive_on_scenarios(self, family, reference_rules):
         scenario = generate_scenario(family, **self.FAMILIES[family])
         program = path_vector_program()
-        indexed = evaluate(program, scenario.link_facts(), use_indexes=True)
-        naive = evaluate(program, scenario.link_facts(), use_indexes=False)
+        indexed = evaluate(program, scenario.link_facts())
+        with reference_rules():
+            naive = evaluate(program, scenario.link_facts())
         assert indexed.snapshot() == naive.snapshot()

@@ -2,6 +2,7 @@
 recovery all reach byte-identical ``Trace.fingerprint()`` state."""
 
 import hashlib
+import json
 import pickle
 import random
 import struct
@@ -9,6 +10,7 @@ import struct
 import pytest
 
 from repro.dn.trace import Trace
+from repro.harness.records import canonical_json
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 from repro.serving.checkpoint import (
@@ -20,7 +22,7 @@ from repro.serving.checkpoint import (
     restore_engine,
     seal_snapshot,
 )
-from repro.serving.service import LEDGER_NAME, SNAPSHOT_NAME
+from repro.serving.service import BOOT_NAME, LEDGER_NAME, SNAPSHOT_NAME
 
 COMPACT = Trace.compact
 
@@ -340,6 +342,26 @@ class TestRecovery:
             assert recovered.config.topo_seed == 0
         finally:
             recovered.close()
+
+    def test_state_dir_stamped_with_the_removed_codegen_knob(self, tmp_path):
+        """A state dir written while ``ServerConfig`` still had a ``codegen``
+        field: its boot record and its snapshot's config stamp both carry
+        ``"codegen": true``.  The boot record still loads — ``from_dict``
+        ignores the unknown key — but the stamp no longer equals the live
+        config, so recovery takes full ledger replay, and lands on the live
+        fingerprint."""
+
+        live = run_durable(durable_config(tmp_path))
+        state = tmp_path / "state"
+        boot = json.loads((state / BOOT_NAME).read_text())
+        boot["config"]["codegen"] = True
+        (state / BOOT_NAME).write_text(canonical_json(boot) + "\n")
+        snapshot = open_snapshot((state / SNAPSHOT_NAME).read_bytes())
+        snapshot["config"]["codegen"] = True
+        (state / SNAPSHOT_NAME).write_bytes(seal_snapshot(snapshot))
+
+        assert ServerConfig.from_dict(boot["config"]) == durable_config(tmp_path)
+        assert self.recover(tmp_path) == ("replay", live)
 
 
 class TestFingerprintAgreement:

@@ -221,9 +221,3 @@ class TestBootLintGuard:
         args = _build_parser().parse_args(["serve", "--allow-unsafe"])
         assert args.allow_unsafe is True
         assert _build_parser().parse_args(["serve"]).allow_unsafe is False
-
-    def test_no_codegen_flag_threads_through(self):
-        from repro.serving.cli import _build_parser
-
-        assert _build_parser().parse_args(["serve", "--no-codegen"]).no_codegen
-        assert not _build_parser().parse_args(["serve"]).no_codegen

@@ -74,7 +74,7 @@ def test_unchanged_copy_passes(docs_tree):
 def test_stale_engine_config_row_fails(docs_tree):
     insert_row_after(
         docs_tree / "docs" / "CONFIG.md",
-        "| `use_indexes` |",
+        "| `shard_timeout` |",
         "| `batch_deltas` | `True` | Fire rules once per delta batch | |",
     )
     done = check(docs_tree)
