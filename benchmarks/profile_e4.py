@@ -1,14 +1,28 @@
-"""cProfile harness for the E4 power-law-50 convergence benchmark.
+"""Profile harness for the E4 power-law-50 convergence benchmark.
 
-Runs the generated policy path-vector program on the 50-node power-law
-scenario under the default engine configuration (compiled + batched +
-indexed) and writes the top-20 functions by cumulative and by internal time.
-CI uploads the output as a workflow artifact so per-PR profiles can be
-diffed without re-running anything locally.
+Runs one bench-shaped cold convergence — ``create_engine`` → ``run`` to
+quiescence → ``Trace.fingerprint()`` → ``close`` — of the generated policy
+path-vector program on the 50-node power-law scenario, and writes a report
+of where its time goes.  CI uploads the reports as workflow artifacts so
+per-PR profiles can be diffed without re-running anything locally.
+
+Two instruments, two reports:
+
+* default: ``cProfile``, top-N functions by cumulative and by internal
+  time.  It adds a cost to every Python call but none to work inside C, so
+  call-heavy Python code reads large and C work (the fingerprint's
+  ``repr``) reads small;
+* ``--sample``: a stack sampler on ``signal.setitimer(ITIMER_PROF)``.  Each
+  tick of process CPU time records the interrupted Python stack; a
+  function's *self* share is the fraction of ticks it was on top (C calls
+  it made included), its *inclusive* share the fraction it was anywhere on
+  the stack.  Nothing is charged per call, so the shares are the ones the
+  unprofiled program has, within sampling error.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_e4.py [--output profile_e4.txt]
+    PYTHONPATH=src python benchmarks/profile_e4.py --sample [--output FILE]
 """
 
 from __future__ import annotations
@@ -16,27 +30,96 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import os
 import pstats
+import signal
 import time
+from collections import Counter
+from typing import Callable
+
+from repro.bgp.generator import policy_path_vector_program
+from repro.dn import EngineConfig, create_engine
+from repro.scenarios import generate_scenario
+
+#: cold convergences sampled per ``--sample`` report (each is the same
+#: deterministic work, so more ops only means more samples), and the
+#: seconds of process CPU time between two samples
+SAMPLED_OPS = 5
+SAMPLE_INTERVAL = 0.001
 
 
-def run_e4() -> dict:
-    from repro.bgp.generator import policy_path_vector_program
-    from repro.dn.engine import DistributedEngine, EngineConfig
-    from repro.scenarios import generate_scenario
+def prepare_e4() -> tuple:
+    """The untimed inputs of one op: program, topology, policy facts."""
 
     scenario = generate_scenario("power_law", size=50, seed=7, policy="shortest_path")
-    engine = DistributedEngine(
-        policy_path_vector_program(),
-        scenario.topology,
-        config=EngineConfig(max_events=10_000_000),
-    )
-    trace = engine.run(extra_facts=scenario.policy_fact_list())
-    return {
-        "routes": len(engine.rows("bestRoute")),
-        "messages": trace.message_count,
-        "quiescent": trace.quiescent,
-    }
+    return policy_path_vector_program(), scenario.topology, scenario.policy_fact_list()
+
+
+def run_e4(inputs: tuple) -> dict:
+    """One op: ``create_engine`` -> ``run`` -> ``fingerprint`` -> ``close``."""
+
+    program, topology, facts = inputs
+    engine = create_engine(program, topology, config=EngineConfig(max_events=10_000_000))
+    try:
+        trace = engine.run(extra_facts=facts)
+        trace.fingerprint()
+        return {
+            "routes": len(engine.rows("bestRoute")),
+            "messages": trace.message_count,
+            "quiescent": trace.quiescent,
+        }
+    finally:
+        engine.close()
+
+
+def cost_centre(code) -> str:
+    """``file.py:Qualified.name`` of a code object."""
+
+    return f"{os.path.basename(code.co_filename)}:{code.co_qualname}"
+
+
+def sample(
+    work: Callable[[], dict], interval: float
+) -> tuple[dict, int, Counter, Counter]:
+    """Run ``work`` under the ``ITIMER_PROF`` stack sampler.
+
+    Returns ``(outcome, ticks, self_ticks, inclusive_ticks)``, the tick
+    counters keyed by :func:`cost_centre`.
+    """
+
+    own: Counter = Counter()
+    inclusive: Counter = Counter()
+    ticks = 0
+
+    def on_tick(signum, frame) -> None:
+        nonlocal ticks
+        ticks += 1
+        if frame is None:
+            return
+        own[cost_centre(frame.f_code)] += 1
+        seen = set()
+        while frame is not None:
+            centre = cost_centre(frame.f_code)
+            if centre not in seen:
+                seen.add(centre)
+                inclusive[centre] += 1
+            frame = frame.f_back
+
+    previous = signal.signal(signal.SIGPROF, on_tick)
+    signal.setitimer(signal.ITIMER_PROF, interval, interval)
+    try:
+        outcome = work()
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return outcome, ticks, own, inclusive
+
+
+def share_table(title: str, counts: Counter, ticks: int, top: int) -> str:
+    lines = [f"== top {top} by {title} share ({ticks} samples) =="]
+    for centre, count in counts.most_common(top):
+        lines.append(f"{100.0 * count / ticks:6.1f}%  {centre}")
+    return "\n".join(lines) + "\n"
 
 
 def main() -> None:
@@ -49,26 +132,49 @@ def main() -> None:
     parser.add_argument(
         "--top", type=int, default=20, help="functions per ranking (default: 20)"
     )
+    parser.add_argument(
+        "--sample",
+        action="store_true",
+        help="report sampled self/inclusive shares instead of a cProfile",
+    )
     args = parser.parse_args()
 
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    outcome = run_e4()
-    profiler.disable()
-    elapsed = time.perf_counter() - start
+    inputs = prepare_e4()
 
     buffer = io.StringIO()
+    start = time.perf_counter()
+    if args.sample:
+
+        def work() -> dict:
+            return [run_e4(inputs) for _ in range(SAMPLED_OPS)][-1]
+
+        outcome, ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
+        elapsed = time.perf_counter() - start
+        instrument = f"for {SAMPLED_OPS} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+    else:
+        profiler = cProfile.Profile()
+        profiler.enable()
+        outcome = run_e4(inputs)
+        profiler.disable()
+        elapsed = time.perf_counter() - start
+        instrument = "under cProfile"
     buffer.write(
         "E4 power_law-50 convergence profile "
-        f"(wall {elapsed:.2f}s under profiler; {outcome['routes']} routes, "
+        f"(wall {elapsed:.2f}s {instrument}; {outcome['routes']} routes, "
         f"{outcome['messages']} messages, quiescent={outcome['quiescent']})\n\n"
     )
-    stats = pstats.Stats(profiler, stream=buffer)
-    buffer.write(f"== top {args.top} by cumulative time ==\n")
-    stats.sort_stats("cumulative").print_stats(args.top)
-    buffer.write(f"\n== top {args.top} by internal time ==\n")
-    stats.sort_stats("tottime").print_stats(args.top)
+    if args.sample:
+        if not ticks:
+            raise SystemExit("no samples taken")
+        buffer.write(share_table("self", own, ticks, args.top))
+        buffer.write("\n")
+        buffer.write(share_table("inclusive", inclusive, ticks, args.top))
+    else:
+        stats = pstats.Stats(profiler, stream=buffer)
+        buffer.write(f"== top {args.top} by cumulative time ==\n")
+        stats.sort_stats("cumulative").print_stats(args.top)
+        buffer.write(f"\n== top {args.top} by internal time ==\n")
+        stats.sort_stats("tottime").print_stats(args.top)
 
     report = buffer.getvalue()
     with open(args.output, "w") as handle:

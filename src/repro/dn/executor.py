@@ -39,6 +39,7 @@ from ..ndlog.aggregates import diff_rows
 from ..ndlog.ast import Program, Rule, Var
 from ..ndlog.plan import NEGATION_DELTA_SUFFIX
 from ..ndlog.seminaive import DeltaIndex, RuleEngine, row_key
+from ..ndlog.store import Table
 from ..obs import metrics as obs_metrics
 from .node import Node
 
@@ -338,26 +339,35 @@ class FixpointExecutor:
             # same tuple, so it is taken without cancellation keys — the
             # whole round, for a seeding flush or an assert-only message wave
             ins_ops: list[Op] = []
+            take, popleft = ins_ops.append, queue.popleft
             while queue and queue[0][0] == "insert":
-                ins_ops.append(queue.popleft())
+                take(popleft())
             del_ops: list[Op] = []
             if queue:
+                # cancellation keys hash ``(predicate, row)`` as it is; a row
+                # holding an unhashable value falls back to its row_key
                 seen_del: set[tuple[str, tuple]] = set()
-                seen_ins = {
-                    (predicate, row_key(tuple(values)))
-                    for _, predicate, values in ins_ops
-                }
+                seen_ins: set[tuple[str, tuple]] = set()
+                for _, predicate, values in ins_ops:
+                    try:
+                        seen_ins.add((predicate, values))
+                    except TypeError:
+                        seen_ins.add((predicate, row_key(tuple(values))))
                 while queue:
                     kind, predicate, values = queue[0]
-                    key = (predicate, row_key(tuple(values)))
+                    key = (predicate, values)
+                    opposite = seen_del if kind == "insert" else seen_ins
+                    try:
+                        cut = key in opposite
+                    except TypeError:
+                        key = (predicate, row_key(tuple(values)))
+                        cut = key in opposite
+                    if cut:
+                        break
                     if kind == "insert":
-                        if key in seen_del:
-                            break
                         seen_ins.add(key)
                         ins_ops.append(queue.popleft())
                     else:
-                        if key in seen_ins:
-                            break
                         seen_del.add(key)
                         del_ops.append(queue.popleft())
             if del_ops or ins_ops:
@@ -549,18 +559,28 @@ class FixpointExecutor:
         changed: set[str] = set()
         if del_ops:
             removed: dict[str, list[tuple]] = {}
-            decided: list[tuple[str, tuple, str]] = []
+            decided: list[tuple[str, Table, tuple, str]] = []
             displacing: set[tuple[str, tuple]] = set()
             seen: set[tuple[str, tuple]] = set()
             pending_inserts: Optional[set[tuple]] = None
             sweepable = self._sweep_rules
+            run_predicate = None
             for kind, predicate, values in del_ops:
-                table = node.db.table(predicate)
+                if predicate != run_predicate:
+                    # resolve the table once per same-predicate run of ops
+                    run_predicate = predicate
+                    table = node.db.table(predicate)
+                    keys_touched = (
+                        touched.setdefault(predicate, set())
+                        if predicate in sweepable
+                        else None
+                    )
                 row = tuple(values)
-                if predicate in sweepable:
-                    touched.setdefault(predicate, set()).add(table.key_of(row))
+                if keys_touched is not None:
+                    keys_touched.add(table.key_of(row))
                 if kind == "retract":
-                    if table.current(row) != row:
+                    released = table.release(row)
+                    if released is None:
                         if pending_inserts is None:
                             pending_inserts = {
                                 (op[1], row_key(tuple(op[2])))
@@ -580,7 +600,7 @@ class FixpointExecutor:
                         # otherwise: stale retraction of an absent/replaced
                         # row, nothing stored to release
                         continue
-                    if not table.release(row):
+                    if not released:
                         if self.record_meta is not None:
                             self.record_meta(now, node.id, predicate, row, "release")
                         continue
@@ -594,14 +614,20 @@ class FixpointExecutor:
                     # occupy the key: refilling would re-derive both tie
                     # candidates and livelock
                     displacing.add((predicate, table.key_of(row)))
-                key = (predicate, row_key(row))
-                if key in seen:
+                key = (predicate, row)
+                try:
+                    repeated = key in seen
+                except TypeError:
+                    key = (predicate, row_key(row))
+                    repeated = key in seen
+                if repeated:
                     continue
                 seen.add(key)
                 removed.setdefault(predicate, []).append(row)
                 decided.append(
                     (
                         predicate,
+                        table,
                         row,
                         # displacements and sweep purges remove *derived*
                         # rows: their trace kind is retract
@@ -613,16 +639,18 @@ class FixpointExecutor:
                 view = DeltaIndex(removed, distinct=True)
                 retractions = [(rule, node.derive(rule, delta=view)) for rule in plain]
                 refill: dict[str, set[tuple]] = {}
-                for predicate, row, kind in decided:
+                stats = node.stats
+                for predicate, table, row, kind in decided:
                     marked = node.displaced.get(predicate)
                     if marked:
-                        key = node.db.table(predicate).key_of(row)
+                        key = table.key_of(row)
                         if key in marked and (predicate, key) not in displacing:
                             marked.discard(key)
                             if self.record_meta is not None:
                                 self.record_meta(now, node.id, predicate, row, "unmark")
                             refill.setdefault(predicate, set()).add(key)
-                    node.delete(predicate, row)
+                    if table.delete(row):
+                        stats.tuples_deleted += 1
                     self.record_change(now, node.id, predicate, row, kind)
                 changed.update(removed)
                 if obs_metrics.ENABLED:

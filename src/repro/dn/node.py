@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 from ..ndlog.ast import Program, Rule
 from ..ndlog import seminaive
 from ..ndlog.seminaive import RuleEngine
-from ..ndlog.store import Database, StoredTuple
+from ..ndlog.store import Database
 from .network import NodeId
 
 
@@ -137,22 +137,13 @@ class Node:
             self.stats.tuples_deleted += 1
         return deleted
 
-    def release(self, predicate: str, values: tuple) -> bool:
-        """Drop one support of a stored row; True when the last is gone.
-
-        The row itself stays in the database until the engine's deletion
-        round has fired the retraction joins (see
-        :meth:`repro.ndlog.store.Table.release`).
-        """
-
-        return self.db.release(predicate, values)
-
     def export_state(self) -> dict:
         """The node's structural state at a settle point, as plain data: stats,
-        displacement/unswept marks, and per table its rows as ``(key, values,
-        inserted_at, expires_at, count)`` in iteration order plus its hash-index
-        buckets verbatim.  View memos are left out — :meth:`load_state`
-        rebuilds them.
+        displacement/unswept marks, and per table its
+        :meth:`~repro.ndlog.store.Table.export_state` — rows as ``(key,
+        values, count)`` in iteration order, soft-state deadlines, and its
+        hash-index buckets verbatim.  View memos are left out —
+        :meth:`load_state` rebuilds them.
 
         Buckets are captured rather than rebuilt because after a keyed upsert
         re-binds a row, its bucket entry sits at the *end* of the bucket while
@@ -160,14 +151,10 @@ class Node:
         joins in a different order and diverge the trace.
         """
 
-        tables = []
-        for predicate, table in self.db._tables.items():
-            rows = [
-                (key, stored.values, stored.inserted_at, stored.expires_at,
-                 table._counts.get(key, 1))
-                for key, stored in table._rows.items()
-            ]
-            tables.append((predicate, rows, _copy_indexes(table._indexes)))
+        tables = [
+            (predicate, table.export_state())
+            for predicate, table in self.db._tables.items()
+        ]
         return {
             "stats": self.stats.as_dict(),
             "displaced": {p: set(keys) for p, keys in self.displaced.items()},
@@ -192,21 +179,15 @@ class Node:
         self.stats = NodeStats(**state["stats"])
         self.displaced = {p: set(keys) for p, keys in state["displaced"].items()}
         self.unswept = set(state["unswept"])
-        for predicate, rows, indexes in state["tables"]:
-            table = self.db.table(predicate)
-            table._rows.clear()
-            table._counts.clear()
-            for key, values, inserted_at, expires_at, count in rows:
-                table._rows[key] = StoredTuple(values, inserted_at, expires_at)
-                table._counts[key] = count
-            table._indexes = _copy_indexes(indexes)
+        for predicate, table_state in state["tables"]:
+            self.db.table(predicate).load_state(table_state)
         self.view_memo = {
             id(rule): set(self.rule_engine.fire_rule(rule, self.db))
             for rule in self.program.rules
             if rule.head.has_aggregate
         }
-        for predicate, _rows, indexes in state["tables"]:
-            self.db.table(predicate)._indexes = _copy_indexes(indexes)
+        for predicate, (_rows, _deadlines, indexes) in state["tables"]:
+            self.db.table(predicate).load_indexes(indexes)
 
     def rows(self, predicate: str) -> list[tuple]:
         return self.db.rows(predicate)
@@ -216,12 +197,3 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.id!r}, {self.db.fact_count()} facts)"
-
-
-def _copy_indexes(indexes: dict) -> dict:
-    """A table's ``positions → bucket key → bucket`` map, buckets copied."""
-
-    return {
-        positions: {bucket_key: dict(bucket) for bucket_key, bucket in buckets.items()}
-        for positions, buckets in indexes.items()
-    }

@@ -476,7 +476,7 @@ class CycleFreedomMonitor(RuntimeMonitor):
 class SoftStateBoundMonitor(RuntimeMonitor):
     """No soft-state row outlives its lifetime by more than ``slack``.
 
-    Reads the engine's tables directly (expiry timestamps are storage
+    Reads the engine's tables directly (soft-state deadlines are storage
     bookkeeping the trace does not carry).  ``slack`` defaults to 1.5×
     the engine's expiry-scan interval: a row can legitimately linger up to
     one full scan interval past its expiry before the scan retracts it.
@@ -503,17 +503,14 @@ class SoftStateBoundMonitor(RuntimeMonitor):
             return
         now = self.finalized_at if self.finalized_at is not None else self._clock
         db = self._engine.nodes[node].db
+        bound = self.slack or 0.0
         for predicate in db.predicates():
-            table = db.table(predicate)
-            if not table.is_soft_state:
-                continue
-            bound = self.slack or 0.0
-            for stored in table.stored():
-                if now > stored.expires_at + bound:
+            for row, deadline in db.table(predicate).deadlines():
+                if now > deadline + bound:
                     yield (
-                        ("overdue", predicate, stored.values),
-                        f"soft-state {predicate}{stored.values} at {node} is "
-                        f"{now - stored.expires_at:.3f}s past its lifetime",
+                        ("overdue", predicate, row),
+                        f"soft-state {predicate}{row} at {node} is "
+                        f"{now - deadline:.3f}s past its lifetime",
                     )
 
     def finalize(self, time: float) -> None:

@@ -43,7 +43,7 @@ from .seminaive import (
     RuleEngine,
     evaluate,
 )
-from .store import Database, StoredTuple, Table
+from .store import Database, Table
 from .stratification import DependencyGraph, Stratification, needs_recompute, stratify
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "Program",
     "Rule",
     "RuleEngine",
-    "StoredTuple",
     "Stratification",
     "Table",
     "aggregate_rows",

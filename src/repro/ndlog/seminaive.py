@@ -53,15 +53,22 @@ class DeltaIndex:
     ``distinct`` is the caller's word that no predicate's rows repeat (an
     executor's delta: rows it has just stored or removed), which lets a
     one-pass ``derive`` skip its binding dedup (see
-    :meth:`~repro.ndlog.codegen.CodegenRule.derive`).
+    :meth:`~repro.ndlog.codegen.CodegenRule.derive`).  Such a delta is also
+    already a map of tuple lists, so its lists are adopted, not copied —
+    the caller must not mutate them while the view is in use.
     """
 
     def __init__(
         self, delta: Mapping[str, Iterable[tuple]], *, distinct: bool = False
     ) -> None:
-        self._rows: dict[str, list[tuple]] = {
-            predicate: [tuple(row) for row in rows] for predicate, rows in delta.items()
-        }
+        self._rows: dict[str, Sequence[tuple]] = (
+            dict(delta)
+            if distinct
+            else {
+                predicate: [tuple(row) for row in rows]
+                for predicate, rows in delta.items()
+            }
+        )
         self._groups: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
         self.distinct = distinct
 

@@ -6,7 +6,8 @@ A :class:`Table` stores ground tuples for one predicate, with:
   — inserting a tuple with an existing key replaces the old tuple, which is
   how declarative networking implements route updates in place;
 * optional **soft-state lifetimes** — tuples expire ``lifetime`` seconds
-  after their last insertion/refresh (paper Section 4.2);
+  after their last insertion/refresh (paper Section 4.2); only these
+  tables keep an expiry deadline per row;
 * optional **maximum size** with FIFO eviction;
 * **hash indexes** on argument positions — built lazily the first time a
   join probes a position set, then maintained incrementally on every
@@ -20,6 +21,12 @@ A :class:`Table` stores ground tuples for one predicate, with:
   IncrementalEvaluator`, the distributed engine's retraction rounds) uses
   the two to decide when a derived tuple must actually be retracted.
 
+Rows are stored bare: a table maps each primary key to its row tuple, with
+the support counts (and soft-state deadlines) in dicts of their own beside
+it, so storing a new row allocates nothing but the dict entries.  The
+layout stays behind :class:`Table` — captures go through
+:meth:`Table.export_state` / :meth:`Table.load_state`.
+
 A :class:`Database` is a collection of tables keyed by predicate name, the
 unit of state held by the centralized evaluator and by each node of the
 distributed runtime.
@@ -28,8 +35,6 @@ distributed runtime.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .ast import MaterializeDecl
@@ -53,21 +58,29 @@ def _make_key_getter(keys: tuple[int, ...]) -> Callable[[Sequence[object]], tupl
     return operator.itemgetter(*keys)
 
 
-@dataclass(slots=True)
-class StoredTuple:
-    """A tuple plus its bookkeeping (insertion time, expiry time).
+def _bucket_shape(positions: tuple[int, ...]) -> tuple[int, Callable[[tuple], tuple]]:
+    """``(row length required, bucket-key getter)`` of an index over
+    ``positions``.
 
-    Deliberately not frozen: one is allocated per upsert on the evaluators'
-    insert path, and a frozen dataclass pays ``object.__setattr__`` per
-    field there.  Treat instances as immutable regardless.
+    Both getter forms run in C and return a tuple for a tuple row: a slice
+    for zero or one position, ``operator.itemgetter`` for several.
     """
 
-    values: tuple
-    inserted_at: float = 0.0
-    expires_at: float = float("inf")
+    if len(positions) > 1:
+        return positions[-1] + 1, operator.itemgetter(*positions)
+    if positions:
+        p0 = positions[0]
+        return p0 + 1, operator.itemgetter(slice(p0, p0 + 1))
+    return 0, operator.itemgetter(slice(0, 0))
 
-    def is_expired(self, now: float) -> bool:
-        return now >= self.expires_at
+
+def _copy_indexes(indexes: dict) -> dict:
+    """A table's ``positions → bucket key → bucket`` map, buckets copied."""
+
+    return {
+        positions: {bucket_key: dict(bucket) for bucket_key, bucket in buckets.items()}
+        for positions, buckets in indexes.items()
+    }
 
 
 class Table:
@@ -93,11 +106,21 @@ class Table:
         self._key_getter = _make_key_getter(self.keys)
         self.lifetime = lifetime
         self.max_size = max_size
-        self._rows: "OrderedDict[tuple, StoredTuple]" = OrderedDict()
+        #: primary key → row, in insertion order of the key (a re-bound key
+        #: keeps its place, which is what FIFO eviction and expiry scans see)
+        self._rows: dict[tuple, tuple] = {}
         #: primary key → number of supports observed for the current row
         self._counts: dict[tuple, int] = {}
+        #: soft state only: primary key → expiry deadline, written and
+        #: popped with ``_rows`` so both iterate in the same key order
+        self._deadlines: Optional[dict[tuple, float]] = (
+            {} if lifetime != _INF else None
+        )
         #: positions → {values-at-positions → {primary key → row}}
         self._indexes: dict[tuple[int, ...], dict[tuple, dict[tuple, tuple]]] = {}
+        #: per index, what upkeep needs: the row length it requires, its
+        #: bucket-key getter and its buckets
+        self._upkeep: list[tuple[int, Callable[[tuple], tuple], dict]] = []
 
     @classmethod
     def from_declaration(cls, decl: MaterializeDecl) -> "Table":
@@ -118,7 +141,7 @@ class Table:
 
     @property
     def is_soft_state(self) -> bool:
-        return self.lifetime != float("inf")
+        return self._deadlines is not None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -141,13 +164,24 @@ class Table:
 
         Returns ``(changed, previous)`` where ``previous`` is the row that
         was stored under the same key before the call (``None`` for a brand
-        new key).  Computes the primary key once, which is why the runtime's
-        insert path uses this instead of ``current`` + ``insert``.
+        new key).  An occupied key holding a different row is re-bound: the
+        row keeps the key's place and starts a fresh support count (the
+        caller is responsible for retracting the displaced row's
+        consequences).
         """
 
         row = tuple(values)
+        changed, occupant = self.upsert_unless_displacing(row, now)
+        if occupant is None:
+            return changed, None if changed else row
         key = self._key_getter(row)
-        return self._upsert_at(key, row, self._rows.get(key), now)
+        self._rows[key] = row
+        self._counts[key] = 1
+        if self._deadlines is not None:
+            self._deadlines[key] = now + self.lifetime
+        self._index_remove(key, occupant)
+        self._index_add(key, row)
+        return True, occupant
 
     def upsert_unless_displacing(
         self, values: Sequence[object], now: float = 0.0
@@ -156,56 +190,34 @@ class Table:
 
         Returns ``(False, occupant)`` — the table untouched — when a
         *different* row is stored under the key of ``values``; otherwise
-        ``(changed, None)`` exactly as :meth:`upsert` reports a new key or
-        another support of the stored row.  The retraction-aware runtime
-        inserts through this: a keyed displacement must first retract the
-        occupant's consequences, and telling the three cases apart here
-        costs one key computation instead of ``current`` + ``upsert``.
+        ``(changed, None)``: ``True`` for a new row, ``False`` for another
+        support of the stored one (counted, and for soft state its lifetime
+        restarted).  The retraction-aware runtime inserts through this: a
+        keyed displacement must first retract the occupant's consequences,
+        and one call with one key computation tells the three cases apart.
         """
 
         row = tuple(values)
         key = self._key_getter(row)
-        existing = self._rows.get(key)
-        if existing is not None and existing.values != row:
-            return False, existing.values
-        return self._upsert_at(key, row, existing, now)[0], None
-
-    def _upsert_at(
-        self, key: tuple, row: tuple, existing: Optional[StoredTuple], now: float
-    ) -> tuple[bool, Optional[tuple]]:
-        """:meth:`upsert` once the key is computed and looked up."""
-
-        lifetime = self.lifetime
-        if existing is not None and existing.values == row:
-            # another support for the same row (a duplicate derivation or a
-            # soft-state re-announcement): count it, and rewrite the stored
-            # bookkeeping only when it would actually change (the fixpoint
-            # drivers re-insert every re-derived row, so this is hot)
-            self._counts[key] = self._counts.get(key, 0) + 1
-            if lifetime != _INF or existing.inserted_at != now:
-                expires = now + lifetime if lifetime != _INF else _INF
-                self._rows[key] = StoredTuple(row, now, expires)
-            return False, existing.values
-        expires = now + lifetime if lifetime != _INF else _INF
-        self._rows[key] = StoredTuple(row, now, expires)
+        rows = self._rows
+        existing = rows.get(key)
+        deadlines = self._deadlines
+        if existing is not None:
+            if existing != row:
+                return False, existing
+            self._counts[key] += 1
+            if deadlines is not None:
+                deadlines[key] = now + self.lifetime
+            return False, None
+        rows[key] = row
         self._counts[key] = 1
-        if existing is None:
-            if self._indexes:
-                self._index_add(key, row)
-            if len(self._rows) > self.max_size:
-                # FIFO eviction of the oldest entry that is not the new one
-                oldest_key = next(iter(self._rows))
-                if oldest_key != key:
-                    evicted = self._rows.pop(oldest_key)
-                    self._counts.pop(oldest_key, None)
-                    self._index_remove(oldest_key, evicted.values)
-            return True, None
-        # key re-bound to different values: the new row starts a fresh
-        # support count (the caller is responsible for retracting the
-        # displaced row's consequences when retraction semantics are on)
-        self._index_remove(key, existing.values)
-        self._index_add(key, row)
-        return True, existing.values
+        if deadlines is not None:
+            deadlines[key] = now + self.lifetime
+        if self._upkeep:
+            self._index_add(key, row)
+        if len(rows) > self.max_size:
+            self._evict_oldest(key)
+        return True, None
 
     def insert_many(
         self, rows: Iterable[Sequence[object]], now: float = 0.0
@@ -220,11 +232,9 @@ class Table:
 
         _rows = self._rows
         counts = self._counts
+        deadlines = self._deadlines
         key_getter = self._key_getter
-        lifetime = self.lifetime
-        is_inf = lifetime == _INF
-        expires = _INF if is_inf else now + lifetime
-        indexes = self._indexes
+        expires = now + self.lifetime
         max_size = self.max_size
         changed: list[tuple] = []
         append = changed.append
@@ -232,39 +242,52 @@ class Table:
             row = tuple(values)
             key = key_getter(row)
             existing = _rows.get(key)
-            if existing is not None and existing.values == row:
-                counts[key] = counts.get(key, 0) + 1
-                if not is_inf or existing.inserted_at != now:
-                    _rows[key] = StoredTuple(row, now, expires)
+            if existing is not None and existing == row:
+                counts[key] += 1
+                if deadlines is not None:
+                    deadlines[key] = expires
                 continue
-            _rows[key] = StoredTuple(row, now, expires)
+            _rows[key] = row
             counts[key] = 1
+            if deadlines is not None:
+                deadlines[key] = expires
             if existing is None:
-                if indexes:
+                if self._upkeep:
                     self._index_add(key, row)
                 if len(_rows) > max_size:
-                    # FIFO eviction of the oldest entry that is not the new one
-                    oldest_key = next(iter(_rows))
-                    if oldest_key != key:
-                        evicted = _rows.pop(oldest_key)
-                        counts.pop(oldest_key, None)
-                        self._index_remove(oldest_key, evicted.values)
+                    self._evict_oldest(key)
             else:
-                self._index_remove(key, existing.values)
+                self._index_remove(key, existing)
                 self._index_add(key, row)
             append(row)
         return changed
 
+    def _evict_oldest(self, key: tuple) -> None:
+        """FIFO eviction of the oldest entry, unless it is ``key`` itself."""
+
+        oldest_key = next(iter(self._rows))
+        if oldest_key != key:
+            self._remove(oldest_key)
+
+    def _remove(self, key: tuple) -> tuple:
+        """Drop the row stored under ``key`` with all its bookkeeping."""
+
+        row = self._rows.pop(key)
+        del self._counts[key]
+        if self._deadlines is not None:
+            del self._deadlines[key]
+        self._index_remove(key, row)
+        return row
+
     def current(self, values: Sequence[object]) -> Optional[tuple]:
         """The row currently stored under the key of ``values``, if any."""
 
-        stored = self._rows.get(self.key_of(tuple(values)))
-        return stored.values if stored is not None else None
+        return self._rows.get(self._key_getter(tuple(values)))
 
     def count_of(self, values: Sequence[object]) -> int:
         """Supports observed for the row stored under the key of ``values``."""
 
-        return self._counts.get(self.key_of(tuple(values)), 0)
+        return self._counts.get(self._key_getter(tuple(values)), 0)
 
     def refresh(self, values: Sequence[object], now: float) -> bool:
         """Extend the lifetime of an identical stored row without counting.
@@ -276,31 +299,34 @@ class Table:
 
         row = tuple(values)
         key = self._key_getter(row)
-        stored = self._rows.get(key)
-        if stored is None or stored.values != row:
+        if self._rows.get(key) != row:
             return False
-        lifetime = self.lifetime
-        expires = now + lifetime if lifetime != _INF else _INF
-        self._rows[key] = StoredTuple(row, now, expires)
+        if self._deadlines is not None:
+            self._deadlines[key] = now + self.lifetime
         return True
 
-    def release(self, values: Sequence[object]) -> bool:
+    def release(self, values: Sequence[object]) -> Optional[bool]:
         """Drop one support of the stored row equal to ``values``.
 
-        Decrements the derivation count; returns ``True`` exactly when the
-        last support was released, i.e. the caller must now retract the row
-        (the row itself is left in place so retraction joins can still read
-        it — remove it with :meth:`delete` once downstream rules have fired).
-        A release of a row that is absent or was replaced is a stale
-        retraction and is ignored.
+        Decrements the derivation count and reports, from one key
+        computation, which of three cases held:
+
+        * ``None`` — a stale retraction: no row equal to ``values`` is
+          stored (absent, or its key was re-bound), nothing was released;
+        * ``False`` — a support was dropped and others remain;
+        * ``True`` — the last support was released: the caller must now
+          retract the row (it is left in place so retraction joins can still
+          read it — remove it with :meth:`delete` once downstream rules have
+          fired).
+
+        Callers that only test truthiness see ``None`` and ``False`` alike.
         """
 
         row = tuple(values)
         key = self._key_getter(row)
-        stored = self._rows.get(key)
-        if stored is None or stored.values != row:
-            return False
-        remaining = self._counts.get(key, 1) - 1
+        if self._rows.get(key) != row:
+            return None
+        remaining = self._counts[key] - 1
         if remaining > 0:
             self._counts[key] = remaining
             return False
@@ -310,12 +336,10 @@ class Table:
     def delete(self, values: Sequence[object]) -> bool:
         """Delete a tuple (by key).  Returns ``True`` if present."""
 
-        key = self.key_of(tuple(values))
-        stored = self._rows.pop(key, None)
-        if stored is None:
+        key = self._key_getter(tuple(values))
+        if key not in self._rows:
             return False
-        self._counts.pop(key, None)
-        self._index_remove(key, stored.values)
+        self._remove(key)
         return True
 
     def row_expired(self, values: Sequence[object], now: float) -> bool:
@@ -326,70 +350,94 @@ class Table:
         """
 
         row = tuple(values)
-        stored = self._rows.get(self.key_of(row))
-        return stored is not None and stored.values == row and stored.is_expired(now)
+        key = self._key_getter(row)
+        return (
+            self._deadlines is not None
+            and self._rows.get(key) == row
+            and now >= self._deadlines[key]
+        )
 
     def expired(self, now: float) -> list[tuple]:
         """Soft-state rows whose lifetime has elapsed, **without** removing
         them (the retraction pipeline fires deletion joins against the old
         database before physically deleting)."""
 
-        if not self.is_soft_state:
+        if self._deadlines is None:
             return []
-        return [st.values for st in self._rows.values() if st.is_expired(now)]
+        rows = self._rows
+        return [rows[key] for key, deadline in self._deadlines.items() if now >= deadline]
 
     def expire(self, now: float) -> list[tuple]:
         """Remove expired soft-state tuples, returning the removed rows."""
 
-        if not self.is_soft_state:
+        if self._deadlines is None:
             return []
-        removed: list[tuple] = []
-        for key, stored in list(self._rows.items()):
-            if stored.is_expired(now):
-                removed.append(stored.values)
-                del self._rows[key]
-                self._counts.pop(key, None)
-                self._index_remove(key, stored.values)
-        return removed
+        gone = [key for key, deadline in self._deadlines.items() if now >= deadline]
+        return [self._remove(key) for key in gone]
 
-    def clear(self) -> None:
-        self._rows.clear()
-        self._counts.clear()
-        for positions in self._indexes:
-            self._indexes[positions] = {}
+    def deadlines(self) -> list[tuple[tuple, float]]:
+        """``(row, expiry deadline)`` per stored row, in row order; empty
+        for a hard-state table."""
+
+        if self._deadlines is None:
+            return []
+        rows = self._rows
+        return [(rows[key], deadline) for key, deadline in self._deadlines.items()]
+
+    # ------------------------------------------------------------------
+    # Capture
+    # ------------------------------------------------------------------
+    def export_state(self) -> tuple:
+        """The table's contents as plain data, ``(rows, deadlines,
+        indexes)``: rows as ``(key, values, count)`` in iteration order, the
+        deadlines of soft state aligned with them (``None`` for hard
+        state), and the hash-index buckets verbatim (copied)."""
+
+        counts = self._counts
+        rows = [(key, row, counts[key]) for key, row in self._rows.items()]
+        deadlines = (
+            None if self._deadlines is None else list(self._deadlines.values())
+        )
+        return rows, deadlines, _copy_indexes(self._indexes)
+
+    def load_state(self, state: tuple) -> None:
+        """Replace the contents with a capture of :meth:`export_state`."""
+
+        rows, deadlines, indexes = state
+        self._rows = {key: row for key, row, _ in rows}
+        self._counts = {key: count for key, _, count in rows}
+        if self._deadlines is not None:
+            self._deadlines = dict(zip(self._rows, deadlines))
+        self.load_indexes(indexes)
+
+    def load_indexes(self, indexes: dict) -> None:
+        """Replace the hash indexes with copies of captured buckets."""
+
+        self._indexes = _copy_indexes(indexes)
+        self._upkeep = [
+            (*_bucket_shape(positions), buckets)
+            for positions, buckets in self._indexes.items()
+        ]
 
     # ------------------------------------------------------------------
     # Hash indexes
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bucket_key(row: tuple, positions: tuple[int, ...]) -> Optional[tuple]:
-        if positions and positions[-1] >= len(row):
-            return None  # row too short to ever match a literal of this shape
-        key = tuple(map(row.__getitem__, positions))
-        try:
-            hash(key)
-        except TypeError:
-            # rows with unhashable values at indexed positions stay out of
-            # the index; probes for such values raise TypeError themselves
-            # and fall back to scanning, so no match is lost (builtin
-            # unhashables never compare equal to hashable values)
-            return None
-        return key
-
     def _index_add(self, key: tuple, row: tuple) -> None:
-        # hot path (once per stored row per index): the bucket key is built
-        # with map() and its hashability checked by the dict probe itself,
-        # instead of going through _bucket_key + setdefault
+        # hot path (once per stored row per index): the bucket key comes
+        # from a C getter and its hashability is checked by the dict probe
         n = len(row)
-        getitem = row.__getitem__
-        for positions, buckets in self._indexes.items():
-            if positions and positions[-1] >= n:
-                continue
-            bucket_key = tuple(map(getitem, positions))
+        for need, getter, buckets in self._upkeep:
+            if n < need:
+                continue  # row too short to ever match a literal of this shape
+            bucket_key = getter(row)
             try:
                 bucket = buckets.get(bucket_key)
             except TypeError:
-                continue  # unhashable at an indexed position: stays out
+                # rows with unhashable values at indexed positions stay out
+                # of the index; probes for such values raise TypeError
+                # themselves and fall back to scanning, so no match is lost
+                # (builtin unhashables never compare equal to hashable values)
+                continue
             if bucket is None:
                 buckets[bucket_key] = {key: row}
             else:
@@ -397,11 +445,10 @@ class Table:
 
     def _index_remove(self, key: tuple, row: tuple) -> None:
         n = len(row)
-        getitem = row.__getitem__
-        for positions, buckets in self._indexes.items():
-            if positions and positions[-1] >= n:
+        for need, getter, buckets in self._upkeep:
+            if n < need:
                 continue
-            bucket_key = tuple(map(getitem, positions))
+            bucket_key = getter(row)
             try:
                 bucket = buckets.get(bucket_key)
             except TypeError:
@@ -417,13 +464,17 @@ class Table:
         positions = tuple(positions)
         index = self._indexes.get(positions)
         if index is None:
+            need, getter = _bucket_shape(positions)
             index = {}
-            for key, stored in self._rows.items():
-                bucket_key = self._bucket_key(stored.values, positions)
-                if bucket_key is None:
+            for key, row in self._rows.items():
+                if len(row) < need:
                     continue
-                index.setdefault(bucket_key, {})[key] = stored.values
+                try:
+                    index.setdefault(getter(row), {})[key] = row
+                except TypeError:
+                    continue  # unhashable at an indexed position: stays out
             self._indexes[positions] = index
+            self._upkeep.append((need, getter, index))
             if self.on_index_build is not None:
                 self.on_index_build(self.predicate, positions)
         return index
@@ -462,8 +513,8 @@ class Table:
         """
 
         if positions == self.keys:
-            stored = self._rows.get(values)
-            return (stored.values,) if stored is not None else ()
+            row = self._rows.get(values)
+            return (row,) if row is not None else ()
         return self.probe_iter(positions, values)
 
     def has_lookup(self, positions: tuple[int, ...]) -> bool:
@@ -480,15 +531,11 @@ class Table:
     # Reads
     # ------------------------------------------------------------------
     def rows(self) -> list[tuple]:
-        return [st.values for st in self._rows.values()]
-
-    def stored(self) -> list[StoredTuple]:
         return list(self._rows.values())
 
     def __contains__(self, values: Sequence[object]) -> bool:
         row = tuple(values)
-        stored = self._rows.get(self.key_of(row))
-        return stored is not None and stored.values == row
+        return self._rows.get(self._key_getter(row)) == row
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -543,11 +590,12 @@ class Database:
         return table
 
     def table(self, predicate: str) -> Table:
-        if predicate not in self._tables:
+        table = self._tables.get(predicate)
+        if table is None:
             table = Table(predicate)
             table.on_index_build = self._on_index_build
             self._tables[predicate] = table
-        return self._tables[predicate]
+        return table
 
     def has_table(self, predicate: str) -> bool:
         return predicate in self._tables
@@ -568,11 +616,11 @@ class Database:
     def delete(self, predicate: str, values: Sequence[object]) -> bool:
         return self.table(predicate).delete(values)
 
-    def release(self, predicate: str, values: Sequence[object]) -> bool:
+    def release(self, predicate: str, values: Sequence[object]) -> Optional[bool]:
         """Drop one support of a stored row (see :meth:`Table.release`)."""
 
         if predicate not in self._tables:
-            return False
+            return None
         return self._tables[predicate].release(values)
 
     def count_of(self, predicate: str, values: Sequence[object]) -> int:
@@ -581,7 +629,8 @@ class Database:
         return self._tables[predicate].count_of(values)
 
     def rows(self, predicate: str) -> list[tuple]:
-        return self.table(predicate).rows() if predicate in self._tables else []
+        table = self._tables.get(predicate)
+        return table.rows() if table is not None else []
 
     def expire(self, now: float) -> dict[str, list[tuple]]:
         """Expire soft state in every table; returns removed rows per predicate."""
@@ -613,10 +662,7 @@ class Database:
                 lifetime=table.lifetime,
                 max_size=table.max_size,
             )
-            for stored in table.stored():
-                new.insert(stored.values, stored.inserted_at)
-                key = new.key_of(stored.values)
-                new._counts[key] = table._counts.get(key, 1)
+            new.load_state(table.export_state())
             out._tables[predicate] = new
         return out
 

@@ -2,8 +2,8 @@
 
 A snapshot is a structured capture of a *settled* single-process engine —
 scheduler clock and pending maintenance events, loss-channel RNG state,
-topology, every node's tables (rows, support counts, **and** hash-index
-buckets), monitor state, and the engine's :class:`~repro.dn.trace.Trace` —
+topology, every node's tables (rows, support counts, soft-state deadlines
+**and** hash-index buckets), monitor state, and the engine's :class:`~repro.dn.trace.Trace` —
 stamped with the update sequence number and ``Trace.fingerprint()`` it was
 taken at.  The serving settle loop compacts the trace
 (:meth:`~repro.dn.trace.Trace.compact`), so what is captured of it is two
@@ -55,10 +55,11 @@ MAINTENANCE_KINDS = ("refresh", "expiry")
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.  (``/4``: the ``Trace``
-#: holds its records as tuples inside per-stream fold state; ``/3`` pickled
-#: record dataclasses in bare lists.)
-SNAPSHOT_FORMAT = "fvn-snapshot/4"
+#: to full ledger replay instead of being misread.  (``/5``: table rows are
+#: ``(key, values, count)``, with deadlines for soft-state tables only;
+#: ``/4`` carried ``(key, values, inserted_at, expires_at, count)`` per row;
+#: ``/3`` pickled the Trace's records as dataclasses in bare lists.)
+SNAPSHOT_FORMAT = "fvn-snapshot/5"
 
 
 class SnapshotUnsupported(RuntimeError):

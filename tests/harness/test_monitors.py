@@ -219,6 +219,22 @@ class TestViolationsAndAgreement:
         broken.finalize_monitors()
         assert not late.ok
         assert late.active_violations()[0].detail.endswith("past its lifetime")
+        # the exact signature and detail of an overdue row, in row order
+        assert [
+            (v.node, v.signature, v.detail) for v in late.active_violations()[:2]
+        ] == [
+            (
+                0,
+                ("overdue", "link", (0, 1, 1.0)),
+                "soft-state link(0, 1, 1.0) at 0 is 8.000s past its lifetime",
+            ),
+            (
+                0,
+                ("overdue", "link_d", (0, 1, 1.0)),
+                "soft-state link_d(0, 1, 1.0) at 0 is 7.990s past its lifetime",
+            ),
+        ]
+        assert len(late.active_violations()) == 12
 
 
 class TestPolicySchemaAndAdapters:

@@ -6,6 +6,8 @@ from repro.logic.terms import Const, Var
 from repro.ndlog.ast import Aggregate, HeadLiteral, Literal, MaterializeDecl, NDlogError, Program
 from repro.ndlog.parser import parse_program, parse_rule
 from repro.ndlog.store import Database, Table
+from repro.dn.executor import FixpointExecutor
+from repro.dn.node import Node
 
 
 class TestAst:
@@ -106,6 +108,57 @@ class TestTable:
         assert not table.delete(("a", 1))
 
 
+    def test_release_reports_stale_remaining_and_last_support(self):
+        table = Table("route", keys=(0,))
+        assert table.release(("a", 1)) is None  # absent
+        table.insert(("a", 1))
+        table.insert(("a", 1))
+        assert table.release(("a", 2)) is None  # another row under the key
+        assert table.release(("a", 1)) is False  # one support left
+        assert table.release(("a", 1)) is True  # the last one
+        assert Database().release("nowhere", (1,)) is None
+
+    def test_deadlines_are_kept_for_soft_state_only(self):
+        hard = Table("t", keys=(0,))
+        hard.insert(("a", 1), now=3.0)
+        assert not hard.is_soft_state and hard.deadlines() == []
+        assert hard.export_state()[1] is None
+        soft = Table("hb", keys=(0,), lifetime=2.0)
+        soft.insert(("a", 1), now=0.0)
+        soft.insert(("b", 1), now=1.0)
+        soft.insert(("a", 2), now=1.5)  # rebind restarts the lifetime
+        assert soft.deadlines() == [(("a", 2), 3.5), (("b", 1), 3.0)]
+
+    def test_export_state_is_rows_counts_deadlines_and_buckets(self):
+        table = Table("hb", keys=(0,), lifetime=2.0)
+        table.index_on((1,))
+        table.insert(("a", "x"), now=0.0)
+        table.insert(("a", "x"), now=1.0)
+        rows, deadlines, indexes = table.export_state()
+        assert rows == [(("a",), ("a", "x"), 2)]
+        assert deadlines == [3.0]
+        assert indexes == {(1,): {("x",): {("a",): ("a", "x")}}}
+        table.insert(("b", "x"), now=1.0)  # the capture shares nothing live
+        assert indexes == {(1,): {("x",): {("a",): ("a", "x")}}}
+
+    def test_index_upkeep_over_zero_one_and_several_positions(self):
+        table = Table("t", keys=(0,))
+        for positions in ((), (1,), (1, 2)):
+            table.index_on(positions)
+        table.insert(("a", "x", 1))
+        table.insert(("b", "x", 2))
+        table.insert(("c", ["u"], 3))  # unhashable at 1: stays out
+        table.insert(("d",))  # too short for (1,) and (1, 2)
+        assert table.probe((), ()) == table.rows()
+        assert table.probe((1,), ("x",)) == [("a", "x", 1), ("b", "x", 2)]
+        assert table.probe((1, 2), ("x", 2)) == [("b", "x", 2)]
+        table.insert(("a", "y", 1))  # rebind moves a between buckets
+        assert table.probe((1,), ("x",)) == [("b", "x", 2)]
+        assert table.probe((1,), ("y",)) == [("a", "y", 1)]
+        table.delete(("b", "x", 2))
+        assert table.index_on((1,)).get(("x",)) is None  # emptied bucket dropped
+
+
 class TestDatabase:
     def test_declare_from_materialize(self):
         db = Database()
@@ -137,3 +190,197 @@ class TestDatabase:
         db.insert("p", (1,))
         db.insert("q", (1, 2))
         assert db.fact_count() == 2
+
+
+class TestStoreParity:
+    """Row order, support counts, deadlines and bucket order under the
+    mutations that can reorder them (keyed rebind, refresh, delete plus
+    re-insert, eviction, expiry)."""
+
+    def test_fifo_eviction_order_after_rebind_refresh_and_reinsert(self):
+        table = Table("cache", keys=(0,), max_size=3)
+        for row in (("a", 1), ("b", 1), ("c", 1)):
+            table.insert(row)
+        table.insert(("a", 2))  # keyed rebind keeps a's slot
+        table.insert(("b", 1))  # another support keeps b's slot
+        table.delete(("c", 1))
+        table.insert(("c", 2))  # delete plus re-insert moves c to the back
+        assert table.rows() == [("a", 2), ("b", 1), ("c", 2)]
+        table.insert(("d", 1))
+        assert table.rows() == [("b", 1), ("c", 2), ("d", 1)]
+        table.insert(("e", 1))
+        assert table.rows() == [("c", 2), ("d", 1), ("e", 1)]
+        assert [table.count_of(row) for row in table.rows()] == [1, 1, 1]
+        assert ("a", 2) not in table and table.count_of(("b", 1)) == 0
+
+    def test_soft_state_eviction_order_after_refresh(self):
+        table = Table("hb", keys=(0,), lifetime=5.0, max_size=2)
+        table.insert(("a",), now=0.0)
+        table.insert(("b",), now=1.0)
+        assert table.refresh(("a",), now=2.0)  # a keeps the oldest slot
+        table.insert(("c",), now=3.0)
+        assert table.rows() == [("b",), ("c",)]
+        assert table.expired(now=6.0) == [("b",)]
+
+    def test_expiry_row_order_after_refreshes_and_rebinds(self):
+        table = Table("hb", keys=(0,), lifetime=2.0)
+        table.insert(("a", 1), now=0.0)
+        table.insert(("b", 1), now=0.5)
+        table.insert(("c", 1), now=1.0)
+        table.insert(("d", 1), now=1.5)
+        assert table.refresh(("b", 1), now=2.0)  # deadline 4.0
+        assert table.insert(("a", 9), now=0.2)  # rebind: deadline 2.2
+        assert not table.insert(("c", 1), now=3.0)  # support: deadline 5.0
+        table.delete(("d", 1))
+        table.insert(("d", 1), now=1.6)  # re-inserted at the back
+        assert table.rows() == [("a", 9), ("b", 1), ("c", 1), ("d", 1)]
+        assert table.expired(now=3.6) == [("a", 9), ("d", 1)]
+        assert table.expired(now=4.0) == [("a", 9), ("b", 1), ("d", 1)]
+        assert table.row_expired(("b", 1), now=4.0)
+        assert not table.row_expired(("b", 1), now=3.9)
+        assert not table.row_expired(("b", 2), now=9.0)  # not the stored row
+        assert table.expire(now=4.0) == [("a", 9), ("b", 1), ("d", 1)]
+        assert table.rows() == [("c", 1)]
+        assert table.expire(now=5.0) == [("c", 1)]
+        assert len(table) == 0
+
+    def test_release_on_absent_replaced_multi_and_last_support(self):
+        table = Table("route", keys=(0,))
+        assert not table.release(("a", 1))  # absent
+        table.insert(("a", 1))
+        table.insert(("a", 1))
+        table.insert(("a", 1))
+        assert not table.release(("a", 2))  # not the stored row
+        assert table.count_of(("a", 1)) == 3
+        assert not table.release(("a", 1))  # multi-support
+        assert not table.release(("a", 1))
+        assert table.count_of(("a", 1)) == 1
+        assert table.release(("a", 1))  # last support: the row stays
+        assert ("a", 1) in table and table.count_of(("a", 1)) == 0
+        table.insert(("a", 1))  # a re-derivation counts from zero
+        assert table.count_of(("a", 1)) == 1
+        table.insert(("a", 2))  # a rebind starts a fresh count
+        assert not table.release(("a", 1))
+        assert table.count_of(("a", 2)) == 1
+
+    @staticmethod
+    def _populated() -> Database:
+        db = Database()
+        db.declare("hb", keys=(0,), lifetime=2.0)
+        route = db.declare("route", keys=(0,))
+        route.index_on((1,))
+        for row in (("a", "x", 1), ("b", "x", 2), ("c", "y", 3)):
+            route.insert(row)
+        route.insert(("b", "x", 2))
+        route.insert(("a", "x", 5))  # rebind: a's bucket entry moves last
+        db.insert("hb", ("h", 1), now=0.0)
+        db.insert("hb", ("i", 1), now=1.0)
+        db.table("hb").refresh(("h", 1), now=1.5)
+        return db
+
+    def _assert_same_state(self, db: Database, other: Database) -> None:
+        for predicate in ("route", "hb"):
+            rows = db.rows(predicate)
+            assert other.rows(predicate) == rows
+            assert [other.count_of(predicate, r) for r in rows] == [
+                db.count_of(predicate, r) for r in rows
+            ]
+        assert db.rows("route") == [("a", "x", 5), ("b", "x", 2), ("c", "y", 3)]
+        assert [db.count_of("route", r) for r in db.rows("route")] == [1, 2, 1]
+        hb = other.table("hb")
+        assert hb.expired(now=2.9) == []
+        assert hb.expired(now=3.0) == [("i", 1)]
+        assert hb.expired(now=3.5) == [("h", 1), ("i", 1)]
+        bucket = [("b", "x", 2), ("a", "x", 5)]
+        assert db.table("route").probe((1,), ("x",)) == bucket
+
+    def test_database_copy_keeps_counts_deadlines_and_bucket_order(self):
+        db = self._populated()
+        copy = db.copy()
+        self._assert_same_state(db, copy)
+        assert copy.table("route").probe((1,), ("x",)) == db.table("route").probe(
+            (1,), ("x",)
+        )
+
+    def test_node_state_round_trip_keeps_counts_deadlines_and_bucket_order(self):
+        program = parse_program(
+            "materialize(hb, 2, infinity, keys(1)).\n"
+            "materialize(route, infinity, infinity, keys(1)).\n"
+            "seen(@X) :- route(@X, Y, C)."
+        )
+        node = Node("a", program)
+        node.db = self._populated()
+        state = node.export_state()
+        fresh = Node("a", program)
+        fresh.load_state(state)
+        self._assert_same_state(node.db, fresh.db)
+        assert fresh.db.table("route").probe((1,), ("x",)) == [
+            ("b", "x", 2),
+            ("a", "x", 5),
+        ]
+        assert fresh.export_state() == state
+
+
+class TestListValuedSettle:
+    """An insert and a retract of a row holding a list cancel in arrival
+    order: their cancellation key is the ``row_key`` fallback."""
+
+    PROGRAM = (
+        "materialize(p, infinity, infinity, keys(1)).\n"
+        "materialize(q, infinity, infinity, keys(1)).\n"
+        "q(@X, Y) :- p(@X, Y)."
+    )
+
+    def settle(self, ops):
+        program = parse_program(self.PROGRAM)
+        node = Node(0, program)
+        executor = FixpointExecutor(program, node.rule_engine)
+        changes = []
+        executor.settle(
+            node,
+            ops,
+            1.0,
+            lambda now, node_id, predicate, values, kind: changes.append(
+                (predicate, values, kind)
+            ),
+            lambda *send: None,
+        )
+        return node, changes
+
+    def test_insert_then_retract_cancels(self):
+        node, changes = self.settle(
+            [("insert", "p", (0, [1, 2])), ("retract", "p", (0, [1, 2]))]
+        )
+        assert changes == [
+            ("p", (0, [1, 2]), "replace"),
+            ("p", (0, [1, 2]), "retract"),
+            ("q", (0, [1, 2]), "replace"),
+            ("q", (0, [1, 2]), "retract"),
+        ]
+        assert node.rows("p") == [] and node.rows("q") == []
+
+    def test_retract_before_insert_defers_behind_it(self):
+        node, changes = self.settle(
+            [("retract", "p", (0, [1, 2])), ("insert", "p", (0, [1, 2]))]
+        )
+        assert changes == [
+            ("p", (0, [1, 2]), "replace"),
+            ("p", (0, [1, 2]), "retract"),
+            ("q", (0, [1, 2]), "replace"),
+            ("q", (0, [1, 2]), "retract"),
+        ]
+        assert node.rows("p") == [] and node.rows("q") == []
+
+    def test_list_valued_row_survives_a_second_support(self):
+        node, changes = self.settle(
+            [
+                ("insert", "p", (0, [1, 2])),
+                ("insert", "p", (0, [1, 2])),
+                ("retract", "p", (0, [1, 2])),
+            ]
+        )
+        assert changes == [
+            ("p", (0, [1, 2]), "replace"),
+            ("q", (0, [1, 2]), "replace"),
+        ]
+        assert node.rows("p") == [(0, [1, 2])] and node.db.count_of("p", (0, [1, 2])) == 1

@@ -256,8 +256,15 @@ class TestRecovery:
         """A format-3 file pickled the Trace's records as dataclasses in bare
         lists; sealed intact, it is still refused for full replay."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/4"
         reference = self.reseal_as(tmp_path, "fvn-snapshot/3")
+        assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_intact_format_4_snapshot_falls_back_to_replay(self, tmp_path):
+        """A format-4 file stored each row with its insertion and expiry
+        times; sealed intact, it is still refused for full replay."""
+
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/5"
+        reference = self.reseal_as(tmp_path, "fvn-snapshot/4")
         assert self.recover(tmp_path) == ("replay", reference)
 
     def test_sealed_snapshot_round_trips(self):
