@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation gate for CI (stdlib only).
 
-Six checks:
+Seven checks:
 
 1. **Module docstrings** — every ``*.py`` module under ``src/repro`` must
    open with a module-level docstring stating what it implements (the
@@ -43,6 +43,13 @@ Six checks:
    ``repro/obs/tracing.py`` (``SPAN_NAMES``) must be documented in
    ``docs/OBSERVABILITY.md``, so the closed obs catalogs and their
    reference cannot drift.
+
+7. **Stale path references** — every backticked ``tests/…``,
+   ``benchmarks/…`` or ``scripts/…`` path in ``docs/*.md`` and
+   ``README.md`` must name an existing file or directory, and every
+   ``::Name`` after it a class or function defined in that file, so docs
+   cannot cite a test that was deleted or renamed.  Fenced code blocks are
+   not checked.
 
 Exit status 0 = all good; 1 = violations (listed on stdout).
 
@@ -199,6 +206,40 @@ def diagnostic_codes(module_path: pathlib.Path) -> list[str]:
     raise SystemExit(f"no CODES dict literal found in {module_path}")
 
 
+PATH_PREFIXES = ("tests/", "benchmarks/", "scripts/")
+
+
+def stale_path_references(root: pathlib.Path) -> list[tuple[str, str]]:
+    """``(document, reference)`` for each backticked repository path in
+    ``README.md`` / ``docs/*.md`` that names nothing (see check 7)."""
+
+    stale = []
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        if not doc.exists():
+            continue
+        text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.S)
+        for span in re.findall(r"`([^`]+)`", text):
+            words = span.split()
+            if not words or not words[0].startswith(PATH_PREFIXES):
+                continue
+            path, *names = words[0].split("::")
+            target = root / path
+            found = target.exists()
+            if found and names:
+                source = target.read_text()
+                found = all(
+                    re.search(
+                        rf"^\s*(?:def|class) {re.escape(name)}\b",
+                        source,
+                        re.M,
+                    )
+                    for name in names
+                )
+            if not found:
+                stale.append((str(doc.relative_to(root)), words[0]))
+    return stale
+
+
 def wire_verbs(module_path: pathlib.Path) -> list[str]:
     """The serving verbs: string tuples ``UPDATE_VERBS`` + ``QUERY_VERBS``."""
 
@@ -326,13 +367,18 @@ def main() -> int:
                     )
                     failures += 1
 
+    for doc, reference in stale_path_references(root):
+        print(f"STALE REFERENCE: {doc} cites {reference}, which does not exist")
+        failures += 1
+
     if failures:
         print(f"\n{failures} documentation violation(s)")
         return 1
     print(
         "docs check: all modules documented, all config fields, serving "
         "flags, wire verbs, snapshot format, fault kinds, diagnostic codes, lint flags, "
-        "and obs metric/span names covered; no stale config fields or codes"
+        "and obs metric/span names covered; no stale config fields, codes "
+        "or path references"
     )
     return 0
 

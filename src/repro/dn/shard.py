@@ -36,7 +36,8 @@ Determinism contract: for equal programs, topologies, configs and seeds,
 ``ShardedEngine`` and ``DistributedEngine`` produce equal traces
 (``Trace.fingerprint()``), node tables, stats, and monitor reports — for
 every shard count, partition strategy, and transport.  The property tests
-in ``tests/dn/test_sharded_engine.py`` and the E10 benchmark enforce this.
+in ``tests/dn/test_sharded_engine.py`` enforce this, on inline and process
+transports and through an event-budget cut-off.
 
 ``EngineConfig(shard_transport="process")`` (the default) runs one worker
 OS process per shard, talking over pipes; ``"inline"`` hosts the workers

@@ -359,7 +359,7 @@ class Trace:
         runs are byte-identical executions iff their fingerprints match —
         this is the equality the sharded engine's determinism contract is
         stated in (``ShardedEngine`` vs ``DistributedEngine`` for the same
-        seed), and what the E10 benchmark's cross-check compares.  Costs
+        seed), and what ``tests/dn/test_sharded_engine.py`` compares.  Costs
         one hash of the records appended since the previous call (see the
         module docstring for the fold).
         """

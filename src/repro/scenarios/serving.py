@@ -6,7 +6,7 @@ engine before ``run``.  A serving daemon instead takes its churn *live*,
 one update request at a time — so this module translates a script (or a
 whole scenario) into the request dicts the daemon's update verbs accept,
 and can drive them through a :class:`~repro.serving.client.ServingClient`.
-The E11 serving benchmark and ``scripts/serving_smoke.py`` use this to
+``scripts/serving_smoke.py`` and ``scripts/chaos_smoke.py`` use this to
 replay exactly the churn a campaign cell would have applied, but through
 the socket.
 """

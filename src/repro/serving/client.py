@@ -2,8 +2,8 @@
 
 Thin by design: one TCP connection, one in-flight request at a time,
 requests and responses framed by :mod:`repro.serving.protocol`.  Drive
-concurrency by opening one client per thread (the E11 benchmark and the
-serving smoke script do exactly that).
+concurrency by opening one client per thread (``tests/serving/test_server.py``
+and the serving smoke script do exactly that).
 
 Failure semantics: every transport failure (timeout, reset, broken pipe,
 refused/closed connection) surfaces as :class:`ServingError` naming the

@@ -15,6 +15,7 @@ from repro.dn.engine import DistributedEngine, EngineConfig
 from repro.dn.network import Topology
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
+from repro.scenarios import generate_scenario
 from repro.workloads.events import WorkloadScript
 from repro.workloads.topologies import ring_topology
 
@@ -161,6 +162,28 @@ class TestRestoreAndCostChange:
         trace = engine.run()
         assert trace.quiescent
         assert nonempty(engine.global_snapshot()) == fresh_snapshot(ring_topology(5))
+
+    @pytest.mark.parametrize("restore, routes", [(False, 2 * 8 * 7), (True, 16 * 15)])
+    def test_tree_link_churn_leaves_no_stale_best_paths(self, restore, routes):
+        """On a converged generated tree, failing a link partitions it (two
+        halves of 8 nodes keep only their own routes); restoring it brings
+        back every pair.  Either way the best paths are exactly a fresh
+        engine's on the final topology: none stale, none missing."""
+
+        topology = generate_scenario("tree", size=16, seed=3).topology
+        link = topology.up_links()[0]
+        engine = DistributedEngine(pv_program(), topology)
+        engine.seed_facts()
+        engine.run(until=0.99)
+        engine.schedule_link_failure(link.src, link.dst, at=1.0)
+        if restore:
+            engine.schedule_link_restore(link.src, link.dst, at=2.0)
+        trace = engine.run()
+        assert trace.quiescent
+        fresh = DistributedEngine(pv_program(), engine.topology)
+        fresh.run()
+        assert set(engine.rows("bestPath")) == set(fresh.rows("bestPath"))
+        assert len(engine.rows("bestPath")) == routes
 
     def test_cost_change_displaces_and_matches_fresh_engine(self):
         engine = DistributedEngine(pv_program(), triangle())

@@ -71,6 +71,7 @@ def execute(
     transport="inline",
     partition="hash",
     until=15.0,
+    max_events=EngineConfig.max_events,
 ):
     """One run → everything the determinism contract quantifies over."""
 
@@ -84,6 +85,7 @@ def execute(
         partition=partition,
         shard_transport=transport,
         refresh_interval=1.5 if soft else None,
+        max_events=max_events,
     )
     engine = create_engine(program, scenario.topology, config=config)
     monitors = standard_monitors(schema_for_program(program))
@@ -145,6 +147,22 @@ class TestShardDeterminism:
 
         single = execute(1, size=10)
         sharded = execute(2, transport="process", size=10)
+        assert sharded == single
+
+    @pytest.mark.parametrize(
+        "max_events, quiescent", [(EngineConfig.max_events, True), (4_020, False)]
+    )
+    def test_process_shards_identical_to_the_event_budget(self, max_events, quiescent):
+        """Four worker processes on a metis-lite partition, under loss and
+        churn: byte-identical whether the run quiesces or its event budget
+        runs out inside a flush wave just after the first link failure (the
+        coordinator's waves must spend the budget exactly like the
+        single-process loop)."""
+
+        kwargs = dict(family="power_law", size=16, max_events=max_events)
+        single = execute(1, **kwargs)
+        sharded = execute(4, transport="process", partition="metis-lite", **kwargs)
+        assert single["quiescent"] is quiescent
         assert sharded == single
 
     def test_trace_seeds_and_replayability(self):

@@ -128,6 +128,27 @@ class TestCampaigns:
             tmp_path / "par" / RESULTS_NAME
         ).read_bytes()
 
+    def test_policy_churn_loss_sweep_identical_across_workers(self, tmp_path):
+        """Every family, both policy kinds, a churn axis and a lossy channel,
+        with the fresh-fixpoint diff off as in throughput sweeps: a 2-worker
+        pool writes the 1-worker ``results.jsonl`` byte for byte, and every
+        record carries its monitor reports."""
+
+        spec = small_spec(
+            families=("tree", "power_law", "waxman"),
+            policies=("shortest_path", "gao_rexford"),
+            seeds=(0,),
+            loss=(0.01,),
+            record_stale_routes=False,
+        )
+        results = {}
+        for workers in (1, 2):
+            result = run_campaign(spec, tmp_path / f"w{workers}", workers=workers)
+            assert result.run_count == spec.run_count == 12
+            assert all(record.monitors for record in result.records)
+            results[workers] = (tmp_path / f"w{workers}" / RESULTS_NAME).read_bytes()
+        assert results[2] == results[1]
+
     def test_killed_campaign_resumes_where_it_stopped(self, tmp_path):
         spec = small_spec(churn_events=(0,))  # 4 runs
         full = run_campaign(spec, tmp_path / "full")

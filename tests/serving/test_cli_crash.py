@@ -1,16 +1,15 @@
 """Crash recovery through the real CLI: a daemon SIGKILLed mid-update-
 stream restarts from its snapshot + ledger tail and reaches the exact
-fingerprint of an uninterrupted run (torn ledger lines included)."""
+fingerprint of an uninterrupted run (torn ledger lines included); a
+``serve --shards 2`` daemon ends on the one-shard daemon's fingerprint."""
 
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-import pytest
+from repro.serving import ServingClient
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -23,10 +22,10 @@ def serving_env() -> dict:
     return env
 
 
-def start_daemon(state_dir: Path) -> subprocess.Popen:
+def start_daemon(state_dir: Path, *extra: str) -> subprocess.Popen:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.serving", "serve",
-         "--state-dir", str(state_dir), *SERVE_ARGS],
+         "--state-dir", str(state_dir), *SERVE_ARGS, *extra],
         env=serving_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -122,3 +121,28 @@ class TestCrashRecovery:
         finally:
             send(state, "query", "stop")
             daemon.wait(timeout=30)
+
+    def test_sharded_daemon_matches_single_shard(self, tmp_path):
+        """``serve --shards 2`` boots worker processes behind the socket,
+        settles every update, and ends on the one-shard daemon's fingerprint."""
+
+        fingerprints = {}
+        for shards in (1, 2):
+            state = tmp_path / f"sh{shards}"
+            daemon = start_daemon(state, "--shards", str(shards))
+            try:
+                with ServingClient.from_state_dir(state, timeout=120) as client:
+                    for dst in (1, 2):
+                        for verb in ("link_fail", "link_restore"):
+                            assert client.update(verb, src=0, dst=dst)["settled"]
+                    status = client.query("status")
+                    assert status["shards"] == shards and status["seq"] == 4
+                    assert status["settled"] and status["monitors_ok"]
+                    fingerprints[shards] = client.query("fingerprint")
+                    client.stop()
+                assert daemon.wait(timeout=30) == 0
+            finally:
+                if daemon.poll() is None:
+                    daemon.kill()
+                    daemon.wait(timeout=30)
+        assert fingerprints[2] == fingerprints[1]

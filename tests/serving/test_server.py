@@ -16,10 +16,15 @@ from repro.serving import (
 from repro.serving.client import read_server_info
 
 
-@pytest.fixture()
-def running_server(tmp_path):
+@pytest.fixture(params=[1, 2], ids=["1shard", "2shards"])
+def running_server(request, tmp_path):
     service = RouteService(
-        ServerConfig(family="tree", size=12, state_dir=str(tmp_path / "state"))
+        ServerConfig(
+            family="tree",
+            size=12,
+            shards=request.param,
+            state_dir=str(tmp_path / "state"),
+        )
     )
     server = RouteServer(service)
     ready = threading.Event()
@@ -92,6 +97,10 @@ class TestServer:
         assert sorted(seqs) == list(range(1, 9))
         # every query saw a settled state on the 0–5 path (never perturbed)
         assert all(found) and len(found) == 16
+        with ServingClient(running_server.host, running_server.port) as client:
+            status = client.query("status")
+        assert status["seq"] == 8
+        assert status["settled"] and status["monitors_ok"]
 
     def test_error_responses_keep_connection_usable(self, running_server):
         with ServingClient(running_server.host, running_server.port) as client:

@@ -1,7 +1,7 @@
 """The documentation gate (``scripts/check_docs.py``) works both ways: the
 repository's docs pass it, and a config-table row naming a field the class
-no longer has, or a diagnostics-table row naming a code ``CODES`` no longer
-has, fails it."""
+no longer has, a diagnostics-table row naming a code ``CODES`` no longer
+has, or a backticked test path or test name that does not exist, fails it."""
 
 import importlib.util
 import shutil
@@ -31,13 +31,16 @@ def check(root: Path) -> subprocess.CompletedProcess:
 
 @pytest.fixture
 def docs_tree(tmp_path) -> Path:
-    """A copy of what the gate reads: ``src/repro`` and ``docs``."""
+    """A copy of what the gate reads: ``src/repro`` and ``docs``, with the
+    directories docs cite paths in linked back to the repository."""
 
     shutil.copytree(
         REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro",
         ignore=shutil.ignore_patterns("__pycache__"),
     )
     shutil.copytree(REPO_ROOT / "docs", tmp_path / "docs")
+    for name in ("tests", "benchmarks", "scripts"):
+        (tmp_path / name).symlink_to(REPO_ROOT / name)
     return tmp_path
 
 
@@ -91,3 +94,21 @@ def test_stale_diagnostic_row_fails(docs_tree):
     done = check(docs_tree)
     assert done.returncode == 1
     assert "STALE DIAGNOSTIC: docs/ANALYSIS.md lists NDL401" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        "benchmarks/test_bench_e10_sharded_engine.py",
+        "tests/dn/test_sharded_engine.py::TestShardDeterminism::test_no_such_case",
+    ],
+)
+def test_stale_path_reference_fails(docs_tree, reference):
+    insert_row_after(
+        docs_tree / "docs" / "CONFIG.md",
+        "| `shard_timeout` |",
+        f"| `shard_timeout` | `30.0` | Worker reply deadline | `{reference}` |",
+    )
+    done = check(docs_tree)
+    assert done.returncode == 1
+    assert f"STALE REFERENCE: docs/CONFIG.md cites {reference}" in done.stdout
