@@ -4,11 +4,13 @@
 Two legs, both driven by seeded :class:`~repro.dn.faults.FaultPlan`s so
 every provoked failure is exactly reproducible:
 
-1. **Sharded engine** — run a churn scenario on a process-sharded engine
-   while the plan SIGKILLs shard workers and severs coordinator pipes
-   mid-fixpoint; require the runtime invariant monitors green and the
-   final ``Trace.fingerprint()`` **byte-identical** to a fault-free
-   control run.
+1. **Sharded engine** — run a churn scenario on a process-sharded engine,
+   in run segments so the workers take checkpoints, and arm the plan after
+   the first checkpoint: it SIGKILLs shard workers and severs coordinator
+   pipes mid-fixpoint, and every respawn resyncs from a checkpoint plus
+   the requests logged since; require at least one checkpoint, the runtime
+   invariant monitors green and the final ``Trace.fingerprint()``
+   **byte-identical** to a fault-free control run.
 2. **Serving daemon** — drive a live update stream through a socket
    daemon while the plan resets client connections before and after
    dispatch and tears a snapshot write; the client retries with request
@@ -44,6 +46,12 @@ SIZE = 16
 SHARDS = 3
 CHURN_EVENTS = 4
 PLAN_SEED = 1009
+#: the sharded leg churns longer (so its workers' request logs outgrow
+#: their live rows and they checkpoint) and runs to UNTIL in segments of
+#: SEGMENT simulated seconds
+SHARD_CHURN_EVENTS = 40
+SEGMENT = 0.5
+UNTIL = 12.0
 
 
 def sharded_run(faults: FaultPlan | None) -> dict:
@@ -54,23 +62,36 @@ def sharded_run(faults: FaultPlan | None) -> dict:
         size=SIZE,
         seed=0,
         policy="gao_rexford",
-        churn_events=CHURN_EVENTS,
+        churn_events=SHARD_CHURN_EVENTS,
         churn_restore_delay=1.0,
         loss=0.01,
     )
     program = policy_path_vector_program()
+    # the restart budget covers every fault of the plan landing on one
+    # shard: wildcard faults go to whichever shard makes the n-th request
     config = EngineConfig(
-        seed=0, shards=SHARDS, shard_transport="process", shard_timeout=30.0
+        seed=0,
+        shards=SHARDS,
+        shard_transport="process",
+        shard_timeout=30.0,
+        shard_restarts=len(faults.faults) if faults is not None else 0,
     )
     engine = create_engine(program, scenario.topology, config=config)
     assert isinstance(engine, ShardedEngine)
-    injector = engine.inject_faults(faults) if faults is not None else None
+    injector = None
+    armed_after = 0
     monitors = standard_monitors(schema_for_program(program))
     for monitor in monitors:
         engine.attach_monitor(monitor)
     scenario.churn.apply_to_engine(engine)
     try:
-        trace = engine.run(until=12.0, extra_facts=scenario.policy_fact_list())
+        for step in range(1, round(UNTIL / SEGMENT) + 1):
+            if faults is not None and injector is None and sum(engine.shard_checkpoints):
+                armed_after = sum(engine.shard_checkpoints)
+                injector = engine.inject_faults(faults)
+            trace = engine.run(
+                until=step * SEGMENT, extra_facts=scenario.policy_fact_list()
+            )
         engine.finalize_monitors()
         engine.validate_shards()
         return {
@@ -78,6 +99,8 @@ def sharded_run(faults: FaultPlan | None) -> dict:
             "quiescent": trace.quiescent,
             "monitors_ok": all(monitor.ok for monitor in monitors),
             "restarts": list(engine.shard_restarts),
+            "checkpoints": sum(engine.shard_checkpoints),
+            "checkpoints_before_faults": armed_after,
             "injected": injector.fired() if injector is not None else [],
         }
     finally:
@@ -102,11 +125,18 @@ def chaos_sharded(evidence: dict) -> None:
         "plan": plan.to_dict(),
         "injected": chaotic["injected"],
         "worker_restarts": chaotic["restarts"],
+        "checkpoints": chaotic["checkpoints"],
+        "checkpoints_before_faults": chaotic["checkpoints_before_faults"],
         "monitors_ok": chaotic["monitors_ok"],
         "control_fingerprint": control["fingerprint"],
         "chaotic_fingerprint": chaotic["fingerprint"],
         "byte_identical": chaotic["fingerprint"] == control["fingerprint"],
     }
+    if chaotic["checkpoints_before_faults"] == 0:
+        raise SystemExit(
+            "sharded chaos: no worker checkpoint before the faults — the "
+            "checkpoint resync path never ran"
+        )
     if not chaotic["injected"]:
         raise SystemExit("sharded chaos: no fault fired — plan never exercised")
     if not evidence["sharded"]["byte_identical"]:

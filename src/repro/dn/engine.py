@@ -116,9 +116,10 @@ class EngineConfig:
     #: (same code path minus the IPC — used by differential tests).
     shard_transport: str = "process"
     #: Times the coordinator may respawn+resync any one crashed shard
-    #: worker before degrading to a clean ``NDlogError``.  Respawned
-    #: workers are rebuilt from the coordinator's replica tables, keeping
-    #: ``Trace.fingerprint()`` byte-identical (see ``docs/FAULTS.md``).
+    #: worker before degrading to a clean ``NDlogError``.  A respawned
+    #: worker loads its shard's last checkpoint and re-executes the
+    #: requests logged since, keeping ``Trace.fingerprint()``
+    #: byte-identical (see ``docs/FAULTS.md``).
     shard_restarts: int = 2
     #: Seconds the coordinator waits for a shard worker's response before
     #: declaring it hung, killing it, and applying the restart policy
@@ -154,6 +155,9 @@ class EngineMonitor(Protocol):
 class DistributedEngine:
     """Runs an NDlog program over a simulated network."""
 
+    #: what holds a node's state (a sharded coordinator's holds a row view)
+    node_class = Node
+
     def __init__(
         self,
         program: Program,
@@ -174,14 +178,9 @@ class DistributedEngine:
         self._registry_arg = registry
         self.registry = registry or builtin_registry()
         self.rule_engine = seminaive.RULE_ENGINE(self.registry)
-        # compile the localized program once; every node shares the plans.
-        # A sharded coordinator never fires rules itself (its workers each
-        # compile their own copy; its nodes are a replay-maintained replica),
-        # so it skips the warm-up — compilation stays lazy if anything ever
-        # does fire coordinator-side.
-        fires_rules = self.config.shards <= 1 or type(self) is DistributedEngine
-        if fires_rules:
-            self.rule_engine.precompile(self.program.rules)
+        # compile the localized program once; every node shares the plans
+        # (and forked shard workers inherit them through the codegen cache)
+        self.rule_engine.precompile(self.program.rules)
         self.scheduler = EventScheduler()
         # Resolve the loss channel's seed once so every run — including
         # seed=None "nondeterministic" ones — is reproducible from its
@@ -210,16 +209,14 @@ class DistributedEngine:
         #: updates must not land inside; see :meth:`_assert_safe_point`
         self._fixpoint_depth = 0
         self.nodes: dict[NodeId, Node] = {
-            node_id: Node(node_id, self.program, rule_engine=self.rule_engine)
+            node_id: self.node_class(node_id, self.program, rule_engine=self.rule_engine)
             for node_id in topology.nodes
         }
         # the node-local fixpoint machinery (trigger maps, retraction
         # rounds, negation deltas) lives in the executor, shared with the
         # shard workers; each settle plugs this engine's trace/channel in as
         # the effect sinks
-        self.executor = FixpointExecutor(
-            self.program, self.rule_engine, build_rule_state=fires_rules
-        )
+        self.executor = FixpointExecutor(self.program, self.rule_engine)
         self._base_facts: list[tuple[NodeId, str, tuple]] = []
         self._seeded = False
         # per-node queues of ops awaiting batched delta processing; each op
@@ -374,9 +371,7 @@ class DistributedEngine:
             if decl.is_soft_state
         ]
         return any(
-            len(node.db.table(predicate))
-            for node in self.nodes.values()
-            for predicate in soft
+            node.rows(predicate) for node in self.nodes.values() for predicate in soft
         )
 
     # ------------------------------------------------------------------
@@ -566,7 +561,7 @@ class DistributedEngine:
                     # re-injecting its fact would resurrect the dead link
                     # (cf. schedule_cost_change); it ships again on restore
                     continue
-            if values in self.nodes[node_id].db.table(predicate):
+            if self.nodes[node_id].holds(predicate, values):
                 # pure refresh: extend the lifetime without re-firing rules
                 # (and without inflating the row's support count)
                 refreshed.append((node_id, predicate, values))
@@ -580,12 +575,8 @@ class DistributedEngine:
     def _apply_refresh(
         self, refreshed: list[tuple[NodeId, str, tuple]], now: float
     ) -> None:
-        """Extend the lifetimes of present soft-state base facts.
-
-        Hook point for the sharded coordinator, which additionally forwards
-        the refreshes to the shard workers so their authoritative tables
-        keep the same expiry timestamps as the coordinator's replica.
-        """
+        """Extend the lifetimes of present soft-state base facts (the
+        sharded coordinator forwards them to the workers that hold them)."""
 
         for node_id, predicate, values in refreshed:
             self.nodes[node_id].db.table(predicate).refresh(values, now)
@@ -596,10 +587,10 @@ class DistributedEngine:
         # the node's deletion round has fired the retraction joins against
         # them (the round re-checks the lifetime, so a same-instant refresh
         # wins)
-        for node in self.nodes.values():
-            for predicate in node.db.predicates():
-                for row in node.db.table(predicate).expired(now):
-                    self._handle_retract(node.id, predicate, row, kind="expire")
+        expired = self._expired_rows(now)
+        for node_id in self.nodes:
+            for predicate, row in expired.get(node_id, ()):
+                self._handle_retract(node_id, predicate, row, kind="expire")
         if (
             not self.scheduler.is_empty
             or self.config.refresh_interval
@@ -611,6 +602,18 @@ class DistributedEngine:
                 self.config.expiry_scan_interval,
                 Event("expiry", self._expire_soft_state),
             )
+
+    def _expired_rows(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
+        """Node → its soft-state rows past their lifetime (see
+        :meth:`Node.expired`); the sharded coordinator asks its workers."""
+
+        return {node_id: node.expired(now) for node_id, node in self.nodes.items()}
+
+    def soft_deadlines(self, node_id: NodeId) -> list[tuple[str, tuple, float]]:
+        """``(predicate, row, expiry deadline)`` of every soft-state row at
+        a node (see :meth:`Node.soft_deadlines`)."""
+
+        return self.nodes[node_id].soft_deadlines()
 
     # ------------------------------------------------------------------
     # Topology dynamics
@@ -706,6 +709,7 @@ class DistributedEngine:
         """
 
         self.trace.compact()
+        self._begin_segment()
         if not self._seeded:
             self.seed_facts(extra_facts)
         with obs_tracing.span("engine.run"):
@@ -716,6 +720,10 @@ class DistributedEngine:
         if obs_metrics.ENABLED:
             self._record_run_metrics()
         return self.trace
+
+    def _begin_segment(self) -> None:
+        """A run segment starts here, at a settle point (the serving settle
+        loop calls this too); the sharded coordinator may checkpoint."""
 
     def _record_run_metrics(self) -> None:
         """Fold this run segment's totals into the metrics registry.
@@ -764,7 +772,7 @@ class DistributedEngine:
     def explain(self, predicate: str, values: Iterable[object], **caps) -> dict:
         """Derivation DAG of a stored row down to base facts.
 
-        Reconstructed on demand from the replica tables by
+        Reconstructed on demand from the stored rows by
         :func:`repro.obs.provenance.explain` (``caps``: ``max_depth``,
         ``max_derivations``); call at a safe point on a settled engine.
         """
@@ -784,7 +792,7 @@ class DistributedEngine:
     def close(self) -> None:
         """Release external resources.  A no-op for the single-process
         engine; the sharded engine overrides this to shut its worker
-        processes down (its replicated state stays readable after)."""
+        processes down (its rows, trace and stats stay readable after)."""
 
 
 def create_engine(

@@ -18,8 +18,8 @@ compiled negation-delta variants); the callbacks are arguments of each
 :meth:`FixpointExecutor.settle` call, not executor state.  This locality is
 what makes the sharded engine (:mod:`repro.dn.shard`) possible: a worker
 process hosts the nodes of its shard and runs the *identical* code the
-single-process engine runs, with the callbacks collecting effects to replay
-at the coordinator instead of recording/sending directly.  Determinism of
+single-process engine runs, with the callbacks collecting effects for the
+coordinator to sequence instead of recording/sending directly.  Determinism of
 the split therefore reduces to determinism of this class, which both
 engines share.
 
@@ -52,17 +52,6 @@ Op = tuple[str, str, tuple]
 RecordChange = Callable[[float, object, str, tuple, str], None]
 Send = Callable[[object, object, str, tuple, str], None]
 
-#: meta-record kinds emitted through the optional ``record_meta`` callback:
-#: bookkeeping that changes no visible tuple (so it must stay out of the
-#: trace and the monitors) but that the sharded coordinator must mirror into
-#: its replica tables for crash-resync to be byte-faithful — ``support`` (a
-#: duplicate derivation counted / soft-state lifetime refreshed),
-#: ``release`` (a support dropped with the row surviving), ``mark`` /
-#: ``unmark`` (displacement marks), ``index`` (a lazy hash index built,
-#: ``values`` = the indexed positions), and ``unswept`` / ``swept`` (the
-#: predicate entered / left ``Node.unswept``)
-META_KINDS = ("support", "release", "mark", "unmark", "index", "unswept", "swept")
-
 
 class SweepSeed(NamedTuple):
     """How the scoped consistency check enters one sweep rule by head key:
@@ -85,19 +74,12 @@ class FixpointExecutor:
     engine or shard worker.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        rule_engine: RuleEngine,
-        *,
-        build_rule_state: bool = True,
-    ) -> None:
+    def __init__(self, program: Program, rule_engine: RuleEngine) -> None:
         self.program = program
         self.rule_engine = rule_engine
         # the effect callbacks of the settle in progress (see :meth:`settle`)
         self.record_change: Optional[RecordChange] = None
         self.send: Optional[Send] = None
-        self.record_meta: Optional[RecordChange] = None
         # rules indexed by the body predicates that can trigger them, plus a
         # memo of the per-delta plain/aggregate split (computed once per
         # distinct delta-predicate set instead of once per delivery round)
@@ -131,39 +113,35 @@ class FixpointExecutor:
         #: predicates seeded with base facts (injected, not derived): the
         #: sweep must never judge them by rule derivability
         self._protected: set[str] = set()
-        # build_rule_state=False skips the retraction-state compilation for
-        # executors that never drain (the sharded coordinator keeps one only
-        # for its sweep-protection set; its workers build the full state)
-        if build_rule_state:
-            for rule in program.rules:
-                for predicate, variant in rule_engine.negation_variants(rule):
-                    self._negation_triggers.setdefault(predicate, []).append(variant)
-                if not rule.head.has_aggregate:
-                    self._head_rules.setdefault(rule.head.predicate, []).append(rule)
-            aggregate_heads = {
-                rule.head.predicate for rule in program.rules if rule.head.has_aggregate
-            }
-            for predicate, rules in self._head_rules.items():
-                if predicate in aggregate_heads:
-                    continue  # view-maintained (recompute-and-diff) predicates
-                if all(self._purely_local(rule) for rule in rules):
-                    self._sweep_rules[predicate] = tuple(rules)
-            for predicate, rules in self._sweep_rules.items():
-                bodies = frozenset(
-                    body for rule in rules for body in rule.body_predicates()
-                )
-                self._sweep_bodies[predicate] = bodies
-                plans = tuple((rule, self._sweep_seeds(rule)) for rule in rules)
-                # FIFO eviction removes rows without a deletion delta, so no
-                # key is ever touched for it: size-capped tables stay on the
-                # full sweep
-                capped = any(
-                    decl.max_size != float("inf")
-                    for decl in map(program.materialized.get, bodies | {predicate})
-                    if decl is not None
-                )
-                if not capped and all(seeds for _, seeds in plans):
-                    self._sweep_plans[predicate] = plans
+        for rule in program.rules:
+            for predicate, variant in rule_engine.negation_variants(rule):
+                self._negation_triggers.setdefault(predicate, []).append(variant)
+            if not rule.head.has_aggregate:
+                self._head_rules.setdefault(rule.head.predicate, []).append(rule)
+        aggregate_heads = {
+            rule.head.predicate for rule in program.rules if rule.head.has_aggregate
+        }
+        for predicate, rules in self._head_rules.items():
+            if predicate in aggregate_heads:
+                continue  # view-maintained (recompute-and-diff) predicates
+            if all(self._purely_local(rule) for rule in rules):
+                self._sweep_rules[predicate] = tuple(rules)
+        for predicate, rules in self._sweep_rules.items():
+            bodies = frozenset(
+                body for rule in rules for body in rule.body_predicates()
+            )
+            self._sweep_bodies[predicate] = bodies
+            plans = tuple((rule, self._sweep_seeds(rule)) for rule in rules)
+            # FIFO eviction removes rows without a deletion delta, so no
+            # key is ever touched for it: size-capped tables stay on the
+            # full sweep
+            capped = any(
+                decl.max_size != float("inf")
+                for decl in map(program.materialized.get, bodies | {predicate})
+                if decl is not None
+            )
+            if not capped and all(seeds for _, seeds in plans):
+                self._sweep_plans[predicate] = plans
 
     @staticmethod
     def _purely_local(rule: Rule) -> bool:
@@ -257,13 +235,10 @@ class FixpointExecutor:
         now: float,
         record_change: RecordChange,
         send: Send,
-        record_meta: Optional[RecordChange] = None,
     ) -> None:
         """Run a node's queued ops (everything that arrived at this
         timestamp) to quiescence in retraction-aware rounds, emitting their
-        effects through ``record_change`` and ``send`` (and the invisible
-        bookkeeping of :data:`META_KINDS` through ``record_meta``: None in
-        the single-process engine, the worker's collector in shards).
+        effects through ``record_change`` and ``send``.
 
         The callbacks are held only while the settle runs.  They are bound
         methods of the engine (or shard worker) that owns this executor, so
@@ -273,11 +248,11 @@ class FixpointExecutor:
         until it does.  See :meth:`_settle` for the rounds.
         """
 
-        self.record_change, self.send, self.record_meta = record_change, send, record_meta
+        self.record_change, self.send = record_change, send
         try:
             self._settle(node, ops, now)
         finally:
-            self.record_change = self.send = self.record_meta = None
+            self.record_change = self.send = None
 
     def _settle(self, node: Node, ops, now: float) -> None:
         """The rounds of :meth:`settle`.
@@ -387,7 +362,7 @@ class FixpointExecutor:
                 and predicate not in node.unswept
                 and not self._keys_consistent(node, predicate, keys)
             ):
-                self._set_unswept(node, predicate, True, now)
+                node.unswept.add(predicate)
         if rounds and obs_metrics.ENABLED:
             obs_metrics.observe("engine.fixpoint_rounds", rounds)
 
@@ -400,19 +375,6 @@ class FixpointExecutor:
                 predicate
             ].isdisjoint(deleted):
                 yield predicate, rules
-
-    def _set_unswept(self, node: Node, predicate: str, unswept: bool, now: float) -> None:
-        """Set or clear ``predicate``'s mark in ``Node.unswept`` (mirrored
-        to the sharded coordinator's replica like a displacement mark)."""
-
-        if unswept:
-            node.unswept.add(predicate)
-        else:
-            node.unswept.discard(predicate)
-        if self.record_meta is not None:
-            self.record_meta(
-                now, node.id, predicate, (), "unswept" if unswept else "swept"
-            )
 
     def _sweep_is_clean(
         self, node: Node, deleted: set[str], touched: dict[str, set[tuple]], now: float
@@ -443,7 +405,7 @@ class FixpointExecutor:
         for predicate, _ in self._sweep_due(deleted):
             keys = touched.pop(predicate, set())
             if predicate in node.unswept:
-                self._set_unswept(node, predicate, False, now)
+                node.unswept.discard(predicate)
                 clean = False
             elif clean:
                 clean = self._keys_consistent(node, predicate, keys)
@@ -601,8 +563,6 @@ class FixpointExecutor:
                         # row, nothing stored to release
                         continue
                     if not released:
-                        if self.record_meta is not None:
-                            self.record_meta(now, node.id, predicate, row, "release")
                         continue
                 elif kind == "expire":
                     if not table.row_expired(row, now):
@@ -646,8 +606,6 @@ class FixpointExecutor:
                         key = table.key_of(row)
                         if key in marked and (predicate, key) not in displacing:
                             marked.discard(key)
-                            if self.record_meta is not None:
-                                self.record_meta(now, node.id, predicate, row, "unmark")
                             refill.setdefault(predicate, set()).add(key)
                     if table.delete(row):
                         stats.tuples_deleted += 1
@@ -693,7 +651,6 @@ class FixpointExecutor:
             stats = node.stats
             node_id = node.id
             record_change = self.record_change
-            record_meta = self.record_meta
             run_predicate = None
             for _, predicate, values in ins_ops:
                 if predicate != run_predicate:
@@ -712,19 +669,12 @@ class FixpointExecutor:
                     node.displaced.setdefault(predicate, set()).add(
                         table.key_of(row)
                     )
-                    if record_meta is not None:
-                        record_meta(now, node_id, predicate, row, "mark")
                     requeue.append(("displace", predicate, occupant))
                     requeue.append(("insert", predicate, row))
                 elif inserted:
                     stats.tuples_inserted += 1
                     record_change(now, node_id, predicate, row, kind)
                     delta.setdefault(predicate, []).append(row)
-                elif record_meta is not None:
-                    # a duplicate support was counted (and, for soft state,
-                    # the row's lifetime refreshed): invisible to the trace,
-                    # but the sharded replica must mirror it for crash-resync
-                    record_meta(now, node_id, predicate, row, "support")
             if delta:
                 if obs_metrics.ENABLED:
                     obs_metrics.observe(

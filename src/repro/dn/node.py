@@ -29,10 +29,10 @@ class NodeStats:
     """Counters kept per node.
 
     In sharded runs (:mod:`repro.dn.shard`) the counters are split by
-    ownership: message and tuple counters are authoritative at the
-    coordinator (its replay performs the same inserts/deletes the worker
-    did), while ``rule_firings`` only happens at the owning worker and is
-    folded back through :meth:`as_dict` after each run segment.
+    ownership: message counters are kept by the coordinator, which ships
+    every message, while tuple counters and ``rule_firings`` are the owning
+    worker's and are folded back through :meth:`as_dict` after each run
+    segment.
     """
 
     messages_sent: int = 0
@@ -112,30 +112,42 @@ class Node:
     def insert(self, predicate: str, values: tuple, now: float) -> bool:
         """Insert a tuple into the local database; returns True on change."""
 
-        return self.upsert(predicate, values, now)[0]
-
-    def upsert(self, predicate: str, values: tuple, now: float):
-        """Insert a tuple, returning ``(changed, table)``.
-
-        Single-key-computation variant of :meth:`insert` used by the hot
-        delivery path; the table is returned so the caller can classify the
-        change without another lookup.
-        """
-
-        table = self.db.table(predicate)
-        changed, previous = table.upsert(values, now)
+        changed, previous = self.db.table(predicate).upsert(values, now)
         if changed:
             if previous is not None:
                 self.stats.tuples_replaced += 1
             else:
                 self.stats.tuples_inserted += 1
-        return changed, table
+        return changed
 
     def delete(self, predicate: str, values: tuple) -> bool:
         deleted = self.db.delete(predicate, values)
         if deleted:
             self.stats.tuples_deleted += 1
         return deleted
+
+    def holds(self, predicate: str, values: tuple) -> bool:
+        """Is exactly ``values`` stored (not just a row under its key)?"""
+
+        return values in self.db.table(predicate)
+
+    def expired(self, now: float) -> list[tuple[str, tuple]]:
+        """``(predicate, row)`` of the soft-state rows past their lifetime,
+        by predicate name and then row order (the order expiry is queued)."""
+
+        db = self.db
+        return [(p, row) for p in db.predicates() for row in db.table(p).expired(now)]
+
+    def soft_deadlines(self) -> list[tuple[str, tuple, float]]:
+        """``(predicate, row, expiry deadline)`` of every soft-state row, in
+        the order of :meth:`expired`."""
+
+        db = self.db
+        return [
+            (p, row, deadline)
+            for p in db.predicates()
+            for row, deadline in db.table(p).deadlines()
+        ]
 
     def export_state(self) -> dict:
         """The node's structural state at a settle point, as plain data: stats,

@@ -9,68 +9,65 @@ budget accounting.  The split follows from a locality argument:
 * Everything *global* stays in the coordinator: the event scheduler (and
   its FIFO tie-breaking, which defines the global event order), the loss
   channel and its RNG stream, the trace, the runtime monitors, topology
-  dynamics, and the per-node pending-op queues.
+  dynamics, message counters, and the per-node pending-op queues.
 * Everything *expensive* is per-node and moves to the workers: each shard
-  worker process owns the authoritative :class:`~repro.dn.node.Node`
-  databases of its partition and runs the identical
+  worker process is the only holder of its partition's
+  :class:`~repro.dn.node.Node` tables and runs the identical
   :class:`~repro.dn.executor.FixpointExecutor` settle the single-process
-  engine runs (the engine's one execution mode).  A drain touches exactly
-  one node, so all flushes scheduled at one timestamp are independent and
-  execute **in parallel across shards**.
+  engine runs.  A drain touches exactly one node, so all flushes scheduled
+  at one timestamp are independent and execute **in parallel across
+  shards**.
 
 The coordinator batches every same-timestamp flush event (taking them off
 the scheduler through :meth:`~repro.dn.events.EventScheduler.pop_if`, which
 preserves event-budget accounting), fans the op batches out to the shard
-workers, then **replays** the returned effects in the exact order the
-single-process engine would have produced them: state-change records update
-a coordinator-side replica of every node table (so ``engine.rows()``,
-``global_snapshot()``, post-hoc property checks, and the soft-state monitor
-keep working unmodified) and feed the trace and monitors; send intents go
-through the coordinator's own ``_send``, so loss-channel RNG draws happen
-in the same global order as single-process execution.  Cross-shard and
-intra-shard messages take the same path — shipping is the coordinator's
-job either way, which is precisely why the replay order can be made
-identical.
+workers, then applies the returned effects in the exact order the
+single-process engine would have produced them.  A worker returns what the
+single-process sinks receive, nothing more: traced change records feed the
+trace and monitors and fold into a per-node row view (:class:`RemoteNode`,
+serving ``rows()``, ``global_snapshot()`` and refresh membership); send
+intents go through the coordinator's own ``_send``, so loss-channel RNG
+draws happen in the single-process order for cross- and intra-shard
+messages alike.  What needs deadlines — the expiry scan, the soft-state
+monitor — is a worker request.  Workers fork from a coordinator that has
+already compiled the localized program, so they inherit its generated rule
+code, and all of an engine's workers start before any handshake is awaited.
 
 Determinism contract: for equal programs, topologies, configs and seeds,
 ``ShardedEngine`` and ``DistributedEngine`` produce equal traces
 (``Trace.fingerprint()``), node tables, stats, and monitor reports — for
-every shard count, partition strategy, and transport.  The property tests
-in ``tests/dn/test_sharded_engine.py`` enforce this, on inline and process
-transports and through an event-budget cut-off.
+every shard count, partition strategy, and transport (``"process"``: one
+worker OS process per shard over pipes; ``"inline"``: the same code path
+minus the IPC).  Build either with :func:`repro.dn.engine.create_engine`
+and ``close()`` a sharded engine when done; its rows stay readable.
 
-``EngineConfig(shard_transport="process")`` (the default) runs one worker
-OS process per shard, talking over pipes; ``"inline"`` hosts the workers
-in-process for tests and debugging (same code path minus the IPC).  Use
-:func:`repro.dn.engine.create_engine` to build whichever engine a config
-asks for, and ``close()`` a sharded engine when done — its replicated
-state stays readable afterwards.
-
-**Supervision.**  Worker process death (or a hang longer than
-``EngineConfig.shard_timeout``) raises :class:`ShardCrash` inside the
-coordinator, which respawns the worker and **resyncs** its partition from
-the replica tables: rows with their support counts and timestamps,
-displacement/unswept marks, index bucket orders, protected predicates,
-and node stats are pushed back (``load_state``), aggregate view memos are
-rebuilt worker-side by :meth:`~repro.dn.node.Node.load_state` (the code a
-snapshot restore runs too), and the crashed request is retried.  Because
-the replica is only advanced *after* a request's results return, a worker
-that dies mid-request leaves the replica at the pre-request state, so the
-retry recomputes exactly what the dead worker would have produced —
-``Trace.fingerprint()`` stays byte-identical to an undisturbed run (the
-supervision tests sweep kill points to enforce this).  After
-``EngineConfig.shard_restarts`` respawns of one shard the engine degrades
-to a clean :class:`~repro.ndlog.ast.NDlogError` instead of hanging.
-Deterministic failures (a worker *traceback*) still raise
-:class:`ShardError` immediately — respawning would just re-execute the
-bug.  Faults can be injected on purpose via :meth:`ShardedEngine.
-inject_faults` (see :mod:`repro.dn.faults` and ``docs/FAULTS.md``).
+**Supervision.**  Worker death (or a hang past ``EngineConfig.
+shard_timeout``) raises :class:`ShardCrash` in the coordinator, which
+respawns the worker: the new worker loads its shard's last *checkpoint*
+(each member's :meth:`~repro.dn.node.Node.export_state`, pickled by the
+worker and opaque to the coordinator), re-executes the state-changing
+requests logged since (``flush_batch``, ``refresh``, ``protect``; no fault
+probes, results and worker metrics dropped), and the failed request is
+retried.  A request is logged only once its result has returned, so the
+new worker stands exactly where the dead one stood before the fatal
+request and the retry recomputes what it would have produced —
+``Trace.fingerprint()`` stays byte-identical (the supervision tests sweep
+kill points).  A shard checkpoints at the start of a run segment when its
+log holds more ops than its live rows: recovery state is O(live rows + one
+segment), and a one-run engine never checkpoints.  Past
+``EngineConfig.shard_restarts`` respawns of one shard the engine raises a
+clean :class:`~repro.ndlog.ast.NDlogError`; a worker *traceback* raises
+:class:`ShardError` at once (a respawn would re-execute the bug).  Faults
+are injected through :meth:`ShardedEngine.inject_faults` (see
+:mod:`repro.dn.faults` and ``docs/FAULTS.md``).
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import traceback
@@ -79,21 +76,29 @@ from typing import Optional
 from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import NDlogError, Program
 from ..ndlog.functions import builtin_registry
-from ..ndlog.localization import localize_program
 from ..ndlog import seminaive
+from ..ndlog.store import _make_key_getter
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .engine import DistributedEngine, EngineConfig
 from .executor import FixpointExecutor, Op
 from .faults import FaultInjector, FaultPlan
 from .network import NodeId, Topology
-from .node import Node
+from .node import Node, NodeStats
 from .partition import edge_cut, partition_nodes, shard_members
 
-#: a state change collected at a worker: (node, predicate, values, kind)
-ChangeRecord = tuple[NodeId, str, tuple, str]
+#: a state change collected at a worker, for the node whose drain it is:
+#: (predicate, values, kind)
+ChangeRecord = tuple[str, tuple, str]
 #: a send intent collected at a worker: (src, dst, predicate, values, kind)
 SendRecord = tuple[NodeId, NodeId, str, tuple, str]
+
+#: change kinds that store a row (the rest remove one)
+_ADDED = frozenset(("insert", "replace"))
+#: the row-view shape of a predicate without a declaration: keyless, uncapped
+_KEYLESS = (tuple, float("inf"))
+#: the node counters the owning worker keeps (see NodeStats)
+_WORKER_COUNTERS = ("tuples_inserted", "tuples_replaced", "tuples_deleted", "rule_firings")
 
 
 class ShardError(RuntimeError):
@@ -115,13 +120,14 @@ class ShardTimeout(ShardCrash):
 
 
 class ShardWorker:
-    """Worker-side state of one shard: authoritative nodes + executor.
+    """Worker-side state of one shard: the partition's nodes + executor.
 
     Hosts the :class:`~repro.dn.node.Node` objects of its partition and the
-    same :class:`FixpointExecutor` the single-process engine uses; instead
-    of recording/sending directly, the executor's effect callbacks collect
-    ``(records, sends)`` for the coordinator to replay.  Methods map 1:1
-    onto the request protocol of :class:`ProcessShardClient`.
+    same :class:`FixpointExecutor` the single-process engine uses, whose
+    effect callbacks collect ``(records, sends)`` for the coordinator.
+    ``program`` is the coordinator's *localized* program: a forked worker
+    finds its rules in the code cache it inherited.  Methods map 1:1 onto
+    the request protocol of :class:`ProcessShardClient`.
     """
 
     def __init__(
@@ -130,47 +136,26 @@ class ShardWorker:
         node_ids: list[NodeId],
         registry: Optional[FunctionRegistry] = None,
     ) -> None:
-        program.check()
-        self.program = localize_program(program).program
-        self.registry = registry or builtin_registry()
-        self.rule_engine = seminaive.RULE_ENGINE(self.registry)
-        self.rule_engine.precompile(self.program.rules)
+        self.rule_engine = seminaive.RULE_ENGINE(registry or builtin_registry())
+        self.rule_engine.precompile(program.rules)
         self.nodes: dict[NodeId, Node] = {
-            node_id: Node(node_id, self.program, rule_engine=self.rule_engine)
+            node_id: Node(node_id, program, rule_engine=self.rule_engine)
             for node_id in node_ids
         }
         self._records: list[ChangeRecord] = []
         self._sends: list[SendRecord] = []
-        self.executor = FixpointExecutor(self.program, self.rule_engine)
-        # mirror lazy index builds into the record stream so the
-        # coordinator's replica keeps identical bucket orders (a crash
-        # resync pushes replica buckets back verbatim; lazily rebuilt
-        # indexes could iterate joins in a different order after keyed
-        # re-bindings and diverge the fingerprint)
-        for node_id, node in self.nodes.items():
-            node.db.hook_index_builds(self._index_collector(node_id))
-
-    def _index_collector(self, node_id: NodeId):
-        def collect(predicate: str, positions: tuple[int, ...]) -> None:
-            self._records.append((node_id, predicate, tuple(positions), "index"))
-
-        return collect
+        self.executor = FixpointExecutor(program, self.rule_engine)
 
     # -- executor effect sinks ---------------------------------------------
     def _collect_change(
         self, now: float, node_id: NodeId, predicate: str, values: tuple, kind: str
     ) -> None:
-        self._records.append((node_id, predicate, values, kind))
+        self._records.append((predicate, values, kind))
 
     def _collect_send(
         self, src: NodeId, dst: NodeId, predicate: str, values: tuple, kind: str
     ) -> None:
         self._sends.append((src, dst, predicate, values, kind))
-
-    def _collected(self) -> tuple[list[ChangeRecord], list[SendRecord]]:
-        records, sends = self._records, self._sends
-        self._records, self._sends = [], []
-        return records, sends
 
     # -- request protocol --------------------------------------------------
     def flush_batch(
@@ -181,15 +166,14 @@ class ShardWorker:
         out = []
         for node_id, ops in items:
             self.executor.settle(
-                self.nodes[node_id], ops, now,
-                self._collect_change, self._collect_send, self._collect_change,
+                self.nodes[node_id], ops, now, self._collect_change, self._collect_send
             )
-            out.append(self._collected())
+            out.append((self._records, self._sends))
+            self._records, self._sends = [], []
         return out
 
     def refresh(self, now: float, items: list[tuple[NodeId, str, tuple]]) -> None:
-        """Extend soft-state lifetimes (keeps worker expiry timestamps in
-        lock-step with the coordinator's replica)."""
+        """Extend soft-state lifetimes of present base facts."""
 
         for node_id, predicate, values in items:
             self.nodes[node_id].db.table(predicate).refresh(tuple(values), now)
@@ -198,6 +182,14 @@ class ShardWorker:
         """Mirror the coordinator's sweep exemptions (injected base facts)."""
 
         self.executor.protect(predicate)
+
+    def expired(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
+        """Each node's soft-state rows past their lifetime (the expiry scan)."""
+
+        return {node_id: node.expired(now) for node_id, node in self.nodes.items()}
+
+    def soft_deadlines(self, node_id: NodeId) -> list[tuple[str, tuple, float]]:
+        return self.nodes[node_id].soft_deadlines()
 
     def node_stats(self) -> dict[NodeId, dict]:
         return {node_id: node.stats.as_dict() for node_id, node in self.nodes.items()}
@@ -209,41 +201,40 @@ class ShardWorker:
         return True
 
     def metrics(self) -> dict:
-        """Drain this worker's metrics registry (raw export + reset).
-
-        Draining (rather than snapshotting) keeps repeated collections
-        from double-counting; the coordinator merges the export into its
-        own registry after each run segment.
-        """
+        """Drain this worker's metrics registry (raw export + reset), so
+        repeated collections never double-count."""
 
         return obs_metrics.registry().drain()
 
-    def load_state(self, state: dict) -> bool:
-        """Adopt a partition's full structural state after a respawn.
+    def checkpoint(self) -> bytes:
+        """The partition's state at a settle point, pickled: protected
+        predicates and each node's :meth:`~repro.dn.node.Node.export_state`."""
 
-        ``state`` is the coordinator's export of its replica (see
-        :meth:`ShardedEngine._export_shard_state`): each node's
-        :meth:`~repro.dn.node.Node.export_state` plus the protected-predicate
-        set.  Replica nodes never fire rules, so aggregate view memos are
-        rebuilt here by :meth:`~repro.dn.node.Node.load_state` — resync
-        happens at a settle point — and the worker ends bit-identical to one
-        that never died.
-        """
+        state = (
+            sorted(self.executor._protected),
+            {node_id: node.export_state() for node_id, node in self.nodes.items()},
+        )
+        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
 
-        for predicate in state["protected"]:
+    def restore(self, checkpoint: bytes) -> bool:
+        """Adopt a :meth:`checkpoint` after a respawn (view memos are
+        rebuilt by :meth:`~repro.dn.node.Node.load_state`, as in a snapshot
+        restore): the worker ends bit-identical to the one that took it."""
+
+        protected, nodes = pickle.loads(checkpoint)
+        for predicate in protected:
             self.executor.protect(predicate)
-        for node_id, entry in state["nodes"].items():
-            self.nodes[node_id].load_state(entry)
-        # the memo rebuilds may have emitted scratch index-build records;
-        # they were superseded by the restored buckets
-        self._records.clear()
-        self._sends.clear()
+        for node_id, state in nodes.items():
+            self.nodes[node_id].load_state(state)
         return True
 
 
 def _shard_worker_main(conn, program, node_ids, registry) -> None:
     """Entry point of a shard worker process: serve requests until EOF."""
 
+    # the heap inherited from the coordinator is never freed here: keep the
+    # collector from walking (and so copying) its pages
+    gc.freeze()
     try:
         worker = ShardWorker(program, node_ids, registry)
     except BaseException:
@@ -257,7 +248,6 @@ def _shard_worker_main(conn, program, node_ids, registry) -> None:
             return
         method, args = message
         if method == "shutdown":
-            conn.send(("ok", True))
             return
         if method == "__delay__":
             # fault injection (delay_pipe): stall before the next request,
@@ -314,6 +304,9 @@ class InlineShardClient:
         # inline transport has no hang detector to exercise
         pass
 
+    def shutdown(self) -> None:
+        pass
+
     def close(self) -> None:
         pass
 
@@ -322,11 +315,12 @@ class ProcessShardClient:
     """One shard worker OS process, spoken to over a pipe.
 
     The protocol is strictly one outstanding request per client
-    (``submit`` → ``result``), so coordinators can submit to every shard
-    and collect in a fixed order without deadlock.  Worker tracebacks are
-    re-raised here as :class:`ShardError`; process death, broken pipes and
-    (when ``timeout`` is set) hangs raise :class:`ShardCrash` /
-    :class:`ShardTimeout` so the supervising coordinator can respawn.
+    (``submit`` → ``result``; the construction handshake is the first), so
+    coordinators can submit to every shard and collect in a fixed order
+    without deadlock.  Worker tracebacks are re-raised as
+    :class:`ShardError`; process death, broken pipes and (when ``timeout``
+    is set) hangs raise :class:`ShardCrash` / :class:`ShardTimeout` so the
+    supervising coordinator can respawn.
     """
 
     def __init__(
@@ -337,8 +331,9 @@ class ProcessShardClient:
         *,
         timeout: Optional[float] = None,
     ) -> None:
-        # fork is the cheap path on Linux (no pickling of the program);
-        # fall back to the platform default where fork is unavailable
+        # fork is the cheap path on Linux (no pickling of the program, and
+        # the coordinator's compiled rules come along); fall back to the
+        # platform default where fork is unavailable
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
@@ -354,7 +349,7 @@ class ProcessShardClient:
         self._process.start()
         child.close()
         self._pending = True  # construction handshake
-        self.result()
+        self._shut = False
 
     def submit(self, method: str, args: tuple) -> None:
         if self._pending:
@@ -412,23 +407,30 @@ class ProcessShardClient:
         except (BrokenPipeError, OSError):  # pragma: no cover - dying worker
             pass
 
-    def close(self) -> None:
-        if self._process.is_alive():
-            if self._pending:
-                # an uncollected request is in flight (e.g. teardown after
-                # an error): drain its response briefly so the shutdown
-                # handshake is not misread, else give up on the handshake
-                try:
-                    if self._conn.poll(1.0):
-                        self._conn.recv()
-                        self._pending = False
-                except (EOFError, OSError):
+    def shutdown(self) -> None:
+        """Ask the worker to exit, without waiting for it (see :meth:`close`)."""
+
+        if self._shut or not self._process.is_alive():
+            return
+        self._shut = True
+        if self._pending:
+            # an uncollected request is in flight (e.g. teardown after an
+            # error): drain its response briefly so the worker reads the
+            # shutdown, else leave the exit to close()'s kill
+            try:
+                if self._conn.poll(1.0):
+                    self._conn.recv()
                     self._pending = False
-            if not self._pending:
-                try:
-                    self.call("shutdown")
-                except ShardError:
-                    pass
+            except (EOFError, OSError):
+                self._pending = False
+        if not self._pending:
+            try:
+                self._conn.send(("shutdown", ()))
+            except (BrokenPipeError, OSError):
+                pass
+
+    def close(self) -> None:
+        self.shutdown()
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - already severed
@@ -439,18 +441,54 @@ class ProcessShardClient:
             self._process.join(timeout=5)
 
 
+class RemoteNode:
+    """The coordinator's stand-in for a node whose tables a shard worker holds.
+
+    Carries the node's :class:`~repro.dn.node.NodeStats` (message counters
+    kept here, the rest synced from the worker after each run segment) and
+    a row view, ``tables``: predicate → ``{primary key: row}`` in the worker
+    table's row order, folded from the traced change records by
+    :meth:`ShardedEngine._replay`.  It answers the read side of
+    :class:`~repro.dn.node.Node` (``rows``, ``holds``, ``snapshot``); ``db``
+    raises instead of handing out tables that would read empty.
+    """
+
+    def __init__(self, node_id: NodeId, program: Program, rule_engine=None) -> None:
+        self.id = node_id
+        self.stats = NodeStats()
+        self.tables: dict[str, dict[tuple, tuple]] = {p: {} for p in program.materialized}
+
+    @property
+    def db(self):
+        raise ShardError(
+            f"node {self.id!r}'s tables live on its shard worker; read them "
+            "through the engine (rows, global_snapshot, soft_deadlines)"
+        )
+
+    def rows(self, predicate: str) -> list[tuple]:
+        table = self.tables.get(predicate)
+        return list(table.values()) if table else []
+
+    def holds(self, predicate: str, values: tuple) -> bool:
+        # a linear probe: refresh asks it of base facts, a handful per node
+        return values in self.tables.get(predicate, {}).values()
+
+    def snapshot(self) -> dict[str, set[tuple]]:
+        return {predicate: set(table.values()) for predicate, table in self.tables.items()}
+
+
 class ShardedEngine(DistributedEngine):
     """The shard coordinator: a :class:`DistributedEngine` whose node
     fixpoints execute on shard workers.
 
     The inherited machinery — scheduler, channel, trace, monitors, pending
-    queues, soft-state scans, topology dynamics — runs unchanged; the
-    inherited ``self.nodes`` become a **replica** maintained by replaying
-    worker change records, so every read API (``rows``,
-    ``global_snapshot``, monitor table access, post-hoc checks) works
-    as on the single-process engine.  See the module docstring for the
-    determinism argument.
+    queues, topology dynamics — runs unchanged; ``self.nodes`` are
+    :class:`RemoteNode` row views, so ``rows``, ``global_snapshot``,
+    post-hoc checks and provenance read as on the single-process engine.
+    See the module docstring for the determinism argument.
     """
+
+    node_class = RemoteNode
 
     def __init__(
         self,
@@ -472,31 +510,45 @@ class ShardedEngine(DistributedEngine):
         #: node id → shard index (deterministic; see :mod:`repro.dn.partition`)
         self.partition_map = partition_nodes(topology, cfg.shards, cfg.partition)
         self._members = shard_members(self.partition_map, cfg.shards, topology.nodes)
+        #: the shards with member nodes (the only ones ever addressed)
+        self._occupied = [shard for shard, members in enumerate(self._members) if members]
+        self._closed = False
         self._clients: list[object] = [
             self._spawn_client(shard) for shard in range(cfg.shards)
         ]
+        for client in self._clients:
+            client.result()  # the construction handshakes, the forks overlapped
         #: respawns performed per shard (bounded by ``cfg.shard_restarts``)
         self.shard_restarts: list[int] = [0] * cfg.shards
+        #: checkpoints taken per shard (see :meth:`_begin_segment`)
+        self.shard_checkpoints: list[int] = [0] * cfg.shards
+        #: per shard: its last checkpoint (opaque bytes, None = a fresh
+        #: worker), the state-changing requests logged since, and their ops
+        self._checkpoints: list[Optional[bytes]] = [None] * cfg.shards
+        self._logs: list[list[tuple[str, tuple]]] = [[] for _ in range(cfg.shards)]
+        self._log_ops: list[int] = [0] * cfg.shards
+        #: declared predicate → (primary-key getter, max_size) of its row
+        #: views, as its worker tables have them
+        self._shapes = {
+            predicate: (_make_key_getter(tuple(k - 1 for k in decl.keys)), decl.max_size)
+            for predicate, decl in self.program.materialized.items()
+        }
         #: optional deterministic fault injector (see :meth:`inject_faults`)
         self.fault_injector: Optional[FaultInjector] = None
-        self._closed = False
 
     def _spawn_client(self, shard: int):
-        """Build (or rebuild, after a crash) one shard's transport client."""
+        """Start one shard's worker (its handshake is the caller's to collect)."""
 
         cfg = self.config
         shard_nodes = self._members[shard]
         if cfg.shard_transport == "process" and shard_nodes:
             return ProcessShardClient(
-                self.original_program,
-                shard_nodes,
-                self._registry_arg,
-                timeout=cfg.shard_timeout,
+                self.program, shard_nodes, self._registry_arg, timeout=cfg.shard_timeout
             )
         # inline transport, and empty shards (never addressed —
         # not worth an OS process)
         return InlineShardClient(
-            ShardWorker(self.original_program, shard_nodes, self._registry_arg)
+            ShardWorker(self.program, shard_nodes, self._registry_arg)
         )
 
     def inject_faults(self, plan) -> FaultInjector:
@@ -518,7 +570,7 @@ class ShardedEngine(DistributedEngine):
         return injector
 
     # ------------------------------------------------------------------
-    # Supervision: fault probes, crash recovery, resync
+    # Supervision: fault probes, crash recovery, checkpoints
     # ------------------------------------------------------------------
     def _pre_request(self, shard: int) -> None:
         """Fault-injection probe point: one per attempted shard request."""
@@ -537,54 +589,56 @@ class ShardedEngine(DistributedEngine):
             self._clients[shard].delay(float(fault.arg))
 
     def _revive(self, shard: int, exc: ShardCrash) -> None:
-        """Respawn a crashed shard worker and resync it from the replica.
+        """Respawn a crashed shard worker and resync it from the shard's
+        checkpoint and log (see the module docstring); a crash during the
+        resync starts another respawn."""
 
-        The replica only advances after a request's results return, so at
-        revive time it holds exactly the pre-request state of the dead
-        worker's partition; pushing it back (rows + support counts +
-        timestamps + index buckets + marks + stats + protections, with
-        view memos recomputed worker-side) makes the respawned worker
-        bit-identical to the dead one just before the fatal request —
-        retrying the request then recomputes exactly what an undisturbed
-        worker would have produced.
-        """
-
-        if obs_metrics.ENABLED:
-            obs_metrics.inc("shard.respawns")
-        self.shard_restarts[shard] += 1
-        if self.shard_restarts[shard] > self.config.shard_restarts:
-            raise NDlogError(
-                f"shard {shard} crashed {self.shard_restarts[shard]} times "
-                f"(budget: shard_restarts={self.config.shard_restarts}); "
-                f"giving up: {exc}"
-            ) from exc
-        old = self._clients[shard]
-        try:
+        while True:
+            if obs_metrics.ENABLED:
+                obs_metrics.inc("shard.respawns")
+            self.shard_restarts[shard] += 1
+            if self.shard_restarts[shard] > self.config.shard_restarts:
+                raise NDlogError(
+                    f"shard {shard} crashed {self.shard_restarts[shard]} times "
+                    f"(budget: shard_restarts={self.config.shard_restarts}); "
+                    f"giving up: {exc}"
+                ) from exc
+            old = self._clients[shard]
             old.kill()
-        except AttributeError:  # pragma: no cover - inline clients
-            pass
-        try:
-            old.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-        self._clients[shard] = self._spawn_client(shard)
-        if self._members[shard]:
-            self._clients[shard].call(
-                "load_state", (self._export_shard_state(shard),)
-            )
+            try:
+                old.close()
+            except Exception:  # pragma: no cover - best-effort teardown
+                pass
+            client = self._clients[shard] = self._spawn_client(shard)
+            try:
+                client.result()
+                if self._checkpoints[shard] is not None:
+                    client.call("restore", (self._checkpoints[shard],))
+                for method, args in self._logs[shard]:
+                    client.call(method, args)
+                if self.config.shard_transport == "process":
+                    client.call("metrics")  # the re-executed requests' metrics: dropped
+                return
+            except ShardCrash as again:
+                exc = again
 
-    def _export_shard_state(self, shard: int) -> dict:
-        """The replica's structural state for one shard's partition (the
-        payload of a resync push; consumed by :meth:`ShardWorker.
-        load_state`)."""
+    def _logged(self, shard: int, method: str, args: tuple, ops: int) -> None:
+        """Log a completed state-changing request of ``ops`` queued ops."""
 
-        return {
-            "nodes": {
-                node_id: self.nodes[node_id].export_state()
-                for node_id in self._members[shard]
-            },
-            "protected": sorted(self.executor._protected),
-        }
+        self._logs[shard].append((method, args))
+        self._log_ops[shard] += ops
+
+    def _checkpoint(self, shard: int) -> None:
+        """Checkpoint the shard's worker now and start a new log."""
+
+        self._checkpoints[shard] = self._call(shard, "checkpoint")
+        self._logs[shard] = []
+        self._log_ops[shard] = 0
+        self.shard_checkpoints[shard] += 1
+
+    def _live_rows(self, shard: int) -> int:
+        views = (self.nodes[node_id].tables.values() for node_id in self._members[shard])
+        return sum(len(table) for tables in views for table in tables)
 
     def _submit(self, shard: int, method: str, args: tuple) -> None:
         """Supervised fire-and-collect-later submit to one shard."""
@@ -600,24 +654,13 @@ class ShardedEngine(DistributedEngine):
                 self._revive(shard, exc)
 
     def _call(self, shard: int, method: str, args: tuple = ()):
-        """Supervised synchronous round trip to one shard.
+        """Supervised synchronous round trip to one shard (a crash retry
+        is deterministic: a dead worker's request was never logged, so its
+        successor recomputes it from the identical pre-request state)."""
 
-        Crash-retrying is deterministic for every protocol method: a dead
-        worker returned nothing, so the replica was not advanced and the
-        respawned worker recomputes the request from the identical
-        pre-request state (idempotent for the maintenance verbs, and
-        byte-reproducing for the drain verbs).
-        """
-
-        if not obs_metrics.ENABLED:
-            while True:
-                self._pre_request(shard)
-                try:
-                    return self._clients[shard].call(method, args)
-                except ShardCrash as exc:
-                    self._revive(shard, exc)
         start = time.perf_counter()
-        obs_metrics.inc("shard.requests")
+        if obs_metrics.ENABLED:
+            obs_metrics.inc("shard.requests")
         while True:
             self._pre_request(shard)
             try:
@@ -625,64 +668,45 @@ class ShardedEngine(DistributedEngine):
             except ShardCrash as exc:
                 self._revive(shard, exc)
                 continue
-            obs_metrics.observe("shard.request_seconds", time.perf_counter() - start)
+            if obs_metrics.ENABLED:
+                obs_metrics.observe("shard.request_seconds", time.perf_counter() - start)
             return result
 
     # ------------------------------------------------------------------
     # Effect replay
     # ------------------------------------------------------------------
-    def _replay(self, records: list[ChangeRecord], sends: list[SendRecord]) -> None:
-        """Re-enact one node-drain's effects at the coordinator.
-
-        Change records update the replica tables (through the same
-        ``Node.upsert``/``Node.delete`` bookkeeping the authoritative nodes
-        used, at the same timestamp — so contents, key displacement order,
-        expiry deadlines, and tuple counters all match) and then hit the
-        trace/monitors; send intents go through the inherited ``_send``,
-        drawing from the loss channel's RNG in the single-process order.
-        """
+    def _replay(
+        self, node_id: NodeId, records: list[ChangeRecord], sends: list[SendRecord]
+    ) -> None:
+        """Apply one node-drain's effects at the coordinator: change records
+        fold into the node's row view (FIFO eviction is untraced, so the view
+        applies ``max_size`` itself) and feed the trace/monitors; sends go
+        through ``_send``, drawing channel RNG in the single-process order."""
 
         now = self.scheduler.now
-        # the replay is the coordinator-side half of a node fixpoint: its
-        # intermediate states are exactly as inconsistent as a mid-drain
-        # database, so external updates are refused here too (matching the
-        # single-process engine's drain guard)
+        # without monitors a state change only goes to the trace
+        record = self._record_change if self.monitors else self.trace.record_change
+        tables = self.nodes[node_id].tables
+        shapes = self._shapes
+        # the coordinator-side half of a node fixpoint: external updates are
+        # refused here too (matching the single-process engine's drain guard)
         self._fixpoint_depth += 1
         try:
-            for node_id, predicate, values, kind in records:
-                node = self.nodes[node_id]
-                if kind in ("insert", "replace"):
-                    node.upsert(predicate, values, now)
-                elif kind == "support":
-                    # invisible bookkeeping (executor META_KINDS): mirrored
-                    # into the replica for crash-resync, never traced
-                    node.db.table(predicate).upsert(tuple(values), now)
-                    continue
-                elif kind == "release":
-                    node.db.release(predicate, values)
-                    continue
-                elif kind == "mark":
-                    node.displaced.setdefault(predicate, set()).add(
-                        node.db.table(predicate).key_of(tuple(values))
-                    )
-                    continue
-                elif kind == "unmark":
-                    marked = node.displaced.get(predicate)
-                    if marked is not None:
-                        marked.discard(node.db.table(predicate).key_of(tuple(values)))
-                    continue
-                elif kind == "index":
-                    node.db.table(predicate).index_on(values)
-                    continue
-                elif kind == "unswept":
-                    node.unswept.add(predicate)
-                    continue
-                elif kind == "swept":
-                    node.unswept.discard(predicate)
-                    continue
+            for predicate, values, kind in records:
+                table = tables.get(predicate)
+                if table is None:
+                    table = tables[predicate] = {}
+                key_of, max_size = shapes.get(predicate, _KEYLESS)
+                key = key_of(values)
+                if kind in _ADDED:
+                    table[key] = values
+                    if len(table) > max_size:
+                        oldest = next(iter(table))
+                        if oldest != key:
+                            del table[oldest]
                 else:
-                    node.delete(predicate, values)
-                self._record_change(now, node_id, predicate, values, kind)
+                    del table[key]
+                record(now, node_id, predicate, values, kind)
             for src, dst, predicate, values, kind in sends:
                 self._send(src, dst, predicate, values, kind)
         finally:
@@ -699,7 +723,7 @@ class ShardedEngine(DistributedEngine):
         *later* events), so the coordinator takes them off the scheduler as
         one wave — :meth:`EventScheduler.pop_if` keeps event/budget
         accounting identical to popping them one by one — executes them on
-        the shard workers in parallel, and replays the results in the exact
+        the shard workers in parallel, and applies the results in the exact
         order the single-process run loop would have produced them.
         """
 
@@ -728,39 +752,63 @@ class ShardedEngine(DistributedEngine):
                 self._submit(shard, "flush_batch", (now, items))
             results: dict[NodeId, tuple[list, list]] = {}
             for shard, items in payloads.items():
+                args = (now, items)
                 try:
                     outcome = self._clients[shard].result()
                 except ShardCrash as exc:
-                    # the worker died mid-drain: nothing was replayed, so the
-                    # replica is still pre-request — revive and retry the whole
-                    # batch (the recomputation is byte-identical)
+                    # the worker died mid-drain: revive it to its state
+                    # before this batch and retry the whole batch (the
+                    # recomputation is byte-identical)
                     self._revive(shard, exc)
-                    outcome = self._call(shard, "flush_batch", (now, items))
+                    outcome = self._call(shard, "flush_batch", args)
+                self._logged(shard, "flush_batch", args, sum(len(ops) for _, ops in items))
                 for (nid, _), result in zip(items, outcome):
                     results[nid] = result
             for nid in wave:
                 records, sends = results[nid]
-                self._replay(records, sends)
+                self._replay(nid, records, sends)
                 if self.monitors:
                     self._notify_settle(nid)
 
     def _apply_refresh(self, refreshed, now: float) -> None:
-        super()._apply_refresh(refreshed, now)  # the replica's lifetimes
         by_shard: dict[int, list] = {}
         for item in refreshed:
             by_shard.setdefault(self.partition_map[item[0]], []).append(item)
         for shard, items in by_shard.items():
             self._call(shard, "refresh", (now, items))
+            self._logged(shard, "refresh", (now, items), len(items))
 
     def _protect_predicate(self, predicate: str) -> None:
+        # logged, as no ops: a predicate is protected at most once
         if self.executor.protect(predicate):
-            for shard, members in enumerate(self._members):
-                if members:
-                    self._call(shard, "protect", (predicate,))
+            for shard in self._occupied:
+                self._call(shard, "protect", (predicate,))
+                self._logged(shard, "protect", (predicate,), 0)
+
+    def _expired_rows(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
+        expired: dict[NodeId, list[tuple[str, tuple]]] = {}
+        for shard in self._occupied:
+            expired.update(self._call(shard, "expired", (now,)))
+        return expired
+
+    def soft_deadlines(self, node_id: NodeId) -> list[tuple[str, tuple, float]]:
+        """Asked of the node's worker (so only until :meth:`close`)."""
+
+        if not self._has_soft_state():
+            return []
+        if self._closed:
+            raise ShardError("the shard workers holding the deadlines are closed")
+        return self._call(self.partition_map[node_id], "soft_deadlines", (node_id,))
 
     # ------------------------------------------------------------------
     # Lifecycle and observability
     # ------------------------------------------------------------------
+    def _begin_segment(self) -> None:
+        # a log that outgrew its shard's live rows gives way to a checkpoint
+        for shard in self._occupied:
+            if self._log_ops[shard] > self._live_rows(shard):
+                self._checkpoint(shard)
+
     def run(self, *, until: float = float("inf"), extra_facts=()):
         trace = super().run(until=until, extra_facts=extra_facts)
         self._sync_worker_stats()
@@ -780,36 +828,29 @@ class ShardedEngine(DistributedEngine):
         segment, mirroring :meth:`_sync_worker_stats`.
         """
 
-        for shard, members in enumerate(self._members):
-            if members:
-                obs_metrics.registry().merge(self._call(shard, "metrics"))
+        for shard in self._occupied:
+            obs_metrics.registry().merge(self._call(shard, "metrics"))
 
     def _sync_worker_stats(self) -> None:
-        """Fold worker-side counters into the replica's node stats.
+        """Fold the worker-kept counters (tuples stored and deleted, rule
+        firings) into the coordinator's node stats after a run segment;
+        message counters are the coordinator's own."""
 
-        Message and tuple counters are maintained coordinator-side by the
-        replay (and match the workers' by construction); rule firings only
-        happen at the workers, so they are fetched here after each run
-        segment.
-        """
-
-        for shard, members in enumerate(self._members):
-            if not members:
-                continue
+        for shard in self._occupied:
             for node_id, stats in self._call(shard, "node_stats").items():
-                self.nodes[node_id].stats.rule_firings = stats["rule_firings"]
+                mine = self.nodes[node_id].stats
+                for counter in _WORKER_COUNTERS:
+                    setattr(mine, counter, stats[counter])
 
     def validate_shards(self) -> None:
-        """Assert the coordinator replica matches every worker's tables.
+        """Assert the coordinator's row views match every worker's tables.
 
         A debugging/testing aid: compares the non-empty table contents of
-        each authoritative worker node against the replica the replay
-        maintained.  Raises :class:`ShardError` on any divergence.
+        each worker node against the view folded from its change records.
+        Raises :class:`ShardError` on any divergence.
         """
 
-        for shard, members in enumerate(self._members):
-            if not members:
-                continue
+        for shard in self._occupied:
             snapshots = self._call(shard, "snapshot")
             for node_id, snapshot in snapshots.items():
                 theirs = {p: rows for p, rows in snapshot.items() if rows}
@@ -818,7 +859,7 @@ class ShardedEngine(DistributedEngine):
                 }
                 if mine != theirs:
                     raise ShardError(
-                        f"replica diverged from shard {shard} at node {node_id!r}: "
+                        f"row view diverged from shard {shard} at node {node_id!r}: "
                         f"coordinator={mine!r} worker={theirs!r}"
                     )
 
@@ -834,12 +875,16 @@ class ShardedEngine(DistributedEngine):
         }
 
     def close(self) -> None:
-        """Shut the shard workers down.  The coordinator's replicated
-        state (tables, trace, stats, monitors) stays readable."""
+        """Shut the shard workers down.  The coordinator's state (row
+        views, trace, stats, monitors) stays readable."""
 
         if self._closed:
             return
         self._closed = True
+        # every shutdown is sent before any worker is joined: they exit
+        # side by side
+        for client in self._clients:
+            client.shutdown()
         for client in self._clients:
             try:
                 client.close()

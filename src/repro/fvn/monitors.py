@@ -476,8 +476,9 @@ class CycleFreedomMonitor(RuntimeMonitor):
 class SoftStateBoundMonitor(RuntimeMonitor):
     """No soft-state row outlives its lifetime by more than ``slack``.
 
-    Reads the engine's tables directly (soft-state deadlines are storage
-    bookkeeping the trace does not carry).  ``slack`` defaults to 1.5×
+    Reads deadlines through ``engine.soft_deadlines`` (they are storage
+    bookkeeping the trace does not carry; a sharded engine asks the worker
+    holding the node).  ``slack`` defaults to 1.5×
     the engine's expiry-scan interval: a row can legitimately linger up to
     one full scan interval past its expiry before the scan retracts it.
     """
@@ -502,16 +503,14 @@ class SoftStateBoundMonitor(RuntimeMonitor):
         if self._engine is None:
             return
         now = self.finalized_at if self.finalized_at is not None else self._clock
-        db = self._engine.nodes[node].db
         bound = self.slack or 0.0
-        for predicate in db.predicates():
-            for row, deadline in db.table(predicate).deadlines():
-                if now > deadline + bound:
-                    yield (
-                        ("overdue", predicate, row),
-                        f"soft-state {predicate}{row} at {node} is "
-                        f"{now - deadline:.3f}s past its lifetime",
-                    )
+        for predicate, row, deadline in self._engine.soft_deadlines(node):
+            if now > deadline + bound:
+                yield (
+                    ("overdue", predicate, row),
+                    f"soft-state {predicate}{row} at {node} is "
+                    f"{now - deadline:.3f}s past its lifetime",
+                )
 
     def finalize(self, time: float) -> None:
         self.finalized_at = time
@@ -677,9 +676,9 @@ def posthoc_violations(
     for kind in kinds:
         monitor = build_monitor(kind, schema)
         monitor.attach(engine)
-        for node_id, node in engine.nodes.items():
+        for node_id in engine.nodes:
             for predicate in monitor.watched:
-                for row in node.db.rows(predicate):
+                for row in engine.rows(predicate, node_id):
                     monitor.on_change(at, node_id, predicate, row, "insert")
         monitor.finalize(at)
         out[kind] = monitor.active_violations()

@@ -223,9 +223,10 @@ def execute_run(
         trace = engine.run(
             until=descriptor.until, extra_facts=scenario.policy_fact_list()
         )
+        # before close: a sharded engine's workers hold soft-state deadlines
+        engine.finalize_monitors()
     finally:
         engine.close()  # a no-op single-process; frees shard workers
-    engine.finalize_monitors()
     trace.seeds["scenario"] = descriptor.seed
     stale = missing = None
     if descriptor.record_stale_routes:

@@ -35,7 +35,6 @@ from .aggregates import aggregate_rows
 from .ast import NDlogError, Program, Rule
 from .plan import (
     _OP_CONST,
-    _OP_EVAL,
     _OP_SLOT,
     _OP_STORE,
     RuleLayout,

@@ -86,12 +86,6 @@ def _copy_indexes(indexes: dict) -> dict:
 class Table:
     """Tuples of a single predicate."""
 
-    #: optional callback ``(predicate, positions)`` fired when a lazy index
-    #: is first built — the sharded runtime mirrors worker index builds into
-    #: the coordinator's replica tables so a crash-resynced worker inherits
-    #: the exact bucket ordering an undisturbed worker would have
-    on_index_build: Optional[Callable[[str, tuple[int, ...]], None]] = None
-
     def __init__(
         self,
         predicate: str,
@@ -475,8 +469,6 @@ class Table:
                     continue  # unhashable at an indexed position: stays out
             self._indexes[positions] = index
             self._upkeep.append((need, getter, index))
-            if self.on_index_build is not None:
-                self.on_index_build(self.predicate, positions)
         return index
 
     def probe(self, positions: Sequence[int], values: Sequence[object]) -> list[tuple]:
@@ -552,17 +544,6 @@ class Database:
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._on_index_build: Optional[Callable[[str, tuple[int, ...]], None]] = None
-
-    def hook_index_builds(
-        self, callback: Optional[Callable[[str, tuple[int, ...]], None]]
-    ) -> None:
-        """Install ``callback(predicate, positions)`` on every table's lazy
-        index build, current and future (see :attr:`Table.on_index_build`)."""
-
-        self._on_index_build = callback
-        for table in self._tables.values():
-            table.on_index_build = callback
 
     def declare(
         self,
@@ -579,13 +560,11 @@ class Database:
         if existing is not None:
             for row in existing.rows():
                 table.insert(row)
-        table.on_index_build = self._on_index_build
         self._tables[predicate] = table
         return table
 
     def declare_from(self, decl: MaterializeDecl) -> Table:
         table = Table.from_declaration(decl)
-        table.on_index_build = self._on_index_build
         self._tables[decl.predicate] = table
         return table
 
@@ -593,7 +572,6 @@ class Database:
         table = self._tables.get(predicate)
         if table is None:
             table = Table(predicate)
-            table.on_index_build = self._on_index_build
             self._tables[predicate] = table
         return table
 

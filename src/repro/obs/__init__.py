@@ -11,7 +11,7 @@ Three pillars, one contract — *telemetry observes, never perturbs*:
   JSON (``fvn-trace``, ``--trace-out``);
 * :mod:`repro.obs.provenance` — on-demand ``explain``/``why_not``:
   derivation DAGs of stored routes down to base facts, reconstructed from
-  replica tables so evaluation itself carries no extra state.
+  the stored rows so evaluation itself carries no extra state.
 
 Enabling any pillar leaves ``Trace.fingerprint()`` and campaign
 ``results.jsonl`` byte-identical to a disabled run; the test suite and

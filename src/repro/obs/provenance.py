@@ -10,10 +10,11 @@ got before failing for a row that does *not* exist.
 
 Provenance is reconstructed **after the fact** rather than recorded
 during evaluation: runtime recording would thread extra state through the
-generated rule code and the shard replay channel, risking exactly the
+generated rule code and the shard result channel, risking exactly the
 fingerprint perturbation the observability contract forbids.  Instead we
 
-1. build a *union database* of every node's replica tables (sound for
+1. build a *union database* of every node's stored rows — a sharded
+   engine's coordinator row views, which equal its workers' tables (sound for
    localized programs: rewriting places all positive body literals of a
    rule at a single site, so any satisfying join is site-consistent and
    its rows all appear in the union);

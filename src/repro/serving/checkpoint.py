@@ -22,7 +22,7 @@ assert the result is byte-identical to an uninterrupted run.
 
 Each node is captured by :meth:`~repro.dn.node.Node.export_state` and
 restored by :meth:`~repro.dn.node.Node.load_state` — the same pair a
-respawned shard worker is resynced with.  Index buckets travel verbatim
+shard worker checkpoints and respawns with.  Index buckets travel verbatim
 (lazily rebuilt ones could iterate joins in another order); aggregate view
 memos do not travel at all.  A memo is a set, and a set rebuilt from a
 pickle can iterate in another order than the live one, which would reorder

@@ -333,6 +333,7 @@ class RouteService:
         scheduler = engine.scheduler
         budget = self.config.settle_max_events
         start = time.perf_counter()
+        engine._begin_segment()
         with obs_tracing.span("serving.settle"):
             while budget > 0:
                 kinds = scheduler.pending_kinds()

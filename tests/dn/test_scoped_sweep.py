@@ -327,12 +327,17 @@ class TestUnsweptMarks:
         engine.schedule_fact("base", (1, 3), at=0.6)
         engine.run(until=1.6)
         try:
-            # the coordinator's replica mirrors the worker's mark
-            assert engine.node(1).unswept == {"echo"}
             if shards > 1:
-                exported = engine._export_shard_state(engine.partition_map[1])
-                assert exported["nodes"][1]["unswept"] == ["echo"]
+                # the mark lives on the worker: a respawn from a fresh
+                # checkpoint (an empty request log) must bring it back
+                shard = engine.partition_map[1]
+                engine._checkpoint(shard)
+                engine._clients[shard].kill()
+                engine._call(shard, "ping")
+                assert engine.shard_restarts[shard] == 1
+                assert engine._clients[shard].worker.nodes[1].unswept == {"echo"}
             else:
+                assert engine.node(1).unswept == {"echo"}
                 state = capture_engine(engine)
                 assert state["nodes"][1]["unswept"] == ["echo"]
                 clone = create_engine(

@@ -25,8 +25,14 @@ from repro.dn import (
     edge_cut,
     partition_nodes,
 )
-from repro.fvn.monitors import schema_for_program, standard_monitors
+from repro.fvn.monitors import (
+    SoftStateBoundMonitor,
+    posthoc_violations,
+    schema_for_program,
+    standard_monitors,
+)
 from repro.ndlog.ast import MaterializeDecl
+from repro.obs.provenance import union_database
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
 
@@ -218,7 +224,7 @@ class TestShardedEngineApi:
         assert trace.quiescent
         engine.close()
         engine.close()
-        # the coordinator replica remains readable after worker shutdown
+        # the coordinator's row views remain readable after worker shutdown
         assert nonempty(engine.global_snapshot())
         assert engine.rows("bestPath")
 
@@ -235,6 +241,69 @@ class TestShardedEngineApi:
         assert sum(summary["sizes"]) == 12
         assert summary["partition"] == "metis-lite"
         assert summary["edge_cut"] >= 0
+
+
+class TestTableReaders:
+    """Everything that reads node tables answers on 2 inline shards exactly
+    as on one process: post-hoc checks, provenance over the union of the
+    tables, and the soft-state monitor (whose deadlines live on workers)."""
+
+    @staticmethod
+    def read(shards):
+        scenario = build_scenario("tree", 10, 3, 3, 0.0)
+        # links outlive their lifetime until the next (2 s) expiry scan, and
+        # are re-announced every 2.5 s: with no slack, the monitor reports
+        # them, so it has deadlines to disagree on
+        program = soften_links(policy_path_vector_program(), lifetime=1.0)
+        config = EngineConfig(
+            seed=3,
+            shards=shards,
+            shard_transport="inline",
+            refresh_interval=2.5,
+            expiry_scan_interval=2.0,
+        )
+        engine = create_engine(program, scenario.topology, config=config)
+        soft = SoftStateBoundMonitor(slack=0.0)
+        engine.attach_monitor(soft)
+        scenario.churn.apply_to_engine(engine)
+        try:
+            engine.run(until=9.0, extra_facts=scenario.policy_fact_list())
+            engine.finalize_monitors()
+            routes = sorted(engine.rows("bestRoute"), key=repr)[::7]
+            union = union_database(engine)
+            return {
+                "posthoc": posthoc_violations(engine),
+                "union": {p: union.rows(p) for p in union.predicates()},
+                "explain": [engine.explain("bestRoute", row) for row in routes],
+                "soft": soft.report(),
+                "deadlines": {node: engine.soft_deadlines(node) for node in engine.nodes},
+            }
+        finally:
+            engine.close()
+
+    def test_readers_equal_single_process(self):
+        single = self.read(1)
+        sharded = self.read(2)
+        assert single["soft"]["violations"] > 0
+        assert any(single["deadlines"].values())
+        assert single["explain"]
+        assert sharded == single
+
+    def test_coordinator_node_tables_fail_loudly(self):
+        scenario = build_scenario("tree", 6, 0, 0, 0.0)
+        engine = create_engine(
+            path_vector_program(),
+            scenario.topology,
+            config=EngineConfig(seed=0, shards=2, shard_transport="inline"),
+        )
+        try:
+            engine.run()
+            node = next(iter(engine.nodes))
+            assert engine.rows("link", node)
+            with pytest.raises(ShardError, match="shard worker"):
+                engine.node(node).db.table("link")
+        finally:
+            engine.close()
 
 
 class TestPartitioning:

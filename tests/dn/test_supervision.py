@@ -4,8 +4,10 @@ fingerprints, hang detection, restart budgets, and close() robustness.
 The acceptance property: a :class:`~repro.dn.shard.ShardedEngine` run in
 which any single worker is killed at any request index completes with a
 ``Trace.fingerprint()`` byte-identical to the undisturbed run — the
-coordinator respawns the dead worker and resyncs its partition from the
-replica tables, so the fault leaves no observable residue.
+coordinator respawns the dead worker, which loads its shard's last
+checkpoint and re-executes the requests logged since, so the fault leaves
+no observable residue.  Long-lived engines checkpoint at run-segment
+starts; their recovery log stays bounded by live state plus one segment.
 """
 
 import pytest
@@ -235,5 +237,109 @@ class TestClientClose:
             client.kill()
             with pytest.raises(ShardCrash):
                 client.call("ping", ())
+        finally:
+            engine.close()
+
+
+
+def long_lived(shards=2, transport="inline", cycles=40):
+    """An engine under link churn, before its first run: one link fails at
+    every whole second and comes back half a second later."""
+
+    scenario = generate_scenario("tree", size=8, seed=0, policy="gao_rexford", loss=0.01)
+    config = EngineConfig(seed=0, shards=shards, shard_transport=transport)
+    engine = create_engine(policy_path_vector_program(), scenario.topology, config=config)
+    links = sorted(
+        (link.src, link.dst) for link in scenario.topology.up_links() if link.src < link.dst
+    )
+    for cycle in range(cycles):
+        src, dst = links[cycle % len(links)]
+        engine.schedule_link_failure(src, dst, at=cycle + 1.0)
+        engine.schedule_link_restore(src, dst, at=cycle + 1.5)
+    return engine, scenario.policy_fact_list()
+
+
+def segmented(*, shards=2, transport="inline", faults=None, segments=16):
+    """A long-lived engine run one simulated second per run() call;
+    ``faults`` is armed once every worker has taken a checkpoint."""
+
+    engine, facts = long_lived(shards, transport)
+    revives = []
+    if faults is not None:
+        revive = engine._revive
+
+        def record_revive(shard, exc):
+            # the state a respawn resyncs from: a checkpoint, and the log
+            revives.append((engine._checkpoints[shard] is not None, len(engine._logs[shard])))
+            revive(shard, exc)
+
+        engine._revive = record_revive
+    try:
+        for index in range(1, segments + 1):
+            if faults is not None and engine.fault_injector is None:
+                if all(engine.shard_checkpoints):
+                    engine.inject_faults(faults)
+            trace = engine.run(until=float(index), extra_facts=facts)
+        if shards > 1:
+            engine.validate_shards()
+        return {
+            "fingerprint": trace.fingerprint(),
+            "tables": engine.global_snapshot(),
+            "checkpoints": list(engine.shard_checkpoints) if shards > 1 else [],
+            "restarts": list(engine.shard_restarts) if shards > 1 else [],
+            "revives": revives,
+        }
+    finally:
+        engine.close()
+
+
+class TestCheckpointResync:
+    """Respawns of long-lived engines resync from a checkpoint plus the
+    requests logged since."""
+
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_kill_after_checkpoint_mid_log_matches_fault_free(self, transport):
+        control = segmented(shards=1)
+        faulted = segmented(
+            transport=transport,
+            faults=FaultPlan(
+                (
+                    Fault(kind="kill_worker", scope=0, at=3),
+                    Fault(kind="kill_worker", scope=1, at=6),
+                )
+            ),
+        )
+        assert all(faulted["checkpoints"])
+        assert faulted["restarts"] == [1, 1]
+        # every respawn loaded a checkpoint and re-executed a non-empty log
+        assert len(faulted["revives"]) == 2
+        assert all(checkpoint and logged for checkpoint, logged in faulted["revives"])
+        assert faulted["fingerprint"] == control["fingerprint"]
+        assert faulted["tables"] == control["tables"]
+
+    def test_log_stays_bounded_by_live_rows_and_one_segment(self):
+        engine, facts = long_lived()
+        segment_ops = [0, 0]
+        logged = engine._logged
+
+        def count(shard, method, args, ops):
+            segment_ops[shard] += ops
+            logged(shard, method, args, ops)
+
+        engine._logged = count
+        total = 0
+        try:
+            for index in range(1, 41):
+                live = [engine._live_rows(shard) for shard in (0, 1)]
+                segment_ops[:] = [0, 0]
+                engine.run(until=float(index), extra_facts=facts)
+                for shard in (0, 1):
+                    # what a segment carries over from earlier ones is at
+                    # most the live rows at its start: a longer log gave
+                    # way to a checkpoint
+                    assert engine._log_ops[shard] <= live[shard] + segment_ops[shard]
+                total += sum(segment_ops)
+            assert sum(engine.shard_checkpoints) >= 2
+            assert sum(engine._log_ops) < total
         finally:
             engine.close()
