@@ -11,7 +11,7 @@ Two instruments, two reports:
 * default: ``cProfile``, top-N functions by cumulative and by internal
   time.  It adds a cost to every Python call but none to work inside C, so
   call-heavy Python code reads large and C work (the fingerprint's
-  ``repr``) reads small;
+  ``marshal`` blocks and ``sha256``) reads small;
 * ``--sample``: a stack sampler on ``signal.setitimer(ITIMER_PROF)``.  Each
   tick of process CPU time records the interrupted Python stack; a
   function's *self* share is the fraction of ticks it was on top (C calls

@@ -23,7 +23,10 @@ Seven checks:
    wire verb in ``repro/serving/protocol.py`` (``UPDATE_VERBS`` +
    ``QUERY_VERBS``) must appear in ``docs/SERVING.md``, as must the
    snapshot format tag the daemon writes (``SNAPSHOT_FORMAT`` in
-   ``repro/serving/checkpoint.py``).
+   ``repro/serving/checkpoint.py``).  The fingerprint's version tag
+   (``FINGERPRINT_TAG`` in ``repro/dn/trace.py``) must appear in both
+   ``docs/SERVING.md`` and ``docs/ARCHITECTURE.md``, so a stale fold
+   definition cannot survive a version bump.
 
 4. **Fault-kind coverage** — every injectable fault kind in
    ``repro/dn/faults.py`` (``FAULT_KINDS``) must be documented in
@@ -306,6 +309,18 @@ def main() -> int:
             )
             failures += 1
 
+    fingerprint_tag = string_constant(
+        root / "src" / "repro" / "dn" / "trace.py", "FINGERPRINT_TAG"
+    )
+    for doc in ("ARCHITECTURE.md", "SERVING.md"):
+        doc_path = root / "docs" / doc
+        if doc_path.exists() and f"`{fingerprint_tag}`" not in doc_path.read_text():
+            print(
+                f"UNDOCUMENTED FINGERPRINT: {fingerprint_tag} not mentioned "
+                f"in docs/{doc}"
+            )
+            failures += 1
+
     faults_md_path = root / "docs" / "FAULTS.md"
     if not faults_md_path.exists():
         print(f"MISSING FILE: {faults_md_path}")
@@ -376,7 +391,8 @@ def main() -> int:
         return 1
     print(
         "docs check: all modules documented, all config fields, serving "
-        "flags, wire verbs, snapshot format, fault kinds, diagnostic codes, lint flags, "
+        "flags, wire verbs, snapshot format, fingerprint version, fault kinds, "
+        "diagnostic codes, lint flags, "
         "and obs metric/span names covered; no stale config fields, codes "
         "or path references"
     )

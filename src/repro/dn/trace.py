@@ -6,18 +6,32 @@ paper's evaluation discusses: convergence time, message counts, and whether
 an execution converged at all (the Disagree scenario's delayed or absent
 convergence, Section 3.2.2).
 
-**Fingerprint (``fp2``).**  :meth:`Trace.fingerprint` is a *fold* over the
+**Fingerprint (``fp3``).**  :meth:`Trace.fingerprint` is a *fold* over the
 two record streams: every whole block of :attr:`Trace.FOLD_BLOCK` records is
 chained into a 32-byte digest (``chain = sha256(chain ‖ block)``), the
-sub-block tail stays as records, and the value is ``sha256("fp2:" ‖
-chain_changes ‖ tail ‖ chain_messages ‖ tail ‖ (events_processed,
-finished_at, quiescent, seeds))``.  A block's bytes are the ``repr`` of its
-list of records, each record a plain tuple.  Blocks sit at fixed record
-indices, so the value is a pure function of the record streams — it does
-not depend on when (or whether) :meth:`~Trace.fingerprint` /
-:meth:`~Trace.compact` ran before.  Folding is lazy: ``record_change`` /
-``record_message`` are plain appends, and each record is hashed once, by
-the first ``fingerprint()`` or ``compact()`` after it.
+sub-block tail stays as records, and the value is ``sha256("fp3:" ‖
+chain_changes ‖ tail ‖ chain_messages ‖ tail ‖ repr((events_processed,
+finished_at, quiescent, seeds)))``.  Blocks sit at fixed record indices, so
+the value is a pure function of the record streams — it does not depend on
+when (or whether) :meth:`~Trace.fingerprint` / :meth:`~Trace.compact` ran
+before.  Folding is lazy: ``record_change`` / ``record_message`` are plain
+appends, and each record is hashed once, by the first ``fingerprint()`` or
+``compact()`` after it.
+
+A block's (and a tail's) bytes are ``marshal.dumps(records, 2)`` of its list
+of records, each record a plain tuple.  Marshal version 2 writes no
+back-references, so its output depends on the values alone — not on object
+identity, sharing or interning — and it is the same on a coordinator's
+unpickled copies; numbers are written in binary, and the encoding is
+prefix-free.  (``pickle`` and marshal versions 3+ keep memo/ref tables that
+depend on object sharing, so two equal executions could hash differently.)
+Its value domain is the exact built-in types: ``None``, ``bool``, ``int``,
+``float``, ``str``, ``bytes`` and tuples of them.  A block holding anything
+else — a namedtuple node id, a ``Fraction`` cost — is encoded as
+``marshal.dumps(repr(records), 2)`` instead: the values choose the
+encoding, and a marshalled ``str`` starts with ``u`` where a list starts
+with ``[``, so the two never collide.  (``fp2`` hashed ``repr(records)``:
+the same records, other bytes.)
 
 **Compaction.**  :meth:`Trace.compact` folds and then *drops* the folded
 records; the counts (``state_change_count``, ``message_count``,
@@ -41,8 +55,10 @@ record — an index below it, plain iteration, the history queries
 from __future__ import annotations
 
 import hashlib
+import marshal
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar, NamedTuple, Optional
 
 from .network import NodeId
@@ -50,8 +66,8 @@ from .network import NodeId
 #: ``StateChange.kind`` values that remove a tuple.
 RETRACTION_KINDS = frozenset(("delete", "expire", "retract"))
 
-#: builds a record from a field tuple without the generated ``__new__``
-_new = tuple.__new__
+#: the fingerprint's version tag, hashed first: a new fold definition bumps it
+FINGERPRINT_TAG = "fp3"
 
 
 class StateChange(NamedTuple):
@@ -68,7 +84,7 @@ class StateChange(NamedTuple):
     values: tuple
     kind: str = "insert"  # insert | replace | delete | expire | retract
 
-    # the fingerprint hashes records in plain tuple syntax
+    # a record reads as the plain tuple the trace stores
     __repr__ = tuple.__repr__
 
 
@@ -91,9 +107,14 @@ class MessageRecord(NamedTuple):
 
 
 def _encode(records: list) -> bytes:
-    """Canonical bytes of a run of records (what the fingerprint hashes)."""
+    """Canonical bytes of a run of plain-tuple records (what the fingerprint
+    hashes): marshal version 2, or the marshalled ``repr`` for values
+    outside marshal's domain."""
 
-    return repr(records).encode()
+    try:
+        return marshal.dumps(records, 2)
+    except ValueError:
+        return marshal.dumps(repr(records), 2)
 
 
 class TraceCompacted(RuntimeError):
@@ -141,12 +162,15 @@ class RecordView(Sequence):
     """A read-only view of one record stream, indexed from the start of the
     execution.  ``len()`` counts every record ever made; records below
     :attr:`dropped` were folded away by :meth:`Trace.compact`, and any read
-    that needs one raises :class:`TraceCompacted`.  Slices are lists."""
+    that needs one raises :class:`TraceCompacted`.  The stream stores plain
+    tuples; a read returns each as its record type (``StateChange`` /
+    ``MessageRecord``).  Slices are lists."""
 
-    __slots__ = ("_stream",)
+    __slots__ = ("_stream", "_wrap")
 
-    def __init__(self, stream: _Stream) -> None:
+    def __init__(self, stream: _Stream, record_type: type) -> None:
         self._stream = stream
+        self._wrap = partial(tuple.__new__, record_type)  # skips the generated __new__
 
     @property
     def dropped(self) -> int:
@@ -170,7 +194,7 @@ class RecordView(Sequence):
 
     def __iter__(self):
         self._need(0)
-        return iter(self._stream.records)
+        return map(self._wrap, self._stream.records)
 
     def __getitem__(self, index):
         records, dropped = self._stream.records, self._stream.dropped
@@ -180,21 +204,23 @@ class RecordView(Sequence):
                 return []
             self._need(min(indices[0], indices[-1]))
             if indices.step == 1:
-                return records[indices.start - dropped : indices.stop - dropped]
-            return [records[i - dropped] for i in indices]
+                return list(
+                    map(self._wrap, records[indices.start - dropped : indices.stop - dropped])
+                )
+            return [self._wrap(records[i - dropped]) for i in indices]
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("trace record index out of range")
         self._need(index)
-        return records[index - dropped]
+        return self._wrap(records[index - dropped])
 
 
 @dataclass
 class Trace:
     """Everything observable about one distributed execution."""
 
-    #: records per chained fingerprint block (part of the fp2 definition)
+    #: records per chained fingerprint block (part of the fp3 definition)
     FOLD_BLOCK: ClassVar[int] = 256
 
     events_processed: int = 0
@@ -221,7 +247,7 @@ class Trace:
     def record_change(
         self, time: float, node: NodeId, predicate: str, values: tuple, kind: str = "insert"
     ) -> None:
-        self._changes.records.append(_new(StateChange, (time, node, predicate, values, kind)))
+        self._changes.records.append((time, node, predicate, values, kind))
 
     def record_message(
         self,
@@ -233,22 +259,20 @@ class Trace:
         delivered: bool = True,
         kind: str = "assert",
     ) -> None:
-        self._messages.records.append(
-            _new(MessageRecord, (time, src, dst, predicate, values, delivered, kind))
-        )
+        self._messages.records.append((time, src, dst, predicate, values, delivered, kind))
 
     @property
     def state_changes(self) -> RecordView:
         """Every recorded state change, by absolute index (see
         :class:`RecordView`)."""
 
-        return RecordView(self._changes)
+        return RecordView(self._changes, StateChange)
 
     @property
     def messages(self) -> RecordView:
         """Every recorded message, by absolute index."""
 
-        return RecordView(self._messages)
+        return RecordView(self._messages, MessageRecord)
 
     # -- counters (exact on a compacted trace) -------------------------------
     def _tally(self) -> None:
@@ -351,7 +375,7 @@ class Trace:
 
     # -- fingerprint ---------------------------------------------------------
     def fingerprint(self) -> str:
-        """SHA-256 digest (``fp2``) of everything observable about the
+        """SHA-256 digest (``fp3``) of everything observable about the
         execution.
 
         Canonicalizes the full state-change and message streams (in
@@ -364,7 +388,7 @@ class Trace:
         module docstring for the fold).
         """
 
-        digest = hashlib.sha256(b"fp2:")
+        digest = hashlib.sha256(f"{FINGERPRINT_TAG}:".encode())
         for stream in (self._changes, self._messages):
             stream.fold(self.FOLD_BLOCK)
             digest.update(stream.chain)

@@ -1,10 +1,11 @@
 """Shared fixtures for the test tree.
 
-``Trace.fingerprint()`` changed definition once (to the streaming ``fp2``
-fold).  The previous definition — hash every state change, then every
-message, then the bookkeeping — survives only here, as the reference the
-equality suites use to show that nothing observable was lost: two
-executions are equal under v1 iff they are equal under fp2.
+``Trace.fingerprint()`` has changed definition twice: to the streaming
+``fp2`` fold, then to ``fp3``, the same fold over marshal bytes instead of
+``repr``.  The original definition (v1) — hash every state change, then
+every message, then the bookkeeping — survives only here, as the reference
+the equality suites use to show that nothing observable was lost: two
+executions are equal under v1 iff they are equal under fp3.
 
 ``retract_dropping_engine`` is the adversarial engine of the lossy-retraction
 and monitor suites: its channel loses every ``retract`` message.
@@ -29,7 +30,7 @@ from repro.ndlog.reference import ReferenceEngine
 
 
 def _fingerprint_v1(trace: Trace) -> str:
-    """The pre-fp2 fingerprint; needs the complete record lists."""
+    """The original (v1) fingerprint; needs the complete record lists."""
 
     assert not trace.compacted
     digest = hashlib.sha256()
@@ -55,25 +56,25 @@ def fingerprint_v1():
 
 @pytest.fixture(scope="session")
 def fp_pairs() -> tuple[dict, dict]:
-    """Every (v1, fp2) pair ``fp_agreement`` saw this session: v1 → fp2 and
-    fp2 → v1."""
+    """Every (v1, fp3) pair ``fp_agreement`` saw this session: v1 → fp3 and
+    fp3 → v1."""
 
     return {}, {}
 
 
 @pytest.fixture(scope="module")
 def fp_agreement(fp_pairs):
-    """Check v1 ⇔ fp2 on every ``Trace.fingerprint()`` call of the module
+    """Check v1 ⇔ fp3 on every ``Trace.fingerprint()`` call of the module
     (module scope so hypothesis tests can use it).
 
     Each call on a complete (never compacted) trace also computes the v1
     value, and the pair must extend a one-to-one mapping that is shared by
-    the whole session: equal v1 values never get different fp2 values and
+    the whole session: equal v1 values never get different fp3 values and
     vice versa, across every run pair the equality suites build.  Yields
-    the list of fp2 values checked so a test can assert it was not vacuous.
+    the list of fp3 values checked so a test can assert it was not vacuous.
     """
 
-    v1_to_fp2, fp2_to_v1 = fp_pairs
+    v1_to_fp3, fp3_to_v1 = fp_pairs
     real = Trace.fingerprint
     checked: list[str] = []
 
@@ -81,8 +82,8 @@ def fp_agreement(fp_pairs):
         value = real(trace)
         if not trace.compacted:
             old = _fingerprint_v1(trace)
-            assert v1_to_fp2.setdefault(old, value) == value, "equal under v1, not under fp2"
-            assert fp2_to_v1.setdefault(value, old) == old, "equal under fp2, not under v1"
+            assert v1_to_fp3.setdefault(old, value) == value, "equal under v1, not under fp3"
+            assert fp3_to_v1.setdefault(value, old) == old, "equal under fp3, not under v1"
             checked.append(value)
         return value
 

@@ -13,6 +13,9 @@ link delays and loss.
 
 Every literal in :data:`PINS` was computed at the parent commit (one event
 per message) *before* the change, by running this module's own builders.
+The fingerprint literals were re-pinned when the fold moved from ``fp2``
+to ``fp3``; each names the same trace as before
+(``tests/dn/test_trace.py::TestV2Agreement`` replays two under ``fp2``).
 """
 
 import gc
@@ -35,42 +38,42 @@ PINS = {
     # power_law-12 / shortest_path / seed 5 / churn 2 / loss 0.02
     "events": 1490,
     "messages": 1164,
-    "fingerprint": "9db5feef47e83cb6125bfb8fab9367e47d725f9cb4330de981737bc8295553b9",
+    "fingerprint": "c45b742b9045b0406c12c35cfad7dff3918e5db4326d664ebc6a38776220918e",
     # budget → (events_processed, quiescent, fingerprint at the cut); every
     # cut lands past the 172-fact seeding burst, among the message waves,
     # and resuming each one ends on "fingerprint"
     "cuts": {
-        180: (180, False, "c453eef26943c33148c42d7ed4c1a3a16594ef3fd90310a6dd85724e9d9c536d"),
-        181: (181, False, "60dfcb5b08930c62c8c06bed4385a40f9eb71aee2ff31051299c3515c27d5d5d"),
-        250: (250, False, "e575ed15aac055fddfbd188491a45765d8314c00d5eb286f0a91172b014890dd"),
-        500: (500, False, "d602393925651a73bfd21b40b3a4bd3f88c0896c21f08ace5f1aa4fcc74eeb6f"),
-        777: (777, False, "d58627421e8b00e26935b5e063ec8b0484c2f4d66621ec61464bb563c420533a"),
-        1000: (1000, False, "cfd44f9240c32e038a7cbfca6d1afd0482acec2e7271349916a1e19491b13fc3"),
-        1489: (1489, False, "86ab237d1fb1f37fee9213ab0c55b679ded2364963ab4d9e187df6b33423b424"),
+        180: (180, False, "042aaf9f5824a435122f7f23e13d64f0f220414d0851cb303797fbb698aac0ff"),
+        181: (181, False, "3846bde28ebafc9e8bdc7d2d31d2f312bdb919b6b56c137c8ab8b2b0431fe9e1"),
+        250: (250, False, "552325ba082bdb9c77610717b6a77696e88cea73feb8492db905c0f34a333512"),
+        500: (500, False, "4e3cd74a79f0e89ed1403ed884586339c1e8b9bb047cabd268ed7ef37d2e48b8"),
+        777: (777, False, "9da664ad42d9e44e1e425a7d54c0678d305ea73fd3ee266797c6b017dd072d65"),
+        1000: (1000, False, "7d503bc1fb70981c1a25b91ea9bd8a3dd4be8bbbef9d07681b031c0e94122387"),
+        1489: (1489, False, "e55e5320b8c6e927fbd6ef897da630b1d6a20ff2e1da966c8023ffa208eb27ec"),
     },
     # the first message wave: 184 units (seeding burst and first flushes)
     # before it, 107 messages in it; cuts 1, k-1, k and k+1 units in
     "first_wave": (184, 107),
     "wave_cuts": {
-        "1": (185, False, "937c1af26a0498a5b19708d6e1a5a6f3559e61568c2955674b5286e55b6e6e99"),
-        "k-1": (290, False, "31af0624e206e2f83453065923ab970d2b10c2281c23d29ec8a77a1456baa775"),
-        "k": (291, False, "44ddaa4bf7674dff53a0a9e634030f316ccca6d5f459fa1da29a0065f45954f1"),
-        "k+1": (292, False, "0f06865ad78d1795dc15aa9812f87a63629ce220f0bd90e138221f475fb546ea"),
+        "1": (185, False, "1395019ada70ff4404d18c2564a8d2a527f99a32531780d98d2e3b1302b2af75"),
+        "k-1": (290, False, "9be73e741f6c69abbd2563dd50670f6381dc06cc0f00aadbe8f8959a2c455141"),
+        "k": (291, False, "37d77c4243f00d413fd61026916d88ee3bf56de64473149d30a4fb96febabb5d"),
+        "k+1": (292, False, "d5021a5f66d5361bfef928e93fab7ee6e3506464ad78577e055cd934f4116e11"),
     },
     # mixed_delay_engine: at t=0.02 a 6-message wave (units 30-35), the
     # injection (36), the link failure (37), a 9-message wave (38-46)
-    "mixed": (169, "a296a332b912e49f54cf9a7c27b9246ba95204e3fd0c33c10e0f9bdbc2c2090d"),
+    "mixed": (169, "48c08be869f1d0cd5c4ca473837f9fc95c88eaf9697f280d25da1ad95724867a"),
     "mixed_cuts": {
-        32: "8a74ab3651231007786d522c2dccaf908f043858bdfce4a11a76d37322b24690",
-        36: "e3ab52f7a70c2783e6f00aa4e18abf1db2fba5f3389f15baff2765eaa3864120",
-        37: "98c0226eab89f517c958a91729cb1b4780802e75b53a4d8f78a461d13e911845",
-        41: "0b90cd1ab53cd10dbd8552360d8c1730cda394dec233f86faadf2ad528e50227",
-        46: "74dedd2a3edc7c7ee0326ec5faec387c5e9aeb5069060169d1e3891fa7522127",
+        32: "55c2b21df8def684a2622111c63c00581ffa838ce0c14eb57cb91b7f753dbae4",
+        36: "fe69e5436cd470bb127b6a67d98be00042870fd028393c658b026db520cb0c04",
+        37: "0277dd6d896412898dd0c6d3b832c6ad7ec0152f756ad8bec4329e6602364801",
+        41: "c63c49315482b92ff8587fb38cef76d79321ad0735da7f7ddc2c87d21c0290ac",
+        46: "347a647bd97f4909663ca97b31d717015e53e354726bd9eb4275cc2d676855f1",
     },
     # serving_acks(60): boot and three updates, each settle cut at 60 events
     "serving": (
         [(False, 60), (False, 120), (False, 180), (False, 240)],
-        "ad29e96459819fbc5825407c18bcdfdaaae0c366645cfe411aadfcf7725b4094",
+        "a5f21403d6a014f3b5d3b21ae98d7afe5b1cb05193705c9258e41ebc79f06954",
     ),
 }
 

@@ -1,13 +1,16 @@
 """Unit tests for execution traces and node statistics."""
 
 import pickle
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.generator import policy_path_vector_program
-from repro.dn import EngineConfig, create_engine
+from repro.dn import EngineConfig, Topology, create_engine
+from repro.dn import trace as trace_module
 from repro.dn.node import Node
 from repro.dn.trace import (
     RETRACTION_KINDS,
@@ -15,8 +18,11 @@ from repro.dn.trace import (
     StateChange,
     Trace,
     TraceCompacted,
+    _encode,
 )
+from repro.ndlog.functions import builtin_registry
 from repro.ndlog.parser import parse_program
+from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
 
 
@@ -217,7 +223,7 @@ def run_engine(*, seed=4, loss=0.02, swap_updates=False) -> Trace:
 
 
 class TestV1Agreement:
-    """Equal under the old fingerprint iff equal under fp2, on real runs."""
+    """Equal under the old fingerprint iff equal under fp3, on real runs."""
 
     def test_equal_and_unequal_pairs_agree(self, fingerprint_v1):
         base, again = run_engine(), run_engine()
@@ -236,6 +242,134 @@ class TestV1Agreement:
         other.seeds["scenario"] = 9
         assert fingerprint_v1(other) != fingerprint_v1(base)
         assert other.fingerprint() != base.fingerprint()
+
+
+def waves_pin() -> str:
+    """``tests/dn/test_message_waves.py``'s main pin: power_law-12 /
+    shortest_path / seed 5 / churn 2 / loss 0.02, run to quiescence."""
+
+    sc = generate_scenario(
+        "power_law", size=12, seed=5, policy="shortest_path",
+        churn_events=2, churn_restore_delay=1.0, loss=0.02,
+    )
+    config = EngineConfig(seed=5, max_events=10_000_000)
+    engine = create_engine(policy_path_vector_program(), sc.topology, config=config)
+    sc.churn.apply_to_engine(engine)
+    return engine.run(until=30.0, extra_facts=sc.policy_fact_list()).fingerprint()
+
+
+def seed_burst_cut() -> str:
+    """``tests/dn/test_seed_burst.py``'s ``"n"`` cut: power_law-8 /
+    gao_rexford / seed 3 / churn 2 / loss 0.01, stopped by a budget of its
+    464 base facts."""
+
+    sc = generate_scenario(
+        "power_law", size=8, seed=3, policy="gao_rexford",
+        churn_events=2, churn_restore_delay=1.0, loss=0.01,
+    )
+    config = EngineConfig(seed=3, max_events=464)
+    engine = create_engine(policy_path_vector_program(), sc.topology, config=config)
+    sc.churn.apply_to_engine(engine)
+    return engine.run(until=30.0, extra_facts=sc.policy_fact_list()).fingerprint()
+
+
+#: case → (its fp2 literal before the re-pin, its fp3 literal)
+V2_PINS = {
+    waves_pin: (
+        "9db5feef47e83cb6125bfb8fab9367e47d725f9cb4330de981737bc8295553b9",
+        "c45b742b9045b0406c12c35cfad7dff3918e5db4326d664ebc6a38776220918e",
+    ),
+    seed_burst_cut: (
+        "cda6995ebbf3161ed68798ba4dc3b5294183a8369badd336d6f6fe52f8986959",
+        "2e2cd2d5fbd8c535a13909de5bff355ef596784b4ab525f8c30e91c6a0dddc77",
+    ),
+}
+
+
+class TestV2Agreement:
+    """The fp3 re-pins name the same executions: with the block encoder
+    put back to ``repr`` and the tag to ``fp2``, a pinned case hashes to
+    its literal from before the re-pin; as it is, to the new one."""
+
+    @pytest.mark.parametrize("case", list(V2_PINS), ids=lambda case: case.__name__)
+    @pytest.mark.parametrize("version", ["fp2", "fp3"])
+    def test_pinned_case(self, case, version, monkeypatch):
+        if version == "fp2":
+            monkeypatch.setattr(trace_module, "_encode", lambda records: repr(records).encode())
+            monkeypatch.setattr(trace_module, "FINGERPRINT_TAG", "fp2")
+        old, new = V2_PINS[case]
+        assert case() == (old if version == "fp2" else new)
+
+
+Site = namedtuple("Site", "name")
+
+#: path-vector costs scaled by a registered function that returns Fractions
+SCALED_PATHS = parse_program(
+    """
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(path, infinity, infinity, keys(1,2,3)).
+    materialize(bestPathCost, infinity, infinity, keys(1,2)).
+    r1 path(@S,D,P,C) :- link(@S,D,C0), P=f_init(S,D), C=f_scale(C0).
+    r2 path(@S,D,P,C) :- link(@S,Z,C0), path(@Z,D,P2,C2), C=f_scale(C0)+C2,
+                         P=f_concatPath(S,P2), f_inPath(P2,S)=false.
+    r3 bestPathCost(@S,D,min<C>) :- path(@S,D,P,C).
+    """
+)
+
+
+def outside_domain_run(case: str, *, shards: int = 1, first_cost: int = 1) -> tuple[str, bool]:
+    """Converge a 4-ring whose records hold values marshal rejects, fail a
+    link, run again: ``(fingerprint, whether the second run compacted)``."""
+
+    if case == "namedtuple_nodes":
+        nodes, program, registry = [Site(name) for name in "abcd"], path_vector_program(), None
+    else:
+        nodes, program = [0, 1, 2, 3], SCALED_PATHS
+        registry = builtin_registry({"f_scale": lambda cost: Fraction(cost, 3)})
+    topology = Topology()
+    for i, cost in enumerate([first_cost, 2, 1, 4]):
+        topology.add_link(nodes[i], nodes[(i + 1) % 4], cost=cost)
+    config = EngineConfig(seed=1, shards=shards, shard_transport="inline")
+    engine = create_engine(program, topology, config=config, registry=registry)
+    try:
+        engine.run()
+        engine.schedule_link_failure(nodes[0], nodes[1], at=engine.scheduler.now + 1.0)
+        trace = engine.run()
+        return trace.fingerprint(), trace.compacted
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("case", ["namedtuple_nodes", "fraction_costs"])
+class TestOutsideMarshalDomain:
+    """Records holding values marshal rejects (a namedtuple node id, a
+    ``Fraction`` from a registered function) fold through the ``repr``
+    fallback: they run, compact and fingerprint as any other execution."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # the first run fills whole blocks, so the second run's compact() folds
+        monkeypatch.setattr(Trace, "FOLD_BLOCK", 16)
+
+    def test_runs_agree(self, case):
+        assert outside_domain_run(case) == outside_domain_run(case)
+
+    def test_shards_agree(self, case):
+        assert outside_domain_run(case, shards=2) == outside_domain_run(case)
+
+    def test_second_run_compacts(self, case):
+        assert outside_domain_run(case)[1]
+
+    def test_one_value_moves_the_fingerprint(self, case):
+        assert outside_domain_run(case, first_cost=3)[0] != outside_domain_run(case)[0]
+
+
+def test_block_encoding_is_chosen_by_the_values():
+    plain = [(0.5, "a", "path", ("a", 1), "insert")]
+    assert _encode(plain)[:1] == b"["
+    for value in (Site("a"), Fraction(1, 3)):
+        outside = [(0.5, "a", "path", ("a", value), "insert")]
+        assert _encode(outside)[:1] == b"u"
 
 
 #: N for the long-lived engine below: fail/restore cycles of the first run

@@ -40,8 +40,8 @@ from repro.protocols.distancevector import distance_vector_program
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
 
-#: every fingerprint compared here is also checked against the pre-fp2
-#: definition (tests/conftest.py): equal under v1 iff equal under fp2
+#: every fingerprint compared here is also checked against the original (v1)
+#: definition (tests/conftest.py): equal under v1 iff equal under fp3
 pytestmark = pytest.mark.usefixtures("fp_agreement")
 
 

@@ -17,8 +17,8 @@ from repro.obs import metrics, tracing
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 
-#: every fingerprint compared here is also checked against the pre-fp2
-#: definition (tests/conftest.py): equal under v1 iff equal under fp2
+#: every fingerprint compared here is also checked against the original (v1)
+#: definition (tests/conftest.py): equal under v1 iff equal under fp3
 pytestmark = pytest.mark.usefixtures("fp_agreement")
 
 

@@ -263,8 +263,16 @@ class TestRecovery:
         """A format-4 file stored each row with its insertion and expiry
         times; sealed intact, it is still refused for full replay."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/5"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/6"
         reference = self.reseal_as(tmp_path, "fvn-snapshot/4")
+        assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_intact_format_5_snapshot_falls_back_to_replay(self, tmp_path):
+        """A format-5 file carried fp2 digest chains and NamedTuple tail
+        records; sealed intact, it is still refused for full replay, so an
+        fp2 chain never reaches an fp3 trace."""
+
+        reference = self.reseal_as(tmp_path, "fvn-snapshot/5")
         assert self.recover(tmp_path) == ("replay", reference)
 
     def test_sealed_snapshot_round_trips(self):
@@ -372,9 +380,9 @@ class TestRecovery:
 
 
 class TestFingerprintAgreement:
-    """v1 ⇔ fp2 over the recovery suite's run pairs.  v1 needs the complete
+    """v1 ⇔ fp3 over the recovery suite's run pairs.  v1 needs the complete
     record lists, so these daemons run with compaction switched off — which
-    fp2, being a pure function of the record stream, cannot observe."""
+    fp3, being a pure function of the record stream, cannot observe."""
 
     @pytest.fixture(autouse=True)
     def keep_history(self, monkeypatch, fp_agreement):

@@ -1,7 +1,8 @@
 """The documentation gate (``scripts/check_docs.py``) works both ways: the
 repository's docs pass it, and a config-table row naming a field the class
 no longer has, a diagnostics-table row naming a code ``CODES`` no longer
-has, or a backticked test path or test name that does not exist, fails it."""
+has, a backticked test path or test name that does not exist, or a
+fingerprint version the docs do not name, fails it."""
 
 import importlib.util
 import shutil
@@ -112,3 +113,33 @@ def test_stale_path_reference_fails(docs_tree, reference):
     done = check(docs_tree)
     assert done.returncode == 1
     assert f"STALE REFERENCE: docs/CONFIG.md cites {reference}" in done.stdout
+
+
+def bump_fingerprint_tag(root: Path) -> tuple[str, str]:
+    """Give the copied ``repro/dn/trace.py`` the next fingerprint version;
+    returns ``(old tag, new tag)``."""
+
+    trace_py = root / "src" / "repro" / "dn" / "trace.py"
+    old = load_check_docs().string_constant(trace_py, "FINGERPRINT_TAG")
+    new = f"fp{int(old[2:]) + 1}"
+    trace_py.write_text(
+        trace_py.read_text().replace(f'FINGERPRINT_TAG = "{old}"', f'FINGERPRINT_TAG = "{new}"')
+    )
+    return old, new
+
+
+def test_undocumented_fingerprint_version_fails(docs_tree):
+    _, new = bump_fingerprint_tag(docs_tree)
+    done = check(docs_tree)
+    assert done.returncode == 1
+    for doc in ("ARCHITECTURE.md", "SERVING.md"):
+        assert f"UNDOCUMENTED FINGERPRINT: {new} not mentioned in docs/{doc}" in done.stdout
+
+
+def test_documented_fingerprint_version_passes(docs_tree):
+    old, new = bump_fingerprint_tag(docs_tree)
+    for doc in ("ARCHITECTURE.md", "SERVING.md"):
+        path = docs_tree / "docs" / doc
+        path.write_text(path.read_text().replace(f"`{old}`", f"`{new}`"))
+    done = check(docs_tree)
+    assert done.returncode == 0, done.stdout + done.stderr
