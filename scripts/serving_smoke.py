@@ -1,7 +1,9 @@
 #!/usr/bin/env python
 """CI smoke test for the routing service daemon.
 
-Exercises the full serving stack the way an operator would, end to end:
+Exercises the full serving stack the way an operator would, end to end,
+once per shard count in ``SHARDS`` (one-process and sharded daemons take
+the same snapshot and recovery path):
 
 1. boot a durable daemon through the CLI (``python -m repro.serving serve``);
 2. hammer it with concurrent clients — one thread pushing the scenario's
@@ -12,8 +14,10 @@ Exercises the full serving stack the way an operator would, end to end:
    schedule is driven ``CHURN_PASSES`` times, every pass ends with all links
    restored, and the snapshot after the last pass may not exceed the one
    after the first by more than 25 %;
-5. SIGKILL the daemon mid-life, restart it, and require the recovered
-   ``Trace.fingerprint()`` to be **byte-identical** to the pre-kill state;
+5. SIGKILL the daemon mid-life, restart it, and require it to recover from
+   the snapshot plus the ledger tail (``recovered_from ==
+   "snapshot+replay"``) to a ``Trace.fingerprint()`` **byte-identical** to
+   the pre-kill state;
 6. write the collected evidence to ``--artifacts`` for upload.
 
 Exits non-zero on any failure.  Usage::
@@ -40,42 +44,31 @@ SIZE = 20
 CHURN_EVENTS = 6
 CHURN_PASSES = 3
 SNAPSHOT_EVERY = 4
+#: shard counts the scenario runs on, one daemon each
+SHARDS = (1, 2)
 #: how much larger than the first pass's snapshot the last pass's may be
 SNAPSHOT_GROWTH_LIMIT = 1.25
 
 
-def boot(state_dir: Path, log_path: Path) -> subprocess.Popen:
+def boot(state_dir: Path, log_path: Path, shards: int) -> subprocess.Popen:
     return start_daemon(
         state_dir, log_path,
         "--family", FAMILY, "--size", str(SIZE),
         "--snapshot-every", str(SNAPSHOT_EVERY),
+        "--shards", str(shards),
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--artifacts", default="serving-smoke-out", help="evidence output directory"
-    )
-    args = parser.parse_args()
-    artifacts = Path(args.artifacts)
-    artifacts.mkdir(parents=True, exist_ok=True)
-    evidence: dict = {"family": FAMILY, "size": SIZE}
+def smoke(shards: int, updates: list, pass_length: int, log_path: Path) -> dict:
+    """Drive one daemon on ``shards`` through churn, queries, SIGKILL and
+    recovery; returns its evidence (raises SystemExit on a pre-kill
+    failure)."""
 
-    # the same churn a campaign cell would schedule, replayed live
-    scenario = generate_scenario(
-        FAMILY, size=SIZE, seed=0, churn_events=CHURN_EVENTS, churn_restore_delay=1.0
-    )
-    one_pass = churn_updates(scenario)
-    assert one_pass, "scenario produced no churn to drive"
-    assert len(one_pass) % SNAPSHOT_EVERY == 0, "a pass must end on a snapshot"
-    updates = one_pass * CHURN_PASSES
-
+    evidence: dict = {"shards": shards}
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
         state_dir.mkdir()
-        log_path = artifacts / "daemon.log"
-        daemon = boot(state_dir, log_path)
+        daemon = boot(state_dir, log_path, shards)
         try:
             acks: list = []
             snapshot_sizes: dict = {}  # seq -> bytes of the snapshot taken there
@@ -105,7 +98,7 @@ def main() -> int:
             for thread in threads:
                 thread.join(300)
             if any(thread.is_alive() for thread in threads):
-                raise SystemExit("smoke clients timed out")
+                raise SystemExit(f"smoke clients timed out ({shards} shards)")
 
             with ServingClient.from_state_dir(state_dir, timeout=120) as client:
                 status = client.query("status")
@@ -118,7 +111,7 @@ def main() -> int:
             evidence["pre_kill_fingerprint"] = fingerprint["fingerprint"]
             evidence["pre_kill_seq"] = fingerprint["seq"]
             # same live state (every link up) after the first and the last pass
-            first, last = snapshot_sizes[len(one_pass)], snapshot_sizes[len(updates)]
+            first, last = snapshot_sizes[pass_length], snapshot_sizes[len(updates)]
             evidence["snapshot_bytes"] = snapshot_sizes
             evidence["snapshot_bytes_first"] = first
             evidence["snapshot_bytes_last"] = last
@@ -126,12 +119,12 @@ def main() -> int:
             if not (evidence["all_settled"] and evidence["monitors_ok"]):
                 raise SystemExit(f"serving smoke failed pre-kill: {evidence}")
             if not evidence["snapshot_bounded"]:
-                raise SystemExit(f"snapshot.pkl grows with history: {snapshot_sizes}")
+                raise SystemExit(f"snapshot.pkl grows with history: {evidence}")
 
             # hard-kill mid-life, restart, demand byte-identical recovery
             daemon.kill()
             daemon.wait(timeout=60)
-            daemon = boot(state_dir, log_path)
+            daemon = boot(state_dir, log_path, shards)
             with ServingClient.from_state_dir(state_dir, timeout=120) as client:
                 recovered = client.query("fingerprint")
                 recovered_status = client.query("status")
@@ -148,17 +141,48 @@ def main() -> int:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait(timeout=30)
+    return evidence
 
-    write_evidence(artifacts, evidence)
-    if not evidence["byte_identical"]:
-        print("FAIL: recovered state diverged from pre-kill fingerprint")
-        return 1
-    print(
-        f"serving smoke OK: {evidence['updates_acked']} updates, "
-        f"{evidence['queries_answered']} queries, monitors green, snapshot "
-        f"{evidence['snapshot_bytes_first']} -> {evidence['snapshot_bytes_last']} bytes, "
-        f"crash recovery byte-identical ({evidence['recovered_from']})"
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--artifacts", default="serving-smoke-out", help="evidence output directory"
     )
+    args = parser.parse_args()
+    artifacts = Path(args.artifacts)
+    artifacts.mkdir(parents=True, exist_ok=True)
+
+    # the same churn a campaign cell would schedule, replayed live
+    scenario = generate_scenario(
+        FAMILY, size=SIZE, seed=0, churn_events=CHURN_EVENTS, churn_restore_delay=1.0
+    )
+    one_pass = churn_updates(scenario)
+    assert one_pass, "scenario produced no churn to drive"
+    assert len(one_pass) % SNAPSHOT_EVERY == 0, "a pass must end on a snapshot"
+    updates = one_pass * CHURN_PASSES
+
+    runs = [
+        smoke(shards, updates, len(one_pass), artifacts / "daemon.log") for shards in SHARDS
+    ]
+    write_evidence(artifacts, {"family": FAMILY, "size": SIZE, "runs": runs})
+    failed = False
+    for run in runs:
+        if not run["byte_identical"]:
+            print(f"FAIL ({run['shards']} shards): recovered state diverged from pre-kill fingerprint")
+            failed = True
+        if run["recovered_from"] != "snapshot+replay":
+            print(f"FAIL ({run['shards']} shards): recovered by {run['recovered_from']}, not the snapshot")
+            failed = True
+    if failed:
+        return 1
+    for run in runs:
+        print(
+            f"serving smoke OK on {run['shards']} shard(s): {run['updates_acked']} "
+            f"updates, {run['queries_answered']} queries, monitors green, snapshot "
+            f"{run['snapshot_bytes_first']} -> {run['snapshot_bytes_last']} bytes, "
+            f"crash recovery byte-identical ({run['recovered_from']})"
+        )
     return 0
 
 

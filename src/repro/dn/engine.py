@@ -63,10 +63,17 @@ The engine records a :class:`~repro.dn.trace.Trace` for convergence and
 message accounting — each ``run()`` first compacts away the records of the
 runs before it — and supports runtime topology dynamics (link failure,
 recovery, cost changes) plus soft-state expiry and periodic refresh.
+
+A settled engine's state is captured by :meth:`DistributedEngine.capture`
+and loaded into a fresh engine by :func:`restore_engine`, on any shard
+count at either end: the serving daemon's snapshots and its ``what_if``
+forks are both this pair.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -84,6 +91,15 @@ from .executor import FixpointExecutor
 from .network import Channel, NodeId, Topology
 from .node import Node
 from .trace import Trace
+
+#: Event kinds a settled engine may have queued: the self-rescheduling
+#: soft-state maintenance timers.  Their callbacks are the engine's own bound
+#: methods, so a capture stores the kind tag alone.
+MAINTENANCE_KINDS = frozenset(("refresh", "expiry"))
+
+
+class CaptureError(RuntimeError):
+    """The engine is not at a settled state, so it cannot be captured."""
 
 
 @dataclass
@@ -789,6 +805,104 @@ class DistributedEngine:
 
         return _why_not(self, predicate, tuple(values), **caps)
 
+    # ------------------------------------------------------------------
+    # Capture and restore
+    # ------------------------------------------------------------------
+    def capture(self) -> dict:
+        """The state of this settled engine: scheduler clock and maintenance
+        timers, channel RNG, trace, topology, protected predicates, base
+        facts, monitor state, and each node's :meth:`Node.export_state`.
+
+        Reading it changes nothing, so two captures in a row are equal.  The
+        capture shares the trace and node containers with the live engine:
+        pickle it before the engine runs again.  :func:`restore_engine`
+        loads it, on any shard count.
+        """
+
+        sched = self.scheduler
+        if sched.running or self.in_fixpoint:
+            raise CaptureError("cannot capture mid-run state")
+        events = []
+        for at, seqno, event in sched._queue:
+            if event.kind not in MAINTENANCE_KINDS:
+                raise CaptureError(
+                    f"pending non-maintenance event {event.kind!r}: capture "
+                    "only at settled states"
+                )
+            events.append((at, seqno, event.kind))
+        return {
+            "scheduler": {
+                "now": sched.now,
+                "processed": sched.processed,
+                "counter": sched.next_seqno(),
+                "events": events,
+            },
+            "channel": {
+                "random_state": self.channel._random.getstate(),
+                "dropped": self.channel.dropped,
+            },
+            "trace": self.trace,
+            "topology": self.topology.export_state(),
+            "protected": sorted(self.executor._protected),
+            "base_facts": list(self._base_facts),
+            "nodes": self._capture_nodes(),
+            "monitors": [
+                {
+                    key: value
+                    for key, value in monitor.__dict__.items()
+                    if key not in ("_engine", "_key_getters")
+                }
+                for monitor in self.monitors
+            ],
+        }
+
+    def _capture_nodes(self) -> dict:
+        """Node id → its :meth:`Node.export_state` (the sharded coordinator
+        gathers them from its workers)."""
+
+        return {node_id: node.export_state() for node_id, node in self.nodes.items()}
+
+    def restore(self, state: dict) -> None:
+        """Load a :meth:`capture` into this fresh, unseeded engine, built
+        over the captured topology with its monitors attached (see
+        :func:`restore_engine`).  Monitor state is loaded positionally;
+        ``_engine`` and the unpicklable ``_key_getters`` stay the attach's."""
+
+        if self._seeded:
+            raise NDlogError("restore() needs a fresh, unseeded engine")
+        sched_state = state["scheduler"]
+        sched = self.scheduler
+        sched.now = sched_state["now"]
+        sched.processed = sched_state["processed"]
+        sched._counter = itertools.count(sched_state["counter"])
+        callbacks = {"refresh": self._refresh_base_facts, "expiry": self._expire_soft_state}
+        sched._queue = [
+            (at, seqno, Event(kind, callbacks[kind]))
+            for at, seqno, kind in sched_state["events"]
+        ]
+        heapq.heapify(sched._queue)
+
+        self.channel._random.setstate(state["channel"]["random_state"])
+        self.channel.dropped = state["channel"]["dropped"]
+        self.trace = state["trace"]
+        for predicate in state["protected"]:
+            self._protect_predicate(predicate)
+        self._base_facts = [
+            (node_id, predicate, tuple(values))
+            for node_id, predicate, values in state["base_facts"]
+        ]
+        self._seeded = True
+        self._restore_nodes(state["nodes"])
+        for monitor, captured in zip(self.monitors, state["monitors"]):
+            monitor.__dict__.update(captured)
+
+    def _restore_nodes(self, states: dict) -> None:
+        """Load each node's captured state (the sharded coordinator hands
+        them to its workers)."""
+
+        for node_id, node_state in states.items():
+            self.nodes[node_id].load_state(node_state)
+
     def close(self) -> None:
         """Release external resources.  A no-op for the single-process
         engine; the sharded engine overrides this to shut its worker
@@ -814,6 +928,33 @@ def create_engine(
 
         return ShardedEngine(program, topology, config=config, registry=registry)
     return DistributedEngine(program, topology, config=config, registry=registry)
+
+
+def restore_engine(
+    program: Program,
+    state: dict,
+    *,
+    config: Optional[EngineConfig] = None,
+    registry: Optional[FunctionRegistry] = None,
+    monitors: Iterable[EngineMonitor] = (),
+) -> DistributedEngine:
+    """The engine ``config`` asks for (see :func:`create_engine`), standing
+    at the settled state ``state`` that :meth:`DistributedEngine.capture`
+    took — on the same or any other shard count.  ``monitors`` are attached
+    first, then loaded with the captured monitor state in order; ``program``
+    must be the one the captured engine ran."""
+
+    engine = create_engine(
+        program, Topology.from_state(state["topology"]), config=config, registry=registry
+    )
+    try:
+        for monitor in monitors:
+            engine.attach_monitor(monitor)
+        engine.restore(state)
+    except BaseException:
+        engine.close()
+        raise
+    return engine
 
 
 def run_program(

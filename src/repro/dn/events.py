@@ -135,6 +135,15 @@ class EventScheduler:
         heapq.heappush(self._queue, (at, next(self._counter), wave))
         return at
 
+    def next_seqno(self) -> int:
+        """The tie-break sequence number the next scheduled event will take,
+        read without taking it (an engine capture must not move the clock
+        it reads)."""
+
+        seqno = next(self._counter)
+        self._counter = itertools.count(seqno)
+        return seqno
+
     @property
     def pending(self) -> int:
         return len(self._queue)

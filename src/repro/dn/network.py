@@ -111,6 +111,32 @@ class Topology:
             )
         return topo
 
+    def export_state(self) -> dict:
+        """The topology as plain data: defaults, node ids, and every link
+        (up or down) in link order; :meth:`from_state` inverts it."""
+
+        return {
+            "default_delay": self.default_delay,
+            "default_cost": self.default_cost,
+            "nodes": list(self._nodes),
+            "links": [
+                (link.src, link.dst, link.cost, link.delay, link.loss, link.up)
+                for link in self._links.values()
+            ],
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "Topology":
+        """The topology captured by :meth:`export_state`, links in captured
+        (deterministic) order."""
+
+        topo = cls(default_delay=state["default_delay"], default_cost=state["default_cost"])
+        for node in state["nodes"]:
+            topo.add_node(node)
+        for src, dst, cost, delay, loss, up in state["links"]:
+            topo._links[(src, dst)] = Link(src, dst, cost, delay, loss, up)
+        return topo
+
     def to_networkx(self) -> "nx.DiGraph":
         graph = nx.DiGraph()
         graph.add_nodes_from(self._nodes)

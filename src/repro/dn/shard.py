@@ -60,6 +60,14 @@ clean :class:`~repro.ndlog.ast.NDlogError`; a worker *traceback* raises
 :class:`ShardError` at once (a respawn would re-execute the bug).  Faults
 are injected through :meth:`ShardedEngine.inject_faults` (see
 :mod:`repro.dn.faults` and ``docs/FAULTS.md``).
+
+**Capture and restore.**  :meth:`~repro.dn.engine.DistributedEngine.
+capture` and :func:`~repro.dn.engine.restore_engine` work unchanged on a
+sharded engine, which overrides only their node half: a capture gathers
+each node's state from the workers' checkpoint data (without keeping it
+as a checkpoint), and a restore hands the states to the fresh workers,
+keeps each shard's as its respawn checkpoint, and rebuilds the row views
+from their rows.
 """
 
 from __future__ import annotations
@@ -217,9 +225,10 @@ class ShardWorker:
         return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
 
     def restore(self, checkpoint: bytes) -> bool:
-        """Adopt a :meth:`checkpoint` after a respawn (view memos are
-        rebuilt by :meth:`~repro.dn.node.Node.load_state`, as in a snapshot
-        restore): the worker ends bit-identical to the one that took it."""
+        """Adopt a :meth:`checkpoint` after a respawn, or the node states of
+        an engine capture on restore (view memos are rebuilt by
+        :meth:`~repro.dn.node.Node.load_state`): the worker ends
+        bit-identical to the one whose state it was."""
 
         protected, nodes = pickle.loads(checkpoint)
         for predicate in protected:
@@ -229,9 +238,12 @@ class ShardWorker:
         return True
 
 
-def _shard_worker_main(conn, program, node_ids, registry) -> None:
+def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> None:
     """Entry point of a shard worker process: serve requests until EOF."""
 
+    # the fork copied the coordinator's end of this pipe as well: close it,
+    # so that the coordinator's death (a SIGKILL included) reads as EOF here
+    coordinator_end.close()
     # the heap inherited from the coordinator is never freed here: keep the
     # collector from walking (and so copying) its pages
     gc.freeze()
@@ -342,7 +354,7 @@ class ProcessShardClient:
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_shard_worker_main,
-            args=(child, program, node_ids, registry),
+            args=(child, program, node_ids, registry, self._conn),
             daemon=True,
             name=f"fvn-shard-{node_ids[:1]}",
         )
@@ -671,6 +683,44 @@ class ShardedEngine(DistributedEngine):
             if obs_metrics.ENABLED:
                 obs_metrics.observe("shard.request_seconds", time.perf_counter() - start)
             return result
+
+    # ------------------------------------------------------------------
+    # Capture and restore: the node half
+    # ------------------------------------------------------------------
+    def _capture_nodes(self) -> dict:
+        """Each node's state as its worker checkpoints it — read, not kept:
+        logs and ``shard_checkpoints`` stay as they are — with the
+        coordinator's message counters folded into its stats."""
+
+        gathered: dict = {}
+        for shard in self._occupied:
+            gathered.update(pickle.loads(self._call(shard, "checkpoint"))[1])
+        for node_id, node in self.nodes.items():
+            stats = gathered[node_id]["stats"]
+            stats["messages_sent"] = node.stats.messages_sent
+            stats["messages_received"] = node.stats.messages_received
+        return {node_id: gathered[node_id] for node_id in self.nodes}
+
+    def _restore_nodes(self, states: dict) -> None:
+        """Load the states into the fresh workers, keep each shard's as its
+        respawn checkpoint (with an empty log), and rebuild the row views
+        from their rows."""
+
+        protected = sorted(self.executor._protected)
+        for shard in self._occupied:
+            members = {node_id: states[node_id] for node_id in self._members[shard]}
+            checkpoint = pickle.dumps((protected, members), pickle.HIGHEST_PROTOCOL)
+            self._call(shard, "restore", (checkpoint,))
+            self._checkpoints[shard] = checkpoint
+            self._logs[shard] = []
+            self._log_ops[shard] = 0
+        for node_id, state in states.items():
+            node = self.nodes[node_id]
+            node.stats = NodeStats(**state["stats"])
+            node.tables = {
+                predicate: {key: row for key, row, _count in rows}
+                for predicate, (rows, _deadlines, _indexes) in state["tables"]
+            }
 
     # ------------------------------------------------------------------
     # Effect replay

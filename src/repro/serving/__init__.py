@@ -13,8 +13,8 @@ is the matching client, and ``python -m repro.serving serve|query|update``
 the CLI.
 
 Durability reuses the harness's ledger machinery: every update is appended
-to a write-ahead JSONL ledger before it is applied, and (single-shard)
-periodic snapshots are stamped with ``Trace.fingerprint()`` — a SIGKILL'd
+to a write-ahead JSONL ledger before it is applied, and periodic snapshots
+(on any shard count) are stamped with ``Trace.fingerprint()`` — a SIGKILL'd
 daemon restarts from the snapshot, replays the ledger tail, and provably
 reaches byte-identical state (:mod:`repro.serving.checkpoint`,
 ``docs/SERVING.md``).

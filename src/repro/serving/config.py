@@ -42,9 +42,8 @@ class ServerConfig:
     loss: float = 0.0
     #: Engine channel seed (drives the loss RNG; part of the fingerprint).
     seed: int = 0
-    #: Shard worker count (1 = single-process engine).  Snapshots are only
-    #: taken at ``shards == 1``; sharded daemons recover by full ledger
-    #: replay.
+    #: Shard worker count (1 = single-process engine).  Snapshots and
+    #: recovery work the same on every count.
     shards: int = 1
     #: Node→shard assignment strategy (``"hash"`` or ``"metis-lite"``).
     partition: str = "hash"
@@ -62,7 +61,8 @@ class ServerConfig:
     #: Event budget for one settle (the fixpoint after each update).
     settle_max_events: int = 200_000
     #: Take a fingerprint-stamped snapshot every N applied updates
-    #: (0 disables; ignored when ``shards > 1`` or ``state_dir`` is None).
+    #: (0 disables; ignored when ``state_dir`` is None; skipped when the
+    #: settle stopped at ``settle_max_events``).
     snapshot_every: int = 50
     #: Most recent request-key acks remembered for exactly-once retry
     #: dedup (see ``docs/FAULTS.md``); older keys fall out LRU-style.

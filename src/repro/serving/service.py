@@ -12,9 +12,10 @@ update is
    engine's safe-point scheduling APIs;
 4. **settled** — the settle loop drives the scheduler to the next fixpoint,
    excluding periodic maintenance timers (which never drain);
-5. optionally **snapshotted** — every ``snapshot_every`` updates, a
-   checksummed, fingerprint-stamped :mod:`~repro.serving.checkpoint`
-   capture is written atomically.
+5. optionally **snapshotted** — every ``snapshot_every`` updates, the
+   engine's capture (1 or N shards) is sealed into a checksummed,
+   fingerprint-stamped :mod:`~repro.serving.checkpoint` file, written
+   atomically.
 
 Every settle also compacts the engine's ``Trace`` (digest chains, counters
 and a sub-block tail survive; the folded records are dropped), so the
@@ -28,14 +29,16 @@ crash-recovery tests assert.
 Queries are answered only *between* settles, so every answer reflects a
 fully-settled prefix of the update stream (see ``docs/SERVING.md`` for the
 exact consistency contract).  ``what_if`` forks a throwaway single-process
-engine, replays the accepted history plus the hypothetical updates, and
-answers against the fork — the live engine is never touched.
+engine loaded from a pickled capture of the live one — the restore that
+snapshot recovery runs — applies only the hypothetical updates, and answers
+against the fork; the live engine is never touched.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import time
 from collections import OrderedDict
 from dataclasses import replace
@@ -43,7 +46,14 @@ from pathlib import Path
 from typing import Optional
 
 from ..bgp.generator import policy_path_vector_program
-from ..dn.engine import DistributedEngine, EngineConfig, create_engine
+from ..dn.engine import (
+    MAINTENANCE_KINDS,
+    CaptureError,
+    DistributedEngine,
+    EngineConfig,
+    create_engine,
+    restore_engine,
+)
 from ..dn.faults import SERVING_SCOPE, load_injector
 from ..dn.events import Event
 from ..fvn.monitors import build_monitor, schema_for_program
@@ -53,26 +63,13 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..protocols.pathvector import path_vector_program
 from ..scenarios.generator import generate_scenario
-from .checkpoint import (
-    MAINTENANCE_KINDS,
-    SnapshotUnsupported,
-    build_topology,
-    capture_engine,
-    open_snapshot,
-    restore_engine,
-    restore_monitors,
-    seal_snapshot,
-)
+from .checkpoint import open_snapshot, seal_snapshot
 from .config import ServerConfig
 from .protocol import UPDATE_VERBS, ProtocolError, as_tuple, canonical
 
 LEDGER_NAME = "updates.jsonl"
 SNAPSHOT_NAME = "snapshot.pkl"
 BOOT_NAME = "boot.json"
-
-#: Event kinds the settle loop leaves in the queue: the self-rescheduling
-#: soft-state timers.  Everything else is work the loop must drain.
-MAINTENANCE = frozenset(MAINTENANCE_KINDS)
 
 
 class ServiceError(RuntimeError):
@@ -104,14 +101,17 @@ def build_serving_program(config: ServerConfig) -> Program:
 class RouteService:
     """A persistent engine process answering updates and queries."""
 
-    def __init__(self, config: ServerConfig) -> None:
+    def __init__(
+        self, config: ServerConfig, *, origin: Optional[tuple[int, dict]] = None
+    ) -> None:
+        """``origin`` — ``(seq, engine capture)`` — starts the service at a
+        captured state instead of booting it (how a ``what_if`` fork
+        begins); such a service has no ledger to read."""
+
         self.config = config
         self.state_dir = Path(config.state_dir) if config.state_dir else None
         #: applied-update count; stamp of every ledger line and snapshot
         self.seq = 0
-        #: every accepted ``(verb, args)`` since boot — the replay source
-        #: for ``what_if`` forks
-        self.history: list[tuple[str, dict]] = []
         #: request key → the ack it produced, for exactly-once retry dedup
         #: (LRU-bounded by ``config.dedup_cache``; rebuilt from the ledger
         #: on recovery, so dedup survives a daemon crash)
@@ -133,7 +133,7 @@ class RouteService:
             obs_tracing.enable()
         start = time.perf_counter()
         with obs_tracing.span("serving.recovery"):
-            self._boot()
+            self._boot(origin)
         obs_metrics.observe("serving.recovery_seconds", time.perf_counter() - start)
 
     # ------------------------------------------------------------------
@@ -156,7 +156,7 @@ class RouteService:
             partition=self.config.partition,
         )
 
-    def _boot(self) -> None:
+    def _boot(self, origin: Optional[tuple[int, dict]]) -> None:
         if self.state_dir:
             self.state_dir.mkdir(parents=True, exist_ok=True)
             boot_path = self.state_dir / BOOT_NAME
@@ -170,6 +170,10 @@ class RouteService:
         self.program = build_serving_program(self.config)
         self._check_program(self.program)
         self.schema = schema_for_program(self.program)
+        if origin is not None:
+            self.seq, capture = origin
+            self._restore(capture)
+            return
 
         updates = self._read_ledger()
         restored_seq = self._try_snapshot_restore(updates)
@@ -180,7 +184,6 @@ class RouteService:
             # dedup acks for the replayed prefix are captured below
         else:
             self.seq = restored_seq
-            self.history = [(verb, args) for verb, args, _key in updates[:restored_seq]]
             self.recovered_from = "snapshot+replay"
         for verb, args, key in updates[self.seq:]:
             ack = self._apply(verb, args)
@@ -235,25 +238,33 @@ class RouteService:
         self.engine = create_engine(
             self.program, scenario.topology, config=self._engine_config()
         )
-        if self.fault_injector is not None and hasattr(self.engine, "inject_faults"):
-            self.engine.inject_faults(self.fault_injector)
-        self._attach_monitors()
+        self._inject_faults()
+        for monitor in self._monitors():
+            self.engine.attach_monitor(monitor)
         self.engine.seed_facts(scenario.policy_fact_list())
         self._settle()
 
-    def _attach_monitors(self) -> None:
-        for kind in self.config.monitors:
-            self.engine.attach_monitor(build_monitor(kind, self.schema))
+    def _monitors(self) -> list:
+        return [build_monitor(kind, self.schema) for kind in self.config.monitors]
+
+    def _inject_faults(self) -> None:
+        if self.fault_injector is not None and hasattr(self.engine, "inject_faults"):
+            self.engine.inject_faults(self.fault_injector)
+
+    def _restore(self, capture: dict) -> None:
+        """Stand the engine at a captured state, on this config's shard
+        count: snapshot recovery and ``what_if`` forks both start here."""
+
+        self.engine = restore_engine(
+            self.program, capture, config=self._engine_config(), monitors=self._monitors()
+        )
+        self._inject_faults()
 
     def _try_snapshot_restore(self, updates: list) -> Optional[int]:
         """Restore from the snapshot file when possible; returns the restored
         sequence number, or None to boot fresh (then replay in full)."""
 
-        if (
-            self.config.shards > 1
-            or not self.snapshot_path
-            or not self.snapshot_path.exists()
-        ):
+        if not self.snapshot_path or not self.snapshot_path.exists():
             return None
         try:
             snapshot = open_snapshot(self.snapshot_path.read_bytes())
@@ -269,17 +280,10 @@ class RouteService:
             current_config.pop(key, None)
         if stamped_config != current_config or snapshot["seq"] > len(updates):
             return None
-        engine = DistributedEngine(
-            self.program,
-            build_topology(snapshot["engine"]),
-            config=self._engine_config(),
-        )
-        self.engine = engine
-        self._attach_monitors()
-        restore_engine(engine, snapshot["engine"])
-        restore_monitors(engine, snapshot["engine"])
-        if engine.trace.fingerprint() != snapshot["fingerprint"]:
-            self.engine = None  # stamp mismatch: distrust it, full replay
+        self._restore(snapshot["engine"])
+        if self.engine.trace.fingerprint() != snapshot["fingerprint"]:
+            self.engine.close()  # stamp mismatch: distrust it, full replay
+            self.engine = None
             return None
         self._acks = OrderedDict(snapshot.get("acks", []))
         return snapshot["seq"]
@@ -292,9 +296,9 @@ class RouteService:
 
     def _write_snapshot_inner(self) -> None:
         try:
-            capture = capture_engine(self.engine)
-        except SnapshotUnsupported:
-            return
+            capture = self.engine.capture()
+        except CaptureError:
+            return  # an unsettled engine: the next snapshot point retries
         snapshot = {
             "seq": self.seq,
             "fingerprint": self.engine.trace.fingerprint(),
@@ -326,8 +330,8 @@ class RouteService:
         budget.  Trace bookkeeping is set from the scheduler afterwards so
         the fingerprint stays a pure function of the update sequence, and
         the trace is compacted: the daemon keeps digests and counters, never
-        more than one update's records (live apply, ledger replay and
-        ``what_if`` forks all pass through here, 1 and N shards alike)."""
+        more than one update's records (live, replayed and hypothetical
+        updates, 1 and N shards alike)."""
 
         engine = self.engine
         scheduler = engine.scheduler
@@ -337,7 +341,7 @@ class RouteService:
         with obs_tracing.span("serving.settle"):
             while budget > 0:
                 kinds = scheduler.pending_kinds()
-                if not kinds or kinds <= MAINTENANCE:
+                if not kinds or kinds <= MAINTENANCE_KINDS:
                     break
                 head = scheduler.peek_time()
                 processed = scheduler.run(until=head, max_events=budget)
@@ -349,7 +353,7 @@ class RouteService:
         trace.finished_at = scheduler.now
         trace.quiescent = scheduler.is_empty
         trace.compact()
-        self.settled = scheduler.pending_kinds() <= MAINTENANCE
+        self.settled = scheduler.pending_kinds() <= MAINTENANCE_KINDS
         return self.settled
 
     def _ensure_expiry_timer(self) -> None:
@@ -467,8 +471,7 @@ class RouteService:
             engine.schedule_refresh(at)
         else:
             raise ProtocolError(f"unknown update verb {verb!r}")
-        self.history.append((verb, args))
-        self.seq = len(self.history)
+        self.seq += 1
         settled = self._settle()
         return {
             "seq": self.seq,
@@ -661,13 +664,20 @@ class RouteService:
         }
 
     def _what_if(self, args: dict) -> dict:
-        """Answer a query against a forked engine that has additionally
-        applied hypothetical updates; the live engine is untouched."""
+        """Answer a query against a single-process fork of the live state
+        that has applied only the hypothetical updates; the live engine is
+        read (captured), never changed."""
 
         updates = args.get("updates", [])
         question = args.get("query")
         if not isinstance(updates, list) or not isinstance(question, dict):
             raise ProtocolError("what_if needs 'updates' (list) and 'query' (object)")
+        if not self.settled:
+            raise ProtocolError(
+                "what_if needs a settled daemon: the last settle stopped at "
+                f"settle_max_events={self.config.settle_max_events} with work "
+                "still pending"
+            )
         fork_config = replace(
             self.config,
             state_dir=None,
@@ -676,10 +686,10 @@ class RouteService:
             fault_plan=None,
             trace_out=None,
         )
-        fork = RouteService(fork_config)
+        # pickled, so the fork shares no container with the live engine
+        capture = pickle.loads(pickle.dumps(self.engine.capture(), pickle.HIGHEST_PROTOCOL))
+        fork = RouteService(fork_config, origin=(self.seq, capture))
         try:
-            for verb, past_args in self.history:
-                fork._apply(verb, past_args)
             for update in updates:
                 verb = update.get("verb")
                 if verb not in UPDATE_VERBS:

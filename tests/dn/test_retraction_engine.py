@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.dn.engine import DistributedEngine, EngineConfig
 from repro.dn.network import Topology
 from repro.ndlog.parser import parse_program
+from repro.ndlog.seminaive import evaluate
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
 from repro.scenarios import generate_scenario
 from repro.workloads.events import WorkloadScript
@@ -390,3 +391,37 @@ class TestConsistencySweep:
         # ... and they went through the repair path, at the nodes that held
         # ghosts only (every other settle-end check was clean)
         assert full_sweeps and len(set(full_sweeps)) < len(engine.nodes)
+
+
+class TestCyclicSupport:
+    """The known gap of distributed counting: rows that support each other
+    around a cycle keep each other alive after their grounding is gone."""
+
+    REACH = """
+    reach(@X,Y) :- link(@X,Y,C).
+    reach(@X,Z) :- link(@X,Y,C), reach(@Y,Z).
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "cyclic support: distributed counting is exact only for "
+            "well-founded recursion (README's soft-state exception); stale "
+            "reach (0,2) and (1,2) survive until ROADMAP's exact distributed "
+            "retraction lands"
+        ),
+    )
+    def test_triangle_reach_after_two_failures_matches_evaluate(self):
+        program = parse_program(self.REACH, "reach")
+        engine = DistributedEngine(
+            program,
+            Topology.from_edges([(0, 1, 1), (1, 2, 1), (0, 2, 1)]),
+            config=EngineConfig(seed=1),
+        )
+        engine.seed_facts()
+        engine.schedule_link_failure(0, 2, at=1.0)
+        engine.schedule_link_failure(1, 2, at=2.0)
+        assert engine.run().quiescent
+        fresh = evaluate(program, [("link", fact) for fact in engine.topology.link_facts()])
+        assert set(engine.rows("reach")) == set(fresh.rows("reach"))

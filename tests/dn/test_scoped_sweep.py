@@ -313,7 +313,7 @@ class TestUnsweptMarks:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_marks_survive_checkpoint_and_resync_state(self, shards):
-        from repro.serving.checkpoint import capture_engine, restore_engine
+        from repro.dn.engine import restore_engine
 
         program = parse_program(self.SOURCE, "marks")
         engine = create_engine(
@@ -338,15 +338,11 @@ class TestUnsweptMarks:
                 assert engine._clients[shard].worker.nodes[1].unswept == {"echo"}
             else:
                 assert engine.node(1).unswept == {"echo"}
-                state = capture_engine(engine)
-                assert state["nodes"][1]["unswept"] == ["echo"]
-                clone = create_engine(
-                    program,
-                    Topology.from_edges([(1, 2)]),
-                    config=config_for(1, link_predicate=None),
-                )
-                restore_engine(clone, state)
-                assert clone.node(1).unswept == {"echo"}
+            # a capture carries it too, from either shard count
+            state = engine.capture()
+            assert state["nodes"][1]["unswept"] == ["echo"]
+            clone = restore_engine(program, state, config=config_for(1, link_predicate=None))
+            assert clone.node(1).unswept == {"echo"}
         finally:
             engine.close()
 

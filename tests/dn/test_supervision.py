@@ -10,8 +10,16 @@ no observable residue.  Long-lived engines checkpoint at run-segment
 starts; their recovery log stays bounded by live state plus one segment.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bgp.generator import policy_path_vector_program
 from repro.dn import (
     EngineConfig,
@@ -226,6 +234,55 @@ class TestClientClose:
             client.close()
         finally:
             engine.close()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+    def test_workers_exit_when_the_coordinator_is_killed(self, tmp_path):
+        """A worker holds no copy of its coordinator's pipe end, so a
+        coordinator that dies without closing the engine (a SIGKILLed
+        serving daemon) takes its workers with it — a respawned one too."""
+
+        script = (
+            "import os, sys\n"
+            "from repro.bgp.generator import policy_path_vector_program\n"
+            "from repro.dn import EngineConfig, create_engine\n"
+            "from repro.scenarios import generate_scenario\n"
+            "sc = generate_scenario('tree', size=8, seed=0, policy='gao_rexford')\n"
+            "engine = create_engine(policy_path_vector_program(), sc.topology,\n"
+            "    config=EngineConfig(seed=0, shards=3, shard_transport='process'))\n"
+            "engine._clients[0].kill()\n"
+            "engine._call(0, 'ping')\n"
+            "with open(sys.argv[1], 'w') as out:\n"
+            "    print(*(client._process.pid for client in engine._clients), file=out)\n"
+            "os._exit(0)\n"
+        )
+        pid_file = tmp_path / "pids"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        # no pipes to the child: orphaned workers would hold them open
+        subprocess.run(
+            [sys.executable, "-c", script, str(pid_file)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            check=True,
+            timeout=60,
+        )
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(pids) == 3
+
+        def alive(pid: int) -> bool:
+            try:
+                status = Path(f"/proc/{pid}/status").read_text()
+            except OSError:
+                return False
+            return "\nState:\tZ" not in status
+
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if alive(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans
 
     def test_killed_client_raises_shard_crash(self):
         program = policy_path_vector_program()

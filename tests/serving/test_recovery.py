@@ -9,20 +9,18 @@ import struct
 
 import pytest
 
+from repro.dn.engine import EngineConfig, restore_engine
 from repro.dn.trace import Trace
 from repro.harness.records import canonical_json
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
-from repro.serving.checkpoint import (
-    SNAPSHOT_FORMAT,
-    SnapshotUnsupported,
-    build_topology,
-    capture_engine,
-    open_snapshot,
-    restore_engine,
-    seal_snapshot,
+from repro.serving.checkpoint import SNAPSHOT_FORMAT, open_snapshot, seal_snapshot
+from repro.serving.service import (
+    BOOT_NAME,
+    LEDGER_NAME,
+    SNAPSHOT_NAME,
+    build_serving_program,
 )
-from repro.serving.service import BOOT_NAME, LEDGER_NAME, SNAPSHOT_NAME
 
 COMPACT = Trace.compact
 
@@ -70,36 +68,81 @@ def run_durable(config) -> str:
         service.close()
 
 
+def captured(shards: int, updates=UPDATES[:3], size: int = 16) -> tuple[dict, str]:
+    """A pickled round trip of the capture of a tree daemon on ``shards``
+    after ``updates``, and its fingerprint."""
+
+    service = RouteService(
+        ServerConfig(family="tree", size=size, shards=shards, snapshot_every=0)
+    )
+    try:
+        for verb, args in updates:
+            service.apply_update(verb, args)
+        fingerprint = service.engine.trace.fingerprint()
+        return pickle.loads(pickle.dumps(service.engine.capture())), fingerprint
+    finally:
+        service.close()
+
+
 class TestSnapshotRoundTrip:
     def test_capture_restore_identity(self):
-        service = RouteService(ServerConfig(family="tree", size=16, snapshot_every=0))
-        try:
-            for verb, args in UPDATES[:3]:
-                service.apply_update(verb, args)
-            fingerprint = service.engine.trace.fingerprint()
-            capture = pickle.loads(pickle.dumps(capture_engine(service.engine)))
-        finally:
-            service.close()
-
-        from repro.dn.engine import DistributedEngine, EngineConfig
-        from repro.serving.service import build_serving_program
-
+        capture, fingerprint = captured(1)
         config = ServerConfig(family="tree", size=16)
-        engine = DistributedEngine(
+        engine = restore_engine(
             build_serving_program(config),
-            build_topology(capture),
+            capture,
             config=EngineConfig(seed=config.seed, max_events=config.settle_max_events),
         )
-        restore_engine(engine, capture)
         assert engine.trace.fingerprint() == fingerprint
 
-    def test_capture_refuses_sharded_engine(self):
-        service = RouteService(
-            ServerConfig(family="tree", size=12, shards=2, snapshot_every=0)
+    @pytest.mark.parametrize("restore_shards", [1, 2])
+    def test_sharded_capture_restore_identity(self, restore_shards):
+        """A 2-shard engine captures the same state as a 1-shard one, and
+        it restores on either shard count: same fingerprint, and the row
+        views of a restored 2-shard engine match its workers."""
+
+        capture, fingerprint = captured(2)
+        single, single_fingerprint = captured(1)
+        assert fingerprint == single_fingerprint
+        assert capture["nodes"] == single["nodes"]
+        config = ServerConfig(family="tree", size=16)
+        engine = restore_engine(
+            build_serving_program(config),
+            capture,
+            config=EngineConfig(seed=config.seed, shards=restore_shards),
         )
         try:
-            with pytest.raises(SnapshotUnsupported):
-                capture_engine(service.engine)
+            assert engine.trace.fingerprint() == fingerprint
+            assert engine.global_snapshot() == restore_engine(
+                build_serving_program(config), single, config=EngineConfig(seed=config.seed)
+            ).global_snapshot()
+            if restore_shards > 1:
+                engine.validate_shards()
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_capture_leaves_the_engine_unchanged(self, shards):
+        """Reading a capture consumes no scheduler sequence number (what_if
+        captures the live engine on every query) and, sharded, takes no
+        respawn checkpoint and keeps the request logs."""
+
+        service = RouteService(
+            ServerConfig(family="tree", size=12, shards=shards, snapshot_every=0)
+        )
+        try:
+            service.apply_update(*UPDATES[0])
+            engine = service.engine
+            if shards > 1:
+                logs = [list(log) for log in engine._logs]
+                checkpoints = list(engine.shard_checkpoints)
+            first = pickle.dumps(engine.capture())
+            second = pickle.dumps(engine.capture())
+            assert first == second
+            assert engine.scheduler.next_seqno() == pickle.loads(first)["scheduler"]["counter"]
+            if shards > 1:
+                assert [list(log) for log in engine._logs] == logs
+                assert engine.shard_checkpoints == checkpoints
         finally:
             service.close()
 
@@ -223,7 +266,7 @@ class TestRecovery:
                     "seq": service.seq,
                     "fingerprint": fingerprint_v1(service.engine.trace),
                     "config": service.config.to_dict(),
-                    "engine": capture_engine(service.engine),
+                    "engine": service.engine.capture(),
                     "acks": [],
                 }
                 payload = pickle.dumps(old_snapshot)
@@ -335,16 +378,49 @@ class TestRecovery:
         assert how == "snapshot+replay"
         assert recovered == live
 
-    def test_sharded_daemon_recovers_by_replay(self, tmp_path):
+    def test_sharded_daemon_recovers_from_snapshot(self, tmp_path):
+        """A 2-shard daemon snapshots like a 1-shard one and recovers from
+        the snapshot plus the ledger tail to the 1-shard fingerprint."""
+
         reference = reference_fingerprint()
         config = durable_config(tmp_path, shards=2)
         assert run_durable(config) == reference
         recovered = RouteService(durable_config(tmp_path, shards=2))
         try:
-            assert recovered.recovered_from == "replay"  # no sharded snapshots
+            assert recovered.recovered_from == "snapshot+replay"
             assert recovered.query("fingerprint", {})["fingerprint"] == reference
+            recovered.engine.validate_shards()
         finally:
             recovered.close()
+
+    def test_restored_sharded_daemon_respawns_from_the_restored_checkpoint(
+        self, tmp_path
+    ):
+        """Kill a worker of a snapshot-restored 2-shard daemon, then apply
+        one more update: the respawn loads the checkpoint the restore left
+        and the daemon stays on the single-process control's fingerprint."""
+
+        extra = ("link_fail", {"src": 1, "dst": 2})
+        run_durable(durable_config(tmp_path, shards=2))
+        recovered = RouteService(durable_config(tmp_path, shards=2))
+        try:
+            assert recovered.recovered_from == "snapshot+replay"
+            engine = recovered.engine
+            shard = engine.partition_map[0]
+            engine._clients[shard].kill()
+            assert recovered.apply_update(*extra)["settled"]
+            assert engine.shard_restarts[shard] == 1
+            engine.validate_shards()
+            fingerprint = recovered.query("fingerprint", {})["fingerprint"]
+        finally:
+            recovered.close()
+        control = RouteService(ServerConfig(family="tree", size=16, snapshot_every=0))
+        try:
+            for verb, args in UPDATES + [extra]:
+                control.apply_update(verb, args)
+            assert control.query("fingerprint", {})["fingerprint"] == fingerprint
+        finally:
+            control.close()
 
     def test_boot_record_pins_determinism_fields(self, tmp_path):
         """A restart with different scenario flags must run the persisted

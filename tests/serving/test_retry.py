@@ -18,6 +18,7 @@ from repro.serving import (
     ServingClient,
     ServingError,
 )
+from repro.harness.records import read_jsonl
 from repro.serving.checkpoint import open_snapshot
 from repro.serving.client import read_server_info
 
@@ -27,6 +28,15 @@ def make_service(tmp_path, **overrides) -> RouteService:
         family="tree", size=12, state_dir=str(tmp_path / "state"), **overrides
     )
     return RouteService(config)
+
+
+def ledgered(service: RouteService) -> list[tuple[int, str, dict]]:
+    """``(seq, verb, args)`` of every update line in the service's ledger."""
+
+    return [
+        (record["seq"], record["verb"], record["args"])
+        for record in read_jsonl(service.ledger_path)
+    ]
 
 
 @pytest.fixture()
@@ -78,7 +88,9 @@ class TestServiceDedup:
             assert again["seq"] == first["seq"] == 1
             assert again["deduplicated"] is True
             assert "deduplicated" not in first
-            assert len(service.history) == 1  # not double-applied
+            # not double-applied
+            assert service.seq == 1
+            assert ledgered(service) == [(1, "link_fail", {"src": 0, "dst": 1})]
         finally:
             service.close()
 
@@ -129,7 +141,8 @@ class TestLostAckOverSockets:
             assert ack.get("deduplicated") is True
             status = client.query("status")
             assert status["seq"] == 1
-        assert server.service.history == [("link_fail", {"src": 0, "dst": 1})]
+        assert server.service.seq == 1
+        assert ledgered(server.service) == [(1, "link_fail", {"src": 0, "dst": 1})]
 
     def test_retry_after_recv_reset_applies_once(self, server_factory):
         server = server_factory()

@@ -3,6 +3,8 @@ update application, query answers, what-if isolation, and validation."""
 
 import pytest
 
+from repro.harness.records import read_jsonl
+from repro.scenarios import generate_scenario
 from repro.serving import ProtocolError, RouteService, ServerConfig
 from repro.serving.service import build_serving_program
 
@@ -139,11 +141,124 @@ class TestWhatIf:
         assert result["base_seq"] == 1
         assert result["answer"]["found"] is True
 
+    def test_fork_applies_only_the_hypothetical_updates(self, service, monkeypatch):
+        """The fork starts at the live state: the accepted updates are not
+        applied again, only the hypothetical ones."""
+
+        for verb in ("link_fail", "link_restore", "link_fail"):
+            service.apply_update(verb, {"src": 0, "dst": 1})
+        applied = []
+        apply = RouteService._apply
+
+        def spy(self, verb, args):
+            applied.append(verb)
+            return apply(self, verb, args)
+
+        monkeypatch.setattr(RouteService, "_apply", spy)
+        result = service.query(
+            "what_if",
+            {
+                "updates": [{"verb": "link_restore", "args": {"src": 0, "dst": 1}}],
+                "query": {"verb": "best_path", "args": {"src": 0, "dst": 1}},
+            },
+        )
+        assert applied == ["link_restore"]
+        assert result["base_seq"] == 3 and result["answer"]["seq"] == 4
+        assert result["answer"]["found"] is True
+        assert not hasattr(service, "history")
+
+    def test_refused_on_an_unsettled_daemon(self):
+        service = RouteService(
+            ServerConfig(family="tree", size=12, snapshot_every=0, settle_max_events=40)
+        )
+        try:
+            assert not service.settled
+            with pytest.raises(ProtocolError, match="settle_max_events=40"):
+                service.query(
+                    "what_if",
+                    {"updates": [], "query": {"verb": "routes", "args": {}}},
+                )
+        finally:
+            service.close()
+
     def test_nested_what_if_rejected(self, service):
         with pytest.raises(ProtocolError):
             service.query(
                 "what_if", {"updates": [], "query": {"verb": "what_if", "args": {}}}
             )
+
+
+class TestWhatIfMatchesReplay:
+    """A fork loaded from the live capture answers exactly like a fresh
+    service that replays the ledger and then the hypothetical updates."""
+
+    QUERIES = [
+        {"verb": "best_path", "args": {"src": 0, "dst": 10}},
+        {"verb": "routes", "args": {}},
+        {"verb": "fingerprint", "args": {}},
+    ]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_policy_daemon_after_churn(self, tmp_path, shards):
+        base = dict(family="power_law", size=16, topo_seed=1, policy="gao_rexford")
+        links = sorted(
+            (link.src, link.dst)
+            for link in generate_scenario(
+                "power_law", size=16, seed=1, policy="gao_rexford"
+            ).topology.links()
+            if link.src < link.dst
+        )
+
+        def update(verb, n, **extra):
+            src, dst = links[n]
+            return {"verb": verb, "args": {"src": src, "dst": dst, **extra}}
+
+        accepted = [
+            update("link_fail", 0),
+            update("cost_change", 1, cost=7.5),
+            update("cost_change", 2, cost=3.0),
+            update("link_restore", 0),
+            update("link_fail", 3),
+            update("cost_change", 4, cost=9.0),
+            update("link_restore", 3),
+            update("cost_change", 1, cost=1.0),
+        ]
+        hypothetical = [update("link_fail", 5), update("cost_change", 6, cost=4.0)]
+        live = RouteService(
+            ServerConfig(
+                **base, shards=shards, state_dir=str(tmp_path / "state"), snapshot_every=3
+            )
+        )
+        try:
+            for item in accepted:
+                assert live.apply_update(item["verb"], item["args"])["settled"]
+            before = live.query("fingerprint", {})
+            live_routes = live.query("routes", {})["routes"]
+            forked = []
+            for question in self.QUERIES:
+                forked.append(
+                    live.query("what_if", {"updates": hypothetical, "query": question})
+                )
+                assert live.query("fingerprint", {}) == before
+            ledger = [(r["verb"], r["args"]) for r in read_jsonl(live.ledger_path)]
+        finally:
+            live.close()
+        # the hypotheticals bite: they withdraw the live 0 -> 10 route
+        assert any((r["src"], r["dst"]) == (0, 10) for r in live_routes)
+        assert not forked[0]["answer"]["found"]
+        assert forked[1]["answer"]["routes"] != live_routes
+
+        control = RouteService(ServerConfig(**base, snapshot_every=0))
+        try:
+            for verb, args in ledger:
+                control.apply_update(verb, args)
+            for item in hypothetical:
+                control.apply_update(item["verb"], item["args"])
+            for question, result in zip(self.QUERIES, forked):
+                assert result["base_seq"] == len(accepted)
+                assert result["answer"] == control.query(question["verb"], question["args"])
+        finally:
+            control.close()
 
 
 class TestValidation:
