@@ -2,8 +2,10 @@
 
 Runs one bench-shaped cold convergence — ``create_engine`` → ``run`` to
 quiescence → ``Trace.fingerprint()`` → ``close`` — of the generated policy
-path-vector program on the 50-node power-law scenario, and writes a report
-of where its time goes.  CI uploads the reports as workflow artifacts so
+path-vector program on the 50-node power-law scenario (or any other
+generated family and size, for a size curve), and writes a report of where
+its time goes, headed by the run's routes, messages and the process's
+maximum resident set size.  CI uploads the reports as workflow artifacts so
 per-PR profiles can be diffed without re-running anything locally.
 
 Two instruments, two reports:
@@ -23,6 +25,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/profile_e4.py [--output profile_e4.txt]
     PYTHONPATH=src python benchmarks/profile_e4.py --sample [--output FILE]
+    PYTHONPATH=src python benchmarks/profile_e4.py --family tree --size 128
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import cProfile
 import io
 import os
 import pstats
+import resource
 import signal
 import time
 from collections import Counter
@@ -48,10 +52,10 @@ SAMPLED_OPS = 5
 SAMPLE_INTERVAL = 0.001
 
 
-def prepare_e4() -> tuple:
+def prepare_e4(family: str = "power_law", size: int = 50) -> tuple:
     """The untimed inputs of one op: program, topology, policy facts."""
 
-    scenario = generate_scenario("power_law", size=50, seed=7, policy="shortest_path")
+    scenario = generate_scenario(family, size=size, seed=7, policy="shortest_path")
     return policy_path_vector_program(), scenario.topology, scenario.policy_fact_list()
 
 
@@ -133,13 +137,19 @@ def main() -> None:
         "--top", type=int, default=20, help="functions per ranking (default: 20)"
     )
     parser.add_argument(
+        "--family", default="power_law", help="scenario family (default: power_law)"
+    )
+    parser.add_argument(
+        "--size", type=int, default=50, help="scenario node count (default: 50)"
+    )
+    parser.add_argument(
         "--sample",
         action="store_true",
         help="report sampled self/inclusive shares instead of a cProfile",
     )
     args = parser.parse_args()
 
-    inputs = prepare_e4()
+    inputs = prepare_e4(args.family, args.size)
 
     buffer = io.StringIO()
     start = time.perf_counter()
@@ -158,10 +168,13 @@ def main() -> None:
         profiler.disable()
         elapsed = time.perf_counter() - start
         instrument = "under cProfile"
+    # ru_maxrss is in KiB on Linux
+    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     buffer.write(
-        "E4 power_law-50 convergence profile "
+        f"E4 {args.family}-{args.size} convergence profile "
         f"(wall {elapsed:.2f}s {instrument}; {outcome['routes']} routes, "
-        f"{outcome['messages']} messages, quiescent={outcome['quiescent']})\n\n"
+        f"{outcome['messages']} messages, quiescent={outcome['quiescent']}; "
+        f"max RSS {max_rss_mb:.0f} MB)\n\n"
     )
     if args.sample:
         if not ticks:

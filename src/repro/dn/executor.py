@@ -9,7 +9,10 @@ and *emits* the externally visible effects through two callbacks:
 * ``record_change(now, node_id, predicate, values, kind)`` — a tuple was
   inserted/replaced/deleted at the node;
 * ``send(src, dst, predicate, values, kind)`` — a derived tuple (or a
-  retraction of one) is addressed to another node.
+  retraction of one) is addressed to another node.  A settle sends its
+  *net* effect, once it ends: its dispatches are summed per ``(dst,
+  predicate, row)``, so an assert and a retract of one row cancel before
+  any channel sees them (see :meth:`FixpointExecutor.settle`).
 
 Everything the executor touches is local to one node (its
 :class:`~repro.dn.node.Node` database, view memos, and displacement marks)
@@ -77,9 +80,10 @@ class FixpointExecutor:
     def __init__(self, program: Program, rule_engine: RuleEngine) -> None:
         self.program = program
         self.rule_engine = rule_engine
-        # the effect callbacks of the settle in progress (see :meth:`settle`)
+        # the change callback and the outbox of the settle in progress (see
+        # :meth:`settle`)
         self.record_change: Optional[RecordChange] = None
-        self.send: Optional[Send] = None
+        self._outbox: Optional[dict[tuple, list]] = None
         # rules indexed by the body predicates that can trigger them, plus a
         # memo of the per-delta plain/aggregate split (computed once per
         # distinct delta-predicate set instead of once per delivery round)
@@ -240,19 +244,42 @@ class FixpointExecutor:
         timestamp) to quiescence in retraction-aware rounds, emitting their
         effects through ``record_change`` and ``send``.
 
-        The callbacks are held only while the settle runs.  They are bound
-        methods of the engine (or shard worker) that owns this executor, so
-        keeping them would make every engine a reference cycle, left for
+        State changes are recorded as they happen.  Sends are the settle's
+        *net* effect, made when it ends: each remote head row a round
+        dispatches is counted, as an assert or a retract, in an outbox
+        keyed by ``(dst, predicate, row)``, and the outbox then drains
+        through ``send`` — every key ``|asserts − retracts|`` times, as
+        ``assert`` or ``retract``, in the order the keys first occurred; a
+        key that nets to zero sends nothing.  An assert and a retract of one
+        row in one settle (a path explored and withdrawn before the settle
+        ended) would cost the receiver an insertion round and a deletion
+        round that undoes it; netting means it never crosses the wire, is
+        never drawn for loss, and is never traced.
+
+        ``record_change`` is held only while the settle runs.  It is a bound
+        method of the engine (or shard worker) that owns this executor, so
+        keeping it would make every engine a reference cycle, left for
         the cyclic garbage collector to find long after the engine was
         dropped — holding a cold convergence's tables, megabytes of them,
         until it does.  See :meth:`_settle` for the rounds.
         """
 
-        self.record_change, self.send = record_change, send
+        outbox: dict[tuple, list] = {}
+        self.record_change, self._outbox = record_change, outbox
         try:
             self._settle(node, ops, now)
         finally:
-            self.record_change = self.send = None
+            self.record_change = self._outbox = None
+        src = node.id
+        for (dst, predicate, _), (asserts, retracts, values) in outbox.items():
+            net = asserts - retracts
+            kind = "assert" if net > 0 else "retract"
+            for _ in range(abs(net)):
+                send(src, dst, predicate, values, kind)
+        if obs_metrics.ENABLED:
+            netted = sum(2 * min(a, r) for a, r, _ in outbox.values())
+            if netted:
+                obs_metrics.inc("engine.sends_netted", netted)
 
     def _settle(self, node: Node, ops, now: float) -> None:
         """The rounds of :meth:`settle`.
@@ -732,24 +759,37 @@ class FixpointExecutor:
         self, node: Node, rule: Rule, rows: list[tuple], queue, *, retract: bool = False
     ) -> None:
         """Route a rule's derived head rows: local heads re-enter the node's
-        delta queue as inserts, remote heads become assert sends — or, with
-        ``retract``, lost derivations become counted retract ops and
-        retraction sends."""
+        delta queue as inserts, remote heads count as asserts in the
+        settle's outbox — or, with ``retract``, lost derivations become
+        counted retract ops and count as retractions.
 
-        op_kind, send_kind = ("retract", "retract") if retract else ("insert", "assert")
+        Outbox entries are ``[asserts, retracts, row]`` keyed by ``(dst,
+        predicate, row)``; like the cancellation keys in :meth:`_settle`, a
+        row holding an unhashable value is keyed by its ``row_key`` and
+        keeps its original values for the send."""
+
+        op_kind, side = ("retract", 1) if retract else ("insert", 0)
         predicate = rule.head.predicate
         location = rule.head.location
         if location is None:
             queue.extend([(op_kind, predicate, values) for values in rows])
             return
         node_id = node.id
-        send = self.send
+        outbox = self._outbox
         for values in rows:
             destination = values[location]
             if destination is None or destination == node_id:
                 queue.append((op_kind, predicate, values))
-            else:
-                send(node_id, destination, predicate, values, send_kind)
+                continue
+            key = (destination, predicate, values)
+            try:
+                entry = outbox.get(key)
+            except TypeError:
+                key = (destination, predicate, row_key(tuple(values)))
+                entry = outbox.get(key)
+            if entry is None:
+                outbox[key] = entry = [0, 0, values]
+            entry[side] += 1
 
     def triggered_rules(
         self, delta

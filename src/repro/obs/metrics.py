@@ -50,6 +50,7 @@ METRIC_NAMES = (
     "engine.retraction_cascade",
     "engine.sweep_checks",
     "engine.sweep_repairs",
+    "engine.sends_netted",
     # dn/shard.py
     "shard.requests",
     "shard.request_seconds",

@@ -9,7 +9,10 @@ burst became one weighted scheduler event; this module reruns the same
 8-run mini-campaign (tree-8 and power_law-8 × shortest_path / gao_rexford ×
 churn {0, 2}, loss 0.01, all four monitors, stale-route comparison on) and
 compares byte for byte — inline, on a 2-worker pool, and on 2 process
-shards per run.
+shards per run.  They were rewritten once since, when settles began to net
+their sends: two power_law runs' count and timing columns moved (messages,
+events, retractions, state changes, convergence time), and no monitor
+verdict or route column did.
 
 ``pytest --update-goldens`` rewrites them; do that only in a change that
 means to move the engine's observable behaviour.

@@ -22,6 +22,11 @@ corpus (``tests/ndlog/corpus``):
 
 The policy program has no centralized fixpoint, so only its distributed
 part runs.
+
+Two digests were re-pinned when settles began to net their sends: the
+distributed firings of ``distance_vector`` and ``policy_path_vector`` see
+fewer messages since (with the netting taken out, both old digests
+reproduce).
 """
 
 import hashlib
@@ -45,13 +50,13 @@ ENGINES = {"codegen": RuleEngine, "reference": ReferenceEngine}
 
 #: corpus program → digest (generated code and reference derive alike)
 PINS = {
-    "distance_vector": "37cf0e3399aa5553",
+    "distance_vector": "39188fc4c041af0b",
     "edge_cases": "f35480dc2e89ead7",
     "fallback": "29a4f6a514032e2b",
     "heartbeat": "0bc61c336b0376e7",
     "link_state": "001e5669c4633681",
     "path_vector": "ff2fe111f97c7c2e",
-    "policy_path_vector": "8f4d8653ae7fdf9b",
+    "policy_path_vector": "6e7f41d35bf5ba42",
 }
 
 #: aggregation in a recursive cycle: no centralized fixpoint to fire against

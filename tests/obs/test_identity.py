@@ -43,15 +43,15 @@ def set_obs(on: bool) -> None:
         tracing.disable()
 
 
-def run_once(*, obs: bool, shards=1) -> dict:
+def run_once(*, obs: bool, shards=1, family="tree", policy="gao_rexford") -> dict:
     """One churn+loss run → every deterministic observable."""
 
     set_obs(obs)
     scenario = generate_scenario(
-        "tree",
+        family,
         size=12,
         seed=0,
-        policy="gao_rexford",
+        policy=policy,
         churn_events=2,
         churn_restore_delay=1.0,
         loss=0.01,
@@ -90,6 +90,9 @@ class TestEngineIdentity:
         # and a clean network never needs the full sweep
         assert recorded["counters"].get("engine.sweep_checks", 0) > 0
         assert recorded["counters"].get("engine.sweep_repairs", 0) == 0
+        # a tree has one path per destination: no settle explores and
+        # withdraws one, so nothing nets away
+        assert recorded["counters"].get("engine.sends_netted", 0) == 0
         assert tracing.tracer().export()["spans"]
         # ...while changing nothing observable
         assert observed == plain
@@ -102,6 +105,17 @@ class TestEngineIdentity:
         # worker-side counters reach the coordinator's registry
         assert recorded["counters"].get("engine.sweep_checks", 0) > 0
         assert observed == plain
+
+    def test_netted_sends_are_counted_and_reach_the_coordinator(self):
+        # power_law explores and withdraws paths within a settle
+        single = run_once(obs=True, family="power_law", policy="shortest_path")
+        netted = metrics.registry().export()["counters"].get("engine.sends_netted", 0)
+        plain = run_once(obs=False, shards=4, family="power_law", policy="shortest_path")
+        observed = run_once(obs=True, shards=4, family="power_law", policy="shortest_path")
+        # the workers run the single-process settles: the same count
+        assert netted > 0
+        assert metrics.registry().export()["counters"].get("engine.sends_netted") == netted
+        assert observed == plain == single
 
 
 class TestServingIdentity:
