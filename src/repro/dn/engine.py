@@ -146,22 +146,16 @@ class EngineConfig:
 class EngineMonitor(Protocol):
     """Runtime invariant monitor attached to an engine.
 
-    Monitors observe every recorded state change (``on_change``) and are
-    asked to evaluate their invariants whenever a node reaches a local
-    fixpoint (``on_settle``) — the points at which FVN safety properties are
-    meaningful during execution.  See :mod:`repro.fvn.monitors` for the
-    property-derived implementations.
-
-    A monitor whose ``on_change`` ignores every predicate outside a fixed
-    set may also define ``change_predicates()`` returning that set (``None``
-    for "all"); the engine then only calls it for those predicates.
+    A monitor reads the engine's own tables (``engine.nodes[node].rows``,
+    the same call on a :class:`Node` and on a sharded coordinator's row
+    view) whenever a node settles with at least one recorded state change
+    (``on_settle``) — the points at which FVN safety properties are
+    meaningful during execution — and once over every node at the end
+    (``finalize``).  See :mod:`repro.fvn.monitors` for the property-derived
+    implementations.
     """
 
     def attach(self, engine: "DistributedEngine") -> None: ...
-
-    def on_change(
-        self, time: float, node: NodeId, predicate: str, values: tuple, kind: str
-    ) -> None: ...
 
     def on_settle(self, time: float, node: NodeId) -> None: ...
 
@@ -214,15 +208,10 @@ class DistributedEngine:
         #: runtime invariant monitors (see :class:`EngineMonitor`); empty by
         #: default so the hot paths pay a single truthiness check
         self.monitors: list[EngineMonitor] = []
-        #: predicate → the monitors whose ``on_change`` wants it, in attach
-        #: order; predicates absent here go to ``_unfiltered_monitors`` (the
-        #: monitors that declared no ``change_predicates``) alone
-        self._change_watchers: dict[str, tuple[EngineMonitor, ...]] = {}
-        self._unfiltered_monitors: tuple[EngineMonitor, ...] = ()
-        #: >0 while a node's fixpoint rounds (or the sharded replay of one)
-        #: are executing — mid-fixpoint states are deliberately inconsistent
-        #: (deletion deltas fire against the old database), so external
-        #: updates must not land inside; see :meth:`_assert_safe_point`
+        #: >0 while a node's fixpoint rounds are executing — mid-fixpoint
+        #: states are deliberately inconsistent (deletion deltas fire against
+        #: the old database), so external updates must not land inside; see
+        #: :meth:`_assert_safe_point`
         self._fixpoint_depth = 0
         self.nodes: dict[NodeId, Node] = {
             node_id: self.node_class(node_id, self.program, rule_engine=self.rule_engine)
@@ -253,37 +242,14 @@ class DistributedEngine:
     def attach_monitor(self, monitor: EngineMonitor) -> None:
         """Attach a runtime invariant monitor to this engine.
 
-        The monitor sees every state change as it is recorded and is asked
-        to check its invariants whenever a node settles (reaches a local
-        fixpoint for the current timestamp).  Attach monitors before
+        The monitor is asked to check its invariants whenever a node
+        settles (reaches a local fixpoint for the current timestamp) with
+        at least one recorded state change.  Attach monitors before
         seeding/running so they observe the whole execution.
         """
 
         monitor.attach(self)
         self.monitors.append(monitor)
-        # fan state changes out by predicate: ``_record_change`` runs once
-        # per stored-row change, and most monitors care about a few
-        # predicates (none of them configuration like ``exportDeny``)
-        declared = getattr(monitor, "change_predicates", None)
-        predicates = declared() if declared is not None else None
-        if predicates is None:
-            self._unfiltered_monitors += (monitor,)
-            self._change_watchers = {
-                predicate: watchers + (monitor,)
-                for predicate, watchers in self._change_watchers.items()
-            }
-        else:
-            for predicate in predicates:
-                self._change_watchers[predicate] = self._change_watchers.get(
-                    predicate, self._unfiltered_monitors
-                ) + (monitor,)
-
-    def _record_change(
-        self, time: float, node_id: NodeId, predicate: str, values: tuple, kind: str
-    ) -> None:
-        self.trace.record_change(time, node_id, predicate, values, kind)
-        for monitor in self._change_watchers.get(predicate, self._unfiltered_monitors):
-            monitor.on_change(time, node_id, predicate, values, kind)
 
     def _notify_settle(self, node_id: NodeId) -> None:
         now = self.scheduler.now
@@ -466,17 +432,21 @@ class DistributedEngine:
         queue.clear()
         if obs_metrics.ENABLED:
             obs_metrics.inc("engine.flushes")
+        if self.monitors:
+            changes = self.trace.state_change_count
         self._fixpoint_depth += 1
-        # without monitors a state change only goes to the trace
-        record = self._record_change if self.monitors else self.trace.record_change
         try:
             with obs_tracing.span("engine.flush", node=str(node_id), ops=len(ops)):
                 self.executor.settle(
-                    self.nodes[node_id], ops, self.scheduler.now, record, self._send
+                    self.nodes[node_id],
+                    ops,
+                    self.scheduler.now,
+                    self.trace.record_change,
+                    self._send,
                 )
         finally:
             self._fixpoint_depth -= 1
-        if self.monitors:
+        if self.monitors and self.trace.state_change_count != changes:
             self._notify_settle(node_id)
 
     # ------------------------------------------------------------------
@@ -484,9 +454,9 @@ class DistributedEngine:
     # ------------------------------------------------------------------
     @property
     def in_fixpoint(self) -> bool:
-        """Is a node's fixpoint (drain / sharded replay) currently
-        executing?  External updates are only legal when
-        this is False — between events, the engine's safe points."""
+        """Is a node's fixpoint currently executing?  External updates are
+        only legal when this is False — between events, the engine's safe
+        points."""
 
         return self._fixpoint_depth > 0
 
@@ -496,7 +466,7 @@ class DistributedEngine:
                 f"{operation} during a node fixpoint: engine-external updates "
                 "must land at safe points (between events, or scheduled via "
                 "schedule_fact / schedule_fact_delete / schedule_refresh), "
-                "not from monitor or rule callbacks mid-drain"
+                "not from rule callbacks mid-drain"
             )
 
     def inject_fact(self, predicate: str, values: tuple) -> None:
@@ -850,7 +820,7 @@ class DistributedEngine:
                 {
                     key: value
                     for key, value in monitor.__dict__.items()
-                    if key not in ("_engine", "_key_getters")
+                    if key != "_engine"
                 }
                 for monitor in self.monitors
             ],
@@ -866,7 +836,7 @@ class DistributedEngine:
         """Load a :meth:`capture` into this fresh, unseeded engine, built
         over the captured topology with its monitors attached (see
         :func:`restore_engine`).  Monitor state is loaded positionally;
-        ``_engine`` and the unpicklable ``_key_getters`` stay the attach's."""
+        ``_engine`` stays the attach's."""
 
         if self._seeded:
             raise NDlogError("restore() needs a fresh, unseeded engine")

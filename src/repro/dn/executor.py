@@ -257,11 +257,11 @@ class FixpointExecutor:
         never drawn for loss, and is never traced.
 
         ``record_change`` is held only while the settle runs.  It is a bound
-        method of the engine (or shard worker) that owns this executor, so
-        keeping it would make every engine a reference cycle, left for
-        the cyclic garbage collector to find long after the engine was
-        dropped — holding a cold convergence's tables, megabytes of them,
-        until it does.  See :meth:`_settle` for the rounds.
+        method of the owner's trace (or of the shard worker that owns this
+        executor), so keeping it could make the owner a reference cycle,
+        left for the cyclic garbage collector to find long after the engine
+        was dropped — holding a cold convergence's tables, megabytes of
+        them, until it does.  See :meth:`_settle` for the rounds.
         """
 
         outbox: dict[tuple, list] = {}

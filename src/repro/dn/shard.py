@@ -24,14 +24,15 @@ preserves event-budget accounting), fans the op batches out to the shard
 workers, then applies the returned effects in the exact order the
 single-process engine would have produced them.  A worker returns what the
 single-process sinks receive, nothing more: traced change records feed the
-trace and monitors and fold into a per-node row view (:class:`RemoteNode`,
-serving ``rows()``, ``global_snapshot()`` and refresh membership); send
-intents go through the coordinator's own ``_send``, so loss-channel RNG
-draws happen in the single-process order for cross- and intra-shard
-messages alike.  What needs deadlines — the expiry scan, the soft-state
-monitor — is a worker request.  Workers fork from a coordinator that has
-already compiled the localized program, so they inherit its generated rule
-code, and all of an engine's workers start before any handshake is awaited.
+trace and fold into a per-node row view (:class:`RemoteNode`, serving
+``rows()``, ``global_snapshot()``, refresh membership and the monitors'
+reads); send intents go through the coordinator's own ``_send``, so
+loss-channel RNG draws happen in the single-process order for cross- and
+intra-shard messages alike.  What needs deadlines — the expiry scan, the
+soft-state monitor — is a worker request.  Workers fork from a coordinator
+that has already compiled the localized program, so they inherit its
+generated rule code, and all of an engine's workers start before any
+handshake is awaited.
 
 Determinism contract: for equal programs, topologies, configs and seeds,
 ``ShardedEngine`` and ``DistributedEngine`` produce equal traces
@@ -730,37 +731,30 @@ class ShardedEngine(DistributedEngine):
     ) -> None:
         """Apply one node-drain's effects at the coordinator: change records
         fold into the node's row view (FIFO eviction is untraced, so the view
-        applies ``max_size`` itself) and feed the trace/monitors; sends go
-        through ``_send``, drawing channel RNG in the single-process order."""
+        applies ``max_size`` itself) and feed the trace; sends go through
+        ``_send``, drawing channel RNG in the single-process order."""
 
         now = self.scheduler.now
-        # without monitors a state change only goes to the trace
-        record = self._record_change if self.monitors else self.trace.record_change
+        record = self.trace.record_change
         tables = self.nodes[node_id].tables
         shapes = self._shapes
-        # the coordinator-side half of a node fixpoint: external updates are
-        # refused here too (matching the single-process engine's drain guard)
-        self._fixpoint_depth += 1
-        try:
-            for predicate, values, kind in records:
-                table = tables.get(predicate)
-                if table is None:
-                    table = tables[predicate] = {}
-                key_of, max_size = shapes.get(predicate, _KEYLESS)
-                key = key_of(values)
-                if kind in _ADDED:
-                    table[key] = values
-                    if len(table) > max_size:
-                        oldest = next(iter(table))
-                        if oldest != key:
-                            del table[oldest]
-                else:
-                    del table[key]
-                record(now, node_id, predicate, values, kind)
-            for src, dst, predicate, values, kind in sends:
-                self._send(src, dst, predicate, values, kind)
-        finally:
-            self._fixpoint_depth -= 1
+        for predicate, values, kind in records:
+            table = tables.get(predicate)
+            if table is None:
+                table = tables[predicate] = {}
+            key_of, max_size = shapes.get(predicate, _KEYLESS)
+            key = key_of(values)
+            if kind in _ADDED:
+                table[key] = values
+                if len(table) > max_size:
+                    oldest = next(iter(table))
+                    if oldest != key:
+                        del table[oldest]
+            else:
+                del table[key]
+            record(now, node_id, predicate, values, kind)
+        for src, dst, predicate, values, kind in sends:
+            self._send(src, dst, predicate, values, kind)
 
     # ------------------------------------------------------------------
     # Overridden execution hooks
@@ -817,7 +811,7 @@ class ShardedEngine(DistributedEngine):
             for nid in wave:
                 records, sends = results[nid]
                 self._replay(nid, records, sends)
-                if self.monitors:
+                if records and self.monitors:
                     self._notify_settle(nid)
 
     def _apply_refresh(self, refreshed, now: float) -> None:

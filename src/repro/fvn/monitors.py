@@ -7,20 +7,24 @@ safety properties evaluated **incrementally while the protocol runs**, so a
 campaign over thousands of seeded executions can report *when* an invariant
 first broke instead of only *whether* the final state satisfies it.
 
-Monitors implement the :class:`repro.dn.engine.EngineMonitor` hook protocol:
+Monitors implement the :class:`repro.dn.engine.EngineMonitor` hook protocol
+and keep no copy of the state they check: each check reads the node's own
+tables (``engine.nodes[node].rows(predicate)``, the same call on a
+single-process :class:`~repro.dn.node.Node` and on a sharded coordinator's
+row view).
 
-* ``on_change`` — mirror every recorded tuple insertion/replacement/removal
-  (keyed exactly like the node's own tables, via the program's
-  ``materialize`` declarations);
-* ``on_settle`` — evaluate the invariant for the node that just reached a
-  local fixpoint.  Checking only at settle points is what makes runtime
-  monitoring sound: mid-drain states are deliberately inconsistent (deletion
-  deltas fire against the old database), while every FVN safety property is
-  a statement about (locally) quiescent states;
-* ``finalize`` — one full-state sweep at the end of the run, which makes the
-  monitor's *active* violations agree with a post-hoc property check on the
-  final state by construction (:func:`posthoc_violations` runs the identical
-  checker over the engine's ground-truth tables for cross-validation).
+* ``attach`` — bind the monitor to the engine whose tables it reads;
+* ``on_settle`` — evaluate the invariant for a node that just reached a
+  local fixpoint with at least one recorded state change, reading that
+  node's tables.  Checking only at settle points is what makes runtime
+  monitoring sound: mid-drain states are deliberately inconsistent
+  (deletion deltas fire against the old database), while every FVN safety
+  property is a statement about (locally) quiescent states;
+* ``finalize`` — one check of every node at the end of the run.  The
+  monitor's *active* violations then describe the engine's final tables,
+  which is what :func:`posthoc_violations` checks with fresh monitors, so
+  runtime and post-hoc checks agree by construction: the same code reads
+  the same tables.
 
 A violation is *recorded* the first time its signature appears (that is the
 first-violation timestamp) and *healed* when a later check no longer finds
@@ -126,15 +130,12 @@ def schema_for_program(program: Program) -> MonitorSchema:
     return PATH_VECTOR_SCHEMA
 
 
-_ADD_KINDS = frozenset(("insert", "replace"))
-
-
 class RuntimeMonitor:
-    """Base monitor: keyed state mirror, dirty tracking, violation healing.
+    """Base monitor: checks at settles and at the end, violation healing.
 
-    Subclasses declare the predicates they watch, maintain any derived
-    indexes via :meth:`_row_added` / :meth:`_row_removed`, and report the
-    current violations of one node from :meth:`_violations_at`.
+    Subclasses report the current violations of one node from
+    :meth:`_violations_at`, reading the node's tables through
+    :meth:`_rows`.
     """
 
     name = "monitor"
@@ -142,83 +143,33 @@ class RuntimeMonitor:
     max_recorded = 200
 
     def __init__(self) -> None:
-        self.watched: tuple[str, ...] = ()
         self.violations: list[MonitorViolation] = []
         self.dropped = 0
         self.first_violation: Optional[MonitorViolation] = None
         self.finalized_at: Optional[float] = None
         self._engine: Optional["DistributedEngine"] = None
-        #: node → predicate → primary key → row (mirror of monitored tables)
-        self._mirror: dict[object, dict[str, dict[tuple, tuple]]] = {}
-        self._key_getters: dict[str, object] = {}
-        self._dirty: set = set()
         #: node → signature → violation currently believed to hold
         self._active: dict[object, dict[tuple, MonitorViolation]] = {}
 
     # -- hook protocol -----------------------------------------------------
     def attach(self, engine: "DistributedEngine") -> None:
-        from ..ndlog.store import _make_key_getter  # storage's own key logic
-
         # weak: the engine holds its monitors, and a strong back-reference
         # would keep every dropped engine's tables alive until a full
         # cyclic collection (the engine calls finalize itself, so it is
         # alive whenever the monitor reads it)
         self._engine = weakref.proxy(engine)
-        for predicate in self.watched:
-            decl = engine.program.materialized.get(predicate)
-            keys = tuple(k - 1 for k in decl.keys) if decl is not None else ()
-            self._key_getters[predicate] = _make_key_getter(keys)
-
-    def change_predicates(self) -> Optional[frozenset[str]]:
-        """The predicates ``on_change`` acts on, so the engine can skip the
-        call for every other one — ``None`` (all of them) for a subclass
-        that replaces ``on_change``, like :class:`SoftStateBoundMonitor`."""
-
-        if type(self).on_change is not RuntimeMonitor.on_change:
-            return None
-        return frozenset(self.watched)
-
-    def on_change(
-        self, time: float, node: object, predicate: str, values: tuple, kind: str
-    ) -> None:
-        if predicate not in self._key_getters:
-            return
-        rows = self._mirror.setdefault(node, {}).setdefault(predicate, {})
-        key = self._key_getters[predicate](values)
-        if kind in _ADD_KINDS:
-            old = rows.get(key)
-            rows[key] = values
-            self._row_added(node, predicate, values, old)
-        else:
-            old = rows.pop(key, None)
-            if old is None or old != tuple(values):
-                # a removal the mirror never saw asserted (or of a row
-                # already replaced under its key) changes nothing
-                if old is not None:
-                    rows[key] = old
-                return
-            self._row_removed(node, predicate, old)
-        self._dirty.add(node)
 
     def on_settle(self, time: float, node: object) -> None:
-        if node in self._dirty:
-            self._dirty.discard(node)
-            self._check_node(time, node)
+        self._check_node(time, node)
 
     def finalize(self, time: float) -> None:
-        nodes: Iterable[object]
-        if self._engine is not None:
-            nodes = list(self._engine.nodes)
-        else:
-            nodes = set(self._mirror) | set(self._active)
-        for node in nodes:
-            self._check_node(time, node)
-        self._dirty.clear()
         self.finalized_at = time
+        for node in self._engine.nodes:
+            self._check_node(time, node)
 
     # -- violation bookkeeping ---------------------------------------------
     def _check_node(self, time: float, node: object) -> None:
-        current = dict(self._violations_at(node))
+        current = dict(self._violations_at(node, time))
         active = self._active.setdefault(node, {})
         for signature, detail in current.items():
             if signature not in active:
@@ -250,11 +201,6 @@ class RuntimeMonitor:
     def first_violation_time(self) -> Optional[float]:
         return self.first_violation.time if self.first_violation is not None else None
 
-    def mirror_rows(self, node: object, predicate: str) -> set[tuple]:
-        """The mirrored rows of one predicate at one node (for validation)."""
-
-        return set(self._mirror.get(node, {}).get(predicate, {}).values())
-
     def report(self) -> dict:
         """A JSON-friendly summary for campaign run records."""
 
@@ -268,15 +214,12 @@ class RuntimeMonitor:
         }
 
     # -- subclass hooks ----------------------------------------------------
-    def _row_added(
-        self, node: object, predicate: str, row: tuple, old: Optional[tuple]
-    ) -> None:
-        pass
+    def _rows(self, node: object, predicate: str) -> list[tuple]:
+        """The rows of ``predicate`` stored at ``node`` right now."""
 
-    def _row_removed(self, node: object, predicate: str, row: tuple) -> None:
-        pass
+        return self._engine.nodes[node].rows(predicate)
 
-    def _violations_at(self, node: object) -> Iterable[tuple[tuple, str]]:
+    def _violations_at(self, node: object, time: float) -> Iterable[tuple[tuple, str]]:
         return ()
 
 
@@ -290,56 +233,20 @@ class RouteValidityMonitor(RuntimeMonitor):
     def __init__(self, schema: MonitorSchema = PATH_VECTOR_SCHEMA) -> None:
         super().__init__()
         self.schema = schema
-        self.watched = (
-            schema.best_predicate,
-            schema.path_predicate,
-            schema.link_predicate,
-        )
-        #: node → projected candidate-row → count
-        self._support: dict[object, dict[tuple, int]] = {}
-        #: node → neighbour → live-link count
-        self._neighbours: dict[object, dict[object, int]] = {}
 
-    def _project(self, row: tuple) -> tuple:
-        return tuple(row[p] for _, p in self.schema.best_to_path)
-
-    def _row_added(self, node, predicate, row, old) -> None:
-        if predicate == self.schema.path_predicate:
-            support = self._support.setdefault(node, {})
-            if old is not None:
-                self._drop(support, self._project(old))
-            projected = self._project(row)
-            support[projected] = support.get(projected, 0) + 1
-        elif predicate == self.schema.link_predicate:
-            neighbours = self._neighbours.setdefault(node, {})
-            if old is not None:
-                self._drop(neighbours, old[1])
-            neighbours[row[1]] = neighbours.get(row[1], 0) + 1
-
-    def _row_removed(self, node, predicate, row) -> None:
-        if predicate == self.schema.path_predicate:
-            self._drop(self._support.get(node, {}), self._project(row))
-        elif predicate == self.schema.link_predicate:
-            self._drop(self._neighbours.get(node, {}), row[1])
-
-    @staticmethod
-    def _drop(counter: dict, key) -> None:
-        remaining = counter.get(key, 0) - 1
-        if remaining > 0:
-            counter[key] = remaining
-        else:
-            counter.pop(key, None)
-
-    def _violations_at(self, node):
+    def _violations_at(self, node, time):
         schema = self.schema
-        best_rows = self._mirror.get(node, {}).get(schema.best_predicate, {})
+        best_rows = self._rows(node, schema.best_predicate)
         if not best_rows:
             return
-        support = self._support.get(node, {})
-        neighbours = self._neighbours.get(node, {})
-        for row in best_rows.values():
+        support = {
+            tuple(row[p] for _, p in schema.best_to_path)
+            for row in self._rows(node, schema.path_predicate)
+        }
+        neighbours = {row[1] for row in self._rows(node, schema.link_predicate)}
+        for row in best_rows:
             projected = tuple(row[b] for b, _ in schema.best_to_path)
-            if support.get(projected, 0) == 0:
+            if projected not in support:
                 yield (
                     ("unsupported", row),
                     f"{schema.best_predicate}{row} at {node} has no supporting "
@@ -348,7 +255,7 @@ class RouteValidityMonitor(RuntimeMonitor):
             vector = row[schema.best_vector_position]
             if isinstance(vector, tuple) and len(vector) >= 2:
                 first_hop = vector[1]
-                if neighbours.get(first_hop, 0) == 0:
+                if first_hop not in neighbours:
                     yield (
                         ("dead_first_hop", row),
                         f"{schema.best_predicate}{row} at {node} leaves over "
@@ -365,70 +272,35 @@ class BestAgreementMonitor(RuntimeMonitor):
     def __init__(self, schema: MonitorSchema = PATH_VECTOR_SCHEMA) -> None:
         super().__init__()
         self.schema = schema
-        self.watched = (schema.best_cost_predicate, schema.path_predicate)
-        #: node → group → value → count over candidate rows
-        self._candidates: dict[object, dict[tuple, dict[object, int]]] = {}
 
-    def _group(self, row: tuple) -> tuple:
-        return tuple(row[p] for p in self.schema.group_positions)
-
-    def _row_added(self, node, predicate, row, old) -> None:
-        if predicate != self.schema.path_predicate:
-            return
-        groups = self._candidates.setdefault(node, {})
-        if old is not None:
-            self._drop(groups, self._group(old), old[self.schema.path_value_position])
-        values = groups.setdefault(self._group(row), {})
-        value = row[self.schema.path_value_position]
-        values[value] = values.get(value, 0) + 1
-
-    def _row_removed(self, node, predicate, row) -> None:
-        if predicate != self.schema.path_predicate:
-            return
-        self._drop(
-            self._candidates.get(node, {}),
-            self._group(row),
-            row[self.schema.path_value_position],
-        )
-
-    @staticmethod
-    def _drop(groups: dict, group: tuple, value) -> None:
-        values = groups.get(group)
-        if values is None:
-            return
-        remaining = values.get(value, 0) - 1
-        if remaining > 0:
-            values[value] = remaining
-        else:
-            values.pop(value, None)
-        if not values:
-            groups.pop(group, None)
-
-    def _violations_at(self, node):
+    def _violations_at(self, node, time):
         schema = self.schema
-        groups = self._candidates.get(node, {})
-        best_rows = self._mirror.get(node, {}).get(schema.best_cost_predicate, {})
+        groups = schema.group_positions
+        value_at = schema.path_value_position
+        #: candidate group → its minimum value
+        minima: dict[tuple, object] = {}
+        for row in self._rows(node, schema.path_predicate):
+            group = tuple(row[p] for p in groups)
+            value = row[value_at]
+            if group not in minima or value < minima[group]:
+                minima[group] = value
         selected: set[tuple] = set()
-        for row in best_rows.values():
-            group = self._group(row)
+        for row in self._rows(node, schema.best_cost_predicate):
+            group = tuple(row[p] for p in groups)
             selected.add(group)
-            value = row[schema.best_cost_value_position]
-            values = groups.get(group)
-            if not values:
+            if group not in minima:
                 yield (
                     ("no_candidates", row),
                     f"{schema.best_cost_predicate}{row} at {node} selects from an "
                     f"empty {schema.path_predicate} group",
                 )
-            else:
-                minimum = min(values)
-                if value != minimum:
-                    yield (
-                        ("not_minimal", row),
-                        f"{schema.best_cost_predicate}{row} at {node} is not the "
-                        f"minimum candidate value {minimum!r}",
-                    )
-        for group in groups:
+            elif row[schema.best_cost_value_position] != minima[group]:
+                yield (
+                    ("not_minimal", row),
+                    f"{schema.best_cost_predicate}{row} at {node} is not the "
+                    f"minimum candidate value {minima[group]!r}",
+                )
+        for group in minima:
             if group not in selected:
                 yield (
                     ("missing_best", group),
@@ -445,40 +317,24 @@ class CycleFreedomMonitor(RuntimeMonitor):
     def __init__(self, schema: MonitorSchema = PATH_VECTOR_SCHEMA) -> None:
         super().__init__()
         self.schema = schema
-        self._positions = dict(schema.vector_positions)
-        self.watched = tuple(self._positions)
-        #: node → (predicate, key) with a cyclic vector
-        self._cyclic: dict[object, dict[tuple, tuple]] = {}
 
-    def _row_added(self, node, predicate, row, old) -> None:
-        key = (predicate, self._key_getters[predicate](row))
-        vector = row[self._positions[predicate]]
-        cyclic = isinstance(vector, tuple) and len(set(vector)) != len(vector)
-        per_node = self._cyclic.setdefault(node, {})
-        if cyclic:
-            per_node[key] = row
-        else:
-            per_node.pop(key, None)
-
-    def _row_removed(self, node, predicate, row) -> None:
-        self._cyclic.get(node, {}).pop(
-            (predicate, self._key_getters[predicate](row)), None
-        )
-
-    def _violations_at(self, node):
-        for (predicate, _key), row in self._cyclic.get(node, {}).items():
-            yield (
-                ("cycle", predicate, row),
-                f"{predicate}{row} at {node} has a cyclic path vector",
-            )
+    def _violations_at(self, node, time):
+        for predicate, position in self.schema.vector_positions:
+            for row in self._rows(node, predicate):
+                vector = row[position]
+                if isinstance(vector, tuple) and len(set(vector)) != len(vector):
+                    yield (
+                        ("cycle", predicate, row),
+                        f"{predicate}{row} at {node} has a cyclic path vector",
+                    )
 
 
 class SoftStateBoundMonitor(RuntimeMonitor):
     """No soft-state row outlives its lifetime by more than ``slack``.
 
     Reads deadlines through ``engine.soft_deadlines`` (they are storage
-    bookkeeping the trace does not carry; a sharded engine asks the worker
-    holding the node).  ``slack`` defaults to 1.5×
+    bookkeeping the tables' rows do not carry; a sharded engine asks the
+    worker holding the node).  ``slack`` defaults to 1.5×
     the engine's expiry-scan interval: a row can legitimately linger up to
     one full scan interval past its expiry before the scan retracts it.
     """
@@ -488,36 +344,21 @@ class SoftStateBoundMonitor(RuntimeMonitor):
     def __init__(self, slack: Optional[float] = None) -> None:
         super().__init__()
         self.slack = slack
-        self._clock = 0.0
 
     def attach(self, engine) -> None:
         super().attach(engine)
         if self.slack is None:
             self.slack = engine.config.expiry_scan_interval * 1.5
 
-    def on_change(self, time, node, predicate, values, kind) -> None:
-        self._clock = time
-        self._dirty.add(node)
-
-    def _violations_at(self, node):
-        if self._engine is None:
-            return
-        now = self.finalized_at if self.finalized_at is not None else self._clock
+    def _violations_at(self, node, time):
         bound = self.slack or 0.0
         for predicate, row, deadline in self._engine.soft_deadlines(node):
-            if now > deadline + bound:
+            if time > deadline + bound:
                 yield (
                     ("overdue", predicate, row),
                     f"soft-state {predicate}{row} at {node} is "
-                    f"{now - deadline:.3f}s past its lifetime",
+                    f"{time - deadline:.3f}s past its lifetime",
                 )
-
-    def finalize(self, time: float) -> None:
-        self.finalized_at = time
-        nodes = list(self._engine.nodes) if self._engine is not None else []
-        for node in nodes:
-            self._check_node(time, node)
-        self._dirty.clear()
 
 
 # ----------------------------------------------------------------------
@@ -662,11 +503,12 @@ def posthoc_violations(
 ) -> dict[str, list[MonitorViolation]]:
     """Check the engine's *final* state with fresh monitors.
 
-    Feeds the ground-truth tables of every node into newly-built monitors
-    and finalizes them — the classical post-hoc property check, running the
-    identical invariant code the runtime monitors use.  Cross-validating a
-    runtime monitor against this is how campaigns establish that incremental
-    monitoring observed the same end state the stored tables hold.
+    Attaches newly-built monitors to the engine and finalizes them — the
+    classical post-hoc property check, running the identical invariant code
+    over the identical tables the runtime monitors read.  Cross-validating
+    a runtime monitor against this is how campaigns establish that
+    incremental monitoring observed the same end state the stored tables
+    hold.
     """
 
     if schema is None:
@@ -676,10 +518,6 @@ def posthoc_violations(
     for kind in kinds:
         monitor = build_monitor(kind, schema)
         monitor.attach(engine)
-        for node_id in engine.nodes:
-            for predicate in monitor.watched:
-                for row in engine.rows(predicate, node_id):
-                    monitor.on_change(at, node_id, predicate, row, "insert")
         monitor.finalize(at)
         out[kind] = monitor.active_violations()
     return out

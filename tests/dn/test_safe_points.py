@@ -3,10 +3,11 @@
 Mid-fixpoint the database is deliberately inconsistent (deletion deltas
 fire against the old tables, aggregate memos lag the rows), so
 ``inject_fact`` / ``delete_fact`` / ``refresh_soft_state`` raise
-``NDlogError`` while a node fixpoint is executing — in a node's drain and
-in the sharded coordinator's replay of one, whichever rule evaluator fires
-the rules — and a rejected injection leaves the trace byte-identical to an
-undisturbed run.
+``NDlogError`` while a node fixpoint is executing — whichever rule
+evaluator fires the rules — and a rejected injection leaves the trace
+byte-identical to an undisturbed run.  The only caller-supplied code that
+runs mid-drain is a registry function a rule calls, on the single-process
+engine; a sharded engine calls it in its workers, which hold no engine.
 The scheduler itself refuses re-entrant ``run`` calls.
 """
 
@@ -16,6 +17,7 @@ from repro.dn.engine import DistributedEngine, EngineConfig, create_engine
 from repro.dn.events import Event
 from repro.dn.network import Topology
 from repro.ndlog.ast import NDlogError
+from repro.ndlog.functions import builtin_registry, f_concat_path
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
 
@@ -33,78 +35,67 @@ def square() -> Topology:
     )
 
 
-def build_engine(**config) -> DistributedEngine:
+def build_engine(registry=None, **config) -> DistributedEngine:
     program = parse_program(PATH_VECTOR_SOURCE, "pv")
-    return create_engine(program, square(), config=EngineConfig(seed=0, **config))
+    return create_engine(
+        program, square(), config=EngineConfig(seed=0, **config), registry=registry
+    )
 
 
 class Saboteur:
-    """A monitor that tries to inject an external update from inside every
-    state-change callback — exactly the mid-fixpoint entry the safe-point
-    guard must refuse."""
+    """``f_concatPath`` that first tries an external update on its engine —
+    exactly the mid-fixpoint entry the safe-point guard must refuse, from
+    inside a rule body the drain is evaluating."""
 
     def __init__(self, operation: str) -> None:
         self.operation = operation
         self.attempts = 0
         self.refusals = 0
-        self._engine = None
+        self.engine = None
 
-    def attach(self, engine) -> None:
-        self._engine = engine
-
-    def on_change(self, time, node, predicate, values, kind) -> None:
-        engine = self._engine
-        if not engine.in_fixpoint:
-            return  # only probe the guarded region
-        self.attempts += 1
-        try:
-            if self.operation == "inject":
-                engine.inject_fact("link", ("a", "c", 9.0))
-            elif self.operation == "delete":
-                engine.delete_fact("link", ("a", "b", 1.0))
-            else:
-                engine.refresh_soft_state()
-        except NDlogError:
-            self.refusals += 1
-
-    def on_settle(self, time, node) -> None:
-        pass
-
-    def finalize(self, time) -> None:
-        pass
+    def __call__(self, node, path) -> tuple:
+        engine = self.engine
+        if engine is not None and engine.in_fixpoint:
+            self.attempts += 1
+            try:
+                if self.operation == "inject":
+                    engine.inject_fact("link", ("a", "c", 9.0))
+                elif self.operation == "delete":
+                    engine.delete_fact("link", ("a", "b", 1.0))
+                else:
+                    engine.refresh_soft_state()
+            except NDlogError:
+                self.refusals += 1
+        return f_concat_path(node, path)
 
 
 class TestMidFixpointRefusal:
     @TIERS
-    @pytest.mark.parametrize("config", ENGINES)
     @pytest.mark.parametrize("operation", ["inject", "delete", "refresh"])
-    def test_every_engine_refuses_and_trace_is_undisturbed(
-        self, config, operation, rule_tier
+    def test_mid_drain_update_is_refused_and_trace_is_undisturbed(
+        self, operation, rule_tier
     ):
-        clean = build_engine(**config)
+        clean = build_engine()
         clean.run()
         clean_fingerprint = clean.trace.fingerprint()
-        clean.close()
 
-        engine = build_engine(**config)
         saboteur = Saboteur(operation)
-        engine.attach_monitor(saboteur)
+        engine = build_engine(builtin_registry({"f_concatPath": saboteur}))
+        saboteur.engine = engine
         # churn exercises the deletion/retraction paths mid-run as well
         engine.schedule_link_failure("a", "b", 1.0)
         engine.schedule_link_restore("a", "b", 2.0)
         engine.run()
-        engine.close()
 
-        assert saboteur.attempts > 0, "saboteur never saw a mid-fixpoint change"
+        assert saboteur.attempts > 0, "saboteur was never called mid-drain"
         assert saboteur.refusals == saboteur.attempts
 
         # ... and the refused updates changed nothing: same trace as a
         # saboteur-free run with the same churn
-        control = build_engine(**config)
+        control = build_engine()
         control.schedule_link_failure("a", "b", 1.0)
         control.schedule_link_restore("a", "b", 2.0)
         control.run()
-        control.close()
         sabotaged = engine.trace.fingerprint()
         assert sabotaged == control.trace.fingerprint()
         assert sabotaged != clean_fingerprint  # the churn itself did land

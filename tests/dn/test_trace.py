@@ -446,41 +446,37 @@ class TestLongLivedEngine:
         # history grew past many blocks, so the bound was not vacuous
         assert control[1][1][0] > 4 * Trace.FOLD_BLOCK
 
-    def test_per_run_slice_is_what_a_monitor_saw(self):
-        class Recorder:
-            def __init__(self):
-                self.seen = []
+    def test_per_run_slice_matches_uncompacted_control(self):
+        """``state_changes[before:]`` after a run — that run's own records,
+        read from a compacted trace — equals the same slice of a control
+        whose trace never compacts."""
 
-            def attach(self, engine):
-                pass
+        def run_slices(*, compacting: bool) -> list:
+            engine, links = long_lived_engine()
+            trace = engine.trace
+            assert not trace.compacted and trace.state_change_count > Trace.FOLD_BLOCK
+            slices = []
+            for src, dst in links[:2]:
+                before = trace.state_change_count
+                engine.schedule_link_failure(src, dst, at=engine.scheduler.now + 1.0)
+                engine.run()
+                assert trace.state_changes.dropped <= before
+                slices.append((before, trace.state_changes[before:]))
+                assert len(trace.state_changes) == trace.state_change_count
+            assert trace.compacted == compacting
+            if compacting:
+                with pytest.raises(TraceCompacted):
+                    trace.state_changes[0]
+                with pytest.raises(TraceCompacted):
+                    list(trace.state_changes)
+            return slices
 
-            def on_change(self, time, node, predicate, values, kind):
-                self.seen.append((time, node, predicate, values, kind))
-
-            def on_settle(self, time, node):
-                pass
-
-            def finalize(self, time):
-                pass
-
-        engine, links = long_lived_engine()
-        recorder = Recorder()
-        engine.attach_monitor(recorder)
-        trace = engine.trace
-        assert not trace.compacted and trace.state_change_count > Trace.FOLD_BLOCK
-        for src, dst in links[:2]:
-            before = trace.state_change_count
-            recorder.seen.clear()
-            engine.schedule_link_failure(src, dst, at=engine.scheduler.now + 1.0)
-            engine.run()
-            assert trace.state_changes.dropped <= before
-            assert trace.state_changes[before:] == recorder.seen != []
-            assert len(trace.state_changes) == trace.state_change_count
-        assert trace.compacted
-        with pytest.raises(TraceCompacted):
-            trace.state_changes[0]
-        with pytest.raises(TraceCompacted):
-            list(trace.state_changes)
+        compacted = run_slices(compacting=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Trace, "compact", lambda trace: None)
+            control = run_slices(compacting=False)
+        assert compacted == control
+        assert all(records for _, records in control)
 
 
 class TestNode:

@@ -1,14 +1,16 @@
-"""Runtime invariant monitors: hook plumbing, incremental state mirroring,
+"""Runtime invariant monitors: hook plumbing, every violation signature,
 first-violation timestamps, and agreement with post-hoc property checks."""
 
 import pytest
 
-from repro.dn.engine import DistributedEngine, EngineConfig
+from repro.dn.engine import DistributedEngine, EngineConfig, create_engine
 from repro.fvn.monitors import (
     MONITOR_KINDS,
     PATH_VECTOR_SCHEMA,
     POLICY_SCHEMA,
+    BestAgreementMonitor,
     CycleFreedomMonitor,
+    RouteValidityMonitor,
     SoftStateBoundMonitor,
     build_monitor,
     monitor_for_property,
@@ -40,20 +42,70 @@ def active_keys(monitor):
     return {(v.node, v.signature) for v in monitor.active_violations()}
 
 
+#: record kinds that leave the row stored
+ADDED_KINDS = ("insert", "replace")
+
+
+class SettleProbe:
+    """An :class:`~repro.dn.engine.EngineMonitor` that logs each
+    ``on_settle`` with the trace position and the node's rows at the call."""
+
+    def __init__(self, name: str, log: list) -> None:
+        self.name, self.log = name, log
+
+    def attach(self, engine) -> None:
+        self.engine = engine
+
+    def on_settle(self, time, node) -> None:
+        engine = self.engine
+        rows = engine.nodes[node].snapshot()
+        self.log.append((self.name, time, node, engine.trace.state_change_count, rows))
+
+    def finalize(self, time) -> None:
+        pass
+
+
 class TestHookPlumbing:
-    def test_clean_run_mirror_matches_engine_state(self, rule_tier):
-        monitors = standard_monitors()
-        engine, _ = pv_engine(config=EngineConfig(seed=3), monitors=monitors)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_on_settle_follows_every_changing_settle(self, shards):
+        """``on_settle`` is called once per settle that recorded at least one
+        state change, in attach order, when the node's rows already show
+        that settle's changes — on one engine and on two inline shards."""
+
+        scenario = generate_scenario("tree", size=6, seed=3)
+        config = EngineConfig(seed=3, shards=shards, shard_transport="inline")
+        engine = create_engine(path_vector_program(), scenario.topology, config=config)
+        log: list = []
+        for name in ("first", "second"):
+            engine.attach_monitor(SettleProbe(name, log))
+        link = scenario.topology.up_links()[0]
+        engine.schedule_link_failure(link.src, link.dst, at=1.0)
+        engine.schedule_link_restore(link.src, link.dst, at=2.0)
         trace = engine.run()
-        engine.finalize_monitors()
-        assert trace.quiescent
-        for monitor in monitors:
-            assert monitor.ok
-            for node_id, node in engine.nodes.items():
-                for predicate in monitor.watched:
-                    assert monitor.mirror_rows(node_id, predicate) == set(
-                        node.db.rows(predicate)
-                    ), (monitor.name, node_id, predicate)
+        records = list(trace.state_changes)
+        # a settle that records nothing (a base fact asserted twice) is
+        # not reported
+        calls, events = len(log), engine.scheduler.processed
+        engine.inject_fact("link", engine.rows("link", link.src)[0])
+        engine.run()
+        engine.close()
+        assert engine.scheduler.processed > events
+        assert trace.state_change_count == len(records) and len(log) == calls
+        assert [name for name, *_ in log] == ["first", "second"] * (len(log) // 2)
+        first, second = log[0::2], log[1::2]
+        assert [call[1:] for call in first] == [call[1:] for call in second]
+        done = 0
+        for _, time, node, count, rows in first:
+            settle = records[done:count]
+            assert settle, "on_settle after a settle that recorded nothing"
+            assert {(at, where) for at, where, *_ in settle} == {(time, node)}
+            last_kind = {(pred, values): kind for _, _, pred, values, kind in settle}
+            for (predicate, values), kind in last_kind.items():
+                assert (values in rows.get(predicate, ())) == (kind in ADDED_KINDS)
+            done = count
+        # every recorded change belongs to a notified settle
+        assert done == len(records) == trace.state_change_count
+        assert any(kind not in ADDED_KINDS for *_, kind in records)
 
     def test_clean_convergence_has_no_violations(self, rule_tier):
         monitors = standard_monitors()
@@ -63,45 +115,6 @@ class TestHookPlumbing:
         for monitor in monitors:
             assert monitor.ok, monitor.report()
             assert monitor.first_violation is None
-
-    def test_changes_fan_out_by_predicate(self):
-        """A monitor on ``RuntimeMonitor.on_change`` is only called for the
-        predicates it watches; one that replaces ``on_change`` — or is no
-        ``RuntimeMonitor`` at all — keeps receiving every change, and all of
-        them in attach order."""
-
-        calls = []
-
-        class Recording(CycleFreedomMonitor):
-            def _row_added(self, node, predicate, row, old):
-                calls.append(("cycle", predicate))
-                super()._row_added(node, predicate, row, old)
-
-        class Bare:  # the EngineMonitor protocol and nothing else
-            def attach(self, engine): ...
-            def on_change(self, time, node, predicate, values, kind):
-                calls.append(("bare", predicate))
-            def on_settle(self, time, node): ...
-            def finalize(self, time): ...
-
-        class Everything(SoftStateBoundMonitor):
-            def on_change(self, time, node, predicate, values, kind):
-                calls.append(("soft", predicate))
-                super().on_change(time, node, predicate, values, kind)
-
-        watching = Recording()
-        engine, _ = pv_engine(size=4, monitors=[Bare(), watching, Everything()])
-        trace = engine.run()
-        seen = {who: {p for w, p in calls if w == who} for who in ("cycle", "bare", "soft")}
-        assert seen["bare"] == seen["soft"] == {c.predicate for c in trace.state_changes}
-        assert "link" in seen["bare"] and "link" not in watching.watched
-        assert seen["cycle"] == set(watching.watched) & seen["bare"]
-        assert len([c for c in calls if c[0] == "bare"]) == trace.state_change_count
-        # attach order within one change: bare, (cycle when watched), soft
-        first_path = next(i for i, c in enumerate(calls) if c[1] == "path")
-        assert [who for who, _ in calls[first_path : first_path + 3]] == [
-            "bare", "cycle", "soft",
-        ]
 
     def test_seeds_recorded_in_trace(self):
         engine, _ = pv_engine(config=EngineConfig(seed=17))
@@ -176,18 +189,34 @@ class TestViolationsAndAgreement:
             assert monitor.ok, monitor.report()
             assert posthoc[monitor.name] == []
 
-    def test_cycle_monitor_flags_and_heals_cyclic_vectors(self):
-        monitor = CycleFreedomMonitor(PATH_VECTOR_SCHEMA)
-        engine, _ = pv_engine(monitors=[monitor])
+    @pytest.mark.parametrize(
+        "family, seed", [("power_law", 1), ("tree", 2), ("waxman", 3)]
+    )
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_capped_table_runtime_agrees_posthoc(self, family, seed, shards):
+        """A size-capped table evicts its oldest row without tracing it; the
+        monitors read the tables, so their end state is the post-hoc one."""
+
+        source = PATH_VECTOR_SOURCE.replace(
+            "materialize(path, infinity, infinity, keys(1,2,3)).",
+            "materialize(path, infinity, 4, keys(1,2,3)).",
+        )
+        scenario = generate_scenario(family, size=8, seed=seed)
+        config = EngineConfig(seed=seed, shards=shards, shard_transport="inline")
+        engine = create_engine(
+            parse_program(source, "pv_capped"), scenario.topology, config=config
+        )
+        monitors = standard_monitors()
+        for monitor in monitors:
+            engine.attach_monitor(monitor)
         engine.run()
-        bad = (1, 2, (1, 3, 1), 5.0)
-        monitor.on_change(9.0, 1, "path", bad, "insert")
-        monitor.on_settle(9.0, 1)
-        assert monitor.first_violation_time == 9.0
-        assert not monitor.ok
-        monitor.on_change(9.5, 1, "path", bad, "delete")
-        monitor.on_settle(9.5, 1)
-        assert monitor.ok
+        engine.finalize_monitors()
+        engine.close()
+        posthoc = posthoc_violations(engine)
+        for monitor in monitors:
+            assert active_keys(monitor) == {
+                (v.node, v.signature) for v in posthoc[monitor.name]
+            }, monitor.name
 
     def test_soft_state_bound_monitor_catches_disabled_expiry(self):
         source = PATH_VECTOR_SOURCE.replace(
@@ -235,6 +264,128 @@ class TestViolationsAndAgreement:
             ),
         ]
         assert len(late.active_violations()) == 12
+
+
+def settled_tree():
+    """A converged path-vector engine on tree-6 (seed 3)."""
+
+    engine, _ = pv_engine(size=6, seed=3)
+    engine.run()
+    return engine
+
+
+def attached(engine, monitor):
+    engine.attach_monitor(monitor)
+    monitor.finalize(engine.scheduler.now)
+    assert monitor.ok, monitor.report()
+    return monitor
+
+
+def reported(monitor):
+    return [(v.node, v.signature, v.detail) for v in monitor.active_violations()]
+
+
+class TestViolationSignatures:
+    """Each violation kind, planted in (or made by removing a row from) a
+    settled engine's tables: the monitor reports exactly that signature and
+    detail at the next check, and heals once the tables are restored."""
+
+    def check(self, monitor, node, plant, restore, signature, detail):
+        plant()
+        monitor.on_settle(50.0, node)
+        assert reported(monitor) == [(node, signature, detail)]
+        assert monitor.first_violation_time == 50.0
+        restore()
+        monitor.on_settle(51.0, node)
+        assert monitor.ok and monitor.active_violations() == []
+        assert monitor.report()["violations"] == 1
+
+    def test_unsupported(self):
+        engine = settled_tree()
+        monitor = attached(engine, RouteValidityMonitor())
+        node = engine.nodes[0]
+        best = node.rows("bestPath")[0]
+        self.check(
+            monitor, 0,
+            lambda: node.delete("path", best),
+            lambda: node.insert("path", best, 50.5),
+            ("unsupported", best),
+            f"bestPath{best} at 0 has no supporting path row",
+        )
+
+    def test_dead_first_hop(self):
+        engine = settled_tree()
+        monitor = attached(engine, RouteValidityMonitor())
+        # a node with a neighbour that only one of its best routes leaves
+        # through (a leaf, reached directly)
+        node_id, best = next(
+            (node_id, row)
+            for node_id, node in engine.nodes.items()
+            for row in node.rows("bestPath")
+            if [r[2][1] for r in node.rows("bestPath")].count(row[2][1]) == 1
+        )
+        node, hop = engine.nodes[node_id], best[2][1]
+        link = next(row for row in node.rows("link") if row[1] == hop)
+        self.check(
+            monitor, node_id,
+            lambda: node.delete("link", link),
+            lambda: node.insert("link", link, 50.5),
+            ("dead_first_hop", best),
+            f"bestPath{best} at {node_id} leaves over missing link to {hop!r}",
+        )
+
+    def test_not_minimal(self):
+        engine = settled_tree()
+        monitor = attached(engine, BestAgreementMonitor())
+        node = engine.nodes[0]
+        cost = node.rows("bestPathCost")[0]
+        dearer = cost[:2] + (cost[2] + 10,)
+        self.check(
+            monitor, 0,
+            lambda: node.insert("bestPathCost", dearer, 50.0),
+            lambda: node.insert("bestPathCost", cost, 50.5),
+            ("not_minimal", dearer),
+            f"bestPathCost{dearer} at 0 is not the minimum candidate value {cost[2]!r}",
+        )
+
+    def test_no_candidates(self):
+        engine = settled_tree()
+        monitor = attached(engine, BestAgreementMonitor())
+        node = engine.nodes[0]
+        orphan = (0, "nowhere", 1.0)
+        self.check(
+            monitor, 0,
+            lambda: node.insert("bestPathCost", orphan, 50.0),
+            lambda: node.delete("bestPathCost", orphan),
+            ("no_candidates", orphan),
+            f"bestPathCost{orphan} at 0 selects from an empty path group",
+        )
+
+    def test_missing_best(self):
+        engine = settled_tree()
+        monitor = attached(engine, BestAgreementMonitor())
+        node = engine.nodes[0]
+        cost = node.rows("bestPathCost")[0]
+        self.check(
+            monitor, 0,
+            lambda: node.delete("bestPathCost", cost),
+            lambda: node.insert("bestPathCost", cost, 50.5),
+            ("missing_best", cost[:2]),
+            f"candidate group {cost[:2]!r} at 0 has no bestPathCost selection",
+        )
+
+    def test_cycle(self):
+        engine = settled_tree()
+        monitor = attached(engine, CycleFreedomMonitor(PATH_VECTOR_SCHEMA))
+        node = engine.nodes[1]
+        bad = (1, 2, (1, 3, 1), 5.0)
+        self.check(
+            monitor, 1,
+            lambda: node.insert("path", bad, 50.0),
+            lambda: node.delete("path", bad),
+            ("cycle", "path", bad),
+            f"path{bad} at 1 has a cyclic path vector",
+        )
 
 
 class TestPolicySchemaAndAdapters:

@@ -9,9 +9,11 @@ import struct
 
 import pytest
 
-from repro.dn.engine import EngineConfig, restore_engine
+from repro.dn.engine import DistributedEngine, EngineConfig, restore_engine
 from repro.dn.trace import Trace
+from repro.fvn.monitors import MONITOR_KINDS, build_monitor
 from repro.harness.records import canonical_json
+from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 from repro.serving.checkpoint import SNAPSHOT_FORMAT, open_snapshot, seal_snapshot
@@ -145,6 +147,27 @@ class TestSnapshotRoundTrip:
                 assert engine.shard_checkpoints == checkpoints
         finally:
             service.close()
+
+
+def test_monitor_state_adds_little_to_a_capture():
+    """Monitors read the engine's tables and keep only their violations:
+    a settled tree-28 capture with three monitors pickles within 1 % of
+    the same capture without them."""
+
+    def capture_bytes(kinds) -> int:
+        scenario = generate_scenario("tree", size=28, seed=0)
+        engine = DistributedEngine(
+            path_vector_program(), scenario.topology, config=EngineConfig(seed=0)
+        )
+        for kind in kinds:
+            engine.attach_monitor(build_monitor(kind))
+        engine.run()
+        engine.finalize_monitors()
+        assert all(monitor.ok for monitor in engine.monitors)
+        return len(pickle.dumps(engine.capture()))
+
+    bare = capture_bytes(())
+    assert capture_bytes(MONITOR_KINDS[:3]) <= 1.01 * bare
 
 
 class TestRecovery:
@@ -306,7 +329,7 @@ class TestRecovery:
         """A format-4 file stored each row with its insertion and expiry
         times; sealed intact, it is still refused for full replay."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/6"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/7"
         reference = self.reseal_as(tmp_path, "fvn-snapshot/4")
         assert self.recover(tmp_path) == ("replay", reference)
 
@@ -316,6 +339,15 @@ class TestRecovery:
         fp2 chain never reaches an fp3 trace."""
 
         reference = self.reseal_as(tmp_path, "fvn-snapshot/5")
+        assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_intact_format_6_snapshot_falls_back_to_replay(self, tmp_path):
+        """A format-6 file carried each monitor's mirror of its watched
+        tables; sealed intact, it is still refused for full replay, so a
+        stale mirror is never loaded into a monitor and re-pickled into
+        every later snapshot."""
+
+        reference = self.reseal_as(tmp_path, "fvn-snapshot/6")
         assert self.recover(tmp_path) == ("replay", reference)
 
     def test_sealed_snapshot_round_trips(self):
