@@ -21,11 +21,19 @@ Two instruments, two reports:
   the stack.  Nothing is charged per call, so the shares are the ones the
   unprofiled program has, within sampling error.
 
+``--churn`` samples the other direction of the executor instead: one
+long-lived engine (power_law-31 unless ``--family`` / ``--size`` say
+otherwise) converges unsampled, then every link gets one cycle — failed,
+restored, re-costed to ``cost % 5 + 1`` and re-costed back, one ``run()``
+to quiescence per step, the script shape of bench's ``churn`` workload —
+and only the cycles are sampled.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_e4.py [--output profile_e4.txt]
     PYTHONPATH=src python benchmarks/profile_e4.py --sample [--output FILE]
     PYTHONPATH=src python benchmarks/profile_e4.py --family tree --size 128
+    PYTHONPATH=src python benchmarks/profile_e4.py --churn [--output FILE]
 """
 
 from __future__ import annotations
@@ -74,6 +82,51 @@ def run_e4(inputs: tuple) -> dict:
         }
     finally:
         engine.close()
+
+
+def prepare_churn(family: str = "power_law", size: int = 31) -> tuple:
+    """A converged engine and its link-cycle script (untimed)."""
+
+    scenario = generate_scenario(family, size=size, seed=0, policy="shortest_path")
+    engine = create_engine(
+        policy_path_vector_program(),
+        scenario.topology,
+        config=EngineConfig(seed=0, max_events=10_000_000),
+    )
+    if not engine.run(extra_facts=scenario.policy_fact_list()).quiescent:
+        raise SystemExit("initial convergence not quiescent")
+    script = []
+    for link in scenario.topology.links():
+        if link.src < link.dst:
+            script += [
+                ("fail", link.src, link.dst, None),
+                ("restore", link.src, link.dst, None),
+                ("cost", link.src, link.dst, link.cost % 5 + 1),
+                ("cost", link.src, link.dst, link.cost),
+            ]
+    return engine, script
+
+
+def run_churn(engine, script: list[tuple]) -> dict:
+    """Every step of ``script`` scheduled one simulated second on and run
+    to quiescence."""
+
+    messages = engine.trace.message_count
+    quiescent = True
+    for kind, src, dst, cost in script:
+        at = engine.scheduler.now + 1.0
+        if kind == "fail":
+            engine.schedule_link_failure(src, dst, at)
+        elif kind == "restore":
+            engine.schedule_link_restore(src, dst, at)
+        else:
+            engine.schedule_cost_change(src, dst, cost, at)
+        quiescent = engine.run().quiescent and quiescent
+    return {
+        "routes": len(engine.rows("bestRoute")),
+        "messages": engine.trace.message_count - messages,
+        "quiescent": quiescent,
+    }
 
 
 def cost_centre(code) -> str:
@@ -140,38 +193,60 @@ def main() -> None:
         "--family", default="power_law", help="scenario family (default: power_law)"
     )
     parser.add_argument(
-        "--size", type=int, default=50, help="scenario node count (default: 50)"
+        "--size",
+        type=int,
+        default=None,
+        help="scenario node count (default: 50, or 31 with --churn)",
     )
     parser.add_argument(
         "--sample",
         action="store_true",
         help="report sampled self/inclusive shares instead of a cProfile",
     )
+    parser.add_argument(
+        "--churn",
+        action="store_true",
+        help="sample link cycles on one converged engine (implies --sample)",
+    )
     args = parser.parse_args()
 
-    inputs = prepare_e4(args.family, args.size)
-
     buffer = io.StringIO()
-    start = time.perf_counter()
-    if args.sample:
-
-        def work() -> dict:
-            return [run_e4(inputs) for _ in range(SAMPLED_OPS)][-1]
-
-        outcome, ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
+    if args.churn:
+        args.sample = True
+        args.size = args.size or 31
+        title = f"churn {args.family}-{args.size} link-cycle profile"
+        engine, script = prepare_churn(args.family, args.size)
+        start = time.perf_counter()
+        outcome, ticks, own, inclusive = sample(
+            lambda: run_churn(engine, script), SAMPLE_INTERVAL
+        )
         elapsed = time.perf_counter() - start
-        instrument = f"for {SAMPLED_OPS} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+        engine.close()
+        instrument = f"for {len(script)} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
     else:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        outcome = run_e4(inputs)
-        profiler.disable()
-        elapsed = time.perf_counter() - start
-        instrument = "under cProfile"
+        args.size = args.size or 50
+        title = f"E4 {args.family}-{args.size} convergence profile"
+        inputs = prepare_e4(args.family, args.size)
+        start = time.perf_counter()
+        if args.sample:
+
+            def work() -> dict:
+                return [run_e4(inputs) for _ in range(SAMPLED_OPS)][-1]
+
+            outcome, ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
+            elapsed = time.perf_counter() - start
+            instrument = f"for {SAMPLED_OPS} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+        else:
+            profiler = cProfile.Profile()
+            profiler.enable()
+            outcome = run_e4(inputs)
+            profiler.disable()
+            elapsed = time.perf_counter() - start
+            instrument = "under cProfile"
     # ru_maxrss is in KiB on Linux
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     buffer.write(
-        f"E4 {args.family}-{args.size} convergence profile "
+        f"{title} "
         f"(wall {elapsed:.2f}s {instrument}; {outcome['routes']} routes, "
         f"{outcome['messages']} messages, quiescent={outcome['quiescent']}; "
         f"max RSS {max_rss_mb:.0f} MB)\n\n"

@@ -28,19 +28,26 @@ engines share.
 
 The op-queue semantics (deletion sub-rounds before insertion sub-rounds,
 FIFO prefixes cut at opposite-direction duplicates, keyed displacement
-re-queues, aggregate recompute-and-diff at quiescence) are documented on
+re-queues, group-scoped aggregate maintenance at quiescence) are documented on
 :meth:`FixpointExecutor.settle` and were previously private methods of
 :class:`~repro.dn.engine.DistributedEngine`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
-from ..ndlog.aggregates import diff_rows
+from ..ndlog.aggregates import (
+    aggregate_rows,
+    group_key_getter,
+    group_rows,
+    order_key,
+    tuple_getter,
+)
 from ..ndlog.ast import Program, Rule, Var
-from ..ndlog.plan import NEGATION_DELTA_SUFFIX
+from ..ndlog.plan import NEGATION_DELTA_SUFFIX, binding_rule
 from ..ndlog.seminaive import DeltaIndex, RuleEngine, row_key
 from ..ndlog.store import Table
 from ..obs import metrics as obs_metrics
@@ -56,15 +63,54 @@ RecordChange = Callable[[float, object, str, tuple, str], None]
 Send = Callable[[object, object, str, tuple, str], None]
 
 
-class SweepSeed(NamedTuple):
-    """How the scoped consistency check enters one sweep rule by head key:
-    the rows of body predicate ``predicate`` whose arguments at
-    ``positions`` (ascending) equal the touched primary key's components
-    at ``slots`` are the only rows that can derive a head under that key."""
+class KeySeed(NamedTuple):
+    """How a key-scoped derive (:meth:`FixpointExecutor._derive_under`)
+    enters one rule: the rows of body predicate ``predicate`` whose
+    arguments at ``positions`` (ascending) equal a key's components at
+    ``slots`` are the only rows that can derive a head under that key.
+    ``whole``: the slots are the whole key, in order, so a key is its own
+    lookup value."""
 
     predicate: str
     positions: tuple[int, ...]
     slots: tuple[int, ...]
+    whole: bool
+
+
+class ViewPlan(NamedTuple):
+    """How one aggregate rule is maintained group by group.
+
+    ``bindings`` is the rule's plain-head variant
+    (:func:`~repro.ndlog.plan.binding_rule`), entered through ``seeds``
+    under a set of group keys; ``group_key`` maps its rows (and the
+    aggregated ones) to their group.  ``group_of`` maps each body
+    predicate to one reader per literal reading it: a getter taking a
+    changed row to the group key every binding through that literal has,
+    and the row position holding those bindings' aggregated value (``None``
+    when the literal does not bind it).  A predicate maps to ``None`` when
+    some literal of it does not bind the whole group, so a change to it
+    re-fires the whole rule.
+
+    ``outranked`` is set for a single ``min`` (``>``) or ``max`` (``<``)
+    at head position ``value_at``: ``outranked(value, current)`` says the
+    group's current value beats a changed row's value, so the row gains or
+    loses only bindings that cannot hold the group's value and cannot change
+    the group.
+    """
+
+    bindings: Rule
+    seeds: tuple[KeySeed, ...]
+    group_key: Callable[[tuple], tuple]
+    group_of: dict[str, Optional[tuple[tuple[Callable[[tuple], tuple], Optional[int]], ...]]]
+    outranked: Optional[Callable[[object, object], bool]]
+    value_at: int
+
+
+#: aggregate functions whose fold does not depend on the order bindings
+#: arrive in.  A float ``sum``/``avg`` does: a scoped re-fold and the whole
+#: firing that rebuilds a restored memo could differ in the last bit, so
+#: those rules are always recomputed whole.
+ORDER_FREE_AGGREGATES = frozenset(("min", "max", "count"))
 
 
 class FixpointExecutor:
@@ -106,26 +152,41 @@ class FixpointExecutor:
         #: every derivation is *purely local* (head stored at the deriving
         #: node) — the predicates :meth:`_consistency_sweep` may repair
         self._sweep_rules: dict[str, tuple[Rule, ...]] = {}
+        #: head predicate → per deriving rule the equally selective seeds
+        #: through which it is derived under a few primary keys (absent when
+        #: some rule has none): keyed refills, and the scoped sweep check
+        self._key_plans: dict[str, tuple[tuple[Rule, tuple[KeySeed, ...]], ...]] = {}
         #: sweepable predicate → the body predicates whose deletions trigger
-        #: its check, and → per deriving rule the equally selective seeds of
-        #: the scoped check (absent when some rule has none: that predicate
-        #: always takes the full sweep)
+        #: its check, and → its key plan, when the scoped check may use it
+        #: (absent: that predicate always takes the full sweep)
         self._sweep_bodies: dict[str, frozenset[str]] = {}
-        self._sweep_plans: dict[
-            str, tuple[tuple[Rule, tuple[SweepSeed, ...]], ...]
-        ] = {}
+        self._sweep_plans: dict[str, tuple[tuple[Rule, tuple[KeySeed, ...]], ...]] = {}
+        #: aggregate rule identity → its group plan (absent: the rule is
+        #: always recomputed whole), and the predicates those plans read,
+        #: whose changed rows a settle collects
+        self._view_plans: dict[int, ViewPlan] = {}
+        self._view_reads: frozenset[str] = frozenset()
         #: predicates seeded with base facts (injected, not derived): the
         #: sweep must never judge them by rule derivability
         self._protected: set[str] = set()
         for rule in program.rules:
             for predicate, variant in rule_engine.negation_variants(rule):
                 self._negation_triggers.setdefault(predicate, []).append(variant)
-            if not rule.head.has_aggregate:
+            if rule.head.has_aggregate:
+                plan = self._view_plan(rule)
+                if plan is not None:
+                    rule_engine.precompile((plan.bindings,))
+                    self._view_plans[id(rule)] = plan
+                    self._view_reads |= plan.group_of.keys()
+            else:
                 self._head_rules.setdefault(rule.head.predicate, []).append(rule)
         aggregate_heads = {
             rule.head.predicate for rule in program.rules if rule.head.has_aggregate
         }
         for predicate, rules in self._head_rules.items():
+            plans = tuple((rule, self._seeds(rule, self._key_positions(rule))) for rule in rules)
+            if all(seeds for _, seeds in plans):
+                self._key_plans[predicate] = plans
             if predicate in aggregate_heads:
                 continue  # view-maintained (recompute-and-diff) predicates
             if all(self._purely_local(rule) for rule in rules):
@@ -135,17 +196,23 @@ class FixpointExecutor:
                 body for rule in rules for body in rule.body_predicates()
             )
             self._sweep_bodies[predicate] = bodies
-            plans = tuple((rule, self._sweep_seeds(rule)) for rule in rules)
             # FIFO eviction removes rows without a deletion delta, so no
             # key is ever touched for it: size-capped tables stay on the
             # full sweep
-            capped = any(
-                decl.max_size != float("inf")
-                for decl in map(program.materialized.get, bodies | {predicate})
-                if decl is not None
-            )
-            if not capped and all(seeds for _, seeds in plans):
-                self._sweep_plans[predicate] = plans
+            if predicate in self._key_plans and not self._capped(bodies | {predicate}):
+                self._sweep_plans[predicate] = self._key_plans[predicate]
+
+    def _capped(self, predicates: Iterable[str]) -> bool:
+        """Is any of ``predicates`` a size-capped table?  Its FIFO eviction
+        removes rows without a delta, so no scoped check or recompute
+        hears of them."""
+
+        materialized = self.program.materialized
+        return any(
+            decl.max_size != float("inf")
+            for decl in map(materialized.get, predicates)
+            if decl is not None
+        )
 
     @staticmethod
     def _purely_local(rule: Rule) -> bool:
@@ -168,36 +235,39 @@ class FixpointExecutor:
         ]
         return bool(body_terms) and all(term == head_term for term in body_terms)
 
-    def _sweep_seeds(self, rule: Rule) -> tuple[SweepSeed, ...]:
-        """The body literals through which ``rule`` can be derived for a
-        handful of head primary keys instead of for the whole node.
+    def _key_positions(self, rule: Rule) -> tuple[int, ...]:
+        """The head positions of the primary key of ``rule``'s head table."""
 
-        A positive literal qualifies when it carries head-key variables
-        (beyond the location variable, which every local row shares): its
-        rows matching a touched key there are a superset of the rows any
-        binding under that key can use, so feeding them as the ``delta`` of
-        an ordinary ``derive`` enumerates every such binding.  Key
-        attributes computed by assignments (``P=f_concatPath(S,P2)``) bind
-        nothing and are filtered after the derive.  Only the seeds binding
-        the most key attributes are kept, in body order; the check picks
+        decl = self.program.materialized.get(rule.head.predicate)
+        if decl is not None and decl.keys:
+            return tuple(k - 1 for k in decl.keys)
+        return tuple(range(rule.head.arity))
+
+    def _seeds(self, rule: Rule, key_positions: tuple[int, ...]) -> tuple[KeySeed, ...]:
+        """The body literals through which ``rule`` can be derived for a
+        handful of head keys — the head's values at ``key_positions`` —
+        instead of for the whole node.
+
+        A positive literal qualifies when it carries key variables (beyond
+        the location variable, which every local row shares): its rows
+        matching a key there are a superset of the rows any binding under
+        that key can use, so feeding them as the ``delta`` of an ordinary
+        ``derive`` enumerates every such binding.  Key attributes computed
+        by assignments (``P=f_concatPath(S,P2)``) bind nothing and are
+        filtered after the derive.  Only the seeds binding the most key
+        attributes are kept, in body order; :meth:`_derive_under` picks
         among them at run time by which lookup is free.
         """
 
         head = rule.head
         args = head.plain_args()
-        decl = self.program.materialized.get(head.predicate)
-        key_positions = (
-            tuple(k - 1 for k in decl.keys)
-            if decl is not None and decl.keys
-            else tuple(range(len(args)))
-        )
         slot_of: dict[Var, int] = {}
         for slot, position in enumerate(key_positions):
             term = args[position]
             if isinstance(term, Var):
                 slot_of.setdefault(term, slot)
         location = args[head.location] if head.location is not None else None
-        ranked: list[tuple[int, SweepSeed]] = []
+        ranked: list[tuple[int, KeySeed]] = []
         for literal in rule.positive_literals:
             bound: dict[Var, int] = {}
             for position, arg in enumerate(literal.args):
@@ -209,15 +279,58 @@ class FixpointExecutor:
                 ranked.append(
                     (
                         selective,
-                        SweepSeed(
+                        KeySeed(
                             literal.predicate,
                             tuple(position for position, _ in pairs),
                             tuple(slot for _, slot in pairs),
+                            [slot for _, slot in pairs] == list(range(len(key_positions))),
                         ),
                     )
                 )
         best = max((selective for selective, _ in ranked), default=0)
         return tuple(seed for selective, seed in ranked if selective == best)
+
+    def _view_plan(self, rule: Rule) -> Optional[ViewPlan]:
+        """How ``rule`` (an aggregate) can be re-folded group by group, or
+        ``None`` when it is always recomputed whole: a group-by argument
+        that is not a variable, a fold that depends on binding order
+        (:data:`ORDER_FREE_AGGREGATES`), a size-capped body table, or no
+        seed binding a group variable beyond the location."""
+
+        head = rule.head
+        group_positions = tuple(head.group_by_indices)
+        group_vars = [head.args[position] for position in group_positions]
+        if (
+            not all(isinstance(var, Var) for var in group_vars)
+            or any(agg.function not in ORDER_FREE_AGGREGATES for _, agg in head.aggregates)
+            or self._capped(rule.body_predicates())
+        ):
+            return None
+        seeds = self._seeds(rule, group_positions)
+        if not seeds:
+            return None
+        (value_at, aggregate), *more = head.aggregates
+        outranked = None
+        if not more and aggregate.function in ("min", "max"):
+            outranked = operator.gt if aggregate.function == "min" else operator.lt
+        group_of: dict[str, Optional[tuple]] = {}
+        for literal in rule.body_literals:
+            position_of: dict[Var, int] = {}
+            for position, arg in enumerate(literal.args):
+                if isinstance(arg, Var):
+                    position_of.setdefault(arg, position)
+            readers = group_of.get(literal.predicate, ())
+            if readers is None:
+                continue
+            if all(var in position_of for var in group_vars):
+                getter = tuple_getter([position_of[var] for var in group_vars])
+                reader = (getter, position_of.get(aggregate.variable))
+                group_of[literal.predicate] = readers + (reader,)
+            else:
+                group_of[literal.predicate] = None
+        return ViewPlan(
+            binding_rule(rule), seeds, group_key_getter(head), group_of, outranked, value_at
+        )
 
     def protect(self, predicate: str) -> bool:
         """Exclude a predicate from consistency sweeps (it carries injected
@@ -295,9 +408,10 @@ class FixpointExecutor:
         leave the row forever.  Cross-tuple reordering inside a round is
         count-symmetric (both directions enumerate the same bindings), so
         large same-timestamp batches keep firing as single semi-naive
-        rounds.  Triggered aggregate rules are recomputed once the counting
-        ops settle and diffed against the node's memoized previous output
-        so vanished groups are retracted (their diffs re-enter the queue).
+        rounds.  Triggered aggregate rules are brought up to date once the
+        counting ops settle, group by group where they can be
+        (:meth:`_recompute_view`): the groups whose row changed are
+        retracted and re-asserted, and those ops re-enter the queue.
 
         Once the queue and the aggregate recomputation both quiesce, any
         settle that physically removed rows ends with a **consistency
@@ -317,6 +431,9 @@ class FixpointExecutor:
         queue: deque[Op] = deque(ops)
         changed: set[str] = set()
         deleted: set[str] = set()
+        #: rows inserted or removed since the last aggregate pass, of the
+        #: predicates group plans read: they name the groups to re-fold
+        moved: dict[str, list[tuple]] = {}
         #: sweepable predicate → primary keys a deletion round handled
         #: since the predicate was last checked
         touched: dict[str, set[tuple]] = {}
@@ -326,7 +443,8 @@ class FixpointExecutor:
                 _, aggregate = self.triggered_rules(changed)
                 changed = set()
                 for rule in aggregate:
-                    self._recompute_view(node, rule, queue)
+                    self._recompute_view(node, rule, moved, queue)
+                moved = {}
                 if not queue and deleted:
                     clean = self._sweep_is_clean(node, deleted, touched, now)
                     if obs_metrics.ENABLED:
@@ -376,10 +494,15 @@ class FixpointExecutor:
                 rounds += 1
             if del_ops:
                 removed = self._deletion_subround(node, del_ops, queue, now, touched)
-                changed |= removed
-                deleted |= removed
+                changed.update(removed)
+                deleted.update(removed)
+                for predicate in self._view_reads.intersection(removed):
+                    moved.setdefault(predicate, []).extend(removed[predicate])
             if ins_ops:
-                changed |= self._insertion_subround(node, ins_ops, queue, now)
+                inserted = self._insertion_subround(node, ins_ops, queue, now)
+                changed.update(inserted)
+                for predicate in self._view_reads.intersection(inserted):
+                    moved.setdefault(predicate, []).extend(inserted[predicate])
         for predicate, keys in touched.items():
             # touched, but its sweep never came due (no body predicate lost
             # a row): check the keys now; a dirty one is left as the full
@@ -442,10 +565,8 @@ class FixpointExecutor:
         """Is every row stored under ``keys`` derivable, and no row
         derivable under a key of ``keys`` that stores none?
 
-        Each deriving rule is entered through one of its seeds
-        (:meth:`_sweep_seeds`): the seed predicate's rows that agree with a
-        key go in as the ``delta`` of an ordinary ``derive``, whose firings
-        are then filtered to ``keys``.  ``False`` without looking when the
+        Each deriving rule is derived under ``keys`` alone
+        (:meth:`_derive_under`).  ``False`` without looking when the
         predicate has no seed plan.
         """
 
@@ -454,34 +575,16 @@ class FixpointExecutor:
             return False
         if not keys:
             return True
-        db = node.db
-        table = db.table(predicate)
+        table = node.db.table(predicate)
         key_of = table.key_of
         node_id = node.id
         #: touched primary key → the rows derivable under it
         derivable: dict[tuple, set[tuple]] = {}
         for rule, seeds in plans:
             location = rule.head.location
-            seed = next(
-                (s for s in seeds if db.table(s.predicate).has_lookup(s.positions)),
-                seeds[0],
-            )
-            source = db.table(seed.predicate)
-            slots = seed.slots
-            rows = [
-                row
-                for values in {tuple(key[slot] for slot in slots) for key in keys}
-                for row in source.lookup(seed.positions, values)
-            ]
-            if not rows:
-                continue
-            view = DeltaIndex({seed.predicate: rows}, distinct=True)
-            for values in node.derive(rule, delta=view):
-                if location is not None and values[location] != node_id:
-                    continue
-                key = key_of(values)
-                if key in keys:
-                    derivable.setdefault(key, set()).add(row_key(values))
+            for values in self._derive_under(node, rule, seeds, keys, key_of):
+                if location is None or values[location] == node_id:
+                    derivable.setdefault(key_of(values), set()).add(row_key(values))
         for key in keys:
             stored = table.lookup(table.keys, key)
             if stored:
@@ -490,6 +593,46 @@ class FixpointExecutor:
             elif key in derivable:
                 return False
         return True
+
+    @staticmethod
+    def _derive_under(
+        node: Node,
+        rule: Rule,
+        seeds: tuple[KeySeed, ...],
+        keys,
+        key_of: Callable[[tuple], tuple],
+    ) -> list[tuple]:
+        """The rows ``rule`` derives at ``node`` whose ``key_of`` is one of
+        ``keys``, at binding multiplicity, without deriving the rest.
+
+        The one key-scoped derive, behind the scoped sweep check, group
+        re-folds of aggregates and keyed refills.  It enters the rule
+        through one of its seeds (:meth:`_seeds`), preferring one whose
+        lookup is free: the seed predicate's rows that agree with a key go
+        in as the ``delta`` of an ordinary ``derive``, whose rows are then
+        filtered to ``keys``.  Rows come in the order ``keys`` iterates,
+        then lookup order.  Nothing fires when no seed row agrees.
+        """
+
+        table = node.db.table
+        for seed in seeds:
+            source = table(seed.predicate)
+            if source.has_lookup(seed.positions):
+                break
+        else:
+            seed = seeds[0]
+            source = table(seed.predicate)
+        positions, slots = seed.positions, seed.slots
+        if seed.whole:
+            probes = keys
+        else:
+            probes = dict.fromkeys(tuple([key[slot] for slot in slots]) for key in keys)
+        lookup = source.lookup
+        rows = [row for values in probes for row in lookup(positions, values)]
+        if not rows:
+            return []
+        view = DeltaIndex({seed.predicate: rows}, distinct=True)
+        return [values for values in node.derive(rule, delta=view) if key_of(values) in keys]
 
     def _consistency_sweep(
         self, node: Node, deleted: set[str], queue, now: float
@@ -533,7 +676,7 @@ class FixpointExecutor:
 
     def _deletion_subround(
         self, node: Node, del_ops, requeue, now: float, touched: dict[str, set[tuple]]
-    ) -> set[str]:
+    ) -> dict[str, list[tuple]]:
         """One deletion round: decide, fire old-database joins, remove.
 
         Counted retracts release one support, forced deletes/expiries match
@@ -542,12 +685,11 @@ class FixpointExecutor:
         database) and only then are the rows removed.  Every op on a
         sweepable predicate records its primary key in ``touched`` — the
         keys the settle-end check (:meth:`_sweep_is_clean`) re-derives.
-        Returns the changed predicates.
+        Returns the removed rows by predicate.
         """
 
-        changed: set[str] = set()
+        removed: dict[str, list[tuple]] = {}
         if del_ops:
-            removed: dict[str, list[tuple]] = {}
             decided: list[tuple[str, Table, tuple, str]] = []
             displacing: set[tuple[str, tuple]] = set()
             seen: set[tuple[str, tuple]] = set()
@@ -637,43 +779,58 @@ class FixpointExecutor:
                     if table.delete(row):
                         stats.tuples_deleted += 1
                     self.record_change(now, node.id, predicate, row, kind)
-                changed.update(removed)
                 if obs_metrics.ENABLED:
                     obs_metrics.observe("engine.retraction_cascade", len(decided))
                 for rule, rows in retractions:
                     self._dispatch(node, rule, rows, requeue, retract=True)
                 # rows leaving a negated predicate enable blocked bindings
                 self._fire_negation_deltas(node, removed, requeue, retracting=False)
-                # re-derive once-displaced keys whose stored row is now gone
-                # (the displaced alternatives' support counts were destroyed)
                 for predicate, keys in refill.items():
-                    table = node.db.table(predicate)
-                    for rule in self._head_rules.get(predicate, ()):
-                        location = rule.head.location
-                        for values in node.derive(rule):
-                            destination = (
-                                values[location] if location is not None else None
-                            )
-                            if destination is not None and destination != node.id:
-                                continue  # only locally stored rows refill
-                            if (
-                                table.key_of(values) in keys
-                                and table.current(values) is None
-                            ):
-                                requeue.append(("insert", predicate, values))
-        return changed
+                    self._refill(node, predicate, keys, requeue)
+        return removed
 
-    def _insertion_subround(self, node: Node, ins_ops, requeue, now: float) -> set[str]:
+    def _refill(self, node: Node, predicate: str, keys: set[tuple], requeue) -> None:
+        """Re-derive once-displaced keys whose stored row is now gone (the
+        displaced alternatives' support counts were destroyed): queue every
+        locally stored row derivable under them.
+
+        Each deriving rule is derived under ``keys`` alone
+        (:meth:`_derive_under`), keys in :func:`order_key` order; a
+        predicate without a key plan derives its rules over the node.
+        """
+
+        table = node.db.table(predicate)
+        key_of = table.key_of
+        plans = self._key_plans.get(predicate) or [
+            (rule, None) for rule in self._head_rules.get(predicate, ())
+        ]
+        ordered = dict.fromkeys(sorted(keys, key=order_key))
+        for rule, seeds in plans:
+            location = rule.head.location
+            if seeds is None:
+                rows = node.derive(rule)
+            else:
+                rows = self._derive_under(node, rule, seeds, ordered, key_of)
+            for values in rows:
+                destination = values[location] if location is not None else None
+                if destination is not None and destination != node.id:
+                    continue  # only locally stored rows refill
+                if key_of(values) in keys and table.current(values) is None:
+                    requeue.append(("insert", predicate, values))
+
+    def _insertion_subround(
+        self, node: Node, ins_ops, requeue, now: float
+    ) -> dict[str, list[tuple]]:
         """One insertion round: apply, fire insertion deltas, dispatch.
 
         Keyed displacements are rerouted through the deletion path first
         (``requeue``: a ``displace`` of the old row, then the retried
-        insert), preserving FIFO order.  Returns the changed predicates.
+        insert), preserving FIFO order.  Returns the inserted rows by
+        predicate.
         """
 
-        changed: set[str] = set()
+        delta: dict[str, list[tuple]] = {}
         if ins_ops:
-            delta: dict[str, list[tuple]] = {}
             db = node.db
             stats = node.stats
             node_id = node.id
@@ -711,11 +868,10 @@ class FixpointExecutor:
                 view = DeltaIndex(delta, distinct=True)
                 for rule in plain:
                     self._dispatch(node, rule, node.derive(rule, delta=view), requeue)
-                changed.update(delta)
                 # rows entering a negated predicate block bindings that
                 # relied on their absence
                 self._fire_negation_deltas(node, delta, requeue, retracting=True)
-        return changed
+        return delta
 
     def _fire_negation_deltas(
         self,
@@ -738,19 +894,113 @@ class FixpointExecutor:
                     retract=retracting,
                 )
 
-    def _recompute_view(self, node: Node, rule: Rule, queue) -> None:
-        """Recompute an aggregate rule and diff against the node's memo."""
+    def _recompute_view(
+        self, node: Node, rule: Rule, moved: Mapping[str, list[tuple]], queue
+    ) -> None:
+        """Bring aggregate ``rule``'s output at ``node`` up to date with its
+        body and emit the difference from the node's memo.
 
-        added, removed, rows = diff_rows(
-            node.view_memo.get(id(rule), set()), node.fire(rule)
-        )
-        node.view_memo[id(rule)] = rows
-        # removals first so a keyed aggregate table retracts the stale group
-        # value before the replacement asserts
+        The memo maps each group key to the group's row.  When the rule has
+        a group plan and every moved body row maps to its groups, only the
+        groups those rows can change (:meth:`_moved_groups`) are re-folded
+        (:meth:`_view_diff`); otherwise — and for a node's first recompute,
+        which builds the memo — the rule is re-fired whole.  Either way the
+        groups whose row changed are emitted in :func:`order_key` order of
+        their keys, removals first so a keyed aggregate table retracts the
+        stale group value before the replacement asserts: both paths emit
+        the same ops, in an order set by the data alone.
+        """
+
+        memo = node.view_memo.get(id(rule))
+        groups = None if memo is None else self._moved_groups(rule, moved, memo)
+        removed, added, fresh = self._view_diff(node, rule, memo or {}, groups)
+        if groups is None:
+            node.view_memo[id(rule)] = fresh
+        else:
+            for group in groups:
+                row = fresh.get(group)
+                if row is None:
+                    memo.pop(group, None)
+                else:
+                    memo[group] = row
+        if obs_metrics.ENABLED:
+            if groups is None:
+                obs_metrics.inc("engine.aggregate_full")
+            else:
+                obs_metrics.inc("engine.aggregate_groups", len(groups))
         if removed:
             self._dispatch(node, rule, removed, queue, retract=True)
         if added:
             self._dispatch(node, rule, added, queue)
+
+    def _moved_groups(
+        self, rule: Rule, moved: Mapping[str, list[tuple]], memo: Mapping[tuple, tuple]
+    ) -> Optional[set[tuple]]:
+        """The group keys of aggregate ``rule`` that ``moved`` rows can
+        change, or ``None`` when the whole rule must be re-fired (no group
+        plan, or a moved predicate read by a literal that does not bind the
+        group).  A row whose value the group's ``memo`` value outranks
+        (:class:`ViewPlan`) names no group."""
+
+        plan = self._view_plans.get(id(rule))
+        if plan is None:
+            return None
+        outranked, held_at = plan.outranked, plan.value_at
+        groups: set[tuple] = set()
+        for predicate, readers in plan.group_of.items():
+            rows = moved.get(predicate)
+            if not rows:
+                continue
+            if readers is None:
+                return None
+            for getter, value_at in readers:
+                if outranked is None or value_at is None:
+                    groups.update(map(getter, rows))
+                    continue
+                for row in rows:
+                    group = getter(row)
+                    held = memo.get(group)
+                    if held is None or not outranked(row[value_at], held[held_at]):
+                        groups.add(group)
+        return groups
+
+    def _view_diff(
+        self,
+        node: Node,
+        rule: Rule,
+        memo: Mapping[tuple, tuple],
+        groups: Optional[set[tuple]],
+    ) -> tuple[list[tuple], list[tuple], dict[tuple, tuple]]:
+        """``(removed, added, fresh)`` for aggregate ``rule`` at ``node``:
+        ``fresh`` maps each of ``groups`` that has bindings (every group,
+        when ``groups`` is ``None``) to its row, and ``removed`` / ``added``
+        are the memo rows and fresh rows of the groups whose row changed,
+        in :func:`order_key` order of the group keys.  Reads the memo,
+        changes nothing.
+
+        A scoped re-fold derives the rule's plain-head variant under
+        ``groups`` (:meth:`_derive_under`) and folds the bindings with
+        ``aggregate_rows``, exactly as a whole firing folds all of them.
+        """
+
+        head = rule.head
+        if groups is None:
+            fresh = group_rows(head, node.fire(rule))
+            candidates: Iterable[tuple] = memo.keys() | fresh.keys()
+        elif not groups:
+            return [], [], {}
+        else:
+            plan = self._view_plans[id(rule)]
+            group_key = plan.group_key
+            bindings = self._derive_under(node, plan.bindings, plan.seeds, groups, group_key)
+            fresh = {group_key(row): row for row in aggregate_rows(head, bindings)}
+            candidates = groups
+        changed = [group for group in candidates if memo.get(group) != fresh.get(group)]
+        if len(changed) > 1:
+            changed.sort(key=order_key)
+        removed = [memo[group] for group in changed if group in memo]
+        added = [fresh[group] for group in changed if group in fresh]
+        return removed, added, fresh
 
     # ------------------------------------------------------------------
     # Shared plumbing

@@ -17,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from ..ndlog.aggregates import group_rows
 from ..ndlog.ast import Program, Rule
 from ..ndlog import seminaive
 from ..ndlog.seminaive import RuleEngine
@@ -67,9 +68,10 @@ class Node:
         self.rule_engine = (
             rule_engine if rule_engine is not None else seminaive.RULE_ENGINE()
         )
-        #: rule identity → memoized output rows of the last recompute of a
-        #: view (aggregate) rule at this node, diffed to emit retractions
-        self.view_memo: dict[int, set[tuple]] = {}
+        #: rule identity → the output of a view (aggregate) rule at this
+        #: node as group key → row, kept up to date group by group and
+        #: compared to emit its changes (``FixpointExecutor._recompute_view``)
+        self.view_memo: dict[int, dict[tuple, tuple]] = {}
         #: predicate → primary keys that experienced a displacement (the
         #: displaced row's support count was destroyed; when the stored row
         #: under such a key is retracted, the key is re-derived locally)
@@ -178,14 +180,13 @@ class Node:
         """Adopt a state captured by :meth:`export_state`.
 
         View memos are **recomputed**: at a settle point each memo equals a
-        fresh evaluation of its aggregate rule (any body change re-triggers
-        the recompute before quiescence).  The recompute runs against the
-        restored rows *and* index buckets, so it enumerates — and builds its
-        memo set — in the order the live node's last recompute did, and
-        ``diff_rows`` later emits retractions in the live order.  It goes to
-        the rule engine directly (no semantic firing, so stats stay
-        untouched), and the captured buckets are put back afterwards so
-        indexes it built lazily are dropped.
+        fresh evaluation of its aggregate rule, keyed by group (any body
+        change re-triggers the recompute before quiescence).  Memo order is
+        not load-bearing: the executor emits a memo's changes in group-key
+        order, so only its content must match the live node's.  The
+        recompute goes to the rule engine directly (no semantic firing, so
+        stats stay untouched), and the captured buckets are put back
+        afterwards so indexes it built lazily are dropped.
         """
 
         self.stats = NodeStats(**state["stats"])
@@ -194,7 +195,7 @@ class Node:
         for predicate, table_state in state["tables"]:
             self.db.table(predicate).load_state(table_state)
         self.view_memo = {
-            id(rule): set(self.rule_engine.fire_rule(rule, self.db))
+            id(rule): group_rows(rule.head, self.rule_engine.fire_rule(rule, self.db))
             for rule in self.program.rules
             if rule.head.has_aggregate
         }

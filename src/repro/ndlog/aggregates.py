@@ -9,6 +9,7 @@ aggregate function.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +38,60 @@ def diff_rows(
     added = [r for r in rows if r not in previous]
     removed = [r for r in previous if r not in rows]
     return added, removed, rows
+
+
+def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The function mapping a row to the tuple of its values at
+    ``positions`` (a tuple for any number of positions, unlike a bare
+    ``itemgetter``)."""
+
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
+def group_key_getter(head: HeadLiteral) -> Callable[[tuple], tuple]:
+    """The function mapping a head row (aggregated, or the raw row of one
+    binding) to its group key: the tuple of its non-aggregate values."""
+
+    return tuple_getter(head.group_by_indices)
+
+
+def group_rows(head: HeadLiteral, rows: Iterable[tuple]) -> dict[tuple, tuple]:
+    """Aggregated head rows keyed by group: an aggregate rule derives one
+    row per group, so this is its output as a group → row map."""
+
+    key = group_key_getter(head)
+    return {key(row): row for row in rows}
+
+
+def order_key(value: object) -> tuple:
+    """A total, type-tagged sort key for a row value.
+
+    Values of different types need not compare (``1 < "a"`` raises), so a
+    canonical order cannot sort raw values.  The key puts a kind tag first
+    — ``None``, real number, NaN, string, bytes, sequence, anything else —
+    and orders within a kind by value: sequences (tuples, named tuples,
+    lists) element by element, anything else by type name and ``repr``.
+    Any two values order, by what they are rather than by when or where
+    they were stored.
+    """
+
+    if value is None:
+        return (0,)
+    if isinstance(value, (tuple, list)):
+        return (5, tuple(map(order_key, value)))
+    if isinstance(value, str):
+        return (3, value)
+    if isinstance(value, bytes):
+        return (4, value)
+    # the exact-type test spares ints and floats the slower ABC check
+    if type(value) in (int, float) or isinstance(value, numbers.Real):
+        return (1, value) if value == value else (2,)
+    return (6, type(value).__qualname__, repr(value))
 
 
 def _agg_min(values: Sequence) -> object:
@@ -172,13 +227,19 @@ def _aggregate_single(
     function = agg.function
     folded: dict = {}
     get = folded.get
-    if function in ("min", "max"):
-        keep_left = operator.lt if function == "min" else operator.gt
+    if function == "min":
         for row in rows:
             key = key_fn(row)
             value = row[index]
             current = get(key, _MISSING)
-            if current is _MISSING or keep_left(value, current):
+            if current is _MISSING or value < current:
+                folded[key] = value
+    elif function == "max":
+        for row in rows:
+            key = key_fn(row)
+            value = row[index]
+            current = get(key, _MISSING)
+            if current is _MISSING or value > current:
                 folded[key] = value
     elif function == "count":
         for row in rows:
@@ -199,6 +260,12 @@ def _aggregate_single(
                 acc[1] += 1
         folded = {key: acc[0] / acc[1] for key, acc in folded.items()}
     arity = head.arity
+    if index == arity - 1 and group_by == list(range(index)):
+        # the aggregate last, after every group-by attribute
+        # (``bestRouteRank(@S,D,min<R>)``): a row is its key plus the value
+        if len(group_by) == 1:
+            return [(key, value) for key, value in folded.items()]
+        return [(*key, value) for key, value in folded.items()]
     out: list[tuple] = []
     if len(group_by) == 1:
         g0 = group_by[0]

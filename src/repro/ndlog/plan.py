@@ -29,6 +29,7 @@ from .ast import (
     Assignment,
     BodyItem,
     Condition,
+    HeadLiteral,
     Literal,
     NDlogError,
     Rule,
@@ -177,6 +178,23 @@ def negation_delta_rules(rule: Rule) -> tuple[tuple[str, Rule], ...]:
             (item.predicate, Rule(f"{rule.name}~negdelta{index}", rule.head, body))
         )
     return tuple(variants)
+
+
+def binding_rule(rule: Rule) -> Rule:
+    """The plain-head variant of an aggregate rule.
+
+    Its head is the aggregate head with each ``min<C>`` replaced by its
+    variable, so an ordinary ``derive`` of it yields one raw head row per
+    body binding — the rows :func:`~repro.ndlog.aggregates.aggregate_rows`
+    folds.  Deriving it over a delta enumerates only the bindings that
+    delta reaches, which is how an executor re-folds a few groups without
+    re-firing the whole rule.  The variant is an ordinary rule, compiled
+    once by whichever rule tier runs it.
+    """
+
+    head = rule.head
+    plain = HeadLiteral(head.predicate, head.plain_args(), head.location)
+    return Rule(f"{rule.name}~bindings", plain, rule.body)
 
 
 @dataclass(frozen=True, slots=True)

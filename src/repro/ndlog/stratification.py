@@ -100,7 +100,8 @@ def needs_recompute(rule: Rule) -> bool:
     Aggregate heads fold whole groups, so a deletion inside a group cannot
     be applied as a per-binding count decrement — the group is recomputed
     over the post-deletion body and the old/new outputs are diffed
-    (:func:`repro.ndlog.aggregates.diff_rows`).  Non-aggregate rules —
+    (:func:`repro.ndlog.aggregates.diff_rows` centrally; the distributed
+    executor re-folds and compares only the changed groups).  Non-aggregate rules —
     including rules with negated literals, which get compiled
     negation-delta variants — are maintained incrementally by derivation
     counting.

@@ -51,6 +51,8 @@ METRIC_NAMES = (
     "engine.sweep_checks",
     "engine.sweep_repairs",
     "engine.sends_netted",
+    "engine.aggregate_groups",
+    "engine.aggregate_full",
     # dn/shard.py
     "shard.requests",
     "shard.request_seconds",

@@ -2,11 +2,12 @@
 shared by snapshot restore and shard-worker resync.
 
 View memos are not exported.  ``load_state`` rebuilds each one by re-firing
-its aggregate rule against the restored rows and index buckets, and the
-rebuilt memo must iterate in the live memo's order: ``diff_rows`` emits
-retractions in that order, so a reordered memo reorders the trace.  The
-round trip must hold under either rule evaluator, leave the node's stats alone,
-and put the captured index buckets back over any the rebuild built lazily.
+its aggregate rule against the restored rows, and the rebuilt memo must hold
+the live memo's groups and rows.  Its iteration order is free: the executor
+emits a memo's changes in group-key order, so permuting a memo leaves the
+trace alone.  The round trip must hold under either rule evaluator, leave the
+node's stats alone, and put the captured index buckets back over any the
+rebuild built lazily.
 """
 
 import pytest
@@ -38,8 +39,8 @@ def churned_engine(family: str = "power_law", size: int = 16, seed: int = 2):
     return engine, scenario.policy_fact_list()
 
 
-def memo_orders(node) -> dict:
-    return {rule: list(rows) for rule, rows in node.view_memo.items()}
+def memo_contents(node) -> dict:
+    return {rule: dict(groups) for rule, groups in node.view_memo.items()}
 
 
 def test_export_leaves_view_memos_out():
@@ -52,14 +53,39 @@ def test_export_leaves_view_memos_out():
 
 @pytest.mark.parametrize("family", ["tree", "power_law"])
 def test_rebuilt_memos_iterate_in_live_order(family, rule_tier):
+    """Rebuilt memos hold the live content; their order is not compared
+    (the name predates group-key emission, when it had to match)."""
+
     engine, facts = churned_engine(family)
     assert engine.run(until=30.0, extra_facts=facts).quiescent
     for node_id, node in engine.nodes.items():
-        live = memo_orders(node)
+        live = memo_contents(node)
         stats = node.stats.as_dict()
         node.load_state(node.export_state())
-        assert memo_orders(node) == live, node_id
+        assert memo_contents(node) == live, node_id
         assert node.stats.as_dict() == stats, node_id
+
+
+@pytest.mark.parametrize("family, seed, cut", [("power_law", 1, 1.0), ("waxman", 2, 1.5)])
+def test_permuted_memos_leave_the_trace_unchanged(family, seed, cut, rule_tier):
+    """Reversing every memo's iteration order between two ``run`` calls —
+    with churn still to come — must not move the final fingerprint: memo
+    changes are emitted in group-key order, not memo order.  (Both cases
+    moved it while changes were emitted in memo-set order.)"""
+
+    uninterrupted, facts = churned_engine(family, seed=seed)
+    expected = uninterrupted.run(until=30.0, extra_facts=facts)
+    assert expected.quiescent
+
+    engine, facts = churned_engine(family, seed=seed)
+    engine.run(until=cut, extra_facts=facts)
+    assert not engine.in_fixpoint
+    for node in engine.nodes.values():
+        node.view_memo = {
+            rule: dict(reversed(groups.items()))
+            for rule, groups in node.view_memo.items()
+        }
+    assert engine.run(until=30.0).fingerprint() == expected.fingerprint()
 
 
 def test_round_trip_restores_rows_and_index_buckets_verbatim():

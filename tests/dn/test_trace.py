@@ -275,11 +275,13 @@ def seed_burst_cut() -> str:
 
 #: case → (its fp2 literal before the re-pin, its fp3 literal); the
 #: ``waves_pin`` pair was recomputed, under both folds, when settles began to
-#: net their sends (that trace ships fewer messages since)
+#: net their sends (that trace ships fewer messages since), and again when
+#: aggregate changes began to be emitted in group-key order
+#: (``tests/dn/test_message_waves.py`` says what that moved)
 V2_PINS = {
     waves_pin: (
-        "0918092f00c6d2e3527365b2dd4dc689e046c09216b7ffb641c993ae5302c2ca",
-        "5e7027c57127828f00bdb55f9878bacaba635ecb6c105f580ff8d5a0a08d1604",
+        "58c0e656f22e065fcb08ca06b1af99304d24dbcc2eb7261a7aa59d66aede5377",
+        "c37265e30060ac25f62961ac8edc5c9582a16bf3f653bf3443a846af01e7e103",
     ),
     seed_burst_cut: (
         "cda6995ebbf3161ed68798ba4dc3b5294183a8369badd336d6f6fe52f8986959",

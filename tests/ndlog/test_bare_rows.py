@@ -26,7 +26,15 @@ part runs.
 Two digests were re-pinned when settles began to net their sends: the
 distributed firings of ``distance_vector`` and ``policy_path_vector`` see
 fewer messages since (with the netting taken out, both old digests
-reproduce).
+reproduce).  Four were re-pinned when the executor began to maintain
+aggregates group by group: ``distance_vector``, ``link_state``,
+``path_vector`` and ``policy_path_vector``, the programs whose aggregates
+group beyond the location.  Their distributed part now derives the
+aggregate's plain-head variant under the groups a settle's changed rows can
+move instead of firing it whole, and emits group changes in group-key
+order.  The from-scratch
+and incremental parts of every digest are unchanged, and the distributed
+engine ends every run on equal tables and per-settle change multisets.
 """
 
 import hashlib
@@ -50,13 +58,13 @@ ENGINES = {"codegen": RuleEngine, "reference": ReferenceEngine}
 
 #: corpus program → digest (generated code and reference derive alike)
 PINS = {
-    "distance_vector": "39188fc4c041af0b",
+    "distance_vector": "56acdf49f5cc1f7c",
     "edge_cases": "f35480dc2e89ead7",
     "fallback": "29a4f6a514032e2b",
     "heartbeat": "0bc61c336b0376e7",
-    "link_state": "001e5669c4633681",
-    "path_vector": "ff2fe111f97c7c2e",
-    "policy_path_vector": "6e7f41d35bf5ba42",
+    "link_state": "ecd4a0918252ab63",
+    "path_vector": "7567571a6016363c",
+    "policy_path_vector": "c43410f19147fa0b",
 }
 
 #: aggregation in a recursive cycle: no centralized fixpoint to fire against

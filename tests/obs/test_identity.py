@@ -97,6 +97,41 @@ class TestEngineIdentity:
         # ...while changing nothing observable
         assert observed == plain
 
+    def test_aggregate_counters_are_observational(self):
+        """``engine.aggregate_full`` counts whole re-fires, which the policy
+        program needs only for a node's first recompute (it builds the memo):
+        after the first settle every recompute is scoped, counted in
+        ``engine.aggregate_groups`` — and counting changes nothing."""
+
+        outcomes = []
+        for on in (False, True):
+            set_obs(on)
+            scenario = generate_scenario("power_law", size=12, seed=0, policy="gao_rexford")
+            engine = create_engine(
+                policy_path_vector_program(), scenario.topology, config=EngineConfig(seed=0)
+            )
+            assert engine.run(extra_facts=scenario.policy_fact_list()).quiescent
+            first = metrics.registry().export()["counters"]
+            metrics.registry().reset()
+            links = sorted(
+                (link.src, link.dst)
+                for link in scenario.topology.up_links()
+                if link.src < link.dst
+            )[:3]
+            for src, dst in links:
+                at = engine.scheduler.now
+                engine.schedule_link_failure(src, dst, at + 1.0)
+                engine.schedule_link_restore(src, dst, at + 2.0)
+                assert engine.run().quiescent
+            churn = metrics.registry().export()["counters"]
+            outcomes.append(engine.trace.fingerprint())
+            engine.close()
+        assert outcomes[0] == outcomes[1]
+        assert 0 < first["engine.aggregate_full"] <= len(scenario.topology.nodes)
+        assert first["engine.aggregate_groups"] > 0
+        assert churn.get("engine.aggregate_full", 0) == 0
+        assert churn["engine.aggregate_groups"] > 0
+
     def test_sharded_obs_on_matches_obs_off(self):
         plain = run_once(obs=False, shards=4)
         observed = run_once(obs=True, shards=4)

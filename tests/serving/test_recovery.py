@@ -381,10 +381,12 @@ class TestRecovery:
         return (live, *self.recover(tmp_path, **overrides))
 
     def test_policy_daemon_recovers_restored_view_memos_in_live_order(self, tmp_path):
-        """A restored aggregate memo must iterate like the live one: the
-        retractions ``diff_rows`` emits from it follow its order.  Memos
-        unpickled from a snapshot did not (this daemon recovered to another
-        fingerprint); rebuilt ones do."""
+        """A restored aggregate memo must hold the live one's groups and
+        rows.  Memos unpickled from a snapshot used to iterate in another
+        order, and while changes were emitted in memo order this daemon
+        recovered to another fingerprint.  Memos are rebuilt on restore,
+        and changes are emitted in group-key order, so only content is
+        load-bearing now; the case stays as a recovery regression."""
 
         live, how, recovered = self.churn_then_recover(
             tmp_path, [(0, 1), (0, 2), (0, 1)],
