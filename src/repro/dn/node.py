@@ -155,14 +155,14 @@ class Node:
         """The node's structural state at a settle point, as plain data: stats,
         displacement/unswept marks, and per table its
         :meth:`~repro.ndlog.store.Table.export_state` — rows as ``(key,
-        values, count)`` in iteration order, soft-state deadlines, and its
-        hash-index buckets verbatim.  View memos are left out —
-        :meth:`load_state` rebuilds them.
+        values, count)`` in row order, soft-state deadlines, and the
+        position sets of its hash indexes.  Buckets and view memos are left
+        out — :meth:`load_state` rebuilds them.
 
-        Buckets are captured rather than rebuilt because after a keyed upsert
-        re-binds a row, its bucket entry sits at the *end* of the bucket while
-        the row kept its position, so lazily rebuilt indexes would iterate
-        joins in a different order and diverge the trace.
+        The positions are captured because they steer execution: the
+        executor seeds a key-scoped derive with a literal whose index
+        already exists (:meth:`~repro.ndlog.store.Table.has_lookup`).  The
+        buckets are not, because each one iterates in row order.
         """
 
         tables = [
@@ -185,8 +185,8 @@ class Node:
         not load-bearing: the executor emits a memo's changes in group-key
         order, so only its content must match the live node's.  The
         recompute goes to the rule engine directly (no semantic firing, so
-        stats stay untouched), and the captured buckets are put back
-        afterwards so indexes it built lazily are dropped.
+        stats stay untouched).  Each table's indexes are rebuilt from its
+        rows, over the captured positions.
         """
 
         self.stats = NodeStats(**state["stats"])
@@ -199,8 +199,6 @@ class Node:
             for rule in self.program.rules
             if rule.head.has_aggregate
         }
-        for predicate, (_rows, _deadlines, indexes) in state["tables"]:
-            self.db.table(predicate).load_indexes(indexes)
 
     def rows(self, predicate: str) -> list[tuple]:
         return self.db.rows(predicate)

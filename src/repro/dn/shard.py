@@ -46,7 +46,9 @@ and ``close()`` a sharded engine when done; its rows stay readable.
 shard_timeout``) raises :class:`ShardCrash` in the coordinator, which
 respawns the worker: the new worker loads its shard's last *checkpoint*
 (each member's :meth:`~repro.dn.node.Node.export_state`, pickled by the
-worker and opaque to the coordinator), re-executes the state-changing
+worker and opaque to the coordinator: rows, counts, deadlines and index
+positions, but no index buckets or view memos, which the load rebuilds
+from the rows), re-executes the state-changing
 requests logged since (``flush_batch``, ``refresh``, ``protect``; no fault
 probes, results and worker metrics dropped), and the failed request is
 retried.  A request is logged only once its result has returned, so the
@@ -720,7 +722,7 @@ class ShardedEngine(DistributedEngine):
             node.stats = NodeStats(**state["stats"])
             node.tables = {
                 predicate: {key: row for key, row, _count in rows}
-                for predicate, (rows, _deadlines, _indexes) in state["tables"]
+                for predicate, (rows, _deadlines, _positions) in state["tables"]
             }
 
     # ------------------------------------------------------------------

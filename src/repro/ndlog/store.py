@@ -4,7 +4,7 @@ A :class:`Table` stores ground tuples for one predicate, with:
 
 * optional **primary keys** (``keys(...)`` from ``materialize`` declarations)
   — inserting a tuple with an existing key replaces the old tuple, which is
-  how declarative networking implements route updates in place;
+  how declarative networking implements route updates;
 * optional **soft-state lifetimes** — tuples expire ``lifetime`` seconds
   after their last insertion/refresh (paper Section 4.2); only these
   tables keep an expiry deadline per row;
@@ -23,9 +23,15 @@ A :class:`Table` stores ground tuples for one predicate, with:
 
 Rows are stored bare: a table maps each primary key to its row tuple, with
 the support counts (and soft-state deadlines) in dicts of their own beside
-it, so storing a new row allocates nothing but the dict entries.  The
-layout stays behind :class:`Table` — captures go through
-:meth:`Table.export_state` / :meth:`Table.load_state`.
+it, so storing a new row allocates nothing but the dict entries.
+
+Every hash-index bucket iterates in its table's row order.  A row joins the
+back of the rows and of its buckets together, leaves both together, and a
+keyed rebind is a removal plus an append, so the rebound key is the youngest
+(for FIFO eviction and expiry scans too); a lazily built index reads the rows
+in order.  Index order is therefore a function of row order, and a capture
+(:meth:`Table.export_state` / :meth:`Table.load_state`) carries rows, counts,
+deadlines and the indexed position sets, never buckets.
 
 A :class:`Database` is a collection of tables keyed by predicate name, the
 unit of state held by the centralized evaluator and by each node of the
@@ -74,15 +80,6 @@ def _bucket_shape(positions: tuple[int, ...]) -> tuple[int, Callable[[tuple], tu
     return 0, operator.itemgetter(slice(0, 0))
 
 
-def _copy_indexes(indexes: dict) -> dict:
-    """A table's ``positions → bucket key → bucket`` map, buckets copied."""
-
-    return {
-        positions: {bucket_key: dict(bucket) for bucket_key, bucket in buckets.items()}
-        for positions, buckets in indexes.items()
-    }
-
-
 class Table:
     """Tuples of a single predicate."""
 
@@ -100,8 +97,9 @@ class Table:
         self._key_getter = _make_key_getter(self.keys)
         self.lifetime = lifetime
         self.max_size = max_size
-        #: primary key → row, in insertion order of the key (a re-bound key
-        #: keeps its place, which is what FIFO eviction and expiry scans see)
+        #: primary key → row, oldest first (a re-bound key moves to the
+        #: back, which is what FIFO eviction, expiry scans and every index
+        #: bucket see)
         self._rows: dict[tuple, tuple] = {}
         #: primary key → number of supports observed for the current row
         self._counts: dict[tuple, int] = {}
@@ -159,22 +157,17 @@ class Table:
         Returns ``(changed, previous)`` where ``previous`` is the row that
         was stored under the same key before the call (``None`` for a brand
         new key).  An occupied key holding a different row is re-bound: the
-        row keeps the key's place and starts a fresh support count (the
-        caller is responsible for retracting the displaced row's
-        consequences).
+        occupant is removed and the row appended as a new one, with a fresh
+        support count (the caller is responsible for retracting the
+        displaced row's consequences).
         """
 
         row = tuple(values)
         changed, occupant = self.upsert_unless_displacing(row, now)
         if occupant is None:
             return changed, None if changed else row
-        key = self._key_getter(row)
-        self._rows[key] = row
-        self._counts[key] = 1
-        if self._deadlines is not None:
-            self._deadlines[key] = now + self.lifetime
-        self._index_remove(key, occupant)
-        self._index_add(key, row)
+        self._remove(self._key_getter(row))
+        self.upsert_unless_displacing(row, now)
         return True, occupant
 
     def upsert_unless_displacing(
@@ -236,23 +229,21 @@ class Table:
             row = tuple(values)
             key = key_getter(row)
             existing = _rows.get(key)
-            if existing is not None and existing == row:
-                counts[key] += 1
-                if deadlines is not None:
-                    deadlines[key] = expires
-                continue
+            if existing is not None:
+                if existing == row:
+                    counts[key] += 1
+                    if deadlines is not None:
+                        deadlines[key] = expires
+                    continue
+                self._remove(key)  # a rebind appends the row as a new one
             _rows[key] = row
             counts[key] = 1
             if deadlines is not None:
                 deadlines[key] = expires
-            if existing is None:
-                if self._upkeep:
-                    self._index_add(key, row)
-                if len(_rows) > max_size:
-                    self._evict_oldest(key)
-            else:
-                self._index_remove(key, existing)
+            if self._upkeep:
                 self._index_add(key, row)
+            if len(_rows) > max_size:
+                self._evict_oldest(key)
             append(row)
         return changed
 
@@ -383,35 +374,31 @@ class Table:
     # ------------------------------------------------------------------
     def export_state(self) -> tuple:
         """The table's contents as plain data, ``(rows, deadlines,
-        indexes)``: rows as ``(key, values, count)`` in iteration order, the
+        positions)``: rows as ``(key, values, count)`` in row order, the
         deadlines of soft state aligned with them (``None`` for hard
-        state), and the hash-index buckets verbatim (copied)."""
+        state), and the position sets of its hash indexes.  Buckets are
+        left out: :meth:`load_state` rebuilds them from the rows, in the
+        order the live ones iterate."""
 
         counts = self._counts
         rows = [(key, row, counts[key]) for key, row in self._rows.items()]
         deadlines = (
             None if self._deadlines is None else list(self._deadlines.values())
         )
-        return rows, deadlines, _copy_indexes(self._indexes)
+        return rows, deadlines, list(self._indexes)
 
     def load_state(self, state: tuple) -> None:
         """Replace the contents with a capture of :meth:`export_state`."""
 
-        rows, deadlines, indexes = state
+        rows, deadlines, positions = state
         self._rows = {key: row for key, row, _ in rows}
         self._counts = {key: count for key, _, count in rows}
         if self._deadlines is not None:
             self._deadlines = dict(zip(self._rows, deadlines))
-        self.load_indexes(indexes)
-
-    def load_indexes(self, indexes: dict) -> None:
-        """Replace the hash indexes with copies of captured buckets."""
-
-        self._indexes = _copy_indexes(indexes)
-        self._upkeep = [
-            (*_bucket_shape(positions), buckets)
-            for positions, buckets in self._indexes.items()
-        ]
+        self._indexes = {}
+        self._upkeep = []
+        for index_positions in positions:
+            self.index_on(index_positions)
 
     # ------------------------------------------------------------------
     # Hash indexes
@@ -630,19 +617,6 @@ class Database:
         """An immutable-ish snapshot used for convergence detection."""
 
         return {p: set(t.rows()) for p, t in self._tables.items()}
-
-    def copy(self) -> "Database":
-        out = Database()
-        for predicate, table in self._tables.items():
-            new = Table(
-                predicate,
-                keys=table.keys,
-                lifetime=table.lifetime,
-                max_size=table.max_size,
-            )
-            new.load_state(table.export_state())
-            out._tables[predicate] = new
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.fact_count()} facts in {len(self._tables)} tables)"

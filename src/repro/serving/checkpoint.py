@@ -27,7 +27,9 @@ from typing import Optional
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.  (``/7``: monitor state
+#: to full ledger replay instead of being misread.  (``/8``: each table
+#: carries its index positions, and its buckets are rebuilt from the rows;
+#: ``/7`` pickled every hash-index bucket.  Since ``/7`` monitor state
 #: holds violations only, as monitors read the engine's tables; ``/6`` also
 #: pickled each monitor's mirror of the tables it watched.  Since ``/6``
 #: the Trace holds ``fp3`` digest chains and plain-tuple tail records;
@@ -36,7 +38,7 @@ from typing import Optional
 #: soft-state tables only; ``/4`` carried ``(key, values, inserted_at,
 #: expires_at, count)`` per row; ``/3`` pickled the Trace's records as
 #: dataclasses in bare lists.)
-SNAPSHOT_FORMAT = "fvn-snapshot/7"
+SNAPSHOT_FORMAT = "fvn-snapshot/8"
 
 
 def _header(body: bytes) -> bytes:

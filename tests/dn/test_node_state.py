@@ -6,8 +6,8 @@ its aggregate rule against the restored rows, and the rebuilt memo must hold
 the live memo's groups and rows.  Its iteration order is free: the executor
 emits a memo's changes in group-key order, so permuting a memo leaves the
 trace alone.  The round trip must hold under either rule evaluator, leave the
-node's stats alone, and put the captured index buckets back over any the
-rebuild built lazily.
+node's stats alone, and rebuild the captured index positions from the rows
+(``test_index_parity.py`` compares the rebuilt buckets with live ones).
 """
 
 import pytest

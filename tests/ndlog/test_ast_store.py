@@ -126,20 +126,20 @@ class TestTable:
         soft = Table("hb", keys=(0,), lifetime=2.0)
         soft.insert(("a", 1), now=0.0)
         soft.insert(("b", 1), now=1.0)
-        soft.insert(("a", 2), now=1.5)  # rebind restarts the lifetime
-        assert soft.deadlines() == [(("a", 2), 3.5), (("b", 1), 3.0)]
+        soft.insert(("a", 2), now=1.5)  # rebind restarts the lifetime, last
+        assert soft.deadlines() == [(("b", 1), 3.0), (("a", 2), 3.5)]
 
-    def test_export_state_is_rows_counts_deadlines_and_buckets(self):
+    def test_export_state_is_rows_counts_deadlines_and_positions(self):
         table = Table("hb", keys=(0,), lifetime=2.0)
         table.index_on((1,))
         table.insert(("a", "x"), now=0.0)
         table.insert(("a", "x"), now=1.0)
-        rows, deadlines, indexes = table.export_state()
+        rows, deadlines, positions = table.export_state()
         assert rows == [(("a",), ("a", "x"), 2)]
         assert deadlines == [3.0]
-        assert indexes == {(1,): {("x",): {("a",): ("a", "x")}}}
-        table.insert(("b", "x"), now=1.0)  # the capture shares nothing live
-        assert indexes == {(1,): {("x",): {("a",): ("a", "x")}}}
+        assert positions == [(1,)]  # buckets are rebuilt from the rows
+        table.index_on((0, 1))  # the capture shares nothing live
+        assert positions == [(1,)]
 
     def test_index_upkeep_over_zero_one_and_several_positions(self):
         table = Table("t", keys=(0,))
@@ -167,14 +167,13 @@ class TestDatabase:
         assert table.keys == (0, 1)
         assert table.is_soft_state
 
-    def test_snapshot_and_copy_are_independent(self):
+    def test_snapshot_is_independent(self):
         db = Database()
         db.insert("p", (1,))
-        copy = db.copy()
-        copy.insert("p", (2,))
-        assert db.rows("p") == [(1,)]
-        assert set(copy.rows("p")) == {(1,), (2,)}
-        assert db.snapshot() == {"p": {(1,)}}
+        snapshot = db.snapshot()
+        db.insert("p", (2,))
+        assert snapshot == {"p": {(1,)}}
+        assert db.snapshot() == {"p": {(1,), (2,)}}
 
     def test_expire_across_tables(self):
         db = Database()
@@ -195,19 +194,20 @@ class TestDatabase:
 class TestStoreParity:
     """Row order, support counts, deadlines and bucket order under the
     mutations that can reorder them (keyed rebind, refresh, delete plus
-    re-insert, eviction, expiry)."""
+    re-insert, eviction, expiry).  A keyed rebind is a removal plus an
+    append, so it moves the key to the back of the rows and its buckets."""
 
     def test_fifo_eviction_order_after_rebind_refresh_and_reinsert(self):
         table = Table("cache", keys=(0,), max_size=3)
         for row in (("a", 1), ("b", 1), ("c", 1)):
             table.insert(row)
-        table.insert(("a", 2))  # keyed rebind keeps a's slot
+        table.insert(("a", 2))  # keyed rebind moves a to the back
         table.insert(("b", 1))  # another support keeps b's slot
         table.delete(("c", 1))
         table.insert(("c", 2))  # delete plus re-insert moves c to the back
-        assert table.rows() == [("a", 2), ("b", 1), ("c", 2)]
+        assert table.rows() == [("b", 1), ("a", 2), ("c", 2)]
         table.insert(("d", 1))
-        assert table.rows() == [("b", 1), ("c", 2), ("d", 1)]
+        assert table.rows() == [("a", 2), ("c", 2), ("d", 1)]
         table.insert(("e", 1))
         assert table.rows() == [("c", 2), ("d", 1), ("e", 1)]
         assert [table.count_of(row) for row in table.rows()] == [1, 1, 1]
@@ -229,17 +229,17 @@ class TestStoreParity:
         table.insert(("c", 1), now=1.0)
         table.insert(("d", 1), now=1.5)
         assert table.refresh(("b", 1), now=2.0)  # deadline 4.0
-        assert table.insert(("a", 9), now=0.2)  # rebind: deadline 2.2
+        assert table.insert(("a", 9), now=0.2)  # rebind: at the back, 2.2
         assert not table.insert(("c", 1), now=3.0)  # support: deadline 5.0
         table.delete(("d", 1))
         table.insert(("d", 1), now=1.6)  # re-inserted at the back
-        assert table.rows() == [("a", 9), ("b", 1), ("c", 1), ("d", 1)]
+        assert table.rows() == [("b", 1), ("c", 1), ("a", 9), ("d", 1)]
         assert table.expired(now=3.6) == [("a", 9), ("d", 1)]
-        assert table.expired(now=4.0) == [("a", 9), ("b", 1), ("d", 1)]
+        assert table.expired(now=4.0) == [("b", 1), ("a", 9), ("d", 1)]
         assert table.row_expired(("b", 1), now=4.0)
         assert not table.row_expired(("b", 1), now=3.9)
         assert not table.row_expired(("b", 2), now=9.0)  # not the stored row
-        assert table.expire(now=4.0) == [("a", 9), ("b", 1), ("d", 1)]
+        assert table.expire(now=4.0) == [("b", 1), ("a", 9), ("d", 1)]
         assert table.rows() == [("c", 1)]
         assert table.expire(now=5.0) == [("c", 1)]
         assert len(table) == 0
@@ -272,7 +272,7 @@ class TestStoreParity:
         for row in (("a", "x", 1), ("b", "x", 2), ("c", "y", 3)):
             route.insert(row)
         route.insert(("b", "x", 2))
-        route.insert(("a", "x", 5))  # rebind: a's bucket entry moves last
+        route.insert(("a", "x", 5))  # rebind: a moves last, row and bucket
         db.insert("hb", ("h", 1), now=0.0)
         db.insert("hb", ("i", 1), now=1.0)
         db.table("hb").refresh(("h", 1), now=1.5)
@@ -285,22 +285,15 @@ class TestStoreParity:
             assert [other.count_of(predicate, r) for r in rows] == [
                 db.count_of(predicate, r) for r in rows
             ]
-        assert db.rows("route") == [("a", "x", 5), ("b", "x", 2), ("c", "y", 3)]
-        assert [db.count_of("route", r) for r in db.rows("route")] == [1, 2, 1]
+        assert db.rows("route") == [("b", "x", 2), ("c", "y", 3), ("a", "x", 5)]
+        assert [db.count_of("route", r) for r in db.rows("route")] == [2, 1, 1]
         hb = other.table("hb")
         assert hb.expired(now=2.9) == []
         assert hb.expired(now=3.0) == [("i", 1)]
         assert hb.expired(now=3.5) == [("h", 1), ("i", 1)]
         bucket = [("b", "x", 2), ("a", "x", 5)]
         assert db.table("route").probe((1,), ("x",)) == bucket
-
-    def test_database_copy_keeps_counts_deadlines_and_bucket_order(self):
-        db = self._populated()
-        copy = db.copy()
-        self._assert_same_state(db, copy)
-        assert copy.table("route").probe((1,), ("x",)) == db.table("route").probe(
-            (1,), ("x",)
-        )
+        assert other.table("route").probe((1,), ("x",)) == bucket
 
     def test_node_state_round_trip_keeps_counts_deadlines_and_bucket_order(self):
         program = parse_program(
@@ -314,10 +307,6 @@ class TestStoreParity:
         fresh = Node("a", program)
         fresh.load_state(state)
         self._assert_same_state(node.db, fresh.db)
-        assert fresh.db.table("route").probe((1,), ("x",)) == [
-            ("b", "x", 2),
-            ("a", "x", 5),
-        ]
         assert fresh.export_state() == state
 
 

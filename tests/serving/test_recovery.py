@@ -311,43 +311,26 @@ class TestRecovery:
         path.write_bytes(older + b"\n" + body)
         return reference
 
-    def test_intact_format_2_snapshot_falls_back_to_replay(self, tmp_path):
-        """A format-2 file carried pickled view memos; even sealed with a
-        valid checksum it is refused, so its memos never reach an engine."""
+    @pytest.mark.parametrize(
+        "version, carried",
+        [
+            pytest.param(2, "pickled view memos", id="format-2"),
+            pytest.param(3, "the Trace's records as dataclasses in bare lists", id="format-3"),
+            pytest.param(4, "each row with its insertion and expiry times", id="format-4"),
+            pytest.param(5, "fp2 digest chains and NamedTuple tail records", id="format-5"),
+            pytest.param(6, "each monitor's mirror of its watched tables", id="format-6"),
+            pytest.param(7, "every table's hash-index buckets", id="format-7"),
+        ],
+    )
+    def test_intact_older_format_snapshot_falls_back_to_replay(
+        self, tmp_path, version, carried
+    ):
+        """An older file — ``carried`` names what its body held that the
+        current format does not — is refused for full replay even sealed
+        with a valid checksum, so none of it reaches an engine."""
 
-        reference = self.reseal_as(tmp_path, "fvn-snapshot/2")
-        assert self.recover(tmp_path) == ("replay", reference)
-
-    def test_intact_format_3_snapshot_falls_back_to_replay(self, tmp_path):
-        """A format-3 file pickled the Trace's records as dataclasses in bare
-        lists; sealed intact, it is still refused for full replay."""
-
-        reference = self.reseal_as(tmp_path, "fvn-snapshot/3")
-        assert self.recover(tmp_path) == ("replay", reference)
-
-    def test_intact_format_4_snapshot_falls_back_to_replay(self, tmp_path):
-        """A format-4 file stored each row with its insertion and expiry
-        times; sealed intact, it is still refused for full replay."""
-
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/7"
-        reference = self.reseal_as(tmp_path, "fvn-snapshot/4")
-        assert self.recover(tmp_path) == ("replay", reference)
-
-    def test_intact_format_5_snapshot_falls_back_to_replay(self, tmp_path):
-        """A format-5 file carried fp2 digest chains and NamedTuple tail
-        records; sealed intact, it is still refused for full replay, so an
-        fp2 chain never reaches an fp3 trace."""
-
-        reference = self.reseal_as(tmp_path, "fvn-snapshot/5")
-        assert self.recover(tmp_path) == ("replay", reference)
-
-    def test_intact_format_6_snapshot_falls_back_to_replay(self, tmp_path):
-        """A format-6 file carried each monitor's mirror of its watched
-        tables; sealed intact, it is still refused for full replay, so a
-        stale mirror is never loaded into a monitor and re-pickled into
-        every later snapshot."""
-
-        reference = self.reseal_as(tmp_path, "fvn-snapshot/6")
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/8"
+        reference = self.reseal_as(tmp_path, f"fvn-snapshot/{version}")
         assert self.recover(tmp_path) == ("replay", reference)
 
     def test_sealed_snapshot_round_trips(self):
