@@ -2,18 +2,21 @@
 """CI smoke test for the routing service daemon.
 
 Exercises the full serving stack the way an operator would, end to end,
-once per shard count in ``SHARDS`` (one-process and sharded daemons take
-the same snapshot and recovery path):
+once per daemon in ``RUNS`` — one-process and sharded daemons take the same
+snapshot and recovery path, and a third, one-process daemon gets a settle
+budget (``--settle-max-events``) small enough that it snapshots with events
+still pending:
 
 1. boot a durable daemon through the CLI (``python -m repro.serving serve``);
 2. hammer it with concurrent clients — one thread pushing the scenario's
    churn schedule as live updates, two threads reading best paths — over
    the real socket;
-3. check the runtime invariant monitors are green and every update settled;
+3. check the runtime invariant monitors are green and every update settled
+   (the budgeted daemon instead: at least one snapshot written unsettled);
 4. require ``snapshot.pkl`` to track live state, not history: the churn
    schedule is driven ``CHURN_PASSES`` times, every pass ends with all links
    restored, and the snapshot after the last pass may not exceed the one
-   after the first by more than 25 %;
+   after the first by more than 25 % (settled daemons only);
 5. SIGKILL the daemon mid-life, restart it, and require it to recover from
    the snapshot plus the ledger tail (``recovered_from ==
    "snapshot+replay"``) to a ``Trace.fingerprint()`` **byte-identical** to
@@ -33,6 +36,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Optional
 
 from _smoke_common import start_daemon, write_evidence  # noqa: F401 (sets sys.path)
 
@@ -44,31 +48,41 @@ SIZE = 20
 CHURN_EVENTS = 6
 CHURN_PASSES = 3
 SNAPSHOT_EVERY = 4
-#: shard counts the scenario runs on, one daemon each
-SHARDS = (1, 2)
+#: (shards, settle budget or None for the default) of each daemon run
+RUNS = ((1, None), (2, None), (1, 60))
 #: how much larger than the first pass's snapshot the last pass's may be
 SNAPSHOT_GROWTH_LIMIT = 1.25
 
 
-def boot(state_dir: Path, log_path: Path, shards: int) -> subprocess.Popen:
+def boot(
+    state_dir: Path, log_path: Path, shards: int, settle_max_events: Optional[int]
+) -> subprocess.Popen:
+    budget = () if settle_max_events is None else ("--settle-max-events", str(settle_max_events))
     return start_daemon(
         state_dir, log_path,
         "--family", FAMILY, "--size", str(SIZE),
         "--snapshot-every", str(SNAPSHOT_EVERY),
         "--shards", str(shards),
+        *budget,
     )
 
 
-def smoke(shards: int, updates: list, pass_length: int, log_path: Path) -> dict:
-    """Drive one daemon on ``shards`` through churn, queries, SIGKILL and
-    recovery; returns its evidence (raises SystemExit on a pre-kill
-    failure)."""
+def smoke(
+    shards: int,
+    settle_max_events: Optional[int],
+    updates: list,
+    pass_length: int,
+    log_path: Path,
+) -> dict:
+    """Drive one daemon on ``shards`` (with a settle budget, if given)
+    through churn, queries, SIGKILL and recovery; returns its evidence
+    (raises SystemExit on a pre-kill failure)."""
 
-    evidence: dict = {"shards": shards}
+    evidence: dict = {"shards": shards, "settle_max_events": settle_max_events}
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
         state_dir.mkdir()
-        daemon = boot(state_dir, log_path, shards)
+        daemon = boot(state_dir, log_path, shards, settle_max_events)
         try:
             acks: list = []
             snapshot_sizes: dict = {}  # seq -> bytes of the snapshot taken there
@@ -116,15 +130,24 @@ def smoke(shards: int, updates: list, pass_length: int, log_path: Path) -> dict:
             evidence["snapshot_bytes_first"] = first
             evidence["snapshot_bytes_last"] = last
             evidence["snapshot_bounded"] = last <= SNAPSHOT_GROWTH_LIMIT * first
-            if not (evidence["all_settled"] and evidence["monitors_ok"]):
+            # snapshots written while the settle budget left events pending
+            evidence["unsettled_snapshots"] = [
+                ack["seq"]
+                for ack in acks
+                if ack["seq"] % SNAPSHOT_EVERY == 0 and not ack["settled"]
+            ]
+            if settle_max_events is not None:
+                if not evidence["unsettled_snapshots"]:
+                    raise SystemExit(f"no snapshot was written unsettled: {evidence}")
+            elif not (evidence["all_settled"] and evidence["monitors_ok"]):
                 raise SystemExit(f"serving smoke failed pre-kill: {evidence}")
-            if not evidence["snapshot_bounded"]:
+            elif not evidence["snapshot_bounded"]:
                 raise SystemExit(f"snapshot.pkl grows with history: {evidence}")
 
             # hard-kill mid-life, restart, demand byte-identical recovery
             daemon.kill()
             daemon.wait(timeout=60)
-            daemon = boot(state_dir, log_path, shards)
+            daemon = boot(state_dir, log_path, shards, settle_max_events)
             with ServingClient.from_state_dir(state_dir, timeout=120) as client:
                 recovered = client.query("fingerprint")
                 recovered_status = client.query("status")
@@ -163,7 +186,8 @@ def main() -> int:
     updates = one_pass * CHURN_PASSES
 
     runs = [
-        smoke(shards, updates, len(one_pass), artifacts / "daemon.log") for shards in SHARDS
+        smoke(shards, budget, updates, len(one_pass), artifacts / "daemon.log")
+        for shards, budget in RUNS
     ]
     write_evidence(artifacts, {"family": FAMILY, "size": SIZE, "runs": runs})
     failed = False
@@ -177,9 +201,15 @@ def main() -> int:
     if failed:
         return 1
     for run in runs:
+        budget = run["settle_max_events"]
+        checked = (
+            f"settle budget {budget}, {len(run['unsettled_snapshots'])} snapshots unsettled"
+            if budget
+            else "monitors green"
+        )
         print(
             f"serving smoke OK on {run['shards']} shard(s): {run['updates_acked']} "
-            f"updates, {run['queries_answered']} queries, monitors green, snapshot "
+            f"updates, {run['queries_answered']} queries, {checked}, snapshot "
             f"{run['snapshot_bytes_first']} -> {run['snapshot_bytes_last']} bytes, "
             f"crash recovery byte-identical ({run['recovered_from']})"
         )

@@ -64,16 +64,17 @@ message accounting — each ``run()`` first compacts away the records of the
 runs before it — and supports runtime topology dynamics (link failure,
 recovery, cost changes) plus soft-state expiry and periodic refresh.
 
-A settled engine's state is captured by :meth:`DistributedEngine.capture`
-and loaded into a fresh engine by :func:`restore_engine`, on any shard
-count at either end: the serving daemon's snapshots and its ``what_if``
-forks are both this pair.
+Every scheduled event is plain data — a kind tag and picklable arguments
+— that :meth:`DistributedEngine.advance` dispatches through one ``kind →
+bound method`` table.  So the engine's state can be captured between any two
+events, pending work included, by :meth:`DistributedEngine.capture`, and
+loaded into a fresh engine by :func:`restore_engine`, on any shard count at
+either end: the serving daemon's snapshots and its ``what_if`` forks are
+both this pair, settled or not.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -93,13 +94,8 @@ from .node import Node
 from .trace import Trace
 
 #: Event kinds a settled engine may have queued: the self-rescheduling
-#: soft-state maintenance timers.  Their callbacks are the engine's own bound
-#: methods, so a capture stores the kind tag alone.
+#: soft-state maintenance timers.
 MAINTENANCE_KINDS = frozenset(("refresh", "expiry"))
-
-
-class CaptureError(RuntimeError):
-    """The engine is not at a settled state, so it cannot be captured."""
 
 
 @dataclass
@@ -308,38 +304,23 @@ class DistributedEngine:
             # configuration is loaded, not simulated: one weighted event
             # stands for the whole burst, at one unit of event budget per
             # fact (``events_processed`` and ``max_events`` count every one)
-            self.scheduler.schedule(
-                0.0, Event("seed", self._fact_loader(facts), units=len(facts))
-            )
+            self.scheduler.schedule(0.0, Event("seed", facts, units=len(facts)))
         if self.config.refresh_interval:
-            self.scheduler.schedule(
-                self.config.refresh_interval,
-                Event("refresh", self._refresh_base_facts),
-            )
+            self.scheduler.schedule(self.config.refresh_interval, Event("refresh"))
         if self._has_soft_state():
-            self.scheduler.schedule(
-                self.config.expiry_scan_interval,
-                Event("expiry", self._expire_soft_state),
-            )
+            self.scheduler.schedule(self.config.expiry_scan_interval, Event("expiry"))
         self._seeded = True
 
-    def _fact_loader(self, facts: list[tuple[NodeId, str, tuple]]):
-        """The callback of the seeding event: each call feeds the next
-        ``allowance`` facts through :meth:`_enqueue` in list order, which
-        fixes each node's pending ops and the order of the per-node flush
-        events.  A ``max_events`` cut-off inside the burst leaves the rest
-        for the next ``run()``, which resumes at the first unloaded fact."""
+    def _load_facts(self, facts: list[tuple[NodeId, str, tuple]]) -> None:
+        """The seeding event's handler: feeds the facts its allowance covers
+        through :meth:`_enqueue` in list order, which fixes each node's
+        pending ops and the order of the per-node flush events.  A
+        ``max_events`` cut-off inside the burst leaves the rest for the
+        next ``run()``, which resumes at the first unloaded fact."""
 
-        loaded = 0
-
-        def load(allowance: int) -> None:
-            nonlocal loaded
-            enqueue = self._enqueue
-            for node_id, predicate, values in facts[loaded : loaded + allowance]:
-                enqueue(node_id, ("insert", predicate, values))
-            loaded += allowance
-
-        return load
+        enqueue = self._enqueue
+        for node_id, predicate, values in facts:
+            enqueue(node_id, ("insert", predicate, values))
 
     def _has_soft_state(self) -> bool:
         return any(decl.is_soft_state for decl in self.program.materialized.values())
@@ -377,7 +358,6 @@ class DistributedEngine:
         self.scheduler.post(
             delay,
             "message",
-            self._deliver,
             (dst, ("retract" if kind == "retract" else "insert", predicate, values)),
         )
 
@@ -410,10 +390,7 @@ class DistributedEngine:
         if self._flush_marks.get(node_id) == now:
             return  # a flush for this node at this timestamp is already queued
         self._flush_marks[node_id] = now
-        self.scheduler.schedule(
-            0.0,
-            Event("flush", lambda: self._flush(node_id), target=node_id),
-        )
+        self.scheduler.schedule(0.0, Event("flush", (node_id,)))
 
     def _flush(self, node_id: NodeId) -> None:
         """Drain every tuple that accumulated for a node at this timestamp.
@@ -499,10 +476,7 @@ class DistributedEngine:
         """Delete a located fact at an absolute simulation time (the
         deletion counterpart of :meth:`schedule_fact`)."""
 
-        values = tuple(values)
-        self.scheduler.schedule_at(
-            at, Event("delete", lambda: self.delete_fact(predicate, values))
-        )
+        self.scheduler.schedule_at(at, Event("delete", (predicate, tuple(values))))
 
     def refresh_soft_state(self) -> None:
         """Run one soft-state refresh round now (safe points only).
@@ -520,7 +494,7 @@ class DistributedEngine:
         """Schedule a one-shot soft-state refresh round at an absolute
         simulation time (no periodic rescheduling)."""
 
-        self.scheduler.schedule_at(at, Event("refresh_once", self._refresh_round))
+        self.scheduler.schedule_at(at, Event("refresh_once"))
 
     # ------------------------------------------------------------------
     # Soft state
@@ -528,10 +502,7 @@ class DistributedEngine:
     def _refresh_base_facts(self) -> None:
         self._refresh_round()
         if self.config.refresh_interval:
-            self.scheduler.schedule(
-                self.config.refresh_interval,
-                Event("refresh", self._refresh_base_facts),
-            )
+            self.scheduler.schedule(self.config.refresh_interval, Event("refresh"))
 
     def _refresh_round(self) -> None:
         now = self.scheduler.now
@@ -584,10 +555,7 @@ class DistributedEngine:
             # (and retracted), even after message activity has quiesced
             or self._live_soft_rows()
         ):
-            self.scheduler.schedule(
-                self.config.expiry_scan_interval,
-                Event("expiry", self._expire_soft_state),
-            )
+            self.scheduler.schedule(self.config.expiry_scan_interval, Event("expiry"))
 
     def _expired_rows(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
         """Node → its soft-state rows past their lifetime (see
@@ -614,16 +582,16 @@ class DistributedEngine:
         counts.
         """
 
-        def fail() -> None:
-            affected = self.topology.fail_link(src, dst, symmetric=symmetric)
-            if not self.config.link_predicate:
-                return
-            for link in affected:
-                self._handle_retract(
-                    link.src, self.config.link_predicate, link.as_fact(), kind="delete"
-                )
+        self.scheduler.schedule_at(at, Event("link_failure", (src, dst, symmetric)))
 
-        self.scheduler.schedule_at(at, Event("link_failure", fail))
+    def _fail_link(self, src: NodeId, dst: NodeId, symmetric: bool) -> None:
+        affected = self.topology.fail_link(src, dst, symmetric=symmetric)
+        if not self.config.link_predicate:
+            return
+        for link in affected:
+            self._handle_retract(
+                link.src, self.config.link_predicate, link.as_fact(), kind="delete"
+            )
 
     def schedule_link_restore(self, src: NodeId, dst: NodeId, at: float, *, symmetric: bool = True) -> None:
         """Restore a failed link at an absolute simulation time.
@@ -635,32 +603,32 @@ class DistributedEngine:
         with :meth:`schedule_link_failure`).
         """
 
-        def restore() -> None:
-            affected = self.topology.restore_link(src, dst, symmetric=symmetric)
-            if not self.config.link_predicate:
-                return
-            for link in affected:
-                self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
+        self.scheduler.schedule_at(at, Event("link_restore", (src, dst, symmetric)))
 
-        self.scheduler.schedule_at(at, Event("link_restore", restore))
+    def _restore_link(self, src: NodeId, dst: NodeId, symmetric: bool) -> None:
+        affected = self.topology.restore_link(src, dst, symmetric=symmetric)
+        if not self.config.link_predicate:
+            return
+        for link in affected:
+            self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
 
     def schedule_cost_change(
         self, src: NodeId, dst: NodeId, cost: float, at: float, *, symmetric: bool = True
     ) -> None:
         """Change a link cost at an absolute simulation time (keyed update)."""
 
-        def change() -> None:
-            affected = self.topology.set_cost(src, dst, cost, symmetric=symmetric)
-            if not self.config.link_predicate:
-                return
-            for link in affected:
-                # a cost change on a failed link only updates the topology;
-                # injecting its fact would resurrect a dead link (the new
-                # cost ships when the link is restored)
-                if link.up:
-                    self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
+        self.scheduler.schedule_at(at, Event("cost_change", (src, dst, cost, symmetric)))
 
-        self.scheduler.schedule_at(at, Event("cost_change", change))
+    def _change_cost(self, src: NodeId, dst: NodeId, cost: float, symmetric: bool) -> None:
+        affected = self.topology.set_cost(src, dst, cost, symmetric=symmetric)
+        if not self.config.link_predicate:
+            return
+        for link in affected:
+            # a cost change on a failed link only updates the topology;
+            # injecting its fact would resurrect a dead link (the new cost
+            # ships when the link is restored)
+            if link.up:
+                self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
 
     def _protect_predicate(self, predicate: str) -> None:
         """Mark a predicate as carrying injected base facts (sweep-exempt).
@@ -671,11 +639,8 @@ class DistributedEngine:
     def schedule_fact(self, predicate: str, values: tuple, at: float) -> None:
         """Inject a located fact at an absolute simulation time."""
 
-        values = tuple(values)
         self._protect_predicate(predicate)
-        self.scheduler.schedule_at(
-            at, Event("inject", lambda: self._handle_insert(values[0], predicate, values))
-        )
+        self.scheduler.schedule_at(at, Event("inject", (predicate, tuple(values))))
 
     # ------------------------------------------------------------------
     # Running and observing
@@ -699,13 +664,41 @@ class DistributedEngine:
         if not self._seeded:
             self.seed_facts(extra_facts)
         with obs_tracing.span("engine.run"):
-            self.scheduler.run(until=until, max_events=self.config.max_events)
+            self.advance(until, self.config.max_events)
         self.trace.events_processed = self.scheduler.processed
         self.trace.finished_at = self.scheduler.now
         self.trace.quiescent = self.scheduler.is_empty
         if obs_metrics.ENABLED:
             self._record_run_metrics()
         return self.trace
+
+    def advance(self, until: float, max_events: int) -> int:
+        """Process events up to ``until`` within ``max_events`` (see
+        :meth:`EventScheduler.run`); returns how many were processed.
+
+        Each event kind dispatches to one bound method of this engine, so a
+        subclass's overrides (the sharded coordinator's ``_flush``) are what
+        runs.  The table is built per call: one the engine kept would make
+        every engine a reference cycle, freed only by the cycle collector.
+        """
+
+        return self.scheduler.run(
+            {
+                "seed": self._load_facts,
+                "message": self._deliver,
+                "flush": self._flush,
+                "inject": self.inject_fact,
+                "delete": self.delete_fact,
+                "refresh": self._refresh_base_facts,
+                "refresh_once": self._refresh_round,
+                "expiry": self._expire_soft_state,
+                "link_failure": self._fail_link,
+                "link_restore": self._restore_link,
+                "cost_change": self._change_cost,
+            },
+            until=until,
+            max_events=max_events,
+        )
 
     def _begin_segment(self) -> None:
         """A run segment starts here, at a settle point (the serving settle
@@ -779,34 +772,26 @@ class DistributedEngine:
     # Capture and restore
     # ------------------------------------------------------------------
     def capture(self) -> dict:
-        """The state of this settled engine: scheduler clock and maintenance
-        timers, channel RNG, trace, topology, protected predicates, base
-        facts, monitor state, and each node's :meth:`Node.export_state`.
+        """The state of this engine between two events: the scheduler's
+        whole queue (:meth:`EventScheduler.export_state`), each node's
+        pending ops and flush mark, channel RNG, trace, topology, protected
+        predicates, base facts, monitor state, and each node's
+        :meth:`Node.export_state`.
 
         Reading it changes nothing, so two captures in a row are equal.  The
-        capture shares the trace and node containers with the live engine:
-        pickle it before the engine runs again.  :func:`restore_engine`
-        loads it, on any shard count.
+        capture shares the trace, queue item lists and node containers with
+        the live engine: pickle it before the engine runs again.
+        :func:`restore_engine` loads it, on any shard count.  Refused from
+        inside an event, where the state is mid-transition.
         """
 
-        sched = self.scheduler
-        if sched.running or self.in_fixpoint:
-            raise CaptureError("cannot capture mid-run state")
-        events = []
-        for at, seqno, event in sched._queue:
-            if event.kind not in MAINTENANCE_KINDS:
-                raise CaptureError(
-                    f"pending non-maintenance event {event.kind!r}: capture "
-                    "only at settled states"
-                )
-            events.append((at, seqno, event.kind))
+        self._assert_safe_point("capture")
+        if self.scheduler.running:
+            raise NDlogError("capture() inside a running event: capture between run() calls")
         return {
-            "scheduler": {
-                "now": sched.now,
-                "processed": sched.processed,
-                "counter": sched.next_seqno(),
-                "events": events,
-            },
+            "scheduler": self.scheduler.export_state(),
+            "pending": {node_id: list(ops) for node_id, ops in self._pending.items() if ops},
+            "flush_marks": dict(self._flush_marks),
             "channel": {
                 "random_state": self.channel._random.getstate(),
                 "dropped": self.channel.dropped,
@@ -840,18 +825,10 @@ class DistributedEngine:
 
         if self._seeded:
             raise NDlogError("restore() needs a fresh, unseeded engine")
-        sched_state = state["scheduler"]
-        sched = self.scheduler
-        sched.now = sched_state["now"]
-        sched.processed = sched_state["processed"]
-        sched._counter = itertools.count(sched_state["counter"])
-        callbacks = {"refresh": self._refresh_base_facts, "expiry": self._expire_soft_state}
-        sched._queue = [
-            (at, seqno, Event(kind, callbacks[kind]))
-            for at, seqno, kind in sched_state["events"]
-        ]
-        heapq.heapify(sched._queue)
-
+        self.scheduler.load_state(state["scheduler"])
+        for node_id, ops in state["pending"].items():
+            self._pending[node_id].extend(ops)
+        self._flush_marks = dict(state["flush_marks"])
         self.channel._random.setstate(state["channel"]["random_state"])
         self.channel.dropped = state["channel"]["dropped"]
         self.trace = state["trace"]

@@ -4,6 +4,11 @@ The distributed runtime simulates a network of NDlog engines exchanging
 tuples.  Simulation time is a float (seconds); events are ordered by time
 with FIFO tie-breaking so repeated runs are deterministic.
 
+Events are plain data — a kind tag and picklable arguments — and
+:meth:`EventScheduler.run` runs each through the ``kind → handler`` table
+its caller passes, so a queue can be copied, pickled and loaded into
+another scheduler at any point between two events.
+
 Messages travel as **waves** (:meth:`EventScheduler.post`): the items posted
 for one delivery time, with nothing else scheduled there in between, share
 one weighted queue entry instead of taking a heap event each, and run
@@ -15,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 
 #: Queue entries are plain ``(time, sequence, event)`` tuples: the
@@ -26,51 +31,41 @@ _QueueEntry = tuple[float, int, "Event"]
 
 @dataclass(slots=True)
 class Event:
-    """A scheduled callback with a human-readable kind tag.
+    """A scheduled action as plain data: :meth:`EventScheduler.run` calls
+    its ``kind``'s handler with ``*args``.
 
-    ``target`` optionally names the entity the event belongs to (the
-    distributed engine tags per-node batch flushes with the node id), so
-    schedulers layered on top — the shard coordinator — can recognize and
-    coalesce same-timestamp events without inspecting callbacks.
-
-    ``units`` makes the event *weighted*: it stands for that many units of
-    event budget — ``n`` one-unit events scheduled back to back — without
-    occupying ``n`` queue entries.  The scheduler calls a weighted event's
-    callback as ``callback(allowance)`` with ``1 <= allowance <= units``,
-    the callback does exactly that many units of its work, and the event
-    stays queued under its original ``(time, sequence)`` until its units
-    are spent (see :meth:`EventScheduler.run`).  ``None`` is an ordinary
-    event: one unit, ``callback()``.  A message wave
+    ``units`` makes the event *weighted*: ``args`` is then an item list and
+    the event stands for one unit of event budget per item — ``n`` one-unit
+    events scheduled back to back — without occupying ``n`` queue entries.
+    The scheduler hands the handler the next ``allowance`` items as one
+    list, ``1 <= allowance <= units``, advances the ``done`` cursor past
+    them, and keeps the event queued under its original ``(time,
+    sequence)`` until its units are spent (see :meth:`EventScheduler.run`).
+    ``None`` is an ordinary event: one unit.  A message wave
     (:meth:`EventScheduler.post`) is a weighted event whose units — and
-    item list — grow with every post until it first runs.
+    item list — grow with every post until it first runs; the seeding
+    burst is another.
     """
 
     kind: str
-    callback: Callable[..., None]
-    target: object = None
+    args: Any = ()
     units: Optional[int] = None
-
-
-class _Wave:
-    """The callback of a wave event (see :meth:`EventScheduler.post`)."""
-
-    __slots__ = ("deliver", "items", "done")
-
-    def __init__(self, deliver: Callable[[list], None], item: object) -> None:
-        self.deliver = deliver
-        self.items = [item]
-        self.done = 0
-
-    def __call__(self, allowance: int) -> None:
-        start = self.done
-        self.done = start + allowance
-        self.deliver(self.items[start : self.done])
+    done: int = 0
 
 
 class EventScheduler:
-    """A deterministic priority-queue event scheduler."""
+    """A deterministic priority-queue event scheduler.
+
+    The queue holds data only — no callables — so its state is the
+    entries, the sequence counter and the open waves
+    (:meth:`export_state`).
+    """
 
     def __init__(self) -> None:
+        #: kind → handler of the current :meth:`run` call (empty between
+        #: calls: a table kept here would tie its owner into a reference
+        #: cycle through the bound methods it holds)
+        self._handlers: dict[str, Callable[..., None]] = {}
         self._queue: list[_QueueEntry] = []
         self._counter = itertools.count()
         #: delivery time → the wave :meth:`post` still appends to there
@@ -80,8 +75,8 @@ class EventScheduler:
         #: events the current :meth:`run` call may still process; shared
         #: with :meth:`pop_if` so out-of-band pops consume the same budget
         self._budget: float = float("inf")
-        #: True while :meth:`run` is executing event callbacks.  Guards
-        #: against re-entrant ``run`` calls (an event callback — or a
+        #: True while :meth:`run` is executing event handlers.  Guards
+        #: against re-entrant ``run`` calls (an event handler — or a
         #: monitor it notifies — driving the scheduler that is driving it),
         #: which would interleave two event loops over one queue.
         self.running: bool = False
@@ -107,16 +102,14 @@ class EventScheduler:
         heapq.heappush(self._queue, (time, next(self._counter), event))
         return time
 
-    def post(
-        self, delay: float, kind: str, deliver: Callable[[list], None], item: object
-    ) -> float:
-        """Schedule one item for ``deliver`` ``delay`` seconds from now.
+    def post(self, delay: float, kind: str, item: object) -> float:
+        """Schedule one item for ``kind``'s handler ``delay`` seconds from now.
 
         Items posted for the same time join one **wave**: a weighted event
-        (``units`` = its items) whose callback passes ``deliver`` the next
+        (``units`` = its items) that passes the handler the next
         ``allowance`` items as a list, in posting order.  A wave stays open
-        to further posts of its ``kind`` and ``deliver`` only while nothing
-        else is scheduled at its time and it has not started running, so it
+        to further posts of its ``kind`` only while nothing else is
+        scheduled at its time and it has not started running, so it
         runs exactly where its items would have run as one-unit events
         scheduled back to back — same order among all other events, same
         budget accounting — from a single queue entry.
@@ -126,11 +119,11 @@ class EventScheduler:
             raise ValueError("cannot schedule events in the past")
         at = self.now + delay
         wave = self._waves.get(at)
-        if wave is not None and wave.kind == kind and wave.callback.deliver == deliver:
+        if wave is not None and wave.kind == kind:
             wave.units += 1
-            wave.callback.items.append(item)
+            wave.args.append(item)
             return at
-        wave = Event(kind, _Wave(deliver, item), units=1)
+        wave = Event(kind, [item], units=1)
         self._waves[at] = wave
         heapq.heappush(self._queue, (at, next(self._counter), wave))
         return at
@@ -143,6 +136,40 @@ class EventScheduler:
         seqno = next(self._counter)
         self._counter = itertools.count(seqno)
         return seqno
+
+    def export_state(self) -> dict:
+        """The queue as plain data: clock, counters, each entry as ``(at,
+        seqno, kind, args, units, done)`` in heap order, and the seqnos of
+        the waves still open to posts.  Reading it moves nothing; the
+        entries' item lists are shared with the live queue (pickle the
+        state before the scheduler runs again)."""
+
+        return {
+            "now": self.now,
+            "processed": self.processed,
+            "counter": self.next_seqno(),
+            "events": [
+                (at, seqno, event.kind, event.args, event.units, event.done)
+                for at, seqno, event in self._queue
+            ],
+            "waves": [
+                seqno for at, seqno, event in self._queue if self._waves.get(at) is event
+            ],
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Stand at an :meth:`export_state` (item lists copied, so two
+        schedulers loaded from one state share nothing)."""
+
+        self.now = state["now"]
+        self.processed = state["processed"]
+        self._counter = itertools.count(state["counter"])
+        self._queue = [
+            (at, seqno, Event(kind, args if units is None else list(args), units, done))
+            for at, seqno, kind, args, units, done in state["events"]
+        ]
+        waves = set(state["waves"])
+        self._waves = {at: event for at, seqno, event in self._queue if seqno in waves}
 
     @property
     def pending(self) -> int:
@@ -168,6 +195,7 @@ class EventScheduler:
 
     def run(
         self,
+        handlers: dict[str, Callable[..., None]],
         *,
         until: float = float("inf"),
         max_events: int = 1_000_000,
@@ -175,6 +203,9 @@ class EventScheduler:
         """Process events in order until the queue drains, ``until`` is
         reached, or ``max_events`` have been processed.  Returns the number
         of events processed by this call.
+
+        Each event runs as ``handlers[kind](*args)``; a weighted event's
+        handler gets one list of the items its allowance covers.
 
         A weighted event (``Event.units``) counts as its units, not as one:
         it is handed ``min(units left, budget left)``, ``processed`` and the
@@ -186,11 +217,12 @@ class EventScheduler:
 
         if self.running:
             raise RuntimeError(
-                "re-entrant EventScheduler.run(): an event callback is "
+                "re-entrant EventScheduler.run(): an event handler is "
                 "driving the scheduler that is executing it"
             )
         start = self.processed
         self._budget = max_events
+        self._handlers = handlers
         self.running = True
         try:
             while self._queue and self._budget > 0:
@@ -199,6 +231,7 @@ class EventScheduler:
                 self._execute(heapq.heappop(self._queue))
         finally:
             self._budget = float("inf")
+            self._handlers = {}
             self.running = False
         if self._queue and self._queue[0][0] > until and until != float("inf"):
             self.now = until
@@ -206,7 +239,7 @@ class EventScheduler:
 
     def _execute(self, entry: _QueueEntry) -> None:
         """Run one popped queue entry against the current budget (which the
-        caller has checked is positive), charging before the callback so
+        caller has checked is positive), charging before the handler runs so
         out-of-band pops made from inside it see what is left."""
 
         at, _, event = entry
@@ -215,7 +248,7 @@ class EventScheduler:
         if units is None:
             self._budget -= 1
             self.processed += 1
-            event.callback()
+            self._handlers[event.kind](*event.args)
             return
         if self._waves.get(at) is event:
             del self._waves[at]  # a running wave takes no more posts
@@ -223,7 +256,9 @@ class EventScheduler:
         event.units = units - allowance
         self._budget -= allowance
         self.processed += allowance
-        event.callback(allowance)
+        start = event.done
+        event.done = start + allowance
+        self._handlers[event.kind](event.args[start : event.done])
         if event.units:
             heapq.heappush(self._queue, entry)
 
@@ -249,12 +284,3 @@ class EventScheduler:
         self._budget -= 1
         self.processed += 1
         return event
-
-    def step(self) -> bool:
-        """Process a single queue entry (a weighted event whole).  Returns
-        False when the queue is empty."""
-
-        if not self._queue:
-            return False
-        self._execute(heapq.heappop(self._queue))
-        return True

@@ -782,8 +782,9 @@ class ShardedEngine(DistributedEngine):
             )
             if event is None:
                 break
-            self._flush_marks.pop(event.target, None)
-            wave.append(event.target)
+            flushed = event.args[0]
+            self._flush_marks.pop(flushed, None)
+            wave.append(flushed)
         if obs_metrics.ENABLED:
             obs_metrics.inc("shard.flush_waves")
             obs_metrics.observe("shard.wave_size", len(wave))

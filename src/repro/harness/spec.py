@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..dn.engine import EngineConfig
 from ..scenarios.generator import SCENARIO_FAMILIES
-from ..scenarios.policies import POLICY_KINDS
+from ..scenarios.policies import POLICY_KINDS, first_triangle
 from ..fvn.monitors import MONITOR_KINDS
 
 #: ``policies`` entry meaning "no policy layer, plain path-vector program"
@@ -224,9 +224,20 @@ class CampaignSpec:
         Ordering (outermost → innermost): family, size, policy, churn,
         loss, engine entry, seed — so seeds of one cell are adjacent, which
         keeps process-pool chunks cache-friendly (same program/topology
-        family per chunk).
+        family per chunk).  Raises :class:`SpecError` when a run of the
+        ``disagree`` policy would get a topology with no triangle to embed
+        its gadget on (read from each generated topology).
         """
 
+        if "disagree" in self.policies:
+            for family in self.families:
+                for size in self.sizes:
+                    for seed in self.seeds:
+                        if first_triangle(SCENARIO_FAMILIES[family](size, seed)) is None:
+                            raise SpecError(
+                                f"policy 'disagree' embeds its gadget on a triangle, "
+                                f"and {family}-{size} (seed {seed}) has none"
+                            )
         descriptors: list[RunDescriptor] = []
         soft_state = tuple(sorted(self.soft_state.items()))
         # the default (1,) axis leaves descriptors (and so run ids, ledgers,

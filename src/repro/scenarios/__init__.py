@@ -18,6 +18,7 @@ from .graphs import power_law_topology, tree_topology, waxman_topology
 from .policies import (
     POLICY_KINDS,
     bfs_customer_provider,
+    first_triangle,
     random_pref_policies,
     scenario_policies,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "churn_updates",
     "cost_churn_schedule",
     "drive_churn",
+    "first_triangle",
     "generate_scenario",
     "generate_suite",
     "link_churn_schedule",

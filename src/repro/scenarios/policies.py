@@ -10,8 +10,9 @@ scale with the topology:
   BFS orientation of the topology (provably convergent);
 * ``random_pref`` — random per-neighbour import preferences (stresses route
   exploration while staying conflict-free per destination);
-* ``disagree`` — the paper's conflicting gadget embedded on the first three
-  nodes of the topology.
+* ``disagree`` — the paper's conflicting gadget embedded on the topology's
+  first triangle in node order (:func:`first_triangle`); a topology with no
+  triangle cannot host it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,22 @@ def bfs_customer_provider(
     return [(child, parent) for parent, child in nx.bfs_edges(graph, root)]
 
 
+def first_triangle(topology: Topology) -> Optional[tuple[Hashable, Hashable, Hashable]]:
+    """The first ``(a, b, c)``, ``a < b < c``, of mutually linked nodes in
+    node order (numeric for integer ids), or None for a triangle-free
+    topology (every tree)."""
+
+    adjacent: dict = {}
+    for link in topology.links():
+        adjacent.setdefault(link.src, set()).add(link.dst)
+    for a in sorted(adjacent):
+        for b in sorted(n for n in adjacent[a] if n > a):
+            common = [n for n in adjacent[a] & adjacent[b] if n > b]
+            if common:
+                return a, b, min(common)
+    return None
+
+
 def random_pref_policies(
     topology: Topology,
     *,
@@ -86,8 +103,8 @@ def scenario_policies(
     if kind == "random_pref":
         return random_pref_policies(topology, seed=seed)
     if kind == "disagree":
-        nodes = sorted(topology.nodes, key=str)
-        if len(nodes) < 3:
-            raise ValueError("disagree policies need at least three nodes")
-        return disagree_policies(nodes[0], nodes[1], nodes[2])
+        triangle = first_triangle(topology)
+        if triangle is None:
+            raise ValueError("disagree policies need a triangle; the topology has none")
+        return disagree_policies(*triangle)
     raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")

@@ -27,9 +27,12 @@ from typing import Optional
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.  (``/8``: each table
-#: carries its index positions, and its buckets are rebuilt from the rows;
-#: ``/7`` pickled every hash-index bucket.  Since ``/7`` monitor state
+#: to full ledger replay instead of being misread.  (``/9``: the engine
+#: capture holds the whole event queue as data, open waves, pending ops and
+#: flush marks, so an unsettled engine snapshots too; ``/8`` held the
+#: maintenance timers' kinds only.  Since ``/8`` each table carries its
+#: index positions, and its buckets are rebuilt from the rows; ``/7``
+#: pickled every hash-index bucket.  Since ``/7`` monitor state
 #: holds violations only, as monitors read the engine's tables; ``/6`` also
 #: pickled each monitor's mirror of the tables it watched.  Since ``/6``
 #: the Trace holds ``fp3`` digest chains and plain-tuple tail records;
@@ -38,7 +41,7 @@ from typing import Optional
 #: soft-state tables only; ``/4`` carried ``(key, values, inserted_at,
 #: expires_at, count)`` per row; ``/3`` pickled the Trace's records as
 #: dataclasses in bare lists.)
-SNAPSHOT_FORMAT = "fvn-snapshot/8"
+SNAPSHOT_FORMAT = "fvn-snapshot/9"
 
 
 def _header(body: bytes) -> bytes:

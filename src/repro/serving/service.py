@@ -27,11 +27,12 @@ full replay) is byte-identical to an uninterrupted run — the property the
 crash-recovery tests assert.
 
 Queries are answered only *between* settles, so every answer reflects a
-fully-settled prefix of the update stream (see ``docs/SERVING.md`` for the
-exact consistency contract).  ``what_if`` forks a throwaway single-process
-engine loaded from a pickled capture of the live one — the restore that
-snapshot recovery runs — applies only the hypothetical updates, and answers
-against the fork; the live engine is never touched.
+whole prefix of the update stream, settled unless the last settle ran out
+of its event budget (see ``docs/SERVING.md`` for the exact consistency
+contract).  ``what_if`` forks a throwaway single-process engine loaded
+from a pickled capture of the live one — the restore that snapshot
+recovery runs, pending events included — applies only the hypothetical
+updates, and answers against the fork; the live engine is never touched.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import Optional
 from ..bgp.generator import policy_path_vector_program
 from ..dn.engine import (
     MAINTENANCE_KINDS,
-    CaptureError,
     DistributedEngine,
     EngineConfig,
     create_engine,
@@ -295,15 +295,11 @@ class RouteService:
         obs_metrics.observe("serving.snapshot_seconds", time.perf_counter() - start)
 
     def _write_snapshot_inner(self) -> None:
-        try:
-            capture = self.engine.capture()
-        except CaptureError:
-            return  # an unsettled engine: the next snapshot point retries
         snapshot = {
             "seq": self.seq,
             "fingerprint": self.engine.trace.fingerprint(),
             "config": self.config.to_dict(),
-            "engine": capture,
+            "engine": self.engine.capture(),
             "acks": list(self._acks.items()),
         }
         payload = seal_snapshot(snapshot)
@@ -344,7 +340,7 @@ class RouteService:
                 if not kinds or kinds <= MAINTENANCE_KINDS:
                     break
                 head = scheduler.peek_time()
-                processed = scheduler.run(until=head, max_events=budget)
+                processed = engine.advance(head, budget)
                 budget -= max(processed, 1)
         obs_metrics.observe("serving.settle_seconds", time.perf_counter() - start)
         self._ensure_expiry_timer()
@@ -367,10 +363,7 @@ class RouteService:
         if "expiry" in engine.scheduler.pending_kinds():
             return
         if engine._live_soft_rows():
-            engine.scheduler.schedule(
-                engine.config.expiry_scan_interval,
-                Event("expiry", engine._expire_soft_state),
-            )
+            engine.scheduler.schedule(engine.config.expiry_scan_interval, Event("expiry"))
 
     # ------------------------------------------------------------------
     # Updates
@@ -589,6 +582,7 @@ class RouteService:
             "shards": self.config.shards,
             "monitors": [monitor.report() for monitor in engine.monitors],
             "monitors_ok": all(monitor.ok for monitor in engine.monitors),
+            "spans_dropped": obs_tracing.tracer().dropped,
         }
 
     def _fingerprint(self) -> dict:
@@ -672,12 +666,6 @@ class RouteService:
         question = args.get("query")
         if not isinstance(updates, list) or not isinstance(question, dict):
             raise ProtocolError("what_if needs 'updates' (list) and 'query' (object)")
-        if not self.settled:
-            raise ProtocolError(
-                "what_if needs a settled daemon: the last settle stopped at "
-                f"settle_max_events={self.config.settle_max_events} with work "
-                "still pending"
-            )
         fork_config = replace(
             self.config,
             state_dir=None,

@@ -10,59 +10,64 @@ from repro.dn.network import Channel, Topology
 
 class TestEventScheduler:
     def test_events_fire_in_time_order(self):
-        scheduler = EventScheduler()
         fired = []
-        scheduler.schedule(0.5, Event("b", lambda: fired.append("b")))
-        scheduler.schedule(0.1, Event("a", lambda: fired.append("a")))
-        scheduler.schedule(0.9, Event("c", lambda: fired.append("c")))
-        scheduler.run()
+        handlers = {"fire": fired.append}
+        scheduler = EventScheduler()
+        scheduler.schedule(0.5, Event("fire", ("b",)))
+        scheduler.schedule(0.1, Event("fire", ("a",)))
+        scheduler.schedule(0.9, Event("fire", ("c",)))
+        scheduler.run(handlers)
         assert fired == ["a", "b", "c"]
         assert scheduler.now == pytest.approx(0.9)
 
     def test_fifo_tie_breaking(self):
-        scheduler = EventScheduler()
         fired = []
+        handlers = {"fire": fired.append}
+        scheduler = EventScheduler()
         for name in "abc":
-            scheduler.schedule(1.0, Event(name, lambda n=name: fired.append(n)))
-        scheduler.run()
+            scheduler.schedule(1.0, Event("fire", (name,)))
+        scheduler.run(handlers)
         assert fired == ["a", "b", "c"]
 
     def test_run_until(self):
-        scheduler = EventScheduler()
         fired = []
-        scheduler.schedule(1.0, Event("a", lambda: fired.append("a")))
-        scheduler.schedule(5.0, Event("b", lambda: fired.append("b")))
-        scheduler.run(until=2.0)
+        handlers = {"fire": fired.append}
+        scheduler = EventScheduler()
+        scheduler.schedule(1.0, Event("fire", ("a",)))
+        scheduler.schedule(5.0, Event("fire", ("b",)))
+        scheduler.run(handlers, until=2.0)
         assert fired == ["a"]
         assert scheduler.pending == 1
 
     def test_cannot_schedule_in_past(self):
+        handlers = {"a": lambda: None}
         scheduler = EventScheduler()
-        scheduler.schedule(1.0, Event("a", lambda: None))
-        scheduler.run()
+        scheduler.schedule(1.0, Event("a"))
+        scheduler.run(handlers)
         with pytest.raises(ValueError):
-            scheduler.schedule_at(0.5, Event("late", lambda: None))
+            scheduler.schedule_at(0.5, Event("a"))
 
     def test_events_scheduled_during_run_are_processed(self):
-        scheduler = EventScheduler()
         fired = []
 
         def chain():
             fired.append("first")
-            scheduler.schedule(0.1, Event("second", lambda: fired.append("second")))
+            scheduler.schedule(0.1, Event("fire", ("second",)))
 
-        scheduler.schedule(0.0, Event("first", chain))
-        scheduler.run()
+        handlers = {"fire": fired.append, "first": chain}
+        scheduler = EventScheduler()
+        scheduler.schedule(0.0, Event("first"))
+        scheduler.run(handlers)
         assert fired == ["first", "second"]
 
     def test_max_events_budget(self):
-        scheduler = EventScheduler()
-
         def reschedule():
-            scheduler.schedule(0.01, Event("loop", reschedule))
+            scheduler.schedule(0.01, Event("loop"))
 
-        scheduler.schedule(0.0, Event("loop", reschedule))
-        processed = scheduler.run(max_events=25)
+        handlers = {"loop": reschedule}
+        scheduler = EventScheduler()
+        scheduler.schedule(0.0, Event("loop"))
+        processed = scheduler.run(handlers, max_events=25)
         assert processed == 25
 
     def test_weighted_event_is_charged_by_units_and_keeps_its_place(self):
@@ -70,33 +75,31 @@ class TestEventScheduler:
         scheduled back to back: a budget cut inside it stops mid-way, and
         the remainder still runs before everything scheduled after it."""
 
-        scheduler = EventScheduler()
         fired = []
 
-        units = iter(range(5))
-
-        def burst(allowance):
-            for _ in range(allowance):
-                unit = next(units)
+        def burst(units):
+            for unit in units:
                 fired.append(f"u{unit}")
                 if unit == 0:
                     # scheduled from inside the burst, at the same time
-                    scheduler.schedule(0.0, Event("inner", lambda: fired.append("inner")))
+                    scheduler.schedule(0.0, Event("inner", ("inner",)))
 
-        scheduler.schedule(0.0, Event("before", lambda: fired.append("before")))
-        scheduler.schedule(0.0, Event("burst", burst, units=5))
-        scheduler.schedule(0.0, Event("after", lambda: fired.append("after")))
+        handlers = {"before": fired.append, "burst": burst, "after": fired.append, "inner": fired.append}
+        scheduler = EventScheduler()
+        scheduler.schedule(0.0, Event("before", ("before",)))
+        scheduler.schedule(0.0, Event("burst", list(range(5)), units=5))
+        scheduler.schedule(0.0, Event("after", ("after",)))
         assert scheduler.pending == 3
-        assert scheduler.run(max_events=3) == 3
+        assert scheduler.run(handlers, max_events=3) == 3
         assert fired == ["before", "u0", "u1"]
         assert scheduler.processed == 3 and scheduler.pending_kinds() == {
             "burst", "after", "inner",
         }
         # nobody but the run loop may take a weighted event off the queue
         assert scheduler.pop_if(lambda at, event: True) is None
-        assert scheduler.run(max_events=2) == 2
+        assert scheduler.run(handlers, max_events=2) == 2
         assert fired[3:] == ["u2", "u3"]
-        assert scheduler.run() == 3
+        assert scheduler.run(handlers) == 3
         assert fired[5:] == ["u4", "after", "inner"]
         assert scheduler.processed == 8 and scheduler.is_empty
 
@@ -105,39 +108,41 @@ class TestEventScheduler:
         scheduled at that time in between closes the wave, so every item
         still runs where it would have as its own event."""
 
-        scheduler = EventScheduler()
         log = []
-        deliver = log.append
-        scheduler.post(1.0, "m", deliver, "a")
-        scheduler.post(1.0, "m", deliver, "b")
-        scheduler.post(2.0, "m", deliver, "d")
-        scheduler.schedule(1.0, Event("x", lambda: log.append("x")))
-        scheduler.schedule_at(2.0, Event("y", lambda: log.append("y")))
-        scheduler.post(1.0, "m", deliver, "c")
-        scheduler.post(2.0, "m", deliver, "f")
-        scheduler.post(1.0, "other", deliver, "e")  # another kind: a new wave
+        handlers = {"m": log.append, "other": log.append, "x": log.append}
+        scheduler = EventScheduler()
+        scheduler.post(1.0, "m", "a")
+        scheduler.post(1.0, "m", "b")
+        scheduler.post(2.0, "m", "d")
+        scheduler.schedule(1.0, Event("x", ("x",)))
+        scheduler.schedule_at(2.0, Event("x", ("y",)))
+        scheduler.post(1.0, "m", "c")
+        scheduler.post(2.0, "m", "f")
+        scheduler.post(1.0, "other", "e")  # another kind: a new wave
         assert scheduler.pending == 7
-        assert scheduler.run() == 8
+        assert scheduler.run(handlers) == 8
         assert log == [["a", "b"], "x", ["c"], ["e"], ["d"], "y", ["f"]]
 
     def test_a_budget_cut_splits_a_wave_in_place(self):
-        scheduler = EventScheduler()
         log = []
+        handlers = {"m": log.append, "after": log.append}
+        scheduler = EventScheduler()
         for item in "abc":
-            scheduler.post(0.0, "m", log.append, item)
-        scheduler.schedule(0.0, Event("after", lambda: log.append("after")))
-        assert scheduler.run(max_events=2) == 2
+            scheduler.post(0.0, "m", item)
+        scheduler.schedule(0.0, Event("after", ("after",)))
+        assert scheduler.run(handlers, max_events=2) == 2
         assert log == [["a", "b"]]
-        assert scheduler.run() == 2
+        assert scheduler.run(handlers) == 2
         assert log == [["a", "b"], ["c"], "after"]
 
     def test_a_wave_that_ran_takes_no_more_posts(self):
-        scheduler = EventScheduler()
         log = []
-        scheduler.post(0.0, "m", log.append, "a")
-        scheduler.run()
-        scheduler.post(0.0, "m", log.append, "b")  # same time, after the run
-        assert scheduler.run() == 1
+        handlers = {"m": log.append}
+        scheduler = EventScheduler()
+        scheduler.post(0.0, "m", "a")
+        scheduler.run(handlers)
+        scheduler.post(0.0, "m", "b")  # same time, after the run
+        assert scheduler.run(handlers) == 1
         assert log == [["a"], ["b"]]
 
 

@@ -218,7 +218,7 @@ def test_serving_settle_cut_inside_a_wave(monkeypatch):
     try:
         # the boot settle stopped part way through a wave
         assert any(
-            event.kind == "message" and event.callback.done and event.units
+            event.kind == "message" and event.done and event.units
             for _, _, event in service.engine.scheduler._queue
         )
     finally:
@@ -300,7 +300,8 @@ def mixed_delay_engine(engine_class=DistributedEngine, max_events: int = BIG):
         engine.schedule_fact("link", (4, 0, 5), at=0.02)
         engine.schedule_link_failure(2, 3, at=0.02)
 
-    engine.scheduler.schedule_at(0.01, Event("timer", timer))
+    engine._refresh_round = timer  # the handler of a one-shot event at 0.01
+    engine.schedule_refresh(0.01)
     return engine
 
 
@@ -355,8 +356,8 @@ class PerMessageEngine(DistributedEngine):
         super().__init__(*args, **kwargs)
         scheduler = self.scheduler
 
-        def post(delay, kind, deliver, item):
-            return scheduler.schedule(delay, Event(kind, lambda: deliver([item])))
+        def post(delay, kind, item):
+            return scheduler.schedule(delay, Event(kind, [item], units=1))
 
         scheduler.post = post
 

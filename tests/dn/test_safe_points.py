@@ -14,7 +14,6 @@ The scheduler itself refuses re-entrant ``run`` calls.
 import pytest
 
 from repro.dn.engine import DistributedEngine, EngineConfig, create_engine
-from repro.dn.events import Event
 from repro.dn.network import Topology
 from repro.ndlog.ast import NDlogError
 from repro.ndlog.functions import builtin_registry, f_concat_path
@@ -127,18 +126,16 @@ class TestMidFixpointRefusal:
 class TestReentrantRun:
     def test_event_callback_driving_scheduler_is_refused(self):
         engine = build_engine()
-        engine.scheduler.schedule_at(
-            0.5, Event("test", lambda: engine.run())
-        )
+        engine._refresh_round = lambda: engine.run()  # a one-shot event's handler
+        engine.schedule_refresh(0.5)
         with pytest.raises(RuntimeError, match="re-entrant"):
             engine.run()
         engine.close()
 
     def test_running_flag_resets_after_refusal(self):
         engine = build_engine()
-        engine.scheduler.schedule_at(
-            0.5, Event("test", lambda: engine.scheduler.run())
-        )
+        engine._refresh_round = lambda: engine.scheduler.run({})
+        engine.schedule_refresh(0.5)
         with pytest.raises(RuntimeError, match="re-entrant"):
             engine.run()
         assert engine.scheduler.running is False

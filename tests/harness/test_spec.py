@@ -101,6 +101,34 @@ class TestValidation:
             spec_from_mapping({"name": "bad", "colour": "blue"})
 
 
+class TestDisagreeNeedsATriangle:
+    """``disagree`` embeds its gadget on a triangle; whether a run has one is
+    read from its generated topology, not from the family name."""
+
+    def spec(self, family, size, seeds=(0,)):
+        return CampaignSpec(
+            name="d", families=(family,), sizes=(size,), policies=("disagree",), seeds=seeds
+        )
+
+    def test_a_tree_is_refused_at_expansion(self):
+        spec = self.spec("tree", 10)  # validates: the family name is not the test
+        with pytest.raises(SpecError, match="tree-10 \\(seed 0\\) has none"):
+            spec.expand()
+
+    def test_the_topology_decides_within_one_family(self):
+        assert len(self.spec("ring", 3).expand()) == 1
+        with pytest.raises(SpecError, match="ring-4"):
+            self.spec("ring", 4).expand()
+        # random-5 has a triangle for seed 0 and none for seed 2
+        assert len(self.spec("random", 5).expand()) == 1
+        with pytest.raises(SpecError, match="random-5 \\(seed 2\\)"):
+            self.spec("random", 5, seeds=(0, 2)).expand()
+
+    def test_other_policies_expand_on_trees(self):
+        spec = CampaignSpec(name="t", families=("tree",), sizes=(10,), policies=("gao_rexford",))
+        assert len(spec.expand()) == 1
+
+
 class TestLoading:
     def test_toml_and_json_load_identically(self, tmp_path):
         toml_path = tmp_path / "c.toml"

@@ -192,3 +192,28 @@ class TestServingIdentity:
             for span in json.loads(trace_path.read_text())["traceEvents"]
             if span.get("ph") == "X"
         )
+
+    def test_span_drops_are_reported_and_observational(self, monkeypatch):
+        """``status`` reports the spans the bounded tracer dropped; a traced
+        daemon that drops spans answers every other field — fingerprint
+        included — exactly as an untraced one."""
+
+        def served(obs: bool) -> tuple[dict, str]:
+            set_obs(obs)
+            tracing.tracer().reset()
+            service = RouteService(ServerConfig(family="tree", size=12, snapshot_every=0))
+            try:
+                service.apply_update("link_fail", {"src": 0, "dst": 1})
+                service.apply_update("cost_change", {"src": 0, "dst": 2, "cost": 9.0})
+                return service.query("status", {}), service.engine.trace.fingerprint()
+            finally:
+                service.close()
+
+        plain, plain_fp = served(False)
+        monkeypatch.setattr(tracing.tracer(), "max_spans", 3)
+        traced, traced_fp = served(True)
+        assert plain["spans_dropped"] == 0 < traced["spans_dropped"]
+        assert traced_fp == plain_fp
+        assert {k: v for k, v in traced.items() if k != "spans_dropped"} == {
+            k: v for k, v in plain.items() if k != "spans_dropped"
+        }

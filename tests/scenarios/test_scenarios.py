@@ -6,6 +6,8 @@ distributed runtime — still compute the same fixpoint on generated
 topologies, across at least the grid, tree, and power-law families.
 """
 
+import itertools
+
 import networkx as nx
 import pytest
 
@@ -16,6 +18,7 @@ from repro.scenarios import (
     POLICY_KINDS,
     bfs_customer_provider,
     cost_churn_schedule,
+    first_triangle,
     generate_scenario,
     generate_suite,
     link_churn_schedule,
@@ -150,6 +153,32 @@ class TestPolicies:
             assert not table.import_rules and not table.export_rules
         else:
             assert table.import_rules
+
+    @pytest.mark.parametrize("family, size", [("power_law", 16), ("power_law", 32), ("waxman", 32)])
+    def test_disagree_gadget_sits_on_a_triangle(self, family, size):
+        """Every policed pair of the gadget is a link, and the gadget takes
+        the first triangle in numeric node order (``str`` order once put
+        ``10`` before ``2``)."""
+
+        topology = generate_scenario(family, size=size, seed=0).topology
+        table = scenario_policies("disagree", topology)
+        assert table.import_rules
+        for local, neighbour in table.import_rules:
+            assert topology.link(local, neighbour) is not None
+        nodes = sorted({node for pair in table.import_rules for node in pair})
+        assert len(nodes) == 3
+        brute = next(
+            (a, b, c)
+            for a, b, c in itertools.combinations(sorted(topology.nodes), 3)
+            if topology.link(a, b) and topology.link(a, c) and topology.link(b, c)
+        )
+        assert tuple(nodes) == first_triangle(topology) == brute
+
+    def test_disagree_needs_a_triangle(self):
+        topology = generate_scenario("tree", size=10, seed=0).topology
+        assert first_triangle(topology) is None
+        with pytest.raises(ValueError, match="triangle"):
+            scenario_policies("disagree", topology)
 
     def test_bfs_customer_provider_covers_all_non_root_nodes(self):
         topology = generate_scenario("waxman", size=20, seed=8).topology

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -320,6 +321,7 @@ class TestRecovery:
             pytest.param(5, "fp2 digest chains and NamedTuple tail records", id="format-5"),
             pytest.param(6, "each monitor's mirror of its watched tables", id="format-6"),
             pytest.param(7, "every table's hash-index buckets", id="format-7"),
+            pytest.param(8, "maintenance timers only, no pending events", id="format-8"),
         ],
     )
     def test_intact_older_format_snapshot_falls_back_to_replay(
@@ -329,7 +331,7 @@ class TestRecovery:
         current format does not — is refused for full replay even sealed
         with a valid checksum, so none of it reaches an engine."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/8"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/9"
         reference = self.reseal_as(tmp_path, f"fvn-snapshot/{version}")
         assert self.recover(tmp_path) == ("replay", reference)
 
@@ -394,6 +396,42 @@ class TestRecovery:
         )
         assert how == "snapshot+replay"
         assert recovered == live
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_snapshot_written_mid_settle_recovers(self, tmp_path, monkeypatch, shards):
+        """A daemon whose settle budget runs out snapshots with events still
+        pending; killed after two more updates, it recovers from that
+        snapshot plus the ledger tail to the replay-only control's
+        fingerprint, on 1 and 2 inline shards."""
+
+        engine_config = RouteService._engine_config
+        monkeypatch.setattr(
+            RouteService,
+            "_engine_config",
+            lambda service: replace(engine_config(service), shard_transport="inline"),
+        )
+        overrides = dict(snapshot_every=1, settle_max_events=40, shards=shards)
+        service = RouteService(durable_config(tmp_path, **overrides))
+        path = tmp_path / "state" / SNAPSHOT_NAME
+        try:
+            unsettled = []
+            for seq, (verb, args) in enumerate(UPDATES, 1):
+                unsettled.append(not service.apply_update(verb, args)["settled"])
+                if seq == 3:
+                    written = path.read_bytes()
+            # the daemon dies before it writes the last two snapshots
+            live = service.query("fingerprint", {})["fingerprint"]
+        finally:
+            service.close()
+        assert unsettled[2] and open_snapshot(written)["engine"]["pending"]
+        path.write_bytes(written)
+        recovered = RouteService(durable_config(tmp_path, **overrides))
+        try:
+            assert recovered.recovered_from == "snapshot+replay"
+            assert recovered.query("fingerprint", {})["fingerprint"] == live
+        finally:
+            recovered.close()
+        assert live == reference_fingerprint(settle_max_events=40)
 
     def test_sharded_daemon_recovers_from_snapshot(self, tmp_path):
         """A 2-shard daemon snapshots like a 1-shard one and recovers from

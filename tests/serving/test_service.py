@@ -167,19 +167,42 @@ class TestWhatIf:
         assert result["answer"]["found"] is True
         assert not hasattr(service, "history")
 
-    def test_refused_on_an_unsettled_daemon(self):
-        service = RouteService(
-            ServerConfig(family="tree", size=12, snapshot_every=0, settle_max_events=40)
-        )
+    def test_unsettled_daemon_answers_like_a_replay(self, tmp_path):
+        """A daemon whose settles run out of budget forks with its pending
+        events: ``what_if`` answers as a fresh daemon that replays the ledger
+        and then the hypothetical updates."""
+
+        base = dict(family="tree", size=12, snapshot_every=0, settle_max_events=40)
+        hypothetical = [{"verb": "link_restore", "args": {"src": 0, "dst": 1}}]
+        questions = [
+            {"verb": "routes", "args": {}},
+            {"verb": "best_path", "args": {"src": 0, "dst": 1}},
+            {"verb": "fingerprint", "args": {}},
+        ]
+        live = RouteService(ServerConfig(**base, state_dir=str(tmp_path / "state")))
         try:
-            assert not service.settled
-            with pytest.raises(ProtocolError, match="settle_max_events=40"):
-                service.query(
-                    "what_if",
-                    {"updates": [], "query": {"verb": "routes", "args": {}}},
-                )
+            live.apply_update("link_fail", {"src": 0, "dst": 1})
+            live.apply_update("cost_change", {"src": 1, "dst": 3, "cost": 4})
+            assert not live.settled
+            before = live.query("fingerprint", {})
+            answers = [
+                live.query("what_if", {"updates": hypothetical, "query": question})
+                for question in questions
+            ]
+            assert live.query("fingerprint", {}) == before
+            ledger = [(r["verb"], r["args"]) for r in read_jsonl(live.ledger_path)]
         finally:
-            service.close()
+            live.close()
+        control = RouteService(ServerConfig(**base))
+        try:
+            for verb, args in ledger:
+                control.apply_update(verb, args)
+            for update in hypothetical:
+                control.apply_update(update["verb"], update["args"])
+            for question, answer in zip(questions, answers):
+                assert answer["answer"] == control.query(question["verb"], question["args"])
+        finally:
+            control.close()
 
     def test_nested_what_if_rejected(self, service):
         with pytest.raises(ProtocolError):
