@@ -28,12 +28,21 @@ restored, re-costed to ``cost % 5 + 1`` and re-costed back, one ``run()``
 to quiescence per step, the script shape of bench's ``churn`` workload —
 and only the cycles are sampled.
 
+``--serve`` samples the bench ``serve`` workload's daemon loop in-process: a
+:class:`~repro.serving.service.RouteService` on tree-28 (default
+``ServerConfig``: plain path-vector, three runtime monitors, WAL and a
+snapshot every 50 updates in a temporary state directory) boots unsampled,
+then every link gets two fail / restore / re-cost / re-cost-back cycles,
+one settled update each.  No socket or JSON wire is involved, so
+the shares are those of the daemon's update path alone.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_e4.py [--output profile_e4.txt]
     PYTHONPATH=src python benchmarks/profile_e4.py --sample [--output FILE]
     PYTHONPATH=src python benchmarks/profile_e4.py --family tree --size 128
     PYTHONPATH=src python benchmarks/profile_e4.py --churn [--output FILE]
+    PYTHONPATH=src python benchmarks/profile_e4.py --serve [--output FILE]
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ import os
 import pstats
 import resource
 import signal
+import tempfile
 import time
 from collections import Counter
 from typing import Callable
@@ -52,12 +62,16 @@ from typing import Callable
 from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.scenarios import generate_scenario
+from repro.serving.config import ServerConfig
+from repro.serving.service import RouteService
 
 #: cold convergences sampled per ``--sample`` report (each is the same
 #: deterministic work, so more ops only means more samples), and the
 #: seconds of process CPU time between two samples
 SAMPLED_OPS = 5
 SAMPLE_INTERVAL = 0.001
+#: link-cycle passes of a ``--serve`` profile
+SERVE_PASSES = 2
 
 
 def prepare_e4(family: str = "power_law", size: int = 50) -> tuple:
@@ -129,6 +143,39 @@ def run_churn(engine, script: list[tuple]) -> dict:
     }
 
 
+def prepare_serve(state_dir: str, family: str = "tree", size: int = 28):
+    """A booted in-process service and its update script (untimed)."""
+
+    service = RouteService(ServerConfig(state_dir=state_dir, family=family, size=size))
+    script = []
+    for _ in range(SERVE_PASSES):
+        for link in service.engine.topology.links():
+            if link.src < link.dst:
+                args = {"src": link.src, "dst": link.dst}
+                script += [
+                    ("link_fail", args),
+                    ("link_restore", args),
+                    ("cost_change", {**args, "cost": link.cost % 5 + 1}),
+                    ("cost_change", {**args, "cost": link.cost}),
+                ]
+    return service, script
+
+
+def run_serve(service, script: list[tuple]) -> dict:
+    """Every update of ``script`` applied and settled, as the daemon does."""
+
+    messages = service.engine.trace.message_count
+    settled = True
+    for verb, args in script:
+        settled = service.apply_update(verb, args)["settled"] and settled
+    schema = service.schema
+    return {
+        "routes": len(service.engine.rows(schema.best_predicate)),
+        "messages": service.engine.trace.message_count - messages,
+        "quiescent": settled,
+    }
+
+
 def cost_centre(code) -> str:
     """``file.py:Qualified.name`` of a code object."""
 
@@ -190,13 +237,13 @@ def main() -> None:
         "--top", type=int, default=20, help="functions per ranking (default: 20)"
     )
     parser.add_argument(
-        "--family", default="power_law", help="scenario family (default: power_law)"
+        "--family", default=None, help="scenario family (default: power_law)"
     )
     parser.add_argument(
         "--size",
         type=int,
         default=None,
-        help="scenario node count (default: 50, or 31 with --churn)",
+        help="scenario node count (default: 50, 31 with --churn, 28 with --serve)",
     )
     parser.add_argument(
         "--sample",
@@ -208,11 +255,31 @@ def main() -> None:
         action="store_true",
         help="sample link cycles on one converged engine (implies --sample)",
     )
+    parser.add_argument(
+        "--serve",
+        action="store_true",
+        help="sample settled updates of an in-process serving daemon (implies --sample)",
+    )
     args = parser.parse_args()
 
     buffer = io.StringIO()
-    if args.churn:
+    if args.serve:
         args.sample = True
+        args.family = args.family or "tree"
+        args.size = args.size or 28
+        title = f"serve {args.family}-{args.size} update profile"
+        with tempfile.TemporaryDirectory() as state_dir:
+            service, script = prepare_serve(state_dir, args.family, args.size)
+            start = time.perf_counter()
+            outcome, ticks, own, inclusive = sample(
+                lambda: run_serve(service, script), SAMPLE_INTERVAL
+            )
+            elapsed = time.perf_counter() - start
+            service.close()
+        instrument = f"for {len(script)} updates sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+    elif args.churn:
+        args.sample = True
+        args.family = args.family or "power_law"
         args.size = args.size or 31
         title = f"churn {args.family}-{args.size} link-cycle profile"
         engine, script = prepare_churn(args.family, args.size)
@@ -224,6 +291,7 @@ def main() -> None:
         engine.close()
         instrument = f"for {len(script)} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
     else:
+        args.family = args.family or "power_law"
         args.size = args.size or 50
         title = f"E4 {args.family}-{args.size} convergence profile"
         inputs = prepare_e4(args.family, args.size)

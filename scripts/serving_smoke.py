@@ -12,7 +12,9 @@ still pending:
    churn schedule as live updates, two threads reading best paths — over
    the real socket;
 3. check the runtime invariant monitors are green and every update settled
-   (the budgeted daemon instead: at least one snapshot written unsettled);
+   (the budgeted daemon instead: at least one snapshot written unsettled),
+   and that every ack reports a backlog (``pending_events``) exactly when
+   it is unsettled;
 4. require ``snapshot.pkl`` to track live state, not history: the churn
    schedule is driven ``CHURN_PASSES`` times, every pass ends with all links
    restored, and the snapshot after the last pass may not exceed the one
@@ -119,6 +121,12 @@ def smoke(
                 fingerprint = client.query("fingerprint")
             evidence["updates_acked"] = len(acks)
             evidence["all_settled"] = all(ack["settled"] for ack in acks)
+            # the backlog an unsettled daemon carries: after the last update,
+            # and the most any ack reported
+            evidence["pending_events"] = status["pending_events"]
+            evidence["pending_events_max"] = max(ack["pending_events"] for ack in acks)
+            if any((ack["pending_events"] > 0) == ack["settled"] for ack in acks):
+                raise SystemExit(f"an ack's pending_events disagrees with settled: {acks}")
             evidence["queries_answered"] = sum(query_count)
             evidence["monitors_ok"] = status["monitors_ok"]
             evidence["monitors"] = status["monitors"]
@@ -203,7 +211,8 @@ def main() -> int:
     for run in runs:
         budget = run["settle_max_events"]
         checked = (
-            f"settle budget {budget}, {len(run['unsettled_snapshots'])} snapshots unsettled"
+            f"settle budget {budget}, {len(run['unsettled_snapshots'])} snapshots unsettled, "
+            f"{run['pending_events']} events pending at the end"
             if budget
             else "monitors green"
         )

@@ -142,18 +142,26 @@ class EngineConfig:
 class EngineMonitor(Protocol):
     """Runtime invariant monitor attached to an engine.
 
-    A monitor reads the engine's own tables (``engine.nodes[node].rows``,
-    the same call on a :class:`Node` and on a sharded coordinator's row
-    view) whenever a node settles with at least one recorded state change
-    (``on_settle``) — the points at which FVN safety properties are
-    meaningful during execution — and once over every node at the end
-    (``finalize``).  See :mod:`repro.fvn.monitors` for the property-derived
+    A monitor reads the engine's own tables (``engine.nodes[node].rows`` /
+    ``select``, the same calls on a :class:`Node` and on a sharded
+    coordinator's row view) whenever a node settles with at least one
+    recorded state change (``on_settle``) — the points at which FVN safety
+    properties are meaningful during execution — and once over every node
+    at the end (``finalize``).  ``changes`` are the trace records that
+    settle appended, in order, as the plain ``(time, node, predicate,
+    values, kind)`` tuples of :meth:`Trace.changes_since` (the sharded
+    coordinator's replay records into the same trace, so both engines pass
+    the same records): a monitor may re-check only what they touch.  A
+    monitor must not build an index on the tables it reads — the executor
+    seeds key-scoped derives by :meth:`Table.has_lookup`, so an index a
+    monitor built would make the execution depend on the attached
+    monitors.  See :mod:`repro.fvn.monitors` for the property-derived
     implementations.
     """
 
     def attach(self, engine: "DistributedEngine") -> None: ...
 
-    def on_settle(self, time: float, node: NodeId) -> None: ...
+    def on_settle(self, time: float, node: NodeId, changes: list) -> None: ...
 
     def finalize(self, time: float) -> None: ...
 
@@ -247,10 +255,14 @@ class DistributedEngine:
         monitor.attach(self)
         self.monitors.append(monitor)
 
-    def _notify_settle(self, node_id: NodeId) -> None:
+    def _notify_settle(self, node_id: NodeId, since: int) -> None:
+        """Tell the monitors ``node_id`` settled, handing them the trace
+        records from absolute index ``since`` on (that settle's)."""
+
         now = self.scheduler.now
+        changes = self.trace.changes_since(since)
         for monitor in self.monitors:
-            monitor.on_settle(now, node_id)
+            monitor.on_settle(now, node_id, changes)
 
     def finalize_monitors(self) -> None:
         """Run every monitor's final full-state check at the current time.
@@ -424,7 +436,7 @@ class DistributedEngine:
         finally:
             self._fixpoint_depth -= 1
         if self.monitors and self.trace.state_change_count != changes:
-            self._notify_settle(node_id)
+            self._notify_settle(node_id, changes)
 
     # ------------------------------------------------------------------
     # Safe points for engine-external updates

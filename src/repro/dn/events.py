@@ -193,6 +193,17 @@ class EventScheduler:
 
         return {entry[2].kind for entry in self._queue}
 
+    def pending_units(self, exclude: frozenset = frozenset()) -> int:
+        """Event-budget units still queued in events whose kind is not in
+        ``exclude``: one per ordinary event, the units left of a weighted
+        one (how ``processed`` will count them)."""
+
+        return sum(
+            1 if event.units is None else event.units
+            for _, _, event in self._queue
+            if event.kind not in exclude
+        )
+
     def run(
         self,
         handlers: dict[str, Callable[..., None]],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from ..ndlog.aggregates import group_rows
 from ..ndlog.ast import Program, Rule
@@ -131,7 +131,8 @@ class Node:
     def holds(self, predicate: str, values: tuple) -> bool:
         """Is exactly ``values`` stored (not just a row under its key)?"""
 
-        return values in self.db.table(predicate)
+        table = self.db.get_table(predicate)
+        return table is not None and values in table
 
     def expired(self, now: float) -> list[tuple[str, tuple]]:
         """``(predicate, row)`` of the soft-state rows past their lifetime,
@@ -203,8 +204,27 @@ class Node:
     def rows(self, predicate: str) -> list[tuple]:
         return self.db.rows(predicate)
 
+    def select(
+        self, predicate: str, positions: tuple[int, ...], wanted: Collection[tuple]
+    ) -> list[tuple]:
+        """Rows of ``predicate`` whose values at ``positions`` are among
+        ``wanted`` (:meth:`~repro.ndlog.store.Table.select`: builds no
+        index)."""
+
+        table = self.db.get_table(predicate)
+        return table.select(positions, wanted) if table is not None else []
+
     def snapshot(self) -> dict[str, set[tuple]]:
-        return self.db.snapshot()
+        """Predicate → rows: every materialized predicate, and any other
+        that holds rows (a table the database made on first use and left
+        empty is not listed, as a sharded row view never sees one)."""
+
+        declared = self.program.materialized
+        return {
+            predicate: rows
+            for predicate, rows in self.db.snapshot().items()
+            if rows or predicate in declared
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.id!r}, {self.db.fact_count()} facts)"

@@ -82,13 +82,13 @@ import pickle
 import signal
 import time
 import traceback
-from typing import Optional
+from typing import Collection, Optional
 
 from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import NDlogError, Program
 from ..ndlog.functions import builtin_registry
 from ..ndlog import seminaive
-from ..ndlog.store import _make_key_getter
+from ..ndlog.store import _make_key_getter, select_rows
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .engine import DistributedEngine, EngineConfig
@@ -464,7 +464,7 @@ class RemoteNode:
     a row view, ``tables``: predicate → ``{primary key: row}`` in the worker
     table's row order, folded from the traced change records by
     :meth:`ShardedEngine._replay`.  It answers the read side of
-    :class:`~repro.dn.node.Node` (``rows``, ``holds``, ``snapshot``); ``db``
+    :class:`~repro.dn.node.Node` (``rows``, ``select``, ``holds``, ``snapshot``); ``db``
     raises instead of handing out tables that would read empty.
     """
 
@@ -472,6 +472,10 @@ class RemoteNode:
         self.id = node_id
         self.stats = NodeStats()
         self.tables: dict[str, dict[tuple, tuple]] = {p: {} for p in program.materialized}
+        #: declared predicate → its 0-based primary-key positions
+        self._keys = {
+            p: tuple(k - 1 for k in decl.keys) for p, decl in program.materialized.items()
+        }
 
     @property
     def db(self):
@@ -485,11 +489,28 @@ class RemoteNode:
         return list(table.values()) if table else []
 
     def holds(self, predicate: str, values: tuple) -> bool:
-        # a linear probe: refresh asks it of base facts, a handful per node
-        return values in self.tables.get(predicate, {}).values()
+        return values in self.select(predicate, tuple(range(len(values))), (values,))
+
+    def select(
+        self, predicate: str, positions: tuple[int, ...], wanted: Collection[tuple]
+    ) -> list[tuple]:
+        """:meth:`Node.select` on the row view: primary-key lookups or one
+        scan (the view keeps no indexes)."""
+
+        table = self.tables.get(predicate)
+        if not table:
+            return []
+        return select_rows(table, self._keys.get(predicate, ()), positions, wanted)
 
     def snapshot(self) -> dict[str, set[tuple]]:
-        return {predicate: set(table.values()) for predicate, table in self.tables.items()}
+        """As :meth:`Node.snapshot`: materialized predicates, and any other
+        that holds rows."""
+
+        return {
+            predicate: set(table.values())
+            for predicate, table in self.tables.items()
+            if table or predicate in self._keys
+        }
 
 
 class ShardedEngine(DistributedEngine):
@@ -813,9 +834,10 @@ class ShardedEngine(DistributedEngine):
                     results[nid] = result
             for nid in wave:
                 records, sends = results[nid]
+                since = self.trace.state_change_count
                 self._replay(nid, records, sends)
                 if records and self.monitors:
-                    self._notify_settle(nid)
+                    self._notify_settle(nid, since)
 
     def _apply_refresh(self, refreshed, now: float) -> None:
         by_shard: dict[int, list] = {}
@@ -892,18 +914,16 @@ class ShardedEngine(DistributedEngine):
     def validate_shards(self) -> None:
         """Assert the coordinator's row views match every worker's tables.
 
-        A debugging/testing aid: compares the non-empty table contents of
-        each worker node against the view folded from its change records.
+        A debugging/testing aid: compares each worker node's
+        :meth:`Node.snapshot` against its view's, folded from the change
+        records (both list the same predicates).
         Raises :class:`ShardError` on any divergence.
         """
 
         for shard in self._occupied:
             snapshots = self._call(shard, "snapshot")
-            for node_id, snapshot in snapshots.items():
-                theirs = {p: rows for p, rows in snapshot.items() if rows}
-                mine = {
-                    p: rows for p, rows in self.nodes[node_id].snapshot().items() if rows
-                }
+            for node_id, theirs in snapshots.items():
+                mine = self.nodes[node_id].snapshot()
                 if mine != theirs:
                     raise ShardError(
                         f"row view diverged from shard {shard} at node {node_id!r}: "

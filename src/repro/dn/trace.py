@@ -268,6 +268,15 @@ class Trace:
 
         return RecordView(self._changes, StateChange)
 
+    def changes_since(self, index: int) -> list[tuple]:
+        """The state changes recorded from absolute index ``index`` on, as
+        the plain ``(time, node, predicate, values, kind)`` tuples the
+        trace stores (what a :class:`StateChange` reads by position), with
+        no per-record wrapping."""
+
+        self.state_changes._need(index)
+        return self._changes.records[index - self._changes.dropped :]
+
     @property
     def messages(self) -> RecordView:
         """Every recorded message, by absolute index."""

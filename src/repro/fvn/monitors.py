@@ -9,9 +9,9 @@ first broke instead of only *whether* the final state satisfies it.
 
 Monitors implement the :class:`repro.dn.engine.EngineMonitor` hook protocol
 and keep no copy of the state they check: each check reads the node's own
-tables (``engine.nodes[node].rows(predicate)``, the same call on a
-single-process :class:`~repro.dn.node.Node` and on a sharded coordinator's
-row view).
+tables (``engine.nodes[node].rows(predicate)`` / ``.select(...)``, the same
+calls on a single-process :class:`~repro.dn.node.Node` and on a sharded
+coordinator's row view).
 
 * ``attach`` — bind the monitor to the engine whose tables it reads;
 * ``on_settle`` — evaluate the invariant for a node that just reached a
@@ -25,6 +25,27 @@ row view).
   which is what :func:`posthoc_violations` checks with fresh monitors, so
   runtime and post-hoc checks agree by construction: the same code reads
   the same tables.
+
+**Change-scoped checks.**  A settle hands ``on_settle`` the trace records it
+appended, and a monitor re-checks only the *units* those records touch,
+keeping its active violations outside them: the ``(source, destination)``
+groups at ``schema.group_positions`` for :class:`RouteValidityMonitor` and
+:class:`BestAgreementMonitor` (every violation they report belongs to one
+group and reads only that group's rows), the changed rows for
+:class:`CycleFreedomMonitor`.  Each monitor has **one** check function,
+parameterised by the rows it reads; the whole-node rescan is that function
+over every row, and it runs for ``finalize``, a node's first check after
+``attach``, an ``on_settle`` call without records, any change to a
+size-capped table (its FIFO eviction is untraced), and — for
+:class:`RouteValidityMonitor`, whose first-hop liveness reads every local
+link — any ``link`` change.  Scoped reads go through primary-key lookups or
+indexes that already exist (:meth:`~repro.ndlog.store.Table.select`) and
+never build one: the executor picks key-scoped derive seeds by
+:meth:`~repro.ndlog.store.Table.has_lookup`, so a monitor-built index would
+make fingerprints depend on the attached monitors.
+:class:`SoftStateBoundMonitor` (its violations come from the clock, not
+from changes) rescans every settle, and only when the program has a
+soft-state table.
 
 A violation is *recorded* the first time its signature appears (that is the
 first-violation timestamp) and *healed* when a later check no longer finds
@@ -47,10 +68,12 @@ The monitors correspond to the :mod:`repro.fvn.properties` corpus:
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from ..ndlog.aggregates import tuple_getter
 from ..ndlog.ast import Program
 from .properties import PropertySpec
 
@@ -121,6 +144,11 @@ POLICY_SCHEMA = MonitorSchema(
 )
 
 
+#: ``tuple_getter`` per position tuple: checks ask for the same few on
+#: every settle
+_getter = functools.lru_cache(maxsize=None)(tuple_getter)
+
+
 def schema_for_program(program: Program) -> MonitorSchema:
     """Pick the monitor schema matching a program's head predicates."""
 
@@ -134,8 +162,11 @@ class RuntimeMonitor:
     """Base monitor: checks at settles and at the end, violation healing.
 
     Subclasses report the current violations of one node from
-    :meth:`_violations_at`, reading the node's tables through
-    :meth:`_rows`.
+    :meth:`_violations_at` — over every row, or over the units ``units``
+    only — and, to scope their settle checks, name the units a settle's
+    records touch (:meth:`_touched`) and the unit each violation belongs
+    to (:meth:`_unit_of`).  The base class rescans the whole node at every
+    settle.
     """
 
     name = "monitor"
@@ -150,6 +181,11 @@ class RuntimeMonitor:
         self._engine: Optional["DistributedEngine"] = None
         #: node → signature → violation currently believed to hold
         self._active: dict[object, dict[tuple, MonitorViolation]] = {}
+        #: nodes rescanned whole since attach: their active violations
+        #: describe their tables, so a settle may re-check only its units
+        self._checked: set = set()
+        #: predicates whose change forces a whole-node rescan
+        self._rescan_on: frozenset = frozenset()
 
     # -- hook protocol -----------------------------------------------------
     def attach(self, engine: "DistributedEngine") -> None:
@@ -158,9 +194,26 @@ class RuntimeMonitor:
         # cyclic collection (the engine calls finalize itself, so it is
         # alive whenever the monitor reads it)
         self._engine = weakref.proxy(engine)
+        self._checked = set()
+        # FIFO eviction from a size-capped table is not traced
+        self._rescan_on = frozenset(
+            predicate
+            for predicate, decl in engine.program.materialized.items()
+            if decl.max_size != float("inf")
+        )
 
-    def on_settle(self, time: float, node: object) -> None:
-        self._check_node(time, node)
+    def on_settle(self, time: float, node: object, changes: Optional[list] = None) -> None:
+        units = None
+        if (
+            changes is not None
+            and node in self._checked
+            and self._rescan_on.isdisjoint([change[2] for change in changes])
+        ):
+            units = self._touched(changes)
+        if units is None:
+            self._check_node(time, node)
+        elif units:
+            self._check_node(time, node, units)
 
     def finalize(self, time: float) -> None:
         self.finalized_at = time
@@ -168,8 +221,15 @@ class RuntimeMonitor:
             self._check_node(time, node)
 
     # -- violation bookkeeping ---------------------------------------------
-    def _check_node(self, time: float, node: object) -> None:
-        current = dict(self._violations_at(node, time))
+    def _check_node(self, time: float, node: object, units: Optional[set] = None) -> None:
+        """Re-check ``node`` — whole, or only ``units`` — and update its
+        active violations (those outside ``units`` stay as they are)."""
+
+        current = dict(self._violations_at(node, time, units))
+        if units is None:
+            self._checked.add(node)
+        if not current and node not in self._active:
+            return
         active = self._active.setdefault(node, {})
         for signature, detail in current.items():
             if signature not in active:
@@ -181,10 +241,14 @@ class RuntimeMonitor:
                     self.violations.append(violation)
                 else:
                     self.dropped += 1
-        for signature in [s for s in active if s not in current]:
+        for signature in [
+            s
+            for s in active
+            if s not in current and (units is None or self._unit_of(s) in units)
+        ]:
             del active[signature]
         if not active:
-            self._active.pop(node, None)
+            del self._active[node]
 
     def active_violations(self) -> list[MonitorViolation]:
         """Violations believed to hold right now (end-state after finalize)."""
@@ -219,34 +283,91 @@ class RuntimeMonitor:
 
         return self._engine.nodes[node].rows(predicate)
 
-    def _violations_at(self, node: object, time: float) -> Iterable[tuple[tuple, str]]:
+    def _touched(self, changes: list) -> Optional[set]:
+        """The units ``changes`` (a settle's trace records, none of them to
+        a :attr:`_rescan_on` predicate) touch, or None when the settle needs
+        a whole-node rescan."""
+
+        return None
+
+    def _unit_of(self, signature: tuple) -> object:
+        """The unit a violation signature belongs to."""
+
+        raise NotImplementedError
+
+    def _violations_at(
+        self, node: object, time: float, units: Optional[set] = None
+    ) -> Iterable[tuple[tuple, str]]:
         return ()
 
 
-class RouteValidityMonitor(RuntimeMonitor):
+class _GroupMonitor(RuntimeMonitor):
+    """A monitor whose every violation belongs to one ``(source,
+    destination)`` group at ``schema.group_positions`` and reads only that
+    group's rows of :attr:`_grouped` predicates."""
+
+    def __init__(self, schema: MonitorSchema = PATH_VECTOR_SCHEMA) -> None:
+        super().__init__()
+        self.schema = schema
+
+    def _grouped(self) -> tuple[str, ...]:
+        raise NotImplementedError
+
+    def _touched(self, changes):
+        grouped = self._grouped()
+        group = _getter(self.schema.group_positions)
+        return {group(change[3]) for change in changes if change[2] in grouped}
+
+    def _unit_of(self, signature):
+        kind, subject = signature
+        if kind == "missing_best":
+            return subject
+        return _getter(self.schema.group_positions)(subject)
+
+    def _group_rows(self, node, predicate: str, groups: Optional[set]) -> list[tuple]:
+        """The rows of ``predicate`` at ``node`` in ``groups`` (None: all)."""
+
+        if groups is None:
+            return self._rows(node, predicate)
+        return self._engine.nodes[node].select(predicate, self.schema.group_positions, groups)
+
+
+class RouteValidityMonitor(_GroupMonitor):
     """Every selected best route is a currently-derived candidate route
     whose first hop is a live local link (``bestPathSound`` + ``pathHasLink``
     from :mod:`repro.fvn.properties`, checked at every settle point)."""
 
     name = "route_validity"
 
-    def __init__(self, schema: MonitorSchema = PATH_VECTOR_SCHEMA) -> None:
-        super().__init__()
-        self.schema = schema
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        # first-hop liveness reads every local link
+        self._rescan_on |= {self.schema.link_predicate}
 
-    def _violations_at(self, node, time):
+    def _grouped(self):
+        return (self.schema.best_predicate, self.schema.path_predicate)
+
+    def _violations_at(self, node, time, units=None):
         schema = self.schema
-        best_rows = self._rows(node, schema.best_predicate)
+        best_rows = self._group_rows(node, schema.best_predicate, units)
         if not best_rows:
             return
-        support = {
-            tuple(row[p] for _, p in schema.best_to_path)
-            for row in self._rows(node, schema.path_predicate)
-        }
+        # a best row's support is the candidate row agreeing with it at the
+        # projected positions: read by primary key where the candidate
+        # table's key lies within them
+        project = _getter(tuple(b for b, _ in schema.best_to_path))
+        targets = tuple(p for _, p in schema.best_to_path)
+        support = set(
+            map(
+                _getter(targets),
+                self._engine.nodes[node].select(
+                    schema.path_predicate, targets, {project(row) for row in best_rows}
+                ),
+            )
+        )
         neighbours = {row[1] for row in self._rows(node, schema.link_predicate)}
         for row in best_rows:
-            projected = tuple(row[b] for b, _ in schema.best_to_path)
-            if projected not in support:
+            if project(row) not in support:
                 yield (
                     ("unsupported", row),
                     f"{schema.best_predicate}{row} at {node} has no supporting "
@@ -263,30 +384,29 @@ class RouteValidityMonitor(RuntimeMonitor):
                     )
 
 
-class BestAgreementMonitor(RuntimeMonitor):
+class BestAgreementMonitor(_GroupMonitor):
     """The selected cost/rank is the minimum over the node's candidates and
     every candidate group has a selection (``bestPathStrong``/``Weak``)."""
 
     name = "best_agreement"
 
-    def __init__(self, schema: MonitorSchema = PATH_VECTOR_SCHEMA) -> None:
-        super().__init__()
-        self.schema = schema
+    def _grouped(self):
+        return (self.schema.path_predicate, self.schema.best_cost_predicate)
 
-    def _violations_at(self, node, time):
+    def _violations_at(self, node, time, units=None):
         schema = self.schema
-        groups = schema.group_positions
+        group_of = _getter(schema.group_positions)
         value_at = schema.path_value_position
         #: candidate group → its minimum value
         minima: dict[tuple, object] = {}
-        for row in self._rows(node, schema.path_predicate):
-            group = tuple(row[p] for p in groups)
+        for row in self._group_rows(node, schema.path_predicate, units):
+            group = group_of(row)
             value = row[value_at]
             if group not in minima or value < minima[group]:
                 minima[group] = value
         selected: set[tuple] = set()
-        for row in self._rows(node, schema.best_cost_predicate):
-            group = tuple(row[p] for p in groups)
+        for row in self._group_rows(node, schema.best_cost_predicate, units):
+            group = group_of(row)
             selected.add(group)
             if group not in minima:
                 yield (
@@ -310,7 +430,8 @@ class BestAgreementMonitor(RuntimeMonitor):
 
 
 class CycleFreedomMonitor(RuntimeMonitor):
-    """No stored path vector revisits a node (``pathCycleFree``)."""
+    """No stored path vector revisits a node (``pathCycleFree``); a settle
+    re-checks the rows it changed."""
 
     name = "cycle_freedom"
 
@@ -318,11 +439,27 @@ class CycleFreedomMonitor(RuntimeMonitor):
         super().__init__()
         self.schema = schema
 
-    def _violations_at(self, node, time):
+    def _touched(self, changes):
+        checked = {predicate for predicate, _ in self.schema.vector_positions}
+        return {(change[2], change[3]) for change in changes if change[2] in checked}
+
+    def _unit_of(self, signature):
+        return signature[1:]
+
+    def _violations_at(self, node, time, units=None):
+        at = self._engine.nodes[node]
         for predicate, position in self.schema.vector_positions:
-            for row in self._rows(node, predicate):
+            if units is None:
+                rows = at.rows(predicate)
+            else:
+                rows = [row for p, row in units if p == predicate]
+            for row in rows:
                 vector = row[position]
-                if isinstance(vector, tuple) and len(set(vector)) != len(vector):
+                if (
+                    isinstance(vector, tuple)
+                    and len(set(vector)) != len(vector)
+                    and (units is None or at.holds(predicate, row))
+                ):
                     yield (
                         ("cycle", predicate, row),
                         f"{predicate}{row} at {node} has a cyclic path vector",
@@ -349,8 +486,11 @@ class SoftStateBoundMonitor(RuntimeMonitor):
         super().attach(engine)
         if self.slack is None:
             self.slack = engine.config.expiry_scan_interval * 1.5
+        self._soft = any(decl.is_soft_state for decl in engine.program.materialized.values())
 
-    def _violations_at(self, node, time):
+    def _violations_at(self, node, time, units=None):
+        if not self._soft:
+            return
         bound = self.slack or 0.0
         for predicate, row, deadline in self._engine.soft_deadlines(node):
             if time > deadline + bound:

@@ -40,9 +40,11 @@ distributed runtime.
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .aggregates import tuple_getter
 from .ast import MaterializeDecl
 
 
@@ -78,6 +80,53 @@ def _bucket_shape(positions: tuple[int, ...]) -> tuple[int, Callable[[tuple], tu
         p0 = positions[0]
         return p0 + 1, operator.itemgetter(slice(p0, p0 + 1))
     return 0, operator.itemgetter(slice(0, 0))
+
+
+def select_rows(
+    rows: Mapping[tuple, tuple],
+    keys: tuple[int, ...],
+    positions: tuple[int, ...],
+    wanted: Collection[tuple],
+    index: Optional[dict[tuple, dict[tuple, tuple]]] = None,
+) -> list[tuple]:
+    """The rows of a ``primary key → row`` map whose values at
+    ``positions`` are among ``wanted``.
+
+    Reads what already exists and builds nothing: the hash ``index`` over
+    ``positions`` when one is given; else primary-key lookups when the key
+    attributes all lie within ``positions`` (each wanted tuple then names
+    at most one row); else one scan of ``rows``.
+    """
+
+    if index is not None:
+        return [row for values in wanted for row in index.get(values, {}).values()]
+    if keys and positions == keys:
+        return [row for row in map(rows.get, wanted) if row is not None]
+    key_of, project = _select_getters(keys, positions)
+    if key_of is not None:
+        found = []
+        for values in wanted:
+            row = rows.get(key_of(values))
+            if row is not None and project(row) == values:
+                found.append(row)
+        return found
+    return [row for row in rows.values() if project(row) in wanted]
+
+
+@functools.lru_cache(maxsize=None)
+def _select_getters(
+    keys: tuple[int, ...], positions: tuple[int, ...]
+) -> tuple[Optional[Callable[[tuple], tuple]], Callable[[tuple], tuple]]:
+    """``(key getter, projection)`` of :func:`select_rows` for a table
+    keyed on ``keys`` read at ``positions``: the key getter maps a wanted
+    tuple to its row's primary key (None unless every key attribute lies
+    within ``positions``), the projection maps a row to its values at
+    ``positions``."""
+
+    key_of = None
+    if keys and set(keys) <= set(positions):
+        key_of = tuple_getter([positions.index(k) for k in keys])
+    return key_of, tuple_getter(positions)
 
 
 class Table:
@@ -501,6 +550,15 @@ class Table:
         are the primary key, or their index already exists)?"""
 
         return positions == self.keys or positions in self._indexes
+
+    def select(self, positions: tuple[int, ...], wanted: Collection[tuple]) -> list[tuple]:
+        """Rows whose values at ``positions`` are among ``wanted``, read
+        through the primary key or an index that already exists, never a
+        new one (see :func:`select_rows`): building an index here would
+        change which literal a key-scoped derive seeds with
+        (:meth:`has_lookup`)."""
+
+        return select_rows(self._rows, self.keys, positions, wanted, self._indexes.get(positions))
 
     @property
     def index_count(self) -> int:

@@ -352,6 +352,12 @@ class RouteService:
         self.settled = scheduler.pending_kinds() <= MAINTENANCE_KINDS
         return self.settled
 
+    def _pending_events(self) -> int:
+        """The backlog an unsettled settle left: queued non-maintenance
+        events, in units of the settle budget (0 when settled)."""
+
+        return self.engine.scheduler.pending_units(exclude=MAINTENANCE_KINDS)
+
     def _ensure_expiry_timer(self) -> None:
         """Re-arm the soft-state expiry scan if external updates inserted
         soft rows after the periodic timer let itself lapse (the batch
@@ -471,6 +477,7 @@ class RouteService:
             "verb": verb,
             "applied_at": at,
             "settled": settled,
+            "pending_events": self._pending_events(),
             "sim_time": engine.scheduler.now,
             "events": engine.trace.events_processed,
         }
@@ -569,6 +576,7 @@ class RouteService:
         return {
             "seq": self.seq,
             "settled": self.settled,
+            "pending_events": self._pending_events(),
             "recovered_from": self.recovered_from,
             "sim_time": engine.scheduler.now,
             "events": trace.events_processed,

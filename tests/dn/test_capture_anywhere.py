@@ -49,14 +49,12 @@ def build(family: str, size: int, cfg: EngineConfig):
 
 def outcome(engine) -> tuple:
     """``(fingerprint, events, {node: {predicate: rows}})`` of a finished
-    run (non-empty tables: a sharded row view has no unmaterialized ones)."""
+    run (whole snapshots: a node and a sharded row view list the same
+    predicates)."""
 
     trace = engine.trace
     assert trace.quiescent
-    tables = {
-        node_id: {p: rows for p, rows in engine.nodes[node_id].snapshot().items() if rows}
-        for node_id in sorted(engine.nodes)
-    }
+    tables = {node_id: engine.nodes[node_id].snapshot() for node_id in sorted(engine.nodes)}
     return trace.fingerprint(), trace.events_processed, tables
 
 

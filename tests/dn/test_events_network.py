@@ -135,6 +135,20 @@ class TestEventScheduler:
         assert scheduler.run(handlers) == 2
         assert log == [["a", "b"], ["c"], "after"]
 
+    def test_pending_units_count_what_a_budget_would(self):
+        """One unit per ordinary event and per wave item not yet run, over
+        the kinds not excluded."""
+
+        scheduler = EventScheduler()
+        for item in "abc":
+            scheduler.post(0.0, "m", item)
+        scheduler.schedule(0.0, Event("after", ("after",)))
+        assert scheduler.pending_units() == 4
+        assert scheduler.pending_units(exclude=frozenset({"after"})) == 3
+        scheduler.run({"m": list, "after": str}, max_events=2)
+        assert scheduler.pending_units() == 2
+        assert scheduler.pending_units(exclude=frozenset({"m"})) == 1
+
     def test_a_wave_that_ran_takes_no_more_posts(self):
         log = []
         handlers = {"m": log.append}

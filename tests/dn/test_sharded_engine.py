@@ -289,6 +289,37 @@ class TestTableReaders:
         assert single["explain"]
         assert sharded == single
 
+    @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
+    def test_snapshots_list_the_same_predicates(self, loss):
+        """A node's snapshot and its row view's list the same predicates,
+        key for key, empty ones included (a worker's database keeps every
+        table it made on first use; a row view has only the tables its
+        records named)."""
+
+        for seed in range(6):
+            seen = []
+            for shards in (1, 2):
+                scenario = generate_scenario(
+                    "tree", size=5, seed=seed, policy="gao_rexford", churn_events=3, loss=loss
+                )
+                engine = create_engine(
+                    policy_path_vector_program(),
+                    scenario.topology,
+                    config=EngineConfig(seed=seed, shards=shards, shard_transport="inline"),
+                )
+                scenario.churn.apply_to_engine(engine)
+                try:
+                    engine.run(extra_facts=scenario.policy_fact_list())
+                    seen.append(
+                        (
+                            {node: engine.nodes[node].snapshot() for node in engine.nodes},
+                            engine.global_snapshot(),
+                        )
+                    )
+                finally:
+                    engine.close()
+            assert seen[0] == seen[1], (seed, loss)
+
     def test_coordinator_node_tables_fail_loudly(self):
         scenario = build_scenario("tree", 6, 0, 0, 0.0)
         engine = create_engine(

@@ -48,7 +48,8 @@ ADDED_KINDS = ("insert", "replace")
 
 class SettleProbe:
     """An :class:`~repro.dn.engine.EngineMonitor` that logs each
-    ``on_settle`` with the trace position and the node's rows at the call."""
+    ``on_settle`` with the trace position, the node's rows and the records
+    it was handed at the call."""
 
     def __init__(self, name: str, log: list) -> None:
         self.name, self.log = name, log
@@ -56,10 +57,11 @@ class SettleProbe:
     def attach(self, engine) -> None:
         self.engine = engine
 
-    def on_settle(self, time, node) -> None:
+    def on_settle(self, time, node, changes) -> None:
         engine = self.engine
         rows = engine.nodes[node].snapshot()
-        self.log.append((self.name, time, node, engine.trace.state_change_count, rows))
+        count = engine.trace.state_change_count
+        self.log.append((self.name, time, node, count, rows, changes))
 
     def finalize(self, time) -> None:
         pass
@@ -95,9 +97,11 @@ class TestHookPlumbing:
         first, second = log[0::2], log[1::2]
         assert [call[1:] for call in first] == [call[1:] for call in second]
         done = 0
-        for _, time, node, count, rows in first:
+        for _, time, node, count, rows, changes in first:
             settle = records[done:count]
             assert settle, "on_settle after a settle that recorded nothing"
+            # the monitor is handed exactly that settle's trace records
+            assert changes == settle
             assert {(at, where) for at, where, *_ in settle} == {(time, node)}
             last_kind = {(pred, values): kind for _, _, pred, values, kind in settle}
             for (predicate, values), kind in last_kind.items():

@@ -112,6 +112,36 @@ class TestQueries:
         assert status["shards"] == 1
         assert status["settled"]
 
+    def test_pending_events_report_the_backlog(self):
+        """Acks and ``status`` count the queued non-maintenance events in
+        settle-budget units: a backlog exactly when a settle ran out of
+        budget, none once settled — the soft-state expiry timer a settled
+        daemon keeps queued is not counted."""
+
+        budgeted = RouteService(
+            ServerConfig(family="tree", size=12, snapshot_every=0, settle_max_events=40)
+        )
+        try:
+            acks = [
+                budgeted.apply_update("link_fail", {"src": 0, "dst": 1}),
+                budgeted.apply_update("cost_change", {"src": 1, "dst": 3, "cost": 4}),
+            ]
+            assert not acks[-1]["settled"]
+            for ack in acks:
+                assert (ack["pending_events"] > 0) == (not ack["settled"])
+            status = budgeted.query("status", {})
+            assert status["pending_events"] == acks[-1]["pending_events"]
+        finally:
+            budgeted.close()
+        soft = RouteService(ServerConfig(family="tree", size=8, soft_state={"link": 30.0}))
+        try:
+            ack = soft.apply_update("link_fail", {"src": 0, "dst": 1})
+            assert ack["settled"] and ack["pending_events"] == 0
+            assert "expiry" in soft.engine.scheduler.pending_kinds()
+            assert soft.query("status", {})["pending_events"] == 0
+        finally:
+            soft.close()
+
 
 class TestWhatIf:
     def test_fork_answers_without_touching_live_state(self, service):
