@@ -36,6 +36,23 @@ then every link gets two fail / restore / re-cost / re-cost-back cycles,
 one settled update each.  No socket or JSON wire is involved, so
 the shares are those of the daemon's update path alone.
 
+``--campaign`` runs round 0 of the bench ``campaign`` workload — its 24
+run descriptors (tree / power_law / waxman at 20 nodes, two policies,
+churn 0 and 2, two seeds, all four monitors) — through ``execute_run`` in
+this process, once unmeasured (codegen and parse caches fill), then
+:data:`CAMPAIGN_REPS` times with and without monitors — each run's two
+arms back to back, the first of them alternating.  Its header gives the
+monitors' share of the monitored runs' process CPU time (the median over
+reps, and bench's ``monitors.overhead_pct`` ratio over the same CPU
+seconds); its tables sample the monitored runs.
+
+Every report's header also counts CPython's cyclic-collector passes and
+their milliseconds per op (or update, or run) with a ``gc.callbacks``
+hook.  A sampled or cProfile share charges a collection to the Python
+function whose allocation set it off, so a function's share can hold
+collector time that is not its own; the header line is where that time
+stands on its own.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_e4.py [--output profile_e4.txt]
@@ -43,12 +60,14 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_e4.py --family tree --size 128
     PYTHONPATH=src python benchmarks/profile_e4.py --churn [--output FILE]
     PYTHONPATH=src python benchmarks/profile_e4.py --serve [--output FILE]
+    PYTHONPATH=src python benchmarks/profile_e4.py --campaign [--output FILE]
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import os
 import pstats
@@ -61,6 +80,7 @@ from typing import Callable
 
 from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
+from repro.harness import CampaignSpec, execute_run
 from repro.scenarios import generate_scenario
 from repro.serving.config import ServerConfig
 from repro.serving.service import RouteService
@@ -72,6 +92,51 @@ SAMPLED_OPS = 5
 SAMPLE_INTERVAL = 0.001
 #: link-cycle passes of a ``--serve`` profile
 SERVE_PASSES = 2
+#: passes over round 0's runs per arm (with / without monitors) of a
+#: ``--campaign`` profile
+CAMPAIGN_REPS = 3
+
+
+class CollectorTally:
+    """Cyclic-collector passes and seconds per generation, and the process
+    CPU time, of the ``with`` block (a ``gc.callbacks`` hook).
+
+    The block starts from a collected heap: a fresh process has run no
+    full collection yet, and its first one (over every imported module
+    and the prepared inputs) would otherwise land in the first op.
+    """
+
+    def __init__(self) -> None:
+        self.passes = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self.cpu = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.passes[info["generation"]] += 1
+            self.seconds[info["generation"]] += time.perf_counter() - self._started
+
+    def __enter__(self) -> "CollectorTally":
+        gc.collect()
+        gc.callbacks.append(self)
+        self.cpu = time.process_time()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.cpu = time.process_time() - self.cpu
+        gc.callbacks.remove(self)
+
+    def summary(self, units: int, unit: str) -> str:
+        total = sum(self.seconds)
+        gens = "/".join(str(n) for n in self.passes)
+        return (
+            f"collector: {sum(self.passes) / units:.1f} passes per {unit} "
+            f"(gen0/1/2 {gens} in all), {total * 1e3 / units:.2f} ms per {unit}, "
+            f"{100.0 * total / self.cpu:.1f}% of {self.cpu:.2f}s process CPU"
+        )
 
 
 def prepare_e4(family: str = "power_law", size: int = 50) -> tuple:
@@ -176,6 +241,70 @@ def run_serve(service, script: list[tuple]) -> dict:
     }
 
 
+def prepare_campaign(size: int = 20, seed: int = 0) -> list[dict]:
+    """Round 0 of the bench ``campaign`` workload at ``seed``: its 24 run
+    descriptors as plain data, each run once (untimed: whichever arm ran
+    first would pay the codegen and parse caches)."""
+
+    base = seed * 1000
+    spec = CampaignSpec(
+        name=f"bench-{seed}-0",
+        families=("tree", "power_law", "waxman"),
+        sizes=(size,),
+        policies=("shortest_path", "gao_rexford"),
+        seeds=(base, base + 1),
+        churn_events=(0, 2),
+        loss=(0.01,),
+        churn_restore_delay=1.0,
+        until=30.0,
+        max_events=150_000,
+        record_stale_routes=False,
+    )
+    descriptors = [descriptor.to_dict() for descriptor in spec.expand()]
+    for data in descriptors:
+        execute_run(data)
+    return descriptors
+
+
+def run_campaign_arms(descriptors: list[dict], reps: int, interval: float) -> tuple:
+    """Each run of ``descriptors`` with monitors and without, back to back,
+    ``reps`` times; the arm that goes first alternates run by run and rep
+    by rep, so drift in the host's speed lands on both arms alike.
+
+    Returns ``(outcome, shares, ticks, self_ticks, inclusive_ticks)``: the
+    last monitored pass's totals, per rep the process CPU seconds of the
+    two arms (``(with, without)``), and the monitored runs' samples.
+    """
+
+    shares = []
+    ticks, own, inclusive = 0, Counter(), Counter()
+    records: list[dict] = []
+    for rep in range(reps):
+        cpu = {True: 0.0, False: 0.0}
+        records = []
+        for index, data in enumerate(descriptors):
+            first = (rep + index) % 2 == 0
+            for monitored in (first, not first):
+                run = data if monitored else dict(data, monitors=[])
+                start = time.process_time()
+                record, run_ticks, run_own, run_inclusive = sample(
+                    lambda: execute_run(run), interval
+                )
+                cpu[monitored] += time.process_time() - start
+                if monitored:
+                    records.append(record)
+                    ticks += run_ticks
+                    own.update(run_own)
+                    inclusive.update(run_inclusive)
+        shares.append((cpu[True], cpu[False]))
+    outcome = {
+        "routes": sum(record["route_count"] for record in records),
+        "messages": sum(record["messages"] for record in records),
+        "quiescent": all(record["quiescent"] for record in records),
+    }
+    return outcome, shares, ticks, own, inclusive
+
+
 def cost_centre(code) -> str:
     """``file.py:Qualified.name`` of a code object."""
 
@@ -183,8 +312,8 @@ def cost_centre(code) -> str:
 
 
 def sample(
-    work: Callable[[], dict], interval: float
-) -> tuple[dict, int, Counter, Counter]:
+    work: Callable[[], object], interval: float
+) -> tuple[object, int, Counter, Counter]:
     """Run ``work`` under the ``ITIMER_PROF`` stack sampler.
 
     Returns ``(outcome, ticks, self_ticks, inclusive_ticks)``, the tick
@@ -243,7 +372,8 @@ def main() -> None:
         "--size",
         type=int,
         default=None,
-        help="scenario node count (default: 50, 31 with --churn, 28 with --serve)",
+        help="scenario node count (default: 50, 31 with --churn, 28 with --serve, "
+        "20 with --campaign)",
     )
     parser.add_argument(
         "--sample",
@@ -260,10 +390,44 @@ def main() -> None:
         action="store_true",
         help="sample settled updates of an in-process serving daemon (implies --sample)",
     )
+    parser.add_argument(
+        "--campaign",
+        action="store_true",
+        help="time and sample the bench campaign's round-0 runs in-process, "
+        "with and without monitors (implies --sample)",
+    )
     args = parser.parse_args()
 
     buffer = io.StringIO()
-    if args.serve:
+    tally = CollectorTally()
+    notes: list[str] = []
+    every = f"sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+    if args.campaign:
+        args.sample = True
+        args.size = args.size or 20
+        descriptors = prepare_campaign(args.size)
+        title = f"campaign round-0 size-{args.size} profile"
+        start = time.perf_counter()
+        with tally:
+            outcome, cpu, ticks, own, inclusive = run_campaign_arms(
+                descriptors, CAMPAIGN_REPS, SAMPLE_INTERVAL
+            )
+        elapsed = time.perf_counter() - start
+        units, unit = 2 * CAMPAIGN_REPS * len(descriptors), "run"
+        instrument = (
+            f"for {len(descriptors)} runs x {CAMPAIGN_REPS} reps x with/without monitors "
+            f"{every}; tables: the monitored runs"
+        )
+        readings = sorted((with_s - without_s) / with_s for with_s, without_s in cpu)
+        with_s, without_s = (sum(arm) for arm in zip(*cpu))
+        notes.append(
+            f"monitors: {100.0 * readings[len(readings) // 2]:.1f}% of the monitored runs' "
+            f"process CPU, median of {len(readings)} reps (range "
+            f"{100.0 * readings[0]:.1f}-{100.0 * readings[-1]:.1f}%; {with_s:.2f}s with, "
+            f"{without_s:.2f}s without; monitors.overhead_pct over those seconds: "
+            f"{100.0 * (with_s / without_s - 1):.1f})"
+        )
+    elif args.serve:
         args.sample = True
         args.family = args.family or "tree"
         args.size = args.size or 28
@@ -271,12 +435,14 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as state_dir:
             service, script = prepare_serve(state_dir, args.family, args.size)
             start = time.perf_counter()
-            outcome, ticks, own, inclusive = sample(
-                lambda: run_serve(service, script), SAMPLE_INTERVAL
-            )
+            with tally:
+                outcome, ticks, own, inclusive = sample(
+                    lambda: run_serve(service, script), SAMPLE_INTERVAL
+                )
             elapsed = time.perf_counter() - start
             service.close()
-        instrument = f"for {len(script)} updates sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+        units, unit = len(script), "update"
+        instrument = f"for {len(script)} updates {every}"
     elif args.churn:
         args.sample = True
         args.family = args.family or "power_law"
@@ -284,12 +450,14 @@ def main() -> None:
         title = f"churn {args.family}-{args.size} link-cycle profile"
         engine, script = prepare_churn(args.family, args.size)
         start = time.perf_counter()
-        outcome, ticks, own, inclusive = sample(
-            lambda: run_churn(engine, script), SAMPLE_INTERVAL
-        )
+        with tally:
+            outcome, ticks, own, inclusive = sample(
+                lambda: run_churn(engine, script), SAMPLE_INTERVAL
+            )
         elapsed = time.perf_counter() - start
         engine.close()
-        instrument = f"for {len(script)} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+        units, unit = len(script), "op"
+        instrument = f"for {len(script)} ops {every}"
     else:
         args.family = args.family or "power_law"
         args.size = args.size or 50
@@ -301,15 +469,19 @@ def main() -> None:
             def work() -> dict:
                 return [run_e4(inputs) for _ in range(SAMPLED_OPS)][-1]
 
-            outcome, ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
+            with tally:
+                outcome, ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
             elapsed = time.perf_counter() - start
-            instrument = f"for {SAMPLED_OPS} ops sampled every {SAMPLE_INTERVAL * 1e3:g} ms of CPU"
+            units, unit = SAMPLED_OPS, "op"
+            instrument = f"for {SAMPLED_OPS} ops {every}"
         else:
             profiler = cProfile.Profile()
-            profiler.enable()
-            outcome = run_e4(inputs)
-            profiler.disable()
+            with tally:
+                profiler.enable()
+                outcome = run_e4(inputs)
+                profiler.disable()
             elapsed = time.perf_counter() - start
+            units, unit = 1, "op"
             instrument = "under cProfile"
     # ru_maxrss is in KiB on Linux
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -317,7 +489,13 @@ def main() -> None:
         f"{title} "
         f"(wall {elapsed:.2f}s {instrument}; {outcome['routes']} routes, "
         f"{outcome['messages']} messages, quiescent={outcome['quiescent']}; "
-        f"max RSS {max_rss_mb:.0f} MB)\n\n"
+        f"max RSS {max_rss_mb:.0f} MB)\n"
+    )
+    for line in [*notes, tally.summary(units, unit)]:
+        buffer.write(line + "\n")
+    buffer.write(
+        "(a sampled or cProfile share charges each collection to the allocation "
+        "that set it off)\n\n"
     )
     if args.sample:
         if not ticks:

@@ -87,6 +87,7 @@ from ..ndlog.localization import localize_program
 from ..ndlog import seminaive
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
+from .collector import collector_paused
 from .events import Event, EventScheduler
 from .executor import FixpointExecutor
 from .network import Channel, NodeId, Topology
@@ -669,14 +670,17 @@ class DistributedEngine:
         dropped first (:meth:`Trace.compact`), so a long-lived engine holds
         one run's records, not its history; counts and the fingerprint stay
         exact, and ``trace.state_changes[count_before_run:]`` is this run's.
+        Events are processed with the cyclic collector paused
+        (:mod:`repro.dn.collector`): what they build is cycle-free.
         """
 
         self.trace.compact()
         self._begin_segment()
-        if not self._seeded:
-            self.seed_facts(extra_facts)
-        with obs_tracing.span("engine.run"):
-            self.advance(until, self.config.max_events)
+        with collector_paused():
+            if not self._seeded:
+                self.seed_facts(extra_facts)
+            with obs_tracing.span("engine.run"):
+                self.advance(until, self.config.max_events)
         self.trace.events_processed = self.scheduler.processed
         self.trace.finished_at = self.scheduler.now
         self.trace.quiescent = self.scheduler.is_empty

@@ -75,7 +75,6 @@ from their rows.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import pickle
@@ -91,6 +90,7 @@ from ..ndlog import seminaive
 from ..ndlog.store import _make_key_getter, select_rows
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
+from .collector import collector_paused, freeze_inherited_heap
 from .engine import DistributedEngine, EngineConfig
 from .executor import FixpointExecutor, Op
 from .faults import FaultInjector, FaultPlan
@@ -249,7 +249,7 @@ def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> No
     coordinator_end.close()
     # the heap inherited from the coordinator is never freed here: keep the
     # collector from walking (and so copying) its pages
-    gc.freeze()
+    freeze_inherited_heap()
     try:
         worker = ShardWorker(program, node_ids, registry)
     except BaseException:
@@ -271,7 +271,8 @@ def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> No
             time.sleep(args[0])
             continue
         try:
-            result = getattr(worker, method)(*args)
+            with collector_paused():
+                result = getattr(worker, method)(*args)
         except BaseException:
             conn.send(("error", traceback.format_exc()))
         else:

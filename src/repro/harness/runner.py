@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..bgp.generator import policy_path_vector_source
+from ..dn.collector import freeze_inherited_heap
 from ..dn.engine import DistributedEngine, EngineConfig, create_engine
 from ..fvn.monitors import (
     MonitorSchema,
@@ -332,7 +333,10 @@ def _run_pool(
         batch = remaining[:1] if isolate else remaining
         deferred = remaining[1:] if isolate else []
         requeue: list[RunDescriptor] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked worker never frees the heap it inherited: freeze it
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=freeze_inherited_heap
+        ) as pool:
             futures = [
                 (
                     descriptor,

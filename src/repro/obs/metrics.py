@@ -23,6 +23,10 @@ Design points:
   :meth:`MetricsRegistry.drain` and folds them in with
   :meth:`MetricsRegistry.merge`.  Histograms merge by concatenating raw
   observations; counters sum.
+* **The cyclic collector** — while metrics are enabled one
+  ``gc.callbacks`` hook counts CPython's collector passes and their
+  seconds per generation (``engine.gc_*``), so a collection a profiler
+  would charge to the allocation that set it off has a line of its own.
 * **Deterministic snapshots** — :meth:`MetricsRegistry.snapshot` reports
   sorted keys and nearest-rank p50/p95, so two identical runs produce
   identical JSON (timings aside).
@@ -34,12 +38,15 @@ catalog.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import time
 
 #: Every metric the subsystem may record, grouped by layer.  Counters
-#: carry an integral running total; histograms (``*_seconds``, ``*_size``,
-#: ``*_rounds``, ``*_cascade``) keep raw observations for percentiles.
+#: carry a running total (integral but for ``engine.gc_time_*``, seconds);
+#: histograms (``*_seconds``, ``*_size``, ``*_rounds``, ``*_cascade``) keep
+#: raw observations for percentiles.
 METRIC_NAMES = (
     # dn/engine.py + dn/executor.py
     "engine.events",
@@ -53,6 +60,14 @@ METRIC_NAMES = (
     "engine.sends_netted",
     "engine.aggregate_groups",
     "engine.aggregate_full",
+    # CPython's cyclic collector, per generation (a gc.callbacks hook): its
+    # passes and the seconds they took, counters both
+    "engine.gc_passes_gen0",
+    "engine.gc_passes_gen1",
+    "engine.gc_passes_gen2",
+    "engine.gc_time_gen0",
+    "engine.gc_time_gen1",
+    "engine.gc_time_gen2",
     # dn/shard.py
     "shard.requests",
     "shard.request_seconds",
@@ -172,16 +187,43 @@ def registry() -> MetricsRegistry:
     return _registry
 
 
+#: the ``perf_counter`` reading at the start of the collection in progress
+_gc_started = 0.0
+_GC_PASSES = ("engine.gc_passes_gen0", "engine.gc_passes_gen1", "engine.gc_passes_gen2")
+_GC_TIME = ("engine.gc_time_gen0", "engine.gc_time_gen1", "engine.gc_time_gen2")
+
+
+def _on_collection(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: count each collector pass and its seconds
+    under the generation it collected."""
+
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    generation = info["generation"]
+    _registry.inc(_GC_PASSES[generation])
+    _registry.inc(_GC_TIME[generation], time.perf_counter() - _gc_started)
+
+
 def enable() -> None:
     """Turn instrumentation on for this process (workers fork it on)."""
 
     global ENABLED
     ENABLED = True
+    if _on_collection not in gc.callbacks:
+        gc.callbacks.append(_on_collection)
 
 
 def disable() -> None:
     global ENABLED
     ENABLED = False
+    if _on_collection in gc.callbacks:
+        gc.callbacks.remove(_on_collection)
+
+
+if ENABLED:
+    enable()  # ``FVN_OBS``: install the collector hook too
 
 
 def inc(name: str, amount: float = 1) -> None:

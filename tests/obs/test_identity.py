@@ -7,6 +7,7 @@ the whole subsystem on and the same run with it off, on the single-process
 engine under either rule evaluator, a 4-way sharded coordinator, and serving
 crash recovery."""
 
+import gc
 import json
 
 import pytest
@@ -131,6 +132,30 @@ class TestEngineIdentity:
         assert first["engine.aggregate_groups"] > 0
         assert churn.get("engine.aggregate_full", 0) == 0
         assert churn["engine.aggregate_groups"] > 0
+
+    def test_collector_counters_are_observational(self):
+        """While metrics are on, one ``gc.callbacks`` hook counts the cyclic
+        collector's passes and seconds per generation; ``disable()`` takes
+        it out again, and counting changes nothing observable."""
+
+        plain = run_once(obs=False)
+        assert metrics._on_collection not in gc.callbacks
+        observed = run_once(obs=True)
+        metrics.enable()
+        assert gc.callbacks.count(metrics._on_collection) == 1
+        for generation in (0, 1, 2):
+            gc.collect(generation)
+        exported = metrics.registry().export()
+        counters = exported["counters"]
+        for generation in (0, 1, 2):
+            assert counters[f"engine.gc_passes_gen{generation}"] >= 1
+            assert counters[f"engine.gc_time_gen{generation}"] > 0
+        assert not any(name.startswith("engine.gc_") for name in exported["values"])
+        metrics.disable()
+        assert metrics._on_collection not in gc.callbacks
+        gc.collect()
+        assert metrics.registry().export()["counters"] == counters
+        assert observed == plain
 
     def test_sharded_obs_on_matches_obs_off(self):
         plain = run_once(obs=False, shards=4)
