@@ -14,7 +14,11 @@ nothing* — and that each pillar actually produces its artifact:
 2. **Serving leg** — boot a daemon with ``--trace-out`` over the real
    socket; push an update; resolve a derived ``bestPath`` row to base
    facts through the ``explain`` verb; read the ``metrics`` verb; stop and
-   require the daemon's trace file to appear and load.
+   require the daemon's trace file to appear and load.  Then boot a
+   2-shard daemon, push the same update, and require its metrics'
+   ``engine.rule_firings`` and ``serving.updates`` to equal the 1-shard
+   daemon's: a sharded daemon's node counters live on its workers and
+   must come home at every settle.
 
 Evidence lands in ``--artifacts``.  Exits non-zero on any failure.  Usage::
 
@@ -93,6 +97,32 @@ def campaign_leg(evidence: dict, artifacts: Path, tmp: Path) -> None:
         raise SystemExit("obs smoke: campaign trace is missing harness.run spans")
 
 
+#: the metric counters a sharded daemon must report as a 1-shard one does
+SHARD_INVARIANT_COUNTERS = ("engine.rule_firings", "serving.updates")
+
+
+def sharded_counters(artifacts: Path, tmp: Path) -> dict:
+    """The shard-invariant counters of a 2-shard daemon after the serving
+    leg's update."""
+
+    state_dir = tmp / "state-2-shards"
+    state_dir.mkdir(parents=True)
+    daemon = start_daemon(
+        state_dir, artifacts / "daemon-2-shards.log",
+        "--family", FAMILY, "--size", str(SIZE), "--shards", "2",
+    )
+    try:
+        with ServingClient.from_state_dir(state_dir, timeout=120) as client:
+            client.call("link_fail", {"src": 0, "dst": 1})
+            counters = client.call("metrics", {})["metrics"]["counters"]
+            client.query("stop")
+    finally:
+        daemon.wait(timeout=60)
+        if daemon.poll() is None:
+            daemon.kill()
+    return {name: counters.get(name) for name in SHARD_INVARIANT_COUNTERS}
+
+
 def serving_leg(evidence: dict, artifacts: Path, tmp: Path) -> None:
     state_dir = tmp / "state"
     state_dir.mkdir(parents=True)
@@ -135,6 +165,7 @@ def serving_leg(evidence: dict, artifacts: Path, tmp: Path) -> None:
         "metric_counters": metrics["metrics"]["counters"],
         "trace_events": len(events),
         "trace_span_names": sorted({e["name"] for e in events}),
+        "sharded_counters": sharded_counters(artifacts, tmp),
     }
     leg = evidence["serving"]
     if not (leg["update_settled"] and leg["best_found"] and leg["explain_found"]):
@@ -148,6 +179,12 @@ def serving_leg(evidence: dict, artifacts: Path, tmp: Path) -> None:
         raise SystemExit("obs smoke: metrics verb shows no applied update")
     if "serving.update" not in leg["trace_span_names"]:
         raise SystemExit("obs smoke: daemon trace is missing serving.update spans")
+    single = {name: leg["metric_counters"].get(name) for name in SHARD_INVARIANT_COUNTERS}
+    if leg["sharded_counters"] != single:
+        raise SystemExit(
+            f"obs smoke: a 2-shard daemon's counters {leg['sharded_counters']} "
+            f"differ from the 1-shard daemon's {single}"
+        )
 
 
 def main() -> int:

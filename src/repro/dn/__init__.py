@@ -10,10 +10,11 @@ from .engine import DistributedEngine, EngineConfig, create_engine, run_program
 from .events import Event, EventScheduler
 from .executor import FixpointExecutor
 from .faults import Fault, FaultInjector, FaultPlan
+from .host import ShardWorker
 from .network import Channel, Link, Message, NodeId, Topology
 from .node import Node, NodeStats
 from .partition import PARTITION_STRATEGIES, edge_cut, partition_nodes
-from .shard import ShardCrash, ShardedEngine, ShardError, ShardTimeout, ShardWorker
+from .shard import ShardCrash, ShardedEngine, ShardError, ShardTimeout
 from .trace import MessageRecord, StateChange, Trace, TraceCompacted
 
 __all__ = [

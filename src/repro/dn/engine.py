@@ -5,64 +5,49 @@ This is the runtime the paper relies on for arc 7 of Figure 1: executing
 P2 / declarative-networking execution model:
 
 1. the program is **localized** (:mod:`repro.ndlog.localization`) so every
-   rule body reads tuples at a single node;
-2. base tuples are distributed to the node named by their location
-   specifier;
-3. execution is **batched semi-naive**: tuples arriving at a node at the
-   same simulation timestamp are drained into one delta batch, and each
-   triggered rule fires once with the whole batch as the delta (instead of
-   once per tuple); derived tuples whose head location names another node
-   are shipped as messages with the link's propagation delay — the
-   messages landing at one time travel as one scheduler event, a *wave* —
-   while local derivations are appended to the batch queue and processed
-   in the same drain loop;
-4. aggregate rules (``min<C>`` …) are recomputed over the node's local
-   tables once per batch round (deferred to batch end rather than per
-   tuple), so route recomputation (``bestRoute``) happens exactly as in the
-   paper's BGP decomposition but without per-tuple recomputation overhead.
-
-Per-program execution state is built once at load time and cached for the
-whole run: every rule of the localized program is lowered to generated
-Python source (:class:`~repro.ndlog.codegen.CodegenRule`) shared by every
-node, and the predicate→triggered-rules map (plus its per-delta
-plain/aggregate split) is memoized instead of being rebuilt on every
-delivery round.
-
-5. execution is **non-monotonic**: base-fact deletions — link failures,
+   rule body reads tuples at a single node, and base tuples go to the node
+   their location specifier names;
+2. execution is **batched semi-naive**: the tuples arriving at a node at
+   one simulation timestamp are drained as one delta batch, each triggered
+   rule firing once per round with the whole batch as its delta; derived
+   tuples located elsewhere ship as messages with the link's delay (the
+   messages landing at one time ride one scheduler event, a *wave*), local
+   ones join the batch; aggregate rules (``min<C>`` …) are recomputed once
+   per round, per changed group;
+3. execution is **non-monotonic**: base-fact deletions — link failures,
    keyed cost-change displacements, soft-state expiry — propagate through
-   derived state.  Every stored row carries a derivation count; a deletion
-   round fires the triggered rules with the retracted tuples as a deletion
-   delta *before* physically removing them (so the join sees the old
-   database), releases one support per lost derivation, ships ``retract``
-   messages for remotely-located heads, and recomputes-and-diffs aggregate
-   rules against a per-node memo so vanished groups (stale best routes) are
-   withdrawn.  Rules with negated body literals get compiled negation-delta
-   variants so changes of the negated relation assert/retract exactly the
-   bindings they unblock/block.  Settles that removed rows end with a
-   **consistency sweep**: purely-local derived predicates are re-derived and
-   stored rows no longer derivable are force-retracted, repairing the
-   support counts a multi-round deletion cascade can strand (see
-   :meth:`repro.dn.executor.FixpointExecutor.settle`).
+   derived state by derivation counts, deletion deltas fired against the
+   old database, ``retract`` messages, negation-delta variants and
+   re-diffed aggregate groups; settles that removed rows end with a
+   **consistency sweep** that repairs what a multi-round deletion cascade
+   can strand (see :meth:`repro.dn.executor.FixpointExecutor.settle`).
 
-Batched, retraction-aware rounds are the engine's only execution mode, and
-generated code its only rule evaluator: every settle point is reached by
-the same :meth:`~repro.dn.executor.FixpointExecutor.settle` over the same
-generated rules whether the node runs here or on a shard worker.  The rule
-engine comes from :data:`repro.ndlog.seminaive.RULE_ENGINE`, which
-differential tests point at the reference interpreter
-(:mod:`repro.ndlog.reference`).
-
+That is the only execution mode, and generated code (one
+:class:`~repro.ndlog.codegen.CodegenRule` per rule, compiled once and
+shared by every node) the only rule evaluator; differential tests point
+:data:`repro.ndlog.seminaive.RULE_ENGINE` at the reference interpreter.
 Like the centralized :class:`~repro.ndlog.seminaive.IncrementalEvaluator`,
-the distributed counting scheme is exact for programs whose recursion is
-well-founded (e.g. the path-vector program, whose cycle check grounds every
-derivation); programs with cyclic self-support (``reach``-style transitive
-closure without a decreasing measure) should bound stale state with
-soft-state lifetimes, the paper's own remedy.
+the counting scheme is exact for programs whose recursion is well-founded
+(the path-vector program's cycle check grounds every derivation); cyclic
+self-support should be bounded with soft-state lifetimes, the paper's own
+remedy.
 
-The engine records a :class:`~repro.dn.trace.Trace` for convergence and
-message accounting — each ``run()`` first compacts away the records of the
-runs before it — and supports runtime topology dynamics (link failure,
-recovery, cost changes) plus soft-state expiry and periodic refresh.
+**One engine, two node hosts.**  The engine owns what is global: the event
+scheduler (whose FIFO tie-break defines the one event order), the loss
+channel and its RNG stream, the :class:`~repro.dn.trace.Trace`, the
+monitors, topology dynamics and each node's pending-op queue.  The tables
+and their settles belong to the engine's *node host*
+(:mod:`repro.dn.host`): a :class:`~repro.dn.host.ShardWorker` in this
+process, or in a :class:`~repro.dn.shard.ShardedEngine` a
+:class:`~repro.dn.shard.ShardSupervisor` over shard worker processes.  A
+flush takes every flush queued at its timestamp off the scheduler as one
+wave and hands it to the host, which settles or replays the nodes in wave
+order into the same sinks (the trace and ``_send``); the engine tells the
+monitors after each node.  So for one seed both hosts produce the same
+trace, tables and stats.  A run segment — a ``run()``, or a serving
+daemon's settle — is bracketed by :meth:`~DistributedEngine.begin_segment`
+(which compacts the trace's earlier records away) and
+:meth:`~DistributedEngine.end_segment`.
 
 Every scheduled event is plain data — a kind tag and picklable arguments
 — that :meth:`DistributedEngine.advance` dispatches through one ``kind →
@@ -78,7 +63,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import Fact, NDlogError, Program
@@ -89,7 +74,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .collector import collector_paused
 from .events import Event, EventScheduler
-from .executor import FixpointExecutor
+from .host import ShardWorker
 from .network import Channel, NodeId, Topology
 from .node import Node
 from .trace import Trace
@@ -144,14 +129,14 @@ class EngineMonitor(Protocol):
     """Runtime invariant monitor attached to an engine.
 
     A monitor reads the engine's own tables (``engine.nodes[node].rows`` /
-    ``select``, the same calls on a :class:`Node` and on a sharded
-    coordinator's row view) whenever a node settles with at least one
+    ``select``, the same calls on a :class:`Node` and on a sharded host's
+    row view) whenever a node settles with at least one
     recorded state change (``on_settle``) — the points at which FVN safety
     properties are meaningful during execution — and once over every node
     at the end (``finalize``).  ``changes`` are the trace records that
     settle appended, in order, as the plain ``(time, node, predicate,
-    values, kind)`` tuples of :meth:`Trace.changes_since` (the sharded
-    coordinator's replay records into the same trace, so both engines pass
+    values, kind)`` tuples of :meth:`Trace.changes_since` (a sharded host
+    replays its workers' records into the same trace, so both hosts pass
     the same records): a monitor may re-check only what they touch.  A
     monitor must not build an index on the tables it reads — the executor
     seeds key-scoped derives by :meth:`Table.has_lookup`, so an index a
@@ -168,10 +153,12 @@ class EngineMonitor(Protocol):
 
 
 class DistributedEngine:
-    """Runs an NDlog program over a simulated network."""
+    """Runs an NDlog program over a simulated network.
 
-    #: what holds a node's state (a sharded coordinator's holds a row view)
-    node_class = Node
+    ``host`` builds the node host from the engine under construction (which
+    it must not keep: a host holding its engine would make a reference
+    cycle); the default hosts every node in this process.
+    """
 
     def __init__(
         self,
@@ -180,6 +167,7 @@ class DistributedEngine:
         *,
         config: Optional[EngineConfig] = None,
         registry: Optional[FunctionRegistry] = None,
+        host: Optional[Callable[["DistributedEngine"], object]] = None,
     ) -> None:
         program.check()
         self.original_program = program
@@ -188,9 +176,6 @@ class DistributedEngine:
         self.localization = localization
         self.topology = topology
         self.config = config or EngineConfig()
-        #: the caller-supplied registry (None = builtin), remembered so the
-        #: sharded subclass can forward the same argument to its workers
-        self._registry_arg = registry
         self.registry = registry or builtin_registry()
         self.rule_engine = seminaive.RULE_ENGINE(self.registry)
         # compile the localized program once; every node shares the plans
@@ -218,15 +203,14 @@ class DistributedEngine:
         #: the old database), so external updates must not land inside; see
         #: :meth:`_assert_safe_point`
         self._fixpoint_depth = 0
-        self.nodes: dict[NodeId, Node] = {
-            node_id: self.node_class(node_id, self.program, rule_engine=self.rule_engine)
-            for node_id in topology.nodes
-        }
-        # the node-local fixpoint machinery (trigger maps, retraction
-        # rounds, negation deltas) lives in the executor, shared with the
-        # shard workers; each settle plugs this engine's trace/channel in as
-        # the effect sinks
-        self.executor = FixpointExecutor(self.program, self.rule_engine)
+        #: holds the nodes and settles them (see :mod:`repro.dn.host`)
+        self.host = (
+            host(self)
+            if host is not None
+            else ShardWorker(self.program, topology.nodes, self.rule_engine)
+        )
+        #: node id → its :class:`Node` (a sharded host's: a row view)
+        self.nodes: dict[NodeId, Node] = self.host.nodes
         self._base_facts: list[tuple[NodeId, str, tuple]] = []
         self._seeded = False
         # per-node queues of ops awaiting batched delta processing; each op
@@ -305,14 +289,14 @@ class DistributedEngine:
                 values = tuple(values)
                 facts.append((values[0], predicate, values))
         if self.config.link_predicate:
-            self._protect_predicate(self.config.link_predicate)
+            self.host.protect(self.config.link_predicate)
             for link_fact in self.topology.link_facts():
                 facts.append((link_fact[0], self.config.link_predicate, tuple(link_fact)))
         self._base_facts = facts
         # injected base facts are exempt from consistency sweeps (no rule
         # derives them, so derivability must not be demanded)
         for predicate in dict.fromkeys(predicate for _, predicate, _ in facts):
-            self._protect_predicate(predicate)
+            self.host.protect(predicate)
         if facts:
             # configuration is loaded, not simulated: one weighted event
             # stands for the whole burst, at one unit of event budget per
@@ -386,18 +370,11 @@ class DistributedEngine:
     # ------------------------------------------------------------------
     # Batched semi-naive execution
     # ------------------------------------------------------------------
-    def _handle_insert(self, node_id: NodeId, predicate: str, values: tuple) -> None:
-        self._enqueue(node_id, ("insert", predicate, values))
-
-    def _handle_retract(
-        self, node_id: NodeId, predicate: str, values: tuple, *, kind: str = "retract"
-    ) -> None:
-        """Queue a deletion op: ``retract`` drops one support, ``delete`` /
-        ``expire`` force-remove the row regardless of its count."""
-
-        self._enqueue(node_id, (kind, predicate, values))
-
     def _enqueue(self, node_id: NodeId, op: tuple[str, str, tuple]) -> None:
+        """Queue an op for the node's next flush at this timestamp: an
+        ``insert``; a ``retract`` drops one support, a ``delete`` or
+        ``expire`` force-removes the row regardless of its count."""
+
         self._pending[node_id].append(op)
         now = self.scheduler.now
         if self._flush_marks.get(node_id) == now:
@@ -406,38 +383,45 @@ class DistributedEngine:
         self.scheduler.schedule(0.0, Event("flush", (node_id,)))
 
     def _flush(self, node_id: NodeId) -> None:
-        """Drain every tuple that accumulated for a node at this timestamp.
+        """Drain every node that has a flush queued at this timestamp.
 
         Scheduling the flush as a zero-delay event lets all same-timestamp
         deliveries (the seeding burst, synchronized message waves) coalesce
-        into one batched semi-naive round instead of firing rules per tuple.
-        The drain itself — retraction-aware rounds to a local fixpoint — is
-        the executor's job; this engine only owns the queues and the settle
-        notification.
+        into one batched semi-naive round per node instead of firing rules
+        per tuple.  The flushes queued at one timestamp are independent —
+        each touches one node, and what they send lands in later events —
+        so the first takes the rest off the scheduler as one wave
+        (:meth:`EventScheduler.pop_if` charges each as the run loop would)
+        and the host settles the wave's nodes in order, each into this
+        engine's trace and ``_send``.  Monitors hear of each node's settle
+        before the next one starts, as if the flushes had run one by one.
         """
 
-        self._flush_marks.pop(node_id, None)
-        queue = self._pending[node_id]
-        ops = list(queue)
-        queue.clear()
-        if obs_metrics.ENABLED:
-            obs_metrics.inc("engine.flushes")
-        if self.monitors:
-            changes = self.trace.state_change_count
+        now = self.scheduler.now
+
+        def same_wave(at: float, event: Event) -> bool:
+            return at == now and event.kind == "flush"
+
+        pop_if = self.scheduler.pop_if
+        wave = [node_id]
+        while (event := pop_if(same_wave)) is not None:
+            wave.append(event.args[0])
+        items = []
+        for nid in wave:
+            self._flush_marks.pop(nid, None)
+            queue = self._pending[nid]
+            items.append((nid, list(queue)))
+            queue.clear()
+        trace = self.trace
+        since = trace.state_change_count
         self._fixpoint_depth += 1
         try:
-            with obs_tracing.span("engine.flush", node=str(node_id), ops=len(ops)):
-                self.executor.settle(
-                    self.nodes[node_id],
-                    ops,
-                    self.scheduler.now,
-                    self.trace.record_change,
-                    self._send,
-                )
+            for settled in self.host.flush(now, items, trace.record_change, self._send):
+                if self.monitors and trace.state_change_count != since:
+                    self._notify_settle(settled, since)
+                since = trace.state_change_count
         finally:
             self._fixpoint_depth -= 1
-        if self.monitors and self.trace.state_change_count != changes:
-            self._notify_settle(node_id, changes)
 
     # ------------------------------------------------------------------
     # Safe points for engine-external updates
@@ -470,8 +454,8 @@ class DistributedEngine:
 
         self._assert_safe_point("inject_fact")
         values = tuple(values)
-        self._protect_predicate(predicate)
-        self._handle_insert(values[0], predicate, values)
+        self.host.protect(predicate)
+        self._enqueue(values[0], ("insert", predicate, values))
 
     def delete_fact(self, predicate: str, values: tuple) -> None:
         """Remove a located base fact at the current simulation time.
@@ -483,7 +467,7 @@ class DistributedEngine:
 
         self._assert_safe_point("delete_fact")
         values = tuple(values)
-        self._handle_retract(values[0], predicate, values, kind="delete")
+        self._enqueue(values[0], ("delete", predicate, values))
 
     def schedule_fact_delete(self, predicate: str, values: tuple, at: float) -> None:
         """Delete a located fact at an absolute simulation time (the
@@ -538,18 +522,9 @@ class DistributedEngine:
             else:
                 # the tuple expired — reinsert through the engine so rules
                 # re-derive downstream state
-                self._handle_insert(node_id, predicate, values)
+                self._enqueue(node_id, ("insert", predicate, values))
         if refreshed:
-            self._apply_refresh(refreshed, now)
-
-    def _apply_refresh(
-        self, refreshed: list[tuple[NodeId, str, tuple]], now: float
-    ) -> None:
-        """Extend the lifetimes of present soft-state base facts (the
-        sharded coordinator forwards them to the workers that hold them)."""
-
-        for node_id, predicate, values in refreshed:
-            self.nodes[node_id].db.table(predicate).refresh(values, now)
+            self.host.refresh(now, refreshed)
 
     def _expire_soft_state(self) -> None:
         now = self.scheduler.now
@@ -557,10 +532,10 @@ class DistributedEngine:
         # the node's deletion round has fired the retraction joins against
         # them (the round re-checks the lifetime, so a same-instant refresh
         # wins)
-        expired = self._expired_rows(now)
+        expired = self.host.expired(now)
         for node_id in self.nodes:
             for predicate, row in expired.get(node_id, ()):
-                self._handle_retract(node_id, predicate, row, kind="expire")
+                self._enqueue(node_id, ("expire", predicate, row))
         if (
             not self.scheduler.is_empty
             or self.config.refresh_interval
@@ -570,17 +545,21 @@ class DistributedEngine:
         ):
             self.scheduler.schedule(self.config.expiry_scan_interval, Event("expiry"))
 
-    def _expired_rows(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
-        """Node → its soft-state rows past their lifetime (see
-        :meth:`Node.expired`); the sharded coordinator asks its workers."""
+    def ensure_expiry_scan(self) -> None:
+        """Re-arm the soft-state expiry scan if soft rows are live but no
+        scan is queued: rows injected after the periodic scan let itself
+        lapse (seeding arms it once) would otherwise never expire."""
 
-        return {node_id: node.expired(now) for node_id, node in self.nodes.items()}
+        if not self._has_soft_state() or "expiry" in self.scheduler.pending_kinds():
+            return
+        if self._live_soft_rows():
+            self.scheduler.schedule(self.config.expiry_scan_interval, Event("expiry"))
 
     def soft_deadlines(self, node_id: NodeId) -> list[tuple[str, tuple, float]]:
         """``(predicate, row, expiry deadline)`` of every soft-state row at
         a node (see :meth:`Node.soft_deadlines`)."""
 
-        return self.nodes[node_id].soft_deadlines()
+        return self.host.soft_deadlines(node_id)
 
     # ------------------------------------------------------------------
     # Topology dynamics
@@ -602,9 +581,7 @@ class DistributedEngine:
         if not self.config.link_predicate:
             return
         for link in affected:
-            self._handle_retract(
-                link.src, self.config.link_predicate, link.as_fact(), kind="delete"
-            )
+            self._enqueue(link.src, ("delete", self.config.link_predicate, link.as_fact()))
 
     def schedule_link_restore(self, src: NodeId, dst: NodeId, at: float, *, symmetric: bool = True) -> None:
         """Restore a failed link at an absolute simulation time.
@@ -623,7 +600,7 @@ class DistributedEngine:
         if not self.config.link_predicate:
             return
         for link in affected:
-            self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
+            self._enqueue(link.src, ("insert", self.config.link_predicate, link.as_fact()))
 
     def schedule_cost_change(
         self, src: NodeId, dst: NodeId, cost: float, at: float, *, symmetric: bool = True
@@ -641,18 +618,12 @@ class DistributedEngine:
             # injecting its fact would resurrect a dead link (the new cost
             # ships when the link is restored)
             if link.up:
-                self._handle_insert(link.src, self.config.link_predicate, link.as_fact())
-
-    def _protect_predicate(self, predicate: str) -> None:
-        """Mark a predicate as carrying injected base facts (sweep-exempt).
-        The sharded coordinator forwards new protections to its workers."""
-
-        self.executor.protect(predicate)
+                self._enqueue(link.src, ("insert", self.config.link_predicate, link.as_fact()))
 
     def schedule_fact(self, predicate: str, values: tuple, at: float) -> None:
         """Inject a located fact at an absolute simulation time."""
 
-        self._protect_predicate(predicate)
+        self.host.protect(predicate)
         self.scheduler.schedule_at(at, Event("inject", (predicate, tuple(values))))
 
     # ------------------------------------------------------------------
@@ -666,36 +637,28 @@ class DistributedEngine:
     ) -> Trace:
         """Execute until quiescence, ``until``, or the event budget.
 
-        Earlier runs' records are folded into the trace's digests and
-        dropped first (:meth:`Trace.compact`), so a long-lived engine holds
-        one run's records, not its history; counts and the fingerprint stay
-        exact, and ``trace.state_changes[count_before_run:]`` is this run's.
+        One run is one segment (:meth:`begin_segment` … :meth:`end_segment`).
         Events are processed with the cyclic collector paused
         (:mod:`repro.dn.collector`): what they build is cycle-free.
         """
 
-        self.trace.compact()
-        self._begin_segment()
+        self.begin_segment()
         with collector_paused():
             if not self._seeded:
                 self.seed_facts(extra_facts)
             with obs_tracing.span("engine.run"):
                 self.advance(until, self.config.max_events)
-        self.trace.events_processed = self.scheduler.processed
-        self.trace.finished_at = self.scheduler.now
-        self.trace.quiescent = self.scheduler.is_empty
-        if obs_metrics.ENABLED:
-            self._record_run_metrics()
+        self.end_segment()
         return self.trace
 
     def advance(self, until: float, max_events: int) -> int:
         """Process events up to ``until`` within ``max_events`` (see
         :meth:`EventScheduler.run`); returns how many were processed.
 
-        Each event kind dispatches to one bound method of this engine, so a
-        subclass's overrides (the sharded coordinator's ``_flush``) are what
-        runs.  The table is built per call: one the engine kept would make
-        every engine a reference cycle, freed only by the cycle collector.
+        Each event kind dispatches to one bound method of this engine, so
+        a method patched on the instance is what runs.  The table is built
+        per call: one the engine kept would make every engine a reference
+        cycle, freed only by the cycle collector.
         """
 
         return self.scheduler.run(
@@ -716,18 +679,38 @@ class DistributedEngine:
             max_events=max_events,
         )
 
-    def _begin_segment(self) -> None:
-        """A run segment starts here, at a settle point (the serving settle
-        loop calls this too); the sharded coordinator may checkpoint."""
+    def begin_segment(self) -> None:
+        """A run segment starts here, at a settle point: :meth:`run` and
+        the serving daemon's settle loop (which drives :meth:`advance`)
+        both begin with it.
+
+        Earlier segments' records are folded into the trace's digests and
+        dropped (:meth:`Trace.compact`), so a long-lived engine holds one
+        segment's records, not its history; counts and the fingerprint stay
+        exact, and ``trace.state_changes[count_before_run:]`` is this
+        segment's.  The host may checkpoint its shards.
+        """
+
+        self.trace.compact()
+        self.host.begin_segment()
+
+    def end_segment(self) -> None:
+        """A run segment ends here: the trace takes the scheduler's event
+        count, clock and quiescence (so the fingerprint covers them), the
+        host brings its nodes' counters and metrics home, and the segment's
+        totals go to the metrics registry."""
+
+        trace = self.trace
+        trace.events_processed = self.scheduler.processed
+        trace.finished_at = self.scheduler.now
+        trace.quiescent = self.scheduler.is_empty
+        self.host.end_segment()
+        if obs_metrics.ENABLED:
+            self._record_run_metrics()
 
     def _record_run_metrics(self) -> None:
-        """Fold this run segment's totals into the metrics registry.
-
-        Deltas against high-water marks keep repeated ``run()`` segments
-        (the serving settle loop, multi-phase harness runs) from
-        double-counting; the sharded engine calls this again after syncing
-        worker stats so the synced firings are picked up too.
-        """
+        """Fold this segment's totals into the metrics registry, as deltas
+        against high-water marks so repeated segments never double-count."""
 
         processed = self.scheduler.processed
         if processed > self._obs_events_seen:
@@ -814,9 +797,9 @@ class DistributedEngine:
             },
             "trace": self.trace,
             "topology": self.topology.export_state(),
-            "protected": sorted(self.executor._protected),
+            "protected": sorted(self.host.protected),
             "base_facts": list(self._base_facts),
-            "nodes": self._capture_nodes(),
+            "nodes": self.host.export_nodes(),
             "monitors": [
                 {
                     key: value
@@ -826,12 +809,6 @@ class DistributedEngine:
                 for monitor in self.monitors
             ],
         }
-
-    def _capture_nodes(self) -> dict:
-        """Node id → its :meth:`Node.export_state` (the sharded coordinator
-        gathers them from its workers)."""
-
-        return {node_id: node.export_state() for node_id, node in self.nodes.items()}
 
     def restore(self, state: dict) -> None:
         """Load a :meth:`capture` into this fresh, unseeded engine, built
@@ -849,27 +826,25 @@ class DistributedEngine:
         self.channel.dropped = state["channel"]["dropped"]
         self.trace = state["trace"]
         for predicate in state["protected"]:
-            self._protect_predicate(predicate)
+            self.host.protect(predicate)
         self._base_facts = [
             (node_id, predicate, tuple(values))
             for node_id, predicate, values in state["base_facts"]
         ]
         self._seeded = True
-        self._restore_nodes(state["nodes"])
+        self.host.load_nodes(state["nodes"])
+        # report only what runs from here: a ``what_if`` fork must not count
+        # the history it was restored with into the metrics again
+        self._obs_events_seen = self.scheduler.processed
+        self._obs_firings_seen = sum(node.stats.rule_firings for node in self.nodes.values())
         for monitor, captured in zip(self.monitors, state["monitors"]):
             monitor.__dict__.update(captured)
 
-    def _restore_nodes(self, states: dict) -> None:
-        """Load each node's captured state (the sharded coordinator hands
-        them to its workers)."""
-
-        for node_id, node_state in states.items():
-            self.nodes[node_id].load_state(node_state)
-
     def close(self) -> None:
-        """Release external resources.  A no-op for the single-process
-        engine; the sharded engine overrides this to shut its worker
-        processes down (its rows, trace and stats stay readable after)."""
+        """Release the host's external resources: a sharded engine's
+        worker processes (its rows, trace and stats stay readable after)."""
+
+        self.host.close()
 
 
 def create_engine(

@@ -22,9 +22,9 @@ compiled negation-delta variants); the callbacks are arguments of each
 what makes the sharded engine (:mod:`repro.dn.shard`) possible: a worker
 process hosts the nodes of its shard and runs the *identical* code the
 single-process engine runs, with the callbacks collecting effects for the
-coordinator to sequence instead of recording/sending directly.  Determinism of
-the split therefore reduces to determinism of this class, which both
-engines share.
+supervisor to sequence instead of recording/sending directly.  Determinism of
+the split therefore reduces to determinism of this class, which both node
+hosts share.
 
 The op-queue semantics (deletion sub-rounds before insertion sub-rounds,
 FIFO prefixes cut at opposite-direction duplicates, keyed displacement
@@ -168,7 +168,7 @@ class FixpointExecutor:
         self._view_reads: frozenset[str] = frozenset()
         #: predicates seeded with base facts (injected, not derived): the
         #: sweep must never judge them by rule derivability
-        self._protected: set[str] = set()
+        self.protected: set[str] = set()
         for rule in program.rules:
             for predicate, variant in rule_engine.negation_variants(rule):
                 self._negation_triggers.setdefault(predicate, []).append(variant)
@@ -337,9 +337,9 @@ class FixpointExecutor:
         base facts, which no rule needs to re-derive).  Returns ``True``
         when the predicate was not protected before."""
 
-        if predicate in self._protected:
+        if predicate in self.protected:
             return False
-        self._protected.add(predicate)
+        self.protected.add(predicate)
         return True
 
     # ------------------------------------------------------------------
@@ -508,7 +508,7 @@ class FixpointExecutor:
             # a row): check the keys now; a dirty one is left as the full
             # sweep would leave it, and remembered
             if (
-                predicate not in self._protected
+                predicate not in self.protected
                 and predicate not in node.unswept
                 and not self._keys_consistent(node, predicate, keys)
             ):
@@ -521,7 +521,7 @@ class FixpointExecutor:
         reading a predicate that lost rows."""
 
         for predicate, rules in self._sweep_rules.items():
-            if predicate not in self._protected and not self._sweep_bodies[
+            if predicate not in self.protected and not self._sweep_bodies[
                 predicate
             ].isdisjoint(deleted):
                 yield predicate, rules

@@ -1,54 +1,49 @@
 """Process-sharded execution of the distributed NDlog engine.
 
 This module scales one simulated network past a single core while keeping
-the execution **byte-identical** to :class:`~repro.dn.engine.
-DistributedEngine` for the same seed — same :class:`~repro.dn.trace.Trace`
-contents, same monitor verdicts, same retraction semantics, same event and
-budget accounting.  The split follows from a locality argument:
+the execution **byte-identical** to a single-process
+:class:`~repro.dn.engine.DistributedEngine` for the same seed — same
+:class:`~repro.dn.trace.Trace` contents, same monitor verdicts, same
+retraction semantics, same event and budget accounting.
+:class:`ShardedEngine` *is* that engine with another node host
+(:mod:`repro.dn.host`), a :class:`ShardSupervisor`.  The split follows from
+a locality argument:
 
-* Everything *global* stays in the coordinator: the event scheduler (and
-  its FIFO tie-breaking, which defines the global event order), the loss
-  channel and its RNG stream, the trace, the runtime monitors, topology
-  dynamics, message counters, and the per-node pending-op queues.
-* Everything *expensive* is per-node and moves to the workers: each shard
-  worker process is the only holder of its partition's
-  :class:`~repro.dn.node.Node` tables and runs the identical
-  :class:`~repro.dn.executor.FixpointExecutor` settle the single-process
-  engine runs.  A drain touches exactly one node, so all flushes scheduled
-  at one timestamp are independent and execute **in parallel across
-  shards**.
+* Everything *global* stays in the engine, unchanged: the event scheduler
+  (and its FIFO tie-breaking, which defines the global event order), the
+  loss channel and its RNG stream, the trace, the runtime monitors,
+  topology dynamics, message counters, and the per-node pending-op queues.
+* Everything *expensive* is per node and moves to the workers: each shard
+  worker process (a :class:`~repro.dn.host.ShardWorker`) is the only holder
+  of its partition's node tables and runs the identical
+  :class:`~repro.dn.executor.FixpointExecutor` settle.  A drain touches
+  exactly one node, so the flushes of one wave are independent and execute
+  **in parallel across shards**.
 
-The coordinator batches every same-timestamp flush event (taking them off
-the scheduler through :meth:`~repro.dn.events.EventScheduler.pop_if`, which
-preserves event-budget accounting), fans the op batches out to the shard
-workers, then applies the returned effects in the exact order the
-single-process engine would have produced them.  A worker returns what the
-single-process sinks receive, nothing more: traced change records feed the
-trace and fold into a per-node row view (:class:`RemoteNode`, serving
-``rows()``, ``global_snapshot()``, refresh membership and the monitors'
-reads); send intents go through the coordinator's own ``_send``, so
-loss-channel RNG draws happen in the single-process order for cross- and
-intra-shard messages alike.  What needs deadlines — the expiry scan, the
-soft-state monitor — is a worker request.  Workers fork from a coordinator
-that has already compiled the localized program, so they inherit its
-generated rule code, and all of an engine's workers start before any
-handshake is awaited.
-
-Determinism contract: for equal programs, topologies, configs and seeds,
-``ShardedEngine`` and ``DistributedEngine`` produce equal traces
-(``Trace.fingerprint()``), node tables, stats, and monitor reports — for
-every shard count, partition strategy, and transport (``"process"``: one
+The supervisor fans a wave's op batches out to the workers, then replays
+the returned effects in wave order, the order the in-process host settles
+them in.  A worker returns what the in-process sinks receive, nothing
+more: traced change records feed the trace and fold into a per-node row
+view (:class:`RemoteNode`, serving ``rows()``, ``global_snapshot()``,
+refresh membership and the monitors' reads); send intents go through the
+engine's own ``_send``, so loss-channel RNG draws happen in the
+single-process order for cross- and intra-shard messages alike.  What needs
+deadlines — the expiry scan, the soft-state monitor — is a worker request.
+Workers fork from an engine that has already compiled the localized
+program, so they inherit its generated rule code.  The worker-kept node
+counters (tuples stored and deleted, rule firings) and worker metrics come
+home at every segment end, a ``run()``'s or a serving settle's.  So for
+every shard count, partition strategy and transport (``"process"``: one
 worker OS process per shard over pipes; ``"inline"``: the same code path
-minus the IPC).  Build either with :func:`repro.dn.engine.create_engine`
-and ``close()`` a sharded engine when done; its rows stay readable.
+minus the IPC) traces, tables, stats and monitor reports equal the
+single-process engine's.  ``close()`` a sharded engine when done; its rows
+stay readable.
 
 **Supervision.**  Worker death (or a hang past ``EngineConfig.
-shard_timeout``) raises :class:`ShardCrash` in the coordinator, which
+shard_timeout``) raises :class:`ShardCrash` in the supervisor, which
 respawns the worker: the new worker loads its shard's last *checkpoint*
 (each member's :meth:`~repro.dn.node.Node.export_state`, pickled by the
-worker and opaque to the coordinator: rows, counts, deadlines and index
-positions, but no index buckets or view memos, which the load rebuilds
-from the rows), re-executes the state-changing
+worker and opaque to the supervisor), re-executes the state-changing
 requests logged since (``flush_batch``, ``refresh``, ``protect``; no fault
 probes, results and worker metrics dropped), and the failed request is
 retried.  A request is logged only once its result has returned, so the
@@ -62,15 +57,11 @@ segment), and a one-run engine never checkpoints.  Past
 clean :class:`~repro.ndlog.ast.NDlogError`; a worker *traceback* raises
 :class:`ShardError` at once (a respawn would re-execute the bug).  Faults
 are injected through :meth:`ShardedEngine.inject_faults` (see
-:mod:`repro.dn.faults` and ``docs/FAULTS.md``).
-
-**Capture and restore.**  :meth:`~repro.dn.engine.DistributedEngine.
-capture` and :func:`~repro.dn.engine.restore_engine` work unchanged on a
-sharded engine, which overrides only their node half: a capture gathers
-each node's state from the workers' checkpoint data (without keeping it
-as a checkpoint), and a restore hands the states to the fresh workers,
-keeps each shard's as its respawn checkpoint, and rebuilds the row views
-from their rows.
+:mod:`repro.dn.faults` and ``docs/FAULTS.md``).  Capture and restore are
+the engine's own; the supervisor answers their node half: a capture
+gathers the node states from the workers (without keeping them as a
+checkpoint), and a restore hands them to the fresh workers, keeps each
+shard's as its respawn checkpoint and rebuilds the row views.
 """
 
 from __future__ import annotations
@@ -85,7 +76,6 @@ from typing import Collection, Optional
 
 from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import NDlogError, Program
-from ..ndlog.functions import builtin_registry
 from ..ndlog import seminaive
 from ..ndlog.store import _make_key_getter, select_rows
 from ..obs import metrics as obs_metrics
@@ -94,15 +84,10 @@ from .collector import collector_paused, freeze_inherited_heap
 from .engine import DistributedEngine, EngineConfig
 from .executor import FixpointExecutor, Op
 from .faults import FaultInjector, FaultPlan
+from .host import ChangeRecord, SendRecord, ShardWorker
 from .network import NodeId, Topology
-from .node import Node, NodeStats
+from .node import NodeStats
 from .partition import edge_cut, partition_nodes, shard_members
-
-#: a state change collected at a worker, for the node whose drain it is:
-#: (predicate, values, kind)
-ChangeRecord = tuple[str, tuple, str]
-#: a send intent collected at a worker: (src, dst, predicate, values, kind)
-SendRecord = tuple[NodeId, NodeId, str, tuple, str]
 
 #: change kinds that store a row (the rest remove one)
 _ADDED = frozenset(("insert", "replace"))
@@ -130,117 +115,6 @@ class ShardTimeout(ShardCrash):
     treated as crashed (it is killed before the respawn)."""
 
 
-class ShardWorker:
-    """Worker-side state of one shard: the partition's nodes + executor.
-
-    Hosts the :class:`~repro.dn.node.Node` objects of its partition and the
-    same :class:`FixpointExecutor` the single-process engine uses, whose
-    effect callbacks collect ``(records, sends)`` for the coordinator.
-    ``program`` is the coordinator's *localized* program: a forked worker
-    finds its rules in the code cache it inherited.  Methods map 1:1 onto
-    the request protocol of :class:`ProcessShardClient`.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        node_ids: list[NodeId],
-        registry: Optional[FunctionRegistry] = None,
-    ) -> None:
-        self.rule_engine = seminaive.RULE_ENGINE(registry or builtin_registry())
-        self.rule_engine.precompile(program.rules)
-        self.nodes: dict[NodeId, Node] = {
-            node_id: Node(node_id, program, rule_engine=self.rule_engine)
-            for node_id in node_ids
-        }
-        self._records: list[ChangeRecord] = []
-        self._sends: list[SendRecord] = []
-        self.executor = FixpointExecutor(program, self.rule_engine)
-
-    # -- executor effect sinks ---------------------------------------------
-    def _collect_change(
-        self, now: float, node_id: NodeId, predicate: str, values: tuple, kind: str
-    ) -> None:
-        self._records.append((predicate, values, kind))
-
-    def _collect_send(
-        self, src: NodeId, dst: NodeId, predicate: str, values: tuple, kind: str
-    ) -> None:
-        self._sends.append((src, dst, predicate, values, kind))
-
-    # -- request protocol --------------------------------------------------
-    def flush_batch(
-        self, now: float, items: list[tuple[NodeId, list[Op]]]
-    ) -> list[tuple[list[ChangeRecord], list[SendRecord]]]:
-        """Drain each node's op batch to a local fixpoint, in order."""
-
-        out = []
-        for node_id, ops in items:
-            self.executor.settle(
-                self.nodes[node_id], ops, now, self._collect_change, self._collect_send
-            )
-            out.append((self._records, self._sends))
-            self._records, self._sends = [], []
-        return out
-
-    def refresh(self, now: float, items: list[tuple[NodeId, str, tuple]]) -> None:
-        """Extend soft-state lifetimes of present base facts."""
-
-        for node_id, predicate, values in items:
-            self.nodes[node_id].db.table(predicate).refresh(tuple(values), now)
-
-    def protect(self, predicate: str) -> None:
-        """Mirror the coordinator's sweep exemptions (injected base facts)."""
-
-        self.executor.protect(predicate)
-
-    def expired(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
-        """Each node's soft-state rows past their lifetime (the expiry scan)."""
-
-        return {node_id: node.expired(now) for node_id, node in self.nodes.items()}
-
-    def soft_deadlines(self, node_id: NodeId) -> list[tuple[str, tuple, float]]:
-        return self.nodes[node_id].soft_deadlines()
-
-    def node_stats(self) -> dict[NodeId, dict]:
-        return {node_id: node.stats.as_dict() for node_id, node in self.nodes.items()}
-
-    def snapshot(self) -> dict[NodeId, dict[str, set[tuple]]]:
-        return {node_id: node.snapshot() for node_id, node in self.nodes.items()}
-
-    def ping(self) -> bool:
-        return True
-
-    def metrics(self) -> dict:
-        """Drain this worker's metrics registry (raw export + reset), so
-        repeated collections never double-count."""
-
-        return obs_metrics.registry().drain()
-
-    def checkpoint(self) -> bytes:
-        """The partition's state at a settle point, pickled: protected
-        predicates and each node's :meth:`~repro.dn.node.Node.export_state`."""
-
-        state = (
-            sorted(self.executor._protected),
-            {node_id: node.export_state() for node_id, node in self.nodes.items()},
-        )
-        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
-
-    def restore(self, checkpoint: bytes) -> bool:
-        """Adopt a :meth:`checkpoint` after a respawn, or the node states of
-        an engine capture on restore (view memos are rebuilt by
-        :meth:`~repro.dn.node.Node.load_state`): the worker ends
-        bit-identical to the one whose state it was."""
-
-        protected, nodes = pickle.loads(checkpoint)
-        for predicate in protected:
-            self.executor.protect(predicate)
-        for node_id, state in nodes.items():
-            self.nodes[node_id].load_state(state)
-        return True
-
-
 def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> None:
     """Entry point of a shard worker process: serve requests until EOF."""
 
@@ -250,8 +124,12 @@ def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> No
     # the heap inherited from the coordinator is never freed here: keep the
     # collector from walking (and so copying) its pages
     freeze_inherited_heap()
+    # nor are the coordinator's metrics this worker's: drains return its own
+    obs_metrics.registry().reset()
     try:
-        worker = ShardWorker(program, node_ids, registry)
+        rule_engine = seminaive.RULE_ENGINE(registry)
+        rule_engine.precompile(program.rules)
+        worker = ShardWorker(program, node_ids, rule_engine)
     except BaseException:
         conn.send(("error", traceback.format_exc()))
         return
@@ -286,7 +164,7 @@ class InlineShardClient:
     differential tests (and empty shards) so hypothesis sweeps don't pay a
     process spawn per example.  :meth:`kill`/:meth:`sever` simulate worker
     death so the supervision/resync path can be swept cheaply; a "dead"
-    inline worker raises :class:`ShardCrash` until the coordinator
+    inline worker raises :class:`ShardCrash` until the supervisor
     respawns it.
     """
 
@@ -313,8 +191,7 @@ class InlineShardClient:
     def kill(self) -> None:
         self._dead = True
 
-    def sever(self) -> None:
-        self._dead = True
+    sever = kill
 
     def delay(self, seconds: float) -> None:
         # inline transport has no hang detector to exercise
@@ -332,18 +209,18 @@ class ProcessShardClient:
 
     The protocol is strictly one outstanding request per client
     (``submit`` → ``result``; the construction handshake is the first), so
-    coordinators can submit to every shard and collect in a fixed order
+    a supervisor can submit to every shard and collect in a fixed order
     without deadlock.  Worker tracebacks are re-raised as
     :class:`ShardError`; process death, broken pipes and (when ``timeout``
     is set) hangs raise :class:`ShardCrash` / :class:`ShardTimeout` so the
-    supervising coordinator can respawn.
+    supervisor can respawn.
     """
 
     def __init__(
         self,
         program: Program,
         node_ids: list[NodeId],
-        registry: Optional[FunctionRegistry] = None,
+        registry: FunctionRegistry,
         *,
         timeout: Optional[float] = None,
     ) -> None:
@@ -458,18 +335,19 @@ class ProcessShardClient:
 
 
 class RemoteNode:
-    """The coordinator's stand-in for a node whose tables a shard worker holds.
+    """The engine's stand-in for a node whose tables a shard worker holds.
 
     Carries the node's :class:`~repro.dn.node.NodeStats` (message counters
-    kept here, the rest synced from the worker after each run segment) and
-    a row view, ``tables``: predicate → ``{primary key: row}`` in the worker
-    table's row order, folded from the traced change records by
-    :meth:`ShardedEngine._replay`.  It answers the read side of
-    :class:`~repro.dn.node.Node` (``rows``, ``select``, ``holds``, ``snapshot``); ``db``
-    raises instead of handing out tables that would read empty.
+    kept by the engine, the rest synced from the worker at each segment
+    end) and a row view, ``tables``: predicate → ``{primary key: row}`` in
+    the worker table's row order, folded from the traced change records by
+    :meth:`ShardSupervisor._replay`.  It answers the read side of
+    :class:`~repro.dn.node.Node` (``rows``, ``select``, ``holds``,
+    ``snapshot``); ``db`` raises instead of handing out tables that would
+    read empty.
     """
 
-    def __init__(self, node_id: NodeId, program: Program, rule_engine=None) -> None:
+    def __init__(self, node_id: NodeId, program: Program) -> None:
         self.id = node_id
         self.stats = NodeStats()
         self.tables: dict[str, dict[tuple, tuple]] = {p: {} for p in program.materialized}
@@ -514,29 +392,17 @@ class RemoteNode:
         }
 
 
-class ShardedEngine(DistributedEngine):
-    """The shard coordinator: a :class:`DistributedEngine` whose node
-    fixpoints execute on shard workers.
+class ShardSupervisor:
+    """The node host of a :class:`ShardedEngine`: the partition, the shard
+    workers' clients, their supervision and the row views.
 
-    The inherited machinery — scheduler, channel, trace, monitors, pending
-    queues, topology dynamics — runs unchanged; ``self.nodes`` are
-    :class:`RemoteNode` row views, so ``rows``, ``global_snapshot``,
-    post-hoc checks and provenance read as on the single-process engine.
-    See the module docstring for the determinism argument.
+    Answers the host surface of :mod:`repro.dn.host` by requests to the
+    workers; see the module docstring for the determinism argument.  Built
+    from the engine under construction, it keeps none of the engine.
     """
 
-    node_class = RemoteNode
-
-    def __init__(
-        self,
-        program: Program,
-        topology: Topology,
-        *,
-        config: Optional[EngineConfig] = None,
-        registry: Optional[FunctionRegistry] = None,
-    ) -> None:
-        super().__init__(program, topology, config=config, registry=registry)
-        cfg = self.config
+    def __init__(self, engine: DistributedEngine) -> None:
+        cfg = self.config = engine.config
         if cfg.shards < 1:
             raise ShardError(f"shards must be >= 1, got {cfg.shards}")
         if cfg.shard_transport not in ("process", "inline"):
@@ -544,11 +410,23 @@ class ShardedEngine(DistributedEngine):
                 f"unknown shard transport {cfg.shard_transport!r}; "
                 "expected 'process' or 'inline'"
             )
+        program = self.program = engine.program
+        self.registry = engine.registry
+        self.rule_engine = engine.rule_engine
+        # compile what the workers' executors run (negation variants, group
+        # plans) before they fork: they inherit the code cache
+        FixpointExecutor(program, engine.rule_engine)
+        topology = engine.topology
         #: node id → shard index (deterministic; see :mod:`repro.dn.partition`)
         self.partition_map = partition_nodes(topology, cfg.shards, cfg.partition)
-        self._members = shard_members(self.partition_map, cfg.shards, topology.nodes)
+        #: per shard, its member nodes
+        self.members = shard_members(self.partition_map, cfg.shards, topology.nodes)
         #: the shards with member nodes (the only ones ever addressed)
-        self._occupied = [shard for shard, members in enumerate(self._members) if members]
+        self._occupied = [shard for shard, members in enumerate(self.members) if members]
+        self.nodes = {node_id: RemoteNode(node_id, program) for node_id in topology.nodes}
+        #: the predicates protected on every worker
+        self.protected: set[str] = set()
+        self._soft_state = any(decl.is_soft_state for decl in program.materialized.values())
         self._closed = False
         self._clients: list[object] = [
             self._spawn_client(shard) for shard in range(cfg.shards)
@@ -557,7 +435,7 @@ class ShardedEngine(DistributedEngine):
             client.result()  # the construction handshakes, the forks overlapped
         #: respawns performed per shard (bounded by ``cfg.shard_restarts``)
         self.shard_restarts: list[int] = [0] * cfg.shards
-        #: checkpoints taken per shard (see :meth:`_begin_segment`)
+        #: checkpoints taken per shard (see :meth:`begin_segment`)
         self.shard_checkpoints: list[int] = [0] * cfg.shards
         #: per shard: its last checkpoint (opaque bytes, None = a fresh
         #: worker), the state-changing requests logged since, and their ops
@@ -568,43 +446,24 @@ class ShardedEngine(DistributedEngine):
         #: views, as its worker tables have them
         self._shapes = {
             predicate: (_make_key_getter(tuple(k - 1 for k in decl.keys)), decl.max_size)
-            for predicate, decl in self.program.materialized.items()
+            for predicate, decl in program.materialized.items()
         }
-        #: optional deterministic fault injector (see :meth:`inject_faults`)
+        #: optional deterministic fault injector (see
+        #: :meth:`ShardedEngine.inject_faults`)
         self.fault_injector: Optional[FaultInjector] = None
 
     def _spawn_client(self, shard: int):
         """Start one shard's worker (its handshake is the caller's to collect)."""
 
         cfg = self.config
-        shard_nodes = self._members[shard]
+        shard_nodes = self.members[shard]
         if cfg.shard_transport == "process" and shard_nodes:
             return ProcessShardClient(
-                self.program, shard_nodes, self._registry_arg, timeout=cfg.shard_timeout
+                self.program, shard_nodes, self.registry, timeout=cfg.shard_timeout
             )
         # inline transport, and empty shards (never addressed —
         # not worth an OS process)
-        return InlineShardClient(
-            ShardWorker(self.program, shard_nodes, self._registry_arg)
-        )
-
-    def inject_faults(self, plan) -> FaultInjector:
-        """Install a deterministic fault injector for chaos testing.
-
-        ``plan`` is a :class:`~repro.dn.faults.FaultPlan` (or an existing
-        :class:`~repro.dn.faults.FaultInjector` to share with other
-        layers).  Shard-scoped probes happen once per attempted worker
-        request, with the shard index as the probe scope.
-        """
-
-        if isinstance(plan, FaultInjector):
-            injector = plan
-        elif isinstance(plan, FaultPlan):
-            injector = FaultInjector(plan)
-        else:
-            injector = FaultInjector(FaultPlan(tuple(plan)))
-        self.fault_injector = injector
-        return injector
+        return InlineShardClient(ShardWorker(self.program, shard_nodes, self.rule_engine))
 
     # ------------------------------------------------------------------
     # Supervision: fault probes, crash recovery, checkpoints
@@ -674,7 +533,7 @@ class ShardedEngine(DistributedEngine):
         self.shard_checkpoints[shard] += 1
 
     def _live_rows(self, shard: int) -> int:
-        views = (self.nodes[node_id].tables.values() for node_id in self._members[shard])
+        views = (self.nodes[node_id].tables.values() for node_id in self.members[shard])
         return sum(len(table) for tables in views for table in tables)
 
     def _submit(self, shard: int, method: str, args: tuple) -> None:
@@ -709,57 +568,60 @@ class ShardedEngine(DistributedEngine):
                 obs_metrics.observe("shard.request_seconds", time.perf_counter() - start)
             return result
 
-    # ------------------------------------------------------------------
-    # Capture and restore: the node half
-    # ------------------------------------------------------------------
-    def _capture_nodes(self) -> dict:
-        """Each node's state as its worker checkpoints it — read, not kept:
-        logs and ``shard_checkpoints`` stay as they are — with the
-        coordinator's message counters folded into its stats."""
+    def _by_shard(self, items) -> dict[int, list]:
+        """Items keyed by node id (first field), grouped by shard in order."""
 
-        gathered: dict = {}
-        for shard in self._occupied:
-            gathered.update(pickle.loads(self._call(shard, "checkpoint"))[1])
-        for node_id, node in self.nodes.items():
-            stats = gathered[node_id]["stats"]
-            stats["messages_sent"] = node.stats.messages_sent
-            stats["messages_received"] = node.stats.messages_received
-        return {node_id: gathered[node_id] for node_id in self.nodes}
-
-    def _restore_nodes(self, states: dict) -> None:
-        """Load the states into the fresh workers, keep each shard's as its
-        respawn checkpoint (with an empty log), and rebuild the row views
-        from their rows."""
-
-        protected = sorted(self.executor._protected)
-        for shard in self._occupied:
-            members = {node_id: states[node_id] for node_id in self._members[shard]}
-            checkpoint = pickle.dumps((protected, members), pickle.HIGHEST_PROTOCOL)
-            self._call(shard, "restore", (checkpoint,))
-            self._checkpoints[shard] = checkpoint
-            self._logs[shard] = []
-            self._log_ops[shard] = 0
-        for node_id, state in states.items():
-            node = self.nodes[node_id]
-            node.stats = NodeStats(**state["stats"])
-            node.tables = {
-                predicate: {key: row for key, row, _count in rows}
-                for predicate, (rows, _deadlines, _positions) in state["tables"]
-            }
+        grouped: dict[int, list] = {}
+        for item in items:
+            grouped.setdefault(self.partition_map[item[0]], []).append(item)
+        return grouped
 
     # ------------------------------------------------------------------
-    # Effect replay
+    # The host surface
     # ------------------------------------------------------------------
+    def flush(self, now: float, items: list[tuple[NodeId, list[Op]]], record, send):
+        """Settle a wave on the shard workers in parallel, then replay each
+        node's effects into the sinks in wave order, yielding its id after.
+        A worker that dies mid-drain is revived to its state before the
+        batch, which is retried whole (the recomputation is byte-identical).
+        """
+
+        if obs_metrics.ENABLED:
+            obs_metrics.inc("shard.flush_waves")
+            obs_metrics.observe("shard.wave_size", len(items))
+        with obs_tracing.span("shard.flush_wave", nodes=len(items)):
+            payloads = self._by_shard(items)
+            for shard, batch in payloads.items():
+                self._submit(shard, "flush_batch", (now, batch))
+            results: dict[NodeId, tuple[list, list]] = {}
+            for shard, batch in payloads.items():
+                args = (now, batch)
+                try:
+                    outcome = self._clients[shard].result()
+                except ShardCrash as exc:
+                    self._revive(shard, exc)
+                    outcome = self._call(shard, "flush_batch", args)
+                self._logged(shard, "flush_batch", args, sum(len(ops) for _, ops in batch))
+                for (node_id, _), result in zip(batch, outcome):
+                    results[node_id] = result
+            for node_id, _ in items:
+                self._replay(node_id, *results[node_id], now, record, send)
+                yield node_id
+
     def _replay(
-        self, node_id: NodeId, records: list[ChangeRecord], sends: list[SendRecord]
+        self,
+        node_id: NodeId,
+        records: list[ChangeRecord],
+        sends: list[SendRecord],
+        now: float,
+        record,
+        send,
     ) -> None:
-        """Apply one node-drain's effects at the coordinator: change records
-        fold into the node's row view (FIFO eviction is untraced, so the view
-        applies ``max_size`` itself) and feed the trace; sends go through
-        ``_send``, drawing channel RNG in the single-process order."""
+        """Apply one node-drain's effects: change records fold into the
+        node's row view (FIFO eviction is untraced, so the view applies
+        ``max_size`` itself) and feed ``record``; sends go through ``send``,
+        drawing channel RNG in the single-process order."""
 
-        now = self.scheduler.now
-        record = self.trace.record_change
         tables = self.nodes[node_id].tables
         shapes = self._shapes
         for predicate, values, kind in records:
@@ -777,85 +639,25 @@ class ShardedEngine(DistributedEngine):
             else:
                 del table[key]
             record(now, node_id, predicate, values, kind)
-        for src, dst, predicate, values, kind in sends:
-            self._send(src, dst, predicate, values, kind)
+        for intent in sends:
+            send(*intent)
 
-    # ------------------------------------------------------------------
-    # Overridden execution hooks
-    # ------------------------------------------------------------------
-    def _flush(self, node_id: NodeId) -> None:
-        """Drain every node that has a flush queued at this timestamp.
+    def refresh(self, now: float, items: list[tuple[NodeId, str, tuple]]) -> None:
+        for shard, batch in self._by_shard(items).items():
+            self._call(shard, "refresh", (now, batch))
+            self._logged(shard, "refresh", (now, batch), len(batch))
 
-        All flush events at one timestamp are mutually independent (each
-        touches a single node, and messages they emit are delivered by
-        *later* events), so the coordinator takes them off the scheduler as
-        one wave — :meth:`EventScheduler.pop_if` keeps event/budget
-        accounting identical to popping them one by one — executes them on
-        the shard workers in parallel, and applies the results in the exact
-        order the single-process run loop would have produced them.
-        """
-
-        now = self.scheduler.now
-        self._flush_marks.pop(node_id, None)
-        wave = [node_id]
-        while True:
-            event = self.scheduler.pop_if(
-                lambda at, ev: at == now and ev.kind == "flush"
-            )
-            if event is None:
-                break
-            flushed = event.args[0]
-            self._flush_marks.pop(flushed, None)
-            wave.append(flushed)
-        if obs_metrics.ENABLED:
-            obs_metrics.inc("shard.flush_waves")
-            obs_metrics.observe("shard.wave_size", len(wave))
-        with obs_tracing.span("shard.flush_wave", nodes=len(wave)):
-            payloads: dict[int, list[tuple[NodeId, list[Op]]]] = {}
-            for nid in wave:
-                queue = self._pending[nid]
-                ops = list(queue)
-                queue.clear()
-                payloads.setdefault(self.partition_map[nid], []).append((nid, ops))
-            for shard, items in payloads.items():
-                self._submit(shard, "flush_batch", (now, items))
-            results: dict[NodeId, tuple[list, list]] = {}
-            for shard, items in payloads.items():
-                args = (now, items)
-                try:
-                    outcome = self._clients[shard].result()
-                except ShardCrash as exc:
-                    # the worker died mid-drain: revive it to its state
-                    # before this batch and retry the whole batch (the
-                    # recomputation is byte-identical)
-                    self._revive(shard, exc)
-                    outcome = self._call(shard, "flush_batch", args)
-                self._logged(shard, "flush_batch", args, sum(len(ops) for _, ops in items))
-                for (nid, _), result in zip(items, outcome):
-                    results[nid] = result
-            for nid in wave:
-                records, sends = results[nid]
-                since = self.trace.state_change_count
-                self._replay(nid, records, sends)
-                if records and self.monitors:
-                    self._notify_settle(nid, since)
-
-    def _apply_refresh(self, refreshed, now: float) -> None:
-        by_shard: dict[int, list] = {}
-        for item in refreshed:
-            by_shard.setdefault(self.partition_map[item[0]], []).append(item)
-        for shard, items in by_shard.items():
-            self._call(shard, "refresh", (now, items))
-            self._logged(shard, "refresh", (now, items), len(items))
-
-    def _protect_predicate(self, predicate: str) -> None:
+    def protect(self, predicate: str) -> bool:
         # logged, as no ops: a predicate is protected at most once
-        if self.executor.protect(predicate):
-            for shard in self._occupied:
-                self._call(shard, "protect", (predicate,))
-                self._logged(shard, "protect", (predicate,), 0)
+        if predicate in self.protected:
+            return False
+        self.protected.add(predicate)
+        for shard in self._occupied:
+            self._call(shard, "protect", (predicate,))
+            self._logged(shard, "protect", (predicate,), 0)
+        return True
 
-    def _expired_rows(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
+    def expired(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
         expired: dict[NodeId, list[tuple[str, tuple]]] = {}
         for shard in self._occupied:
             expired.update(self._call(shard, "expired", (now,)))
@@ -864,62 +666,71 @@ class ShardedEngine(DistributedEngine):
     def soft_deadlines(self, node_id: NodeId) -> list[tuple[str, tuple, float]]:
         """Asked of the node's worker (so only until :meth:`close`)."""
 
-        if not self._has_soft_state():
+        if not self._soft_state:
             return []
         if self._closed:
             raise ShardError("the shard workers holding the deadlines are closed")
         return self._call(self.partition_map[node_id], "soft_deadlines", (node_id,))
 
-    # ------------------------------------------------------------------
-    # Lifecycle and observability
-    # ------------------------------------------------------------------
-    def _begin_segment(self) -> None:
+    def export_nodes(self) -> dict:
+        """Each node's state as its worker exports it — read, not kept:
+        logs and ``shard_checkpoints`` stay as they are — with the engine's
+        message counters folded into its stats."""
+
+        gathered: dict = {}
+        for shard in self._occupied:
+            gathered.update(self._call(shard, "export_nodes"))
+        for node_id, node in self.nodes.items():
+            stats = gathered[node_id]["stats"]
+            stats["messages_sent"] = node.stats.messages_sent
+            stats["messages_received"] = node.stats.messages_received
+        return {node_id: gathered[node_id] for node_id in self.nodes}
+
+    def load_nodes(self, states: dict) -> None:
+        """Load the states into the fresh workers, keep each shard's as its
+        respawn checkpoint (with an empty log), and rebuild the row views
+        from their rows."""
+
+        protected = sorted(self.protected)
+        for shard in self._occupied:
+            members = {node_id: states[node_id] for node_id in self.members[shard]}
+            checkpoint = pickle.dumps((protected, members), pickle.HIGHEST_PROTOCOL)
+            self._call(shard, "restore", (checkpoint,))
+            self._checkpoints[shard] = checkpoint
+            self._logs[shard] = []
+            self._log_ops[shard] = 0
+        for node_id, state in states.items():
+            node = self.nodes[node_id]
+            node.stats = NodeStats(**state["stats"])
+            node.tables = {
+                predicate: {key: row for key, row, _count in rows}
+                for predicate, (rows, _deadlines, _positions) in state["tables"]
+            }
+
+    def begin_segment(self) -> None:
         # a log that outgrew its shard's live rows gives way to a checkpoint
         for shard in self._occupied:
             if self._log_ops[shard] > self._live_rows(shard):
                 self._checkpoint(shard)
 
-    def run(self, *, until: float = float("inf"), extra_facts=()):
-        trace = super().run(until=until, extra_facts=extra_facts)
-        self._sync_worker_stats()
-        if obs_metrics.ENABLED:
-            self._collect_worker_metrics()
-            # pick up the rule firings the stats sync just folded in
-            self._record_run_metrics()
-        return trace
-
-    def _collect_worker_metrics(self) -> None:
-        """Merge each worker's drained metrics into this process's registry.
-
-        Workers inherit the coordinator's enablement at fork time (enable
-        observability before building the engine); their executor-level
-        counters — fixpoint rounds, delta batch sizes, retraction cascades
-        — accrue process-locally and are folded in here after each run
-        segment, mirroring :meth:`_sync_worker_stats`.
-        """
-
-        for shard in self._occupied:
-            obs_metrics.registry().merge(self._call(shard, "metrics"))
-
-    def _sync_worker_stats(self) -> None:
+    def end_segment(self) -> None:
         """Fold the worker-kept counters (tuples stored and deleted, rule
-        firings) into the coordinator's node stats after a run segment;
-        message counters are the coordinator's own."""
+        firings) into the row views' stats — message counters are the
+        engine's own — and merge each worker's drained metrics into this
+        process's registry (workers inherit its enablement at fork time:
+        enable observability before building the engine)."""
 
         for shard in self._occupied:
             for node_id, stats in self._call(shard, "node_stats").items():
                 mine = self.nodes[node_id].stats
                 for counter in _WORKER_COUNTERS:
                     setattr(mine, counter, stats[counter])
+        if obs_metrics.ENABLED:
+            for shard in self._occupied:
+                obs_metrics.registry().merge(self._call(shard, "metrics"))
 
-    def validate_shards(self) -> None:
-        """Assert the coordinator's row views match every worker's tables.
-
-        A debugging/testing aid: compares each worker node's
-        :meth:`Node.snapshot` against its view's, folded from the change
-        records (both list the same predicates).
-        Raises :class:`ShardError` on any divergence.
-        """
+    def validate(self) -> None:
+        """See :meth:`ShardedEngine.validate_shards`."""
 
         for shard in self._occupied:
             snapshots = self._call(shard, "snapshot")
@@ -931,20 +742,8 @@ class ShardedEngine(DistributedEngine):
                         f"coordinator={mine!r} worker={theirs!r}"
                     )
 
-    def shard_summary(self) -> dict:
-        """Partition facts for reports: sizes, strategy, edge cut."""
-
-        return {
-            "shards": self.config.shards,
-            "partition": self.config.partition,
-            "transport": self.config.shard_transport,
-            "sizes": [len(members) for members in self._members],
-            "edge_cut": edge_cut(self.topology, self.partition_map),
-        }
-
     def close(self) -> None:
-        """Shut the shard workers down.  The coordinator's state (row
-        views, trace, stats, monitors) stays readable."""
+        """Shut the shard workers down; the row views stay readable."""
 
         if self._closed:
             return
@@ -964,3 +763,73 @@ class ShardedEngine(DistributedEngine):
             self.close()
         except Exception:
             pass
+
+
+class ShardedEngine(DistributedEngine):
+    """A :class:`DistributedEngine` whose node host is a
+    :class:`ShardSupervisor`: its node fixpoints execute on shard workers,
+    and ``self.nodes`` are :class:`RemoteNode` row views, so ``rows``,
+    ``global_snapshot``, post-hoc checks and provenance read as on the
+    single-process engine.  See the module docstring for the determinism
+    argument.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        topology: Topology,
+        *,
+        config: Optional[EngineConfig] = None,
+        registry: Optional[FunctionRegistry] = None,
+    ) -> None:
+        super().__init__(
+            program, topology, config=config, registry=registry, host=ShardSupervisor
+        )
+
+    #: node id → shard index (see :mod:`repro.dn.partition`)
+    partition_map = property(lambda self: self.host.partition_map)
+    #: respawns performed, and checkpoints taken, per shard
+    shard_restarts = property(lambda self: self.host.shard_restarts)
+    shard_checkpoints = property(lambda self: self.host.shard_checkpoints)
+    #: the installed fault injector (see :meth:`inject_faults`), or None
+    fault_injector = property(lambda self: self.host.fault_injector)
+
+    def inject_faults(self, plan) -> FaultInjector:
+        """Install a deterministic fault injector for chaos testing.
+
+        ``plan`` is a :class:`~repro.dn.faults.FaultPlan` (or an existing
+        :class:`~repro.dn.faults.FaultInjector` to share with other
+        layers).  Shard-scoped probes happen once per attempted worker
+        request, with the shard index as the probe scope.
+        """
+
+        if isinstance(plan, FaultInjector):
+            injector = plan
+        elif isinstance(plan, FaultPlan):
+            injector = FaultInjector(plan)
+        else:
+            injector = FaultInjector(FaultPlan(tuple(plan)))
+        self.host.fault_injector = injector
+        return injector
+
+    def validate_shards(self) -> None:
+        """Assert the row views match every worker's tables.
+
+        A debugging/testing aid: compares each worker node's
+        :meth:`Node.snapshot` against its view's, folded from the change
+        records (both list the same predicates).
+        Raises :class:`ShardError` on any divergence.
+        """
+
+        self.host.validate()
+
+    def shard_summary(self) -> dict:
+        """Partition facts for reports: sizes, strategy, edge cut."""
+
+        return {
+            "shards": self.config.shards,
+            "partition": self.config.partition,
+            "transport": self.config.shard_transport,
+            "sizes": [len(members) for members in self.host.members],
+            "edge_cut": edge_cut(self.topology, self.partition_map),
+        }

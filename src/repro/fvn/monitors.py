@@ -11,7 +11,7 @@ Monitors implement the :class:`repro.dn.engine.EngineMonitor` hook protocol
 and keep no copy of the state they check: each check reads the node's own
 tables (``engine.nodes[node].rows(predicate)`` / ``.select(...)``, the same
 calls on a single-process :class:`~repro.dn.node.Node` and on a sharded
-coordinator's row view).
+host's row view).
 
 * ``attach`` — bind the monitor to the engine whose tables it reads;
 * ``on_settle`` — evaluate the invariant for a node that just reached a

@@ -26,7 +26,7 @@ fingerprint perturbation the observability contract forbids.  Instead we
    honors initial bindings and solves body prefixes), and recurse into the
    ground rows of positive body literals.
 
-Leaves are **base facts**: predicates protected by the executor
+Leaves are **base facts**: predicates the engine's node host protects
 (externally injected) or predicates no rule derives.  Memoization, cycle
 detection, and depth/derivation caps keep the search bounded; rule order
 and sorted bindings keep output deterministic.
@@ -133,7 +133,7 @@ class _Explainer:
         self.rules_by_head: dict[str, list[Rule]] = {}
         for rule in engine.program.rules:
             self.rules_by_head.setdefault(rule.head.predicate, []).append(rule)
-        self.protected = set(getattr(engine.executor, "_protected", ()))
+        self.protected = set(engine.host.protected)
         self.interp = ReferenceEngine(engine.registry)
         self.max_depth = max_depth
         self.max_derivations = max_derivations

@@ -104,8 +104,13 @@ def _topology_from_graph(
 ) -> Topology:
     rng = random.Random(seed)
     topo = Topology(default_delay=delay)
-    for node in sorted(graph.nodes):
+    nodes, edges = sorted(graph.nodes), sorted(graph.edges)
+    # networkx caches its node, edge and degree views on the graph, and each
+    # view refers back to it: emptied, the graph is freed by refcount instead
+    # of waiting for the cyclic collector
+    graph.__dict__.clear()
+    for node in nodes:
         topo.add_node(node)
-    for src, dst in sorted(graph.edges):
+    for src, dst in edges:
         topo.add_link(src, dst, cost=rng.randint(1, max_cost))
     return topo

@@ -55,7 +55,6 @@ from ..dn.engine import (
     restore_engine,
 )
 from ..dn.faults import SERVING_SCOPE, load_injector
-from ..dn.events import Event
 from ..fvn.monitors import build_monitor, schema_for_program
 from ..harness.records import append_jsonl, canonical_json, read_jsonl
 from ..ndlog.ast import MaterializeDecl, Program
@@ -323,17 +322,17 @@ class RouteService:
     def _settle(self) -> bool:
         """Drive the engine to its next fixpoint, leaving only maintenance
         timers queued.  Returns True when it fully settled within the event
-        budget.  Trace bookkeeping is set from the scheduler afterwards so
-        the fingerprint stays a pure function of the update sequence, and
-        the trace is compacted: the daemon keeps digests and counters, never
-        more than one update's records (live, replayed and hypothetical
-        updates, 1 and N shards alike)."""
+        budget.  A settle is one engine segment, as a ``run()`` is, so the
+        fingerprint stays a pure function of the update sequence; the trace
+        is then compacted: the daemon keeps digests and counters, never more
+        than one update's records (live, replayed and hypothetical updates,
+        1 and N shards alike)."""
 
         engine = self.engine
         scheduler = engine.scheduler
         budget = self.config.settle_max_events
         start = time.perf_counter()
-        engine._begin_segment()
+        engine.begin_segment()
         with obs_tracing.span("serving.settle"):
             while budget > 0:
                 kinds = scheduler.pending_kinds()
@@ -343,12 +342,10 @@ class RouteService:
                 processed = engine.advance(head, budget)
                 budget -= max(processed, 1)
         obs_metrics.observe("serving.settle_seconds", time.perf_counter() - start)
-        self._ensure_expiry_timer()
-        trace = engine.trace
-        trace.events_processed = scheduler.processed
-        trace.finished_at = scheduler.now
-        trace.quiescent = scheduler.is_empty
-        trace.compact()
+        # updates may have inserted soft rows after the expiry scan lapsed
+        engine.ensure_expiry_scan()
+        engine.end_segment()
+        engine.trace.compact()
         self.settled = scheduler.pending_kinds() <= MAINTENANCE_KINDS
         return self.settled
 
@@ -357,19 +354,6 @@ class RouteService:
         events, in units of the settle budget (0 when settled)."""
 
         return self.engine.scheduler.pending_units(exclude=MAINTENANCE_KINDS)
-
-    def _ensure_expiry_timer(self) -> None:
-        """Re-arm the soft-state expiry scan if external updates inserted
-        soft rows after the periodic timer let itself lapse (the batch
-        engine only arms it at seed time)."""
-
-        engine = self.engine
-        if not engine._has_soft_state():
-            return
-        if "expiry" in engine.scheduler.pending_kinds():
-            return
-        if engine._live_soft_rows():
-            engine.scheduler.schedule(engine.config.expiry_scan_interval, Event("expiry"))
 
     # ------------------------------------------------------------------
     # Updates
@@ -653,12 +637,8 @@ class RouteService:
         return report
 
     def _metrics(self) -> dict:
-        engine = self.engine
-        # fold in whatever the engine has not yet reported (worker-side
-        # executor counters on a sharded engine, run-segment totals)
-        if hasattr(engine, "_collect_worker_metrics"):
-            engine._collect_worker_metrics()
-        engine._record_run_metrics()
+        # every settle's segment end has reported the engine's totals and
+        # merged the shard workers' metrics
         return {
             "seq": self.seq,
             "enabled": obs_metrics.ENABLED,

@@ -165,7 +165,7 @@ def test_process_shard_worker_freezes_and_pauses(monkeypatch):
         program, scenario.topology, config=EngineConfig(seed=3, shards=2)
     )
     try:
-        frozen, enabled = engine._call(0, "collector_state")
+        frozen, enabled = engine.host._call(0, "collector_state")
     finally:
         engine.close()
     assert frozen > 0

@@ -43,7 +43,7 @@ def node_shapes(engine) -> dict:
     if isinstance(engine, ShardedEngine):
         nodes = {
             node_id: node
-            for client in engine._clients
+            for client in engine.host._clients
             for node_id, node in client.worker.nodes.items()
         }
     else:
@@ -101,13 +101,13 @@ def test_respawned_worker_rebuilds_live_indexes():
     def segmented(faults):
         engine, facts = churned(shards=2, family="tree", size=8, cycles=40)
         revived = []
-        revive = engine._revive
+        revive = engine.host._revive
 
         def record_revive(shard, exc):
-            revived.append(engine._checkpoints[shard] is not None)
+            revived.append(engine.host._checkpoints[shard] is not None)
             revive(shard, exc)
 
-        engine._revive = record_revive
+        engine.host._revive = record_revive
         for index in range(1, 17):
             if faults is not None and engine.fault_injector is None:
                 if all(engine.shard_checkpoints):

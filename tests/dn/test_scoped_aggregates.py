@@ -22,8 +22,7 @@ from contextlib import contextmanager
 
 import pytest
 
-import repro.dn.engine as engine_module
-import repro.dn.shard as shard_module
+import repro.dn.host as host_module
 from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.executor import FixpointExecutor
@@ -62,8 +61,7 @@ def shadowed():
 
     ShadowViews.calls.clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_module, "FixpointExecutor", ShadowViews)
-        patch.setattr(shard_module, "FixpointExecutor", ShadowViews)
+        patch.setattr(host_module, "FixpointExecutor", ShadowViews)
         yield ShadowViews.calls
 
 
@@ -79,7 +77,7 @@ def assert_memos_fresh(engine) -> None:
     if isinstance(engine, ShardedEngine):
         nodes = {
             node_id: node
-            for client in engine._clients
+            for client in engine.host._clients
             for node_id, node in client.worker.nodes.items()
         }
     else:
@@ -251,7 +249,7 @@ def test_size_capped_body_always_refires_whole(rule_tier):
     # whole re-fire keeps the memo exact as rows are evicted
     with shadowed() as calls:
         engine = observation_engine(CAPPED_SOURCE)
-        assert not engine.executor._view_plans
+        assert not engine.host.executor._view_plans
         assert finish(engine, until=4.0).quiescent
     assert calls["full"] > 0 and calls["scoped"] == 0
 

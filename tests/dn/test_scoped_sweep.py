@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dn.engine as engine_module
-import repro.dn.shard as shard_module
+import repro.dn.host as host_module
 from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.executor import FixpointExecutor
@@ -79,8 +78,7 @@ def shadowed():
     over hypothesis examples)."""
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_module, "FixpointExecutor", ShadowExecutor)
-        patch.setattr(shard_module, "FixpointExecutor", ShadowExecutor)
+        patch.setattr(host_module, "FixpointExecutor", ShadowExecutor)
         yield ShadowExecutor.verdicts
 
 
@@ -331,11 +329,11 @@ class TestUnsweptMarks:
                 # the mark lives on the worker: a respawn from a fresh
                 # checkpoint (an empty request log) must bring it back
                 shard = engine.partition_map[1]
-                engine._checkpoint(shard)
-                engine._clients[shard].kill()
-                engine._call(shard, "ping")
+                engine.host._checkpoint(shard)
+                engine.host._clients[shard].kill()
+                engine.host._call(shard, "ping")
                 assert engine.shard_restarts[shard] == 1
-                assert engine._clients[shard].worker.nodes[1].unswept == {"echo"}
+                assert engine.host._clients[shard].worker.nodes[1].unswept == {"echo"}
             else:
                 assert engine.node(1).unswept == {"echo"}
             # a capture carries it too, from either shard count

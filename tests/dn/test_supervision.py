@@ -211,7 +211,7 @@ class TestClientClose:
         config = EngineConfig(seed=0, shards=2, shard_transport="process")
         engine = create_engine(program, scenario.topology, config=config)
         try:
-            client = engine._clients[0]
+            client = engine.host._clients[0]
             assert isinstance(client, ProcessShardClient)
             client.submit("ping", ())
             # close() while the response is still outstanding must drain
@@ -228,7 +228,7 @@ class TestClientClose:
         config = EngineConfig(seed=0, shards=2, shard_transport="process")
         engine = create_engine(program, scenario.topology, config=config)
         try:
-            client = engine._clients[0]
+            client = engine.host._clients[0]
             client.submit("ping", ())
             client.kill()
             client.close()
@@ -249,10 +249,10 @@ class TestClientClose:
             "sc = generate_scenario('tree', size=8, seed=0, policy='gao_rexford')\n"
             "engine = create_engine(policy_path_vector_program(), sc.topology,\n"
             "    config=EngineConfig(seed=0, shards=3, shard_transport='process'))\n"
-            "engine._clients[0].kill()\n"
-            "engine._call(0, 'ping')\n"
+            "engine.host._clients[0].kill()\n"
+            "engine.host._call(0, 'ping')\n"
             "with open(sys.argv[1], 'w') as out:\n"
-            "    print(*(client._process.pid for client in engine._clients), file=out)\n"
+            "    print(*(client._process.pid for client in engine.host._clients), file=out)\n"
             "os._exit(0)\n"
         )
         pid_file = tmp_path / "pids"
@@ -290,7 +290,7 @@ class TestClientClose:
         config = EngineConfig(seed=0, shards=2, shard_transport="process")
         engine = create_engine(program, scenario.topology, config=config)
         try:
-            client = engine._clients[1]
+            client = engine.host._clients[1]
             client.kill()
             with pytest.raises(ShardCrash):
                 client.call("ping", ())
@@ -323,14 +323,14 @@ def segmented(*, shards=2, transport="inline", faults=None, segments=16):
     engine, facts = long_lived(shards, transport)
     revives = []
     if faults is not None:
-        revive = engine._revive
+        revive = engine.host._revive
 
         def record_revive(shard, exc):
             # the state a respawn resyncs from: a checkpoint, and the log
-            revives.append((engine._checkpoints[shard] is not None, len(engine._logs[shard])))
+            revives.append((engine.host._checkpoints[shard] is not None, len(engine.host._logs[shard])))
             revive(shard, exc)
 
-        engine._revive = record_revive
+        engine.host._revive = record_revive
     try:
         for index in range(1, segments + 1):
             if faults is not None and engine.fault_injector is None:
@@ -377,26 +377,26 @@ class TestCheckpointResync:
     def test_log_stays_bounded_by_live_rows_and_one_segment(self):
         engine, facts = long_lived()
         segment_ops = [0, 0]
-        logged = engine._logged
+        logged = engine.host._logged
 
         def count(shard, method, args, ops):
             segment_ops[shard] += ops
             logged(shard, method, args, ops)
 
-        engine._logged = count
+        engine.host._logged = count
         total = 0
         try:
             for index in range(1, 41):
-                live = [engine._live_rows(shard) for shard in (0, 1)]
+                live = [engine.host._live_rows(shard) for shard in (0, 1)]
                 segment_ops[:] = [0, 0]
                 engine.run(until=float(index), extra_facts=facts)
                 for shard in (0, 1):
                     # what a segment carries over from earlier ones is at
                     # most the live rows at its start: a longer log gave
                     # way to a checkpoint
-                    assert engine._log_ops[shard] <= live[shard] + segment_ops[shard]
+                    assert engine.host._log_ops[shard] <= live[shard] + segment_ops[shard]
                 total += sum(segment_ops)
             assert sum(engine.shard_checkpoints) >= 2
-            assert sum(engine._log_ops) < total
+            assert sum(engine.host._log_ops) < total
         finally:
             engine.close()

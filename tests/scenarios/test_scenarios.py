@@ -6,6 +6,8 @@ distributed runtime — still compute the same fixpoint on generated
 topologies, across at least the grid, tree, and power-law families.
 """
 
+import gc
+import hashlib
 import itertools
 
 import networkx as nx
@@ -55,6 +57,39 @@ class TestGeneration:
     def test_suite_covers_all_families(self):
         suite = generate_suite(size=12, seed=5)
         assert sorted(s.family for s in suite) == scenario_families()
+
+    @pytest.mark.parametrize("family", ["tree", "power_law", "waxman"])
+    def test_generation_leaves_no_cyclic_garbage(self, family):
+        # networkx caches views on a graph that refer back to it; a dropped
+        # graph must not wait for the cycle collector
+        generate_scenario(family, size=20, seed=0)  # warm: imports, caches
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            generate_scenario(family, size=20, seed=1)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "family, size, seed, expected",
+        [
+            ("tree", 20, 3, "82d3d0352b86583d"),
+            ("power_law", 12, 0, "7f70855576f5441c"),
+            ("power_law", 32, 7, "f66721c4847ef992"),
+            ("waxman", 20, 3, "5bb823ae2de78e1a"),
+            ("waxman", 32, 7, "abc522ff5d004c61"),
+        ],
+    )
+    def test_topologies_are_pinned(self, family, size, seed, expected):
+        # digests of links and costs taken before the graphs were emptied
+        # after conversion: generation must not move
+        topology = generate_scenario(family, size=size, seed=seed).topology
+        links = sorted((k.src, k.dst, k.cost, k.delay, k.loss) for k in topology.links())
+        digest = hashlib.sha256(repr((list(topology.nodes), links)).encode()).hexdigest()
+        assert digest[:16] == expected
 
 
 class TestChurn:

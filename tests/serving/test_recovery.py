@@ -137,14 +137,14 @@ class TestSnapshotRoundTrip:
             service.apply_update(*UPDATES[0])
             engine = service.engine
             if shards > 1:
-                logs = [list(log) for log in engine._logs]
+                logs = [list(log) for log in engine.host._logs]
                 checkpoints = list(engine.shard_checkpoints)
             first = pickle.dumps(engine.capture())
             second = pickle.dumps(engine.capture())
             assert first == second
             assert engine.scheduler.next_seqno() == pickle.loads(first)["scheduler"]["counter"]
             if shards > 1:
-                assert [list(log) for log in engine._logs] == logs
+                assert [list(log) for log in engine.host._logs] == logs
                 assert engine.shard_checkpoints == checkpoints
         finally:
             service.close()
@@ -462,7 +462,7 @@ class TestRecovery:
             assert recovered.recovered_from == "snapshot+replay"
             engine = recovered.engine
             shard = engine.partition_map[0]
-            engine._clients[shard].kill()
+            engine.host._clients[shard].kill()
             assert recovered.apply_update(*extra)["settled"]
             assert engine.shard_restarts[shard] == 1
             engine.validate_shards()

@@ -1,9 +1,12 @@
 """In-process coverage of :class:`repro.serving.service.RouteService`:
 update application, query answers, what-if isolation, and validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.records import read_jsonl
+from repro.obs import metrics as obs_metrics
 from repro.scenarios import generate_scenario
 from repro.serving import ProtocolError, RouteService, ServerConfig
 from repro.serving.service import build_serving_program
@@ -83,6 +86,39 @@ class TestUpdates:
             assert ack["settled"]
         finally:
             svc.close()
+
+
+class TestShardedCounters:
+    """A sharded daemon's settles end their segment as ``run()`` does: the
+    worker-kept node counters come home and reach the metrics."""
+
+    @staticmethod
+    def counters(monkeypatch, shards: int) -> tuple:
+        engine_config = RouteService._engine_config
+        monkeypatch.setattr(
+            RouteService,
+            "_engine_config",
+            lambda self: replace(engine_config(self), shard_transport="inline"),
+        )
+        obs_metrics.registry().drain()
+        svc = RouteService(
+            ServerConfig(
+                family="tree", size=8, policy="shortest_path", shards=shards, snapshot_every=0
+            )
+        )
+        try:
+            svc.apply_update("link_fail", {"src": 0, "dst": 1})
+            svc.apply_update("link_restore", {"src": 0, "dst": 1})
+            stats = {node: svc.engine.node(node).stats.as_dict() for node in svc.engine.nodes}
+            metrics = svc.query("metrics", {})["metrics"]["counters"]
+            return stats, metrics.get("engine.rule_firings"), metrics["engine.events"]
+        finally:
+            svc.close()
+
+    def test_two_shards_count_what_one_counts(self, monkeypatch):
+        stats, firings, events = self.counters(monkeypatch, 1)
+        assert firings == sum(node["rule_firings"] for node in stats.values()) > 0
+        assert self.counters(monkeypatch, 2) == (stats, firings, events)
 
 
 class TestQueries:
