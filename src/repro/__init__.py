@@ -35,18 +35,14 @@ Quickstart::
     print(protocol.best_paths())
 """
 
+from ._lazy import lazy_exports
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "analysis",
-    "bgp",
-    "dn",
-    "fvn",
-    "harness",
-    "logic",
-    "metarouting",
-    "ndlog",
-    "protocols",
-    "scenarios",
-    "workloads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    name: (name,)
+    for name in (
+        "analysis", "bgp", "dn", "fvn", "harness", "logic", "metarouting", "ndlog",
+        "protocols", "scenarios", "workloads",
+    )
+})

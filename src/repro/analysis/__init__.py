@@ -11,6 +11,8 @@ time / message / state-change summaries), :class:`ProofEffort` (proof-step
 accounting), :func:`speedup`, :func:`mean`, and :func:`render_table`.
 """
 
-from .metrics import ConvergenceMetrics, ProofEffort, mean, render_table, speedup
+from .._lazy import lazy_exports
 
-__all__ = ["ConvergenceMetrics", "ProofEffort", "mean", "render_table", "speedup"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("ConvergenceMetrics", "ProofEffort", "mean", "render_table", "speedup"),
+})

@@ -14,73 +14,24 @@ component models in :mod:`repro.bgp.model`, the SPP gadget library in
 dynamics.
 """
 
-from .generator import (
-    bgp_component_program,
-    policy_facts,
-    policy_path_vector_program,
-    policy_path_vector_source,
-)
-from .model import (
-    BGPIterationResult,
-    ComponentBGPSimulator,
-    best_route_component,
-    bgp_model,
-    export_component,
-    import_component,
-    peer_transformation,
-    pvt_component,
-)
-from .policy import (
-    DEFAULT_LOCAL_PREF,
-    PolicyRule,
-    PolicyTable,
-    Route,
-    best_route,
-    disagree_policies,
-    gao_rexford_policies,
-    prefer_route,
-    shortest_path_policies,
-)
-from .simulation import SPVPResult, SPVPSimulator
-from .spp import (
-    EPSILON,
-    GADGETS,
-    SPPInstance,
-    bad_gadget,
-    disagree,
-    good_gadget,
-    shortest_path_instance,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BGPIterationResult",
-    "ComponentBGPSimulator",
-    "DEFAULT_LOCAL_PREF",
-    "EPSILON",
-    "GADGETS",
-    "PolicyRule",
-    "PolicyTable",
-    "Route",
-    "SPPInstance",
-    "SPVPResult",
-    "SPVPSimulator",
-    "bad_gadget",
-    "best_route",
-    "best_route_component",
-    "bgp_component_program",
-    "bgp_model",
-    "disagree",
-    "disagree_policies",
-    "export_component",
-    "gao_rexford_policies",
-    "good_gadget",
-    "import_component",
-    "peer_transformation",
-    "policy_facts",
-    "policy_path_vector_program",
-    "policy_path_vector_source",
-    "prefer_route",
-    "pvt_component",
-    "shortest_path_instance",
-    "shortest_path_policies",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "generator": (
+        "bgp_component_program", "policy_facts", "policy_path_vector_program",
+        "policy_path_vector_source",
+    ),
+    "model": (
+        "BGPIterationResult", "ComponentBGPSimulator", "best_route_component", "bgp_model",
+        "export_component", "import_component", "peer_transformation", "pvt_component",
+    ),
+    "policy": (
+        "DEFAULT_LOCAL_PREF", "PolicyRule", "PolicyTable", "Route", "best_route",
+        "disagree_policies", "gao_rexford_policies", "prefer_route", "shortest_path_policies",
+    ),
+    "simulation": ("SPVPResult", "SPVPSimulator"),
+    "spp": (
+        "EPSILON", "GADGETS", "SPPInstance", "bad_gadget", "disagree", "good_gadget",
+        "shortest_path_instance",
+    ),
+})

@@ -18,13 +18,14 @@ verified (arc 4), and executed (arc 7) exactly like a hand-written program.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..fvn.logic_to_ndlog import SchemaAnnotation, composite_to_program
 from ..ndlog.ast import Program
 from ..ndlog.parser import parse_program
-from .model import bgp_model
 from .policy import NodeId, PolicyTable
+
+if TYPE_CHECKING:
+    from ..fvn.logic_to_ndlog import SchemaAnnotation
 
 
 #: The policy path-vector program.  Path preference is lexicographic
@@ -99,6 +100,11 @@ def bgp_component_program(
     (attribute ``U`` of each port), matching the paper's remark that schema
     information drives the location-specifier assignment.
     """
+
+    # the component model and the arc-3 translation pull in the logic
+    # substrate, which the policy program the engine runs never needs
+    from ..fvn.logic_to_ndlog import SchemaAnnotation, composite_to_program
+    from .model import bgp_model
 
     policies = policies or PolicyTable()
     composite = bgp_model(policies)

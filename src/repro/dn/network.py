@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional
 
-import networkx as nx
-
+if TYPE_CHECKING:  # networkx is loaded only where a graph is built
+    import networkx as nx
 
 NodeId = Hashable
 
@@ -138,6 +138,8 @@ class Topology:
         return topo
 
     def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self._nodes)
         for link in self.up_links():
@@ -177,6 +179,8 @@ class Topology:
 
     def diameter(self) -> int:
         """Hop-count diameter of the underlying undirected up-graph."""
+
+        import networkx as nx
 
         graph = self.to_networkx().to_undirected()
         if graph.number_of_nodes() <= 1 or not nx.is_connected(graph):

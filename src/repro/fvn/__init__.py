@@ -15,111 +15,35 @@ Submodules implement the arcs of the paper's Figure 1:
 * :mod:`repro.fvn.framework` — the orchestrating :class:`FVN` workflow.
 """
 
-from .components import (
-    Component,
-    ComponentConstraint,
-    ComponentError,
-    CompositeComponent,
-    Port,
-    Wire,
-)
-from .framework import FVN, PipelineRecord
-from .linear import State, Transition, TransitionSystem
-from .logic_to_ndlog import (
-    SchemaAnnotation,
-    TranslationEquivalence,
-    check_translation_equivalence,
-    component_to_rules,
-    composite_to_program,
-)
-from .modelcheck import (
-    ModelCheckResult,
-    check_eventually_expires,
-    check_invariant,
-    check_reachable,
-)
-from .monitors import (
-    MONITOR_KINDS,
-    PATH_VECTOR_SCHEMA,
-    POLICY_SCHEMA,
-    MonitorSchema,
-    MonitorViolation,
-    RuntimeMonitor,
-    build_monitor,
-    monitor_for_property,
-    monitors_from_properties,
-    posthoc_violations,
-    schema_for_program,
-    standard_monitors,
-)
-from .ndlog_to_logic import (
-    AggregateAxioms,
-    aggregate_rule_axioms,
-    program_to_theory,
-    rule_to_clause,
-)
-from .properties import (
-    PropertySpec,
-    best_path_is_path,
-    cycle_freedom,
-    path_implies_link,
-    reachability_soundness,
-    route_optimality,
-    route_optimality_weak,
-    standard_property_suite,
-)
-from .soft_state_rewrite import RewriteMetrics, SoftStateRewrite, rewrite_soft_state
-from .verification import PropertyVerdict, VerificationManager, VerificationReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AggregateAxioms",
-    "Component",
-    "MONITOR_KINDS",
-    "MonitorSchema",
-    "MonitorViolation",
-    "PATH_VECTOR_SCHEMA",
-    "POLICY_SCHEMA",
-    "RuntimeMonitor",
-    "build_monitor",
-    "monitor_for_property",
-    "monitors_from_properties",
-    "posthoc_violations",
-    "schema_for_program",
-    "standard_monitors",
-    "ComponentConstraint",
-    "ComponentError",
-    "CompositeComponent",
-    "FVN",
-    "ModelCheckResult",
-    "PipelineRecord",
-    "Port",
-    "PropertySpec",
-    "PropertyVerdict",
-    "RewriteMetrics",
-    "SchemaAnnotation",
-    "SoftStateRewrite",
-    "State",
-    "Transition",
-    "TransitionSystem",
-    "TranslationEquivalence",
-    "VerificationManager",
-    "VerificationReport",
-    "Wire",
-    "aggregate_rule_axioms",
-    "best_path_is_path",
-    "check_eventually_expires",
-    "check_invariant",
-    "check_reachable",
-    "check_translation_equivalence",
-    "component_to_rules",
-    "composite_to_program",
-    "cycle_freedom",
-    "path_implies_link",
-    "program_to_theory",
-    "reachability_soundness",
-    "route_optimality",
-    "route_optimality_weak",
-    "rewrite_soft_state",
-    "rule_to_clause",
-    "standard_property_suite",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "components": (
+        "Component", "ComponentConstraint", "ComponentError", "CompositeComponent", "Port", "Wire",
+    ),
+    "framework": ("FVN", "PipelineRecord"),
+    "linear": ("State", "Transition", "TransitionSystem"),
+    "logic_to_ndlog": (
+        "SchemaAnnotation", "TranslationEquivalence", "check_translation_equivalence",
+        "component_to_rules", "composite_to_program",
+    ),
+    "modelcheck": (
+        "ModelCheckResult", "check_eventually_expires", "check_invariant", "check_reachable",
+    ),
+    "monitors": (
+        "MONITOR_KINDS", "PATH_VECTOR_SCHEMA", "POLICY_SCHEMA", "MonitorSchema",
+        "MonitorViolation", "RuntimeMonitor", "build_monitor", "monitor_for_property",
+        "monitors_from_properties", "posthoc_violations", "schema_for_program",
+        "standard_monitors",
+    ),
+    "ndlog_to_logic": (
+        "AggregateAxioms", "aggregate_rule_axioms", "program_to_theory", "rule_to_clause",
+    ),
+    "properties": (
+        "PropertySpec", "best_path_is_path", "cycle_freedom", "path_implies_link",
+        "reachability_soundness", "route_optimality", "route_optimality_weak",
+        "standard_property_suite",
+    ),
+    "soft_state_rewrite": ("RewriteMetrics", "SoftStateRewrite", "rewrite_soft_state"),
+    "verification": ("PropertyVerdict", "VerificationManager", "VerificationReport"),
+})

@@ -13,34 +13,14 @@ and diffs.  The CLI front end is ``fvn-campaign`` /
 ``python -m repro.harness`` (:mod:`repro.harness.cli`).
 """
 
-from .records import RunRecord, read_ledger, read_results, summarize
-from .report import diff_campaigns, format_summary, load_records
-from .runner import CampaignResult, build_program, execute_run, run_campaign
-from .spec import (
-    NO_POLICY,
-    CampaignSpec,
-    RunDescriptor,
-    SpecError,
-    load_spec,
-    spec_from_mapping,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NO_POLICY",
-    "CampaignResult",
-    "CampaignSpec",
-    "RunDescriptor",
-    "RunRecord",
-    "SpecError",
-    "build_program",
-    "diff_campaigns",
-    "execute_run",
-    "format_summary",
-    "load_records",
-    "load_spec",
-    "read_ledger",
-    "read_results",
-    "run_campaign",
-    "spec_from_mapping",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "records": ("RunRecord", "read_ledger", "read_results", "summarize"),
+    "report": ("diff_campaigns", "format_summary", "load_records"),
+    "runner": ("CampaignResult", "build_program", "execute_run", "run_campaign"),
+    "spec": (
+        "NO_POLICY", "CampaignSpec", "RunDescriptor", "SpecError", "load_spec",
+        "spec_from_mapping",
+    ),
+})

@@ -25,148 +25,27 @@ Typical use::
     assert result.proved
 """
 
-from .arith import ComparisonSet, comparisons_entail, comparisons_unsat, evaluate as eval_arith
-from .bmc import (
-    Counterexample,
-    FiniteModel,
-    FixpointResult,
-    FunctionRegistry,
-    find_counterexample,
-    ground_eval,
-    least_fixpoint,
-)
-from .formulas import (
-    And,
-    Atom,
-    Comparison,
-    Exists,
-    FALSE,
-    Falsity,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    TRUE,
-    Truth,
-    atom,
-    close,
-    conj,
-    disj,
-    eq,
-    exists,
-    forall,
-    ge,
-    gt,
-    iff,
-    implies,
-    le,
-    lt,
-    neg,
-    neq,
-    predicates_in,
-)
-from .inductive import Clause, DefinitionTable, InductiveDefinition
-from .prover import ProofResult, ProofSession, ProofStep, prove
-from .sequent import Sequent
-from .substitution import match_atoms, match_terms, unify_atoms, unify_terms
-from .tactics import ProofContext, TacticError
-from .terms import (
-    ANY,
-    BOOL,
-    Const,
-    Func,
-    INT,
-    METRIC,
-    NODE,
-    PATH,
-    Sort,
-    TIME,
-    Term,
-    Var,
-    const,
-    func,
-    term,
-    var,
-)
-from .theory import Interpretation, Obligation, SymbolDeclaration, Theorem, Theory
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANY",
-    "And",
-    "Atom",
-    "BOOL",
-    "Clause",
-    "Comparison",
-    "ComparisonSet",
-    "Const",
-    "Counterexample",
-    "DefinitionTable",
-    "Exists",
-    "FALSE",
-    "Falsity",
-    "FiniteModel",
-    "FixpointResult",
-    "Forall",
-    "Formula",
-    "Func",
-    "FunctionRegistry",
-    "INT",
-    "Iff",
-    "Implies",
-    "InductiveDefinition",
-    "Interpretation",
-    "METRIC",
-    "NODE",
-    "Not",
-    "Obligation",
-    "Or",
-    "PATH",
-    "ProofContext",
-    "ProofResult",
-    "ProofSession",
-    "ProofStep",
-    "Sequent",
-    "Sort",
-    "SymbolDeclaration",
-    "TIME",
-    "TRUE",
-    "TacticError",
-    "Term",
-    "Theorem",
-    "Theory",
-    "Truth",
-    "Var",
-    "atom",
-    "close",
-    "comparisons_entail",
-    "comparisons_unsat",
-    "conj",
-    "const",
-    "disj",
-    "eq",
-    "eval_arith",
-    "exists",
-    "find_counterexample",
-    "forall",
-    "func",
-    "ge",
-    "ground_eval",
-    "gt",
-    "iff",
-    "implies",
-    "le",
-    "least_fixpoint",
-    "lt",
-    "match_atoms",
-    "match_terms",
-    "neg",
-    "neq",
-    "predicates_in",
-    "prove",
-    "term",
-    "unify_atoms",
-    "unify_terms",
-    "var",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arith": ("ComparisonSet", "comparisons_entail", "comparisons_unsat", "eval_arith"),
+    "bmc": (
+        "Counterexample", "FiniteModel", "FixpointResult", "FunctionRegistry",
+        "find_counterexample", "ground_eval", "least_fixpoint",
+    ),
+    "formulas": (
+        "And", "Atom", "Comparison", "Exists", "FALSE", "Falsity", "Forall", "Formula", "Iff",
+        "Implies", "Not", "Or", "TRUE", "Truth", "atom", "close", "conj", "disj", "eq", "exists",
+        "forall", "ge", "gt", "iff", "implies", "le", "lt", "neg", "neq", "predicates_in",
+    ),
+    "inductive": ("Clause", "DefinitionTable", "InductiveDefinition"),
+    "prover": ("ProofResult", "ProofSession", "ProofStep", "prove"),
+    "sequent": ("Sequent",),
+    "substitution": ("match_atoms", "match_terms", "unify_atoms", "unify_terms"),
+    "tactics": ("ProofContext", "TacticError"),
+    "terms": (
+        "ANY", "BOOL", "Const", "Func", "INT", "METRIC", "NODE", "PATH", "Sort", "TIME", "Term",
+        "Var", "const", "func", "term", "var",
+    ),
+    "theory": ("Interpretation", "Obligation", "SymbolDeclaration", "Theorem", "Theory"),
+})

@@ -327,3 +327,7 @@ def comparisons_unsat(hypotheses: Iterable[Comparison]) -> bool:
     """Convenience wrapper: is the conjunction of hypotheses unsatisfiable?"""
 
     return ComparisonSet(hypotheses).is_unsatisfiable()
+
+
+#: the name :mod:`repro.logic` exports :func:`evaluate` under
+eval_arith = evaluate

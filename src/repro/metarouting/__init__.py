@@ -15,107 +15,33 @@ Public entry points: :class:`RoutingAlgebra` and
 :mod:`repro.metarouting.routing`.
 """
 
-from .algebra import Label, RoutingAlgebra, Signature, algebra_from_rank
-from .axioms import (
-    AXIOM_NAMES,
-    AlgebraReport,
-    AxiomReport,
-    check_absorption,
-    check_all_axioms,
-    check_isotonicity,
-    check_maximality,
-    check_monotonicity,
-    is_well_behaved,
-)
-from .base import (
-    BASE_ALGEBRA_FACTORIES,
-    INFINITY,
-    add_algebra,
-    all_base_algebras,
-    hop_count_algebra,
-    local_pref_algebra,
-    reliability_algebra,
-    route_cost_algebra,
-    usable_path_algebra,
-    widest_path_algebra,
-)
-from .convergence import ConvergenceReport, analyze_convergence, asynchronous_routes
-from .obligations import (
-    InstantiationResult,
-    instantiate,
-    instantiate_all,
-    route_algebra_theory,
-)
-from .operators import (
-    PreservationReport,
-    lex_product,
-    preservation_conditions,
-    restrict_labels,
-    restrict_signatures,
-)
-from .routing import (
-    LabeledEdge,
-    LabeledGraph,
-    RouteEntry,
-    RoutingOutcome,
-    compute_routes,
-    optimality_gap,
-)
-from .systems import (
-    SYSTEM_FACTORIES,
-    all_systems,
-    bgp_system,
-    policy_shortest_path_system,
-    safe_bgp_system,
-    shortest_widest_system,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AXIOM_NAMES",
-    "AlgebraReport",
-    "AxiomReport",
-    "BASE_ALGEBRA_FACTORIES",
-    "ConvergenceReport",
-    "INFINITY",
-    "InstantiationResult",
-    "Label",
-    "LabeledEdge",
-    "LabeledGraph",
-    "PreservationReport",
-    "RouteEntry",
-    "RoutingAlgebra",
-    "RoutingOutcome",
-    "SYSTEM_FACTORIES",
-    "Signature",
-    "add_algebra",
-    "algebra_from_rank",
-    "all_base_algebras",
-    "all_systems",
-    "analyze_convergence",
-    "asynchronous_routes",
-    "bgp_system",
-    "check_absorption",
-    "check_all_axioms",
-    "check_isotonicity",
-    "check_maximality",
-    "check_monotonicity",
-    "compute_routes",
-    "hop_count_algebra",
-    "instantiate",
-    "instantiate_all",
-    "is_well_behaved",
-    "lex_product",
-    "local_pref_algebra",
-    "optimality_gap",
-    "policy_shortest_path_system",
-    "preservation_conditions",
-    "reliability_algebra",
-    "restrict_labels",
-    "restrict_signatures",
-    "route_algebra_theory",
-    "route_cost_algebra",
-    "safe_bgp_system",
-    "shortest_widest_system",
-    "usable_path_algebra",
-    "widest_path_algebra",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "algebra": ("Label", "RoutingAlgebra", "Signature", "algebra_from_rank"),
+    "axioms": (
+        "AXIOM_NAMES", "AlgebraReport", "AxiomReport", "check_absorption", "check_all_axioms",
+        "check_isotonicity", "check_maximality", "check_monotonicity", "is_well_behaved",
+    ),
+    "base": (
+        "BASE_ALGEBRA_FACTORIES", "INFINITY", "add_algebra", "all_base_algebras",
+        "hop_count_algebra", "local_pref_algebra", "reliability_algebra", "route_cost_algebra",
+        "usable_path_algebra", "widest_path_algebra",
+    ),
+    "convergence": ("ConvergenceReport", "analyze_convergence", "asynchronous_routes"),
+    "obligations": (
+        "InstantiationResult", "instantiate", "instantiate_all", "route_algebra_theory",
+    ),
+    "operators": (
+        "PreservationReport", "lex_product", "preservation_conditions", "restrict_labels",
+        "restrict_signatures",
+    ),
+    "routing": (
+        "LabeledEdge", "LabeledGraph", "RouteEntry", "RoutingOutcome", "compute_routes",
+        "optimality_gap",
+    ),
+    "systems": (
+        "SYSTEM_FACTORIES", "all_systems", "bgp_system", "policy_shortest_path_system",
+        "safe_bgp_system", "shortest_widest_system",
+    ),
+})

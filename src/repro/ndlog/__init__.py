@@ -18,69 +18,22 @@ Quick use::
     db.rows("bestPath")
 """
 
-from .aggregates import apply_aggregate, aggregate_rows
-from .ast import (
-    Aggregate,
-    Assignment,
-    Condition,
-    Fact,
-    HeadLiteral,
-    Literal,
-    MaterializeDecl,
-    NDlogError,
-    Program,
-    Rule,
-)
-from .functions import BUILTIN_FUNCTIONS, builtin_registry
-from .localization import LocalizationResult, is_localized, localize_program, localize_rule
-from .parser import ParseError, parse_program, parse_rule, tokenize
-from .plan import negation_delta_rules, order_body
-from .seminaive import (
-    EvaluationStats,
-    Evaluator,
-    IncrementalEvaluator,
-    RetractionStats,
-    RuleEngine,
-    evaluate,
-)
-from .store import Database, Table
-from .stratification import DependencyGraph, Stratification, needs_recompute, stratify
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Aggregate",
-    "Assignment",
-    "BUILTIN_FUNCTIONS",
-    "Condition",
-    "Database",
-    "DependencyGraph",
-    "EvaluationStats",
-    "Evaluator",
-    "Fact",
-    "HeadLiteral",
-    "IncrementalEvaluator",
-    "RetractionStats",
-    "Literal",
-    "LocalizationResult",
-    "MaterializeDecl",
-    "NDlogError",
-    "ParseError",
-    "Program",
-    "Rule",
-    "RuleEngine",
-    "Stratification",
-    "Table",
-    "aggregate_rows",
-    "apply_aggregate",
-    "builtin_registry",
-    "evaluate",
-    "needs_recompute",
-    "negation_delta_rules",
-    "order_body",
-    "is_localized",
-    "localize_program",
-    "localize_rule",
-    "parse_program",
-    "parse_rule",
-    "stratify",
-    "tokenize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregates": ("apply_aggregate", "aggregate_rows"),
+    "ast": (
+        "Aggregate", "Assignment", "Condition", "Fact", "HeadLiteral", "Literal",
+        "MaterializeDecl", "NDlogError", "Program", "Rule",
+    ),
+    "functions": ("BUILTIN_FUNCTIONS", "builtin_registry"),
+    "localization": ("LocalizationResult", "is_localized", "localize_program", "localize_rule"),
+    "parser": ("ParseError", "parse_program", "parse_rule", "tokenize"),
+    "plan": ("negation_delta_rules", "order_body"),
+    "seminaive": (
+        "EvaluationStats", "Evaluator", "IncrementalEvaluator", "RetractionStats", "RuleEngine",
+        "evaluate",
+    ),
+    "store": ("Database", "Table"),
+    "stratification": ("DependencyGraph", "Stratification", "needs_recompute", "stratify"),
+})

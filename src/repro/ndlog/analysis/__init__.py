@@ -19,46 +19,37 @@ here stay dependency-light so the engines can call them at boot).
 
 from __future__ import annotations
 
-from ..ast import Program
-from .diagnostics import (
-    CODES,
-    ERROR,
-    WARNING,
-    WARNING_CODES,
-    AnalysisReport,
-    Diagnostic,
-    severity_of,
-)
-from .locspec import check_locations
-from .monotonic import classify_monotonicity
-from .safety import check_safety
-from .schema import check_schema
-from .strat import check_stratification
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CODES",
-    "ERROR",
-    "WARNING",
-    "WARNING_CODES",
-    "AnalysisReport",
-    "Diagnostic",
-    "analyze_program",
-    "check_locations",
-    "check_safety",
-    "check_schema",
-    "check_stratification",
-    "classify_monotonicity",
-    "severity_of",
-]
+from ..._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from ..ast import Program
+    from .diagnostics import AnalysisReport
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "diagnostics": (
+        "CODES", "ERROR", "WARNING", "WARNING_CODES", "AnalysisReport", "Diagnostic",
+        "severity_of",
+    ),
+    "locspec": ("check_locations",),
+    "monotonic": ("classify_monotonicity",),
+    "safety": ("check_safety",),
+    "schema": ("check_schema",),
+    "strat": ("check_stratification",),
+})
+__all__.append("analyze_program")
 
 
 def analyze_program(program: Program) -> AnalysisReport:
     """Run all static passes over ``program``."""
 
-    report = AnalysisReport(program=program.name)
-    report.extend(check_safety(program))
-    report.extend(check_schema(program))
-    report.extend(check_stratification(program))
-    report.extend(check_locations(program))
-    report.monotonicity = classify_monotonicity(program)
+    from . import diagnostics, locspec, monotonic, safety, schema, strat
+
+    report = diagnostics.AnalysisReport(program=program.name)
+    report.extend(safety.check_safety(program))
+    report.extend(schema.check_schema(program))
+    report.extend(strat.check_stratification(program))
+    report.extend(locspec.check_locations(program))
+    report.monotonicity = monotonic.classify_monotonicity(program)
     return report

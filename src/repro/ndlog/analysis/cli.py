@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 from ..ast import NDlogError, Program
 from ..parser import ParseError, parse_program
-from . import AnalysisReport, analyze_program
+from . import analyze_program
+from .diagnostics import AnalysisReport
 
 #: Name → constructor for the programs shipped with the repository.
 BUNDLED: dict[str, Callable[[], Program]] = {}

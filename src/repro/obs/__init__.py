@@ -18,28 +18,14 @@ Enabling any pillar leaves ``Trace.fingerprint()`` and campaign
 the ``obs-smoke`` CI job enforce this.
 
 Public entry points: the :mod:`~repro.obs.metrics` and
-:mod:`~repro.obs.tracing` modules (re-exported here) plus the lazy
-:func:`explain` / :func:`why_not` wrappers.
+:mod:`~repro.obs.tracing` modules plus :func:`~repro.obs.provenance.explain`
+and :func:`~repro.obs.provenance.why_not`, each bound here on first use.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from . import metrics, tracing
-
-__all__ = ["metrics", "tracing", "explain", "why_not"]
-
-
-def explain(engine, predicate, values, **kwargs):
-    """Lazy wrapper over :func:`repro.obs.provenance.explain`."""
-
-    from .provenance import explain as _explain
-
-    return _explain(engine, predicate, values, **kwargs)
-
-
-def why_not(engine, predicate, values, **kwargs):
-    """Lazy wrapper over :func:`repro.obs.provenance.why_not`."""
-
-    from .provenance import why_not as _why_not
-
-    return _why_not(engine, predicate, values, **kwargs)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("metrics",),
+    "tracing": ("tracing",),
+    "provenance": ("explain", "why_not"),
+})

@@ -32,8 +32,8 @@ Design points:
   identical JSON (timings aside).
 
 Public entry points: :func:`enable`, :func:`disable`, :func:`registry`,
-:func:`inc`, :func:`observe`, and the module-level :data:`METRIC_NAMES`
-catalog.
+:func:`inc`, :func:`observe`, :func:`scratch_registry`, and the
+module-level :data:`METRIC_NAMES` catalog.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import gc
 import math
 import os
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
 #: Every metric the subsystem may record, grouped by layer.  Counters
 #: carry a running total (integral but for ``engine.gc_time_*``, seconds);
@@ -185,6 +187,20 @@ def registry() -> MetricsRegistry:
     """The process-global registry instrumentation records into."""
 
     return _registry
+
+
+@contextmanager
+def scratch_registry() -> Iterator[None]:
+    """Record into a throwaway registry inside the block, and put the
+    process registry back after it, also on an exception: work done on
+    behalf of a hypothetical (a ``what_if`` fork) is not the process's."""
+
+    global _registry
+    live, _registry = _registry, MetricsRegistry()
+    try:
+        yield
+    finally:
+        _registry = live
 
 
 #: the ``perf_counter`` reading at the start of the collection in progress

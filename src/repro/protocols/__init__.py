@@ -7,32 +7,14 @@
 * :mod:`repro.protocols.heartbeat` — the soft-state workload for §4.2.
 """
 
-from .distancevector import (
-    CountToInfinityReport,
-    DISTANCE_VECTOR_SOURCE,
-    DistanceVectorSimulator,
-    INFINITY_METRIC,
-    distance_vector_program,
-)
-from .heartbeat import HEARTBEAT_SOURCE, heartbeat_facts, heartbeat_program
-from .linkstate import LINK_STATE_SOURCE, LinkStateProtocol, LinkStateRoute, link_state_program
-from .pathvector import PATH_VECTOR_SOURCE, BestPath, PathVectorProtocol, path_vector_program
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BestPath",
-    "CountToInfinityReport",
-    "DISTANCE_VECTOR_SOURCE",
-    "DistanceVectorSimulator",
-    "HEARTBEAT_SOURCE",
-    "INFINITY_METRIC",
-    "LINK_STATE_SOURCE",
-    "LinkStateProtocol",
-    "LinkStateRoute",
-    "PATH_VECTOR_SOURCE",
-    "PathVectorProtocol",
-    "distance_vector_program",
-    "heartbeat_facts",
-    "heartbeat_program",
-    "link_state_program",
-    "path_vector_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "distancevector": (
+        "CountToInfinityReport", "DISTANCE_VECTOR_SOURCE", "DistanceVectorSimulator",
+        "INFINITY_METRIC", "distance_vector_program",
+    ),
+    "heartbeat": ("HEARTBEAT_SOURCE", "heartbeat_facts", "heartbeat_program"),
+    "linkstate": ("LINK_STATE_SOURCE", "LinkStateProtocol", "LinkStateRoute", "link_state_program"),
+    "pathvector": ("PATH_VECTOR_SOURCE", "BestPath", "PathVectorProtocol", "path_vector_program"),
+})

@@ -13,11 +13,12 @@ connected :class:`~repro.dn.network.Topology`.
 from __future__ import annotations
 
 import random
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from ..dn.network import Topology
+
+if TYPE_CHECKING:  # networkx is loaded only where a graph is built
+    import networkx as nx
 
 
 def tree_topology(
@@ -67,6 +68,8 @@ def power_law_topology(
         topo = Topology(default_delay=delay)
         topo.add_node(0)
         return topo
+    import networkx as nx
+
     graph = nx.barabasi_albert_graph(n, m, seed=seed)
     return _topology_from_graph(graph, seed=seed, max_cost=max_cost, delay=delay)
 
@@ -87,12 +90,16 @@ def waxman_topology(
     returned topology is always connected.
     """
 
+    import networkx as nx
+
     graph = nx.waxman_graph(n, alpha=alpha, beta=beta, seed=seed)
     _connect_components(graph, seed)
     return _topology_from_graph(graph, seed=seed, max_cost=max_cost, delay=delay)
 
 
 def _connect_components(graph: "nx.Graph", seed: int) -> None:
+    import networkx as nx
+
     rng = random.Random(seed)
     components = [sorted(c) for c in nx.connected_components(graph)]
     for previous, current in zip(components, components[1:]):

@@ -20,8 +20,6 @@ from __future__ import annotations
 import random
 from typing import Hashable, Optional
 
-import networkx as nx
-
 from ..bgp.policy import (
     PolicyRule,
     PolicyTable,
@@ -43,6 +41,8 @@ def bfs_customer_provider(
     the child a customer of its parent.  This turns any connected topology
     into a Gao–Rexford-compatible hierarchy.
     """
+
+    import networkx as nx
 
     graph = topology.to_networkx().to_undirected()
     if graph.number_of_nodes() == 0:

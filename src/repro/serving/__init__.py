@@ -20,22 +20,12 @@ reaches byte-identical state (:mod:`repro.serving.checkpoint`,
 ``docs/SERVING.md``).
 """
 
-from .client import ServingClient, ServingError, read_server_info
-from .config import ServerConfig
-from .protocol import QUERY_VERBS, UPDATE_VERBS, VERBS, ProtocolError
-from .server import RouteServer, run_server
-from .service import RouteService
+from .._lazy import lazy_exports
 
-__all__ = [
-    "QUERY_VERBS",
-    "ProtocolError",
-    "RouteServer",
-    "RouteService",
-    "ServerConfig",
-    "ServingClient",
-    "ServingError",
-    "UPDATE_VERBS",
-    "VERBS",
-    "read_server_info",
-    "run_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ("ServingClient", "ServingError", "read_server_info"),
+    "config": ("ServerConfig",),
+    "protocol": ("QUERY_VERBS", "UPDATE_VERBS", "VERBS", "ProtocolError"),
+    "server": ("RouteServer", "run_server"),
+    "service": ("RouteService",),
+})

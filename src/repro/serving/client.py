@@ -30,6 +30,13 @@ from typing import Optional
 from .protocol import QUERY_VERBS, decode_line, encode
 
 
+#: ``server.json`` polling: the first wait, doubled per retry up to the cap,
+#: so a client waiting on a booting daemon sees its record within a few
+#: milliseconds of the write (one poll is a failed open or a small read)
+SERVER_INFO_POLL_S = 0.002
+SERVER_INFO_POLL_MAX_S = 0.01
+
+
 class ServingError(RuntimeError):
     """The daemon answered ``ok: false``, or the transport failed (the
     message names the verb and request id)."""
@@ -61,6 +68,7 @@ def read_server_info(state_dir: str | Path, *, timeout: float = 10.0) -> dict:
 
     path = Path(state_dir) / "server.json"
     deadline = time.monotonic() + timeout
+    delay = SERVER_INFO_POLL_S
     reason = f"no server.json under {state_dir}: daemon not started?"
     while True:
         try:
@@ -81,7 +89,8 @@ def read_server_info(state_dir: str | Path, *, timeout: float = 10.0) -> dict:
             reason = f"unusable server.json under {state_dir}: {exc}"
         if time.monotonic() >= deadline:
             raise ServingError(reason)
-        time.sleep(0.05)
+        time.sleep(delay)
+        delay = min(2 * delay, SERVER_INFO_POLL_MAX_S)
 
 
 class ServingClient:

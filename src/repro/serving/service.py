@@ -664,19 +664,22 @@ class RouteService:
         )
         # pickled, so the fork shares no container with the live engine
         capture = pickle.loads(pickle.dumps(self.engine.capture(), pickle.HIGHEST_PROTOCOL))
-        fork = RouteService(fork_config, origin=(self.seq, capture))
-        try:
-            for update in updates:
-                verb = update.get("verb")
-                if verb not in UPDATE_VERBS:
-                    raise ProtocolError(f"what_if update verb {verb!r} unknown")
-                fork.apply_update(verb, update.get("args", {}))
-            q_verb = question.get("verb")
-            if q_verb in (None, "what_if"):
-                raise ProtocolError("what_if query must be a non-nested query verb")
-            answer = fork.query(q_verb, question.get("args", {}))
-        finally:
-            fork.close()
+        # the fork's updates, settles and queries are hypothetical: they are
+        # counted in a throwaway registry, not in the daemon's ``metrics``
+        with obs_metrics.scratch_registry():
+            fork = RouteService(fork_config, origin=(self.seq, capture))
+            try:
+                for update in updates:
+                    verb = update.get("verb")
+                    if verb not in UPDATE_VERBS:
+                        raise ProtocolError(f"what_if update verb {verb!r} unknown")
+                    fork.apply_update(verb, update.get("args", {}))
+                q_verb = question.get("verb")
+                if q_verb in (None, "what_if"):
+                    raise ProtocolError("what_if query must be a non-nested query verb")
+                answer = fork.query(q_verb, question.get("args", {}))
+            finally:
+                fork.close()
         return {"base_seq": self.seq, "hypothetical": len(updates), "answer": answer}
 
     # ------------------------------------------------------------------

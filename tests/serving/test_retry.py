@@ -248,3 +248,23 @@ class TestClientHardening:
         info = read_server_info(tmp_path, timeout=5)
         assert info["port"] == 9
         thread.join(5)
+
+    def test_read_server_info_polls_with_a_short_backoff(self, tmp_path, monkeypatch):
+        """The first wait is a few milliseconds and each next one doubles up
+        to a small cap, so a client connects soon after the record lands."""
+
+        path = tmp_path / "server.json"
+        waits = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 8:
+                path.write_text(
+                    json.dumps({"host": "127.0.0.1", "port": 9, "pid": os.getpid()})
+                )
+
+        monkeypatch.setattr("repro.serving.client.time.sleep", sleep)
+        assert read_server_info(tmp_path, timeout=60)["port"] == 9
+        assert len(waits) == 8
+        assert waits[0] <= 0.005
+        assert waits == sorted(waits) and waits[-1] == waits[-2] <= 0.01

@@ -276,6 +276,60 @@ class TestWhatIf:
                 "what_if", {"updates": [], "query": {"verb": "what_if", "args": {}}}
             )
 
+    def test_fork_work_is_not_counted_as_live(self):
+        """The daemon's ``metrics`` count what the live engine did: a
+        ``what_if`` is one live query, and its fork's updates, settles and
+        query leave no trace there, also when the fork raises."""
+
+        def counters():
+            # a collector pass may land anywhere, the fork included
+            return {
+                name: value
+                for name, value in obs_metrics.registry().snapshot()["counters"].items()
+                if not name.startswith("engine.gc_")
+            }
+
+        svc = RouteService(ServerConfig(family="tree", size=8, snapshot_every=0))
+        try:
+            before = counters()
+            result = svc.query(
+                "what_if",
+                {
+                    "updates": [{"verb": "link_fail", "args": {"src": 0, "dst": 1}}],
+                    "query": {"verb": "fingerprint", "args": {}},
+                },
+            )
+            after = counters()
+            with pytest.raises(ProtocolError):
+                svc.query(
+                    "what_if",
+                    {
+                        "updates": [{"verb": "link_fail", "args": {"src": 0, "dst": 1}}],
+                        "query": {"verb": "what_if", "args": {}},
+                    },
+                )
+            failed = counters()
+        finally:
+            svc.close()
+        assert svc.seq == 0
+        # which registry the fork records into never reaches its answer
+        assert result == {
+            "base_seq": 0,
+            "hypothetical": 1,
+            "answer": {
+                "seq": 1,
+                "fingerprint": "0cfc99d05d0a4c08c881cd27b2d851a5bdd0b4507b816a228bf5f6cf5bb689f7",
+                "state_changes": 296,
+                "messages": 88,
+                "events": 162,
+            },
+        }
+        queries = before.pop("serving.queries", 0)
+        assert after.pop("serving.queries") == queries + 1
+        assert failed.pop("serving.queries") == queries + 2
+        assert after == before
+        assert failed == before
+
 
 class TestWhatIfMatchesReplay:
     """A fork loaded from the live capture answers exactly like a fresh
