@@ -78,9 +78,9 @@ import time
 from collections import Counter
 from typing import Callable
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.harness import CampaignSpec, execute_run
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving.config import ServerConfig
 from repro.serving.service import RouteService

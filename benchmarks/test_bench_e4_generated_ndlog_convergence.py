@@ -12,14 +12,18 @@ SPVP view of the same contrast.
 import pytest
 
 from repro.analysis import ConvergenceMetrics, render_table
-from repro.bgp.generator import policy_facts, policy_path_vector_program
-from repro.bgp.policy import disagree_policies, shortest_path_policies
 from repro.bgp.simulation import SPVPSimulator
 from repro.bgp.spp import disagree, shortest_path_instance
 from repro.dn.engine import DistributedEngine, EngineConfig
 from repro.dn.network import Topology
 from repro.ndlog.reference import ReferenceEngine
 from repro.ndlog.seminaive import RuleEngine
+from repro.protocols.policy import (
+    disagree_policies,
+    policy_facts,
+    policy_path_vector_program,
+    shortest_path_policies,
+)
 from repro.scenarios import generate_scenario
 from repro.workloads.topologies import full_mesh_topology, random_topology, ring_topology
 

@@ -51,7 +51,7 @@ def test_bench_component_generation_arc3(benchmark, experiment_report):
     """The remaining arc (3): verified component specification → NDlog."""
 
     from repro.bgp.model import bgp_model
-    from repro.bgp.policy import shortest_path_policies
+    from repro.protocols.policy import shortest_path_policies
 
     def generate():
         fvn = FVN("bgp-generation")

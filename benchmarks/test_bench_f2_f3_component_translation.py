@@ -12,11 +12,11 @@ import pytest
 
 from repro.analysis import render_table
 from repro.bgp.model import bgp_model, policy_registry
-from repro.bgp.policy import disagree_policies, shortest_path_policies
 from repro.fvn.components import Component, ComponentConstraint, CompositeComponent, Port
 from repro.fvn.logic_to_ndlog import check_translation_equivalence, composite_to_program
 from repro.logic.formulas import eq
-from repro.logic.terms import Var, func
+from repro.protocols.policy import disagree_policies, shortest_path_policies
+from repro.terms import Var, func
 
 
 def figure3_composite() -> CompositeComponent:

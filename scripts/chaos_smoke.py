@@ -34,10 +34,10 @@ from pathlib import Path
 
 from _smoke_common import ServerThread, write_evidence  # noqa: F401 (sets sys.path)
 
-from repro.bgp.generator import policy_path_vector_program  # noqa: E402
 from repro.dn import EngineConfig, FaultPlan, ShardedEngine, create_engine  # noqa: E402
 from repro.dn.faults import ANY_SCOPE, SERVING_SCOPE, Fault  # noqa: E402
-from repro.fvn.monitors import schema_for_program, standard_monitors  # noqa: E402
+from repro.dn.monitors import schema_for_program, standard_monitors  # noqa: E402
+from repro.protocols.policy import policy_path_vector_program  # noqa: E402
 from repro.scenarios import churn_updates, generate_scenario  # noqa: E402
 from repro.serving import RouteService, ServerConfig, ServingClient  # noqa: E402
 

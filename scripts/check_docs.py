@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation gate for CI (stdlib only).
 
-Seven checks:
+Eight checks:
 
 1. **Module docstrings** — every ``*.py`` module under ``src/repro`` must
    open with a module-level docstring stating what it implements (the
@@ -53,6 +53,14 @@ Seven checks:
    ``::Name`` after it a class or function defined in that file, so docs
    cannot cite a test that was deleted or renamed.  Fenced code blocks are
    not checked.
+
+8. **Stale module references** — every backticked dotted ``repro.…`` name
+   in ``docs/*.md`` and ``README.md`` must resolve: its leading parts to
+   package directories and module files under ``src/``, then at most one
+   name that the module defines at its top level or lists in its
+   ``lazy_exports`` table.  Read with ``ast``; nothing is imported, so a
+   moved or deleted module cannot stay cited.  Fenced code blocks are not
+   checked.
 
 Exit status 0 = all good; 1 = violations (listed on stdout).
 
@@ -243,6 +251,76 @@ def stale_path_references(root: pathlib.Path) -> list[tuple[str, str]]:
     return stale
 
 
+def top_level_names(module_path: pathlib.Path) -> set[str]:
+    """What ``module_path`` binds at its top level — definitions,
+    assignments and imports, under top-level ``if`` / ``try`` too — plus
+    every name its ``lazy_exports`` table lists."""
+
+    tree = ast.parse(module_path.read_text(), filename=str(module_path))
+    names: set[str] = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.If, ast.Try)):
+            pending.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                pending.extend(handler.body)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            for table in node.args:
+                if isinstance(table, ast.Dict):
+                    names.update(
+                        elt.value
+                        for value in table.values
+                        for elt in ast.walk(value)
+                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                    )
+    return names
+
+
+def resolves(src: pathlib.Path, dotted: str) -> bool:
+    """Does ``dotted`` name a package, a module, or one name in either?"""
+
+    parts = dotted.split(".")
+    where = src
+    for i, part in enumerate(parts):
+        if (where / part / "__init__.py").exists():
+            where = where / part
+            module = where / "__init__.py"
+        elif (where / f"{part}.py").exists():
+            module = where / f"{part}.py"
+            rest = parts[i + 1:]
+            return len(rest) <= 1 and (not rest or rest[0] in top_level_names(module))
+        else:
+            rest = parts[i:]
+            return i > 0 and len(rest) == 1 and rest[0] in top_level_names(module)
+    return True
+
+
+def stale_module_references(root: pathlib.Path) -> list[tuple[str, str]]:
+    """``(document, name)`` for each backticked ``repro.…`` name in
+    ``README.md`` / ``docs/*.md`` that does not resolve (see check 8)."""
+
+    stale = []
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        if not doc.exists():
+            continue
+        text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.S)
+        for span in re.findall(r"`([^`]+)`", text):
+            match = re.match(r"repro(?:\.\w+)+", span.strip())
+            if match and not resolves(root / "src", match.group(0)):
+                stale.append((str(doc.relative_to(root)), match.group(0)))
+    return stale
+
+
 def wire_verbs(module_path: pathlib.Path) -> list[str]:
     """The serving verbs: string tuples ``UPDATE_VERBS`` + ``QUERY_VERBS``."""
 
@@ -386,6 +464,10 @@ def main() -> int:
         print(f"STALE REFERENCE: {doc} cites {reference}, which does not exist")
         failures += 1
 
+    for doc, name in stale_module_references(root):
+        print(f"STALE MODULE REFERENCE: {doc} cites {name}, which does not resolve")
+        failures += 1
+
     if failures:
         print(f"\n{failures} documentation violation(s)")
         return 1
@@ -393,8 +475,8 @@ def main() -> int:
         "docs check: all modules documented, all config fields, serving "
         "flags, wire verbs, snapshot format, fingerprint version, fault kinds, "
         "diagnostic codes, lint flags, "
-        "and obs metric/span names covered; no stale config fields, codes "
-        "or path references"
+        "and obs metric/span names covered; no stale config fields, codes, "
+        "path or module references"
     )
     return 0
 

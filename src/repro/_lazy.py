@@ -6,8 +6,11 @@ submodule → the public names it defines — and gets back the module-level
 loads none of its submodules: ``from repro.dn import create_engine`` imports
 ``repro.dn.engine`` and what it needs, not the shard supervisor, and a
 serving client never loads the engine.  A name listed under its own
-submodule's name is that submodule (``repro.obs.metrics``).  A resolved name
-is cached in the package namespace, so ``__getattr__`` runs once per name.
+submodule's name is that submodule (``repro.obs.metrics``).  A table key that
+starts with ``repro.`` names a module outside the package, so a package can
+keep exporting a name whose home moved (``repro.logic`` exports
+:class:`~repro.terms.Var`).  A resolved name is cached in the package
+namespace, so ``__getattr__`` runs once per name.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ def lazy_exports(
         submodule = home.get(name)
         if submodule is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        module = importlib.import_module(f"{package}.{submodule}")
+        module = importlib.import_module(
+            submodule if submodule.startswith("repro.") else f"{package}.{submodule}"
+        )
         value = module if name == submodule else getattr(module, name)
         namespace[name] = value
         return value

@@ -13,7 +13,7 @@ The model is built on :mod:`repro.fvn.components`, giving it simultaneously
 
 * a logical specification (inductive definitions, via ``CompositeComponent.theory``),
 * an executable form (each component carries a ``transform`` applying the
-  supplied :class:`~repro.bgp.policy.PolicyTable`), and
+  supplied :class:`~repro.protocols.policy.PolicyTable`), and
 * an NDlog translation (via :func:`repro.fvn.logic_to_ndlog.composite_to_program`).
 """
 
@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from ..fvn.components import Component, ComponentConstraint, CompositeComponent, Port
 from ..logic.formulas import conj, eq
-from ..logic.terms import Var, func
-from .policy import NodeId, PolicyTable, Route, best_route
+from ..protocols.policy import NodeId, PolicyTable, Route, best_route
+from ..terms import Var, func
 
 
 #: Port attribute layout of a route travelling through the pipeline:

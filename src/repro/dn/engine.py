@@ -65,13 +65,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
-from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import Fact, NDlogError, Program
 from ..ndlog.functions import builtin_registry
 from ..ndlog.localization import localize_program
 from ..ndlog import seminaive
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
+from ..terms import FunctionRegistry
 from .collector import collector_paused
 from .events import Event, EventScheduler
 from .host import ShardWorker
@@ -141,7 +141,7 @@ class EngineMonitor(Protocol):
     monitor must not build an index on the tables it reads — the executor
     seeds key-scoped derives by :meth:`Table.has_lookup`, so an index a
     monitor built would make the execution depend on the attached
-    monitors.  See :mod:`repro.fvn.monitors` for the property-derived
+    monitors.  See :mod:`repro.dn.monitors` for the property-derived
     implementations.
     """
 

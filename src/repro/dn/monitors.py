@@ -75,10 +75,10 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..ndlog.aggregates import tuple_getter
 from ..ndlog.ast import Program
-from .properties import PropertySpec
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dn imports fvn users)
-    from ..dn.engine import DistributedEngine
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..fvn.properties import PropertySpec
+    from .engine import DistributedEngine
 
 
 @dataclass(frozen=True, slots=True)
@@ -559,7 +559,7 @@ def monitor_for_property(
     same invariant on live execution states.
     """
 
-    name = prop.name if isinstance(prop, PropertySpec) else prop
+    name = prop if isinstance(prop, str) else prop.name
     kind = PROPERTY_MONITORS.get(name)
     if kind is None:
         raise ValueError(
@@ -577,16 +577,11 @@ def monitors_from_properties(
 
     kinds: list[str] = []
     for prop in properties:
-        name = prop.name if isinstance(prop, PropertySpec) else prop
+        name = prop if isinstance(prop, str) else prop.name
         kind = PROPERTY_MONITORS.get(name)
         if kind is not None and kind not in kinds:
             kinds.append(kind)
     return [build_monitor(kind, schema) for kind in kinds]
-
-
-#: Classification labels for campaign monitors (``docs/ANALYSIS.md``).
-STATICALLY_PROVEN = "statically_proven"
-RUNTIME_MONITORED = "runtime_monitored"
 
 
 def clean_report(kind: str) -> dict:
@@ -609,30 +604,6 @@ def clean_report(kind: str) -> dict:
         "violations": 0,
         "active_at_end": 0,
         "examples": [],
-    }
-
-
-def classify_monitors(
-    program: Program,
-    kinds: Iterable[str],
-    *,
-    policy: Optional[str] = None,
-) -> dict[str, str]:
-    """``kind -> "statically_proven" | "runtime_monitored"`` for a campaign.
-
-    Runs the static obligation discharge (:mod:`repro.ndlog.analysis.
-    discharge`, imported lazily — it pulls in the prover and metarouting
-    layers) and marks a monitor proven only when every property backing it
-    proved and the policy's routing algebra discharged all obligations.
-    """
-
-    from ..ndlog.analysis.discharge import discharge_program
-
-    report = discharge_program(program, policy=policy)
-    proven = set(report.proven_monitors)
-    return {
-        kind: (STATICALLY_PROVEN if kind in proven else RUNTIME_MONITORED)
-        for kind in kinds
     }
 
 

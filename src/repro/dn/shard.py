@@ -74,12 +74,12 @@ import time
 import traceback
 from typing import Collection, Optional
 
-from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import NDlogError, Program
 from ..ndlog import seminaive
 from ..ndlog.store import _make_key_getter, select_rows
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
+from ..terms import FunctionRegistry
 from .collector import collector_paused, freeze_inherited_heap
 from .engine import DistributedEngine, EngineConfig
 from .executor import FixpointExecutor, Op

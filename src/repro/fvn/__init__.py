@@ -9,6 +9,9 @@ Submodules implement the arcs of the paper's Figure 1:
 * :mod:`repro.fvn.properties` — the property/invariant library (arc 1);
 * :mod:`repro.fvn.verification` — theorem proving + counterexample search
   (arcs 5 and 8);
+* :mod:`repro.fvn.discharge` — proving campaign monitor properties ahead of
+  execution (the runtime monitors themselves live in
+  :mod:`repro.dn.monitors`);
 * :mod:`repro.fvn.soft_state_rewrite` — the soft-state encoding of §4.2;
 * :mod:`repro.fvn.linear` / :mod:`repro.fvn.modelcheck` — the
   transition-system view and bounded model checking (arcs 6 and 8);
@@ -30,12 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "modelcheck": (
         "ModelCheckResult", "check_eventually_expires", "check_invariant", "check_reachable",
     ),
-    "monitors": (
-        "MONITOR_KINDS", "PATH_VECTOR_SCHEMA", "POLICY_SCHEMA", "MonitorSchema",
-        "MonitorViolation", "RuntimeMonitor", "build_monitor", "monitor_for_property",
-        "monitors_from_properties", "posthoc_violations", "schema_for_program",
-        "standard_monitors",
-    ),
     "ndlog_to_logic": (
         "AggregateAxioms", "aggregate_rule_axioms", "program_to_theory", "rule_to_clause",
     ),
@@ -46,4 +43,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "soft_state_rewrite": ("RewriteMetrics", "SoftStateRewrite", "rewrite_soft_state"),
     "verification": ("PropertyVerdict", "VerificationManager", "VerificationReport"),
+    "repro.dn.monitors": (
+        "MONITOR_KINDS", "PATH_VECTOR_SCHEMA", "POLICY_SCHEMA", "MonitorSchema",
+        "MonitorViolation", "RuntimeMonitor", "build_monitor", "monitor_for_property",
+        "monitors_from_properties", "posthoc_violations", "schema_for_program",
+        "standard_monitors",
+    ),
 })

@@ -28,8 +28,8 @@ from typing import Callable, Mapping, Optional
 
 from ..logic.formulas import Atom, Formula, conj
 from ..logic.inductive import Clause, InductiveDefinition
-from ..logic.terms import Var
 from ..logic.theory import Theory
+from ..terms import Var
 
 
 class ComponentError(Exception):

@@ -21,6 +21,10 @@ module closes that gap for campaigns:
 
 Results are cached per (program text, policy): campaigns expand one program
 into thousands of runs and must not re-prove per run.
+
+This module belongs to the verification arc.  The runtime reaches it only
+from inside the two functions that run it: the campaign runner's
+``static_proofs`` path and ``fvn-lint --prove``.
 """
 
 from __future__ import annotations
@@ -29,22 +33,22 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ...fvn.monitors import PROPERTY_MONITORS
-from ...fvn.properties import (
-    PropertySpec,
-    cycle_freedom,
-    standard_property_suite,
-)
-from ...fvn.verification import VerificationManager
-from ...logic.prover import ProofSession
-from ...metarouting.algebra import RoutingAlgebra
-from ...metarouting.obligations import InstantiationResult, instantiate
-from ...metarouting.systems import (
+from ..dn.monitors import PROPERTY_MONITORS
+from ..logic.prover import ProofSession
+from ..metarouting.algebra import RoutingAlgebra
+from ..metarouting.obligations import InstantiationResult, instantiate
+from ..metarouting.systems import (
     bgp_system,
     policy_shortest_path_system,
     safe_bgp_system,
 )
-from ..ast import Program
+from ..ndlog.ast import Program
+from .properties import (
+    PropertySpec,
+    cycle_freedom,
+    standard_property_suite,
+)
+from .verification import VerificationManager
 
 #: Default step budget for the automated strategy, recorded in scripts.
 GRIND_MAX_STEPS = 400
@@ -238,6 +242,32 @@ def discharge_program(
     report.proofs = _prove_suite(program, property_suite_for(program))
     _CACHE[key] = report
     return report
+
+
+#: Classification labels for campaign monitors (``docs/ANALYSIS.md``).
+STATICALLY_PROVEN = "statically_proven"
+RUNTIME_MONITORED = "runtime_monitored"
+
+
+def classify_monitors(
+    program: Program,
+    kinds: Iterable[str],
+    *,
+    policy: Optional[str] = None,
+) -> dict[str, str]:
+    """``kind -> "statically_proven" | "runtime_monitored"`` for a campaign.
+
+    Runs :func:`discharge_program` and marks a monitor proven only when
+    every property backing it proved and the policy's routing algebra
+    discharged all obligations.
+    """
+
+    report = discharge_program(program, policy=policy)
+    proven = set(report.proven_monitors)
+    return {
+        kind: (STATICALLY_PROVEN if kind in proven else RUNTIME_MONITORED)
+        for kind in kinds
+    }
 
 
 def replay_proof(

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..logic.bmc import FunctionRegistry
 from ..ndlog.ast import Program
 from ..ndlog.functions import builtin_registry
 from ..ndlog.seminaive import RuleEngine
 from ..ndlog.store import Database
+from ..terms import FunctionRegistry
 
 
 @dataclass(frozen=True)

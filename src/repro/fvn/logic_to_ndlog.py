@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..logic.formulas import And, Atom, Comparison, Exists, Formula, Not, Truth
-from ..logic.terms import Var
 from ..ndlog.ast import (
     Assignment,
     BodyItem,
@@ -38,6 +37,7 @@ from ..ndlog.ast import (
     Program,
     Rule,
 )
+from ..terms import Var
 from .components import Component, ComponentError, CompositeComponent
 
 

@@ -36,9 +36,9 @@ from ..logic.formulas import (
     le,
 )
 from ..logic.inductive import Clause, InductiveDefinition
-from ..logic.terms import Var
 from ..logic.theory import Theory
 from ..ndlog.ast import Assignment, Condition, Literal, NDlogError, Program, Rule
+from ..terms import Var
 
 
 def literal_to_atom(literal: Literal) -> Formula:

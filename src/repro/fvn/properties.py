@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..logic.formulas import Formula, atom, conj, exists, forall, implies, le, lt, neg, neq
-from ..logic.terms import Var, func
+from ..terms import Var, func
 
 
 @dataclass

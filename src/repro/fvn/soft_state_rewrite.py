@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..logic.terms import Const, Func, Term, Var
 from ..ndlog.ast import (
     Assignment,
     Condition,
@@ -33,6 +32,7 @@ from ..ndlog.ast import (
     Program,
     Rule,
 )
+from ..terms import Const, Func, Term, Var
 
 
 @dataclass

@@ -6,7 +6,7 @@ campaign specs (:mod:`repro.harness.spec`) expand a scenario grid — graph
 family × size × policy × churn × loss × engine configuration × seed — into
 deterministic seeded run descriptors, a resumable process-parallel runner
 (:mod:`repro.harness.runner`) executes them on the distributed NDlog engine
-with FVN runtime invariant monitors (:mod:`repro.fvn.monitors`) attached,
+with FVN runtime invariant monitors (:mod:`repro.dn.monitors`) attached,
 and per-run records stream to JSONL artifacts
 (:mod:`repro.harness.records`) that :mod:`repro.harness.report` summarizes
 and diffs.  The CLI front end is ``fvn-campaign`` /

@@ -30,20 +30,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..bgp.generator import policy_path_vector_source
 from ..dn.collector import freeze_inherited_heap
 from ..dn.engine import DistributedEngine, EngineConfig, create_engine
-from ..fvn.monitors import (
-    MonitorSchema,
-    build_monitor,
-    clean_report,
-    schema_for_program,
-)
+from ..dn.monitors import MonitorSchema, build_monitor, clean_report, schema_for_program
 from ..ndlog.ast import MaterializeDecl, Program
 from ..ndlog.parser import parse_program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..protocols.pathvector import PATH_VECTOR_SOURCE
+from ..protocols.policy import policy_path_vector_source
 from ..scenarios.generator import Scenario, generate_scenario
 from .records import (
     LEDGER_NAME,
@@ -163,7 +158,7 @@ def execute_run(
     fingerprint — is byte-identical either way (``docs/OBSERVABILITY.md``).
 
     With ``static_proofs`` the monitor properties are discharged ahead of
-    execution (:mod:`repro.ndlog.analysis.discharge`, cached per program ×
+    execution (:mod:`repro.fvn.discharge`, cached per program ×
     policy, so a pool worker proves once for its whole chunk): proven
     monitor kinds are not attached at all — they are recorded with the
     clean report a violation-free dynamic check would produce, and the
@@ -198,7 +193,7 @@ def execute_run(
     proven: set[str] = set()
     provenance: Optional[dict] = None
     if static_proofs:
-        from ..ndlog.analysis.discharge import discharge_program
+        from ..fvn.discharge import discharge_program
 
         discharge = discharge_program(program, policy=descriptor.policy)
         monotone = descriptor.churn_events == 0 and descriptor.loss == 0.0

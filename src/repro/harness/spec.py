@@ -40,9 +40,9 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from ..dn.engine import EngineConfig
+from ..dn.monitors import MONITOR_KINDS
 from ..scenarios.generator import SCENARIO_FAMILIES
 from ..scenarios.policies import POLICY_KINDS, first_triangle
-from ..fvn.monitors import MONITOR_KINDS
 
 #: ``policies`` entry meaning "no policy layer, plain path-vector program"
 NO_POLICY = "none"

@@ -3,11 +3,11 @@
 This package is the in-repository substitute for the PVS theorem prover the
 paper uses (Sections 2.3 and 3.1: the logical specifications NDlog programs
 are translated into, and the proofs discharged over them).  It provides
-first-order terms and formulas, inductive definitions (the ``INDUCTIVE
-bool`` fragment), theories with theory interpretation, a sequent-calculus
-prover with PVS-style tactics and an automated ``grind`` strategy, a
-linear-arithmetic decision procedure, and finite-model evaluation for
-counterexample search.
+formulas over the first-order terms of the shared kernel :mod:`repro.terms`,
+inductive definitions (the ``INDUCTIVE bool`` fragment), theories with
+theory interpretation, a sequent-calculus prover with PVS-style tactics and
+an automated ``grind`` strategy, a linear-arithmetic decision procedure, and
+finite-model evaluation for counterexample search.
 
 Public entry points: :class:`Theory` (declare axioms/theorems,
 ``prove_theorem``), :func:`prove` / :class:`ProofSession` and the tactic
@@ -30,8 +30,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "arith": ("ComparisonSet", "comparisons_entail", "comparisons_unsat", "eval_arith"),
     "bmc": (
-        "Counterexample", "FiniteModel", "FixpointResult", "FunctionRegistry",
-        "find_counterexample", "ground_eval", "least_fixpoint",
+        "Counterexample", "FiniteModel", "FixpointResult", "find_counterexample", "least_fixpoint",
     ),
     "formulas": (
         "And", "Atom", "Comparison", "Exists", "FALSE", "Falsity", "Forall", "Formula", "Iff",
@@ -43,9 +42,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "sequent": ("Sequent",),
     "substitution": ("match_atoms", "match_terms", "unify_atoms", "unify_terms"),
     "tactics": ("ProofContext", "TacticError"),
-    "terms": (
-        "ANY", "BOOL", "Const", "Func", "INT", "METRIC", "NODE", "PATH", "Sort", "TIME", "Term",
-        "Var", "const", "func", "term", "var",
-    ),
     "theory": ("Interpretation", "Obligation", "SymbolDeclaration", "Theorem", "Theory"),
+    "repro.terms": (
+        "ANY", "BOOL", "Const", "Func", "FunctionRegistry", "INT", "METRIC", "NODE", "PATH",
+        "Sort", "TIME", "Term", "Var", "const", "func", "ground_eval", "term", "var",
+    ),
 })

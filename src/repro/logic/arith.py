@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from ..terms import Const, Func, Term
 from .formulas import Comparison
-from .terms import Const, Func, Term
 
 
 ARITH_OPS = {"+", "-", "*", "/"}

@@ -5,8 +5,6 @@ model-checking style exploration: exhaustive evaluation over finite
 instances finds counterexamples cheaply and guides the proof process.  This
 module provides that complementary machinery for the FVN substrate:
 
-* :class:`FunctionRegistry` — interpreted functions used when evaluating
-  ground terms (arithmetic plus the NDlog list helpers);
 * :class:`FiniteModel` — a finite set of ground facts with a first-order
   formula evaluator whose quantifiers range over the model's universe;
 * :func:`least_fixpoint` — bottom-up (naive Datalog) evaluation of inductive
@@ -19,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
+from ..terms import COMPARISON_FNS, EvaluationError, FunctionRegistry, Var, ground_eval
 from .formulas import (
     And,
     Atom,
@@ -36,115 +35,6 @@ from .formulas import (
     Truth,
 )
 from .inductive import DefinitionTable, InductiveDefinition
-from .terms import Const, Func, Term, Var
-
-
-class EvaluationError(Exception):
-    """Raised when a term cannot be reduced to a ground Python value."""
-
-
-class FunctionRegistry:
-    """Interpreted functions for ground-term evaluation."""
-
-    def __init__(self, functions: Optional[Mapping[str, Callable]] = None) -> None:
-        self._functions: dict[str, Callable] = dict(_ARITHMETIC)
-        if functions:
-            self._functions.update(functions)
-
-    def register(self, name: str, fn: Callable) -> None:
-        self._functions[name] = fn
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
-    def resolve(self, name: str) -> Optional[Callable]:
-        """The callable registered under ``name``, or ``None``.
-
-        Used by the rule compiler (:mod:`repro.ndlog.plan`) to pre-dispatch
-        function applications at compile time; callers must fall back to
-        :meth:`call` when this returns ``None`` so late registrations keep
-        working.
-        """
-
-        return self._functions.get(name)
-
-    def call(self, name: str, args: Sequence[object]) -> object:
-        if name not in self._functions:
-            raise EvaluationError(f"no interpretation for function {name!r}")
-        return self._functions[name](*args)
-
-    def signature(self) -> tuple:
-        """A hashable content signature of the registered interpretations.
-
-        Two registries with equal signatures resolve every function name to
-        the *same callable objects*, so compilation artifacts built against
-        one are valid for the other.  Used as a cache key by the NDlog
-        code-generation backend.
-        """
-
-        return tuple(sorted((name, id(fn)) for name, fn in self._functions.items()))
-
-
-def _add(a, b):
-    return a + b
-
-
-def _sub(a, b):
-    return a - b
-
-
-def _mul(a, b):
-    return a * b
-
-
-def _div(a, b):
-    return a / b
-
-
-_ARITHMETIC: dict[str, Callable] = {
-    "+": _add,
-    "-": _sub,
-    "*": _mul,
-    "/": _div,
-    "min": min,
-    "max": max,
-}
-
-#: Public view of the default arithmetic interpretations.  The rule compiler
-#: (:mod:`repro.ndlog.plan`) swaps these for their C-level ``operator``
-#: equivalents when a registry still maps the name to the default.
-DEFAULT_ARITHMETIC: Mapping[str, Callable] = _ARITHMETIC
-
-
-def ground_eval(t: Term, registry: FunctionRegistry, bindings: Optional[Mapping[Var, object]] = None) -> object:
-    """Evaluate a term to a Python value under ``bindings``."""
-
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, Var):
-        if bindings is not None and t in bindings:
-            return bindings[t]
-        raise EvaluationError(f"unbound variable {t}")
-    if isinstance(t, Func):
-        args = [ground_eval(a, registry, bindings) for a in t.args]
-        return registry.call(t.name, args)
-    raise EvaluationError(f"cannot evaluate term {t!r}")
-
-
-def _compare(op: str, left: object, right: object) -> bool:
-    if op == "=":
-        return left == right
-    if op == "/=":
-        return left != right
-    if op == "<":
-        return left < right  # type: ignore[operator]
-    if op == "<=":
-        return left <= right  # type: ignore[operator]
-    if op == ">":
-        return left > right  # type: ignore[operator]
-    if op == ">=":
-        return left >= right  # type: ignore[operator]
-    raise ValueError(op)
 
 
 @dataclass
@@ -220,7 +110,7 @@ class FiniteModel:
         if isinstance(f, Comparison):
             left = ground_eval(f.left, self.registry, env)
             right = ground_eval(f.right, self.registry, env)
-            return _compare(f.op, left, right)
+            return COMPARISON_FNS[f.op](left, right)
         if isinstance(f, Not):
             return not self._eval(f.body, env)
         if isinstance(f, And):
@@ -336,7 +226,7 @@ def _solve_body(
             right = ground_eval(first.right, model.registry, env)
         except EvaluationError:
             return
-        if _compare(first.op, left, right):
+        if COMPARISON_FNS[first.op](left, right):
             yield from _solve_body(rest, model, env)
         return
     if isinstance(first, Not):
@@ -355,7 +245,7 @@ def _solve_body(
                 right = ground_eval(inner.right, model.registry, env)
             except EvaluationError:
                 return
-            if not _compare(inner.op, left, right):
+            if not COMPARISON_FNS[inner.op](left, right):
                 yield from _solve_body(rest, model, env)
             return
         if not model.evaluate(inner, env):

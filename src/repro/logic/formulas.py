@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .terms import Term, TermLike, Var, fresh_var, term
+from ..terms import COMPARISONS, Term, TermLike, Var, fresh_var, term
 
 
 class Formula:
@@ -87,10 +87,6 @@ class Atom(Formula):
             and other.predicate == self.predicate
             and other.args == self.args
         )
-
-
-#: Comparison operator names understood by the arithmetic procedure.
-COMPARISONS = ("=", "/=", "<", "<=", ">", ">=")
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ..terms import Var, fresh_var
 from .formulas import Atom, Formula, Implies, close, conj, disj, exists, forall
-from .terms import Var, fresh_var
 
 
 @dataclass(frozen=True)

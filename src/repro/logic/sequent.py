@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..terms import COMPARISON_FNS, Const, Func, Term, Var
 from .arith import ComparisonSet, evaluate
 from .formulas import (
     Atom,
@@ -28,7 +29,6 @@ from .formulas import (
     Not,
     Truth,
 )
-from .terms import Const, Func, Term, Var
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,12 @@ class Sequent:
                 if f.op in {"=", "<=", ">="} and f.left == f.right:
                     return True
                 lv, rv = evaluate(f.left), evaluate(f.right)
-                if lv is not None and rv is not None and _compare(f.op, lv, rv):
+                if lv is not None and rv is not None and COMPARISON_FNS[f.op](lv, rv):
                     return True
         for f in ante:
             if isinstance(f, Comparison):
                 lv, rv = evaluate(f.left), evaluate(f.right)
-                if lv is not None and rv is not None and not _compare(f.op, lv, rv):
+                if lv is not None and rv is not None and not COMPARISON_FNS[f.op](lv, rv):
                     return True
                 if f.op == "/=" and f.left == f.right:
                     return True
@@ -204,19 +204,3 @@ class Sequent:
         if hyp and ComparisonSet(hyp).is_unsatisfiable():
             return True
         return False
-
-
-def _compare(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "/=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(op)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from ..terms import Const, Func, Term, Var
 from .formulas import Atom, Comparison, Formula
-from .terms import Const, Func, Term, Var
 
 
 Substitution = dict[Var, Term]

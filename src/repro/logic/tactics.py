@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..terms import Term, TermLike, Var, fresh_var, term
 from .formulas import (
     And,
     Atom,
@@ -34,7 +35,6 @@ from .formulas import (
 from .inductive import DefinitionTable
 from .sequent import Sequent
 from .substitution import Substitution, match_formula
-from .terms import Term, TermLike, Var, fresh_var, term
 
 
 class TacticError(Exception):

@@ -25,11 +25,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from ..terms import Func, Term
 from .formulas import Atom, Comparison, Formula
 from .inductive import DefinitionTable, InductiveDefinition
 from .prover import ProofResult, prove
 from .tactics import ProofContext
-from .terms import Func, Term
 
 
 @dataclass

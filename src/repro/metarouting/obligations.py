@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 
 from ..logic.formulas import atom, eq, forall, implies
-from ..logic.terms import func, var
 from ..logic.theory import Interpretation, Obligation, Theory
+from ..terms import func, var
 from .algebra import RoutingAlgebra
 from .axioms import AlgebraReport, check_all_axioms
 

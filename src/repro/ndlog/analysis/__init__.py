@@ -12,9 +12,10 @@ Program` and returns an :class:`AnalysisReport` of coded diagnostics (see
 plus a per-predicate monotonicity classification (``report.monotonicity``).
 
 Static *obligation discharge* — proving campaign monitor properties ahead
-of time with the tactic prover — lives in :mod:`.discharge` and is imported
-explicitly by its users (it pulls in the harness-facing layers; the passes
-here stay dependency-light so the engines can call them at boot).
+of time with the tactic prover — is part of the verification arc
+(:mod:`repro.fvn.discharge`); ``fvn-lint --prove`` imports it only when
+asked.  The passes here stay dependency-light so the engines can call them
+at boot.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ BUNDLED: dict[str, Callable[[], Program]] = {}
 def _load_bundled() -> dict[str, Callable[[], Program]]:
     if BUNDLED:
         return BUNDLED
-    from ...bgp.generator import policy_path_vector_program
+    from ...protocols.policy import policy_path_vector_program
     from ...protocols import (
         distance_vector_program,
         heartbeat_program,
@@ -97,7 +97,7 @@ def _analyze_one(
     report.program = name
     discharge_data: Optional[dict] = None
     if prove:
-        from .discharge import discharge_program
+        from ...fvn.discharge import discharge_program
 
         discharge_data = discharge_program(program).to_dict()
     return report, discharge_data

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ...logic.terms import Term
+from ...terms import Term
 from ..ast import NDlogError, Program, Rule
 from ..localization import _body_locations, _find_connecting_literal, localize_program
 from .diagnostics import Diagnostic

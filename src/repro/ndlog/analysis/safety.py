@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ...logic.terms import Var
+from ...terms import Var
 from ..ast import Program, Rule
 from .diagnostics import Diagnostic
 

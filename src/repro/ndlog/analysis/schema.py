@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ...logic.terms import Const, Func, Term, Var
+from ...terms import Const, Func, Term, Var
 from ..ast import Program, Span
 from .diagnostics import Diagnostic
 

@@ -10,9 +10,9 @@ NDlog (paper Section 2.2) is Datalog extended with:
 * **assignments** and boolean conditions in rule bodies;
 * optional **soft-state lifetimes** declared per table (``materialize``).
 
-Terms reuse the logic substrate's :class:`~repro.logic.terms.Var`,
-:class:`~repro.logic.terms.Const` and :class:`~repro.logic.terms.Func`, which
-keeps the NDlog→logic translation (arc 4 of Figure 1) a structural walk.
+Terms are the shared kernel's :class:`~repro.terms.Var`,
+:class:`~repro.terms.Const` and :class:`~repro.terms.Func`, which keeps the
+NDlog→logic translation (arc 4 of Figure 1) a structural walk.
 
 The AST dataclasses are declared with ``slots`` — evaluation touches
 literals and facts constantly, and large generated programs/databases hold
@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
-from ..logic.formulas import COMPARISONS
-from ..logic.terms import Const, Func, Term, Var
+from ..terms import COMPARISONS, Const, Func, Term, Var
 
 
 class NDlogError(Exception):

@@ -29,8 +29,7 @@ import math
 import re
 from typing import Optional
 
-from ..logic.bmc import DEFAULT_ARITHMETIC, EvaluationError, FunctionRegistry
-from ..logic.terms import Const, Func, Term, Var
+from ..terms import Const, DEFAULT_ARITHMETIC, EvaluationError, Func, FunctionRegistry, Term, Var
 from .aggregates import aggregate_rows
 from .ast import NDlogError, Program, Rule
 from .plan import (

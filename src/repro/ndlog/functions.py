@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..logic.bmc import FunctionRegistry
+from ..terms import FunctionRegistry
 
 
 def f_init(src: object, dst: object) -> tuple:

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from ..logic.terms import Term
+from ..terms import Term
 from .ast import HeadLiteral, Literal, MaterializeDecl, NDlogError, Program, Rule
 
 

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..logic.terms import Const, Func, Term, Var
+from ..terms import Const, Func, Term, Var
 from .ast import (
     AGGREGATE_FUNCTIONS,
     Aggregate,

@@ -18,13 +18,11 @@ interpreter (:mod:`repro.ndlog.reference`) re-derives it:
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from ..logic.bmc import EvaluationError
-from ..logic.terms import Const, Var
+from ..terms import COMPARISON_FNS, Const, Var
 from .ast import (
     Assignment,
     BodyItem,
@@ -86,47 +84,15 @@ def order_body(rule: Rule) -> list[BodyItem]:
 # Pre-dispatched comparisons
 # ---------------------------------------------------------------------------
 
-_EQUALITY_OPS: dict[str, Callable[[object, object], bool]] = {
-    "=": operator.eq,
-    "/=": operator.ne,
-}
-
-_ORDERING_OPS: dict[str, Callable[[object, object], bool]] = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _ordered_comparison(op: str, fn: Callable) -> Callable[[object, object], bool]:
-    def compare(left: object, right: object) -> bool:
-        try:
-            return fn(left, right)
-        except TypeError as exc:
-            raise EvaluationError(
-                f"cannot compare {left!r} {op} {right!r}: operands of types "
-                f"{type(left).__name__} and {type(right).__name__} are not ordered"
-            ) from exc
-
-    return compare
-
-
-_COMPARISON_FNS: dict[str, Callable[[object, object], bool]] = dict(_EQUALITY_OPS)
-for _op, _fn in _ORDERING_OPS.items():
-    _COMPARISON_FNS[_op] = _ordered_comparison(_op, _fn)
-
 
 def comparison_fn(op: str) -> Callable[[object, object], bool]:
-    """The pre-dispatched callable for a condition operator.
-
-    Equality operators map straight onto ``operator.eq``/``ne``; ordering
-    operators are wrapped so an unordered operand pair raises
-    :class:`EvaluationError` (naming both operand types) instead of a bare
-    ``TypeError``.
+    """The pre-dispatched callable for a condition operator: the shared
+    kernel's :data:`~repro.terms.COMPARISON_FNS` entry, so an unordered
+    operand pair raises :class:`~repro.terms.EvaluationError` naming both
+    operand types.
     """
 
-    fn = _COMPARISON_FNS.get(op)
+    fn = COMPARISON_FNS.get(op)
     if fn is None:
         raise NDlogError(f"unknown comparison operator {op!r}")
     return fn
@@ -210,7 +176,7 @@ class RuleLayout:
     * ``("literal", predicate, arity, sid, probe_positions, probe_getters,
       pre_checks, stores, post_checks)`` — a positive literal.  Checks and
       stores are ``(_OP_* , position, payload)`` triples; ``_OP_EVAL``
-      payloads are the raw :class:`~repro.logic.terms.Term` (the generator
+      payloads are the raw :class:`~repro.terms.Term` (the generator
       lowers them to expressions).  ``probe_getters`` pairs ``(slot, const)`` per
       probe position.
     * ``("negation", predicate, arg_terms)``

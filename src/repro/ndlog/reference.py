@@ -5,7 +5,7 @@ engines run.  This module is the slow, direct reading of the rule text it
 is checked against: body items are ordered by
 :func:`~repro.ndlog.plan.order_body` and matched left to right, every
 positive literal scans its whole relation, bindings are plain dicts, and
-every term is evaluated by :func:`~repro.logic.bmc.ground_eval` at the
+every term is evaluated by :func:`~repro.terms.ground_eval` at the
 moment it is needed (so custom functions late-bind).  There are no
 indexes, no compiled state and no options.
 
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..logic.bmc import EvaluationError, FunctionRegistry, ground_eval
-from ..logic.terms import Var
+from ..terms import EvaluationError, FunctionRegistry, Var, ground_eval
 from .aggregates import aggregate_rows
 from .ast import Assignment, BodyItem, Condition, Literal, NDlogError, Rule
 from .functions import builtin_registry

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..logic.bmc import FunctionRegistry
+from ..terms import FunctionRegistry
 from .aggregates import diff_rows
 from .ast import Fact, NDlogError, Program, Rule
 from .codegen import CodegenRule, codegen_rule

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..logic.bmc import EvaluationError, ground_eval
-from ..logic.terms import Const, Var
 from ..ndlog.ast import Literal, Rule
 from ..ndlog.reference import ReferenceEngine
 from ..ndlog.store import Database
+from ..terms import Const, EvaluationError, Var, ground_eval
 
 #: Wildcard marker accepted in ``why_not`` target values (``None`` on the
 #: JSON wire): the position is left unconstrained during head unification.

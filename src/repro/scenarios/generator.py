@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..bgp.generator import policy_facts
-from ..bgp.policy import PolicyTable
 from ..dn.network import Topology
+from ..protocols.policy import PolicyTable, policy_facts
 from ..workloads.events import WorkloadScript
 from ..workloads.topologies import (
     as_hierarchy_topology,

@@ -1,7 +1,7 @@
 """Parameterized AS-policy generation for BGP-layer scenarios.
 
-The policy path-vector program (:mod:`repro.bgp.generator`) consumes a
-:class:`~repro.bgp.policy.PolicyTable`.  Hand-written experiments use the
+The policy path-vector program (:mod:`repro.protocols.policy`) consumes a
+:class:`~repro.protocols.policy.PolicyTable`.  Hand-written experiments use the
 three-node Disagree gadget; scenario generation needs policy tables that
 scale with the topology:
 
@@ -20,14 +20,14 @@ from __future__ import annotations
 import random
 from typing import Hashable, Optional
 
-from ..bgp.policy import (
+from ..dn.network import Topology
+from ..protocols.policy import (
     PolicyRule,
     PolicyTable,
     disagree_policies,
     gao_rexford_policies,
     shortest_path_policies,
 )
-from ..dn.network import Topology
 
 POLICY_KINDS = ("shortest_path", "gao_rexford", "random_pref", "disagree")
 

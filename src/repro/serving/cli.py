@@ -26,9 +26,7 @@ import sys
 from typing import Optional
 
 from .client import ServingClient, ServingError, read_server_info
-from .config import ServerConfig
 from .protocol import QUERY_VERBS, UPDATE_VERBS
-from .server import run_server
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,6 +187,10 @@ def _node_id(text: str):
 
 
 def _serve(args: argparse.Namespace) -> int:
+    # the daemon stack loads here only: ``update`` and ``query`` run the client
+    from .config import ServerConfig
+    from .server import run_server
+
     soft_state = {}
     if args.soft_state:
         for item in args.soft_state.split(","):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional
 
-from ..fvn.monitors import MONITOR_KINDS
+from ..dn.monitors import MONITOR_KINDS
 
 
 @dataclass

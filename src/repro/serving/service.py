@@ -46,7 +46,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from ..bgp.generator import policy_path_vector_program
 from ..dn.engine import (
     MAINTENANCE_KINDS,
     DistributedEngine,
@@ -55,12 +54,13 @@ from ..dn.engine import (
     restore_engine,
 )
 from ..dn.faults import SERVING_SCOPE, load_injector
-from ..fvn.monitors import build_monitor, schema_for_program
+from ..dn.monitors import build_monitor, schema_for_program
 from ..harness.records import append_jsonl, canonical_json, read_jsonl
 from ..ndlog.ast import MaterializeDecl, Program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..protocols.pathvector import path_vector_program
+from ..protocols.policy import policy_path_vector_program
 from ..scenarios.generator import generate_scenario
 from .checkpoint import open_snapshot, seal_snapshot
 from .config import ServerConfig

@@ -1,10 +1,19 @@
-"""First-order terms for the FVN logic substrate.
+"""The term kernel both arcs share: terms, function and comparison semantics.
 
-The FVN paper feeds logical specifications into PVS.  This package is the
-in-repository substitute for PVS: a small, self-contained first-order logic
-with inductive definitions and a sequent-calculus prover.  Terms are the
-bottom layer — variables, typed constants, and function applications — with
-structural equality, hashing, free-variable computation, and substitution.
+Figure 1 of the paper keeps verification (the PVS role, :mod:`repro.logic`,
+:mod:`repro.fvn`) and execution (the P2 role, :mod:`repro.ndlog`,
+:mod:`repro.dn`) as two arcs joined by translations.  What both arcs must
+agree on lives here, on the execution side, so dependencies run one way:
+the verification arc imports the runtime, never the reverse
+(``tests/test_import_contract.py``).
+
+* first-order terms — variables, typed constants and function applications —
+  with structural equality, hashing, free variables and substitution;
+* :class:`FunctionRegistry` and :func:`ground_eval`: how an interpreted
+  function application reduces to a Python value (arithmetic plus whatever
+  a caller registers, such as the NDlog list helpers);
+* :data:`COMPARISONS` and :data:`COMPARISON_FNS`: what a comparison means,
+  for the NDlog evaluators and for finite-model and sequent checks alike.
 
 Terms are immutable.  All construction goes through the public classes
 (:class:`Var`, :class:`Const`, :class:`Func`) or the convenience helpers
@@ -13,8 +22,9 @@ Terms are immutable.  All construction goes through the public classes
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class Sort:
@@ -150,8 +160,8 @@ class Func(Term):
     """An uninterpreted or interpreted function application.
 
     Interpreted functions (arithmetic, the NDlog list helpers) are evaluated
-    by :mod:`repro.logic.arith` and :mod:`repro.ndlog.functions` when all
-    arguments are ground; the prover otherwise treats them as uninterpreted
+    by :func:`ground_eval` and :mod:`repro.logic.arith` when all arguments
+    are ground; the prover otherwise treats them as uninterpreted
     symbols subject to congruence.
     """
 
@@ -273,3 +283,127 @@ def fresh_var(base: Var, taken: Iterable[Var]) -> Var:
     """Return a variable named after ``base`` that is not in ``taken``."""
 
     return Var(fresh_name(base.name, (v.name for v in taken)), base.sort)
+
+
+class EvaluationError(Exception):
+    """Raised when a term cannot be reduced to a ground Python value."""
+
+
+class FunctionRegistry:
+    """Interpreted functions for ground-term evaluation."""
+
+    def __init__(self, functions: Optional[Mapping[str, Callable]] = None) -> None:
+        self._functions: dict[str, Callable] = dict(_ARITHMETIC)
+        if functions:
+            self._functions.update(functions)
+
+    def register(self, name: str, fn: Callable) -> None:
+        self._functions[name] = fn
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._functions
+
+    def resolve(self, name: str) -> Optional[Callable]:
+        """The callable registered under ``name``, or ``None``.
+
+        Used by the rule compiler (:mod:`repro.ndlog.plan`) to pre-dispatch
+        function applications at compile time; callers must fall back to
+        :meth:`call` when this returns ``None`` so late registrations keep
+        working.
+        """
+
+        return self._functions.get(name)
+
+    def call(self, name: str, args: Sequence[object]) -> object:
+        if name not in self._functions:
+            raise EvaluationError(f"no interpretation for function {name!r}")
+        return self._functions[name](*args)
+
+    def signature(self) -> tuple:
+        """A hashable content signature of the registered interpretations.
+
+        Two registries with equal signatures resolve every function name to
+        the *same callable objects*, so compilation artifacts built against
+        one are valid for the other.  Used as a cache key by the NDlog
+        code-generation backend.
+        """
+
+        return tuple(sorted((name, id(fn)) for name, fn in self._functions.items()))
+
+
+def _add(a, b):
+    return a + b
+
+
+def _sub(a, b):
+    return a - b
+
+
+def _mul(a, b):
+    return a * b
+
+
+def _div(a, b):
+    return a / b
+
+
+_ARITHMETIC: dict[str, Callable] = {
+    "+": _add,
+    "-": _sub,
+    "*": _mul,
+    "/": _div,
+    "min": min,
+    "max": max,
+}
+
+#: Public view of the default arithmetic interpretations.  The rule compiler
+#: (:mod:`repro.ndlog.plan`) swaps these for their C-level ``operator``
+#: equivalents when a registry still maps the name to the default.
+DEFAULT_ARITHMETIC: Mapping[str, Callable] = _ARITHMETIC
+
+
+def ground_eval(t: Term, registry: FunctionRegistry, bindings: Optional[Mapping[Var, object]] = None) -> object:
+    """Evaluate a term to a Python value under ``bindings``."""
+
+    if isinstance(t, Const):
+        return t.value
+    if isinstance(t, Var):
+        if bindings is not None and t in bindings:
+            return bindings[t]
+        raise EvaluationError(f"unbound variable {t}")
+    if isinstance(t, Func):
+        args = [ground_eval(a, registry, bindings) for a in t.args]
+        return registry.call(t.name, args)
+    raise EvaluationError(f"cannot evaluate term {t!r}")
+
+
+#: Comparison operator names (NDlog's ``==`` / ``!=`` parse to ``=`` / ``/=``).
+COMPARISONS = ("=", "/=", "<", "<=", ">", ">=")
+
+
+def _ordered_comparison(op: str, fn: Callable) -> Callable[[object, object], bool]:
+    def compare(left: object, right: object) -> bool:
+        try:
+            return fn(left, right)
+        except TypeError as exc:
+            raise EvaluationError(
+                f"cannot compare {left!r} {op} {right!r}: operands of types "
+                f"{type(left).__name__} and {type(right).__name__} are not ordered"
+            ) from exc
+
+    return compare
+
+
+#: One callable per comparison operator.  Equality maps straight onto
+#: ``operator.eq`` / ``ne``; an ordering raises :class:`EvaluationError`
+#: naming both operand types when the pair is unordered (``"a" < 1``),
+#: instead of a bare ``TypeError``.  Generated rule code inlines the same
+#: semantics (:mod:`repro.ndlog.codegen`).
+COMPARISON_FNS: Mapping[str, Callable[[object, object], bool]] = {
+    "=": operator.eq,
+    "/=": operator.ne,
+    "<": _ordered_comparison("<", operator.lt),
+    "<=": _ordered_comparison("<=", operator.le),
+    ">": _ordered_comparison(">", operator.gt),
+    ">=": _ordered_comparison(">=", operator.ge),
+}

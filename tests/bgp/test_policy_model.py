@@ -1,30 +1,28 @@
 """Unit tests for BGP policies, the component model, and NDlog generation."""
 
 
-from repro.bgp.generator import (
-    bgp_component_program,
-    policy_facts,
-    policy_path_vector_program,
-)
+from repro.bgp.generator import bgp_component_program
 from repro.bgp.model import (
     ComponentBGPSimulator,
     bgp_model,
     peer_transformation,
     policy_registry,
 )
-from repro.bgp.policy import (
+from repro.dn.engine import DistributedEngine
+from repro.dn.network import Topology
+from repro.fvn.logic_to_ndlog import check_translation_equivalence
+from repro.protocols.policy import (
     PolicyRule,
     PolicyTable,
     Route,
     best_route,
     disagree_policies,
     gao_rexford_policies,
+    policy_facts,
+    policy_path_vector_program,
     prefer_route,
     shortest_path_policies,
 )
-from repro.dn.engine import DistributedEngine
-from repro.dn.network import Topology
-from repro.fvn.logic_to_ndlog import check_translation_equivalence
 
 
 class TestRoutesAndPolicies:

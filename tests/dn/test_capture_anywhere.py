@@ -17,9 +17,9 @@ from functools import lru_cache
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.dn.engine import restore_engine
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 BIG = 10_000_000

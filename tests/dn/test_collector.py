@@ -15,15 +15,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from repro.dn.monitors import schema_for_program, standard_monitors
+from repro.protocols.policy import policy_path_vector_program
 from typing import Callable, Optional
 
 import pytest
 
 import repro.harness.runner as runner
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.dn.shard import ShardWorker
-from repro.fvn.monitors import schema_for_program, standard_monitors
 from repro.harness import CampaignSpec, run_campaign
 from repro.scenarios import generate_scenario
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 SCRIPT = """
-from repro.bgp.generator import policy_path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.scenarios import generate_scenario
 

@@ -14,11 +14,11 @@ checkpoint, and a serving daemon recovering from its snapshot.
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, ShardedEngine, create_engine
 from repro.dn.engine import restore_engine
 from repro.dn.faults import Fault, FaultPlan
 from repro.obs import metrics as obs_metrics
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 

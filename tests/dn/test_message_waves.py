@@ -40,11 +40,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import DistributedEngine, EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.events import Event
-from repro.fvn.monitors import MONITOR_KINDS, POLICY_SCHEMA, build_monitor
+from repro.dn.monitors import MONITOR_KINDS, POLICY_SCHEMA, build_monitor
 from repro.obs import metrics as obs_metrics
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 BIG = 10_000_000

@@ -24,11 +24,11 @@ from collections import defaultdict
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.dn.executor import FixpointExecutor
 from repro.dn.node import Node
 from repro.ndlog.parser import parse_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 #: the policy program's rank encoding: ``R = Pref * MAX_COST + C``

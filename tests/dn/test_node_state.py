@@ -12,8 +12,8 @@ node's stats alone, and rebuild the captured index positions from the rows
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 pytestmark = pytest.mark.usefixtures("fp_agreement")

@@ -23,12 +23,12 @@ from contextlib import contextmanager
 import pytest
 
 import repro.dn.host as host_module
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.executor import FixpointExecutor
 from repro.ndlog.aggregates import group_rows
 from repro.ndlog.ast import Literal
 from repro.ndlog.parser import parse_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 CORPUS_DIR = pathlib.Path(__file__).parents[1] / "ndlog" / "corpus"

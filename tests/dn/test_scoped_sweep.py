@@ -23,12 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.dn.host as host_module
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.executor import FixpointExecutor
 from repro.ndlog.ast import MaterializeDecl
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 

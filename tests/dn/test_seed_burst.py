@@ -34,8 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, ShardedEngine, create_engine
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import (
     DistributedEngine,
     EngineConfig,
@@ -25,7 +24,7 @@ from repro.dn import (
     edge_cut,
     partition_nodes,
 )
-from repro.fvn.monitors import (
+from repro.dn.monitors import (
     SoftStateBoundMonitor,
     posthoc_violations,
     schema_for_program,
@@ -34,6 +33,7 @@ from repro.fvn.monitors import (
 from repro.ndlog.ast import MaterializeDecl
 from repro.obs.provenance import union_database
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 #: every fingerprint compared here is also checked against the original (v1)

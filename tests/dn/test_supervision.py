@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import (
     EngineConfig,
     Fault,
@@ -29,9 +28,10 @@ from repro.dn import (
     create_engine,
 )
 from repro.dn.faults import ANY_SCOPE
+from repro.dn.monitors import schema_for_program, standard_monitors
 from repro.dn.shard import ProcessShardClient, ShardCrash
-from repro.fvn.monitors import schema_for_program, standard_monitors
 from repro.ndlog.ast import MaterializeDecl, NDlogError
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 
@@ -243,7 +243,7 @@ class TestClientClose:
 
         script = (
             "import os, sys\n"
-            "from repro.bgp.generator import policy_path_vector_program\n"
+            "from repro.protocols.policy import policy_path_vector_program\n"
             "from repro.dn import EngineConfig, create_engine\n"
             "from repro.scenarios import generate_scenario\n"
             "sc = generate_scenario('tree', size=8, seed=0, policy='gao_rexford')\n"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, Topology, create_engine
 from repro.dn import trace as trace_module
 from repro.dn.node import Node
@@ -23,6 +22,7 @@ from repro.dn.trace import (
 from repro.ndlog.functions import builtin_registry
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 

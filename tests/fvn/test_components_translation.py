@@ -16,7 +16,7 @@ from repro.fvn.logic_to_ndlog import (
     composite_to_program,
 )
 from repro.logic.formulas import eq
-from repro.logic.terms import Var, func
+from repro.terms import Var, func
 from repro.ndlog.seminaive import evaluate
 
 

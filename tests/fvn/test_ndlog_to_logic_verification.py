@@ -100,7 +100,7 @@ class TestVerificationManager:
     def test_counterexample_search_refutes_false_property(self, manager):
         from repro.fvn.properties import PropertySpec
         from repro.logic.formulas import atom, forall, implies, eq
-        from repro.logic.terms import Var
+        from repro.terms import Var
 
         S, D, P, C = Var("S"), Var("D"), Var("P"), Var("C")
         bogus = PropertySpec(
@@ -116,7 +116,7 @@ class TestVerificationManager:
         # generic property does not apply; instead check the bestCost bound.
         from repro.fvn.properties import PropertySpec
         from repro.logic.formulas import atom, forall, implies, le
-        from repro.logic.terms import Var
+        from repro.terms import Var
 
         S, D, C, Z, C2 = Var("S"), Var("D"), Var("C"), Var("Z"), Var("C2")
         bound = PropertySpec(

@@ -2,7 +2,6 @@
 and the end-to-end FVN framework."""
 
 
-from repro.bgp.policy import shortest_path_policies
 from repro.bgp.model import bgp_model
 from repro.fvn.framework import FVN
 from repro.fvn.linear import TransitionSystem
@@ -16,6 +15,7 @@ from repro.fvn.soft_state_rewrite import RewriteMetrics, rewrite_soft_state
 from repro.metarouting import bgp_system, safe_bgp_system
 from repro.protocols.heartbeat import heartbeat_facts, heartbeat_program
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import shortest_path_policies
 from repro.workloads.topologies import line_topology
 
 

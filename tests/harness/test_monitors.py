@@ -4,12 +4,12 @@ first-violation timestamps, and agreement with post-hoc property checks."""
 import pytest
 
 from repro.dn.engine import DistributedEngine, EngineConfig, create_engine
-from repro.fvn.monitors import (
+from repro.dn.monitors import (
+    BestAgreementMonitor,
+    CycleFreedomMonitor,
     MONITOR_KINDS,
     PATH_VECTOR_SCHEMA,
     POLICY_SCHEMA,
-    BestAgreementMonitor,
-    CycleFreedomMonitor,
     RouteValidityMonitor,
     SoftStateBoundMonitor,
     build_monitor,
@@ -20,9 +20,9 @@ from repro.fvn.monitors import (
     standard_monitors,
 )
 from repro.fvn.properties import standard_property_suite
-from repro.bgp.generator import policy_path_vector_program
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE, path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 

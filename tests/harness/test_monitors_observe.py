@@ -13,10 +13,10 @@ attached to it.
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
-from repro.fvn.monitors import schema_for_program, standard_monitors
+from repro.dn.monitors import schema_for_program, standard_monitors
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 
 CELLS = [

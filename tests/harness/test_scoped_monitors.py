@@ -24,17 +24,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
-from repro.fvn.monitors import (
-    POLICY_SCHEMA,
-    RuntimeMonitor,
-    schema_for_program,
-    standard_monitors,
-)
+from repro.dn.monitors import POLICY_SCHEMA, RuntimeMonitor, schema_for_program, standard_monitors
 from repro.ndlog.parser import parse_program
 from repro.obs import metrics as obs_metrics
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE, path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving.config import ServerConfig
 from repro.serving.service import RouteService

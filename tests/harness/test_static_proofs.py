@@ -72,7 +72,7 @@ class TestExecuteRunWithProofs:
             assert dynamic.deterministic_dict() == static.deterministic_dict()
 
     def test_proof_scripts_in_ledger_replay(self):
-        from repro.ndlog.analysis.discharge import replay_proof
+        from repro.fvn.discharge import replay_proof
         from repro.protocols import path_vector_program
 
         record = execute_run(monotone_descriptor().to_dict(), True)

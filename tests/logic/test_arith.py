@@ -10,7 +10,7 @@ from repro.logic.arith import (
     linearize,
 )
 from repro.logic.formulas import eq, ge, gt, le, lt, neq
-from repro.logic.terms import func, var
+from repro.terms import func, var
 
 
 class TestEvaluate:

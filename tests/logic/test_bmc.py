@@ -1,15 +1,20 @@
 """Unit tests for finite models, fixpoints, and counterexample search."""
 
-from repro.logic.bmc import (
-    FiniteModel,
-    FunctionRegistry,
-    find_counterexample,
-    ground_eval,
-    least_fixpoint,
-)
-from repro.logic.formulas import atom, conj, eq, exists, forall, implies, lt
+import pytest
+
+from repro.logic.bmc import FiniteModel, find_counterexample, least_fixpoint
+from repro.logic.formulas import Comparison, atom, conj, eq, exists, forall, implies, lt
 from repro.logic.inductive import Clause, DefinitionTable, InductiveDefinition
-from repro.logic.terms import Var, func
+from repro.ndlog.plan import comparison_fn
+from repro.terms import (
+    COMPARISONS,
+    Const,
+    EvaluationError,
+    FunctionRegistry,
+    Var,
+    func,
+    ground_eval,
+)
 
 
 def reach_definitions() -> DefinitionTable:
@@ -42,11 +47,34 @@ class TestGroundEval:
         assert ground_eval(func("+", 1, func("double", 2)), registry) == 5
 
     def test_unbound_variable_raises(self):
-        import pytest
-        from repro.logic.bmc import EvaluationError
-
         with pytest.raises(EvaluationError):
             ground_eval(Var("X"), FunctionRegistry())
+
+
+def outcome(thunk):
+    """``thunk()``, or the message of the :class:`EvaluationError` it raised."""
+
+    try:
+        return thunk()
+    except EvaluationError as exc:
+        return str(exc)
+
+
+class TestComparisonAgreement:
+    """A finite model and the NDlog engine give a comparison one meaning,
+    including the error an unordered operand pair raises."""
+
+    @pytest.mark.parametrize("op", COMPARISONS)
+    @pytest.mark.parametrize("left, right", [(1, 2), (2, 2), ("a", "b"), ("a", 1), ((1,), 1)])
+    def test_finite_model_agrees_with_the_engine(self, op, left, right):
+        model = FiniteModel()
+        formula = Comparison(op, Const(left), Const(right))
+        engine = comparison_fn(op)
+        assert outcome(lambda: model.evaluate(formula)) == outcome(lambda: engine(left, right))
+
+    def test_unordered_pair_names_both_types(self):
+        with pytest.raises(EvaluationError, match="types str and int are not ordered"):
+            FiniteModel().evaluate(lt("a", 1))
 
 
 class TestFixpoint:

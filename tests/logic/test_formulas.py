@@ -20,7 +20,7 @@ from repro.logic.formulas import (
     neg,
     predicates_in,
 )
-from repro.logic.terms import Const, Var
+from repro.terms import Const, Var
 
 
 class TestConstructors:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.logic.formulas import Exists, Or, atom, conj, eq
 from repro.logic.inductive import Clause, DefinitionTable, InductiveDefinition
-from repro.logic.terms import Var, func
+from repro.terms import Var, func
 
 
 def path_definition() -> InductiveDefinition:

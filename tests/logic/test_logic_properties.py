@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.logic.arith import ComparisonSet, evaluate, linearize
 from repro.logic.formulas import Comparison, atom, close, conj
 from repro.logic.substitution import compose, match_terms, unify_terms
-from repro.logic.terms import Const, Func, Var, func
+from repro.terms import Const, Func, Var, func
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.logic.inductive import Clause, InductiveDefinition
 from repro.logic.prover import ProofSession, prove
 from repro.logic.tactics import ProofContext, TacticError
 from repro.logic.theory import Theory
-from repro.logic.terms import Var, func
+from repro.terms import Var, func
 
 
 def pathvector_theory() -> Theory:

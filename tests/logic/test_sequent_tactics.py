@@ -19,7 +19,7 @@ from repro.logic.tactics import (
     skosimp,
     split,
 )
-from repro.logic.terms import Const, Var, func
+from repro.terms import Const, Var, func
 
 
 class TestSequentClosure:

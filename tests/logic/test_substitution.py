@@ -10,7 +10,7 @@ from repro.logic.substitution import (
     unify_atoms,
     unify_terms,
 )
-from repro.logic.terms import Const, Var, func
+from repro.terms import Const, Var, func
 
 
 class TestUnification:

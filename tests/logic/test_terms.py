@@ -1,8 +1,8 @@
-"""Unit tests for repro.logic.terms."""
+"""Unit tests for repro.terms."""
 
 import pytest
 
-from repro.logic.terms import Const, Var, fresh_name, fresh_var, func, term, var, variables_in
+from repro.terms import Const, Var, fresh_name, fresh_var, func, term, var, variables_in
 
 
 class TestTermConstruction:
@@ -73,7 +73,7 @@ class TestFreshNames:
         assert fresh_name("X", ["X", "X!1"]) == "X!2"
 
     def test_fresh_var_keeps_sort(self):
-        from repro.logic.terms import NODE
+        from repro.terms import NODE
 
         v = Var("S", NODE)
         fresh = fresh_var(v, [Var("S")])

@@ -5,7 +5,7 @@ import pytest
 from repro.logic.formulas import atom, forall, implies, le
 from repro.logic.inductive import Clause, InductiveDefinition
 from repro.logic.theory import Interpretation, Theory
-from repro.logic.terms import Var
+from repro.terms import Var
 
 
 def abstract_order_theory() -> Theory:

@@ -196,7 +196,7 @@ class TestBundledPrograms:
             assert report.ok, f"{name}: {report.format()}"
 
     def test_policy_program_carries_the_ndl202_warning(self):
-        from repro.bgp.generator import policy_path_vector_program
+        from repro.protocols.policy import policy_path_vector_program
 
         report = analyze_program(policy_path_vector_program())
         assert report.ok

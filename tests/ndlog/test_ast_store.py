@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.logic.terms import Const, Var
 from repro.ndlog.ast import Aggregate, HeadLiteral, Literal, MaterializeDecl, NDlogError, Program
 from repro.ndlog.parser import parse_program, parse_rule
 from repro.ndlog.store import Database, Table
 from repro.dn.executor import FixpointExecutor
 from repro.dn.node import Node
+from repro.terms import Const, Var
 
 
 class TestAst:

@@ -25,10 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import DistributedEngine, EngineConfig, ShardedEngine, create_engine
 from repro.dn.network import Topology
-from repro.logic.bmc import EvaluationError
 from repro.ndlog.ast import MaterializeDecl, NDlogError
 from repro.ndlog.codegen import codegen_rule, emit_program_source
 from repro.ndlog.functions import builtin_registry
@@ -38,7 +36,9 @@ from repro.ndlog.seminaive import DeltaIndex, IncrementalEvaluator, RuleEngine, 
 from repro.ndlog.store import Database
 from repro.protocols.distancevector import distance_vector_program
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
+from repro.terms import EvaluationError
 
 #: every fingerprint compared here is also checked against the original (v1)
 #: definition (tests/conftest.py): equal under v1 iff equal under fp3

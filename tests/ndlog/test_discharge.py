@@ -10,20 +10,18 @@ import json
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
-from repro.fvn.monitors import (
+from repro.dn.monitors import clean_report
+from repro.fvn.discharge import (
     RUNTIME_MONITORED,
     STATICALLY_PROVEN,
-    classify_monitors,
-    clean_report,
-)
-from repro.ndlog.analysis.discharge import (
     algebra_for_policy,
+    classify_monitors,
     discharge_program,
     property_suite_for,
     replay_proof,
 )
 from repro.protocols import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 
 
 @pytest.fixture(scope="module")

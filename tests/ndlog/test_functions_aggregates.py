@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.logic.terms import Var
 from repro.ndlog.aggregates import aggregate_rows, apply_aggregate
 from repro.ndlog.ast import Aggregate, HeadLiteral, NDlogError
 from repro.ndlog.functions import (
@@ -15,6 +14,7 @@ from repro.ndlog.functions import (
     f_remove_first,
     f_size,
 )
+from repro.terms import Var
 
 
 class TestPathFunctions:

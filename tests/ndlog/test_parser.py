@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.logic.terms import Const, Func, Var
 from repro.ndlog.ast import Assignment, Condition, Literal
 from repro.ndlog.parser import ParseError, parse_program, parse_rule, tokenize
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
+from repro.terms import Const, Func, Var
 
 
 class TestTokenizer:

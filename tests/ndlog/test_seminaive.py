@@ -106,14 +106,14 @@ class TestSemantics:
 
 class TestComparisonErrors:
     def test_uncomparable_condition_raises_evaluation_error(self):
-        from repro.logic.bmc import EvaluationError
+        from repro.terms import EvaluationError
 
         program = parse_program("small(@X,Y) :- t(@X,Y), Y < 3.")
         with pytest.raises(EvaluationError, match="cannot compare"):
             evaluate(program, [("t", (1, "not-a-number"))])
 
     def test_uncomparable_operands_name_both_types(self):
-        from repro.logic.bmc import EvaluationError
+        from repro.terms import EvaluationError
         from repro.ndlog.plan import comparison_fn
 
         with pytest.raises(EvaluationError, match="str and int"):

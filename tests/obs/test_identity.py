@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro.bgp.generator import policy_path_vector_program
 from repro.dn import EngineConfig, create_engine
 from repro.obs import metrics, tracing
+from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 

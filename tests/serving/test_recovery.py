@@ -11,8 +11,8 @@ from dataclasses import replace
 import pytest
 
 from repro.dn.engine import DistributedEngine, EngineConfig, restore_engine
+from repro.dn.monitors import MONITOR_KINDS, build_monitor
 from repro.dn.trace import Trace
-from repro.fvn.monitors import MONITOR_KINDS, build_monitor
 from repro.harness.records import canonical_json
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
@@ -322,6 +322,7 @@ class TestRecovery:
             pytest.param(6, "each monitor's mirror of its watched tables", id="format-6"),
             pytest.param(7, "every table's hash-index buckets", id="format-7"),
             pytest.param(8, "maintenance timers only, no pending events", id="format-8"),
+            pytest.param(9, "monitor classes pickled under repro.fvn.monitors", id="format-9"),
         ],
     )
     def test_intact_older_format_snapshot_falls_back_to_replay(
@@ -331,7 +332,7 @@ class TestRecovery:
         current format does not — is refused for full replay even sealed
         with a valid checksum, so none of it reaches an engine."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/9"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/10"
         reference = self.reseal_as(tmp_path, f"fvn-snapshot/{version}")
         assert self.recover(tmp_path) == ("replay", reference)
 

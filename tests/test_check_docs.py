@@ -115,6 +115,42 @@ def test_stale_path_reference_fails(docs_tree, reference):
     assert f"STALE REFERENCE: docs/CONFIG.md cites {reference}" in done.stdout
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "repro.fvn.monitors",
+        "repro.ndlog.analysis.discharge.replay_proof",
+        "repro.dn.monitors.no_such_name",
+        "repro.dn.EngineConfig.seed",
+    ],
+)
+def test_stale_module_reference_fails(docs_tree, name):
+    """A moved module, a name it no longer holds, or a path deeper than one
+    name past a module or package does not resolve."""
+
+    insert_row_after(
+        docs_tree / "docs" / "CONFIG.md",
+        "| `shard_timeout` |",
+        f"| `shard_timeout` | `30.0` | Worker reply deadline | `{name}` |",
+    )
+    done = check(docs_tree)
+    assert done.returncode == 1
+    assert f"STALE MODULE REFERENCE: docs/CONFIG.md cites {name}" in done.stdout
+
+
+def test_module_references_resolve_through_files_and_tables():
+    module = load_check_docs()
+    src = REPO_ROOT / "src"
+    for name in (
+        "repro.terms",
+        "repro.dn.monitors.build_monitor",
+        "repro.dn.EngineConfig",
+        "repro.logic.Var",
+        "repro.ndlog.analysis.analyze_program",
+    ):
+        assert module.resolves(src, name), name
+
+
 def bump_fingerprint_tag(root: Path) -> tuple[str, str]:
     """Give the copied ``repro/dn/trace.py`` the next fingerprint version;
     returns ``(old tag, new tag)``."""

@@ -2,9 +2,11 @@
 
 Every ``repro`` package binds its public names on first use
 (:mod:`repro._lazy`), networkx is imported only where a networkx graph is
-built, and the engine's verification side (the prover, the FVN pipeline)
-stays out of the execution path.  Each case runs in a fresh interpreter
-and reads ``sys.modules`` at its end.
+built, and the verification arc (``repro.logic``, ``repro.fvn``,
+``repro.bgp``) stays out of the execution path: what both arcs share lives
+in :mod:`repro.terms` (``tests/test_import_contract.py`` pins the direction
+in the source).  Each case runs in a fresh interpreter and reads
+``sys.modules`` at its end.
 """
 
 import json
@@ -16,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: the verification arc: what a serving daemon or an engine run never needs
-PROVER_STACK = ("repro.logic.prover", "repro.fvn.framework")
+VERIFICATION = ("repro.logic", "repro.fvn", "repro.bgp")
 
 
 def loaded_after(script: str, *args: str) -> set[str]:
@@ -39,10 +41,29 @@ def under(modules: set[str], package: str) -> set[str]:
     return {name for name in modules if name == package or name.startswith(package + ".")}
 
 
+def under_any(modules: set[str], packages) -> set[str]:
+    return set().union(*(under(modules, package) for package in packages))
+
+
 def test_client_loads_no_engine():
     modules = loaded_after("import repro.serving.client")
     assert not under(modules, "repro.dn")
     assert not under(modules, "networkx")
+
+
+def test_cli_loads_only_the_client():
+    """``update`` and ``query`` are one-shot clients: the daemon stack is
+    imported inside ``serve`` only."""
+
+    modules = loaded_after("import repro.serving.cli")
+    assert not under_any(modules, ("repro.dn", "repro.ndlog", "repro.logic"))
+
+
+def test_engine_and_parser_load_no_logic():
+    for entry in ("repro.dn.engine", "repro.ndlog.parser"):
+        modules = loaded_after(f"import {entry}")
+        assert entry in modules
+        assert not under(modules, "repro.logic"), entry
 
 
 def test_tree_daemon_loads_neither_networkx_nor_the_prover(tmp_path):
@@ -57,7 +78,7 @@ def test_tree_daemon_loads_neither_networkx_nor_the_prover(tmp_path):
     )
     assert "repro.serving.service" in modules
     assert not under(modules, "networkx")
-    assert not modules & set(PROVER_STACK)
+    assert not under_any(modules, VERIFICATION)
 
 
 def test_engine_tree_run_loads_no_networkx():
@@ -71,7 +92,7 @@ def test_engine_tree_run_loads_no_networkx():
     )
     assert "repro.dn.engine" in modules
     assert not under(modules, "networkx")
-    assert not modules & set(PROVER_STACK)
+    assert not under_any(modules, VERIFICATION)
 
 
 def test_every_public_name_resolves():
