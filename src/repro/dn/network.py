@@ -12,6 +12,7 @@ count-to-infinity.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional
 
@@ -138,6 +139,8 @@ class Topology:
         return topo
 
     def to_networkx(self) -> "nx.DiGraph":
+        """The up-graph as a networkx ``DiGraph`` (interop: imports networkx)."""
+
         import networkx as nx
 
         graph = nx.DiGraph()
@@ -177,15 +180,40 @@ class Topology:
     def has_node(self, node: NodeId) -> bool:
         return node in self._nodes
 
+    def up_adjacency(self) -> dict[NodeId, list[NodeId]]:
+        """The undirected up-graph as node → neighbours, in the order
+        networkx's ``to_networkx().to_undirected()`` holds them: nodes in
+        topology order, each node's up out-links in link order, every edge
+        added both ways."""
+
+        out: dict[NodeId, dict[NodeId, None]] = {node: {} for node in self._nodes}
+        for link in self.up_links():
+            out.setdefault(link.src, {})[link.dst] = None
+            out.setdefault(link.dst, {})
+        adjacency: dict[NodeId, dict[NodeId, None]] = {node: {} for node in out}
+        for src, targets in out.items():
+            for dst in targets:
+                adjacency[src][dst] = None
+                adjacency[dst][src] = None
+        return {node: list(neighbours) for node, neighbours in adjacency.items()}
+
     def diameter(self) -> int:
-        """Hop-count diameter of the underlying undirected up-graph."""
+        """Hop-count diameter of the underlying undirected up-graph: the
+        largest BFS eccentricity, or 0 for at most one node or a
+        disconnected graph."""
 
-        import networkx as nx
-
-        graph = self.to_networkx().to_undirected()
-        if graph.number_of_nodes() <= 1 or not nx.is_connected(graph):
+        adjacency = self.up_adjacency()
+        if len(adjacency) <= 1:
             return 0
-        return nx.diameter(graph)
+        diameter = 0
+        for source in adjacency:
+            depth = {source: 0}
+            for parent, child in bfs_edges(adjacency, source):
+                depth[child] = depth[parent] + 1
+            if len(depth) < len(adjacency):
+                return 0
+            diameter = max(diameter, max(depth.values()))
+        return diameter
 
     # ------------------------------------------------------------------
     # Dynamics
@@ -222,6 +250,26 @@ class Topology:
                 link.cost = cost
                 affected.append(link)
         return affected
+
+
+def bfs_edges(
+    adjacency: dict[NodeId, list[NodeId]], source: NodeId
+) -> list[tuple[NodeId, NodeId]]:
+    """The ``(parent, child)`` tree edges of a breadth-first search from
+    ``source``, in discovery order (networkx's ``bfs_edges`` order over the
+    same adjacency)."""
+
+    seen = {source}
+    edges = []
+    queue = deque([source])
+    while queue:
+        parent = queue.popleft()
+        for child in adjacency[parent]:
+            if child not in seen:
+                seen.add(child)
+                edges.append((parent, child))
+                queue.append(child)
+    return edges
 
 
 @dataclass

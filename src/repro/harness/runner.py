@@ -19,7 +19,6 @@ resume re-reads the ledger, skips completed runs, and executes the rest.
 from __future__ import annotations
 
 import functools
-import importlib
 import json
 import os
 import time
@@ -322,10 +321,6 @@ def _run_pool(
     and never takes its cohort (or the campaign) down with it.
     """
 
-    # the workers fork from here and inherit what it has loaded: networkx
-    # builds every power_law and waxman topology, so it is loaded once, now,
-    # not by each fresh worker on its first such run
-    importlib.import_module("networkx")
     remaining = list(todo)
     breaks = 0
     while remaining:

@@ -7,18 +7,23 @@ Waxman random geometric graphs); rings, lines, stars, grids, and
 Erdős–Rényi graphs come from :mod:`repro.workloads.topologies`.
 
 All generators are deterministic for a given seed and always return a
-connected :class:`~repro.dn.network.Topology`.
+connected :class:`~repro.dn.network.Topology`.  The power-law and Waxman
+graphs are drawn exactly as networkx 3.x's ``barabasi_albert_graph`` and
+``waxman_graph`` draw them from ``random.Random(seed)`` (same draws, same
+order), so a seed names the same topology with or without networkx;
+``tests/scenarios/test_graph_generators.py`` holds networkx as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import TYPE_CHECKING, Optional
+from itertools import combinations
+from typing import Iterable, Optional
 
 from ..dn.network import Topology
 
-if TYPE_CHECKING:  # networkx is loaded only where a graph is built
-    import networkx as nx
+Edge = tuple[int, int]
 
 
 def tree_topology(
@@ -68,10 +73,27 @@ def power_law_topology(
         topo = Topology(default_delay=delay)
         topo.add_node(0)
         return topo
-    import networkx as nx
+    edges = _barabasi_albert_edges(n, m, random.Random(seed))
+    return _topology_from_graph(range(n), edges, seed=seed, max_cost=max_cost, delay=delay)
 
-    graph = nx.barabasi_albert_graph(n, m, seed=seed)
-    return _topology_from_graph(graph, seed=seed, max_cost=max_cost, delay=delay)
+
+def _barabasi_albert_edges(n: int, m: int, rng: random.Random) -> list[Edge]:
+    """The edges of networkx's ``barabasi_albert_graph(n, m, seed)``: a star
+    on ``m + 1`` nodes, then each new node joins ``m`` distinct targets drawn
+    from the degree-weighted ``repeated`` list."""
+
+    edges = [(0, spoke) for spoke in range(1, m + 1)]
+    # every node once per incident edge, hub first (networkx's degree order)
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        # a set, filled and iterated as networkx's ``_random_subset`` does
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        edges.extend((target, source) for target in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return edges
 
 
 def waxman_topology(
@@ -90,34 +112,65 @@ def waxman_topology(
     returned topology is always connected.
     """
 
-    import networkx as nx
-
-    graph = nx.waxman_graph(n, alpha=alpha, beta=beta, seed=seed)
-    _connect_components(graph, seed)
-    return _topology_from_graph(graph, seed=seed, max_cost=max_cost, delay=delay)
+    edges = _waxman_edges(n, alpha, beta, random.Random(seed))
+    edges += _stitches(n, edges, random.Random(seed))
+    return _topology_from_graph(range(n), edges, seed=seed, max_cost=max_cost, delay=delay)
 
 
-def _connect_components(graph: "nx.Graph", seed: int) -> None:
-    import networkx as nx
+def _waxman_edges(n: int, alpha: float, beta: float, rng: random.Random) -> list[Edge]:
+    """The edges of networkx's ``waxman_graph(n, alpha, beta, seed=seed)``
+    in the unit square: positions x then y per node, ``L`` the largest
+    pairwise distance, then one draw per pair in ``combinations`` order."""
 
-    rng = random.Random(seed)
-    components = [sorted(c) for c in nx.connected_components(graph)]
+    pos = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+    if n < 2:
+        return []
+    scale = alpha * max(math.dist(p, q) for p, q in combinations(pos, 2))
+    return [
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if rng.random() < beta * math.exp(-math.dist(pos[u], pos[v]) / scale)
+    ]
+
+
+def _stitches(n: int, edges: list[Edge], rng: random.Random) -> list[Edge]:
+    """One edge between each two consecutive components (ordered by their
+    smallest node), between nodes ``rng`` picks from each."""
+
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for u in component:  # grows while it is read: a breadth-first walk
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        components.append(sorted(component))
+    stitches = []
     for previous, current in zip(components, components[1:]):
-        graph.add_edge(rng.choice(previous), rng.choice(current))
+        a, b = rng.choice(previous), rng.choice(current)
+        stitches.append((min(a, b), max(a, b)))
+    return stitches
 
 
 def _topology_from_graph(
-    graph: "nx.Graph", *, seed: int, max_cost: int, delay: float
+    nodes: Iterable[int], edges: Iterable[Edge], *, seed: int, max_cost: int, delay: float
 ) -> Topology:
+    """``nodes`` in order, then each ``(min, max)`` edge in sorted order as a
+    symmetric link with a cost drawn from ``random.Random(seed)``."""
+
     rng = random.Random(seed)
     topo = Topology(default_delay=delay)
-    nodes, edges = sorted(graph.nodes), sorted(graph.edges)
-    # networkx caches its node, edge and degree views on the graph, and each
-    # view refers back to it: emptied, the graph is freed by refcount instead
-    # of waiting for the cyclic collector
-    graph.__dict__.clear()
     for node in nodes:
         topo.add_node(node)
-    for src, dst in edges:
+    for src, dst in sorted(edges):
         topo.add_link(src, dst, cost=rng.randint(1, max_cost))
     return topo

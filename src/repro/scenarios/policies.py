@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Hashable, Optional
 
-from ..dn.network import Topology
+from ..dn.network import Topology, bfs_edges
 from ..protocols.policy import (
     PolicyRule,
     PolicyTable,
@@ -42,14 +42,14 @@ def bfs_customer_provider(
     into a Gao–Rexford-compatible hierarchy.
     """
 
-    import networkx as nx
-
-    graph = topology.to_networkx().to_undirected()
-    if graph.number_of_nodes() == 0:
+    adjacency = topology.up_adjacency()
+    if not adjacency:
         return []
     if root is None:
-        root = sorted(graph.nodes, key=str)[0]
-    return [(child, parent) for parent, child in nx.bfs_edges(graph, root)]
+        root = sorted(adjacency, key=str)[0]
+    elif root not in adjacency:
+        raise ValueError(f"BFS root {root!r} is not a node of the topology")
+    return [(child, parent) for parent, child in bfs_edges(adjacency, root)]
 
 
 def first_triangle(topology: Topology) -> Optional[tuple[Hashable, Hashable, Hashable]]:

@@ -60,8 +60,8 @@ class TestGeneration:
 
     @pytest.mark.parametrize("family", ["tree", "power_law", "waxman"])
     def test_generation_leaves_no_cyclic_garbage(self, family):
-        # networkx caches views on a graph that refer back to it; a dropped
-        # graph must not wait for the cycle collector
+        # what generation allocates is freed by refcount: a scenario built
+        # outside run() must leave nothing for the cycle collector
         generate_scenario(family, size=20, seed=0)  # warm: imports, caches
         enabled = gc.isenabled()
         gc.collect()

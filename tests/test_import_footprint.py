@@ -1,8 +1,9 @@
 """What each entry point loads: a process pays only for what it runs.
 
 Every ``repro`` package binds its public names on first use
-(:mod:`repro._lazy`), networkx is imported only where a networkx graph is
-built, and the verification arc (``repro.logic``, ``repro.fvn``,
+(:mod:`repro._lazy`), no runtime path imports networkx (only the
+``Topology.to_networkx`` / ``from_networkx`` interop does), and the
+verification arc (``repro.logic``, ``repro.fvn``,
 ``repro.bgp``) stays out of the execution path: what both arcs share lives
 in :mod:`repro.terms` (``tests/test_import_contract.py`` pins the direction
 in the source).  Each case runs in a fresh interpreter and reads
@@ -93,6 +94,55 @@ def test_engine_tree_run_loads_no_networkx():
     assert "repro.dn.engine" in modules
     assert not under(modules, "networkx")
     assert not under_any(modules, VERIFICATION)
+
+
+def test_power_law_converge_loads_no_networkx():
+    """The bench ``converge`` op's shape: a power_law graph, an engine, a
+    run and its fingerprint."""
+
+    modules = loaded_after(
+        "from repro.dn import create_engine\n"
+        "from repro.protocols.policy import policy_path_vector_program\n"
+        "from repro.scenarios import generate_scenario\n"
+        "scenario = generate_scenario('power_law', size=32, seed=0, policy='shortest_path')\n"
+        "engine = create_engine(policy_path_vector_program(), scenario.topology)\n"
+        "trace = engine.run(extra_facts=scenario.policy_fact_list())\n"
+        "assert trace.quiescent and trace.fingerprint()\n"
+    )
+    assert "repro.dn.engine" in modules
+    assert not under(modules, "networkx")
+    assert not under_any(modules, VERIFICATION)
+
+
+def test_campaign_runs_load_nothing_the_runner_did_not():
+    """A pool's parent preloads nothing: after ``import
+    repro.harness.runner``, the bench campaign grid's 24 runs (three
+    families at 20 nodes x two policies x churn {0, 2} x two seeds, obs on)
+    import no further module, so a forked worker imports none either."""
+
+    script = (
+        "import json, sys\n"
+        "from repro.harness.runner import execute_run\n"
+        "from repro.harness.spec import CampaignSpec\n"
+        "spec = CampaignSpec(\n"
+        "    name='footprint', families=('tree', 'power_law', 'waxman'), sizes=(20,),\n"
+        "    policies=('shortest_path', 'gao_rexford'), seeds=(0, 1), churn_events=(0, 2),\n"
+        "    loss=(0.01,), until=30.0, max_events=150_000, record_stale_routes=False,\n"
+        "    obs=True,\n"
+        ")\n"
+        "descriptors = spec.expand()\n"
+        "before = set(sys.modules)\n"
+        "for descriptor in descriptors:\n"
+        "    assert execute_run(descriptor.to_dict(), False, True)['status'] == 'ok'\n"
+        "print(len(descriptors), json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    runs, new = result.stdout.splitlines()[-1].split(" ", 1)
+    assert int(runs) == 24
+    assert json.loads(new) == []
 
 
 def test_every_public_name_resolves():
