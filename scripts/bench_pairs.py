@@ -62,8 +62,7 @@ def export_tree(ref: str, dest: Path) -> str:
 
 def clear_pycache(root: Path) -> None:
     for cache in list(root.rglob("__pycache__")):
-        if ".git" not in cache.relative_to(root).parts:
-            shutil.rmtree(cache, ignore_errors=True)
+        shutil.rmtree(cache, ignore_errors=True)
 
 
 def directions(root: Path) -> dict[str, str]:
@@ -86,11 +85,15 @@ def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     result = subprocess.run(
         command + (["--trace"] if trace else []),
         cwd=tree, capture_output=True, text=True,
+        # bench finds its tree's src/ itself; an inherited PYTHONPATH could
+        # hand both sides the same sources
         env={key: value for key, value in os.environ.items() if key != "PYTHONPATH"},
     )
     lines = result.stdout.strip().splitlines()
     if result.returncode != 0 or not lines:
-        raise RuntimeError(f"bench run {workload} failed in {tree}:\n{result.stdout}{result.stderr}")
+        raise RuntimeError(
+            f"bench run {workload} failed in {tree}:\n{result.stdout}{result.stderr}"
+        )
     contract = json.loads(lines[-1])
     detail = tree / "bench" / "out" / f"{workload}.trace{int(trace)}.json"
     provenance = json.loads(detail.read_text()).get("provenance", {}) if detail.is_file() else {}
@@ -141,6 +144,8 @@ def report(workload: str, summary: dict[str, dict]) -> list[str]:
     lines = [f"{workload}: base median [q1, q3] -> change median [q1, q3], change wins"]
     for name, row in summary.items():
         base, change = row["base"], row["change"]
+        if not any(base.values()) and not any(change.values()):
+            continue  # a layer this workload does not exercise reads 0
         gap = ", gap > base IQR" if row["gap_exceeds_base_iqr"] else ""
         equal = f", {row['equal']} equal" if row["equal"] else ""
         lines.append(

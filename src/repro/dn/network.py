@@ -186,11 +186,11 @@ class Topology:
         topology order, each node's up out-links in link order, every edge
         added both ways."""
 
-        out: dict[NodeId, dict[NodeId, None]] = {node: {} for node in self._nodes}
+        out: dict[NodeId, list[NodeId]] = {node: [] for node in self._nodes}
         for link in self.up_links():
-            out.setdefault(link.src, {})[link.dst] = None
-            out.setdefault(link.dst, {})
-        adjacency: dict[NodeId, dict[NodeId, None]] = {node: {} for node in out}
+            out[link.src].append(link.dst)
+        # a dict per node: an ordered set that keeps each neighbour's first slot
+        adjacency: dict[NodeId, dict[NodeId, None]] = {node: {} for node in self._nodes}
         for src, targets in out.items():
             for dst in targets:
                 adjacency[src][dst] = None

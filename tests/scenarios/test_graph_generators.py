@@ -80,7 +80,7 @@ def test_waxman_equals_networkx(alpha, beta):
     assert components > 0  # the stitching ran
 
 
-def random_topology(rng: random.Random) -> Topology:
+def scrambled_topology(rng: random.Random) -> Topology:
     """Shuffled node ids and link order, one-way links, failed links."""
 
     n = rng.randint(1, 14)
@@ -97,17 +97,24 @@ def random_topology(rng: random.Random) -> Topology:
     return topo
 
 
+def networkx_orientation(topo: Topology, root) -> list:
+    """The customer→provider pairs as the orientation read them from
+    ``nx.bfs_edges`` (default root: the first node by ``str``)."""
+
+    graph = topo.to_networkx().to_undirected()
+    if root is None:
+        root = sorted(graph.nodes, key=str)[0]
+    return [(child, parent) for parent, child in nx.bfs_edges(graph, root)]
+
+
 def test_orientation_equals_networkx_bfs_edges():
     rng = random.Random(0)
     for _ in range(300):
-        topo = random_topology(rng)
+        topo = scrambled_topology(rng)
         graph = topo.to_networkx().to_undirected()
         assert topo.up_adjacency() == {node: list(graph.adj[node]) for node in graph}
-        roots = [None] + rng.sample(topo.nodes, min(2, topo.node_count))
-        for root in roots:
-            start = sorted(graph.nodes, key=str)[0] if root is None else root
-            expected = [(child, parent) for parent, child in nx.bfs_edges(graph, start)]
-            assert bfs_customer_provider(topo, root) == expected
+        for root in [None] + rng.sample(topo.nodes, min(2, topo.node_count)):
+            assert bfs_customer_provider(topo, root) == networkx_orientation(topo, root)
 
 
 def test_orientation_of_generated_topologies():
@@ -115,11 +122,8 @@ def test_orientation_of_generated_topologies():
         topo = generate_scenario(family, size=24, seed=5).topology
         link = topo.up_links()[3]
         topo.fail_link(link.src, link.dst)
-        graph = topo.to_networkx().to_undirected()
         for root in (None, topo.nodes[-1]):
-            start = sorted(graph.nodes, key=str)[0] if root is None else root
-            expected = [(child, parent) for parent, child in nx.bfs_edges(graph, start)]
-            assert bfs_customer_provider(topo, root) == expected, family
+            assert bfs_customer_provider(topo, root) == networkx_orientation(topo, root), family
 
 
 def test_orientation_rejects_an_unknown_root():

@@ -74,7 +74,11 @@ def test_identical_counts_and_the_report(tool):
     assert row["equal"] == 3 and row["wins"] == 0 and not row["gap_exceeds_base_iqr"]
     lines = tool.report("converge", summary)
     assert lines[0].startswith("converge:")
-    assert "812.5 [812.5, 812.5] -> 812.5 [812.5, 812.5]  0/3 (lower is better, 3 equal)" in lines[1]
+    expected = "812.5 [812.5, 812.5] -> 812.5 [812.5, 812.5]  0/3 (lower is better, 3 equal)"
+    assert expected in lines[1]
+    # a metric that reads 0 on both sides is a layer the workload skips
+    unexercised = tool.summarize(pairs_of(**{"shard.edge_cut": ([0, 0], [0, 0])}), {})
+    assert tool.report("converge", unexercised) == lines[:1]
 
 
 def test_directions_come_from_the_benchmark_declaration(tool):
