@@ -19,7 +19,9 @@ Two instruments, two reports:
   function's *self* share is the fraction of ticks it was on top (C calls
   it made included), its *inclusive* share the fraction it was anywhere on
   the stack.  Nothing is charged per call, so the shares are the ones the
-  unprofiled program has, within sampling error.
+  unprofiled program has, within sampling error.  A convergence is
+  sampled over as many cold ops as it takes to hold 1 000 samples (at
+  least five), whatever the graph's size.
 
 ``--churn`` samples the other direction of the executor instead: one
 long-lived engine (power_law-31 unless ``--family`` / ``--size`` say
@@ -85,10 +87,15 @@ from repro.scenarios import generate_scenario
 from repro.serving.config import ServerConfig
 from repro.serving.service import RouteService
 
-#: cold convergences sampled per ``--sample`` report (each is the same
-#: deterministic work, so more ops only means more samples), and the
-#: seconds of process CPU time between two samples
-SAMPLED_OPS = 5
+#: a ``--sample`` convergence report runs cold convergences — each the same
+#: deterministic work, so more ops only means more samples — until it holds
+#: at least this many samples (a 5 % share then reads within about 1.4
+#: points), and at least :data:`MIN_SAMPLED_OPS` of them: a small graph
+#: (the bench's power_law-32) is sampled as finely as a large one
+SAMPLED_TICKS = 1_000
+MIN_SAMPLED_OPS = 5
+#: the seconds of process CPU time between two samples (the kernel's
+#: timer granularity can make the real spacing coarser)
 SAMPLE_INTERVAL = 0.001
 #: link-cycle passes of a ``--serve`` profile
 SERVE_PASSES = 2
@@ -288,7 +295,7 @@ def run_campaign_arms(descriptors: list[dict], reps: int, interval: float) -> tu
                 run = data if monitored else dict(data, monitors=[])
                 start = time.process_time()
                 record, run_ticks, run_own, run_inclusive = sample(
-                    lambda: execute_run(run), interval
+                    lambda _: execute_run(run), interval
                 )
                 cpu[monitored] += time.process_time() - start
                 if monitored:
@@ -312,9 +319,10 @@ def cost_centre(code) -> str:
 
 
 def sample(
-    work: Callable[[], object], interval: float
+    work: Callable[[Callable[[], int]], object], interval: float
 ) -> tuple[object, int, Counter, Counter]:
-    """Run ``work`` under the ``ITIMER_PROF`` stack sampler.
+    """Run ``work`` under the ``ITIMER_PROF`` stack sampler; ``work`` gets a
+    callable reading the samples taken so far.
 
     Returns ``(outcome, ticks, self_ticks, inclusive_ticks)``, the tick
     counters keyed by :func:`cost_centre`.
@@ -341,7 +349,7 @@ def sample(
     previous = signal.signal(signal.SIGPROF, on_tick)
     signal.setitimer(signal.ITIMER_PROF, interval, interval)
     try:
-        outcome = work()
+        outcome = work(lambda: ticks)
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
         signal.signal(signal.SIGPROF, previous)
@@ -437,7 +445,7 @@ def main() -> None:
             start = time.perf_counter()
             with tally:
                 outcome, ticks, own, inclusive = sample(
-                    lambda: run_serve(service, script), SAMPLE_INTERVAL
+                    lambda _: run_serve(service, script), SAMPLE_INTERVAL
                 )
             elapsed = time.perf_counter() - start
             service.close()
@@ -452,7 +460,7 @@ def main() -> None:
         start = time.perf_counter()
         with tally:
             outcome, ticks, own, inclusive = sample(
-                lambda: run_churn(engine, script), SAMPLE_INTERVAL
+                lambda _: run_churn(engine, script), SAMPLE_INTERVAL
             )
         elapsed = time.perf_counter() - start
         engine.close()
@@ -466,14 +474,18 @@ def main() -> None:
         start = time.perf_counter()
         if args.sample:
 
-            def work() -> dict:
-                return [run_e4(inputs) for _ in range(SAMPLED_OPS)][-1]
+            def work(taken: Callable[[], int]) -> tuple[dict, int]:
+                ops = 0
+                while ops < MIN_SAMPLED_OPS or taken() < SAMPLED_TICKS:
+                    outcome = run_e4(inputs)
+                    ops += 1
+                return outcome, ops
 
             with tally:
-                outcome, ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
+                (outcome, ops), ticks, own, inclusive = sample(work, SAMPLE_INTERVAL)
             elapsed = time.perf_counter() - start
-            units, unit = SAMPLED_OPS, "op"
-            instrument = f"for {SAMPLED_OPS} ops {every}"
+            units, unit = ops, "op"
+            instrument = f"for {ops} ops {every}"
         else:
             profiler = cProfile.Profile()
             with tally:

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Alternating base/change pairs of the repository's benchmark (stdlib only).
 
-    python3 scripts/bench_pairs.py --base <git ref> [--workloads converge serve]
-        [--pairs 10] [--seed 0] [--trace] [--label NAME]
+    python3 scripts/bench_pairs.py --base <git ref> [--change <git ref>]
+        [--workloads converge serve] [--pairs 10] [--seed 0] [--trace]
+        [--label NAME]
 
-The *change* is this working tree; the *base* is ``<ref>``, exported with
-``git archive`` into a temporary directory (``$TMPDIR``), so nothing is
-added to the repository's ``.git`` and a killed run leaves nothing to
-prune.  Each pair runs ``python3 -m bench run <workload>`` once on each
+The *change* is this working tree, or ``--change <ref>``; the *base* is
+``<ref>``.  A ref is exported with ``git archive`` into a temporary
+directory (``$TMPDIR``), so nothing is added to the repository's ``.git``
+and a killed run leaves nothing to prune; two past commits (``--base A
+--change B``) are compared the same way as a commit and the tree.  Each pair runs ``python3 -m bench run <workload>`` once on each
 tree, in turn, and the tree that goes first alternates from pair to pair,
 so a host that drifts during the pairs drifts against both sides alike.
 ``__pycache__`` is cleared in both trees before every run: each run
@@ -156,11 +158,29 @@ def report(workload: str, summary: dict[str, dict]) -> list[str]:
     return lines
 
 
+def sides(base: str, change: str | None, scratch: Path) -> tuple[dict[str, Path], dict]:
+    """The two trees the pairs run in, exported under ``scratch``, and the
+    session's record of each: the change side is this working tree unless
+    ``change`` names a ref."""
+
+    trees = {"base": scratch / "base", "change": REPO_ROOT}
+    record = {"base": {"ref": base, "sha": export_tree(base, trees["base"])}}
+    if change is None:
+        record["change"] = {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    else:
+        trees["change"] = scratch / "change"
+        record["change"] = {"ref": change, "sha": export_tree(change, trees["change"]), "dirty": False}
+    return trees, record
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--base", required=True, help="git ref of the base side")
+    parser.add_argument(
+        "--change", help="git ref of the change side (default: this working tree)"
+    )
     parser.add_argument("--workloads", nargs="+", default=["converge"])
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
@@ -171,9 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        base_tree = Path(scratch) / "base"
-        base_sha = export_tree(args.base, base_tree)
-        trees = {"base": base_tree, "change": REPO_ROOT}
+        trees, record = sides(args.base, args.change, Path(scratch))
         better = directions(REPO_ROOT)
         runs: dict[str, list[dict]] = {workload: [] for workload in args.workloads}
         for index in range(args.pairs):
@@ -188,11 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     summaries = {workload: summarize(pairs, better) for workload, pairs in runs.items()}
     for workload, summary in summaries.items():
         print("\n".join(report(workload, summary)))
-    label = args.label or base_sha[:12]
+    label = args.label or record["base"]["sha"][:12]
     out = REPO_ROOT / f"BENCH_{label}.json"
     session = {
-        "base": {"ref": args.base, "sha": base_sha},
-        "change": {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        **record,
         "host": {
             "platform": platform.platform(),
             "machine": platform.machine(),

@@ -337,35 +337,48 @@ class DistributedEngine:
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
-    def _send(
-        self, src: NodeId, dst: NodeId, predicate: str, values: tuple, kind: str = "assert"
-    ) -> None:
-        if dst not in self.nodes:
-            raise NDlogError(f"tuple {predicate}{values} addressed to unknown node {dst!r}")
-        delay = self.channel.transit(src, dst)
-        self.nodes[src].stats.messages_sent += 1
-        self.trace.record_message(
-            self.scheduler.now, src, dst, predicate, values,
-            delivered=delay is not None, kind=kind,
-        )
-        if delay is None:
-            return
-        # messages landing at one time ride one wave: a single queue entry,
-        # delivered in sending order (see EventScheduler.post)
-        self.scheduler.post(
-            delay,
-            "message",
-            (dst, ("retract" if kind == "retract" else "insert", predicate, values)),
-        )
+    def _send(self, src: NodeId, sends: list[tuple[NodeId, str, tuple, str]]) -> None:
+        """Ship one settle's net sends from ``src``, in order: each
+        ``(dst, predicate, values, kind)`` takes its channel draw, is
+        traced, and — unless the channel dropped it — joins the message wave
+        landing at its delivery time."""
+
+        nodes = self.nodes
+        stats = nodes[src].stats
+        transit = self.channel.transit
+        now = self.scheduler.now
+        post = self.scheduler.post
+        record = self.trace.message_sink().append
+        for dst, predicate, values, kind in sends:
+            if dst not in nodes:
+                raise NDlogError(f"tuple {predicate}{values} addressed to unknown node {dst!r}")
+            delay = transit(src, dst)
+            stats.messages_sent += 1
+            record((now, src, dst, predicate, values, delay is not None, kind))
+            if delay is None:
+                continue
+            # messages landing at one time ride one wave: a single queue
+            # entry, delivered in sending order (see EventScheduler.post)
+            post(
+                delay,
+                "message",
+                (dst, ("retract" if kind == "retract" else "insert", predicate, values)),
+            )
 
     def _deliver(self, messages: list[tuple[NodeId, tuple[str, str, tuple]]]) -> None:
         """Hand a run of delivered messages to their nodes' op queues."""
 
         nodes = self.nodes
-        enqueue = self._enqueue
+        pending = self._pending
+        marks = self._flush_marks
+        now = self.scheduler.now
         for dst, op in messages:
             nodes[dst].stats.messages_received += 1
-            enqueue(dst, op)
+            # what _enqueue does, for each message of the wave
+            pending[dst].append(op)
+            if marks.get(dst) != now:
+                marks[dst] = now
+                self.scheduler.schedule(0.0, Event("flush", (dst,)))
 
     # ------------------------------------------------------------------
     # Batched semi-naive execution
@@ -416,7 +429,7 @@ class DistributedEngine:
         since = trace.state_change_count
         self._fixpoint_depth += 1
         try:
-            for settled in self.host.flush(now, items, trace.record_change, self._send):
+            for settled in self.host.flush(now, items, trace.change_sink(), self._send):
                 if self.monitors and trace.state_change_count != since:
                     self._notify_settle(settled, since)
                 since = trace.state_change_count

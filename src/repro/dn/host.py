@@ -12,8 +12,9 @@ half), ``begin_segment`` / ``end_segment`` and ``close``:
 * :class:`ShardWorker` (here) holds :class:`~repro.dn.node.Node` objects
   and runs the :class:`~repro.dn.executor.FixpointExecutor` in its own
   process.  A single-process engine's host is one worker over every node,
-  settling straight into the engine's ``trace.record_change`` and
-  ``_send``: nothing is collected, nothing replayed.  The same class is
+  settling straight into the engine's trace (its change sink) and
+  ``_send`` (each settle's net sends as one batch): nothing is collected,
+  nothing replayed.  The same class is
   the body of each shard worker process, which also answers
   ``flush_batch``, ``node_stats``, ``snapshot``, ``checkpoint``,
   ``restore``, ``metrics`` and ``ping``.
@@ -24,6 +25,7 @@ half), ``begin_segment`` / ``end_segment`` and ``close``:
 from __future__ import annotations
 
 import pickle
+from operator import itemgetter
 from typing import Iterator
 
 from ..ndlog.ast import Program
@@ -37,8 +39,13 @@ from .node import Node
 #: a state change collected at a worker, for the node whose drain it is:
 #: (predicate, values, kind)
 ChangeRecord = tuple[str, tuple, str]
-#: a send intent collected at a worker: (src, dst, predicate, values, kind)
-SendRecord = tuple[NodeId, NodeId, str, tuple, str]
+#: a net send of a settle at a worker, from the node whose drain it is:
+#: (dst, predicate, values, kind)
+SendRecord = tuple[NodeId, str, tuple, str]
+
+#: a settle's change record ``(now, node, predicate, values, kind)`` as a
+#: worker ships it: the node and time are the drain's own
+_SHIPPED = itemgetter(2, 3, 4)
 
 
 class ShardWorker:
@@ -57,16 +64,26 @@ class ShardWorker:
         #: predicates carrying injected base facts (sweep-exempt)
         self.protected = self.executor.protected
 
-    def flush(self, now: float, items: list[tuple[NodeId, list[Op]]], record, send) -> Iterator:
-        """Settle each node's op batch to a local fixpoint, in order, into
-        the effect sinks; yields each node id once its settle is done."""
+    def flush(
+        self, now: float, items: list[tuple[NodeId, list[Op]]], changes: list, send
+    ) -> Iterator:
+        """Settle each node's op batch to a local fixpoint, in order: its
+        change records are appended to ``changes``, its net sends go to
+        ``send(node_id, sends)`` as one batch.  Yields each node id once
+        its settle is done."""
 
         settle = self.executor.settle
+        nodes = self.nodes
         for node_id, ops in items:
             if obs_metrics.ENABLED:
                 obs_metrics.inc("engine.flushes")
-            with obs_tracing.span("engine.flush", node=str(node_id), ops=len(ops)):
-                settle(self.nodes[node_id], ops, now, record, send)
+            if obs_tracing.ENABLED:
+                with obs_tracing.span("engine.flush", node=str(node_id), ops=len(ops)):
+                    sends = settle(nodes[node_id], ops, now, changes)
+            else:
+                sends = settle(nodes[node_id], ops, now, changes)
+            if sends:
+                send(node_id, sends)
             yield node_id
 
     def flush_batch(
@@ -77,14 +94,9 @@ class ShardWorker:
 
         out = []
         for node_id, ops in items:
-            records: list[ChangeRecord] = []
-            sends: list[SendRecord] = []
-            self.executor.settle(
-                self.nodes[node_id], ops, now,
-                lambda _now, _node, *change: records.append(change),
-                lambda *intent: sends.append(intent),
-            )
-            out.append((records, sends))
+            records: list[tuple] = []
+            sends = self.executor.settle(self.nodes[node_id], ops, now, records)
+            out.append((list(map(_SHIPPED, records)), sends))
         return out
 
     def refresh(self, now: float, items: list[tuple[NodeId, str, tuple]]) -> None:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Optional
 
 from ..ndlog.aggregates import group_rows
-from ..ndlog.ast import Program, Rule
+from ..ndlog.ast import Program
 from ..ndlog import seminaive
 from ..ndlog.seminaive import RuleEngine
 from ..ndlog.store import Database
@@ -83,33 +83,6 @@ class Node:
         self.unswept: set[str] = set()
         for decl in program.materialized.values():
             self.db.declare_from(decl)
-
-    def fire(
-        self,
-        rule: Rule,
-        delta: Optional[Mapping[str, Iterable[tuple]]] = None,
-    ) -> list[tuple]:
-        """Fire one rule against the local database via its cached code;
-        returns the deduplicated head rows."""
-
-        self.stats.rule_firings += 1
-        return self.rule_engine.fire_rule(rule, self.db, delta=delta)
-
-    def derive(
-        self,
-        rule: Rule,
-        delta: Optional[Mapping[str, Iterable[tuple]]] = None,
-    ) -> list[tuple]:
-        """Fire one rule at body-binding multiplicity (support counting).
-
-        Used by the retraction-aware engine for both directions of the
-        delta: each head row is one support gained (insertion rounds) or one
-        support lost (deletion rounds, where ``delta`` holds the retracted
-        tuples still present in the local database).
-        """
-
-        self.stats.rule_firings += 1
-        return self.rule_engine.derive(rule, self.db, delta=delta)
 
     def insert(self, predicate: str, values: tuple, now: float) -> bool:
         """Insert a tuple into the local database; returns True on change."""

@@ -579,7 +579,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # The host surface
     # ------------------------------------------------------------------
-    def flush(self, now: float, items: list[tuple[NodeId, list[Op]]], record, send):
+    def flush(self, now: float, items: list[tuple[NodeId, list[Op]]], changes: list, send):
         """Settle a wave on the shard workers in parallel, then replay each
         node's effects into the sinks in wave order, yielding its id after.
         A worker that dies mid-drain is revived to its state before the
@@ -605,7 +605,7 @@ class ShardSupervisor:
                 for (node_id, _), result in zip(batch, outcome):
                     results[node_id] = result
             for node_id, _ in items:
-                self._replay(node_id, *results[node_id], now, record, send)
+                self._replay(node_id, *results[node_id], now, changes, send)
                 yield node_id
 
     def _replay(
@@ -614,13 +614,14 @@ class ShardSupervisor:
         records: list[ChangeRecord],
         sends: list[SendRecord],
         now: float,
-        record,
+        changes: list,
         send,
     ) -> None:
         """Apply one node-drain's effects: change records fold into the
         node's row view (FIFO eviction is untraced, so the view applies
-        ``max_size`` itself) and feed ``record``; sends go through ``send``,
-        drawing channel RNG in the single-process order."""
+        ``max_size`` itself) and are appended to ``changes``; the sends go
+        to ``send`` as the drain's one batch, drawing channel RNG in the
+        single-process order."""
 
         tables = self.nodes[node_id].tables
         shapes = self._shapes
@@ -638,9 +639,9 @@ class ShardSupervisor:
                         del table[oldest]
             else:
                 del table[key]
-            record(now, node_id, predicate, values, kind)
-        for intent in sends:
-            send(*intent)
+            changes.append((now, node_id, predicate, values, kind))
+        if sends:
+            send(node_id, sends)
 
     def refresh(self, now: float, items: list[tuple[NodeId, str, tuple]]) -> None:
         for shard, batch in self._by_shard(items).items():

@@ -249,6 +249,22 @@ class Trace:
     ) -> None:
         self._changes.records.append((time, node, predicate, values, kind))
 
+    def change_sink(self) -> list:
+        """The list :meth:`record_change` appends to: appending a ``(time,
+        node, predicate, values, kind)`` tuple records a change, so an
+        executor's settle records a batch with one ``extend``.  Valid until
+        the trace is restored or replaced (compaction drops records in
+        place)."""
+
+        return self._changes.records
+
+    def message_sink(self) -> list:
+        """The list :meth:`record_message` appends ``(time, src, dst,
+        predicate, values, delivered, kind)`` tuples to (see
+        :meth:`change_sink`)."""
+
+        return self._messages.records
+
     def record_message(
         self,
         time: float,

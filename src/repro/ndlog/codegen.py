@@ -21,13 +21,29 @@ Public entry points: :func:`codegen_rule` (one rule → :class:`CodegenRule`),
 :func:`generate_rule_source` (the emitted source and its namespace, for
 debugging and golden-pinning), and :func:`emit_program_source`
 (whole-program dump backing ``fvn-lint --emit-codegen``).
+
+**The compiled settle.**  A distributed node's settle runs, between two
+rule calls, code generated per program from its
+:class:`~repro.ndlog.plan.SettlePlan`: :func:`generate_settle_source`
+emits it and :func:`compile_settle` binds it to a rule engine.  Per
+derived rule a *fire* function derives the rule over a delta view and
+routes each head row inline (local rows to the node's op queue, remote
+rows to the settle's outbox); per aggregate rule a *route* function does
+the routing alone; per key-scoped derive a *scoped* function picks its
+seed by which lookup is free and derives under the keys; per sweepable
+predicate a *check* (the scoped consistency verdict), a *sweep* (the full
+repair) and per derived predicate a *refill*.  The rule bodies themselves
+are called through the rule engine (its ``deriver`` per rule), so the
+reference interpreter still drives the same settle.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from ..terms import Const, DEFAULT_ARITHMETIC, EvaluationError, Func, FunctionRegistry, Term, Var
 from .aggregates import aggregate_rows
@@ -37,6 +53,9 @@ from .plan import (
     _OP_SLOT,
     _OP_STORE,
     RuleLayout,
+    ScopedDerive,
+    SettlePlan,
+    key_positions,
     rule_layout,
 )
 
@@ -45,6 +64,9 @@ __all__ = [
     "codegen_rule",
     "generate_rule_source",
     "emit_program_source",
+    "SettleCode",
+    "generate_settle_source",
+    "compile_settle",
 ]
 
 
@@ -782,3 +804,415 @@ def emit_program_source(
         else:
             chunks.append(source)
     return "\n".join(chunks)
+
+
+# ---------------------------------------------------------------------------
+# The compiled settle
+# ---------------------------------------------------------------------------
+
+
+def _getter_name(positions: tuple[int, ...]) -> str:
+    """The module-level ``itemgetter`` of a settle source taking a row to
+    its values at ``positions`` (two or more): a tuple built in C."""
+
+    return "_at_" + "_".join(map(str, positions))
+
+
+class _SettleEmitter:
+    """Generates the settle source of one :class:`SettlePlan`.
+
+    Every function takes ``derive`` first, the rule engine's derive of
+    each rule of ``plan.derived`` by position, so one compilation serves
+    every engine.  Rules are named by index: ``derive[i]`` / ``_fire{i}``
+    by position in ``plan.derived``, ``_route{r}`` by position in the program's rules,
+    ``_scoped{j}`` in the order :attr:`scoped` lists the key-scoped
+    derives, and ``_check{k}`` / ``_sweep{k}`` / ``_refill{k}`` by position
+    among the predicates they serve.
+    """
+
+    def __init__(self, plan: SettlePlan) -> None:
+        self.plan = plan
+        self.derived_index = {id(rule): i for i, rule in enumerate(plan.derived)}
+        #: every key-scoped derive: keyed predicates' rules, then group
+        #: plans, in plan order
+        self.scoped: list[ScopedDerive] = [
+            scoped for plans in plan.key_plans.values() for scoped in plans
+        ] + [view.scoped for view in plan.view_plans.values()]
+        self.scoped_index = {id(scoped): j for j, scoped in enumerate(self.scoped)}
+        #: the position tuples the source reads through an ``itemgetter``
+        self.getters: set[tuple[int, ...]] = set()
+        self.source = self._generate()
+
+    def _key_expr(self, positions: tuple[int, ...], row: str = "values") -> str:
+        """Source building the tuple of ``row``'s values at ``positions``."""
+
+        if len(positions) == 1:
+            return f"({row}[{positions[0]}],)"
+        self.getters.add(positions)
+        return f"{_getter_name(positions)}({row})"
+
+    def _generate(self) -> str:
+        plan = self.plan
+        program = plan.program
+        w = _Writer()
+        w.emit(f"# settle code for program {program.name}")
+        w.emit("# derive[i]: the rule engine's derive of")
+        for i, rule in enumerate(plan.derived):
+            w.emit(f"#   {i}: {rule.name}")
+        w.emit()
+        header = len(w.lines)
+        variants = len(plan.derived) - len(plan.view_plans)
+        for i, rule in enumerate(plan.derived[:variants]):
+            self._emit_fire(w, i, rule)
+        for r, rule in enumerate(program.rules):
+            if rule.head.has_aggregate:
+                self._emit_route(w, r, rule)
+        for j, scoped in enumerate(self.scoped):
+            self._emit_scoped(w, j, scoped)
+        for k, predicate in enumerate(plan.sweep_rules):
+            if predicate in plan.sweep_plans:
+                self._emit_check(w, k, predicate)
+            self._emit_sweep(w, k, predicate)
+        for k, predicate in enumerate(plan.head_rules):
+            self._emit_refill(w, k, predicate)
+        w.emit(f"FIRE = ({''.join(f'_fire{i}, ' for i in range(variants))})")
+        routes = [r for r, rule in enumerate(program.rules) if rule.head.has_aggregate]
+        w.emit("ROUTE = {" + ", ".join(f"{r}: _route{r}" for r in routes) + "}")
+        w.emit(f"SCOPED = ({''.join(f'_scoped{j}, ' for j in range(len(self.scoped)))})")
+        checks = [
+            f"{predicate!r}: _check{k}"
+            for k, predicate in enumerate(plan.sweep_rules)
+            if predicate in plan.sweep_plans
+        ]
+        w.emit("CHECK = {" + ", ".join(checks) + "}")
+        sweeps = [f"{predicate!r}: _sweep{k}" for k, predicate in enumerate(plan.sweep_rules)]
+        w.emit("SWEEP = {" + ", ".join(sweeps) + "}")
+        refills = [f"{predicate!r}: _refill{k}" for k, predicate in enumerate(plan.head_rules)]
+        w.emit("REFILL = {" + ", ".join(refills) + "}")
+        # the key getters the functions read, defined ahead of them
+        w.lines[header:header] = [
+            f"{_getter_name(positions)} = _itemgetter{positions!r}"
+            for positions in sorted(self.getters)
+        ] + ([""] if self.getters else [])
+        return w.source()
+
+    # -- routing ------------------------------------------------------------
+    def _emit_routing(self, w: _Writer, rule: Rule, rows: str) -> None:
+        """Route ``rows`` (a source expression) as the heads of ``rule``:
+        local rows join the op queue as ``op``, remote rows count under
+        ``side`` in the outbox entry ``[asserts, retracts, dst, predicate,
+        values]`` keyed ``(dst, predicate, row)`` — by the row's
+        ``row_key`` when it holds an unhashable value."""
+
+        predicate = repr(rule.head.predicate)
+        location = rule.head.location
+        if location is None:
+            w.emit(f"queue.extend([(op, {predicate}, values) for values in {rows}])")
+            return
+        w.emit("append = queue.append")
+        w.emit(f"for values in {rows}:")
+        w.indent()
+        w.emit(f"destination = values[{location}]")
+        w.emit("if destination is None or destination == node_id:")
+        w.indent()
+        w.emit(f"append((op, {predicate}, values))")
+        w.emit("continue")
+        w.depth -= 1
+        w.emit(f"entry = [0, 0, destination, {predicate}, values]")
+        w.emit("try:")
+        w.indent()
+        w.emit(f"entry = outbox.setdefault((destination, {predicate}, values), entry)")
+        w.depth -= 1
+        w.emit("except TypeError:")
+        w.indent()
+        w.emit(f"entry = outbox.setdefault((destination, {predicate}, _row_key(values)), entry)")
+        w.depth -= 1
+        w.emit("entry[side] += 1")
+
+    def _emit_fire(self, w: _Writer, i: int, rule: Rule) -> None:
+        w.emit(f"def _fire{i}(derive, db, view, queue, outbox, node_id, op, side):")
+        w.indent()
+        w.emit(f"# {rule.name}: derive over the delta view, route {rule.head.predicate}")
+        self._emit_routing(w, rule, f"derive[{i}](db, view)")
+        w.depth = 0
+        w.emit()
+
+    def _emit_route(self, w: _Writer, r: int, rule: Rule) -> None:
+        w.emit(f"def _route{r}(rows, queue, outbox, node_id, op, side):")
+        w.indent()
+        w.emit(f"# {rule.name}: route changed {rule.head.predicate} groups")
+        self._emit_routing(w, rule, "rows")
+        w.depth = 0
+        w.emit()
+
+    # -- key-scoped derives -------------------------------------------------
+    def _emit_scoped(self, w: _Writer, j: int, scoped: ScopedDerive) -> None:
+        """``_scoped{j}(db, keys, stats)``: the rows the rule derives whose
+        values at the key positions are among ``keys``, at binding
+        multiplicity.  The seed rows agreeing with a key go in as the
+        delta of an ordinary derive; rows come in the order ``keys``
+        iterates, then lookup order.  Nothing fires when no seed row
+        agrees."""
+
+        rule, seeds, positions = scoped
+        derive = self.derived_index[id(rule)]
+        w.emit(f"def _scoped{j}(derive, db, keys, stats):")
+        w.indent()
+        w.emit(
+            f"# {rule.name} under {rule.head.predicate} keys at {positions!r}, seeded by "
+            + ", ".join(f"{seed.predicate}{seed.positions!r}" for seed in seeds)
+        )
+        w.emit("table = db.table")
+        # the first seed whose lookup is free (the primary key, or an index
+        # that exists), else the first; tables are resolved in seed order
+        w.emit(f"source = table({seeds[0].predicate!r})")
+        if len(seeds) > 1:
+            for n, seed in enumerate(seeds):
+                w.emit(f"if source.has_lookup({seed.positions!r}):")
+                w.indent()
+                w.emit(f"seed = {n}")
+                w.depth -= 1
+                w.emit("else:")
+                w.indent()
+                if n + 1 < len(seeds):
+                    w.emit(f"source = table({seeds[n + 1].predicate!r})")
+            w.emit(f"source = table({seeds[0].predicate!r})")
+            w.emit("seed = 0")
+            w.depth -= len(seeds)
+        w.emit("lookup = source.lookup")
+        for n, seed in enumerate(seeds):
+            if len(seeds) > 1:
+                w.emit("else:" if n == len(seeds) - 1 else f"{'elif' if n else 'if'} seed == {n}:")
+                w.indent()
+            if seed.whole:
+                probes = "keys"
+            else:
+                w.emit(f"probes = dict.fromkeys([{self._key_expr(seed.slots, 'key')} for key in keys])")
+                probes = "probes"
+            w.emit(
+                f"rows = [row for values in {probes} "
+                f"for row in lookup({seed.positions!r}, values)]"
+            )
+            w.emit(f"seeded = {seed.predicate!r}")
+            if len(seeds) > 1:
+                w.depth -= 1
+        w.emit("if not rows:")
+        w.indent()
+        w.emit("return rows")
+        w.depth -= 1
+        w.emit("stats.rule_firings += 1")
+        w.emit(
+            f"found = derive[{derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True))"
+        )
+        w.emit(f"return [values for values in found if {self._key_expr(positions)} in keys]")
+        w.depth = 0
+        w.emit()
+
+    # -- consistency: scoped check, full sweep, keyed refill ------------------
+    def _emit_location_test(self, w: _Writer, rule: Rule, *, local: bool) -> bool:
+        """Open an ``if`` keeping rows stored at ``node_id`` (``local``) or
+        skipping rows stored elsewhere; ``False`` when the head has no
+        location, so every row is local."""
+
+        location = rule.head.location
+        if location is None:
+            return False
+        if local:
+            w.emit(f"if values[{location}] == node_id:")
+        else:
+            w.emit(f"if values[{location}] is None or values[{location}] == node_id:")
+        w.indent()
+        return True
+
+    def _emit_check(self, w: _Writer, k: int, predicate: str) -> None:
+        plans = self.plan.key_plans[predicate]
+        w.emit(f"def _check{k}(derive, db, keys, node_id, stats):")
+        w.indent()
+        w.emit(
+            f"# is every {predicate} row stored under keys derivable, and none "
+            "derivable under a key that stores none?"
+        )
+        w.emit(f"table = db.table({predicate!r})")
+        w.emit("derivable = {}")
+        for scoped in plans:
+            w.emit(f"for values in _scoped{self.scoped_index[id(scoped)]}(derive, db, keys, stats):")
+            w.indent()
+            opened = self._emit_location_test(w, scoped.rule, local=True)
+            w.emit(f"key = {self._key_expr(scoped.key_positions)}")
+            w.emit("found = derivable.get(key)")
+            w.emit("if found is None:")
+            w.indent()
+            w.emit("derivable[key] = {_row_key(values)}")
+            w.depth -= 1
+            w.emit("else:")
+            w.indent()
+            w.emit("found.add(_row_key(values))")
+            w.depth -= 2 + opened
+        w.emit("lookup = table.lookup")
+        w.emit("positions = table.keys")
+        w.emit("for key in keys:")
+        w.indent()
+        w.emit("stored = lookup(positions, key)")
+        w.emit("if stored:")
+        w.indent()
+        w.emit("if _row_key(stored[0]) not in derivable.get(key, ()):")
+        w.indent()
+        w.emit("return False")
+        w.depth -= 2
+        w.emit("elif key in derivable:")
+        w.indent()
+        w.emit("return False")
+        w.depth -= 2
+        w.emit("return True")
+        w.depth = 0
+        w.emit()
+
+    def _emit_sweep(self, w: _Writer, k: int, predicate: str) -> None:
+        rules = self.plan.sweep_rules[predicate]
+        w.emit(f"def _sweep{k}(derive, db, queue, node_id, stats):")
+        w.indent()
+        w.emit(
+            f"# re-derive {predicate} over the node: purge stored rows no rule "
+            "derives, re-assert derivable rows whose key went empty"
+        )
+        w.emit(f"table = db.table({predicate!r})")
+        w.emit("derivable = {}")
+        for rule in rules:
+            w.emit("stats.rule_firings += 1")
+            w.emit(f"for values in derive[{self.derived_index[id(rule)]}](db):")
+            w.indent()
+            opened = self._emit_location_test(w, rule, local=False)
+            w.emit("derivable[_row_key(values)] = values")
+            w.depth -= 1 + opened
+        w.emit("stored = {_row_key(row): row for row in table.rows()}")
+        w.emit("progressed = False")
+        w.emit("for key, row in stored.items():")
+        w.indent()
+        w.emit("if key not in derivable:")
+        w.indent()
+        w.emit(f"queue.append(('purge', {predicate!r}, row))")
+        w.emit("progressed = True")
+        w.depth -= 2
+        w.emit("current = table.current")
+        w.emit("for key, row in derivable.items():")
+        w.indent()
+        w.emit("if key not in stored and current(row) is None:")
+        w.indent()
+        w.emit(f"queue.append(('insert', {predicate!r}, row))")
+        w.emit("progressed = True")
+        w.depth -= 2
+        w.emit("return progressed")
+        w.depth = 0
+        w.emit()
+
+    def _emit_refill(self, w: _Writer, k: int, predicate: str) -> None:
+        plan = self.plan
+        keyed = plan.key_plans.get(predicate)
+        w.emit(f"def _refill{k}(derive, db, keys, queue, node_id, stats):")
+        w.indent()
+        w.emit(
+            f"# queue every locally stored {predicate} row derivable under the "
+            "once-displaced keys, keys in order_key order"
+        )
+        w.emit(f"table = db.table({predicate!r})")
+        w.emit("current = table.current")
+        if keyed:
+            w.emit("ordered = dict.fromkeys(sorted(keys, key=_order_key))")
+            sources = [
+                (scoped.rule, f"_scoped{self.scoped_index[id(scoped)]}(derive, db, ordered, stats)")
+                for scoped in keyed
+            ]
+        else:
+            sources = []
+            for rule in plan.head_rules[predicate]:
+                sources.append((rule, f"derive[{self.derived_index[id(rule)]}](db)"))
+        positions = plan.key_plans[predicate][0].key_positions if keyed else None
+        for rule, rows in sources:
+            if not keyed:
+                w.emit("stats.rule_firings += 1")
+                positions = key_positions(plan.program, rule)
+            w.emit(f"for values in {rows}:")
+            w.indent()
+            opened = self._emit_location_test(w, rule, local=False)
+            w.emit(f"if {self._key_expr(positions)} in keys and current(values) is None:")
+            w.indent()
+            w.emit(f"queue.append(('insert', {predicate!r}, values))")
+            w.depth -= 2 + opened
+        w.depth = 0
+        w.emit()
+
+
+def generate_settle_source(plan: SettlePlan) -> str:
+    """The settle source of ``plan`` (see :func:`compile_settle`); pinned
+    for the golden corpus beside each program's ``*.codegen.txt``."""
+
+    return _SettleEmitter(plan).source
+
+
+class SettleCode(NamedTuple):
+    """A program's compiled settle, bound to one rule engine.
+
+    ``fire`` maps each rule of ``plan.derived`` that fires over a delta
+    view (the non-aggregate rules and their negation-delta variants) to
+    ``fire(db, view, queue, outbox, node_id, op, side)``; ``route`` each
+    aggregate rule to ``route(rows, queue, outbox, node_id, op, side)``;
+    ``refold`` each group-maintained aggregate rule to its key-scoped
+    derive ``(db, keys, stats) -> rows``.  ``check`` / ``sweep`` map
+    sweepable predicates, ``refill`` derived ones.  Rules are keyed by
+    identity (``id``)."""
+
+    fire: dict[int, Callable]
+    route: dict[int, Callable]
+    refold: dict[int, Callable]
+    check: dict[str, Callable]
+    sweep: dict[str, Callable]
+    refill: dict[str, Callable]
+
+
+#: settle source → the namespace it defined: every engine over one program
+#: shares a compilation (its functions take the engine's derives as their
+#: first argument), as rules share theirs through ``_CODEGEN_CACHE``
+_SETTLE_CACHE: dict[str, dict] = {}
+
+
+def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
+    """Compile ``plan``'s settle source (once per source) and bind it to
+    ``rule_engine``: each derived rule is called through the engine's
+    ``deriver`` (for generated rules, compiled now, off the hot path)."""
+
+    emitter = _SettleEmitter(plan)
+    source = emitter.source
+    namespace = _SETTLE_CACHE.get(source)
+    if namespace is None:
+        from .aggregates import order_key
+        from .seminaive import DeltaIndex, row_key
+
+        if len(_SETTLE_CACHE) >= _CODEGEN_CACHE_MAX:
+            _SETTLE_CACHE.clear()
+        namespace = {
+            "_DeltaIndex": DeltaIndex,
+            "_itemgetter": itemgetter,
+            "_row_key": row_key,
+            "_order_key": order_key,
+        }
+        exec(compile(source, f"<settle:{plan.program.name}>", "exec"), namespace)
+        _SETTLE_CACHE[source] = namespace
+    derive = tuple(rule_engine.deriver(rule) for rule in plan.derived)
+
+    def bound(table):
+        if isinstance(table, dict):
+            return {key: partial(fn, derive) for key, fn in table.items()}
+        return tuple(partial(fn, derive) for fn in table)
+
+    rules = plan.program.rules
+    derived = plan.derived
+    scoped = bound(namespace["SCOPED"])
+    scoped_of = {id(item): fn for item, fn in zip(emitter.scoped, scoped)}
+    return SettleCode(
+        fire={id(derived[i]): fn for i, fn in enumerate(bound(namespace["FIRE"]))},
+        route={id(rules[r]): fn for r, fn in namespace["ROUTE"].items()},
+        refold={rule: scoped_of[id(view.scoped)] for rule, view in plan.view_plans.items()},
+        check=bound(namespace["CHECK"]),
+        sweep=bound(namespace["SWEEP"]),
+        refill=bound(namespace["REFILL"]),
+    )

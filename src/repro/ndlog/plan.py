@@ -13,16 +13,22 @@ interpreter (:mod:`repro.ndlog.reference`) re-derives it:
   positions an index probe can use are fixed statically, and a literal
   argument unevaluable at match time marks the plan **dead**;
 * the negation-delta variants retraction fires (:func:`negation_delta_rules`);
-* :func:`comparison_fn`, the pre-dispatched condition operators.
+* :func:`comparison_fn`, the pre-dispatched condition operators;
+* the program-level plan of a distributed settle (:func:`settle_plan`):
+  which rules a changed predicate triggers, the key-scoped seeds of keyed
+  refills, scoped sweep checks and group re-folds, and which predicates a
+  settle may sweep — what the settle code generator lowers.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..terms import COMPARISON_FNS, Const, Var
+from .aggregates import group_key_getter, tuple_getter
 from .ast import (
     Assignment,
     BodyItem,
@@ -30,6 +36,7 @@ from .ast import (
     HeadLiteral,
     Literal,
     NDlogError,
+    Program,
     Rule,
 )
 
@@ -271,4 +278,307 @@ def rule_layout(rule: Rule) -> RuleLayout:
             raise NDlogError(f"unsupported body item {item!r}")
     return RuleLayout(
         rule, tuple(specs), slots, tuple(delta_candidates), dead
+    )
+
+
+# ---------------------------------------------------------------------------
+# The settle plan: what a distributed node's settle runs, decided per program
+# ---------------------------------------------------------------------------
+
+
+class KeySeed(NamedTuple):
+    """How a key-scoped derive enters one rule: the rows of body predicate
+    ``predicate`` whose arguments at ``positions`` (ascending) equal a key's
+    components at ``slots`` are the only rows that can derive a head under
+    that key.  ``whole``: the slots are the whole key, in order, so a key is
+    its own lookup value."""
+
+    predicate: str
+    positions: tuple[int, ...]
+    slots: tuple[int, ...]
+    whole: bool
+
+
+class ScopedDerive(NamedTuple):
+    """One key-scoped derive: ``rule`` derived under a set of keys — the
+    head's values at ``key_positions`` — through ``seeds`` (chosen at run
+    time by which lookup is free; see :func:`key_seeds`)."""
+
+    rule: Rule
+    seeds: tuple[KeySeed, ...]
+    key_positions: tuple[int, ...]
+
+
+class ViewPlan(NamedTuple):
+    """How one aggregate rule is maintained group by group.
+
+    ``scoped`` derives the rule's plain-head variant
+    (:func:`binding_rule`) under a set of group keys; ``group_key`` maps
+    its rows (and the aggregated ones) to their group.  ``group_of`` maps
+    each body predicate to one reader per literal reading it: a getter
+    taking a changed row to the group key every binding through that
+    literal has, and the row position holding those bindings' aggregated
+    value (``None`` when the literal does not bind it).  A predicate maps
+    to ``None`` when some literal of it does not bind the whole group, so a
+    change to it re-fires the whole rule.
+
+    ``outranked`` is set for a single ``min`` (``>``) or ``max`` (``<``)
+    at head position ``value_at``: ``outranked(value, current)`` says the
+    group's current value beats a changed row's value, so the row gains or
+    loses only bindings that cannot hold the group's value and cannot change
+    the group.
+    """
+
+    scoped: ScopedDerive
+    group_key: Callable[[tuple], tuple]
+    group_of: dict[str, Optional[tuple[tuple[Callable[[tuple], tuple], Optional[int]], ...]]]
+    outranked: Optional[Callable[[object, object], bool]]
+    value_at: int
+
+
+#: aggregate functions whose fold does not depend on the order bindings
+#: arrive in.  A float ``sum``/``avg`` does: a scoped re-fold and the whole
+#: firing that rebuilds a restored memo could differ in the last bit, so
+#: those rules are always recomputed whole.
+ORDER_FREE_AGGREGATES = frozenset(("min", "max", "count"))
+
+
+@dataclass(frozen=True, eq=False)
+class SettlePlan:
+    """The per-program analysis behind a distributed settle.
+
+    * ``derived`` — every rule a settle derives over a delta view, each
+      once, in a fixed order: the program's non-aggregate rules, then
+      their negation-delta variants, then the plain-head variants of
+      group-maintained aggregates.  Generated settle code names each by
+      its index here.
+    * ``triggers`` — body predicate → the program rules it triggers, in
+      program order; ``negation_triggers`` — negated predicate → its
+      negation-delta variants.
+    * ``head_rules`` — head predicate → its non-aggregate rules (keyed
+      refills re-derive them); ``key_plans`` — head predicate → one
+      :class:`ScopedDerive` per deriving rule, under the head table's
+      primary key (absent when some rule has no seed).
+    * ``sweep_rules`` — the *purely local* derived predicates a
+      consistency sweep may repair, with their rules; ``sweep_bodies`` —
+      the body predicates whose lost rows make each one's check due;
+      ``sweep_plans`` — the predicates whose check may be key-scoped.
+    * ``view_plans`` — aggregate rule (by ``id``) → its group plan (absent:
+      always recomputed whole), in program order, and ``view_reads`` the
+      predicates they read.
+    """
+
+    program: Program
+    derived: tuple[Rule, ...]
+    triggers: dict[str, tuple[Rule, ...]]
+    negation_triggers: dict[str, tuple[Rule, ...]]
+    head_rules: dict[str, tuple[Rule, ...]]
+    key_plans: dict[str, tuple[ScopedDerive, ...]]
+    sweep_rules: dict[str, tuple[Rule, ...]]
+    sweep_bodies: dict[str, frozenset[str]]
+    sweep_plans: frozenset[str]
+    view_plans: dict[int, ViewPlan]
+    view_reads: frozenset[str]
+
+
+def capped(program: Program, predicates: Iterable[str]) -> bool:
+    """Is any of ``predicates`` a size-capped table?  Its FIFO eviction
+    removes rows without a delta, so no scoped check or recompute hears of
+    them."""
+
+    materialized = program.materialized
+    return any(
+        decl.max_size != float("inf")
+        for decl in map(materialized.get, predicates)
+        if decl is not None
+    )
+
+
+def purely_local(rule: Rule) -> bool:
+    """Does every firing of ``rule`` store its head at the firing node?
+
+    True when the head has no location (never shipped) or its location
+    variable is the rule's body site variable (post-localization every
+    positive body literal reads at one site).  Only such predicates can be
+    judged — and repaired — from one node's tables alone.
+    """
+
+    head_location = rule.head.location
+    if head_location is None:
+        return True
+    head_term = rule.head.plain_args()[head_location]
+    body_terms = [
+        lit.location_term for lit in rule.positive_literals if lit.location is not None
+    ]
+    return bool(body_terms) and all(term == head_term for term in body_terms)
+
+
+def key_positions(program: Program, rule: Rule) -> tuple[int, ...]:
+    """The head positions of the primary key of ``rule``'s head table."""
+
+    decl = program.materialized.get(rule.head.predicate)
+    if decl is not None and decl.keys:
+        return tuple(k - 1 for k in decl.keys)
+    return tuple(range(rule.head.arity))
+
+
+def key_seeds(rule: Rule, positions: tuple[int, ...]) -> tuple[KeySeed, ...]:
+    """The body literals through which ``rule`` can be derived for a
+    handful of head keys — the head's values at ``positions`` — instead of
+    for the whole node.
+
+    A positive literal qualifies when it carries key variables (beyond the
+    location variable, which every local row shares): its rows matching a
+    key there are a superset of the rows any binding under that key can
+    use, so feeding them as the delta of an ordinary derive enumerates
+    every such binding.  Key attributes computed by assignments
+    (``P=f_concatPath(S,P2)``) bind nothing and are filtered after the
+    derive.  Only the seeds binding the most key attributes are kept, in
+    body order; the derive picks among them at run time by which lookup is
+    free.
+    """
+
+    head = rule.head
+    args = head.plain_args()
+    slot_of: dict[Var, int] = {}
+    for slot, position in enumerate(positions):
+        term = args[position]
+        if isinstance(term, Var):
+            slot_of.setdefault(term, slot)
+    location = args[head.location] if head.location is not None else None
+    ranked: list[tuple[int, KeySeed]] = []
+    for literal in rule.positive_literals:
+        bound: dict[Var, int] = {}
+        for position, arg in enumerate(literal.args):
+            if isinstance(arg, Var) and arg in slot_of:
+                bound.setdefault(arg, position)
+        selective = sum(1 for var in bound if var != location)
+        if selective:
+            pairs = sorted((position, slot_of[var]) for var, position in bound.items())
+            ranked.append(
+                (
+                    selective,
+                    KeySeed(
+                        literal.predicate,
+                        tuple(position for position, _ in pairs),
+                        tuple(slot for _, slot in pairs),
+                        [slot for _, slot in pairs] == list(range(len(positions))),
+                    ),
+                )
+            )
+    best = max((selective for selective, _ in ranked), default=0)
+    return tuple(seed for selective, seed in ranked if selective == best)
+
+
+def view_plan(program: Program, rule: Rule) -> Optional[ViewPlan]:
+    """How aggregate ``rule`` can be re-folded group by group, or ``None``
+    when it is always recomputed whole: a group-by argument that is not a
+    variable, a fold that depends on binding order
+    (:data:`ORDER_FREE_AGGREGATES`), a size-capped body table, or no seed
+    binding a group variable beyond the location."""
+
+    head = rule.head
+    group_positions = tuple(head.group_by_indices)
+    group_vars = [head.args[position] for position in group_positions]
+    if (
+        not all(isinstance(var, Var) for var in group_vars)
+        or any(agg.function not in ORDER_FREE_AGGREGATES for _, agg in head.aggregates)
+        or capped(program, rule.body_predicates())
+    ):
+        return None
+    seeds = key_seeds(rule, group_positions)
+    if not seeds:
+        return None
+    (value_at, aggregate), *more = head.aggregates
+    outranked = None
+    if not more and aggregate.function in ("min", "max"):
+        outranked = operator.gt if aggregate.function == "min" else operator.lt
+    group_of: dict[str, Optional[tuple]] = {}
+    for literal in rule.body_literals:
+        position_of: dict[Var, int] = {}
+        for position, arg in enumerate(literal.args):
+            if isinstance(arg, Var):
+                position_of.setdefault(arg, position)
+        readers = group_of.get(literal.predicate, ())
+        if readers is None:
+            continue
+        if all(var in position_of for var in group_vars):
+            getter = tuple_getter([position_of[var] for var in group_vars])
+            reader = (getter, position_of.get(aggregate.variable))
+            group_of[literal.predicate] = readers + (reader,)
+        else:
+            group_of[literal.predicate] = None
+    return ViewPlan(
+        ScopedDerive(binding_rule(rule), seeds, group_positions),
+        group_key_getter(head),
+        group_of,
+        outranked,
+        value_at,
+    )
+
+
+def settle_plan(program: Program) -> SettlePlan:
+    """The :class:`SettlePlan` of a (localized) program."""
+
+    triggers: dict[str, list[Rule]] = {}
+    for rule in program.rules:
+        for predicate in dict.fromkeys(rule.body_predicates()):
+            triggers.setdefault(predicate, []).append(rule)
+    plain = [rule for rule in program.rules if not rule.head.has_aggregate]
+    negation_triggers: dict[str, list[Rule]] = {}
+    variants: list[Rule] = []
+    for rule in plain:
+        for predicate, variant in negation_delta_rules(rule):
+            negation_triggers.setdefault(predicate, []).append(variant)
+            variants.append(variant)
+    view_plans: dict[int, ViewPlan] = {}
+    view_reads: set[str] = set()
+    for rule in program.rules:
+        if rule.head.has_aggregate:
+            plan = view_plan(program, rule)
+            if plan is not None:
+                view_plans[id(rule)] = plan
+                view_reads |= plan.group_of.keys()
+    head_rules: dict[str, list[Rule]] = {}
+    for rule in plain:
+        head_rules.setdefault(rule.head.predicate, []).append(rule)
+    aggregate_heads = {
+        rule.head.predicate for rule in program.rules if rule.head.has_aggregate
+    }
+    key_plans: dict[str, tuple[ScopedDerive, ...]] = {}
+    sweep_rules: dict[str, tuple[Rule, ...]] = {}
+    for predicate, rules in head_rules.items():
+        scoped = []
+        for rule in rules:
+            positions = key_positions(program, rule)
+            scoped.append(ScopedDerive(rule, key_seeds(rule, positions), positions))
+        if all(derive.seeds for derive in scoped):
+            key_plans[predicate] = tuple(scoped)
+        if predicate in aggregate_heads:
+            continue  # view-maintained (recompute-and-diff) predicates
+        if all(purely_local(rule) for rule in rules):
+            sweep_rules[predicate] = tuple(rules)
+    sweep_bodies = {
+        predicate: frozenset(body for rule in rules for body in rule.body_predicates())
+        for predicate, rules in sweep_rules.items()
+    }
+    # FIFO eviction removes rows without a deletion delta, so no key is ever
+    # touched for it: size-capped tables stay on the full sweep
+    sweep_plans = frozenset(
+        predicate
+        for predicate, bodies in sweep_bodies.items()
+        if predicate in key_plans and not capped(program, bodies | {predicate})
+    )
+    return SettlePlan(
+        program=program,
+        derived=tuple(plain + variants + [plan.scoped.rule for plan in view_plans.values()]),
+        triggers={p: tuple(rules) for p, rules in triggers.items()},
+        negation_triggers={p: tuple(rules) for p, rules in negation_triggers.items()},
+        head_rules={p: tuple(rules) for p, rules in head_rules.items()},
+        key_plans=key_plans,
+        sweep_rules=sweep_rules,
+        sweep_bodies=sweep_bodies,
+        sweep_plans=sweep_plans,
+        view_plans=view_plans,
+        view_reads=frozenset(view_reads),
     )

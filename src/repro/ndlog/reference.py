@@ -23,7 +23,7 @@ Two kinds of caller use it:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..terms import EvaluationError, FunctionRegistry, Var, ground_eval
 from .aggregates import aggregate_rows
@@ -253,3 +253,9 @@ class ReferenceEngine:
                 "incrementally retracted"
             )
         return self._head_rows(rule, db, delta)
+
+    def deriver(self, rule: Rule) -> Callable[..., list[tuple]]:
+        """:meth:`derive` bound to ``rule``, called ``(db, view=None)`` by a
+        compiled settle (see :meth:`repro.ndlog.seminaive.RuleEngine.deriver`)."""
+
+        return lambda db, view=None: self.derive(rule, db, delta=view)

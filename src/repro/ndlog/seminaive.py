@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..terms import FunctionRegistry
 from .aggregates import diff_rows
@@ -202,6 +202,16 @@ class RuleEngine:
 
         view = delta if delta is None or isinstance(delta, DeltaIndex) else DeltaIndex(delta)
         return self.plan_for(rule).derive(db, view)
+
+    def deriver(self, rule: Rule) -> Callable[..., list[tuple]]:
+        """:meth:`derive` bound to ``rule`` as a compiled settle calls it,
+        ``(db, view=None) -> rows`` with ``view`` a :class:`DeltaIndex`:
+        the rule's generated ``derive`` itself, compiled now — unless a
+        subclass overrides :meth:`derive`, which then sees every call."""
+
+        if type(self).derive is not RuleEngine.derive:
+            return lambda db, view=None: self.derive(rule, db, delta=view)
+        return self.plan_for(rule).derive
 
 
 #: The rule engine class every evaluator builds — :class:`Evaluator`,

@@ -144,6 +144,9 @@ class Table:
         #: 0-based key attribute positions (empty means the whole tuple is the key)
         self.keys = tuple(keys)
         self._key_getter = _make_key_getter(self.keys)
+        #: the primary key of a row: ``key_of(values)`` — the getter itself,
+        #: so a caller pays no method call per row
+        self.key_of: Callable[[Sequence[object]], tuple] = self._key_getter
         self.lifetime = lifetime
         self.max_size = max_size
         #: primary key → row, oldest first (a re-bound key moves to the
@@ -177,9 +180,6 @@ class Table:
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------
-    def key_of(self, values: Sequence[object]) -> tuple:
-        return self._key_getter(values)
-
     @property
     def is_soft_state(self) -> bool:
         return self._deadlines is not None
@@ -254,6 +254,67 @@ class Table:
         if len(rows) > self.max_size:
             self._evict_oldest(key)
         return True, None
+
+    def upsert_run(
+        self, run: Iterable[Sequence[object]], now: float = 0.0
+    ) -> tuple[list[tuple], list[tuple[tuple, tuple]]]:
+        """:meth:`upsert_unless_displacing` over a run of rows, in order.
+
+        Returns ``(inserted, displaced)``: the rows stored as new rows, and
+        ``(row, occupant)`` per row refused because a different row holds
+        its key (the table untouched for it).  Every other row counts one
+        more support of the stored one (and restarts its lifetime).  One
+        call per run of a settle's inserts instead of one per row.
+        """
+
+        if self._deadlines is not None or self.max_size != _INF:
+            inserted: list[tuple] = []
+            displaced: list[tuple[tuple, tuple]] = []
+            upsert = self.upsert_unless_displacing
+            for values in run:
+                row = tuple(values)
+                new, occupant = upsert(row, now)
+                if occupant is not None:
+                    displaced.append((row, occupant))
+                elif new:
+                    inserted.append(row)
+            return inserted, displaced
+        # hard, uncapped state (every derived table of the bundled
+        # programs): no lifetime or eviction, index upkeep inline
+        rows = self._rows
+        counts = self._counts
+        key_getter = self._key_getter
+        upkeep = self._upkeep
+        inserted = []
+        displaced = []
+        append = inserted.append
+        for values in run:
+            row = tuple(values)
+            key = key_getter(row)
+            existing = rows.get(key)
+            if existing is None:
+                rows[key] = row
+                counts[key] = 1
+                if upkeep:
+                    n = len(row)
+                    for need, getter, buckets in upkeep:
+                        if n < need:
+                            continue
+                        bucket_key = getter(row)
+                        try:
+                            bucket = buckets.get(bucket_key)
+                        except TypeError:
+                            continue  # unhashable at an indexed position
+                        if bucket is None:
+                            buckets[bucket_key] = {key: row}
+                        else:
+                            bucket[key] = row
+                append(row)
+            elif existing == row:
+                counts[key] += 1
+            else:
+                displaced.append((row, existing))
+        return inserted, displaced
 
     def insert_many(
         self, rows: Iterable[Sequence[object]], now: float = 0.0
@@ -376,6 +437,41 @@ class Table:
         self._remove(key)
         return True
 
+    def delete_run(self, rows: Iterable[tuple]) -> int:
+        """:meth:`delete` each of ``rows`` (by key), in order; returns how
+        many were present."""
+
+        stored = self._rows
+        counts = self._counts
+        deadlines = self._deadlines
+        upkeep = self._upkeep
+        key_getter = self._key_getter
+        deleted = 0
+        for row in rows:
+            key = key_getter(row)
+            row = stored.pop(key, None)
+            if row is None:
+                continue
+            del counts[key]
+            if deadlines is not None:
+                del deadlines[key]
+            if upkeep:
+                n = len(row)
+                for need, getter, buckets in upkeep:
+                    if n < need:
+                        continue
+                    bucket_key = getter(row)
+                    try:
+                        bucket = buckets.get(bucket_key)
+                    except TypeError:
+                        continue
+                    if bucket is not None:
+                        bucket.pop(key, None)
+                        if not bucket:
+                            del buckets[bucket_key]
+            deleted += 1
+        return deleted
+
     def row_expired(self, values: Sequence[object], now: float) -> bool:
         """Is the stored row equal to ``values`` past its lifetime?
 
@@ -491,6 +587,12 @@ class Table:
     def index_on(self, positions: Sequence[int]) -> dict[tuple, dict[tuple, tuple]]:
         """The hash index over ``positions`` (ascending), built on first use."""
 
+        try:
+            index = self._indexes.get(positions)
+        except TypeError:  # a list of positions
+            index = None
+        if index is not None:
+            return index
         positions = tuple(positions)
         index = self._indexes.get(positions)
         if index is None:
@@ -571,6 +673,8 @@ class Table:
         return list(self._rows.values())
 
     def __contains__(self, values: Sequence[object]) -> bool:
+        if not self._rows:
+            return False  # a negated literal's table is often empty
         row = tuple(values)
         return self._rows.get(self._key_getter(row)) == row
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -102,18 +101,48 @@ def disable() -> None:
     ENABLED = False
 
 
-@contextmanager
+class _Span:
+    """One timed block: recorded into the tracer when it exits, also on an
+    exception."""
+
+    __slots__ = ("name", "args", "start")
+
+    def __init__(self, name: str, args: dict) -> None:
+        self.name = name
+        self.args = args
+
+    def __enter__(self) -> None:
+        self.start = perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        _tracer.record(self.name, self.start, perf_counter() - self.start, self.args)
+
+
+class _NoSpan:
+    """The block of a disabled tracer: enters and exits, records nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+#: what :func:`span` returns while tracing is off: one shared object, so a
+#: disabled span builds no generator and no frame
+_NO_SPAN = _NoSpan()
+
+
 def span(name: str, **args: object):
-    """Time a block as one span; a no-op when tracing is disabled."""
+    """Time a block as one span; a no-op when tracing is disabled.  A
+    caller that formats arguments only for the span tests :data:`ENABLED`
+    first."""
 
     if not ENABLED:
-        yield
-        return
-    start = perf_counter()
-    try:
-        yield
-    finally:
-        _tracer.record(name, start, perf_counter() - start, args)
+        return _NO_SPAN
+    return _Span(name, args)
 
 
 def chrome_trace(processes: list[tuple[str, dict]]) -> dict:

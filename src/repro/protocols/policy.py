@@ -256,7 +256,6 @@ def gao_rexford_policies(
     configuration serves as the large-topology conflict-free policy workload.
     """
 
-    table = PolicyTable()
     providers_of: dict[NodeId, set[NodeId]] = {}
     customers_of: dict[NodeId, set[NodeId]] = {}
     for customer, provider in customer_provider:
@@ -265,24 +264,39 @@ def gao_rexford_policies(
     peer_pairs = {frozenset(p) for p in peers}
 
     nodes = set(providers_of) | set(customers_of) | {n for pair in peer_pairs for n in pair}
+    # rules are frozen values: one object per distinct rule, shared by
+    # every pair it applies to, and each pair's rules gathered in a list
+    # (in the order they are added) and frozen once
+    from_customer = PolicyRule("set_local_pref", local_pref=300)
+    from_peer = PolicyRule("set_local_pref", local_pref=200)
+    from_provider = PolicyRule("set_local_pref", local_pref=100)
+    imports: dict[tuple[NodeId, NodeId], list[PolicyRule]] = {}
+    exports: dict[tuple[NodeId, NodeId], list[PolicyRule]] = {}
+    no_customers: set[NodeId] = set()
     for local in nodes:
+        customers = customers_of.get(local, no_customers)
+        providers = providers_of.get(local, no_customers)
+        # peer and provider routes are exported to customers only
+        withheld = [other for other in nodes if other != local and other not in customers]
         for neighbour in nodes:
             if local == neighbour:
                 continue
-            if neighbour in customers_of.get(local, set()):
-                table.add_import(local, neighbour, PolicyRule("set_local_pref", local_pref=300))
-            elif frozenset((local, neighbour)) in peer_pairs:
-                table.add_import(local, neighbour, PolicyRule("set_local_pref", local_pref=200))
-                # peer routes are not exported to other peers/providers
-                for other in nodes:
-                    if other != local and other not in customers_of.get(local, set()):
-                        table.add_export(local, other, PolicyRule("deny", match_transit=neighbour))
-            elif neighbour in providers_of.get(local, set()):
-                table.add_import(local, neighbour, PolicyRule("set_local_pref", local_pref=100))
-                for other in nodes:
-                    if other != local and other not in customers_of.get(local, set()):
-                        table.add_export(local, other, PolicyRule("deny", match_transit=neighbour))
-    return table
+            if neighbour in customers:
+                imports.setdefault((local, neighbour), []).append(from_customer)
+                continue
+            if frozenset((local, neighbour)) in peer_pairs:
+                imports.setdefault((local, neighbour), []).append(from_peer)
+            elif neighbour in providers:
+                imports.setdefault((local, neighbour), []).append(from_provider)
+            else:
+                continue
+            deny = PolicyRule("deny", match_transit=neighbour)
+            for other in withheld:
+                exports.setdefault((local, other), []).append(deny)
+    return PolicyTable(
+        export_rules={pair: tuple(rules) for pair, rules in exports.items()},
+        import_rules={pair: tuple(rules) for pair, rules in imports.items()},
+    )
 
 
 #: The policy path-vector program.  Path preference is lexicographic
@@ -335,12 +349,19 @@ def policy_facts(
     """
 
     node_list = list(nodes)
-    facts: list[tuple[str, tuple]] = []
     prefs = policies.import_pref_facts(node_list)
     max_pref = max((p for _, _, p in prefs), default=0)
-    for local, neighbour, pref in prefs:
-        rank = max_pref - pref  # invert: higher local-pref => lower rank
-        facts.append(("importPref", (local, neighbour, rank)))
-    for local, neighbour, destination in policies.export_deny_facts(node_list):
-        facts.append(("exportDeny", (local, neighbour, destination)))
+    # invert: higher local-pref => lower rank
+    facts = [
+        ("importPref", (local, neighbour, max_pref - pref)) for local, neighbour, pref in prefs
+    ]
+    # exportDeny, as export_deny_facts lists it, built in the same pass
+    for (local, neighbour), rules in policies.export_rules.items():
+        for rule in rules:
+            if rule.action != "deny":
+                continue
+            if rule.match_destination is not None:
+                facts.append(("exportDeny", (local, neighbour, rule.match_destination)))
+            else:
+                facts += [("exportDeny", (local, neighbour, destination)) for destination in node_list]
     return facts

@@ -96,16 +96,18 @@ class RetractDroppingEngine(DistributedEngine):
     """An engine whose channel loses every ``retract`` message — the
     adversarial worst case for distributed deletion."""
 
-    def _send(self, src, dst, predicate, values, kind="assert"):
-        if kind == "retract":
+    def _send(self, src, sends):
+        for send in sends:
+            dst, predicate, values, kind = send
+            if kind != "retract":
+                super()._send(src, [send])
+                continue
             self.nodes[src].stats.messages_sent += 1
             self.trace.record_message(
                 self.scheduler.now, src, dst, predicate, values,
                 delivered=False, kind=kind,
             )
             self.channel.dropped += 1
-            return
-        super()._send(src, dst, predicate, values, kind=kind)
 
 
 @pytest.fixture

@@ -66,11 +66,7 @@ class TestNettingContract:
 
         node = node or Node("a", parse_program(program))
         executor = FixpointExecutor(node.program, node.rule_engine)
-        sent = []
-        executor.settle(
-            node, ops, 1.0, lambda *change: None, lambda *send: sent.append(send)
-        )
-        return sent
+        return [(node.id, *send) for send in executor.settle(node, ops, 1.0, [])]
 
     def test_assert_then_retract_sends_nothing(self):
         link = ("a", "b", 1)

@@ -324,16 +324,9 @@ class TestListValuedSettle:
         program = parse_program(self.PROGRAM)
         node = Node(0, program)
         executor = FixpointExecutor(program, node.rule_engine)
-        changes = []
-        executor.settle(
-            node,
-            ops,
-            1.0,
-            lambda now, node_id, predicate, values, kind: changes.append(
-                (predicate, values, kind)
-            ),
-            lambda *send: None,
-        )
+        records = []
+        executor.settle(node, ops, 1.0, records)
+        changes = [(predicate, values, kind) for _, _, predicate, values, kind in records]
         return node, changes
 
     def test_insert_then_retract_cancels(self):

@@ -8,7 +8,11 @@ state, a dead plan).  For each text the suite pins
 * ``<name>.parse.txt`` — a deterministic dump of the parsed AST, and
 * ``<name>.codegen.txt`` — the specialized Python source the code
   generator emits (:func:`repro.ndlog.codegen.emit_program_source`),
-  dead plans included as their no-op body functions,
+  dead plans included as their no-op body functions, and
+* ``<name>.settle.txt`` — the source of the program's compiled settle
+  (:func:`repro.ndlog.codegen.generate_settle_source` over its
+  :func:`~repro.ndlog.plan.settle_plan`): what a distributed node runs
+  between two rule calls,
 
 so any change to parser output or generated code shows up as a reviewable
 diff.  Regenerate with ``pytest --update-goldens tests/ndlog`` and review
@@ -19,9 +23,10 @@ import pathlib
 
 import pytest
 
-from repro.ndlog.codegen import emit_program_source
+from repro.ndlog.codegen import emit_program_source, generate_settle_source
 from repro.ndlog.functions import builtin_registry
 from repro.ndlog.parser import parse_program
+from repro.ndlog.plan import settle_plan
 from repro.ndlog.seminaive import evaluate
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
@@ -69,6 +74,13 @@ def test_codegen_source_golden(ndl, update_goldens):
     program = parse_program(ndl.read_text(), ndl.stem)
     source = emit_program_source(program, builtin_registry())
     check_golden(ndl.with_suffix(".codegen.txt"), source, update_goldens)
+
+
+@pytest.mark.parametrize("ndl", CORPUS, ids=lambda p: p.stem)
+def test_settle_source_golden(ndl, update_goldens):
+    program = parse_program(ndl.read_text(), ndl.stem)
+    source = generate_settle_source(settle_plan(program))
+    check_golden(ndl.with_suffix(".settle.txt"), source, update_goldens)
 
 
 def test_fallback_entry_actually_falls_back():

@@ -1,7 +1,7 @@
 """The paired-evidence tool's arithmetic (``scripts/bench_pairs.py``) on
 synthetic runs: quartiles, wins in the declared direction, equal pairs and
-the median gap against the base's interquartile range.  No benchmark runs
-here."""
+the median gap against the base's interquartile range; and which trees a
+session's two sides run in.  No benchmark runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -86,3 +86,21 @@ def test_directions_come_from_the_benchmark_declaration(tool):
     assert better["peak_rss_mb"] == "lower"
     assert better["ops_per_s"] == "higher"
     assert better["executor.delta_batch_p50"] == "higher"
+
+
+def test_the_change_side_is_the_tree_or_a_ref(tool, tmp_path):
+    head = tool.git("rev-parse", "HEAD")
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "refs").mkdir()
+    trees, record = tool.sides("HEAD", None, tmp_path / "tree")
+    assert trees["change"] == REPO_ROOT
+    assert record["change"]["sha"] == head and "ref" not in record["change"]
+    assert (trees["base"] / "BENCHMARK.json").is_file()
+    # --change <ref>: both sides are exported commits, neither is dirty
+    trees, record = tool.sides("HEAD", "HEAD", tmp_path / "refs")
+    assert trees["change"] == tmp_path / "refs" / "change"
+    assert (trees["change"] / "bench" / "__main__.py").is_file()
+    assert record == {
+        "base": {"ref": "HEAD", "sha": head},
+        "change": {"ref": "HEAD", "sha": head, "dirty": False},
+    }
