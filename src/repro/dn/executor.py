@@ -439,8 +439,9 @@ class FixpointExecutor:
         #: the change record of every removal, in op order
         decided: list[tuple] = []
         displacing: set[tuple[str, tuple]] = set()
-        #: ``(predicate, row)`` of every removal decided on
-        seen: set[tuple[str, tuple]] = set()
+        #: predicate → the rows (by ``row_key`` when unhashable) a removal
+        #: decided on
+        seen: dict[str, set] = {}
         pending_inserts: Optional[set[tuple]] = None
         sweepable = self._sweep_rules
         db = node.db
@@ -457,6 +458,9 @@ class FixpointExecutor:
                     touched.setdefault(predicate, set()) if predicate in sweepable else None
                 )
                 rows = removed.get(predicate)
+                seen_rows = seen.get(predicate)
+                if seen_rows is None:
+                    seen_rows = seen[predicate] = set()
             row = tuple(values)
             if keys_touched is not None:
                 keys_touched.add(key_of(row))
@@ -493,15 +497,15 @@ class FixpointExecutor:
                 # the key: refilling would re-derive both tie candidates and
                 # livelock
                 displacing.add((predicate, key_of(row)))
-            key = (predicate, row)
             try:
-                repeated = key in seen
+                repeated = row in seen_rows
+                seen_key = row
             except TypeError:
-                key = (predicate, row_key(row))
-                repeated = key in seen
+                seen_key = row_key(row)
+                repeated = seen_key in seen_rows
             if repeated:
                 continue
-            seen.add(key)
+            seen_rows.add(seen_key)
             if rows is None:
                 rows = removed[predicate] = []
             rows.append(row)
@@ -712,6 +716,8 @@ class FixpointExecutor:
                     continue
                 for row in rows:
                     group = getter(row)
+                    if group in groups:
+                        continue
                     held = memo.get(group)
                     if held is None or not outranked(row[value_at], held[held_at]):
                         groups.add(group)

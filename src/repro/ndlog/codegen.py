@@ -1033,37 +1033,32 @@ class _SettleEmitter:
             "derivable under a key that stores none?"
         )
         w.emit(f"table = db.table({predicate!r})")
-        w.emit("derivable = {}")
+        w.emit("lookup = table.lookup")
+        w.emit("positions = table.keys")
+        w.emit("stored = {key: lookup(positions, key) for key in keys}")
+        w.emit("supported = set()")
+        w.emit("unstored = False")
+        # every rule is derived before the verdict: a derive builds the
+        # indexes its probes need, whatever the verdict
         for scoped in plans:
             w.emit(f"for values in _scoped{self.scoped_index[id(scoped)]}(derive, db, keys, stats):")
             w.indent()
             opened = self._emit_location_test(w, scoped.rule, local=True)
             w.emit(f"key = {self._key_expr(scoped.key_positions)}")
-            w.emit("found = derivable.get(key)")
-            w.emit("if found is None:")
+            w.emit("held = stored[key]")
+            w.emit("if not held:")
             w.indent()
-            w.emit("derivable[key] = {_row_key(values)}")
+            w.emit("unstored = True")
             w.depth -= 1
-            w.emit("else:")
+            w.emit("elif held[0] == values or _row_key(held[0]) == _row_key(values):")
             w.indent()
-            w.emit("found.add(_row_key(values))")
+            w.emit("supported.add(key)")
             w.depth -= 2 + opened
-        w.emit("lookup = table.lookup")
-        w.emit("positions = table.keys")
-        w.emit("for key in keys:")
-        w.indent()
-        w.emit("stored = lookup(positions, key)")
-        w.emit("if stored:")
-        w.indent()
-        w.emit("if _row_key(stored[0]) not in derivable.get(key, ()):")
+        w.emit("if unstored:")
         w.indent()
         w.emit("return False")
-        w.depth -= 2
-        w.emit("elif key in derivable:")
-        w.indent()
-        w.emit("return False")
-        w.depth -= 2
-        w.emit("return True")
+        w.depth -= 1
+        w.emit("return all(key in supported for key, held in stored.items() if held)")
         w.depth = 0
         w.emit()
 
