@@ -66,6 +66,7 @@ Send = tuple[object, str, tuple, str]
 
 _PREDICATE = itemgetter(1)
 _VALUES = itemgetter(2)
+_KIND_PREDICATE = itemgetter(0, 1)
 #: removals of derived rows, traced as ``retract``
 _DERIVED_REMOVALS = frozenset(("displace", "purge"))
 
@@ -446,34 +447,20 @@ class FixpointExecutor:
         sweepable = self._sweep_rules
         db = node.db
         node_id = node.id
-        run_predicate = None
-        for kind, predicate, values in del_ops:
-            if predicate != run_predicate:
-                # resolve the table once per same-predicate run of ops
-                run_predicate = predicate
-                table = db.table(predicate)
-                key_of = table.key_of
-                release = table.release
-                keys_touched = (
-                    touched.setdefault(predicate, set()) if predicate in sweepable else None
-                )
-                rows = removed.get(predicate)
-                seen_rows = seen.get(predicate)
-                if seen_rows is None:
-                    seen_rows = seen[predicate] = set()
-            row = tuple(values)
-            if keys_touched is not None:
-                keys_touched.add(key_of(row))
+        for (kind, predicate), run in groupby(del_ops, _KIND_PREDICATE):
+            # one pass per same-kind, same-predicate run of ops
+            table = db.table(predicate)
+            rows = [tuple(values) for _, _, values in run]
+            if predicate in sweepable:
+                touched.setdefault(predicate, set()).update(map(table.key_of, rows))
             if kind == "retract":
-                released = release(row)
-                if not released:
-                    if released is None:
-                        if pending_inserts is None:
-                            pending_inserts = {
-                                (op[1], row_key(tuple(op[2])))
-                                for op in requeue
-                                if op[0] == "insert"
-                            }
+                rows, stale = table.release_run(rows)
+                if stale:
+                    if pending_inserts is None:
+                        pending_inserts = {
+                            (op[1], row_key(tuple(op[2]))) for op in requeue if op[0] == "insert"
+                        }
+                    for row in stale:
                         if (predicate, row_key(row)) in pending_inserts:
                             # the retracted row is not the stored one under
                             # its key, but its insertion is still pending in
@@ -483,37 +470,45 @@ class FixpointExecutor:
                             # insert lands or the pair cancels — dropping it
                             # as stale would let the re-insert resurrect a
                             # withdrawn derivation
-                            requeue.append((kind, predicate, values))
+                            requeue.append((kind, predicate, row))
                         # otherwise: stale retraction of an absent/replaced
                         # row, nothing stored to release
-                    continue
             elif kind == "expire":
-                if not table.row_expired(row, now):
-                    continue  # refreshed since the expiry scan queued it
-            elif table.current(row) != row:
-                continue  # forced delete of a row that is gone/replaced
-            elif kind == "displace":
-                # the displacing insertion is already queued and will occupy
-                # the key: refilling would re-derive both tie candidates and
-                # livelock
-                displacing.add((predicate, key_of(row)))
-            try:
-                repeated = row in seen_rows
-                seen_key = row
-            except TypeError:
-                seen_key = row_key(row)
-                repeated = seen_key in seen_rows
-            if repeated:
+                # an expiry refreshed since the scan queued it keeps its row
+                rows = [row for row in rows if table.row_expired(row, now)]
+            else:
+                # a forced removal of a row that is gone or replaced is void
+                current = table.current
+                rows = [row for row in rows if current(row) == row]
+                if kind == "displace":
+                    # the displacing insertion is already queued and will
+                    # occupy the key: refilling would re-derive both tie
+                    # candidates and livelock
+                    key_of = table.key_of
+                    displacing.update([(predicate, key_of(row)) for row in rows])
+            if not rows:
                 continue
-            seen_rows.add(seen_key)
-            if rows is None:
-                rows = removed[predicate] = []
-            rows.append(row)
+            seen_rows = seen.get(predicate)
+            if seen_rows is None:
+                seen_rows = seen[predicate] = set()
+            out = removed.get(predicate)
             # displacements and sweep purges remove *derived* rows: their
             # trace kind is retract
-            decided.append(
-                (now, node_id, predicate, row, "retract" if kind in _DERIVED_REMOVALS else kind)
-            )
+            traced = "retract" if kind in _DERIVED_REMOVALS else kind
+            for row in rows:
+                try:
+                    if row in seen_rows:
+                        continue
+                    seen_rows.add(row)
+                except TypeError:
+                    seen_key = row_key(row)
+                    if seen_key in seen_rows:
+                        continue
+                    seen_rows.add(seen_key)
+                if out is None:
+                    out = removed[predicate] = []
+                out.append(row)
+                decided.append((now, node_id, predicate, row, traced))
         if removed:
             fires, _ = self._triggered(removed)
             view = DeltaIndex(removed, distinct=True)

@@ -80,6 +80,11 @@ def order_key(value: object) -> tuple:
     they were stored.
     """
 
+    kind = type(value)
+    if kind is int:
+        return (1, value)
+    if kind is tuple:
+        return (5, tuple(map(order_key, value)))
     if value is None:
         return (0,)
     if isinstance(value, (tuple, list)):

@@ -714,7 +714,10 @@ class CodegenRule:
             self._full(db, append)
         else:
             delta_fns = self._delta_fns
-            passes = [delta_fns[sid] for sid, pred in self._delta_candidates if pred in view]
+            passes = []
+            for sid, pred in self._delta_candidates:
+                if pred in view:
+                    passes.append(delta_fns[sid])
             seen = None if len(passes) == 1 and view.distinct else set()
             for delta_fn in passes:
                 delta_fn(db, view, seen, append)
@@ -946,6 +949,41 @@ class _SettleEmitter:
         w.emit()
 
     # -- key-scoped derives -------------------------------------------------
+    def _emit_seed(self, w: _Writer, scoped: ScopedDerive) -> None:
+        """Emit the seeding of a key-scoped derive: ``seeded`` (the seed
+        predicate) and ``rows`` (its rows agreeing with one of ``keys``, in
+        key order, then lookup order), through the first seed whose lookup
+        is free (the primary key, or an index that exists), else the first;
+        tables are resolved in seed order."""
+
+        seeds = scoped.seeds
+        w.emit(f"source = table({seeds[0].predicate!r})")
+        if len(seeds) > 1:
+            for n, seed in enumerate(seeds):
+                w.emit(f"if source.has_lookup({seed.positions!r}):")
+                w.indent()
+                w.emit(f"seed = {n}")
+                w.depth -= 1
+                w.emit("else:")
+                w.indent()
+                if n + 1 < len(seeds):
+                    w.emit(f"source = table({seeds[n + 1].predicate!r})")
+            w.emit(f"source = table({seeds[0].predicate!r})")
+            w.emit("seed = 0")
+            w.depth -= len(seeds)
+        for n, seed in enumerate(seeds):
+            if len(seeds) > 1:
+                w.emit("else:" if n == len(seeds) - 1 else f"{'elif' if n else 'if'} seed == {n}:")
+                w.indent()
+            if seed.whole:
+                probes = "keys"
+            else:
+                probes = f"dict.fromkeys([{self._key_expr(seed.slots, 'key')} for key in keys])"
+            w.emit(f"rows = source.lookup_all({seed.positions!r}, {probes})")
+            w.emit(f"seeded = {seed.predicate!r}")
+            if len(seeds) > 1:
+                w.depth -= 1
+
     def _emit_scoped(self, w: _Writer, j: int, scoped: ScopedDerive) -> None:
         """``_scoped{j}(db, keys, stats)``: the rows the rule derives whose
         values at the key positions are among ``keys``, at binding
@@ -963,39 +1001,7 @@ class _SettleEmitter:
             + ", ".join(f"{seed.predicate}{seed.positions!r}" for seed in seeds)
         )
         w.emit("table = db.table")
-        # the first seed whose lookup is free (the primary key, or an index
-        # that exists), else the first; tables are resolved in seed order
-        w.emit(f"source = table({seeds[0].predicate!r})")
-        if len(seeds) > 1:
-            for n, seed in enumerate(seeds):
-                w.emit(f"if source.has_lookup({seed.positions!r}):")
-                w.indent()
-                w.emit(f"seed = {n}")
-                w.depth -= 1
-                w.emit("else:")
-                w.indent()
-                if n + 1 < len(seeds):
-                    w.emit(f"source = table({seeds[n + 1].predicate!r})")
-            w.emit(f"source = table({seeds[0].predicate!r})")
-            w.emit("seed = 0")
-            w.depth -= len(seeds)
-        w.emit("lookup = source.lookup")
-        for n, seed in enumerate(seeds):
-            if len(seeds) > 1:
-                w.emit("else:" if n == len(seeds) - 1 else f"{'elif' if n else 'if'} seed == {n}:")
-                w.indent()
-            if seed.whole:
-                probes = "keys"
-            else:
-                w.emit(f"probes = dict.fromkeys([{self._key_expr(seed.slots, 'key')} for key in keys])")
-                probes = "probes"
-            w.emit(
-                f"rows = [row for values in {probes} "
-                f"for row in lookup({seed.positions!r}, values)]"
-            )
-            w.emit(f"seeded = {seed.predicate!r}")
-            if len(seeds) > 1:
-                w.depth -= 1
+        self._emit_seed(w, scoped)
         w.emit("if not rows:")
         w.indent()
         w.emit("return rows")
@@ -1025,6 +1031,10 @@ class _SettleEmitter:
         return True
 
     def _emit_check(self, w: _Writer, k: int, predicate: str) -> None:
+        """``_check{k}``: each deriving rule seeded under ``keys`` as its
+        key-scoped derive seeds it, and its rows compared, as they come,
+        with the row stored under their key."""
+
         plans = self.plan.key_plans[predicate]
         w.emit(f"def _check{k}(derive, db, keys, node_id, stats):")
         w.indent()
@@ -1032,33 +1042,42 @@ class _SettleEmitter:
             f"# is every {predicate} row stored under keys derivable, and none "
             "derivable under a key that stores none?"
         )
-        w.emit(f"table = db.table({predicate!r})")
-        w.emit("lookup = table.lookup")
-        w.emit("positions = table.keys")
-        w.emit("stored = {key: lookup(positions, key) for key in keys}")
+        w.emit("table = db.table")
+        w.emit(f"held_at = table({predicate!r}).by_key().get")
         w.emit("supported = set()")
         w.emit("unstored = False")
         # every rule is derived before the verdict: a derive builds the
         # indexes its probes need, whatever the verdict
         for scoped in plans:
-            w.emit(f"for values in _scoped{self.scoped_index[id(scoped)]}(derive, db, keys, stats):")
+            self._emit_seed(w, scoped)
+            w.emit("if rows:")
             w.indent()
-            opened = self._emit_location_test(w, scoped.rule, local=True)
+            w.emit("stats.rule_firings += 1")
+            derive = self.derived_index[id(scoped.rule)]
+            w.emit(
+                f"for values in derive[{derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True)):"
+            )
+            w.indent()
             w.emit(f"key = {self._key_expr(scoped.key_positions)}")
-            w.emit("held = stored[key]")
-            w.emit("if not held:")
+            w.emit("if key not in keys:")
+            w.indent()
+            w.emit("continue")
+            w.depth -= 1
+            opened = self._emit_location_test(w, scoped.rule, local=True)
+            w.emit("held = held_at(key)")
+            w.emit("if held is None:")
             w.indent()
             w.emit("unstored = True")
             w.depth -= 1
-            w.emit("elif held[0] == values or _row_key(held[0]) == _row_key(values):")
+            w.emit("elif held == values or _row_key(held) == _row_key(values):")
             w.indent()
             w.emit("supported.add(key)")
-            w.depth -= 2 + opened
+            w.depth -= 3 + opened
         w.emit("if unstored:")
         w.indent()
         w.emit("return False")
         w.depth -= 1
-        w.emit("return all(key in supported for key, held in stored.items() if held)")
+        w.emit("return all(key in supported for key in keys if held_at(key) is not None)")
         w.depth = 0
         w.emit()
 

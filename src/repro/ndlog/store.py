@@ -428,6 +428,29 @@ class Table:
         self._counts[key] = 0
         return True
 
+    def release_run(self, rows: Iterable[tuple]) -> tuple[list[tuple], list[tuple]]:
+        """:meth:`release` each of ``rows`` (tuples), in order; returns
+        ``(released, stale)``: the rows whose last support went (``True``)
+        and the stale retractions (``None``), each in row order."""
+
+        stored = self._rows
+        counts = self._counts
+        key_getter = self._key_getter
+        released: list[tuple] = []
+        stale: list[tuple] = []
+        for row in rows:
+            key = key_getter(row)
+            if stored.get(key) != row:
+                stale.append(row)
+                continue
+            remaining = counts[key] - 1
+            if remaining > 0:
+                counts[key] = remaining
+                continue
+            counts[key] = 0
+            released.append(row)
+        return released, stale
+
     def delete(self, values: Sequence[object]) -> bool:
         """Delete a tuple (by key).  Returns ``True`` if present."""
 
@@ -647,6 +670,26 @@ class Table:
             return (row,) if row is not None else ()
         return self.probe_iter(positions, values)
 
+    def lookup_all(self, positions: tuple[int, ...], probes: Iterable[tuple]) -> list[tuple]:
+        """The rows :meth:`lookup` yields for each of ``probes``, in probe
+        order: one call for a whole set of probes."""
+
+        if positions == self.keys:
+            return [row for row in map(self._rows.get, probes) if row is not None]
+        get = self.index_on(positions).get
+        found: list[tuple] = []
+        for values in probes:
+            bucket = get(values)
+            if bucket:
+                found.extend(bucket.values())
+        return found
+
+    def by_key(self) -> Mapping[tuple, tuple]:
+        """The live primary key → row map, oldest row first.  Read only,
+        and only until the table next changes."""
+
+        return self._rows
+
     def has_lookup(self, positions: tuple[int, ...]) -> bool:
         """Is :meth:`lookup` on ``positions`` free of an index build (they
         are the primary key, or their index already exists)?"""
@@ -688,11 +731,31 @@ class Table:
         return f"Table({self.predicate}, {len(self)} rows)"
 
 
+class _Tables(dict):
+    """A database's predicate → table map: a missing predicate gets an
+    empty, undeclared table (what :meth:`Database.table` returns)."""
+
+    def __missing__(self, predicate: str) -> Table:
+        table = self[predicate] = Table(predicate)
+        return table
+
+
 class Database:
     """A named collection of tables (one per predicate)."""
 
     def __init__(self) -> None:
-        self._tables: dict[str, Table] = {}
+        self._tables: dict[str, Table] = _Tables()
+        #: the predicate's table, created empty on first use — the map's
+        #: own lookup, so the hot paths (generated rules and the settle)
+        #: pay no Python call for it
+        self.table: Callable[[str], Table] = self._tables.__getitem__
+
+    def __getstate__(self) -> dict:
+        return {"_tables": self._tables}
+
+    def __setstate__(self, state: dict) -> None:
+        self._tables = state["_tables"]
+        self.table = self._tables.__getitem__
 
     def declare(
         self,
@@ -715,13 +778,6 @@ class Database:
     def declare_from(self, decl: MaterializeDecl) -> Table:
         table = Table.from_declaration(decl)
         self._tables[decl.predicate] = table
-        return table
-
-    def table(self, predicate: str) -> Table:
-        table = self._tables.get(predicate)
-        if table is None:
-            table = Table(predicate)
-            self._tables[predicate] = table
         return table
 
     def has_table(self, predicate: str) -> bool:
