@@ -42,8 +42,9 @@ from .store import Database
 from .stratification import DependencyGraph, Stratification, needs_recompute, stratify
 
 
-class DeltaIndex:
-    """Per-pass grouped views over semi-naive delta rows.
+class DeltaIndex(dict):
+    """Per-pass grouped views over semi-naive delta rows: a map predicate →
+    delta rows.
 
     Delta relations are small but are matched once per outer binding, so the
     same hash-grouping used for stored tables pays off: rows are grouped by
@@ -58,25 +59,22 @@ class DeltaIndex:
     the caller must not mutate them while the view is in use.
     """
 
+    __slots__ = ("_groups", "distinct")
+
     def __init__(
         self, delta: Mapping[str, Iterable[tuple]], *, distinct: bool = False
     ) -> None:
-        self._rows: dict[str, Sequence[tuple]] = (
-            dict(delta)
+        dict.__init__(
+            self,
+            delta
             if distinct
-            else {
-                predicate: [tuple(row) for row in rows]
-                for predicate, rows in delta.items()
-            }
+            else {predicate: [tuple(row) for row in rows] for predicate, rows in delta.items()},
         )
         self._groups: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
         self.distinct = distinct
 
-    def __contains__(self, predicate: str) -> bool:
-        return predicate in self._rows
-
     def rows(self, predicate: str) -> Sequence[tuple]:
-        return self._rows.get(predicate, ())
+        return self.get(predicate, ())
 
     def groups(
         self, predicate: str, positions: tuple[int, ...]
@@ -97,7 +95,7 @@ class DeltaIndex:
             # itemgetter builds a multi-position key in C; one position
             # would come back bare, so that key is wrapped by hand
             getter = itemgetter(*positions) if len(positions) > 1 else None
-            for row in self._rows.get(predicate, ()):
+            for row in self.get(predicate, ()):
                 if last >= len(row):
                     continue
                 group_key = getter(row) if getter is not None else (row[last],)

@@ -153,7 +153,9 @@ class Table:
         #: back, which is what FIFO eviction, expiry scans and every index
         #: bucket see)
         self._rows: dict[tuple, tuple] = {}
-        #: primary key → number of supports observed for the current row
+        #: primary key → number of supports observed for the current row,
+        #: for a row that does not have exactly one (a stored row's count
+        #: is ``_counts.get(key, 1)``), so storing a new row writes no count
         self._counts: dict[tuple, int] = {}
         #: soft state only: primary key → expiry deadline, written and
         #: popped with ``_rows`` so both iterate in the same key order
@@ -241,12 +243,11 @@ class Table:
         if existing is not None:
             if existing != row:
                 return False, existing
-            self._counts[key] += 1
+            self._counts[key] = self._counts.get(key, 1) + 1
             if deadlines is not None:
                 deadlines[key] = now + self.lifetime
             return False, None
         rows[key] = row
-        self._counts[key] = 1
         if deadlines is not None:
             deadlines[key] = now + self.lifetime
         if self._upkeep:
@@ -294,7 +295,6 @@ class Table:
             existing = rows.get(key)
             if existing is None:
                 rows[key] = row
-                counts[key] = 1
                 if upkeep:
                     n = len(row)
                     for need, getter, buckets in upkeep:
@@ -311,7 +311,7 @@ class Table:
                             bucket[key] = row
                 append(row)
             elif existing == row:
-                counts[key] += 1
+                counts[key] = counts.get(key, 1) + 1
             else:
                 displaced.append((row, existing))
         return inserted, displaced
@@ -341,13 +341,12 @@ class Table:
             existing = _rows.get(key)
             if existing is not None:
                 if existing == row:
-                    counts[key] += 1
+                    counts[key] = counts.get(key, 1) + 1
                     if deadlines is not None:
                         deadlines[key] = expires
                     continue
                 self._remove(key)  # a rebind appends the row as a new one
             _rows[key] = row
-            counts[key] = 1
             if deadlines is not None:
                 deadlines[key] = expires
             if self._upkeep:
@@ -368,7 +367,7 @@ class Table:
         """Drop the row stored under ``key`` with all its bookkeeping."""
 
         row = self._rows.pop(key)
-        del self._counts[key]
+        self._counts.pop(key, None)
         if self._deadlines is not None:
             del self._deadlines[key]
         self._index_remove(key, row)
@@ -382,7 +381,8 @@ class Table:
     def count_of(self, values: Sequence[object]) -> int:
         """Supports observed for the row stored under the key of ``values``."""
 
-        return self._counts.get(self._key_getter(tuple(values)), 0)
+        key = self._key_getter(tuple(values))
+        return self._counts.get(key, 1) if key in self._rows else 0
 
     def refresh(self, values: Sequence[object], now: float) -> bool:
         """Extend the lifetime of an identical stored row without counting.
@@ -421,7 +421,7 @@ class Table:
         key = self._key_getter(row)
         if self._rows.get(key) != row:
             return None
-        remaining = self._counts[key] - 1
+        remaining = self._counts.get(key, 1) - 1
         if remaining > 0:
             self._counts[key] = remaining
             return False
@@ -443,7 +443,7 @@ class Table:
             if stored.get(key) != row:
                 stale.append(row)
                 continue
-            remaining = counts[key] - 1
+            remaining = counts.get(key, 1) - 1
             if remaining > 0:
                 counts[key] = remaining
                 continue
@@ -475,7 +475,7 @@ class Table:
             row = stored.pop(key, None)
             if row is None:
                 continue
-            del counts[key]
+            counts.pop(key, None)
             if deadlines is not None:
                 del deadlines[key]
             if upkeep:
@@ -549,7 +549,7 @@ class Table:
         order the live ones iterate."""
 
         counts = self._counts
-        rows = [(key, row, counts[key]) for key, row in self._rows.items()]
+        rows = [(key, row, counts.get(key, 1)) for key, row in self._rows.items()]
         deadlines = (
             None if self._deadlines is None else list(self._deadlines.values())
         )
@@ -560,7 +560,7 @@ class Table:
 
         rows, deadlines, positions = state
         self._rows = {key: row for key, row, _ in rows}
-        self._counts = {key: count for key, _, count in rows}
+        self._counts = {key: count for key, _, count in rows if count != 1}
         if self._deadlines is not None:
             self._deadlines = dict(zip(self._rows, deadlines))
         self._indexes = {}
