@@ -61,47 +61,56 @@ from .node import Node
 #: lifetime-checked) / displace (forced, key-marked) / purge (forced,
 #: consistency-sweep removal of an underivable derived row)
 Op = tuple[str, str, tuple]
+#: a settle's queue holds its ops in runs: ``(kind, predicate, rows)``
+#: stands for one op ``(kind, predicate, row)`` per row, in row order
+Run = tuple[str, str, list]
 #: a net send of a settle: ``(dst, predicate, values, kind)``
 Send = tuple[object, str, tuple, str]
 
-_PREDICATE = itemgetter(1)
 _VALUES = itemgetter(2)
 _KIND_PREDICATE = itemgetter(0, 1)
 #: removals of derived rows, traced as ``retract``
 _DERIVED_REMOVALS = frozenset(("displace", "purge"))
 
 
-def _take_round(queue: deque) -> tuple[list[Op], list[Op]]:
-    """Take the next round's ops off ``queue``: ``(inserts, deletions)`` of
-    the FIFO prefix up to the first op whose ``(predicate, row)`` the prefix
-    already holds in the other direction.
+def _runs(ops: Iterable[Op]) -> Iterable[Run]:
+    """``ops`` as runs: each maximal stretch of one kind and predicate."""
+
+    for (kind, predicate), stretch in groupby(ops, _KIND_PREDICATE):
+        yield kind, predicate, list(map(_VALUES, stretch))
+
+
+def _take_round(queue: deque) -> tuple[list[Run], list[Run]]:
+    """Take the next round's runs off ``queue``: ``(inserts, deletions)``
+    of the FIFO prefix of its ops up to the first op whose ``(predicate,
+    row)`` the prefix already holds in the other direction.
 
     A queue none of whose rows is both inserted and removed is taken whole;
-    only one that has such a row is walked op by op for the cut.
-    Cancellation keys hash ``(predicate, row)`` as it is; a row holding an
-    unhashable value is keyed by its ``row_key``.
+    only one that has such a row is walked op by op for the cut, which
+    may split a run.  Cancellation keys hash ``(predicate, row)`` as it
+    is; a row holding an unhashable value is keyed by its ``row_key``.
     """
 
-    ins_ops: list[Op] = []
-    del_ops: list[Op] = []
-    for op in queue:
-        (ins_ops if op[0] == "insert" else del_ops).append(op)
-    if ins_ops and del_ops:
+    ins_runs: list[Run] = []
+    del_runs: list[Run] = []
+    for run in queue:
+        (ins_runs if run[0] == "insert" else del_runs).append(run)
+    if ins_runs and del_runs:
         # only a row both inserted and removed can be a cut: hash the
         # removed rows, and the inserted ones of predicates that lose rows
         removed: dict[str, set] = {}
         try:
-            for _, predicate, values in del_ops:
-                rows = removed.get(predicate)
-                if rows is None:
-                    removed[predicate] = {values}
+            for _, predicate, rows in del_runs:
+                held = removed.get(predicate)
+                if held is None:
+                    removed[predicate] = set(rows)
                 else:
-                    rows.add(values)
+                    held.update(rows)
             cut = False
             get = removed.get
-            for _, predicate, values in ins_ops:
-                rows = get(predicate)
-                if rows is not None and values in rows:
+            for _, predicate, rows in ins_runs:
+                held = get(predicate)
+                if held is not None and not held.isdisjoint(rows):
                     cut = True
                     break
         except TypeError:
@@ -109,24 +118,27 @@ def _take_round(queue: deque) -> tuple[list[Op], list[Op]]:
         if cut:
             # before the cut every key has one direction, so the direction
             # it was first seen in tells whether an op is the cut
-            ins_ops, del_ops = [], []
+            ins_runs, del_runs = [], []
             first: dict[tuple, bool] = {}
-            for op in queue:
-                inserting = op[0] == "insert"
-                key = (op[1], op[2])
-                try:
-                    seen = first.setdefault(key, inserting)
-                except TypeError:
-                    seen = first.setdefault((op[1], row_key(tuple(op[2]))), inserting)
-                if seen is not inserting:
-                    break
-                (ins_ops if inserting else del_ops).append(op)
-            popleft = queue.popleft
-            for _ in range(len(ins_ops) + len(del_ops)):
-                popleft()
-            return ins_ops, del_ops
+            for taken, (kind, predicate, rows) in enumerate(queue):
+                inserting = kind == "insert"
+                for at, row in enumerate(rows):
+                    try:
+                        seen = first.setdefault((predicate, row), inserting)
+                    except TypeError:
+                        seen = first.setdefault((predicate, row_key(tuple(row))), inserting)
+                    if seen is not inserting:
+                        if at:
+                            (ins_runs if inserting else del_runs).append(
+                                (kind, predicate, rows[:at])
+                            )
+                        queue[taken] = (kind, predicate, rows[at:])
+                        for _ in range(taken):
+                            queue.popleft()
+                        return ins_runs, del_runs
+                (ins_runs if inserting else del_runs).append((kind, predicate, rows))
     queue.clear()
-    return ins_ops, del_ops
+    return ins_runs, del_runs
 
 
 class FixpointExecutor:
@@ -274,7 +286,7 @@ class FixpointExecutor:
         empty), restoring exact local consistency at every settle point.
         """
 
-        queue: deque[Op] = deque(ops)
+        queue: deque[Run] = deque(_runs(ops))
         changed: set[str] = set()
         deleted: set[str] = set()
         #: rows inserted or removed since the last aggregate pass, of the
@@ -302,18 +314,18 @@ class FixpointExecutor:
                         self._consistency_sweep(node, deleted, queue, now)
                     deleted = set()
                 continue
-            ins_ops, del_ops = _take_round(queue)
+            ins_runs, del_runs = _take_round(queue)
             rounds += 1
-            if del_ops:
+            if del_runs:
                 removed = self._deletion_subround(
-                    node, del_ops, queue, now, touched, changes, outbox
+                    node, del_runs, queue, now, touched, changes, outbox
                 )
                 changed.update(removed)
                 deleted.update(removed)
                 for predicate in view_reads.intersection(removed):
                     moved.setdefault(predicate, []).extend(removed[predicate])
-            if ins_ops:
-                inserted = self._insertion_subround(node, ins_ops, queue, now, changes, outbox)
+            if ins_runs:
+                inserted = self._insertion_subround(node, ins_runs, queue, now, changes, outbox)
                 changed.update(inserted)
                 for predicate in view_reads.intersection(inserted):
                     moved.setdefault(predicate, []).extend(inserted[predicate])
@@ -418,7 +430,7 @@ class FixpointExecutor:
     def _deletion_subround(
         self,
         node: Node,
-        del_ops,
+        del_runs,
         requeue,
         now: float,
         touched: dict[str, set[tuple]],
@@ -447,10 +459,9 @@ class FixpointExecutor:
         sweepable = self._sweep_rules
         db = node.db
         node_id = node.id
-        for (kind, predicate), run in groupby(del_ops, _KIND_PREDICATE):
-            # one pass per same-kind, same-predicate run of ops
+        for kind, predicate, rows in del_runs:
             table = db.table(predicate)
-            rows = [tuple(values) for _, _, values in run]
+            rows = list(map(tuple, rows))
             if predicate in sweepable:
                 touched.setdefault(predicate, set()).update(map(table.key_of, rows))
             if kind == "retract":
@@ -458,8 +469,12 @@ class FixpointExecutor:
                 if stale:
                     if pending_inserts is None:
                         pending_inserts = {
-                            (op[1], row_key(tuple(op[2]))) for op in requeue if op[0] == "insert"
+                            (queued, row_key(tuple(values)))
+                            for kind_queued, queued, rows_queued in requeue
+                            if kind_queued == "insert"
+                            for values in rows_queued
                         }
+                    deferred = []
                     for row in stale:
                         if (predicate, row_key(row)) in pending_inserts:
                             # the retracted row is not the stored one under
@@ -470,9 +485,11 @@ class FixpointExecutor:
                             # insert lands or the pair cancels — dropping it
                             # as stale would let the re-insert resurrect a
                             # withdrawn derivation
-                            requeue.append((kind, predicate, row))
+                            deferred.append(row)
                         # otherwise: stale retraction of an absent/replaced
                         # row, nothing stored to release
+                    if deferred:
+                        requeue.append((kind, predicate, deferred))
             elif kind == "expire":
                 # an expiry refreshed since the scan queued it keeps its row
                 rows = [row for row in rows if table.row_expired(row, now)]
@@ -564,7 +581,7 @@ class FixpointExecutor:
             refill(node.db, keys, requeue, node.id, node.stats)
 
     def _insertion_subround(
-        self, node: Node, ins_ops, requeue, now: float, changes: list, outbox: dict
+        self, node: Node, ins_runs, requeue, now: float, changes: list, outbox: dict
     ) -> dict[str, list[tuple]]:
         """One insertion round: apply, fire insertion deltas, dispatch.
 
@@ -580,11 +597,11 @@ class FixpointExecutor:
         stats = node.stats
         node_id = node.id
         record = changes.append
-        for predicate, run in groupby(ins_ops, _PREDICATE):
-            # ops come in same-predicate runs (a configuration burst, a
-            # message wave): one upsert call per run
+        for _, predicate, run in ins_runs:
+            # one upsert call per run (a configuration burst, a message
+            # wave, a rule's local head rows)
             table = db.table(predicate)
-            inserted, displaced = table.upsert_run(map(_VALUES, run), now)
+            inserted, displaced = table.upsert_run(run, now)
             if displaced:
                 # keyed displacement (e.g. a link cost change): retract the
                 # displaced row's consequences before re-inserting, and
@@ -593,8 +610,8 @@ class FixpointExecutor:
                 key_of = table.key_of
                 for row, occupant in displaced:
                     marks.add(key_of(row))
-                    requeue.append(("displace", predicate, occupant))
-                    requeue.append(("insert", predicate, row))
+                    requeue.append(("displace", predicate, [occupant]))
+                    requeue.append(("insert", predicate, [row]))
             if inserted:
                 stats.tuples_inserted += len(inserted)
                 kind = "replace" if table.keys else "insert"

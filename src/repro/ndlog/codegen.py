@@ -902,23 +902,29 @@ class _SettleEmitter:
     # -- routing ------------------------------------------------------------
     def _emit_routing(self, w: _Writer, rule: Rule, rows: str) -> None:
         """Route ``rows`` (a source expression) as the heads of ``rule``:
-        local rows join the op queue as ``op``, remote rows count under
-        ``side`` in the outbox entry ``[asserts, retracts, dst, predicate,
-        values]`` keyed ``(dst, predicate, row)`` — by the row's
-        ``row_key`` when it holds an unhashable value."""
+        local rows join the node's queue as one run ``(op, predicate,
+        rows)``, remote rows count under ``side`` in the outbox entry
+        ``[asserts, retracts, dst, predicate, values]`` keyed ``(dst,
+        predicate, row)`` — by the row's ``row_key`` when it holds an
+        unhashable value."""
 
         predicate = repr(rule.head.predicate)
         location = rule.head.location
         if location is None:
-            w.emit(f"queue.extend([(op, {predicate}, values) for values in {rows}])")
+            w.emit(f"local = list({rows})")
+            w.emit("if local:")
+            w.indent()
+            w.emit(f"queue.append((op, {predicate}, local))")
+            w.depth -= 1
             return
-        w.emit("append = queue.append")
+        w.emit("local = []")
+        w.emit("keep = local.append")
         w.emit(f"for values in {rows}:")
         w.indent()
         w.emit(f"destination = values[{location}]")
         w.emit("if destination is None or destination == node_id:")
         w.indent()
-        w.emit(f"append((op, {predicate}, values))")
+        w.emit("keep(values)")
         w.emit("continue")
         w.depth -= 1
         w.emit(f"entry = [0, 0, destination, {predicate}, values]")
@@ -931,6 +937,11 @@ class _SettleEmitter:
         w.emit(f"entry = outbox.setdefault((destination, {predicate}, _row_key(values)), entry)")
         w.depth -= 1
         w.emit("entry[side] += 1")
+        w.depth -= 1
+        w.emit("if local:")
+        w.indent()
+        w.emit(f"queue.append((op, {predicate}, local))")
+        w.depth -= 1
 
     def _emit_fire(self, w: _Writer, i: int, rule: Rule) -> None:
         w.emit(f"def _fire{i}(derive, db, view, queue, outbox, node_id, op, side):")
@@ -1099,23 +1110,21 @@ class _SettleEmitter:
             w.emit("derivable[_row_key(values)] = values")
             w.depth -= 1 + opened
         w.emit("stored = {_row_key(row): row for row in table.rows()}")
-        w.emit("progressed = False")
-        w.emit("for key, row in stored.items():")
+        w.emit("purged = [row for key, row in stored.items() if key not in derivable]")
+        w.emit("if purged:")
         w.indent()
-        w.emit("if key not in derivable:")
-        w.indent()
-        w.emit(f"queue.append(('purge', {predicate!r}, row))")
-        w.emit("progressed = True")
-        w.depth -= 2
+        w.emit(f"queue.append(('purge', {predicate!r}, purged))")
+        w.depth -= 1
         w.emit("current = table.current")
-        w.emit("for key, row in derivable.items():")
+        w.emit(
+            "restored = [row for key, row in derivable.items() "
+            "if key not in stored and current(row) is None]"
+        )
+        w.emit("if restored:")
         w.indent()
-        w.emit("if key not in stored and current(row) is None:")
-        w.indent()
-        w.emit(f"queue.append(('insert', {predicate!r}, row))")
-        w.emit("progressed = True")
-        w.depth -= 2
-        w.emit("return progressed")
+        w.emit(f"queue.append(('insert', {predicate!r}, restored))")
+        w.depth -= 1
+        w.emit("return bool(purged or restored)")
         w.depth = 0
         w.emit()
 
@@ -1130,6 +1139,7 @@ class _SettleEmitter:
         )
         w.emit(f"table = db.table({predicate!r})")
         w.emit("current = table.current")
+        w.emit("found = []")
         if keyed:
             w.emit("ordered = dict.fromkeys(sorted(keys, key=_order_key))")
             sources = [
@@ -1150,8 +1160,11 @@ class _SettleEmitter:
             opened = self._emit_location_test(w, rule, local=False)
             w.emit(f"if {self._key_expr(positions)} in keys and current(values) is None:")
             w.indent()
-            w.emit(f"queue.append(('insert', {predicate!r}, values))")
+            w.emit("found.append(values)")
             w.depth -= 2 + opened
+        w.emit("if found:")
+        w.indent()
+        w.emit(f"queue.append(('insert', {predicate!r}, found))")
         w.depth = 0
         w.emit()
 
