@@ -80,6 +80,24 @@ def _runs(ops: Iterable[Op]) -> Iterable[Run]:
         yield kind, predicate, list(map(_VALUES, stretch))
 
 
+def _merged(runs: list[Run]) -> list[Run]:
+    """``runs`` with each stretch of one kind and predicate joined into
+    one run (a round takes one direction of its queue, so runs that other
+    ops separated there now follow each other)."""
+
+    if len(runs) < 2:
+        return runs
+    out: list[Run] = []
+    for (kind, predicate), stretch in groupby(runs, _KIND_PREDICATE):
+        first = next(stretch)
+        more = list(stretch)
+        if more:
+            out.append((kind, predicate, first[2] + [row for run in more for row in run[2]]))
+        else:
+            out.append(first)
+    return out
+
+
 def _take_round(queue: deque) -> tuple[list[Run], list[Run]]:
     """Take the next round's runs off ``queue``: ``(inserts, deletions)``
     of the FIFO prefix of its ops up to the first op whose ``(predicate,
@@ -87,7 +105,8 @@ def _take_round(queue: deque) -> tuple[list[Run], list[Run]]:
 
     A queue none of whose rows is both inserted and removed is taken whole;
     only one that has such a row is walked op by op for the cut, which
-    may split a run.  Cancellation keys hash ``(predicate, row)`` as it
+    may split a run.  Each direction's runs come back merged
+    (:func:`_merged`).  Cancellation keys hash ``(predicate, row)`` as it
     is; a row holding an unhashable value is keyed by its ``row_key``.
     """
 
@@ -135,10 +154,10 @@ def _take_round(queue: deque) -> tuple[list[Run], list[Run]]:
                         queue[taken] = (kind, predicate, rows[at:])
                         for _ in range(taken):
                             queue.popleft()
-                        return ins_runs, del_runs
+                        return _merged(ins_runs), _merged(del_runs)
                 (ins_runs if inserting else del_runs).append((kind, predicate, rows))
     queue.clear()
-    return ins_runs, del_runs
+    return _merged(ins_runs), _merged(del_runs)
 
 
 class FixpointExecutor:
