@@ -48,7 +48,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
-from ..ndlog.aggregates import aggregate_rows, group_rows, order_key
+from ..ndlog.aggregates import group_rows, order_key
 from ..ndlog.ast import Program, Rule
 from ..ndlog.codegen import compile_settle
 from ..ndlog.plan import NEGATION_DELTA_SUFFIX, settle_plan
@@ -189,10 +189,6 @@ class FixpointExecutor:
         self._sweep_rules = plan.sweep_rules
         self._sweep_bodies = plan.sweep_bodies
         self._sweep_plans = plan.sweep_plans
-        #: aggregate rule identity → (group plan, its key-scoped derive)
-        self._view_plans = {
-            rule_id: (view, code.refold[rule_id]) for rule_id, view in plan.view_plans.items()
-        }
         self._view_reads = plan.view_reads
         #: predicates seeded with base facts (injected, not derived): the
         #: sweep must never judge them by rule derivability
@@ -726,33 +722,12 @@ class FixpointExecutor:
         """The group keys of aggregate ``rule`` that ``moved`` rows can
         change, or ``None`` when the whole rule must be re-fired (no group
         plan, or a moved predicate read by a literal that does not bind the
-        group).  A row whose value the group's ``memo`` value outranks
+        group): the rule's generated ``_moved`` function.  A row whose
+        value the group's ``memo`` value outranks
         (:class:`~repro.ndlog.plan.ViewPlan`) names no group."""
 
-        entry = self._view_plans.get(id(rule))
-        if entry is None:
-            return None
-        plan = entry[0]
-        outranked, held_at = plan.outranked, plan.value_at
-        groups: set[tuple] = set()
-        for predicate, readers in plan.group_of.items():
-            rows = moved.get(predicate)
-            if not rows:
-                continue
-            if readers is None:
-                return None
-            for getter, value_at in readers:
-                if outranked is None or value_at is None:
-                    groups.update(map(getter, rows))
-                    continue
-                for row in rows:
-                    group = getter(row)
-                    if group in groups:
-                        continue
-                    held = memo.get(group)
-                    if held is None or not outranked(row[value_at], held[held_at]):
-                        groups.add(group)
-        return groups
+        groups_of = self._code.moved.get(id(rule))
+        return None if groups_of is None else groups_of(moved, memo)
 
     def _view_diff(
         self,
@@ -768,25 +743,19 @@ class FixpointExecutor:
         in :func:`order_key` order of the group keys.  Reads the memo,
         changes nothing.
 
-        A scoped re-fold derives the rule's plain-head variant under
-        ``groups`` (its generated key-scoped derive) and folds the bindings
-        with ``aggregate_rows``, exactly as a whole firing folds all of
-        them.
+        A scoped re-fold is the rule's generated ``_refold``: it derives the
+        rule's plain-head variant under ``groups`` and folds the bindings
+        exactly as a whole firing folds all of them.
         """
 
-        head = rule.head
-        if groups is None:
-            node.stats.rule_firings += 1
-            fresh = group_rows(head, self.rule_engine.fire_rule(rule, node.db))
-            candidates: Iterable[tuple] = memo.keys() | fresh.keys()
-        elif not groups:
-            return [], [], {}
+        if not groups:
+            if groups is not None:
+                return [], [], {}
         else:
-            plan, refold = self._view_plans[id(rule)]
-            group_key = plan.group_key
-            bindings = refold(node.db, groups, node.stats)
-            fresh = {group_key(row): row for row in aggregate_rows(head, bindings)}
-            candidates = groups
+            return self._code.refold[id(rule)](node.db, memo, groups, node.stats)
+        node.stats.rule_firings += 1
+        fresh = group_rows(rule.head, self.rule_engine.fire_rule(rule, node.db))
+        candidates = memo.keys() | fresh.keys()
         changed = [group for group in candidates if memo.get(group) != fresh.get(group)]
         if len(changed) > 1:
             changed.sort(key=order_key)

@@ -55,6 +55,7 @@ from .plan import (
     RuleLayout,
     ScopedDerive,
     SettlePlan,
+    ViewPlan,
     key_positions,
     rule_layout,
 )
@@ -836,11 +837,10 @@ class _SettleEmitter:
     def __init__(self, plan: SettlePlan) -> None:
         self.plan = plan
         self.derived_index = {id(rule): i for i, rule in enumerate(plan.derived)}
-        #: every key-scoped derive: keyed predicates' rules, then group
-        #: plans, in plan order
+        #: every key-scoped derive of a keyed predicate's rule, in plan order
         self.scoped: list[ScopedDerive] = [
             scoped for plans in plan.key_plans.values() for scoped in plans
-        ] + [view.scoped for view in plan.view_plans.values()]
+        ]
         self.scoped_index = {id(scoped): j for j, scoped in enumerate(self.scoped)}
         #: the position tuples the source reads through an ``itemgetter``
         self.getters: set[tuple[int, ...]] = set()
@@ -870,6 +870,10 @@ class _SettleEmitter:
         for r, rule in enumerate(program.rules):
             if rule.head.has_aggregate:
                 self._emit_route(w, r, rule)
+                view = plan.view_plans.get(id(rule))
+                if view is not None:
+                    self._emit_moved(w, r, rule, view)
+                    self._emit_refold(w, r, rule, view)
         for j, scoped in enumerate(self.scoped):
             self._emit_scoped(w, j, scoped)
         for k, predicate in enumerate(plan.sweep_rules):
@@ -881,7 +885,9 @@ class _SettleEmitter:
         w.emit(f"FIRE = ({''.join(f'_fire{i}, ' for i in range(variants))})")
         routes = [r for r, rule in enumerate(program.rules) if rule.head.has_aggregate]
         w.emit("ROUTE = {" + ", ".join(f"{r}: _route{r}" for r in routes) + "}")
-        w.emit(f"SCOPED = ({''.join(f'_scoped{j}, ' for j in range(len(self.scoped)))})")
+        views = [r for r in routes if id(program.rules[r]) in plan.view_plans]
+        w.emit("MOVED = {" + ", ".join(f"{r}: _moved{r}" for r in views) + "}")
+        w.emit("REFOLD = {" + ", ".join(f"{r}: _refold{r}" for r in views) + "}")
         checks = [
             f"{predicate!r}: _check{k}"
             for k, predicate in enumerate(plan.sweep_rules)
@@ -956,6 +962,142 @@ class _SettleEmitter:
         w.indent()
         w.emit(f"# {rule.name}: route changed {rule.head.predicate} groups")
         self._emit_routing(w, rule, "rows")
+        w.depth = 0
+        w.emit()
+
+    # -- group-maintained aggregates ------------------------------------------
+    def _emit_moved(self, w: _Writer, r: int, rule: Rule, view: ViewPlan) -> None:
+        """``_moved{r}(moved, memo)``: the group keys that the body rows in
+        ``moved`` (predicate → rows inserted or removed) can change, or
+        ``None`` when the whole rule must be re-fired (a moved predicate
+        read by a literal that does not bind the group).  A row whose
+        aggregated value the group's ``memo`` row outranks names no
+        group."""
+
+        w.emit(f"def _moved{r}(moved, memo):")
+        w.indent()
+        w.emit(f"# {rule.name}: the {rule.head.predicate} groups moved body rows can change")
+        for predicate, readers in view.group_of.items():
+            if readers is None:
+                w.emit(f"if moved.get({predicate!r}):")
+                w.indent()
+                w.emit("return None")
+                w.depth -= 1
+        w.emit("groups = set()")
+        for predicate, readers in view.group_of.items():
+            if readers is None:
+                continue
+            w.emit(f"rows = moved.get({predicate!r})")
+            w.emit("if rows:")
+            w.indent()
+            for positions, value_at in readers:
+                group = self._key_expr(positions, "row")
+                if view.outranked is None or value_at is None:
+                    w.emit(f"groups.update([{group} for row in rows])")
+                    continue
+                w.emit("for row in rows:")
+                w.indent()
+                w.emit(f"group = {group}")
+                w.emit("if group in groups:")
+                w.indent()
+                w.emit("continue")
+                w.depth -= 1
+                w.emit("held = memo.get(group)")
+                w.emit(
+                    f"if held is None or not (row[{value_at}] {view.outranked} "
+                    f"held[{view.value_at}]):"
+                )
+                w.indent()
+                w.emit("groups.add(group)")
+                w.depth -= 2
+            w.depth -= 1
+        w.emit("return groups")
+        w.depth = 0
+        w.emit()
+
+    def _emit_refold(self, w: _Writer, r: int, rule: Rule, view: ViewPlan) -> None:
+        """``_refold{r}(db, memo, keys, stats)``: ``(removed, added,
+        fresh)`` of the groups ``keys``: the rule's plain-head variant is
+        derived under the keys (seeded as a key-scoped derive is), its
+        bindings folded per group as a whole firing folds them, and the
+        memo rows and fresh rows of the groups whose row changed returned
+        in ``order_key`` order of their keys."""
+
+        head = rule.head
+        group = view.scoped.key_positions
+        aggregates = head.aggregates
+        derive = self.derived_index[id(view.scoped.rule)]
+        w.emit(f"def _refold{r}(derive, db, memo, keys, stats):")
+        w.indent()
+        w.emit(f"# {rule.name}: re-fold the {head.predicate} groups under keys")
+        w.emit("table = db.table")
+        self._emit_seed(w, view.scoped)
+        w.emit("folded = {}")
+        w.emit("if rows:")
+        w.indent()
+        w.emit("stats.rule_firings += 1")
+        w.emit(f"for values in derive[{derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True)):")
+        w.indent()
+        w.emit(f"key = {self._key_expr(group)}")
+        w.emit("if key not in keys:")
+        w.indent()
+        w.emit("continue")
+        w.depth -= 1
+        if len(aggregates) == 1:
+            # one aggregate: the running value itself, as aggregate_rows folds it
+            (index, aggregate), = aggregates
+            if aggregate.function == "count":
+                w.emit("folded[key] = folded.get(key, 0) + 1")
+            else:
+                compare = "<" if aggregate.function == "min" else ">"
+                w.emit(f"value = values[{index}]")
+                w.emit("current = folded.get(key, _MISSING)")
+                w.emit(f"if current is _MISSING or value {compare} current:")
+                w.indent()
+                w.emit("folded[key] = value")
+                w.depth -= 1
+            values_of = {index: "value"}
+            source = "value"
+        else:
+            # several: one accumulator per aggregate, a count as its tally
+            starts = ", ".join(
+                "1" if agg.function == "count" else f"values[{index}]"
+                for index, agg in aggregates
+            )
+            w.emit("acc = folded.get(key)")
+            w.emit("if acc is None:")
+            w.indent()
+            w.emit(f"folded[key] = [{starts}]")
+            w.emit("continue")
+            w.depth -= 1
+            for k, (index, agg) in enumerate(aggregates):
+                if agg.function == "count":
+                    w.emit(f"acc[{k}] += 1")
+                    continue
+                compare = "<" if agg.function == "min" else ">"
+                w.emit(f"if values[{index}] {compare} acc[{k}]:")
+                w.indent()
+                w.emit(f"acc[{k}] = values[{index}]")
+                w.depth -= 1
+            values_of = {index: f"value[{k}]" for k, (index, _) in enumerate(aggregates)}
+            source = "value"
+        row = ", ".join(
+            f"key[{group.index(position)}]" if position in group else values_of[position]
+            for position in range(head.arity)
+        )
+        if head.arity == 1:
+            row += ","
+        w.depth -= 2
+        w.emit(f"fresh = {{key: ({row}) for key, {source} in folded.items()}}")
+        w.emit("changed = [group for group in keys if memo.get(group) != fresh.get(group)]")
+        w.emit("if len(changed) > 1:")
+        w.indent()
+        w.emit("changed.sort(key=_order_key)")
+        w.depth -= 1
+        w.emit(
+            "return [memo[group] for group in changed if group in memo], "
+            "[fresh[group] for group in changed if group in fresh], fresh"
+        )
         w.depth = 0
         w.emit()
 
@@ -1183,13 +1325,15 @@ class SettleCode(NamedTuple):
     view (the non-aggregate rules and their negation-delta variants) to
     ``fire(db, view, queue, outbox, node_id, op, side)``; ``route`` each
     aggregate rule to ``route(rows, queue, outbox, node_id, op, side)``;
-    ``refold`` each group-maintained aggregate rule to its key-scoped
-    derive ``(db, keys, stats) -> rows``.  ``check`` / ``sweep`` map
-    sweepable predicates, ``refill`` derived ones.  Rules are keyed by
+    ``moved`` each group-maintained aggregate rule to ``moved(moved, memo)
+    -> groups`` (``None``: re-fire whole) and ``refold`` to ``refold(db,
+    memo, keys, stats) -> (removed, added, fresh)``.  ``check`` / ``sweep``
+    map sweepable predicates, ``refill`` derived ones.  Rules are keyed by
     identity (``id``)."""
 
     fire: dict[int, Callable]
     route: dict[int, Callable]
+    moved: dict[int, Callable]
     refold: dict[int, Callable]
     check: dict[str, Callable]
     sweep: dict[str, Callable]
@@ -1207,8 +1351,7 @@ def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
     ``rule_engine``: each derived rule is called through the engine's
     ``deriver`` (for generated rules, compiled now, off the hot path)."""
 
-    emitter = _SettleEmitter(plan)
-    source = emitter.source
+    source = generate_settle_source(plan)
     namespace = _SETTLE_CACHE.get(source)
     if namespace is None:
         from .aggregates import order_key
@@ -1221,6 +1364,7 @@ def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
             "_itemgetter": itemgetter,
             "_row_key": row_key,
             "_order_key": order_key,
+            "_MISSING": object(),
         }
         exec(compile(source, f"<settle:{plan.program.name}>", "exec"), namespace)
         _SETTLE_CACHE[source] = namespace
@@ -1233,12 +1377,11 @@ def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
 
     rules = plan.program.rules
     derived = plan.derived
-    scoped = bound(namespace["SCOPED"])
-    scoped_of = {id(item): fn for item, fn in zip(emitter.scoped, scoped)}
     return SettleCode(
         fire={id(derived[i]): fn for i, fn in enumerate(bound(namespace["FIRE"]))},
         route={id(rules[r]): fn for r, fn in namespace["ROUTE"].items()},
-        refold={rule: scoped_of[id(view.scoped)] for rule, view in plan.view_plans.items()},
+        moved={id(rules[r]): fn for r, fn in namespace["MOVED"].items()},
+        refold={id(rules[r]): fn for r, fn in bound(namespace["REFOLD"]).items()},
         check=bound(namespace["CHECK"]),
         sweep=bound(namespace["SWEEP"]),
         refill=bound(namespace["REFILL"]),

@@ -22,13 +22,11 @@ interpreter (:mod:`repro.ndlog.reference`) re-derives it:
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..terms import COMPARISON_FNS, Const, Var
-from .aggregates import group_key_getter, tuple_getter
 from .ast import (
     Assignment,
     BodyItem,
@@ -313,26 +311,24 @@ class ViewPlan(NamedTuple):
     """How one aggregate rule is maintained group by group.
 
     ``scoped`` derives the rule's plain-head variant
-    (:func:`binding_rule`) under a set of group keys; ``group_key`` maps
-    its rows (and the aggregated ones) to their group.  ``group_of`` maps
-    each body predicate to one reader per literal reading it: a getter
-    taking a changed row to the group key every binding through that
+    (:func:`binding_rule`) under a set of group keys.  ``group_of`` maps
+    each body predicate to one reader per literal reading it: the positions
+    of a changed row that hold the group key every binding through that
     literal has, and the row position holding those bindings' aggregated
     value (``None`` when the literal does not bind it).  A predicate maps
     to ``None`` when some literal of it does not bind the whole group, so a
     change to it re-fires the whole rule.
 
-    ``outranked`` is set for a single ``min`` (``>``) or ``max`` (``<``)
-    at head position ``value_at``: ``outranked(value, current)`` says the
-    group's current value beats a changed row's value, so the row gains or
-    loses only bindings that cannot hold the group's value and cannot change
-    the group.
+    ``outranked`` is set for a single ``min`` (``">"``) or ``max``
+    (``"<"``) at head position ``value_at``: ``value outranked current``
+    says the group's current value beats a changed row's value, so the row
+    gains or loses only bindings that cannot hold the group's value and
+    cannot change the group.
     """
 
     scoped: ScopedDerive
-    group_key: Callable[[tuple], tuple]
-    group_of: dict[str, Optional[tuple[tuple[Callable[[tuple], tuple], Optional[int]], ...]]]
-    outranked: Optional[Callable[[object, object], bool]]
+    group_of: dict[str, Optional[tuple[tuple[tuple[int, ...], Optional[int]], ...]]]
+    outranked: Optional[str]
     value_at: int
 
 
@@ -492,7 +488,7 @@ def view_plan(program: Program, rule: Rule) -> Optional[ViewPlan]:
     (value_at, aggregate), *more = head.aggregates
     outranked = None
     if not more and aggregate.function in ("min", "max"):
-        outranked = operator.gt if aggregate.function == "min" else operator.lt
+        outranked = ">" if aggregate.function == "min" else "<"
     group_of: dict[str, Optional[tuple]] = {}
     for literal in rule.body_literals:
         position_of: dict[Var, int] = {}
@@ -503,14 +499,13 @@ def view_plan(program: Program, rule: Rule) -> Optional[ViewPlan]:
         if readers is None:
             continue
         if all(var in position_of for var in group_vars):
-            getter = tuple_getter([position_of[var] for var in group_vars])
-            reader = (getter, position_of.get(aggregate.variable))
+            positions = tuple(position_of[var] for var in group_vars)
+            reader = (positions, position_of.get(aggregate.variable))
             group_of[literal.predicate] = readers + (reader,)
         else:
             group_of[literal.predicate] = None
     return ViewPlan(
         ScopedDerive(binding_rule(rule), seeds, group_positions),
-        group_key_getter(head),
         group_of,
         outranked,
         value_at,

@@ -249,7 +249,7 @@ def test_size_capped_body_always_refires_whole(rule_tier):
     # whole re-fire keeps the memo exact as rows are evicted
     with shadowed() as calls:
         engine = observation_engine(CAPPED_SOURCE)
-        assert not engine.host.executor._view_plans
+        assert not engine.host.executor.plan.view_plans
         assert finish(engine, until=4.0).quiescent
     assert calls["full"] > 0 and calls["scoped"] == 0
 
