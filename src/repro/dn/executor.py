@@ -44,8 +44,6 @@ re-queues, group-scoped aggregate maintenance at quiescence) are documented on
 from __future__ import annotations
 
 from collections import deque
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from ..ndlog.aggregates import group_rows, order_key
@@ -67,17 +65,26 @@ Run = tuple[str, str, list]
 #: a net send of a settle: ``(dst, predicate, values, kind)``
 Send = tuple[object, str, tuple, str]
 
-_VALUES = itemgetter(2)
-_KIND_PREDICATE = itemgetter(0, 1)
 #: removals of derived rows, traced as ``retract``
 _DERIVED_REMOVALS = frozenset(("displace", "purge"))
 
 
-def _runs(ops: Iterable[Op]) -> Iterable[Run]:
-    """``ops`` as runs: each maximal stretch of one kind and predicate."""
+def _runs(ops: Iterable[Op]) -> list[Run]:
+    """``ops`` as runs: each maximal stretch of one kind and predicate.
+    (Stretches are short — a wave alternates retracts and asserts — so a
+    plain loop beats ``groupby`` here.)"""
 
-    for (kind, predicate), stretch in groupby(ops, _KIND_PREDICATE):
-        yield kind, predicate, list(map(_VALUES, stretch))
+    runs: list[Run] = []
+    append = runs.append
+    kind = predicate = rows = None
+    for op in ops:
+        if op[1] != predicate or op[0] != kind:
+            kind, predicate, values = op
+            rows = [values]
+            append((kind, predicate, rows))
+        else:
+            rows.append(op[2])
+    return runs
 
 
 def _merged(runs: list[Run]) -> list[Run]:
@@ -88,13 +95,19 @@ def _merged(runs: list[Run]) -> list[Run]:
     if len(runs) < 2:
         return runs
     out: list[Run] = []
-    for (kind, predicate), stretch in groupby(runs, _KIND_PREDICATE):
-        first = next(stretch)
-        more = list(stretch)
-        if more:
-            out.append((kind, predicate, first[2] + [row for run in more for row in run[2]]))
+    kind = predicate = None
+    joined = False
+    for run in runs:
+        if run[1] != predicate or run[0] != kind:
+            kind, predicate, _ = run
+            out.append(run)
+            joined = False
+        elif joined:
+            out[-1][2].extend(run[2])
         else:
-            out.append(first)
+            # the first join copies: a queued run's list is never extended
+            out[-1] = (kind, predicate, out[-1][2] + run[2])
+            joined = True
     return out
 
 

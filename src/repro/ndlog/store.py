@@ -749,6 +749,10 @@ class Database:
         #: own lookup, so the hot paths (generated rules and the settle)
         #: pay no Python call for it
         self.table: Callable[[str], Table] = self._tables.__getitem__
+        #: the predicate's table if one exists, else ``None``: never
+        #: materializes an empty table (the generated rule code uses it to
+        #: hoist ``index_on`` lookups out of its probe loops)
+        self.get_table: Callable[[str], Optional[Table]] = self._tables.get
 
     def __getstate__(self) -> dict:
         return {"_tables": self._tables}
@@ -756,6 +760,7 @@ class Database:
     def __setstate__(self, state: dict) -> None:
         self._tables = state["_tables"]
         self.table = self._tables.__getitem__
+        self.get_table = self._tables.get
 
     def declare(
         self,
@@ -782,16 +787,6 @@ class Database:
 
     def has_table(self, predicate: str) -> bool:
         return predicate in self._tables
-
-    def get_table(self, predicate: str) -> Optional[Table]:
-        """The predicate's table if one exists, else ``None``.
-
-        Unlike :meth:`table` this never materializes an empty table; the
-        generated rule code uses it to hoist ``index_on`` lookups out of
-        its probe loops.
-        """
-
-        return self._tables.get(predicate)
 
     def insert(self, predicate: str, values: Sequence[object], now: float = 0.0) -> bool:
         return self.table(predicate).insert(values, now)
