@@ -191,14 +191,15 @@ class FixpointExecutor:
         code = compile_settle(plan, rule_engine)
         self._code = code
         self._rule_order = {id(rule): index for index, rule in enumerate(program.rules)}
-        #: delta-predicate set → (fire functions of the triggered
+        #: delta predicate (or predicate set) → (fire functions of the triggered
         #: non-aggregate rules, triggered aggregate rules), program order
-        self._trigger_cache: dict[frozenset[str], tuple[tuple, tuple[Rule, ...]]] = {}
+        self._trigger_cache: dict[object, tuple[tuple, tuple[Rule, ...]]] = {}
         #: negated predicate → fire functions of its negation-delta variants
         self._negation_fires = {
             predicate: tuple(code.fire[id(variant)] for variant in variants)
             for predicate, variants in plan.negation_triggers.items()
         }
+        self._negated = frozenset(self._negation_fires)
         self._sweep_rules = plan.sweep_rules
         self._sweep_bodies = plan.sweep_bodies
         self._sweep_plans = plan.sweep_plans
@@ -223,12 +224,13 @@ class FixpointExecutor:
         order.  Memoized per delta-predicate set: rounds repeat the same
         handful of combinations."""
 
-        key = frozenset(delta)
+        # a round's delta mostly holds one predicate: keyed by it alone
+        key = next(iter(delta)) if len(delta) == 1 else frozenset(delta)
         cached = self._trigger_cache.get(key)
         if cached is None:
             triggers = self.plan.triggers
             seen: dict[int, Rule] = {}
-            for predicate in key:
+            for predicate in delta:
                 for rule in triggers.get(predicate, ()):
                     seen.setdefault(id(rule), rule)
             ordered = sorted(seen.values(), key=lambda r: self._rule_order[id(r)])
@@ -476,7 +478,8 @@ class FixpointExecutor:
         Returns the removed rows by predicate.
         """
 
-        removed: dict[str, list[tuple]] = {}
+        #: the removed rows by predicate, which is also the round's view
+        removed = DeltaIndex({}, distinct=True)
         #: the change record of every removal, in op order
         decided: list[tuple] = []
         displacing: set[tuple[str, tuple]] = set()
@@ -556,7 +559,7 @@ class FixpointExecutor:
                 decided.append((now, node_id, predicate, row, traced))
         if removed:
             fires, _ = self._triggered(removed)
-            view = DeltaIndex(removed, distinct=True)
+            view = removed
             stats = node.stats
             stats.rule_firings += len(fires)
             # the retraction joins run against the old database; their
@@ -588,8 +591,9 @@ class FixpointExecutor:
             changes.extend(decided)
             if obs_metrics.ENABLED:
                 obs_metrics.observe("engine.retraction_cascade", len(decided))
-            # rows leaving a negated predicate enable blocked bindings
-            self._fire_negation_deltas(node, removed, requeue, outbox, "insert", 0)
+            if not self._negated.isdisjoint(removed):
+                # rows leaving a negated predicate enable blocked bindings
+                self._fire_negation_deltas(node, removed, requeue, outbox, "insert", 0)
             refills = self._code.refill
             for predicate, keys in refill.items():
                 self._refill(node, predicate, keys, requeue, refills)
@@ -620,7 +624,8 @@ class FixpointExecutor:
         FIFO order.  Returns the inserted rows by predicate.
         """
 
-        delta: dict[str, list[tuple]] = {}
+        #: the inserted rows by predicate, which is also the round's view
+        delta = DeltaIndex({}, distinct=True)
         db = node.db
         stats = node.stats
         node_id = node.id
@@ -656,13 +661,14 @@ class FixpointExecutor:
                     "engine.delta_batch_size", sum(len(v) for v in delta.values())
                 )
             fires, _ = self._triggered(delta)
-            view = DeltaIndex(delta, distinct=True)
+            view = delta
             stats.rule_firings += len(fires)
             for fire in fires:
                 fire(db, view, requeue, outbox, node_id, "insert", 0)
-            # rows entering a negated predicate block bindings that relied
-            # on their absence
-            self._fire_negation_deltas(node, delta, requeue, outbox, "retract", 1)
+            if not self._negated.isdisjoint(delta):
+                # rows entering a negated predicate block bindings that
+                # relied on their absence
+                self._fire_negation_deltas(node, delta, requeue, outbox, "retract", 1)
         return delta
 
     def _fire_negation_deltas(
