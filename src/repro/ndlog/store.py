@@ -643,36 +643,15 @@ class Table:
         bucket = self.index_on(positions).get(tuple(values))
         return list(bucket.values()) if bucket else []
 
-    def probe_iter(
-        self, positions: tuple[int, ...], values: tuple
-    ) -> Iterable[tuple]:
-        """Zero-copy variant of :meth:`probe`.
-
-        Returns a live view of the matching index bucket; callers must not
-        mutate the table while iterating (the evaluators collect all firings
-        before inserting, so the hot join path satisfies this).  Raises
-        ``TypeError`` for unhashable probe values like :meth:`probe`.
-        """
-
-        bucket = self.index_on(positions).get(values)
-        return bucket.values() if bucket else ()
-
-    def lookup(self, positions: tuple[int, ...], values: tuple) -> Iterable[tuple]:
-        """:meth:`probe_iter` that builds no index for a primary-key probe.
+    def lookup_all(self, positions: tuple[int, ...], probes: Iterable[tuple]) -> list[tuple]:
+        """The rows whose arguments at ``positions`` equal one of ``probes``,
+        probe by probe, each probe's rows in row order.
 
         When ``positions`` *are* the table's key attributes, the row map
-        already is the index: the (at most one) match is read straight from
-        it.  Any other position set goes through the lazy hash index.
+        already is the index: each probe's (at most one) match is read
+        straight from it.  Any other position set goes through the lazy hash
+        index.  Raises ``TypeError`` for an unhashable probe.
         """
-
-        if positions == self.keys:
-            row = self._rows.get(values)
-            return (row,) if row is not None else ()
-        return self.probe_iter(positions, values)
-
-    def lookup_all(self, positions: tuple[int, ...], probes: Iterable[tuple]) -> list[tuple]:
-        """The rows :meth:`lookup` yields for each of ``probes``, in probe
-        order: one call for a whole set of probes."""
 
         if positions == self.keys:
             return [row for row in map(self._rows.get, probes) if row is not None]
@@ -691,8 +670,8 @@ class Table:
         return self._rows
 
     def has_lookup(self, positions: tuple[int, ...]) -> bool:
-        """Is :meth:`lookup` on ``positions`` free of an index build (they
-        are the primary key, or their index already exists)?"""
+        """Is :meth:`lookup_all` on ``positions`` free of an index build
+        (they are the primary key, or their index already exists)?"""
 
         return positions == self.keys or positions in self._indexes
 
