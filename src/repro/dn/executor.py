@@ -18,10 +18,11 @@ and *emits* the externally visible effects:
 What runs between two rule calls is generated per program
 (:func:`repro.ndlog.codegen.compile_settle` over the program's
 :func:`~repro.ndlog.plan.settle_plan`): firing a triggered rule and routing
-its head rows, key-scoped derives, the scoped consistency check, the full
-sweep and keyed refills.  The executor keeps the decisions that depend on
-the ops alone — how a round is cut, what a deletion round removes, when
-aggregates re-fold and the sweep is due.
+its head rows, the groups an aggregate re-folds and the re-fold itself,
+key-scoped derives, the scoped consistency check, the full sweep and keyed
+refills.  The executor keeps the decisions that depend on the ops alone —
+how a round is cut, what a deletion round removes, when aggregates re-fold
+and the sweep is due — over a queue that holds its ops in runs (``Run``).
 
 Everything the executor touches is local to one node (its
 :class:`~repro.dn.node.Node` database, view memos, and displacement marks)
