@@ -1110,32 +1110,27 @@ class _SettleEmitter:
         tables are resolved in seed order."""
 
         seeds = scoped.seeds
-        w.emit(f"source = table({seeds[0].predicate!r})")
-        if len(seeds) > 1:
-            for n, seed in enumerate(seeds):
-                w.emit(f"if source.has_lookup({seed.positions!r}):")
-                w.indent()
-                w.emit(f"seed = {n}")
-                w.depth -= 1
-                w.emit("else:")
-                w.indent()
-                if n + 1 < len(seeds):
-                    w.emit(f"source = table({seeds[n + 1].predicate!r})")
-            w.emit(f"source = table({seeds[0].predicate!r})")
-            w.emit("seed = 0")
-            w.depth -= len(seeds)
-        for n, seed in enumerate(seeds):
-            if len(seeds) > 1:
-                w.emit("else:" if n == len(seeds) - 1 else f"{'elif' if n else 'if'} seed == {n}:")
-                w.indent()
+
+        def seed_rows(seed, source: str) -> str:
             if seed.whole:
                 probes = "keys"
             else:
                 probes = f"dict.fromkeys([{self._key_expr(seed.slots, 'key')} for key in keys])"
-            w.emit(f"rows = source.lookup_all({seed.positions!r}, {probes})")
-            w.emit(f"seeded = {seed.predicate!r}")
-            if len(seeds) > 1:
-                w.depth -= 1
+            return f"seeded, rows = {seed.predicate!r}, {source}.lookup_all({seed.positions!r}, {probes})"
+
+        if len(seeds) == 1:
+            w.emit(seed_rows(seeds[0], f"table({seeds[0].predicate!r})"))
+            return
+        for seed in seeds:
+            w.emit(f"source = table({seed.predicate!r})")
+            w.emit(f"if source.has_lookup({seed.positions!r}):")
+            w.indent()
+            w.emit(seed_rows(seed, "source"))
+            w.depth -= 1
+            w.emit("else:")
+            w.indent()
+        w.emit(seed_rows(seeds[0], f"table({seeds[0].predicate!r})"))
+        w.depth -= len(seeds)
 
     def _emit_scoped(self, w: _Writer, j: int, scoped: ScopedDerive) -> None:
         """``_scoped{j}(db, keys, stats)``: the rows the rule derives whose
