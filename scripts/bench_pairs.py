@@ -9,9 +9,10 @@ The *change* is this working tree, or ``--change <ref>``; the *base* is
 ``<ref>``.  A ref is exported with ``git archive`` into a temporary
 directory (``$TMPDIR``), so nothing is added to the repository's ``.git``
 and a killed run leaves nothing to prune; two past commits (``--base A
---change B``) are compared the same way as a commit and the tree.  Each pair runs ``python3 -m bench run <workload>`` once on each
-tree, in turn, and the tree that goes first alternates from pair to pair,
-so a host that drifts during the pairs drifts against both sides alike.
+--change B``) are compared the same way as a commit and the tree.  Each
+pair runs ``python3 -m bench run <workload>`` once on each tree, in turn,
+and the tree that goes first alternates from pair to pair, so a host that
+drifts during the pairs drifts against both sides alike.
 ``__pycache__`` is cleared in both trees before every run: each run
 compiles its sources as the first run of a fresh checkout does.
 
