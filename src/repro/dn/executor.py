@@ -537,13 +537,24 @@ class FixpointExecutor:
                     displacing.update([(predicate, key_of(row)) for row in rows])
             if not rows:
                 continue
-            seen_rows = seen.get(predicate)
-            if seen_rows is None:
-                seen_rows = seen[predicate] = set()
-            out = removed.get(predicate)
             # displacements and sweep purges remove *derived* rows: their
             # trace kind is retract
             traced = "retract" if kind in _DERIVED_REMOVALS else kind
+            seen_rows = seen.get(predicate)
+            if seen_rows is None:
+                # the predicate's first removals this round: taken whole
+                # when no row repeats (the usual case)
+                try:
+                    seen_rows = set(rows)
+                except TypeError:
+                    seen_rows = None
+                if seen_rows is not None and len(seen_rows) == len(rows):
+                    seen[predicate] = seen_rows
+                    removed[predicate] = rows
+                    decided.extend([(now, node_id, predicate, row, traced) for row in rows])
+                    continue
+                seen_rows = seen[predicate] = set()
+            out = removed.get(predicate)
             for row in rows:
                 try:
                     if row in seen_rows:

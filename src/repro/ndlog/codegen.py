@@ -626,9 +626,9 @@ class CodegenRule:
     """One rule compiled to generated Python source.
 
     ``fire`` and ``derive`` take ``(db, view=None)``: ``view`` is a
-    semi-naive delta view (``DeltaIndex``-shaped: ``in`` / ``rows`` /
-    ``groups`` / ``distinct``) restricting the join to one pass per delta-matched positive
-    literal, or ``None`` for a full evaluation.  The emitted source is kept
+    semi-naive delta view (a :class:`~repro.ndlog.seminaive.DeltaIndex`)
+    restricting the join to one pass per delta-matched positive literal,
+    or ``None`` for a full evaluation.  The emitted source is kept
     on :attr:`source` for debugging and golden tests.
     """
 
@@ -642,6 +642,7 @@ class CodegenRule:
         "_full",
         "_delta_fns",
         "_delta_candidates",
+        "_passes_of",
     )
 
     def __init__(
@@ -662,6 +663,12 @@ class CodegenRule:
         self._full = full_fn
         self._delta_fns = delta_fns
         self._delta_candidates = delta_candidates
+        #: predicate → the delta passes of its literals, in body order (a
+        #: one-predicate view's passes)
+        passes_of: dict[str, list] = {}
+        for sid, pred in delta_candidates:
+            passes_of.setdefault(pred, []).append(delta_fns[sid])
+        self._passes_of = {pred: tuple(fns) for pred, fns in passes_of.items()}
 
     def fire(self, db, view=None) -> list[tuple]:
         """The derived head rows, deduplicated (aggregate heads are
@@ -714,11 +721,16 @@ class CodegenRule:
         if view is None:
             self._full(db, append)
         else:
-            delta_fns = self._delta_fns
-            passes = []
-            for sid, pred in self._delta_candidates:
-                if pred in view:
-                    passes.append(delta_fns[sid])
+            if len(view) == 1:
+                passes = ()
+                for pred in view:
+                    passes = self._passes_of.get(pred, ())
+            else:
+                delta_fns = self._delta_fns
+                passes = []
+                for sid, pred in self._delta_candidates:
+                    if pred in view:
+                        passes.append(delta_fns[sid])
             seen = None if len(passes) == 1 and view.distinct else set()
             for delta_fn in passes:
                 delta_fn(db, view, seen, append)
@@ -1335,20 +1347,26 @@ class SettleCode(NamedTuple):
     refill: dict[str, Callable]
 
 
-#: settle source → the namespace it defined: every engine over one program
-#: shares a compilation (its functions take the engine's derives as their
-#: first argument), as rules share theirs through ``_CODEGEN_CACHE``
-_SETTLE_CACHE: dict[str, dict] = {}
+#: a program's content (name, rules, storage declarations) → the namespace
+#: its settle source defined: every engine over one program shares a
+#: compilation (its functions take the engine's derives as their first
+#: argument), as rules share theirs through ``_CODEGEN_CACHE``, and an
+#: engine over a program already seen emits no source
+_SETTLE_CACHE: dict[tuple, dict] = {}
 
 
 def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
-    """Compile ``plan``'s settle source (once per source) and bind it to
-    ``rule_engine``: each derived rule is called through the engine's
-    ``deriver`` (for generated rules, compiled now, off the hot path)."""
+    """Compile ``plan``'s settle source (once per program content) and
+    bind it to ``rule_engine``: each derived rule is called through the
+    engine's ``deriver`` (for generated rules, compiled now, off the hot
+    path)."""
 
-    source = generate_settle_source(plan)
-    namespace = _SETTLE_CACHE.get(source)
+    program = plan.program
+    # the settle source is a function of exactly these (see settle_plan)
+    key = (program.name, tuple(program.rules), repr(list(program.materialized.values())))
+    namespace = _SETTLE_CACHE.get(key)
     if namespace is None:
+        source = generate_settle_source(plan)
         from .aggregates import order_key
         from .seminaive import DeltaIndex, row_key
 
@@ -1362,7 +1380,7 @@ def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
             "_MISSING": object(),
         }
         exec(compile(source, f"<settle:{plan.program.name}>", "exec"), namespace)
-        _SETTLE_CACHE[source] = namespace
+        _SETTLE_CACHE[key] = namespace
     derive = tuple(rule_engine.deriver(rule) for rule in plan.derived)
 
     def bound(table):

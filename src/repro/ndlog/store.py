@@ -431,7 +431,9 @@ class Table:
     def release_run(self, rows: Iterable[tuple]) -> tuple[list[tuple], list[tuple]]:
         """:meth:`release` each of ``rows`` (tuples), in order; returns
         ``(released, stale)``: the rows whose last support went (``True``)
-        and the stale retractions (``None``), each in row order."""
+        and the stale retractions (``None``), each in row order.  The
+        caller deletes every released row: no zero count is written for
+        it."""
 
         stored = self._rows
         counts = self._counts
@@ -442,13 +444,10 @@ class Table:
             key = key_getter(row)
             if stored.get(key) != row:
                 stale.append(row)
-                continue
-            remaining = counts.get(key, 1) - 1
-            if remaining > 0:
-                counts[key] = remaining
-                continue
-            counts[key] = 0
-            released.append(row)
+            elif counts and counts.get(key, 1) > 1:
+                counts[key] -= 1
+            else:
+                released.append(row)
         return released, stale
 
     def delete(self, values: Sequence[object]) -> bool:
@@ -475,7 +474,8 @@ class Table:
             row = stored.pop(key, None)
             if row is None:
                 continue
-            counts.pop(key, None)
+            if counts:
+                counts.pop(key, None)
             if deadlines is not None:
                 del deadlines[key]
             if upkeep:
