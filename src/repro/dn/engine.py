@@ -137,12 +137,10 @@ class EngineMonitor(Protocol):
     settle appended, in order, as the plain ``(time, node, predicate,
     values, kind)`` tuples of :meth:`Trace.changes_since` (a sharded host
     replays its workers' records into the same trace, so both hosts pass
-    the same records): a monitor may re-check only what they touch.  A
-    monitor must not build an index on the tables it reads — the executor
-    seeds key-scoped derives by :meth:`Table.has_lookup`, so an index a
-    monitor built would make the execution depend on the attached
-    monitors.  See :mod:`repro.dn.monitors` for the property-derived
-    implementations.
+    the same records): a monitor may re-check only what they touch.
+    ``select`` reads only what exists, so a monitor's reads add no index
+    upkeep to the tables.  See :mod:`repro.dn.monitors` for the
+    property-derived implementations.
     """
 
     def attach(self, engine: "DistributedEngine") -> None: ...

@@ -15,12 +15,12 @@ and *emits* the externally visible effects:
   per ``(dst, predicate, row)``, so an assert and a retract of one row
   cancel before any channel sees them (see :meth:`FixpointExecutor.settle`).
 
-What runs between two rule calls is generated per program
-(:func:`repro.ndlog.codegen.compile_settle` over the program's
-:func:`~repro.ndlog.plan.settle_plan`): firing a triggered rule and routing
-its head rows, the groups an aggregate re-folds and the re-fold itself,
-key-scoped derives, the scoped consistency check, the full sweep and keyed
-refills.  The executor keeps the decisions that depend on the ops alone —
+What runs between two rule calls is planned and generated once per
+program content (:func:`repro.ndlog.codegen.compile_settle`, over the
+program's :func:`~repro.ndlog.plan.settle_plan`): firing a triggered rule
+and routing its head rows, the groups an aggregate re-folds and the
+re-fold itself, key-scoped derives, the scoped consistency check, the full
+sweep and keyed refills.  The executor keeps the decisions that depend on the ops alone —
 how a round is cut, what a deletion round removes, when aggregates re-fold
 and the sweep is due — over a queue that holds its ops in runs (``Run``).
 
@@ -48,9 +48,9 @@ from collections import deque
 from typing import Iterable, Mapping, Optional
 
 from ..ndlog.aggregates import group_rows, order_key
-from ..ndlog.ast import Program, Rule
+from ..ndlog.ast import Program
 from ..ndlog.codegen import compile_settle
-from ..ndlog.plan import NEGATION_DELTA_SUFFIX, settle_plan
+from ..ndlog.plan import NEGATION_DELTA_SUFFIX
 from ..ndlog.seminaive import DeltaIndex, RuleEngine, row_key
 from ..obs import metrics as obs_metrics
 from .node import Node
@@ -178,26 +178,27 @@ class FixpointExecutor:
     """Runs one node's delta batches to a local fixpoint.
 
     Holds the per-program execution state shared by every node: the settle
-    plan, its compiled code bound to ``rule_engine``, and a memo of the
-    rules each delta-predicate set triggers.  Stateless across calls apart
-    from those, so a single executor serves all nodes of an engine or
-    shard worker.
+    plan and its compiled code (both shared by every engine over an equal
+    program), bound to ``rule_engine``, and a memo of the rules each
+    delta-predicate set triggers.  Stateless across calls apart from
+    those, so a single executor serves all nodes of an engine or shard
+    worker.  Aggregate rules are named by their position in
+    ``program.rules``.
     """
 
     def __init__(self, program: Program, rule_engine: RuleEngine) -> None:
         self.program = program
         self.rule_engine = rule_engine
-        plan = settle_plan(program)
-        self.plan = plan
-        code = compile_settle(plan, rule_engine)
+        code = compile_settle(program, rule_engine)
+        plan = self.plan = code.plan
         self._code = code
-        self._rule_order = {id(rule): index for index, rule in enumerate(program.rules)}
         #: delta predicate (or predicate set) → (fire functions of the triggered
-        #: non-aggregate rules, triggered aggregate rules), program order
-        self._trigger_cache: dict[object, tuple[tuple, tuple[Rule, ...]]] = {}
+        #: non-aggregate rules, positions of the triggered aggregate rules),
+        #: program order
+        self._trigger_cache: dict[object, tuple[tuple, tuple[int, ...]]] = {}
         #: negated predicate → fire functions of its negation-delta variants
         self._negation_fires = {
-            predicate: tuple(code.fire[id(variant)] for variant in variants)
+            predicate: tuple(code.fire[i] for i in variants)
             for predicate, variants in plan.negation_triggers.items()
         }
         self._negated = frozenset(self._negation_fires)
@@ -219,27 +220,21 @@ class FixpointExecutor:
         self.protected.add(predicate)
         return True
 
-    def _triggered(self, delta) -> tuple[tuple, tuple[Rule, ...]]:
-        """The fire functions of the non-aggregate rules and the aggregate
-        rules any delta predicate triggers, each deduplicated, in program
-        order.  Memoized per delta-predicate set: rounds repeat the same
-        handful of combinations."""
+    def _triggered(self, delta) -> tuple[tuple, tuple[int, ...]]:
+        """The fire functions of the non-aggregate rules and the positions
+        of the aggregate rules any delta predicate triggers, each
+        deduplicated, in program order.  Memoized per delta-predicate set:
+        rounds repeat the same handful of combinations."""
 
         # a round's delta mostly holds one predicate: keyed by it alone
         key = next(iter(delta)) if len(delta) == 1 else frozenset(delta)
         cached = self._trigger_cache.get(key)
         if cached is None:
-            triggers = self.plan.triggers
-            seen: dict[int, Rule] = {}
-            for predicate in delta:
-                for rule in triggers.get(predicate, ()):
-                    seen.setdefault(id(rule), rule)
-            ordered = sorted(seen.values(), key=lambda r: self._rule_order[id(r)])
+            plan = self.plan
             fire = self._code.fire
-            cached = (
-                tuple(fire[id(r)] for r in ordered if not r.head.has_aggregate),
-                tuple(r for r in ordered if r.head.has_aggregate),
-            )
+            derived = {i for predicate in delta for i in plan.triggers.get(predicate, ())}
+            views = {r for predicate in delta for r in plan.view_triggers.get(predicate, ())}
+            cached = (tuple(fire[i] for i in sorted(derived)), tuple(sorted(views)))
             self._trigger_cache[key] = cached
         return cached
 
@@ -332,8 +327,8 @@ class FixpointExecutor:
             if not queue:
                 _, aggregate = self._triggered(changed)
                 changed = set()
-                for rule in aggregate:
-                    self._recompute_view(node, rule, moved, queue, outbox)
+                for r in aggregate:
+                    self._recompute_view(node, r, moved, queue, outbox)
                 moved = {}
                 if not queue and deleted:
                     clean = self._sweep_is_clean(node, deleted, touched, now)
@@ -606,23 +601,16 @@ class FixpointExecutor:
             if not self._negated.isdisjoint(removed):
                 # rows leaving a negated predicate enable blocked bindings
                 self._fire_negation_deltas(node, removed, requeue, outbox, "insert", 0)
+            # once-displaced keys whose stored row is now gone (the displaced
+            # alternatives' support counts were destroyed): the predicate's
+            # generated refill queues every locally stored row derivable
+            # under them, keys in order_key order
             refills = self._code.refill
             for predicate, keys in refill.items():
-                self._refill(node, predicate, keys, requeue, refills)
+                fill = refills.get(predicate)
+                if fill is not None:
+                    fill(db, keys, requeue, node_id, stats)
         return removed
-
-    @staticmethod
-    def _refill(node: Node, predicate: str, keys: set[tuple], requeue, refills) -> None:
-        """Re-derive once-displaced keys whose stored row is now gone (the
-        displaced alternatives' support counts were destroyed): queue every
-        locally stored row derivable under them (the predicate's generated
-        refill: each deriving rule derived under ``keys`` alone, keys in
-        :func:`order_key` order, or over the node when the predicate has no
-        key plan)."""
-
-        refill = refills.get(predicate)
-        if refill is not None:
-            refill(node.db, keys, requeue, node.id, node.stats)
 
     def _insertion_subround(
         self, node: Node, ins_runs, requeue, now: float, changes: list, outbox: dict
@@ -707,27 +695,31 @@ class FixpointExecutor:
                 fire(node.db, view, queue, outbox, node.id, op, side)
 
     def _recompute_view(
-        self, node: Node, rule: Rule, moved: Mapping[str, list[tuple]], queue, outbox: dict
+        self, node: Node, r: int, moved: Mapping[str, list[tuple]], queue, outbox: dict
     ) -> None:
-        """Bring aggregate ``rule``'s output at ``node`` up to date with its
-        body and emit the difference from the node's memo.
+        """Bring the output of aggregate rule ``r`` (its position in the
+        program's rules) at ``node`` up to date with its body and emit the
+        difference from the node's memo.
 
         The memo maps each group key to the group's row.  When the rule has
         a group plan and every moved body row maps to its groups, only the
-        groups those rows can change (:meth:`_moved_groups`) are re-folded
-        (:meth:`_view_diff`); otherwise — and for a node's first recompute,
-        which builds the memo — the rule is re-fired whole.  Either way the
+        groups those rows can change (the rule's generated ``_moved``
+        function; a row whose value the group's memo value outranks names
+        no group) are re-folded (:meth:`_view_diff`); otherwise — and for a
+        node's first recompute, which builds the memo — the rule is
+        re-fired whole.  Either way the
         groups whose row changed are emitted in :func:`order_key` order of
         their keys, removals first so a keyed aggregate table retracts the
         stale group value before the replacement asserts: both paths emit
         the same ops, in an order set by the data alone.
         """
 
-        memo = node.view_memo.get(id(rule))
-        groups = None if memo is None else self._moved_groups(rule, moved, memo)
-        removed, added, fresh = self._view_diff(node, rule, memo or {}, groups)
+        memo = node.view_memo.get(r)
+        groups_of = None if memo is None else self._code.moved.get(r)
+        groups = None if groups_of is None else groups_of(moved, memo)
+        removed, added, fresh = self._view_diff(node, r, memo or {}, groups)
         if groups is None:
-            node.view_memo[id(rule)] = fresh
+            node.view_memo[r] = fresh
         else:
             for group in groups:
                 row = fresh.get(group)
@@ -741,33 +733,20 @@ class FixpointExecutor:
             else:
                 obs_metrics.inc("engine.aggregate_groups", len(groups))
         if removed or added:
-            route = self._code.route[id(rule)]
+            route = self._code.route[r]
             if removed:
                 route(removed, queue, outbox, node.id, "retract", 1)
             if added:
                 route(added, queue, outbox, node.id, "insert", 0)
 
-    def _moved_groups(
-        self, rule: Rule, moved: Mapping[str, list[tuple]], memo: Mapping[tuple, tuple]
-    ) -> Optional[set[tuple]]:
-        """The group keys of aggregate ``rule`` that ``moved`` rows can
-        change, or ``None`` when the whole rule must be re-fired (no group
-        plan, or a moved predicate read by a literal that does not bind the
-        group): the rule's generated ``_moved`` function.  A row whose
-        value the group's ``memo`` value outranks
-        (:class:`~repro.ndlog.plan.ViewPlan`) names no group."""
-
-        groups_of = self._code.moved.get(id(rule))
-        return None if groups_of is None else groups_of(moved, memo)
-
     def _view_diff(
         self,
         node: Node,
-        rule: Rule,
+        r: int,
         memo: Mapping[tuple, tuple],
         groups: Optional[set[tuple]],
     ) -> tuple[list[tuple], list[tuple], dict[tuple, tuple]]:
-        """``(removed, added, fresh)`` for aggregate ``rule`` at ``node``:
+        """``(removed, added, fresh)`` for aggregate rule ``r`` at ``node``:
         ``fresh`` maps each of ``groups`` that has bindings (every group,
         when ``groups`` is ``None``) to its row, and ``removed`` / ``added``
         are the memo rows and fresh rows of the groups whose row changed,
@@ -783,8 +762,9 @@ class FixpointExecutor:
             if groups is not None:
                 return [], [], {}
         else:
-            return self._code.refold[id(rule)](node.db, memo, groups, node.stats)
+            return self._code.refold[r](node.db, memo, groups, node.stats)
         node.stats.rule_firings += 1
+        rule = self.program.rules[r]
         fresh = group_rows(rule.head, self.rule_engine.fire_rule(rule, node.db))
         candidates = memo.keys() | fresh.keys()
         changed = [group for group in candidates if memo.get(group) != fresh.get(group)]

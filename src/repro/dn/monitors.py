@@ -39,10 +39,9 @@ over every row, and it runs for ``finalize``, a node's first check after
 size-capped table (its FIFO eviction is untraced), and — for
 :class:`RouteValidityMonitor`, whose first-hop liveness reads every local
 link — any ``link`` change.  Scoped reads go through primary-key lookups or
-indexes that already exist (:meth:`~repro.ndlog.store.Table.select`) and
-never build one: the executor picks key-scoped derive seeds by
-:meth:`~repro.ndlog.store.Table.has_lookup`, so a monitor-built index would
-make fingerprints depend on the attached monitors.
+indexes that already exist (:meth:`~repro.ndlog.store.Table.select`):
+``select`` reads only what exists, so a monitor's reads add no index the
+tables would then maintain on every change.
 :class:`SoftStateBoundMonitor` (its violations come from the clock, not
 from changes) rescans every settle, and only when the program has a
 soft-state table.

@@ -68,9 +68,10 @@ class Node:
         self.rule_engine = (
             rule_engine if rule_engine is not None else seminaive.RULE_ENGINE()
         )
-        #: rule identity → the output of a view (aggregate) rule at this
-        #: node as group key → row, kept up to date group by group and
-        #: compared to emit its changes (``FixpointExecutor._recompute_view``)
+        #: position of a view (aggregate) rule in ``program.rules`` → its
+        #: output at this node as group key → row, kept up to date group by
+        #: group and compared to emit its changes
+        #: (``FixpointExecutor._recompute_view``)
         self.view_memo: dict[int, dict[tuple, tuple]] = {}
         #: predicate → primary keys that experienced a displacement (the
         #: displaced row's support count was destroyed; when the stored row
@@ -129,14 +130,10 @@ class Node:
         """The node's structural state at a settle point, as plain data: stats,
         displacement/unswept marks, and per table its
         :meth:`~repro.ndlog.store.Table.export_state` — rows as ``(key,
-        values, count)`` in row order, soft-state deadlines, and the
-        position sets of its hash indexes.  Buckets and view memos are left
-        out — :meth:`load_state` rebuilds them.
-
-        The positions are captured because they steer execution: the
-        executor seeds a key-scoped derive with a literal whose index
-        already exists (:meth:`~repro.ndlog.store.Table.has_lookup`).  The
-        buckets are not, because each one iterates in row order.
+        values, count)`` in row order and soft-state deadlines.  Indexes
+        and view memos are left out: no access path depends on which
+        indexes exist, a loaded table builds each on its first probe, as a
+        fresh one does, and :meth:`load_state` recomputes the memos.
         """
 
         tables = [
@@ -159,8 +156,7 @@ class Node:
         not load-bearing: the executor emits a memo's changes in group-key
         order, so only its content must match the live node's.  The
         recompute goes to the rule engine directly (no semantic firing, so
-        stats stay untouched).  Each table's indexes are rebuilt from its
-        rows, over the captured positions.
+        stats stay untouched).  Tables hold no index until one is probed.
         """
 
         self.stats = NodeStats(**state["stats"])
@@ -169,8 +165,8 @@ class Node:
         for predicate, table_state in state["tables"]:
             self.db.table(predicate).load_state(table_state)
         self.view_memo = {
-            id(rule): group_rows(rule.head, self.rule_engine.fire_rule(rule, self.db))
-            for rule in self.program.rules
+            r: group_rows(rule.head, self.rule_engine.fire_rule(rule, self.db))
+            for r, rule in enumerate(self.program.rules)
             if rule.head.has_aggregate
         }
 
@@ -181,8 +177,8 @@ class Node:
         self, predicate: str, positions: tuple[int, ...], wanted: Collection[tuple]
     ) -> list[tuple]:
         """Rows of ``predicate`` whose values at ``positions`` are among
-        ``wanted`` (:meth:`~repro.ndlog.store.Table.select`: builds no
-        index)."""
+        ``wanted`` (:meth:`~repro.ndlog.store.Table.select`: reads only
+        what exists, so a read adds no index upkeep)."""
 
         table = self.db.get_table(predicate)
         return table.select(positions, wanted) if table is not None else []

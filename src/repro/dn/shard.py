@@ -413,8 +413,9 @@ class ShardSupervisor:
         program = self.program = engine.program
         self.registry = engine.registry
         self.rule_engine = engine.rule_engine
-        # compile what the workers' executors run (negation variants, group
-        # plans) before they fork: they inherit the code cache
+        # plan and compile what the workers' executors run (the settle,
+        # negation variants, group plans) before they fork: they inherit
+        # the caches
         FixpointExecutor(program, engine.rule_engine)
         topology = engine.topology
         #: node id → shard index (deterministic; see :mod:`repro.dn.partition`)
@@ -705,7 +706,7 @@ class ShardSupervisor:
             node.stats = NodeStats(**state["stats"])
             node.tables = {
                 predicate: {key: row for key, row, _count in rows}
-                for predicate, (rows, _deadlines, _positions) in state["tables"]
+                for predicate, (rows, _deadlines) in state["tables"]
             }
 
     def begin_segment(self) -> None:

@@ -29,8 +29,8 @@ emits it and :func:`compile_settle` binds it to a rule engine.  Per
 derived rule a *fire* function derives the rule over a delta view and
 routes each head row inline (local rows to the node's op queue, remote
 rows to the settle's outbox); per aggregate rule a *route* function does
-the routing alone; per key-scoped derive a *scoped* function picks its
-seed by which lookup is free and derives under the keys; per sweepable
+the routing alone; per key-scoped derive a *scoped* function looks its
+plan-chosen seed up under the keys and derives; per sweepable
 predicate a *check* (the scoped consistency verdict), a *sweep* (the full
 repair) and per derived predicate a *refill*.  The rule bodies themselves
 are called through the rule engine (its ``deriver`` per rule), so the
@@ -58,6 +58,7 @@ from .plan import (
     ViewPlan,
     key_positions,
     rule_layout,
+    settle_plan,
 )
 
 __all__ = [
@@ -848,12 +849,10 @@ class _SettleEmitter:
 
     def __init__(self, plan: SettlePlan) -> None:
         self.plan = plan
-        self.derived_index = {id(rule): i for i, rule in enumerate(plan.derived)}
         #: every key-scoped derive of a keyed predicate's rule, in plan order
         self.scoped: list[ScopedDerive] = [
             scoped for plans in plan.key_plans.values() for scoped in plans
         ]
-        self.scoped_index = {id(scoped): j for j, scoped in enumerate(self.scoped)}
         #: the position tuples the source reads through an ``itemgetter``
         self.getters: set[tuple[int, ...]] = set()
         self.source = self._generate()
@@ -882,7 +881,7 @@ class _SettleEmitter:
         for r, rule in enumerate(program.rules):
             if rule.head.has_aggregate:
                 self._emit_route(w, r, rule)
-                view = plan.view_plans.get(id(rule))
+                view = plan.view_plans.get(r)
                 if view is not None:
                     self._emit_moved(w, r, rule, view)
                     self._emit_refold(w, r, rule, view)
@@ -897,7 +896,7 @@ class _SettleEmitter:
         w.emit(f"FIRE = ({''.join(f'_fire{i}, ' for i in range(variants))})")
         routes = [r for r, rule in enumerate(program.rules) if rule.head.has_aggregate]
         w.emit("ROUTE = {" + ", ".join(f"{r}: _route{r}" for r in routes) + "}")
-        views = [r for r in routes if id(program.rules[r]) in plan.view_plans]
+        views = [r for r in routes if r in plan.view_plans]
         w.emit("MOVED = {" + ", ".join(f"{r}: _moved{r}" for r in views) + "}")
         w.emit("REFOLD = {" + ", ".join(f"{r}: _refold{r}" for r in views) + "}")
         checks = [
@@ -1038,7 +1037,6 @@ class _SettleEmitter:
         head = rule.head
         group = view.scoped.key_positions
         aggregates = head.aggregates
-        derive = self.derived_index[id(view.scoped.rule)]
         w.emit(f"def _refold{r}(derive, db, memo, keys, stats):")
         w.indent()
         w.emit(f"# {rule.name}: re-fold the {head.predicate} groups under keys")
@@ -1048,7 +1046,7 @@ class _SettleEmitter:
         w.emit("if rows:")
         w.indent()
         w.emit("stats.rule_firings += 1")
-        w.emit(f"for values in derive[{derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True)):")
+        w.emit(f"for values in derive[{view.scoped.derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True)):")
         w.indent()
         w.emit(f"key = {self._key_expr(group)}")
         w.emit("if key not in keys:")
@@ -1117,32 +1115,17 @@ class _SettleEmitter:
     def _emit_seed(self, w: _Writer, scoped: ScopedDerive) -> None:
         """Emit the seeding of a key-scoped derive: ``seeded`` (the seed
         predicate) and ``rows`` (its rows agreeing with one of ``keys``, in
-        key order, then lookup order), through the first seed whose lookup
-        is free (the primary key, or an index that exists), else the first;
-        tables are resolved in seed order."""
+        key order, then lookup order), through the seed the plan chose."""
 
-        seeds = scoped.seeds
-
-        def seed_rows(seed, source: str) -> str:
-            if seed.whole:
-                probes = "keys"
-            else:
-                probes = f"dict.fromkeys([{self._key_expr(seed.slots, 'key')} for key in keys])"
-            return f"seeded, rows = {seed.predicate!r}, {source}.lookup_all({seed.positions!r}, {probes})"
-
-        if len(seeds) == 1:
-            w.emit(seed_rows(seeds[0], f"table({seeds[0].predicate!r})"))
-            return
-        for seed in seeds:
-            w.emit(f"source = table({seed.predicate!r})")
-            w.emit(f"if source.has_lookup({seed.positions!r}):")
-            w.indent()
-            w.emit(seed_rows(seed, "source"))
-            w.depth -= 1
-            w.emit("else:")
-            w.indent()
-        w.emit(seed_rows(seeds[0], f"table({seeds[0].predicate!r})"))
-        w.depth -= len(seeds)
+        seed = scoped.seed
+        if seed.whole:
+            probes = "keys"
+        else:
+            probes = f"dict.fromkeys([{self._key_expr(seed.slots, 'key')} for key in keys])"
+        w.emit(
+            f"seeded, rows = {seed.predicate!r}, "
+            f"table({seed.predicate!r}).lookup_all({seed.positions!r}, {probes})"
+        )
 
     def _emit_scoped(self, w: _Writer, j: int, scoped: ScopedDerive) -> None:
         """``_scoped{j}(db, keys, stats)``: the rows the rule derives whose
@@ -1152,13 +1135,12 @@ class _SettleEmitter:
         iterates, then lookup order.  Nothing fires when no seed row
         agrees."""
 
-        rule, seeds, positions = scoped
-        derive = self.derived_index[id(rule)]
+        rule, derive, seed, positions = scoped
         w.emit(f"def _scoped{j}(derive, db, keys, stats):")
         w.indent()
         w.emit(
-            f"# {rule.name} under {rule.head.predicate} keys at {positions!r}, seeded by "
-            + ", ".join(f"{seed.predicate}{seed.positions!r}" for seed in seeds)
+            f"# {rule.name} under {rule.head.predicate} keys at {positions!r}, "
+            f"seeded by {seed.predicate}{seed.positions!r}"
         )
         w.emit("table = db.table")
         self._emit_seed(w, scoped)
@@ -1206,16 +1188,15 @@ class _SettleEmitter:
         w.emit(f"held_at = table({predicate!r}).by_key().get")
         w.emit("supported = set()")
         w.emit("unstored = False")
-        # every rule is derived before the verdict: a derive builds the
-        # indexes its probes need, whatever the verdict
+        # every rule is derived before the verdict: an early return would
+        # save derives, but would move the firing counts a settle reports
         for scoped in plans:
             self._emit_seed(w, scoped)
             w.emit("if rows:")
             w.indent()
             w.emit("stats.rule_firings += 1")
-            derive = self.derived_index[id(scoped.rule)]
             w.emit(
-                f"for values in derive[{derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True)):"
+                f"for values in derive[{scoped.derive}](db, _DeltaIndex({{seeded: rows}}, distinct=True)):"
             )
             w.indent()
             w.emit(f"key = {self._key_expr(scoped.key_positions)}")
@@ -1242,7 +1223,7 @@ class _SettleEmitter:
         w.emit()
 
     def _emit_sweep(self, w: _Writer, k: int, predicate: str) -> None:
-        rules = self.plan.sweep_rules[predicate]
+        derived = self.plan.derived
         w.emit(f"def _sweep{k}(derive, db, queue, node_id, stats):")
         w.indent()
         w.emit(
@@ -1251,11 +1232,11 @@ class _SettleEmitter:
         )
         w.emit(f"table = db.table({predicate!r})")
         w.emit("derivable = {}")
-        for rule in rules:
+        for i in self.plan.sweep_rules[predicate]:
             w.emit("stats.rule_firings += 1")
-            w.emit(f"for values in derive[{self.derived_index[id(rule)]}](db):")
+            w.emit(f"for values in derive[{i}](db):")
             w.indent()
-            opened = self._emit_location_test(w, rule, local=False)
+            opened = self._emit_location_test(w, derived[i], local=False)
             w.emit("derivable[_row_key(values)] = values")
             w.depth -= 1 + opened
         w.emit("stored = {_row_key(row): row for row in table.rows()}")
@@ -1292,13 +1273,13 @@ class _SettleEmitter:
         if keyed:
             w.emit("ordered = dict.fromkeys(sorted(keys, key=_order_key))")
             sources = [
-                (scoped.rule, f"_scoped{self.scoped_index[id(scoped)]}(derive, db, ordered, stats)")
+                (scoped.rule, f"_scoped{self.scoped.index(scoped)}(derive, db, ordered, stats)")
                 for scoped in keyed
             ]
         else:
-            sources = []
-            for rule in plan.head_rules[predicate]:
-                sources.append((rule, f"derive[{self.derived_index[id(rule)]}](db)"))
+            sources = [
+                (plan.derived[i], f"derive[{i}](db)") for i in plan.head_rules[predicate]
+            ]
         positions = plan.key_plans[predicate][0].key_positions if keyed else None
         for rule, rows in sources:
             if not keyed:
@@ -1328,17 +1309,19 @@ def generate_settle_source(plan: SettlePlan) -> str:
 class SettleCode(NamedTuple):
     """A program's compiled settle, bound to one rule engine.
 
-    ``fire`` maps each rule of ``plan.derived`` that fires over a delta
-    view (the non-aggregate rules and their negation-delta variants) to
-    ``fire(db, view, queue, outbox, node_id, op, side)``; ``route`` each
-    aggregate rule to ``route(rows, queue, outbox, node_id, op, side)``;
-    ``moved`` each group-maintained aggregate rule to ``moved(moved, memo)
-    -> groups`` (``None``: re-fire whole) and ``refold`` to ``refold(db,
-    memo, keys, stats) -> (removed, added, fresh)``.  ``check`` / ``sweep``
-    map sweepable predicates, ``refill`` derived ones.  Rules are keyed by
-    identity (``id``)."""
+    ``plan`` is the program's :class:`~repro.ndlog.plan.SettlePlan`, shared
+    by every engine over an equal program.  ``fire`` holds, by position in
+    ``plan.derived``, ``fire(db, view, queue, outbox, node_id, op, side)``
+    of each rule that fires over a delta view (the non-aggregate rules and
+    their negation-delta variants); ``route`` maps each aggregate rule, by
+    program position, to ``route(rows, queue, outbox, node_id, op, side)``;
+    ``moved`` each group-maintained one to ``moved(moved, memo) -> groups``
+    (``None``: re-fire whole) and ``refold`` to ``refold(db, memo, keys,
+    stats) -> (removed, added, fresh)``.  ``check`` / ``sweep`` map
+    sweepable predicates, ``refill`` derived ones."""
 
-    fire: dict[int, Callable]
+    plan: SettlePlan
+    fire: tuple[Callable, ...]
     route: dict[int, Callable]
     moved: dict[int, Callable]
     refold: dict[int, Callable]
@@ -1347,25 +1330,26 @@ class SettleCode(NamedTuple):
     refill: dict[str, Callable]
 
 
-#: a program's content (name, rules, storage declarations) → the namespace
-#: its settle source defined: every engine over one program shares a
-#: compilation (its functions take the engine's derives as their first
-#: argument), as rules share theirs through ``_CODEGEN_CACHE``, and an
-#: engine over a program already seen emits no source
-_SETTLE_CACHE: dict[tuple, dict] = {}
+#: a program's content (name, rules, storage declarations) → its settle
+#: plan and the namespace its settle source defined: every engine over an
+#: equal program shares both (the functions take the engine's derives as
+#: their first argument), as rules share their code through
+#: ``_CODEGEN_CACHE``, and an engine over a program already seen neither
+#: plans nor emits
+_SETTLE_CACHE: dict[tuple, tuple[SettlePlan, dict]] = {}
 
 
-def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
-    """Compile ``plan``'s settle source (once per program content) and
+def compile_settle(program: Program, rule_engine) -> SettleCode:
+    """Plan and compile ``program``'s settle (once per program content) and
     bind it to ``rule_engine``: each derived rule is called through the
     engine's ``deriver`` (for generated rules, compiled now, off the hot
     path)."""
 
-    program = plan.program
-    # the settle source is a function of exactly these (see settle_plan)
+    # the plan and its source are a function of exactly these
     key = (program.name, tuple(program.rules), repr(list(program.materialized.values())))
-    namespace = _SETTLE_CACHE.get(key)
-    if namespace is None:
+    cached = _SETTLE_CACHE.get(key)
+    if cached is None:
+        plan = settle_plan(program)
         source = generate_settle_source(plan)
         from .aggregates import order_key
         from .seminaive import DeltaIndex, row_key
@@ -1379,8 +1363,9 @@ def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
             "_order_key": order_key,
             "_MISSING": object(),
         }
-        exec(compile(source, f"<settle:{plan.program.name}>", "exec"), namespace)
-        _SETTLE_CACHE[key] = namespace
+        exec(compile(source, f"<settle:{program.name}>", "exec"), namespace)
+        cached = _SETTLE_CACHE[key] = (plan, namespace)
+    plan, namespace = cached
     derive = tuple(rule_engine.deriver(rule) for rule in plan.derived)
 
     def bound(table):
@@ -1388,13 +1373,12 @@ def compile_settle(plan: SettlePlan, rule_engine) -> SettleCode:
             return {key: partial(fn, derive) for key, fn in table.items()}
         return tuple(partial(fn, derive) for fn in table)
 
-    rules = plan.program.rules
-    derived = plan.derived
     return SettleCode(
-        fire={id(derived[i]): fn for i, fn in enumerate(bound(namespace["FIRE"]))},
-        route={id(rules[r]): fn for r, fn in namespace["ROUTE"].items()},
-        moved={id(rules[r]): fn for r, fn in namespace["MOVED"].items()},
-        refold={id(rules[r]): fn for r, fn in bound(namespace["REFOLD"]).items()},
+        plan=plan,
+        fire=bound(namespace["FIRE"]),
+        route=namespace["ROUTE"],
+        moved=namespace["MOVED"],
+        refold=bound(namespace["REFOLD"]),
         check=bound(namespace["CHECK"]),
         sweep=bound(namespace["SWEEP"]),
         refill=bound(namespace["REFILL"]),

@@ -15,9 +15,11 @@ interpreter (:mod:`repro.ndlog.reference`) re-derives it:
 * the negation-delta variants retraction fires (:func:`negation_delta_rules`);
 * :func:`comparison_fn`, the pre-dispatched condition operators;
 * the program-level plan of a distributed settle (:func:`settle_plan`):
-  which rules a changed predicate triggers, the key-scoped seeds of keyed
-  refills, scoped sweep checks and group re-folds, and which predicates a
-  settle may sweep — what the settle code generator lowers.
+  which rules a changed predicate triggers, the one seed literal of each
+  key-scoped derive (keyed refills, scoped sweep checks, group re-folds),
+  and which predicates a settle may sweep — what the settle code generator
+  lowers.  Every access path a settle takes is decided here, from the
+  program text alone: nothing a run did (which indexes exist) steers it.
 """
 
 from __future__ import annotations
@@ -298,12 +300,13 @@ class KeySeed(NamedTuple):
 
 
 class ScopedDerive(NamedTuple):
-    """One key-scoped derive: ``rule`` derived under a set of keys — the
-    head's values at ``key_positions`` — through ``seeds`` (chosen at run
-    time by which lookup is free; see :func:`key_seeds`)."""
+    """One key-scoped derive: ``rule`` (``derive``: its position in
+    :attr:`SettlePlan.derived`) derived under a set of keys — the head's
+    values at ``key_positions`` — through ``seed`` (see :func:`key_seed`)."""
 
     rule: Rule
-    seeds: tuple[KeySeed, ...]
+    derive: int
+    seed: KeySeed
     key_positions: tuple[int, ...]
 
 
@@ -343,34 +346,42 @@ ORDER_FREE_AGGREGATES = frozenset(("min", "max", "count"))
 class SettlePlan:
     """The per-program analysis behind a distributed settle.
 
+    Rules are named by position, never by identity, so one plan serves
+    every engine over an equal program (see
+    :func:`~repro.ndlog.codegen.compile_settle`):
+
     * ``derived`` — every rule a settle derives over a delta view, each
       once, in a fixed order: the program's non-aggregate rules, then
       their negation-delta variants, then the plain-head variants of
-      group-maintained aggregates.  Generated settle code names each by
-      its index here.
-    * ``triggers`` — body predicate → the program rules it triggers, in
-      program order; ``negation_triggers`` — negated predicate → its
-      negation-delta variants.
-    * ``head_rules`` — head predicate → its non-aggregate rules (keyed
-      refills re-derive them); ``key_plans`` — head predicate → one
-      :class:`ScopedDerive` per deriving rule, under the head table's
-      primary key (absent when some rule has no seed).
+      group-maintained aggregates.  The maps below and generated settle
+      code name each by its position here.
+    * ``triggers`` — body predicate → the derived positions of the
+      non-aggregate rules it triggers, and ``view_triggers`` → the program
+      positions of the aggregate rules it triggers, both ascending (program
+      order); ``negation_triggers`` — negated predicate → the derived
+      positions of its negation-delta variants.
+    * ``head_rules`` — head predicate → the derived positions of its
+      non-aggregate rules (keyed refills re-derive them); ``key_plans`` —
+      head predicate → one :class:`ScopedDerive` per deriving rule, under
+      the head table's primary key (absent when some rule has no seed).
     * ``sweep_rules`` — the *purely local* derived predicates a
-      consistency sweep may repair, with their rules; ``sweep_bodies`` —
-      the body predicates whose lost rows make each one's check due;
-      ``sweep_plans`` — the predicates whose check may be key-scoped.
-    * ``view_plans`` — aggregate rule (by ``id``) → its group plan (absent:
-      always recomputed whole), in program order, and ``view_reads`` the
-      predicates they read.
+      consistency sweep may repair, with their rules' derived positions;
+      ``sweep_bodies`` — the body predicates whose lost rows make each
+      one's check due; ``sweep_plans`` — the predicates whose check may be
+      key-scoped.
+    * ``view_plans`` — aggregate rule (by program position) → its group
+      plan (absent: always recomputed whole), in program order, and
+      ``view_reads`` the predicates they read.
     """
 
     program: Program
     derived: tuple[Rule, ...]
-    triggers: dict[str, tuple[Rule, ...]]
-    negation_triggers: dict[str, tuple[Rule, ...]]
-    head_rules: dict[str, tuple[Rule, ...]]
+    triggers: dict[str, tuple[int, ...]]
+    view_triggers: dict[str, tuple[int, ...]]
+    negation_triggers: dict[str, tuple[int, ...]]
+    head_rules: dict[str, tuple[int, ...]]
     key_plans: dict[str, tuple[ScopedDerive, ...]]
-    sweep_rules: dict[str, tuple[Rule, ...]]
+    sweep_rules: dict[str, tuple[int, ...]]
     sweep_bodies: dict[str, frozenset[str]]
     sweep_plans: frozenset[str]
     view_plans: dict[int, ViewPlan]
@@ -418,10 +429,10 @@ def key_positions(program: Program, rule: Rule) -> tuple[int, ...]:
     return tuple(range(rule.head.arity))
 
 
-def key_seeds(rule: Rule, positions: tuple[int, ...]) -> tuple[KeySeed, ...]:
-    """The body literals through which ``rule`` can be derived for a
-    handful of head keys — the head's values at ``positions`` — instead of
-    for the whole node.
+def key_seed(program: Program, rule: Rule, positions: tuple[int, ...]) -> Optional[KeySeed]:
+    """The body literal through which ``rule`` is derived for a handful of
+    head keys — the head's values at ``positions`` — instead of for the
+    whole node, or ``None`` when no literal can seed it.
 
     A positive literal qualifies when it carries key variables (beyond the
     location variable, which every local row shares): its rows matching a
@@ -429,9 +440,11 @@ def key_seeds(rule: Rule, positions: tuple[int, ...]) -> tuple[KeySeed, ...]:
     use, so feeding them as the delta of an ordinary derive enumerates
     every such binding.  Key attributes computed by assignments
     (``P=f_concatPath(S,P2)``) bind nothing and are filtered after the
-    derive.  Only the seeds binding the most key attributes are kept, in
-    body order; the derive picks among them at run time by which lookup is
-    free.
+    derive.  Of the literals binding the most key attributes, the seed is
+    the first whose lookup positions are its table's primary key (its
+    lookups read the row map, and no index is built or kept for it), else
+    the first in body order: a function of the program alone, as the order
+    a scoped derive emits its rows in must be.
     """
 
     head = rule.head
@@ -463,12 +476,18 @@ def key_seeds(rule: Rule, positions: tuple[int, ...]) -> tuple[KeySeed, ...]:
                 )
             )
     best = max((selective for selective, _ in ranked), default=0)
-    return tuple(seed for selective, seed in ranked if selective == best)
+    seeds = [seed for selective, seed in ranked if selective == best]
+    for seed in seeds:
+        decl = program.materialized.get(seed.predicate)
+        if decl is not None and seed.positions == tuple(k - 1 for k in decl.keys):
+            return seed
+    return seeds[0] if seeds else None
 
 
-def view_plan(program: Program, rule: Rule) -> Optional[ViewPlan]:
-    """How aggregate ``rule`` can be re-folded group by group, or ``None``
-    when it is always recomputed whole: a group-by argument that is not a
+def view_plan(program: Program, rule: Rule, derive: int) -> Optional[ViewPlan]:
+    """How aggregate ``rule`` can be re-folded group by group, its
+    plain-head variant at ``derive`` in the derived rules, or ``None`` when
+    it is always recomputed whole: a group-by argument that is not a
     variable, a fold that depends on binding order
     (:data:`ORDER_FREE_AGGREGATES`), a size-capped body table, or no seed
     binding a group variable beyond the location."""
@@ -482,8 +501,9 @@ def view_plan(program: Program, rule: Rule) -> Optional[ViewPlan]:
         or capped(program, rule.body_predicates())
     ):
         return None
-    seeds = key_seeds(rule, group_positions)
-    if not seeds:
+    plain = binding_rule(rule)
+    seed = key_seed(program, plain, group_positions)
+    if seed is None:
         return None
     (value_at, aggregate), *more = head.aggregates
     outranked = None
@@ -505,57 +525,64 @@ def view_plan(program: Program, rule: Rule) -> Optional[ViewPlan]:
         else:
             group_of[literal.predicate] = None
     return ViewPlan(
-        ScopedDerive(binding_rule(rule), seeds, group_positions),
-        group_of,
-        outranked,
-        value_at,
+        ScopedDerive(plain, derive, seed, group_positions), group_of, outranked, value_at
     )
 
 
 def settle_plan(program: Program) -> SettlePlan:
     """The :class:`SettlePlan` of a (localized) program."""
 
-    triggers: dict[str, list[Rule]] = {}
-    for rule in program.rules:
-        for predicate in dict.fromkeys(rule.body_predicates()):
-            triggers.setdefault(predicate, []).append(rule)
-    plain = [rule for rule in program.rules if not rule.head.has_aggregate]
-    negation_triggers: dict[str, list[Rule]] = {}
-    variants: list[Rule] = []
-    for rule in plain:
-        for predicate, variant in negation_delta_rules(rule):
-            negation_triggers.setdefault(predicate, []).append(variant)
-            variants.append(variant)
+    rules = program.rules
+    plain = [r for r, rule in enumerate(rules) if not rule.head.has_aggregate]
+    #: program position → derived position, of the non-aggregate rules
+    derive_of = {r: i for i, r in enumerate(plain)}
+    derived = [rules[r] for r in plain]
+    negation_triggers: dict[str, list[int]] = {}
+    for r in plain:
+        for predicate, variant in negation_delta_rules(rules[r]):
+            negation_triggers.setdefault(predicate, []).append(len(derived))
+            derived.append(variant)
+    triggers: dict[str, list[int]] = {}
+    view_triggers: dict[str, list[int]] = {}
     view_plans: dict[int, ViewPlan] = {}
     view_reads: set[str] = set()
-    for rule in program.rules:
+    for r, rule in enumerate(rules):
+        for predicate in dict.fromkeys(rule.body_predicates()):
+            if rule.head.has_aggregate:
+                view_triggers.setdefault(predicate, []).append(r)
+            else:
+                triggers.setdefault(predicate, []).append(derive_of[r])
         if rule.head.has_aggregate:
-            plan = view_plan(program, rule)
+            plan = view_plan(program, rule, len(derived))
             if plan is not None:
-                view_plans[id(rule)] = plan
+                view_plans[r] = plan
                 view_reads |= plan.group_of.keys()
-    head_rules: dict[str, list[Rule]] = {}
-    for rule in plain:
-        head_rules.setdefault(rule.head.predicate, []).append(rule)
-    aggregate_heads = {
-        rule.head.predicate for rule in program.rules if rule.head.has_aggregate
-    }
+                derived.append(plan.scoped.rule)
+    head_rules: dict[str, list[int]] = {}
+    for r in plain:
+        head_rules.setdefault(rules[r].head.predicate, []).append(derive_of[r])
+    aggregate_heads = {rule.head.predicate for rule in rules if rule.head.has_aggregate}
     key_plans: dict[str, tuple[ScopedDerive, ...]] = {}
-    sweep_rules: dict[str, tuple[Rule, ...]] = {}
-    for predicate, rules in head_rules.items():
+    sweep_rules: dict[str, tuple[int, ...]] = {}
+    for predicate, positions in head_rules.items():
         scoped = []
-        for rule in rules:
-            positions = key_positions(program, rule)
-            scoped.append(ScopedDerive(rule, key_seeds(rule, positions), positions))
-        if all(derive.seeds for derive in scoped):
+        for i in positions:
+            keys = key_positions(program, derived[i])
+            seed = key_seed(program, derived[i], keys)
+            if seed is None:
+                break
+            scoped.append(ScopedDerive(derived[i], i, seed, keys))
+        else:
             key_plans[predicate] = tuple(scoped)
         if predicate in aggregate_heads:
             continue  # view-maintained (recompute-and-diff) predicates
-        if all(purely_local(rule) for rule in rules):
-            sweep_rules[predicate] = tuple(rules)
+        if all(purely_local(derived[i]) for i in positions):
+            sweep_rules[predicate] = tuple(positions)
     sweep_bodies = {
-        predicate: frozenset(body for rule in rules for body in rule.body_predicates())
-        for predicate, rules in sweep_rules.items()
+        predicate: frozenset(
+            body for i in positions for body in derived[i].body_predicates()
+        )
+        for predicate, positions in sweep_rules.items()
     }
     # FIFO eviction removes rows without a deletion delta, so no key is ever
     # touched for it: size-capped tables stay on the full sweep
@@ -566,10 +593,11 @@ def settle_plan(program: Program) -> SettlePlan:
     )
     return SettlePlan(
         program=program,
-        derived=tuple(plain + variants + [plan.scoped.rule for plan in view_plans.values()]),
-        triggers={p: tuple(rules) for p, rules in triggers.items()},
-        negation_triggers={p: tuple(rules) for p, rules in negation_triggers.items()},
-        head_rules={p: tuple(rules) for p, rules in head_rules.items()},
+        derived=tuple(derived),
+        triggers={p: tuple(positions) for p, positions in triggers.items()},
+        view_triggers={p: tuple(positions) for p, positions in view_triggers.items()},
+        negation_triggers={p: tuple(positions) for p, positions in negation_triggers.items()},
+        head_rules={p: tuple(positions) for p, positions in head_rules.items()},
         key_plans=key_plans,
         sweep_rules=sweep_rules,
         sweep_bodies=sweep_bodies,

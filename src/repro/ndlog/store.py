@@ -30,8 +30,9 @@ back of the rows and of its buckets together, leaves both together, and a
 keyed rebind is a removal plus an append, so the rebound key is the youngest
 (for FIFO eviction and expiry scans too); a lazily built index reads the rows
 in order.  Index order is therefore a function of row order, and a capture
-(:meth:`Table.export_state` / :meth:`Table.load_state`) carries rows, counts,
-deadlines and the indexed position sets, never buckets.
+(:meth:`Table.export_state` / :meth:`Table.load_state`) carries rows, counts
+and deadlines only: a loaded table builds each index on its first probe, as
+a fresh one does, with the buckets the live table holds.
 
 A :class:`Database` is a collection of tables keyed by predicate name, the
 unit of state held by the centralized evaluator and by each node of the
@@ -541,32 +542,30 @@ class Table:
     # Capture
     # ------------------------------------------------------------------
     def export_state(self) -> tuple:
-        """The table's contents as plain data, ``(rows, deadlines,
-        positions)``: rows as ``(key, values, count)`` in row order, the
-        deadlines of soft state aligned with them (``None`` for hard
-        state), and the position sets of its hash indexes.  Buckets are
-        left out: :meth:`load_state` rebuilds them from the rows, in the
-        order the live ones iterate."""
+        """The table's contents as plain data, ``(rows, deadlines)``: rows
+        as ``(key, values, count)`` in row order and the deadlines of soft
+        state aligned with them (``None`` for hard state).  Indexes are
+        left out: after :meth:`load_state` each is built on its first
+        probe, from the rows, in the order the live one iterates."""
 
         counts = self._counts
         rows = [(key, row, counts.get(key, 1)) for key, row in self._rows.items()]
         deadlines = (
             None if self._deadlines is None else list(self._deadlines.values())
         )
-        return rows, deadlines, list(self._indexes)
+        return rows, deadlines
 
     def load_state(self, state: tuple) -> None:
-        """Replace the contents with a capture of :meth:`export_state`."""
+        """Replace the contents with a capture of :meth:`export_state`; the
+        table holds no index until one is probed."""
 
-        rows, deadlines, positions = state
+        rows, deadlines = state
         self._rows = {key: row for key, row, _ in rows}
         self._counts = {key: count for key, _, count in rows if count != 1}
         if self._deadlines is not None:
             self._deadlines = dict(zip(self._rows, deadlines))
         self._indexes = {}
         self._upkeep = []
-        for index_positions in positions:
-            self.index_on(index_positions)
 
     # ------------------------------------------------------------------
     # Hash indexes
@@ -669,18 +668,11 @@ class Table:
 
         return self._rows
 
-    def has_lookup(self, positions: tuple[int, ...]) -> bool:
-        """Is :meth:`lookup_all` on ``positions`` free of an index build
-        (they are the primary key, or their index already exists)?"""
-
-        return positions == self.keys or positions in self._indexes
-
     def select(self, positions: tuple[int, ...], wanted: Collection[tuple]) -> list[tuple]:
         """Rows whose values at ``positions`` are among ``wanted``, read
         through the primary key or an index that already exists, never a
-        new one (see :func:`select_rows`): building an index here would
-        change which literal a key-scoped derive seeds with
-        (:meth:`has_lookup`)."""
+        new one (see :func:`select_rows`): a read adds no index the table
+        would then maintain on every change."""
 
         return select_rows(self._rows, self.keys, positions, wanted, self._indexes.get(positions))
 

@@ -27,10 +27,13 @@ from typing import Optional
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.  (``/10``: monitor state
-#: pickles its classes by their home in :mod:`repro.dn.monitors`; a ``/9``
-#: body named ``repro.fvn.monitors``, which no longer exists, so loading it
-#: would fail instead of falling back.  Since ``/9`` the engine
+#: to full ledger replay instead of being misread.  (``/11``: each table
+#: capture is its rows and deadlines only; a ``/10`` table also carried the
+#: position sets of its hash indexes, which a load rebuilt.  Since ``/10``
+#: monitor state pickles its classes by their home in
+#: :mod:`repro.dn.monitors`; a ``/9`` body named ``repro.fvn.monitors``,
+#: which no longer exists, so loading it would fail instead of falling
+#: back.  Since ``/9`` the engine
 #: capture holds the whole event queue as data, open waves, pending ops and
 #: flush marks, so an unsettled engine snapshots too; ``/8`` held the
 #: maintenance timers' kinds only.  Since ``/8`` each table carries its
@@ -44,7 +47,7 @@ from typing import Optional
 #: soft-state tables only; ``/4`` carried ``(key, values, inserted_at,
 #: expires_at, count)`` per row; ``/3`` pickled the Trace's records as
 #: dataclasses in bare lists.)
-SNAPSHOT_FORMAT = "fvn-snapshot/10"
+SNAPSHOT_FORMAT = "fvn-snapshot/11"
 
 
 def _header(body: bytes) -> bytes:

@@ -1,65 +1,90 @@
-"""Restored nodes index like live ones.
+"""Restored nodes continue like live ones.
 
-A capture carries each table's rows and the position sets of its hash
-indexes, never buckets: every bucket iterates in row order, so rebuilding
-the indexes from the rows reproduces them.  The positions matter on their
-own — the executor seeds key-scoped derives through a literal whose index
-already exists — so after policy-program churn every table of every
-restored node must hold the live node's index positions, in the live
-creation order, and bucket for bucket the live rows in the live order.
-Checked on each path that rebuilds a node from a capture: ``restore_engine``
-on 1 and 2 inline shards, a killed shard worker respawned from its
-checkpoint, and a serving daemon recovering from its snapshot.
+A capture carries each table's rows, support counts and deadlines, never
+its indexes: no access path of a settle depends on which indexes exist (the
+settle plan fixes every seed from the program text), and a restored table
+builds each index on its first probe, from the rows, so every bucket
+iterates in the live order.  Checked on each path that rebuilds a node from
+a capture — ``restore_engine`` on 1 and 2 inline shards, a killed shard
+worker respawned from its checkpoint, and a serving daemon recovering from
+its snapshot — by continuing the restored run under policy-program churn:
+its ``Trace.fingerprint()``, tables and monitor reports must equal the
+uninterrupted run's, and every index both runs built must hold the same
+buckets, bucket for bucket the same rows in the same order.
 """
+
+import pickle
 
 import pytest
 
 from repro.dn import EngineConfig, ShardedEngine, create_engine
 from repro.dn.engine import restore_engine
 from repro.dn.faults import Fault, FaultPlan
+from repro.dn.monitors import schema_for_program, standard_monitors
 from repro.obs import metrics as obs_metrics
 from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
 
 
-def index_shape(node) -> dict:
-    """Predicate → ``[(positions, {bucket key: bucket rows})]``: index
-    positions in creation order, each bucket's rows in iteration order."""
-
-    return {
-        predicate: [
-            (positions, {key: list(bucket.values()) for key, bucket in index.items()})
-            for positions, index in table._indexes.items()
-        ]
-        for predicate, table in node.db._tables.items()
-    }
-
-
-def node_shapes(engine) -> dict:
-    """Node id → :func:`index_shape`, read from the workers of a sharded
-    engine (inline transport only: a process worker's tables are remote)."""
+def nodes_of(engine) -> dict:
+    """Node id → the :class:`~repro.dn.node.Node` holding its tables, read
+    from the workers of a sharded engine (inline transport only: a process
+    worker's tables are remote)."""
 
     if isinstance(engine, ShardedEngine):
-        nodes = {
+        return {
             node_id: node
             for client in engine.host._clients
             for node_id, node in client.worker.nodes.items()
         }
-    else:
-        nodes = engine.nodes
-    return {node_id: index_shape(nodes[node_id]) for node_id in sorted(nodes)}
+    return dict(engine.nodes)
+
+
+def index_count(engine) -> int:
+    return sum(
+        table.index_count
+        for node in nodes_of(engine).values()
+        for table in node.db._tables.values()
+    )
+
+
+def assert_shared_indexes_agree(engine, other) -> None:
+    """Every index both engines hold on a table has the same buckets, each
+    with the same rows in the same order."""
+
+    theirs = nodes_of(other)
+    shared = 0
+    for node_id, node in nodes_of(engine).items():
+        for predicate, table in node.db._tables.items():
+            twin = theirs[node_id].db.get_table(predicate)
+            for positions, index in table._indexes.items():
+                if twin is None or positions not in twin._indexes:
+                    continue
+                shared += 1
+                buckets = {key: list(bucket.values()) for key, bucket in index.items()}
+                expected = twin._indexes[positions]
+                assert buckets == {
+                    key: list(bucket.values()) for key, bucket in expected.items()
+                }, (node_id, predicate, positions)
+    assert shared
+
+
+def monitors():
+    return standard_monitors(schema_for_program(policy_path_vector_program()))
 
 
 def churned(shards: int = 1, family: str = "power_law", size: int = 16, cycles: int = 12):
-    """A policy engine under link fail / restore / re-cost churn: ``(engine,
-    policy facts)``, before its first run."""
+    """A monitored policy engine under link fail / restore / re-cost churn:
+    ``(engine, policy facts)``, before its first run."""
 
     scenario = generate_scenario(family, size=size, seed=3, policy="gao_rexford", loss=0.01)
     config = EngineConfig(
         seed=3, shards=shards, shard_transport="inline", max_events=10_000_000
     )
     engine = create_engine(policy_path_vector_program(), scenario.topology, config=config)
+    for monitor in monitors():
+        engine.attach_monitor(monitor)
     links = sorted(
         (link.src, link.dst, link.cost)
         for link in scenario.topology.up_links()
@@ -74,29 +99,47 @@ def churned(shards: int = 1, family: str = "power_law", size: int = 16, cycles: 
     return engine, scenario.policy_fact_list()
 
 
+def outcome(engine) -> tuple:
+    """Fingerprint, tables and finalized monitor reports of an engine."""
+
+    engine.finalize_monitors()
+    return (
+        engine.trace.fingerprint(),
+        engine.global_snapshot(),
+        [monitor.report() for monitor in engine.monitors],
+    )
+
+
 @pytest.mark.parametrize("restore_shards", [1, 2])
-def test_restore_engine_rebuilds_live_indexes(restore_shards):
+def test_restored_engine_continues_like_the_live_one(restore_shards):
     live, facts = churned()
     assert live.run(until=100.0, extra_facts=facts).quiescent
-    expected = node_shapes(live)
-    assert any(shape for node in expected.values() for shape in node.values())
+    expected = outcome(live)
+
+    cut, facts = churned()
+    cut.run(until=6.5, extra_facts=facts)  # mid-churn
+    assert index_count(cut)
     restored = restore_engine(
         policy_path_vector_program(),
-        live.capture(),
+        pickle.loads(pickle.dumps(cut.capture())),
         config=EngineConfig(
             seed=3, shards=restore_shards, shard_transport="inline", max_events=10_000_000
         ),
+        monitors=monitors(),
     )
     try:
-        assert node_shapes(restored) == expected
+        assert index_count(restored) == 0  # until a probe builds one
+        assert restored.run(until=100.0).quiescent
+        assert outcome(restored) == expected
+        assert_shared_indexes_agree(restored, live)
     finally:
         restored.close()
 
 
-def test_respawned_worker_rebuilds_live_indexes():
+def test_respawned_worker_continues_like_the_live_one():
     """Kill each worker once both have checkpointed, mid-churn: the
-    respawns load a checkpoint and re-execute their logs, and end holding
-    the fault-free workers' indexes."""
+    respawns load a checkpoint and re-execute their logs, and the run ends
+    as the fault-free one does."""
 
     def segmented(faults):
         engine, facts = churned(shards=2, family="tree", size=8, cycles=40)
@@ -126,38 +169,54 @@ def test_respawned_worker_rebuilds_live_indexes():
     )
     try:
         assert revived == [True, True]
-        assert node_shapes(faulted) == node_shapes(control)
+        assert outcome(faulted) == outcome(control)
+        assert_shared_indexes_agree(faulted, control)
     finally:
         control.close()
         faulted.close()
 
 
-def test_snapshot_recovery_rebuilds_live_indexes(tmp_path, monkeypatch):
+def test_snapshot_recovery_continues_like_the_live_daemon(tmp_path, monkeypatch):
     # a RouteService turns metrics on for the whole process
     monkeypatch.setattr(obs_metrics, "ENABLED", obs_metrics.ENABLED)
-    config = ServerConfig(
-        family="power_law",
-        size=12,
-        state_dir=str(tmp_path / "state"),
-        snapshot_every=3,
-    )
-    live = RouteService(config)
+
+    def config(name: str) -> ServerConfig:
+        return ServerConfig(
+            family="power_law",
+            size=12,
+            state_dir=str(tmp_path / name),
+            snapshot_every=3,
+        )
+
+    def churn(service, links) -> None:
+        for src, dst in links:
+            service.apply_update("link_fail", {"src": src, "dst": dst})
+            service.apply_update("cost_change", {"src": dst, "dst": src, "cost": 9.0})
+            service.apply_update("link_restore", {"src": src, "dst": dst})
+
+    uninterrupted = RouteService(config("uninterrupted"))
     try:
         links = sorted(
             (link.src, link.dst)
-            for link in live.engine.topology.up_links()
+            for link in uninterrupted.engine.topology.up_links()
             if link.src < link.dst
-        )[:4]
-        for src, dst in links:
-            live.apply_update("link_fail", {"src": src, "dst": dst})
-            live.apply_update("cost_change", {"src": dst, "dst": src, "cost": 9.0})
-            live.apply_update("link_restore", {"src": src, "dst": dst})
-        expected = node_shapes(live.engine)
+        )[:6]
+        churn(uninterrupted, links)
+        live = uninterrupted.engine  # its tables stay readable after close
+        expected = outcome(live)
     finally:
-        live.close()
-    recovered = RouteService(config)
+        uninterrupted.close()
+
+    first = RouteService(config("recovered"))
+    try:
+        churn(first, links[:4])
+    finally:
+        first.close()
+    recovered = RouteService(config("recovered"))
     try:
         assert recovered.recovered_from == "snapshot+replay"
-        assert node_shapes(recovered.engine) == expected
+        churn(recovered, links[4:])
+        assert outcome(recovered.engine) == expected
+        assert_shared_indexes_agree(recovered.engine, live)
     finally:
         recovered.close()

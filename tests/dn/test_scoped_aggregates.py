@@ -39,18 +39,19 @@ class ShadowViews(FixpointExecutor):
 
     calls: Counter = Counter()
 
-    def _view_diff(self, node, rule, memo, groups):
-        got = super()._view_diff(node, rule, memo, groups)
+    def _view_diff(self, node, r, memo, groups):
+        got = super()._view_diff(node, r, memo, groups)
         if groups is None:
             self.calls["full"] += 1
         else:
-            whole = super()._view_diff(node, rule, memo, None)
+            whole = super()._view_diff(node, r, memo, None)
+            name = self.program.rules[r].name
             assert got[:2] == whole[:2], (
-                f"{rule.name} at {node.id!r} under {sorted(groups)}: scoped "
+                f"{name} at {node.id!r} under {sorted(groups)}: scoped "
                 f"(removed, added) {got[:2]}, whole re-fire {whole[:2]}"
             )
             self.calls["scoped"] += 1
-            self.calls[rule.name] += 1
+            self.calls[name] += 1
         return got
 
 
@@ -83,10 +84,10 @@ def assert_memos_fresh(engine) -> None:
     else:
         nodes = engine.nodes
     for node_id, node in nodes.items():
-        for rule in engine.program.rules:
-            if rule.head.has_aggregate and id(rule) in node.view_memo:
+        for r, rule in enumerate(engine.program.rules):
+            if rule.head.has_aggregate and r in node.view_memo:
                 fresh = group_rows(rule.head, node.rule_engine.fire_rule(rule, node.db))
-                assert node.view_memo[id(rule)] == fresh, (node_id, rule.name)
+                assert node.view_memo[r] == fresh, (node_id, rule.name)
 
 
 def finish(engine, **run_args):

@@ -2,18 +2,15 @@
 nothing about an execution.
 
 With and without them, a churned, lossy run ends on the same
-``Trace.fingerprint()``, the same tables, and the same captured state of
-every node — rows, support counts, stats, and the position sets of every
-table's hash indexes.  The index positions are the sharp edge: the executor
-seeds a key-scoped derive with a literal whose index already exists
-(``Table.has_lookup``), so a monitor that built an index while reading
-would steer later derives, and the execution would depend on what is
-attached to it.
+``Trace.fingerprint()``, the same tables, the same captured state of every
+node — rows, support counts, stats — and the same hash indexes on every
+table: a monitor reads through ``select``, which reads only what exists,
+so its reads add no index the tables would then maintain on every change.
 """
 
 import pytest
 
-from repro.dn import EngineConfig, create_engine
+from repro.dn import EngineConfig, ShardedEngine, create_engine
 from repro.dn.monitors import schema_for_program, standard_monitors
 from repro.protocols.pathvector import path_vector_program
 from repro.protocols.policy import policy_path_vector_program
@@ -26,8 +23,30 @@ CELLS = [
 ]
 
 
+def index_positions(engine) -> dict:
+    """Node id → predicate → the position sets of the table's indexes, read
+    from the workers of an (inline) sharded engine."""
+
+    if isinstance(engine, ShardedEngine):
+        nodes = {
+            node_id: node
+            for client in engine.host._clients
+            for node_id, node in client.worker.nodes.items()
+        }
+    else:
+        nodes = engine.nodes
+    return {
+        node_id: {
+            predicate: list(table._indexes)
+            for predicate, table in nodes[node_id].db._tables.items()
+        }
+        for node_id in sorted(nodes)
+    }
+
+
 def outcome(build, policy, family, size, shards, monitored):
-    """Fingerprint, tables and node captures of one churned run."""
+    """Fingerprint, tables, node captures and index positions of one
+    churned run."""
 
     program = build()
     scenario = generate_scenario(
@@ -47,7 +66,12 @@ def outcome(build, policy, family, size, shards, monitored):
         if monitored:
             engine.finalize_monitors()
             assert engine.monitors and all(m.finalized_at is not None for m in engine.monitors)
-        return trace.fingerprint(), engine.global_snapshot(), engine.capture()["nodes"]
+        return (
+            trace.fingerprint(),
+            engine.global_snapshot(),
+            engine.capture()["nodes"],
+            index_positions(engine),
+        )
     finally:
         engine.close()
 
@@ -60,3 +84,4 @@ def test_standard_monitors_change_nothing(build, policy, family, size, shards):
     assert watched[0] == bare[0]
     assert watched[1] == bare[1]
     assert watched[2] == bare[2]
+    assert watched[3] == bare[3]

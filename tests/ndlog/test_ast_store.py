@@ -129,17 +129,22 @@ class TestTable:
         soft.insert(("a", 2), now=1.5)  # rebind restarts the lifetime, last
         assert soft.deadlines() == [(("b", 1), 3.0), (("a", 2), 3.5)]
 
-    def test_export_state_is_rows_counts_deadlines_and_positions(self):
+    def test_export_state_is_rows_counts_and_deadlines(self):
         table = Table("hb", keys=(0,), lifetime=2.0)
         table.index_on((1,))
         table.insert(("a", "x"), now=0.0)
         table.insert(("a", "x"), now=1.0)
-        rows, deadlines, positions = table.export_state()
-        assert rows == [(("a",), ("a", "x"), 2)]
-        assert deadlines == [3.0]
-        assert positions == [(1,)]  # buckets are rebuilt from the rows
-        table.index_on((0, 1))  # the capture shares nothing live
-        assert positions == [(1,)]
+        table.insert(("b", "x"), now=1.5)
+        rows, deadlines = table.export_state()  # no index is captured
+        assert rows == [(("a",), ("a", "x"), 2), (("b",), ("b", "x"), 1)]
+        assert deadlines == [3.0, 3.5]
+        restored = Table("hb", keys=(0,), lifetime=2.0)
+        restored.load_state((rows, deadlines))
+        assert restored.index_count == 0  # until its first probe
+        assert restored.probe((1,), ("x",)) == table.probe((1,), ("x",))
+        assert restored.index_count == 1
+        table.insert(("c", "x"), now=2.0)  # the capture shares nothing live
+        assert len(rows) == 2 and len(deadlines) == 2
 
     def test_index_upkeep_over_zero_one_and_several_positions(self):
         table = Table("t", keys=(0,))
@@ -306,6 +311,7 @@ class TestStoreParity:
         state = node.export_state()
         fresh = Node("a", program)
         fresh.load_state(state)
+        assert fresh.db.table("route").index_count == 0
         self._assert_same_state(node.db, fresh.db)
         assert fresh.export_state() == state
 

@@ -323,6 +323,7 @@ class TestRecovery:
             pytest.param(7, "every table's hash-index buckets", id="format-7"),
             pytest.param(8, "maintenance timers only, no pending events", id="format-8"),
             pytest.param(9, "monitor classes pickled under repro.fvn.monitors", id="format-9"),
+            pytest.param(10, "each table's index positions", id="format-10"),
         ],
     )
     def test_intact_older_format_snapshot_falls_back_to_replay(
@@ -332,7 +333,7 @@ class TestRecovery:
         current format does not — is refused for full replay even sealed
         with a valid checksum, so none of it reaches an engine."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/10"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/11"
         reference = self.reseal_as(tmp_path, f"fvn-snapshot/{version}")
         assert self.recover(tmp_path) == ("replay", reference)
 
