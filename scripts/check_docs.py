@@ -23,7 +23,10 @@ Eight checks:
    wire verb in ``repro/serving/protocol.py`` (``UPDATE_VERBS`` +
    ``QUERY_VERBS``) must appear in ``docs/SERVING.md``, as must the
    snapshot format tag the daemon writes (``SNAPSHOT_FORMAT`` in
-   ``repro/serving/checkpoint.py``).  The fingerprint's version tag
+   ``repro/serving/checkpoint.py``) and, backticked, every key of the
+   dict ``RouteService._status`` returns (the ``status`` verb's answer,
+   read from ``repro/serving/service.py`` with ``ast``).  The
+   fingerprint's version tag
    (``FINGERPRINT_TAG`` in ``repro/dn/trace.py``) must appear in both
    ``docs/SERVING.md`` and ``docs/ARCHITECTURE.md``, so a stale fold
    definition cannot survive a version bump.
@@ -321,6 +324,26 @@ def stale_module_references(root: pathlib.Path) -> list[tuple[str, str]]:
     return stale
 
 
+def returned_dict_keys(module_path: pathlib.Path, class_name: str, method: str) -> list[str]:
+    """The string keys of the dict literal ``class_name.method`` returns."""
+
+    tree = ast.parse(module_path.read_text(), filename=str(module_path))
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == class_name):
+            continue
+        for func in cls.body:
+            if not (isinstance(func, ast.FunctionDef) and func.name == method):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
+                    return [
+                        key.value
+                        for key in node.value.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    ]
+    raise SystemExit(f"no dict returned by {class_name}.{method} in {module_path}")
+
+
 def wire_verbs(module_path: pathlib.Path) -> list[str]:
     """The serving verbs: string tuples ``UPDATE_VERBS`` + ``QUERY_VERBS``."""
 
@@ -386,6 +409,12 @@ def main() -> int:
                 "mentioned in docs/SERVING.md"
             )
             failures += 1
+        for key in returned_dict_keys(
+            root / "src" / "repro" / "serving" / "service.py", "RouteService", "_status"
+        ):
+            if f"`{key}`" not in serving_md:
+                print(f"UNDOCUMENTED STATUS KEY: {key} not mentioned in docs/SERVING.md")
+                failures += 1
 
     fingerprint_tag = string_constant(
         root / "src" / "repro" / "dn" / "trace.py", "FINGERPRINT_TAG"
@@ -473,7 +502,8 @@ def main() -> int:
         return 1
     print(
         "docs check: all modules documented, all config fields, serving "
-        "flags, wire verbs, snapshot format, fingerprint version, fault kinds, "
+        "flags, wire verbs, snapshot format, status keys, fingerprint version, "
+        "fault kinds, "
         "diagnostic codes, lint flags, "
         "and obs metric/span names covered; no stale config fields, codes, "
         "path or module references"

@@ -65,24 +65,6 @@ class SPVPSimulator:
     def _initial_assignment(self) -> dict[NodeId, Path]:
         return {node: EPSILON for node in self.instance.permitted}
 
-    def _activate(
-        self, node: NodeId, assignment: dict[NodeId, Path]
-    ) -> tuple[bool, int]:
-        """Re-evaluate one node.  Returns (changed, messages_sent)."""
-
-        best = self.instance.best_consistent_path(node, assignment)
-        if assignment[node] != best:
-            assignment[node] = best
-            # a change is advertised to every neighbour that could use it
-            neighbours = {
-                n
-                for n, paths in self.instance.permitted.items()
-                for p in paths
-                if len(p) > 1 and p[1] == node
-            }
-            return True, max(len(neighbours), 1)
-        return False, 0
-
     def run(
         self,
         *,

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
 from ..ndlog.ast import Fact, NDlogError, Program
+from ..ndlog.codegen import program_digest
 from ..ndlog.functions import builtin_registry
 from ..ndlog.localization import localize_program
 from ..ndlog import seminaive
@@ -172,6 +173,10 @@ class DistributedEngine:
         localization = localize_program(program)
         self.program = localization.program
         self.localization = localization
+        #: the identity of the program this engine runs (see
+        #: :func:`~repro.ndlog.codegen.program_digest`): captures carry it,
+        #: and :meth:`restore` refuses a capture of another program
+        self.program_digest = program_digest(self.program)
         self.topology = topology
         self.config = config or EngineConfig()
         self.registry = registry or builtin_registry()
@@ -782,11 +787,11 @@ class DistributedEngine:
     # Capture and restore
     # ------------------------------------------------------------------
     def capture(self) -> dict:
-        """The state of this engine between two events: the scheduler's
-        whole queue (:meth:`EventScheduler.export_state`), each node's
-        pending ops and flush mark, channel RNG, trace, topology, protected
-        predicates, base facts, monitor state, and each node's
-        :meth:`Node.export_state`.
+        """The state of this engine between two events: its program digest,
+        the scheduler's whole queue (:meth:`EventScheduler.export_state`),
+        each node's pending ops and flush mark, channel RNG, trace,
+        topology, protected predicates, base facts, monitor state, and each
+        node's :meth:`Node.export_state`.
 
         Reading it changes nothing, so two captures in a row are equal.  The
         capture shares the trace, queue item lists and node containers with
@@ -799,6 +804,7 @@ class DistributedEngine:
         if self.scheduler.running:
             raise NDlogError("capture() inside a running event: capture between run() calls")
         return {
+            "program_digest": self.program_digest,
             "scheduler": self.scheduler.export_state(),
             "pending": {node_id: list(ops) for node_id, ops in self._pending.items() if ops},
             "flush_marks": dict(self._flush_marks),
@@ -825,10 +831,16 @@ class DistributedEngine:
         """Load a :meth:`capture` into this fresh, unseeded engine, built
         over the captured topology with its monitors attached (see
         :func:`restore_engine`).  Monitor state is loaded positionally;
-        ``_engine`` stays the attach's."""
+        ``_engine`` stays the attach's.  A capture taken under another
+        program (its ``program_digest`` differs) is refused."""
 
         if self._seeded:
             raise NDlogError("restore() needs a fresh, unseeded engine")
+        if state["program_digest"] != self.program_digest:
+            raise NDlogError(
+                f"capture of program {state['program_digest']} cannot restore "
+                f"into an engine running program {self.program_digest}"
+            )
         self.scheduler.load_state(state["scheduler"])
         for node_id, ops in state["pending"].items():
             self._pending[node_id].extend(ops)
@@ -891,7 +903,7 @@ def restore_engine(
     at the settled state ``state`` that :meth:`DistributedEngine.capture`
     took — on the same or any other shard count.  ``monitors`` are attached
     first, then loaded with the captured monitor state in order; ``program``
-    must be the one the captured engine ran."""
+    must be the one the captured engine ran (else :class:`NDlogError`)."""
 
     engine = create_engine(
         program, Topology.from_state(state["topology"]), config=config, registry=registry

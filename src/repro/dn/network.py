@@ -177,9 +177,6 @@ class Topology:
 
         return [link.as_fact() for link in self.up_links()]
 
-    def has_node(self, node: NodeId) -> bool:
-        return node in self._nodes
-
     def up_adjacency(self) -> dict[NodeId, list[NodeId]]:
         """The undirected up-graph as node → neighbours, in the order
         networkx's ``to_networkx().to_undirected()`` holds them: nodes in

@@ -19,7 +19,7 @@ module closes that gap for campaigns:
   ``disagree``) keep all their monitors at runtime, which is exactly when
   divergence is possible.
 
-Results are cached per (program text, policy): campaigns expand one program
+Results are cached per (program digest, policy): campaigns expand one program
 into thousands of runs and must not re-prove per run.
 
 This module belongs to the verification arc.  The runtime reaches it only
@@ -29,7 +29,6 @@ from inside the two functions that run it: the campaign runner's
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -43,6 +42,7 @@ from ..metarouting.systems import (
     safe_bgp_system,
 )
 from ..ndlog.ast import Program
+from ..ndlog.codegen import program_digest
 from .properties import (
     PropertySpec,
     cycle_freedom,
@@ -199,12 +199,8 @@ def _prove_suite(program: Program, suite: Sequence[PropertySpec]) -> list[Proper
     return proofs
 
 
+#: (program digest, policy name) → its report
 _CACHE: dict[tuple[str, Optional[str]], DischargeReport] = {}
-
-
-def _cache_key(program: Program, policy: Optional[str]) -> tuple[str, Optional[str]]:
-    digest = hashlib.sha256(str(program).encode()).hexdigest()
-    return (digest, policy)
 
 
 def discharge_program(
@@ -212,11 +208,12 @@ def discharge_program(
 ) -> DischargeReport:
     """Prove what can be proved statically for a (program, policy) pair.
 
-    Cached on the program text and policy name — campaign workers call this
-    once per pool process, not once per run.
+    Cached on the program's :func:`~repro.ndlog.codegen.program_digest`
+    and the policy name — campaign workers call this once per pool
+    process, not once per run.
     """
 
-    key = _cache_key(program, policy)
+    key = (program_digest(program), policy)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached

@@ -177,13 +177,3 @@ class TransitionSystem:
                 consumed=tuple(expired),
                 target=target,
             )
-
-    def enabled_rules(self, state: State) -> list[str]:
-        """Names of rules with at least one firing enabled in ``state``."""
-
-        db = state.to_database(self.program)
-        names: list[str] = []
-        for rule in self.program.rules:
-            if any(True for _ in self.engine.fire_rule(rule, db)):
-                names.append(rule.name)
-        return names

@@ -66,6 +66,11 @@ class RunRecord:
     #: :meth:`deterministic_dict` like ``static_proofs`` so obs-enabled
     #: campaigns keep ``results.jsonl`` byte-identical (docs/OBSERVABILITY.md)
     obs: Optional[dict] = None
+    #: the digest of the program the run executed
+    #: (``DistributedEngine.program_digest``); ledger-only, popped from
+    #: :meth:`deterministic_dict` like ``static_proofs``: resume skips a
+    #: run only when its params and this digest both still match
+    program_digest: Optional[str] = None
     wall_time: float = 0.0
     #: ``"ok"`` or ``"crashed"`` (worker process died / raised); crashed
     #: runs stay in the ledger for the record but are re-executed on resume
@@ -81,6 +86,7 @@ class RunRecord:
         out.pop("wall_time", None)
         out.pop("static_proofs", None)
         out.pop("obs", None)
+        out.pop("program_digest", None)
         return out
 
     def to_dict(self) -> dict:
@@ -106,6 +112,7 @@ class RunRecord:
             "monitors_ok": self.monitors_ok,
             "static_proofs": self.static_proofs,
             "obs": self.obs,
+            "program_digest": self.program_digest,
             "wall_time": self.wall_time,
             "status": self.status,
             "error": self.error,

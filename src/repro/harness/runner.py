@@ -33,6 +33,8 @@ from ..dn.collector import freeze_inherited_heap
 from ..dn.engine import DistributedEngine, EngineConfig, create_engine
 from ..dn.monitors import MonitorSchema, build_monitor, clean_report, schema_for_program
 from ..ndlog.ast import MaterializeDecl, Program
+from ..ndlog.codegen import program_digest
+from ..ndlog.localization import localize_program
 from ..ndlog.parser import parse_program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -92,6 +94,13 @@ def build_program(descriptor: RunDescriptor) -> Program:
             predicate, lifetime, decl.max_size, decl.keys
         )
     return program
+
+
+def _program_key(descriptor: RunDescriptor) -> tuple:
+    """What :func:`build_program` reads of a descriptor: runs with equal
+    keys run equal programs."""
+
+    return (descriptor.policy is None, descriptor.soft_state)
 
 
 def _materialize(descriptor: RunDescriptor) -> Scenario:
@@ -267,6 +276,7 @@ def execute_run(
         monitors_ok=all(monitor.ok for monitor in monitors.values()),
         static_proofs=provenance,
         obs=obs_block,
+        program_digest=engine.program_digest,
         wall_time=round(time.perf_counter() - started, 6),
     )
     return record.to_dict()
@@ -287,10 +297,6 @@ class CampaignResult:
     @property
     def run_count(self) -> int:
         return len(self.records)
-
-    @property
-    def runs_per_second(self) -> float:
-        return self.executed / self.wall_time if self.wall_time > 0 else 0.0
 
 
 ProgressCallback = Callable[[RunRecord, int, int], None]
@@ -335,11 +341,7 @@ def _run_pool(
             futures = [
                 (
                     descriptor,
-                    pool.submit(
-                        execute_run, descriptor.to_dict(), static_proofs, obs
-                    )
-                    if static_proofs or obs
-                    else pool.submit(execute_run, descriptor.to_dict()),
+                    pool.submit(execute_run, descriptor.to_dict(), static_proofs, obs),
                 )
                 for descriptor in batch
             ]
@@ -429,9 +431,10 @@ def run_campaign(
     pool is respawned, the victim is retried once, and a persistent death
     is contained as a ``status="crashed"`` :class:`RunRecord` carrying the
     cause.  With ``resume`` (the default) runs already completed in the
-    ledger are skipped — crashed records are kept for the audit trail but
-    re-executed — so re-invoking a killed campaign continues where it
-    stopped; ``resume=False`` discards previous artifacts and starts fresh.
+    ledger, with the same params and program digest, are skipped —
+    crashed records are kept for the audit trail but re-executed — so
+    re-invoking a killed campaign continues where it stopped;
+    ``resume=False`` discards previous artifacts and starts fresh.
 
     ``spec.obs`` — or a ``trace_out`` path, which implies it — runs every
     run under the :mod:`repro.obs` registry/tracer, stores the per-run obs
@@ -456,13 +459,27 @@ def run_campaign(
     # soft-state lifetimes, engine override contents, monitor list…) keep
     # the same ids — those ledger entries are stale and must re-execute
     expected = {
-        descriptor.run_id: json.loads(json.dumps(descriptor.to_dict()))
+        descriptor.run_id: (descriptor, json.loads(json.dumps(descriptor.to_dict())))
         for descriptor in descriptors
     }
+    # ... and whose program is still the one that ran: the digest of each
+    # distinct program, computed only for ledger records to check
+    digests: dict[tuple, str] = {}
+
+    def resumable(record: RunRecord) -> bool:
+        descriptor, params = expected.get(record.run_id, (None, None))
+        if params != record.params or record.status != "ok":
+            return False
+        key = _program_key(descriptor)
+        if key not in digests:
+            program = localize_program(build_program(descriptor)).program
+            digests[key] = program_digest(program)
+        return record.program_digest == digests[key]
+
     done = {
         run_id: record
         for run_id, record in read_ledger(ledger_path).items()
-        if expected.get(run_id) == record.params and record.status == "ok"
+        if resumable(record)
     }
     todo = [d for d in descriptors if d.run_id not in done]
     resumed = len(descriptors) - len(todo)
@@ -494,16 +511,7 @@ def run_campaign(
         if workers <= 1:
             for descriptor in todo:
                 try:
-                    # legacy call shape when proofs and obs are off (tests
-                    # and tooling wrap execute_run with a one-argument stub)
-                    if spec.static_proofs or obs_enabled:
-                        finish(
-                            execute_run(
-                                descriptor.to_dict(), spec.static_proofs, obs_enabled
-                            )
-                        )
-                    else:
-                        finish(execute_run(descriptor.to_dict()))
+                    finish(execute_run(descriptor.to_dict(), spec.static_proofs, obs_enabled))
                 except Exception:
                     finish(crashed(descriptor, traceback.format_exc()))
         else:

@@ -37,7 +37,7 @@ import json
 import tomllib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from ..dn.engine import EngineConfig
 from ..dn.monitors import MONITOR_KINDS
@@ -356,7 +356,3 @@ def spec_from_mapping(data: Mapping) -> CampaignSpec:
     """Build a spec from an in-memory mapping (benchmarks, tests)."""
 
     return CampaignSpec.from_dict(_scalars_to_axes(dict(data)))
-
-
-def descriptor_ids(descriptors: Sequence[RunDescriptor]) -> list[str]:
-    return [d.run_id for d in descriptors]

@@ -114,10 +114,6 @@ class ProofSession:
     def is_complete(self) -> bool:
         return not self.goals
 
-    @property
-    def open_goal_count(self) -> int:
-        return len(self.goals)
-
     def show(self) -> str:
         """Human-readable rendering of the current goal (PVS-style)."""
 

@@ -63,11 +63,6 @@ class RoutingAlgebra:
 
         return self.apply_label(label, signature)
 
-    def is_preferred(self, a: Signature, b: Signature) -> bool:
-        """``a ⪯ b`` — is ``a`` at least as preferred as ``b``?"""
-
-        return self.prefer(a, b)
-
     def strictly_preferred(self, a: Signature, b: Signature) -> bool:
         return self.prefer(a, b) and not self.prefer(b, a)
 

@@ -67,9 +67,6 @@ class LabeledGraph:
     def in_edges(self, node: NodeId) -> list[LabeledEdge]:
         return [e for e in self._edges.values() if e.dst == node]
 
-    def remove_edge(self, src: NodeId, dst: NodeId) -> None:
-        self._edges.pop((src, dst), None)
-
 
 @dataclass
 class RouteEntry:

@@ -97,10 +97,6 @@ class _Unifier:
         elif current[0] != typ:
             self.conflicts.append((root, current[0], typ, span or current[1]))
 
-    def type_of(self, key: _Key) -> Optional[str]:
-        entry = self.types.get(self.find(key))
-        return entry[0] if entry else None
-
 
 def _const_type(value: object) -> Optional[str]:
     # bool before int: isinstance(True, int) holds in Python

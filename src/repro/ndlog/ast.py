@@ -24,7 +24,7 @@ interned pointers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from ..terms import COMPARISONS, Const, Func, Term, Var
 
@@ -151,9 +151,6 @@ class Literal:
         for a in self.args:
             out |= a.free_vars()
         return out
-
-    def with_args(self, args: Sequence[Term]) -> "Literal":
-        return Literal(self.predicate, tuple(args), self.location, self.negated, self.span)
 
     def __str__(self) -> str:
         rendered = []

@@ -39,6 +39,7 @@ reference interpreter still drives the same settle.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from functools import partial
@@ -69,6 +70,8 @@ __all__ = [
     "SettleCode",
     "generate_settle_source",
     "compile_settle",
+    "program_text",
+    "program_digest",
 ]
 
 
@@ -1330,13 +1333,35 @@ class SettleCode(NamedTuple):
     refill: dict[str, Callable]
 
 
-#: a program's content (name, rules, storage declarations) → its settle
-#: plan and the namespace its settle source defined: every engine over an
-#: equal program shares both (the functions take the engine's derives as
-#: their first argument), as rules share their code through
-#: ``_CODEGEN_CACHE``, and an engine over a program already seen neither
-#: plans nor emits
-_SETTLE_CACHE: dict[tuple, tuple[SettlePlan, dict]] = {}
+def program_text(program: Program) -> str:
+    """The canonical text of ``program``: ``program <name>``, then one
+    ``repr`` line per materialize declaration, rule and fact, in program
+    order (source spans are not part of a ``repr``).  The corpus pins it
+    as ``tests/ndlog/corpus/*.parse.txt``."""
+
+    lines = [f"program {program.name}"]
+    lines += map(repr, program.materialized.values())
+    lines += map(repr, program.rules)
+    lines += map(repr, program.facts)
+    return "\n".join(lines) + "\n"
+
+
+def program_digest(program: Program) -> str:
+    """The identity of ``program``: the SHA-256 hex digest of its
+    :func:`program_text`.  An engine digests the localized program it runs
+    (``DistributedEngine.program_digest``); the settle cache, the discharge
+    cache, engine captures and campaign ledger records are keyed or stamped
+    by it."""
+
+    return hashlib.sha256(program_text(program).encode()).hexdigest()
+
+
+#: a program's digest → its settle plan and the namespace its settle source
+#: defined: every engine over an equal program shares both (the functions
+#: take the engine's derives as their first argument), as rules share their
+#: code through ``_CODEGEN_CACHE``, and an engine over a program already
+#: seen neither plans nor emits
+_SETTLE_CACHE: dict[str, tuple[SettlePlan, dict]] = {}
 
 
 def compile_settle(program: Program, rule_engine) -> SettleCode:
@@ -1345,8 +1370,7 @@ def compile_settle(program: Program, rule_engine) -> SettleCode:
     engine's ``deriver`` (for generated rules, compiled now, off the hot
     path)."""
 
-    # the plan and its source are a function of exactly these
-    key = (program.name, tuple(program.rules), repr(list(program.materialized.values())))
+    key = program_digest(program)
     cached = _SETTLE_CACHE.get(key)
     if cached is None:
         plan = settle_plan(program)

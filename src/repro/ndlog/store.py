@@ -756,9 +756,6 @@ class Database:
         self._tables[decl.predicate] = table
         return table
 
-    def has_table(self, predicate: str) -> bool:
-        return predicate in self._tables
-
     def insert(self, predicate: str, values: Sequence[object], now: float = 0.0) -> bool:
         return self.table(predicate).insert(values, now)
 

@@ -66,9 +66,6 @@ class DependencyGraph:
     def edges_into(self, predicate: str) -> list[Dependency]:
         return [d for d in self.dependencies if d.head == predicate]
 
-    def edges_out_of(self, predicate: str) -> list[Dependency]:
-        return [d for d in self.dependencies if d.body == predicate]
-
     def recursive_predicates(self) -> set[str]:
         """Predicates involved in a dependency cycle (including self-loops)."""
 
@@ -123,9 +120,6 @@ class Stratification:
 
     def rules_in_stratum(self, program: Program, stratum: int) -> list[Rule]:
         return [r for r in program.rules if self.rule_strata.get(r.name, 0) == stratum]
-
-    def stratum_of(self, predicate: str) -> int:
-        return self.strata.get(predicate, 0)
 
 
 def stratify(program: Program) -> Stratification:

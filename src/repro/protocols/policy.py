@@ -22,7 +22,7 @@ verification arc (:mod:`repro.bgp`) models and reasons about it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
 from ..ndlog.ast import Program
 from ..ndlog.parser import parse_program
@@ -71,11 +71,6 @@ class Route:
         """Flat representation used by NDlog facts and component ports."""
 
         return (self.destination, self.as_path, self.local_pref, self.cost)
-
-    @staticmethod
-    def from_tuple(values: Sequence) -> "Route":
-        destination, as_path, local_pref, cost = values
-        return Route(destination, tuple(as_path), int(local_pref), float(cost))
 
 
 def prefer_route(a: Route, b: Route) -> Route:

@@ -13,7 +13,8 @@ of the pickled body, followed by the body (:func:`seal_snapshot`).
 :func:`open_snapshot` rejects anything else — a torn write, a flipped byte
 anywhere in the body, or a file written by an older format — and the daemon
 then recovers by full ledger replay.  An accepted snapshot is loaded by
-:func:`~repro.dn.engine.restore_engine`, checked against its config and
+:func:`~repro.dn.engine.restore_engine` (which refuses a capture whose
+program digest is not the daemon's), checked against its config and
 fingerprint stamps, and the update-ledger tail is replayed on top; the
 crash-recovery tests assert the result is byte-identical to an
 uninterrupted run.
@@ -27,9 +28,12 @@ from typing import Optional
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.  (``/11``: each table
-#: capture is its rows and deadlines only; a ``/10`` table also carried the
-#: position sets of its hash indexes, which a load rebuilt.  Since ``/10``
+#: to full ledger replay instead of being misread.  (``/12``: the engine
+#: capture carries its program digest, and a capture of another program is
+#: refused for full replay; a ``/11`` capture named no program.  Since
+#: ``/11`` each table capture is its rows and deadlines only; a ``/10``
+#: table also carried the position sets of its hash indexes, which a load
+#: rebuilt.  Since ``/10``
 #: monitor state pickles its classes by their home in
 #: :mod:`repro.dn.monitors`; a ``/9`` body named ``repro.fvn.monitors``,
 #: which no longer exists, so loading it would fail instead of falling
@@ -47,7 +51,7 @@ from typing import Optional
 #: soft-state tables only; ``/4`` carried ``(key, values, inserted_at,
 #: expires_at, count)`` per row; ``/3`` pickled the Trace's records as
 #: dataclasses in bare lists.)
-SNAPSHOT_FORMAT = "fvn-snapshot/11"
+SNAPSHOT_FORMAT = "fvn-snapshot/12"
 
 
 def _header(body: bytes) -> bytes:

@@ -13,9 +13,9 @@ update is
 4. **settled** — the settle loop drives the scheduler to the next fixpoint,
    excluding periodic maintenance timers (which never drain);
 5. optionally **snapshotted** — every ``snapshot_every`` updates, the
-   engine's capture (1 or N shards) is sealed into a checksummed,
-   fingerprint-stamped :mod:`~repro.serving.checkpoint` file, written
-   atomically.
+   engine's capture (1 or N shards, stamped with its program digest) is
+   sealed into a checksummed, fingerprint-stamped
+   :mod:`~repro.serving.checkpoint` file, written atomically.
 
 Every settle also compacts the engine's ``Trace`` (digest chains, counters
 and a sub-block tail survive; the folded records are dropped), so the
@@ -56,7 +56,7 @@ from ..dn.engine import (
 from ..dn.faults import SERVING_SCOPE, load_injector
 from ..dn.monitors import build_monitor, schema_for_program
 from ..harness.records import append_jsonl, canonical_json, read_jsonl
-from ..ndlog.ast import MaterializeDecl, Program
+from ..ndlog.ast import MaterializeDecl, NDlogError, Program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..protocols.pathvector import path_vector_program
@@ -279,7 +279,10 @@ class RouteService:
             current_config.pop(key, None)
         if stamped_config != current_config or snapshot["seq"] > len(updates):
             return None
-        self._restore(snapshot["engine"])
+        try:
+            self._restore(snapshot["engine"])
+        except NDlogError:
+            return None  # captured under another program: full replay
         if self.engine.trace.fingerprint() != snapshot["fingerprint"]:
             self.engine.close()  # stamp mismatch: distrust it, full replay
             self.engine = None
@@ -562,6 +565,7 @@ class RouteService:
             "settled": self.settled,
             "pending_events": self._pending_events(),
             "recovered_from": self.recovered_from,
+            "program_digest": engine.program_digest,
             "sim_time": engine.scheduler.now,
             "events": trace.events_processed,
             "quiescent": trace.quiescent,

@@ -4,7 +4,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "events": (
-        "WorkloadEvent", "WorkloadScript", "periodic_refresh_workload", "random_failure_workload",
+        "WorkloadEvent", "WorkloadScript", "periodic_refresh_workload",
     ),
     "topologies": (
         "as_hierarchy_topology", "full_mesh_topology", "grid_topology", "labeled_edges",

@@ -9,12 +9,10 @@ protocol simulators.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Literal, Optional
 
 from ..dn.engine import DistributedEngine
-from ..dn.network import Topology
 
 
 EventKind = Literal["fail_link", "restore_link", "set_cost", "inject_fact"]
@@ -82,37 +80,6 @@ class WorkloadScript:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def random_failure_workload(
-    topology: Topology,
-    *,
-    failures: int = 3,
-    start: float = 1.0,
-    spacing: float = 1.0,
-    seed: int = 0,
-) -> WorkloadScript:
-    """A script failing ``failures`` random distinct links at regular intervals."""
-
-    rng = random.Random(seed)
-    links = sorted(
-        ((link.src, link.dst) for link in topology.up_links()), key=repr
-    )
-    rng.shuffle(links)
-    chosen: list[tuple] = []
-    seen: set[frozenset] = set()
-    for src, dst in links:
-        key = frozenset((src, dst))
-        if key in seen:
-            continue
-        seen.add(key)
-        chosen.append((src, dst))
-        if len(chosen) >= failures:
-            break
-    script = WorkloadScript()
-    for index, (src, dst) in enumerate(chosen):
-        script.fail_link(src, dst, start + index * spacing)
-    return script
 
 
 def periodic_refresh_workload(

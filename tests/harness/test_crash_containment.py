@@ -52,10 +52,10 @@ class TestPoolCrashContainment:
         victim = spec.expand()[2].run_id
         real_execute = runner.execute_run
 
-        def flaky(descriptor_data):
+        def flaky(descriptor_data, *args):
             if descriptor_data["run_id"] == victim:
                 raise RuntimeError("synthetic in-run failure")
-            return real_execute(descriptor_data)
+            return real_execute(descriptor_data, *args)
 
         monkeypatch.setattr(runner, "execute_run", flaky)
         result = run_campaign(spec, tmp_path, workers=1)

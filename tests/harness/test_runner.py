@@ -197,6 +197,44 @@ class TestCampaigns:
         )
         assert again.resumed == 2 and again.executed == 0
 
+    def test_program_change_reexecutes_every_run(self, tmp_path, monkeypatch):
+        """Resume checks the program as well as the params: after a change
+        to ``r2``'s cost term no ledger record is resumed, and the campaign
+        writes what a fresh campaign of the changed program writes."""
+
+        import repro.harness.runner as runner
+
+        # several paths per pair, so the changed costs change the routes
+        spec = small_spec(families=("power_law",), seeds=(0, 1), churn_events=(0,))
+        out = tmp_path / "out"
+        first = run_campaign(spec, out)
+        before = (out / RESULTS_NAME).read_bytes()
+        assert first.executed == 2 and all(r.program_digest for r in first.records)
+        monkeypatch.setattr(
+            runner,
+            "PATH_VECTOR_SOURCE",
+            runner.PATH_VECTOR_SOURCE.replace("C=C1+C2,", "C=C1+C2+C2,"),
+        )
+        resumed = run_campaign(spec, out)
+        assert resumed.resumed == 0 and resumed.executed == 2
+        fresh = run_campaign(spec, tmp_path / "fresh")
+        assert (out / RESULTS_NAME).read_bytes() == (
+            tmp_path / "fresh" / RESULTS_NAME
+        ).read_bytes() != before
+        assert {r.program_digest for r in resumed.records} == {
+            r.program_digest for r in fresh.records
+        } != {r.program_digest for r in first.records}
+        # the changed program's own records resume
+        again = run_campaign(spec, out)
+        assert again.resumed == 2 and again.executed == 0
+
+    def test_program_digest_is_ledger_only(self, tmp_path):
+        result = run_campaign(small_spec(seeds=(0,), churn_events=(0,)), tmp_path)
+        (line,) = (tmp_path / RESULTS_NAME).read_text().splitlines()
+        assert "program_digest" not in json.loads(line)
+        ledger = json.loads((tmp_path / LEDGER_NAME).read_text().splitlines()[0])
+        assert ledger["program_digest"] == result.records[0].program_digest
+
     def test_stale_ledger_entries_from_other_specs_are_ignored(self, tmp_path):
         spec = small_spec(seeds=(0,), churn_events=(0,))
         out = tmp_path / "out"

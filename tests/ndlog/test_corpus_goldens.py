@@ -5,7 +5,9 @@ distance vector, link state, heartbeat, the generated policy path vector)
 plus edge-case texts (negation, aggregates, duplicate variables, soft
 state, a dead plan).  For each text the suite pins
 
-* ``<name>.parse.txt`` — a deterministic dump of the parsed AST, and
+* ``<name>.parse.txt`` — the canonical text of the parsed AST
+  (:func:`repro.ndlog.codegen.program_text`, which the program digest
+  hashes), and
 * ``<name>.codegen.txt`` — the specialized Python source the code
   generator emits (:func:`repro.ndlog.codegen.emit_program_source`),
   dead plans included as their no-op body functions, and
@@ -23,7 +25,7 @@ import pathlib
 
 import pytest
 
-from repro.ndlog.codegen import emit_program_source, generate_settle_source
+from repro.ndlog.codegen import emit_program_source, generate_settle_source, program_text
 from repro.ndlog.functions import builtin_registry
 from repro.ndlog.parser import parse_program
 from repro.ndlog.plan import settle_plan
@@ -31,17 +33,6 @@ from repro.ndlog.seminaive import evaluate
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.ndl"))
-
-
-def parse_dump(program) -> str:
-    """A deterministic, line-per-construct dump of the parsed program."""
-
-    lines = [f"program {program.name}"]
-    for decl in program.materialized.values():
-        lines.append(repr(decl))
-    for rule in program.rules:
-        lines.append(repr(rule))
-    return "\n".join(lines) + "\n"
 
 
 def check_golden(path: pathlib.Path, actual: str, update: bool) -> None:
@@ -65,7 +56,7 @@ def test_corpus_is_nonempty():
 def test_parse_golden(ndl, update_goldens):
     program = parse_program(ndl.read_text(), ndl.stem)
     check_golden(
-        ndl.with_suffix(".parse.txt"), parse_dump(program), update_goldens
+        ndl.with_suffix(".parse.txt"), program_text(program), update_goldens
     )
 
 

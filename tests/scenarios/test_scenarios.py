@@ -103,6 +103,13 @@ class TestChurn:
         for event in fail_events:
             assert frozenset((event.src, event.dst)) in links
 
+    def test_link_churn_schedule_fails_distinct_links(self):
+        schedule = link_churn_schedule(
+            generate_scenario("ring", size=6).topology, events=3, seed=2
+        )
+        assert len(schedule) == 3
+        assert len({frozenset((e.src, e.dst)) for e in schedule.events}) == 3
+
     def test_churn_times_are_ordered_and_spaced(self):
         schedule = link_churn_schedule(
             generate_scenario("ring", size=10).topology,

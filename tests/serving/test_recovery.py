@@ -14,6 +14,7 @@ from repro.dn.engine import DistributedEngine, EngineConfig, restore_engine
 from repro.dn.monitors import MONITOR_KINDS, build_monitor
 from repro.dn.trace import Trace
 from repro.harness.records import canonical_json
+from repro.protocols import pathvector
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving import RouteService, ServerConfig
@@ -324,6 +325,7 @@ class TestRecovery:
             pytest.param(8, "maintenance timers only, no pending events", id="format-8"),
             pytest.param(9, "monitor classes pickled under repro.fvn.monitors", id="format-9"),
             pytest.param(10, "each table's index positions", id="format-10"),
+            pytest.param(11, "no program digest", id="format-11"),
         ],
     )
     def test_intact_older_format_snapshot_falls_back_to_replay(
@@ -333,9 +335,45 @@ class TestRecovery:
         current format does not — is refused for full replay even sealed
         with a valid checksum, so none of it reaches an engine."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/11"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/12"
         reference = self.reseal_as(tmp_path, f"fvn-snapshot/{version}")
         assert self.recover(tmp_path) == ("replay", reference)
+
+    def test_program_change_recovers_by_full_replay(self, tmp_path, monkeypatch):
+        """A daemon restarted on code whose ``r2`` cost term changed refuses
+        its snapshot, a capture of the old program, and rebuilds from the
+        ledger: it serves the ``bestPath`` rows the changed rules derive."""
+
+        updates = [("link_fail", {"src": 1, "dst": 3}), ("link_fail", {"src": 2, "dst": 6})]
+
+        def serve(config):
+            service = RouteService(config)
+            try:
+                for verb, args in updates:
+                    service.apply_update(verb, args)
+                return service.query("table", {"predicate": "bestPath"})["rows"]
+            finally:
+                service.close()
+
+        old_rows = serve(durable_config(tmp_path, size=8))
+        assert (tmp_path / "state" / SNAPSHOT_NAME).exists()
+        monkeypatch.setattr(
+            pathvector,
+            "PATH_VECTOR_SOURCE",
+            pathvector.PATH_VECTOR_SOURCE.replace("C=C1+C2,", "C=C1+C2+C2,"),
+        )
+        new_rows = serve(ServerConfig(family="tree", size=8, snapshot_every=0))
+        assert new_rows != old_rows
+        recovered = RouteService(durable_config(tmp_path, size=8))
+        try:
+            assert recovered.recovered_from == "replay"
+            assert recovered.seq == len(updates)
+            assert recovered.query("status", {})["program_digest"] == (
+                recovered.engine.program_digest
+            )
+            assert recovered.query("table", {"predicate": "bestPath"})["rows"] == new_rows
+        finally:
+            recovered.close()
 
     def test_sealed_snapshot_round_trips(self):
         snapshot = {"seq": 3, "engine": {"nodes": {0: [("link", (0, 1, 2.5))]}}}

@@ -1,8 +1,8 @@
 """The documentation gate (``scripts/check_docs.py``) works both ways: the
 repository's docs pass it, and a config-table row naming a field the class
 no longer has, a diagnostics-table row naming a code ``CODES`` no longer
-has, a backticked test path or test name that does not exist, or a
-fingerprint version the docs do not name, fails it."""
+has, a backticked test path or test name that does not exist, a
+fingerprint version or a ``status`` key the docs do not name, fails it."""
 
 import importlib.util
 import shutil
@@ -179,3 +179,21 @@ def test_documented_fingerprint_version_passes(docs_tree):
         path.write_text(path.read_text().replace(f"`{old}`", f"`{new}`"))
     done = check(docs_tree)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_undocumented_status_key_fails(docs_tree):
+    """Every key ``RouteService._status`` returns must be named in
+    docs/SERVING.md: dropping ``program_digest`` from it fails the gate."""
+
+    keys = load_check_docs().returned_dict_keys(
+        docs_tree / "src" / "repro" / "serving" / "service.py", "RouteService", "_status"
+    )
+    assert {"seq", "recovered_from", "program_digest"} <= set(keys)
+    serving_md = docs_tree / "docs" / "SERVING.md"
+    serving_md.write_text(serving_md.read_text().replace("`program_digest`", "program digest"))
+    done = check(docs_tree)
+    assert done.returncode == 1
+    assert (
+        "UNDOCUMENTED STATUS KEY: program_digest not mentioned in docs/SERVING.md"
+        in done.stdout
+    )

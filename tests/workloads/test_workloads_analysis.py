@@ -16,7 +16,6 @@ from repro.workloads import (
     grid_topology,
     line_topology,
     periodic_refresh_workload,
-    random_failure_workload,
     random_topology,
     ring_topology,
     star_topology,
@@ -51,13 +50,6 @@ class TestWorkloadScripts:
         script.set_cost(2, 3, 9, at=1.0)
         assert [e.at for e in script.events] == [1.0, 5.0]
         assert len(script) == 2
-
-    def test_random_failure_workload_distinct_links(self):
-        topo = ring_topology(6)
-        script = random_failure_workload(topo, failures=3, seed=2)
-        assert len(script) == 3
-        pairs = {frozenset((e.src, e.dst)) for e in script.events}
-        assert len(pairs) == 3
 
     def test_periodic_refresh(self):
         script = periodic_refresh_workload([("hb", ("a", "b"))], period=2.0, repetitions=3)
