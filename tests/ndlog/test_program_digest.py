@@ -72,7 +72,7 @@ class TestEqual:
             digests.add(done.stdout.strip())
         assert len(digests) == 1
 
-    def test_the_engine_digests_its_localized_program_once_for_all(self):
+    def test_the_engine_digests_its_localized_program(self):
         program = parse_program(PATH_VECTOR_SOURCE, "pv")
         engine = DistributedEngine(program, generate_scenario("tree", size=4).topology)
         assert engine.program_digest == program_digest(localize_program(program).program)
