@@ -26,11 +26,12 @@ That is the only execution mode, and generated code (one
 :class:`~repro.ndlog.codegen.CodegenRule` per rule, compiled once and
 shared by every node) the only rule evaluator; differential tests point
 :data:`repro.ndlog.seminaive.RULE_ENGINE` at the reference interpreter.
-Like the centralized :class:`~repro.ndlog.seminaive.IncrementalEvaluator`,
-the counting scheme is exact for programs whose recursion is well-founded
-(the path-vector program's cycle check grounds every derivation); cyclic
-self-support should be bounded with soft-state lifetimes, the paper's own
-remedy.
+The centralized :class:`~repro.ndlog.seminaive.IncrementalEvaluator` runs
+the same settle on one node.  The counting scheme is exact for programs
+whose recursion is well-founded (the path-vector program's cycle check
+grounds every derivation) and, by over-delete and re-derive, for cyclic
+support inside one node; cyclic support across nodes should be bounded
+with soft-state lifetimes, the paper's own remedy.
 
 **One engine, two node hosts.**  The engine owns what is global: the event
 scheduler (whose FIFO tie-break defines the one event order), the loss

@@ -48,7 +48,7 @@ from collections import deque
 from typing import Iterable, Mapping, Optional
 
 from ..ndlog.aggregates import group_rows, order_key
-from ..ndlog.ast import Program
+from ..ndlog.ast import NDlogError, Program
 from ..ndlog.codegen import compile_settle
 from ..ndlog.plan import NEGATION_DELTA_SUFFIX
 from ..ndlog.seminaive import DeltaIndex, RuleEngine, row_key
@@ -241,10 +241,15 @@ class FixpointExecutor:
     # ------------------------------------------------------------------
     # Retraction-aware rounds
     # ------------------------------------------------------------------
-    def settle(self, node: Node, ops, now: float, changes: list) -> list[Send]:
+    def settle(
+        self, node: Node, ops, now: float, changes: list, *, max_rounds: Optional[int] = None
+    ) -> list[Send]:
         """Run a node's queued ops (everything that arrived at this
         timestamp) to quiescence in retraction-aware rounds; returns the
-        settle's net sends.
+        settle's net sends.  With ``max_rounds``, a settle that needs more
+        rounds raises :class:`~repro.ndlog.ast.NDlogError` instead of
+        running on (a program whose keyed tables displace each other
+        forever has no quiescence).
 
         State changes are appended to ``changes`` as they happen.  Sends
         are the settle's *net* effect, made when it ends: each remote head
@@ -260,7 +265,7 @@ class FixpointExecutor:
         """
 
         outbox: dict[tuple, list] = {}
-        self._settle(node, ops, now, changes, outbox)
+        self._settle(node, ops, now, changes, outbox, max_rounds)
         sends: list[Send] = []
         append = sends.append
         for asserts, retracts, dst, predicate, values in outbox.values():
@@ -278,7 +283,9 @@ class FixpointExecutor:
                 obs_metrics.inc("engine.sends_netted", netted)
         return sends
 
-    def _settle(self, node: Node, ops, now: float, changes: list, outbox: dict) -> None:
+    def _settle(
+        self, node: Node, ops, now: float, changes: list, outbox: dict, max_rounds: Optional[int]
+    ) -> None:
         """The rounds of :meth:`settle`.
 
         Each round batches a FIFO prefix of the queue, split into a
@@ -310,6 +317,8 @@ class FixpointExecutor:
         whose bodies lost rows and force-retracts stored rows that are no
         longer derivable (re-asserting derivable rows whose key went
         empty), restoring exact local consistency at every settle point.
+        The same repair re-asserts over-deleted rows that are still
+        derivable: DRed for node-local recursion (:meth:`_deletion_subround`).
         """
 
         queue: deque[Run] = deque(_runs(ops))
@@ -342,6 +351,10 @@ class FixpointExecutor:
                 continue
             ins_runs, del_runs = _take_round(queue)
             rounds += 1
+            if max_rounds is not None and rounds > max_rounds:
+                raise NDlogError(
+                    f"settle did not reach a fixpoint within {max_rounds} rounds"
+                )
             if del_runs:
                 removed = self._deletion_subround(
                     node, del_runs, queue, now, touched, changes, outbox
@@ -465,8 +478,10 @@ class FixpointExecutor:
     ) -> dict[str, list[tuple]]:
         """One deletion round: decide, fire old-database joins, remove.
 
-        Counted retracts release one support, forced deletes/expiries match
-        the stored row; the retraction joins fire while the condemned rows
+        Counted retracts release one support, except that an unprotected
+        over-deleted predicate (``plan.overdeleted``) loses its stored row
+        on any; forced deletes/expiries match the stored row; the
+        retraction joins fire while the condemned rows
         are still stored (the deletion delta joins against the *old*
         database) and only then are the rows removed.  Every op on a
         sweepable predicate records its primary key in ``touched`` — the
@@ -484,6 +499,8 @@ class FixpointExecutor:
         seen: dict[str, set] = {}
         pending_inserts: Optional[set[tuple]] = None
         sweepable = self._sweep_rules
+        overdeleted = self.plan.overdeleted
+        protected = self.protected
         db = node.db
         node_id = node.id
         for kind, predicate, rows in del_runs:
@@ -492,7 +509,16 @@ class FixpointExecutor:
             if predicate in sweepable:
                 touched.setdefault(predicate, set()).update(map(table.key_of, rows))
             if kind == "retract":
-                rows, stale = table.release_run(rows)
+                if predicate in overdeleted and predicate not in protected:
+                    # counts cannot see cyclic support: the row goes
+                    # whatever its count, and the settle-end check
+                    # re-asserts it while it is still derivable (DRed)
+                    current = table.current
+                    stale = [row for row in rows if current(row) != row]
+                    if stale:
+                        rows = [row for row in rows if current(row) == row]
+                else:
+                    rows, stale = table.release_run(rows)
                 if stale:
                     if pending_inserts is None:
                         pending_inserts = {

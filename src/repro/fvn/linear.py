@@ -168,12 +168,11 @@ class TransitionSystem:
                 expired.append((predicate, values))
             else:
                 remaining.add((predicate, values, inserted))
-        target = State(frozenset(remaining), new_clock)
-        if expired or remaining != state.facts or True:
-            yield Transition(
-                kind="tick",
-                rule=None,
-                produced=(),
-                consumed=tuple(expired),
-                target=target,
-            )
+        # a tick that expires nothing still moves the clock toward later expiries
+        yield Transition(
+            kind="tick",
+            rule=None,
+            produced=(),
+            consumed=tuple(expired),
+            target=State(frozenset(remaining), new_clock),
+        )

@@ -27,13 +27,15 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "MaterializeDecl", "NDlogError", "Program", "Rule",
     ),
     "functions": ("BUILTIN_FUNCTIONS", "builtin_registry"),
-    "localization": ("LocalizationResult", "is_localized", "localize_program", "localize_rule"),
+    "localization": (
+        "LocalizationResult", "is_localized", "localize_program", "localize_rule",
+        "strip_locations",
+    ),
     "parser": ("ParseError", "parse_program", "parse_rule", "tokenize"),
     "plan": ("negation_delta_rules", "order_body"),
     "seminaive": (
-        "EvaluationStats", "Evaluator", "IncrementalEvaluator", "RetractionStats", "RuleEngine",
-        "evaluate",
+        "EvaluationStats", "Evaluator", "IncrementalEvaluator", "RuleEngine", "evaluate",
     ),
     "store": ("Database", "Table"),
-    "stratification": ("DependencyGraph", "Stratification", "needs_recompute", "stratify"),
+    "stratification": ("DependencyGraph", "Stratification", "stratify"),
 })

@@ -18,28 +18,6 @@ from .ast import HeadLiteral, NDlogError
 _MISSING = object()
 
 
-def diff_rows(
-    previous: set[tuple], current: Iterable[tuple]
-) -> tuple[list[tuple], list[tuple], set[tuple]]:
-    """The recomputation hook for aggregate (and other non-incremental) rules.
-
-    Aggregates are maintained under deletion by *recompute-and-diff*: the
-    rule is re-evaluated over the changed body and its new output compared
-    with the memoized previous output.  Returns ``(added, removed, rows)``
-    where ``added`` are rows to assert, ``removed`` rows to retract, and
-    ``rows`` the new memo.  Rows are ordered removals-first by the callers
-    so a keyed aggregate table (``bestPathCost(@S,D,min<C>)``) retracts the
-    stale group value before asserting the new one.
-    """
-
-    rows = {tuple(r) for r in current}
-    if rows == previous:
-        return [], [], rows
-    added = [r for r in rows if r not in previous]
-    removed = [r for r in previous if r not in rows]
-    return added, removed, rows
-
-
 def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
     """The function mapping a row to the tuple of its values at
     ``positions`` (a tuple for any number of positions, unlike a bare

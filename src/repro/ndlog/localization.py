@@ -29,7 +29,7 @@ this repository satisfy it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..terms import Term
@@ -200,3 +200,24 @@ def localize_program(program: Program) -> LocalizationResult:
         rewritten_rules=rewritten_names,
         auxiliary_predicates=sorted(aux_rules),
     )
+
+
+def strip_locations(program: Program) -> Program:
+    """``program`` with every location specifier dropped, so one node
+    holds every row and every rule derives where it fires: the centralized
+    reading that :class:`~repro.ndlog.seminaive.IncrementalEvaluator` runs
+    on one node.  Rule names, materialize declarations and facts are kept.
+    """
+
+    def unlocated(item):
+        return replace(item, location=None) if isinstance(item, Literal) else item
+
+    stripped = Program(program.name)
+    for decl in program.materialized.values():
+        stripped.add_materialize(decl)
+    for rule in program.rules:
+        head = replace(rule.head, location=None)
+        stripped.add_rule(Rule(rule.name, head, tuple(map(unlocated, rule.body)), rule.span))
+    for fact in program.facts:
+        stripped.add_fact(fact)
+    return stripped

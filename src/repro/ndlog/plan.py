@@ -17,9 +17,10 @@ interpreter (:mod:`repro.ndlog.reference`) re-derives it:
 * the program-level plan of a distributed settle (:func:`settle_plan`):
   which rules a changed predicate triggers, the one seed literal of each
   key-scoped derive (keyed refills, scoped sweep checks, group re-folds),
-  and which predicates a settle may sweep — what the settle code generator
-  lowers.  Every access path a settle takes is decided here, from the
-  program text alone: nothing a run did (which indexes exist) steers it.
+  which predicates a settle may sweep and which it over-deletes — what
+  the settle code generator and the executor run.  Every access path a
+  settle takes is decided here, from the program text alone: nothing a
+  run did (which indexes exist) steers it.
 """
 
 from __future__ import annotations
@@ -368,7 +369,9 @@ class SettlePlan:
       consistency sweep may repair, with their rules' derived positions;
       ``sweep_bodies`` — the body predicates whose lost rows make each
       one's check due; ``sweep_plans`` — the predicates whose check may be
-      key-scoped.
+      key-scoped; ``overdeleted`` — the sweepable predicates that reach
+      themselves through sweepable bodies, whose rows a lost support
+      removes whatever their count (see :func:`settle_plan`).
     * ``view_plans`` — aggregate rule (by program position) → its group
       plan (absent: always recomputed whole), in program order, and
       ``view_reads`` the predicates they read.
@@ -384,6 +387,7 @@ class SettlePlan:
     sweep_rules: dict[str, tuple[int, ...]]
     sweep_bodies: dict[str, frozenset[str]]
     sweep_plans: frozenset[str]
+    overdeleted: frozenset[str]
     view_plans: dict[int, ViewPlan]
     view_reads: frozenset[str]
 
@@ -529,6 +533,20 @@ def view_plan(program: Program, rule: Rule, derive: int) -> Optional[ViewPlan]:
     )
 
 
+def _reached(bodies: dict[str, frozenset[str]], start: str) -> set[str]:
+    """The predicates of ``bodies`` that ``start`` reaches through one or
+    more of their body predicate sets."""
+
+    reached: set[str] = set()
+    stack = [start]
+    while stack:
+        for body in bodies[stack.pop()]:
+            if body in bodies and body not in reached:
+                reached.add(body)
+                stack.append(body)
+    return reached
+
+
 def settle_plan(program: Program) -> SettlePlan:
     """The :class:`SettlePlan` of a (localized) program."""
 
@@ -584,6 +602,16 @@ def settle_plan(program: Program) -> SettlePlan:
         )
         for predicate, positions in sweep_rules.items()
     }
+    # rows of a predicate that reaches itself through sweepable bodies can
+    # count each other alive around a cycle: they are over-deleted on any
+    # lost support, and a lost row makes its own check due, whose repair
+    # re-asserts what is still derivable (insertion rounds re-derive the
+    # rest: DRed)
+    overdeleted = frozenset(
+        predicate for predicate in sweep_rules if predicate in _reached(sweep_bodies, predicate)
+    )
+    for predicate in overdeleted:
+        sweep_bodies[predicate] |= {predicate}
     # FIFO eviction removes rows without a deletion delta, so no key is ever
     # touched for it: size-capped tables stay on the full sweep
     sweep_plans = frozenset(
@@ -602,6 +630,7 @@ def settle_plan(program: Program) -> SettlePlan:
         sweep_rules=sweep_rules,
         sweep_bodies=sweep_bodies,
         sweep_plans=sweep_plans,
+        overdeleted=overdeleted,
         view_plans=view_plans,
         view_reads=frozenset(view_reads),
     )

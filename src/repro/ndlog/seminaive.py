@@ -22,16 +22,15 @@ there to check generated code against.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..terms import FunctionRegistry
-from .aggregates import diff_rows
 from .ast import Fact, NDlogError, Program, Rule
 from .codegen import CodegenRule, codegen_rule
 from .functions import builtin_registry
+from .localization import strip_locations
 from .plan import (  # noqa: F401  (re-exported: public API of this module)
     NEGATION_DELTA_SUFFIX,
     comparison_fn,
@@ -39,7 +38,7 @@ from .plan import (  # noqa: F401  (re-exported: public API of this module)
     order_body,
 )
 from .store import Database
-from .stratification import DependencyGraph, Stratification, needs_recompute, stratify
+from .stratification import Stratification, stratify
 
 
 class DeltaIndex(dict):
@@ -227,6 +226,18 @@ def _hashable(value: object) -> object:
     return value
 
 
+def _base_rows(facts: Iterable[Fact | tuple]) -> list[tuple[str, tuple]]:
+    """``(predicate, values)`` of each of ``facts``: a :class:`Fact` or a
+    ``(predicate, values)`` pair."""
+
+    return [
+        (fact.predicate, tuple(fact.values))
+        if isinstance(fact, Fact)
+        else (fact[0], tuple(fact[1]))
+        for fact in facts
+    ]
+
+
 @dataclass
 class EvaluationStats:
     """Bookkeeping produced by a centralized evaluation."""
@@ -259,12 +270,8 @@ class Evaluator:
         db = Database()
         for decl in self.program.materialized.values():
             db.declare_from(decl)
-        for fact in list(self.program.facts) + list(extra_facts):
-            if isinstance(fact, Fact):
-                db.insert(fact.predicate, fact.values)
-            else:
-                predicate, values = fact
-                db.insert(predicate, tuple(values))
+        for predicate, values in _base_rows([*self.program.facts, *extra_facts]):
+            db.insert(predicate, values)
         return db
 
     def run(
@@ -342,47 +349,28 @@ def row_key(row: tuple) -> tuple:
         return tuple(_hashable(v) for v in row)
 
 
-@dataclass
-class RetractionStats:
-    """Bookkeeping produced by incremental evaluation."""
-
-    rounds: int = 0
-    derivations: int = 0
-    retractions: int = 0
-    rederived: int = 0
-    view_recomputes: int = 0
-
-
 class IncrementalEvaluator:
     """Stratified evaluation under **insertions and deletions** of base facts.
 
     The monotone :class:`Evaluator` computes a fixpoint once; this class
-    keeps a database at fixpoint while base facts come and go, using the
-    count/re-derive algorithm:
-
-    * every stored row carries a **derivation count** (supports) maintained
-      per body binding via :meth:`RuleEngine.derive`;
-    * a deletion **releases** one support of each derived tuple it fed
-      (deletion deltas join against the old database: retraction rules fire
-      *before* the deleted rows are physically removed); a tuple whose last
-      support is gone is retracted and its own consequences released in the
-      next round;
-    * tuples of **recursive predicates** are over-deleted on *any* lost
-      support (counts cannot see cyclic support), then **re-derived** from
-      the surviving database, so tuples with alternative well-founded
-      derivations come back and tuples whose remaining support was circular
-      stay dead (DRed);
-    * **negated** predicates get compiled negation-delta variants: an
-      insertion into ``q`` retracts the bindings it newly blocks, a deletion
-      from ``q`` asserts the bindings it was blocking;
-    * **aggregate** rules are recomputed over the changed body and diffed
-      against their memoized previous output
-      (:func:`repro.ndlog.aggregates.diff_rows`), per stratum.
+    keeps a database at fixpoint while base facts come and go.  It has no
+    maintenance algorithm of its own: it runs the distributed engine's on
+    one node.  The program's location specifiers are stripped
+    (:func:`~repro.ndlog.localization.strip_locations`), so every row is
+    local to one :class:`~repro.dn.node.Node`, and each :meth:`apply` is
+    one :meth:`FixpointExecutor.settle
+    <repro.dn.executor.FixpointExecutor.settle>` of its deletions (forced)
+    then its insertions: derivation counts, over-delete and re-derive of
+    recursive predicates (DRed), negation-delta variants, group-scoped
+    aggregate maintenance and keyed refills.  Every predicate handed to
+    :meth:`apply` is protected, as the engine protects injected facts.
+    ``stats`` is the node's :class:`~repro.dn.node.NodeStats`.
 
     After any ``apply`` the database equals the from-scratch fixpoint of the
     surviving base facts (the property tests in
     ``tests/ndlog/test_retraction_properties.py`` check this on randomized
-    programs and insert/delete sequences).
+    programs and insert/delete sequences).  A settle that needs more than
+    ``max_rounds`` rounds raises :class:`NDlogError`.
     """
 
     def __init__(
@@ -392,76 +380,25 @@ class IncrementalEvaluator:
         registry: Optional[FunctionRegistry] = None,
         max_rounds: int = 100_000,
     ) -> None:
+        # imported here: repro.dn imports this module
+        from ..dn.executor import FixpointExecutor
+        from ..dn.node import Node
+
         program.check()
+        stratify(program)  # a program with no centralized fixpoint is refused
         self.program = program
         self.engine = RULE_ENGINE(registry)
-        self.stratification: Stratification = stratify(program)
-        self.recursive_predicates = DependencyGraph(program).recursive_predicates()
         self.max_rounds = max_rounds
-        self.stats = RetractionStats()
-        self.db = Database()
-        for decl in program.materialized.values():
-            self.db.declare_from(decl)
-        self.counting_rules = [r for r in program.rules if not needs_recompute(r)]
-        self.view_rules = [r for r in program.rules if needs_recompute(r)]
-        self.engine.precompile(self.counting_rules + self.view_rules)
-        #: positive body predicate → counting rules it can (re)trigger
-        self._triggers: dict[str, list[Rule]] = {}
-        for rule in self.counting_rules:
-            for pred in {lit.predicate for lit in rule.positive_literals}:
-                self._triggers.setdefault(pred, []).append(rule)
-        #: head predicate → counting rules deriving it (for keyed refills)
-        self._head_rules: dict[str, list[Rule]] = {}
-        for rule in self.counting_rules:
-            self._head_rules.setdefault(rule.head.predicate, []).append(rule)
-        #: negated predicate → negation-delta variant rules it triggers
-        self._negation_triggers: dict[str, list[Rule]] = {}
-        for rule in self.counting_rules:
-            for pred, variant in self.engine.negation_variants(rule):
-                self._negation_triggers.setdefault(pred, []).append(variant)
-        order = {id(rule): i for i, rule in enumerate(program.rules)}
-        self._view_order = sorted(
-            self.view_rules,
-            key=lambda r: (self.stratification.rule_strata.get(r.name, 0), order[id(r)]),
-        )
-        self._view_memo: dict[int, set[tuple]] = {}
-        self._view_seen: dict[int, int] = {}
-        # change tracking: predicate → tick of its latest physical change
-        self._tick = 0
-        self._dirty: dict[str, int] = {}
-        # the op worklist: ``(kind, predicate, row)`` with kind one of
-        # ``insert`` (one support gained), ``retract`` (one support lost),
-        # ``delete`` (forced removal).  Ops are processed in FIFO order —
-        # a round takes the longest same-direction prefix — because an
-        # assertion and a later retraction of the same tuple (e.g. a
-        # negation-enabled derivation whose premise is then retracted) must
-        # cancel in order, not be reordered deletions-first.
-        self._queue: "deque[tuple[str, str, tuple]]" = deque()
-        self._overdeleted: dict[str, dict[tuple, tuple]] = {}
-        # keyed-displacement tracking: a displacement destroys the displaced
-        # row's support count, so when the stored row under a once-displaced
-        # key is later retracted, the key is re-derived ("refilled") from the
-        # surviving database
-        self._displaced: dict[str, set[tuple]] = {}
-        self._refill: dict[str, set[tuple]] = {}
+        local = strip_locations(program)
+        self._node = Node(0, local, self.engine)
+        self._executor = FixpointExecutor(local, self.engine)
+        self.db = self._node.db
+        self.stats = self._node.stats
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def load(self, extra_facts: Iterable[Fact | tuple] = ()) -> Database:
         """Evaluate the program's facts (plus extras) to the initial fixpoint."""
 
-        inserts: list[tuple[str, tuple]] = [
-            (fact.predicate, tuple(fact.values)) for fact in self.program.facts
-        ]
-        for item in extra_facts:
-            if isinstance(item, Fact):
-                inserts.append((item.predicate, tuple(item.values)))
-            else:
-                predicate, values = item
-                inserts.append((predicate, tuple(values)))
-        self.apply(inserts=inserts)
-        return self.db
+        return self.apply(inserts=_base_rows([*self.program.facts, *extra_facts]))
 
     def insert(self, predicate: str, values: Sequence[object]) -> None:
         self.apply(inserts=[(predicate, tuple(values))])
@@ -476,293 +413,13 @@ class IncrementalEvaluator:
     ) -> Database:
         """Apply a batch of base-fact changes and restore the fixpoint."""
 
-        for predicate, values in deletes:
-            self._queue.append(("delete", predicate, tuple(values)))
-        for predicate, values in inserts:
-            self._queue.append(("insert", predicate, tuple(values)))
-        self._settle_counting()
-        self._view_sweep()
+        ops = [("delete", predicate, tuple(values)) for predicate, values in deletes]
+        ops += [("insert", predicate, tuple(values)) for predicate, values in inserts]
+        for _, predicate, _ in ops:
+            self._executor.protect(predicate)
+        sends = self._executor.settle(self._node, ops, 0.0, [], max_rounds=self.max_rounds)
+        assert not sends, "a program without locations sends nothing"
         return self.db
-
-    # ------------------------------------------------------------------
-    # Change bookkeeping
-    # ------------------------------------------------------------------
-    def _mark_dirty(self, predicate: str) -> None:
-        self._tick += 1
-        self._dirty[predicate] = self._tick
-
-    def _bump_round(self) -> None:
-        self.stats.rounds += 1
-        if self.stats.rounds > self.max_rounds:
-            raise NDlogError(
-                "incremental evaluation did not reach a fixpoint (round bound "
-                "exceeded)"
-            )
-
-    # ------------------------------------------------------------------
-    # Counting fixpoint (deletion → re-derivation → insertion rounds)
-    # ------------------------------------------------------------------
-    def _settle_counting(self) -> None:
-        while self._queue or self._overdeleted or self._refill:
-            self._bump_round()
-            if self._queue:
-                # one round = the longest same-direction prefix of the FIFO
-                # worklist, so paired assert/retract ops stay ordered
-                deleting = self._queue[0][0] != "insert"
-                ops: list[tuple[str, str, tuple]] = []
-                while self._queue and (self._queue[0][0] != "insert") == deleting:
-                    ops.append(self._queue.popleft())
-                if deleting:
-                    self._deletion_round(ops)
-                else:
-                    self._insertion_round(ops)
-            elif self._overdeleted:
-                self._rederive_round()
-            else:
-                self._refill_round()
-
-    def _fire_negation_deltas(
-        self, changed: Mapping[str, list[tuple]], *, retracting: bool
-    ) -> None:
-        """Fire negation-delta variants for changed rows of negated predicates.
-
-        ``retracting=True`` when the rows were *inserted* (newly blocked
-        bindings are retracted); ``False`` when the rows were *deleted*
-        (newly enabled bindings are derived).
-        """
-
-        for predicate, rows in changed.items():
-            variants = self._negation_triggers.get(predicate)
-            if not variants:
-                continue
-            delta = {predicate + NEGATION_DELTA_SUFFIX: rows}
-            kind = "retract" if retracting else "insert"
-            for variant in variants:
-                head = variant.head.predicate
-                for row in self.engine.derive(variant, self.db, delta=delta):
-                    self._queue.append((kind, head, row))
-
-    def _deletion_round(self, ops: list[tuple[str, str, tuple]]) -> None:
-        removed: dict[str, list[tuple]] = {}
-        rederivable: dict[str, dict[tuple, tuple]] = {}
-        displacing: set[tuple[str, tuple]] = set()
-        marked: set[tuple[str, tuple]] = set()
-
-        def mark(predicate: str, row: tuple, rederive: bool = False) -> None:
-            key = (predicate, row_key(row))
-            if key in marked:
-                return
-            marked.add(key)
-            removed.setdefault(predicate, []).append(row)
-            if rederive:
-                rederivable.setdefault(predicate, {})[key[1]] = row
-
-        for kind, predicate, row in ops:
-            table = self.db.table(predicate)
-            if kind in ("delete", "displace"):
-                # forced removals (base-fact deletion, keyed displacement)
-                # must not come back through re-derivation
-                if table.current(row) == row:
-                    mark(predicate, row)
-                    if kind == "displace":
-                        # the displacing insertion is already queued and will
-                        # occupy the key: refilling here would re-derive both
-                        # tie candidates and livelock
-                        displacing.add((predicate, table.key_of(row)))
-            elif predicate in self.recursive_predicates:
-                # counts cannot see cyclic support: over-delete on any lost
-                # derivation, re-derive survivors afterwards (DRed)
-                if row in table:
-                    mark(predicate, row, rederive=True)
-            elif table.release(row):
-                mark(predicate, row)
-        if not removed:
-            return
-        # fire retraction joins against the OLD database (rows still present)
-        view = DeltaIndex(removed)
-        retracts: list[tuple[str, str, tuple]] = []
-        seen_rules: set[int] = set()
-        for predicate in removed:
-            for rule in self._triggers.get(predicate, ()):
-                if id(rule) in seen_rules:
-                    continue
-                seen_rules.add(id(rule))
-                head = rule.head.predicate
-                retracts.extend(
-                    ("retract", head, row)
-                    for row in self.engine.derive(rule, self.db, delta=view)
-                )
-        # physically remove, then release each lost support
-        for predicate, rows in removed.items():
-            table = self.db.table(predicate)
-            displaced_keys = self._displaced.get(predicate)
-            for row in rows:
-                if displaced_keys:
-                    key = table.key_of(row)
-                    if key in displaced_keys and (predicate, key) not in displacing:
-                        # the winner of an earlier displacement is gone: the
-                        # displaced alternatives must be re-derived
-                        displaced_keys.discard(key)
-                        self._refill.setdefault(predicate, set()).add(key)
-                table.delete(row)
-                self.stats.retractions += 1
-            self._mark_dirty(predicate)
-        for predicate, rows in rederivable.items():
-            self._overdeleted.setdefault(predicate, {}).update(rows)
-        self._queue.extend(retracts)
-        # deletions from negated predicates enable previously blocked bindings
-        self._fire_negation_deltas(removed, retracting=False)
-
-    def _rederive_round(self) -> None:
-        """Re-insert over-deleted tuples that still have a derivation.
-
-        Runs once the deletion worklist is empty: counting rules whose head
-        predicate lost tuples are re-fired over the surviving database; an
-        over-deleted tuple enumerated again has a well-founded alternative
-        derivation and comes back with its support count rebuilt, while
-        tuples whose only remaining support was cyclic stay retracted.
-        """
-
-        overdeleted = self._overdeleted
-        self._overdeleted = {}
-        support: dict[tuple[str, tuple], int] = {}
-        for rule in self.counting_rules:
-            pending = overdeleted.get(rule.head.predicate)
-            if not pending:
-                continue
-            predicate = rule.head.predicate
-            for row in self.engine.derive(rule, self.db):
-                key = (predicate, row_key(row))
-                if key[1] in pending:
-                    support[key] = support.get(key, 0) + 1
-        # a view (aggregate) rule's memoized output also supports its rows
-        for rule in self.view_rules:
-            pending = overdeleted.get(rule.head.predicate)
-            if not pending:
-                continue
-            for row in self._view_memo.get(id(rule), ()):
-                key = (rule.head.predicate, row_key(row))
-                if key[1] in pending:
-                    support[key] = support.get(key, 0) + 1
-        if not support:
-            return
-        reinserted: dict[str, list[tuple]] = {}
-        for (predicate, hashed_row), supports in support.items():
-            row = overdeleted[predicate][hashed_row]
-            table = self.db.table(predicate)
-            for _ in range(supports):
-                table.upsert(row)
-            reinserted.setdefault(predicate, []).append(row)
-            self.stats.rederived += 1
-            self._mark_dirty(predicate)
-        # downstream consequences: the re-inserted rows are a fresh delta
-        view = DeltaIndex(reinserted)
-        seen_rules: set[int] = set()
-        for predicate in reinserted:
-            for rule in self._triggers.get(predicate, ()):
-                if id(rule) in seen_rules:
-                    continue
-                seen_rules.add(id(rule))
-                head = rule.head.predicate
-                for row in self.engine.derive(rule, self.db, delta=view):
-                    self._queue.append(("insert", head, row))
-        self._fire_negation_deltas(reinserted, retracting=True)
-
-    def _refill_round(self) -> None:
-        """Re-derive keyed rows whose displacement winner was retracted.
-
-        A keyed insertion that displaces a different row destroys the
-        displaced row's support count (the table holds one row per key).
-        When the stored row under such a key is later retracted, the rules
-        deriving the predicate are re-fired and every derivation whose key
-        is being refilled — and whose key slot is currently empty — is
-        queued as a fresh support, so surviving alternatives (e.g. the
-        equal-cost best path that lost an earlier tie) come back.
-        """
-
-        refill = self._refill
-        self._refill = {}
-        for predicate, keys in refill.items():
-            table = self.db.table(predicate)
-            for rule in self._head_rules.get(predicate, ()):
-                for row in self.engine.derive(rule, self.db):
-                    if table.key_of(row) in keys and table.current(row) is None:
-                        self._queue.append(("insert", predicate, row))
-
-    def _insertion_round(self, ops: list[tuple[str, str, tuple]]) -> None:
-        delta: dict[str, list[tuple]] = {}
-        for _, predicate, row in ops:
-            table = self.db.table(predicate)
-            previous = table.current(row)
-            if previous is not None and previous != row:
-                # keyed displacement: retract the displaced row's
-                # consequences first, then retry the insertion; the key is
-                # remembered so a later retraction of the winner re-derives
-                # the losers (their support counts are destroyed here)
-                self._displaced.setdefault(predicate, set()).add(table.key_of(row))
-                self._queue.append(("displace", predicate, previous))
-                self._queue.append(("insert", predicate, row))
-                continue
-            changed, _ = table.upsert(row)
-            self.stats.derivations += 1
-            if changed:
-                delta.setdefault(predicate, []).append(row)
-                self._mark_dirty(predicate)
-        if not delta:
-            return
-        view = DeltaIndex(delta)
-        seen_rules: set[int] = set()
-        for predicate in delta:
-            for rule in self._triggers.get(predicate, ()):
-                if id(rule) in seen_rules:
-                    continue
-                seen_rules.add(id(rule))
-                head = rule.head.predicate
-                for row in self.engine.derive(rule, self.db, delta=view):
-                    self._queue.append(("insert", head, row))
-        # insertions into negated predicates block bindings that relied on
-        # their absence
-        self._fire_negation_deltas(delta, retracting=True)
-
-    # ------------------------------------------------------------------
-    # Aggregate (view) rules: recompute and diff, per stratum
-    # ------------------------------------------------------------------
-    def _view_sweep(self) -> None:
-        if not self._view_order:
-            return
-        for _ in range(self.max_rounds):
-            progressed = False
-            for rule in self._view_order:
-                rid = id(rule)
-                body_tick = max(
-                    (
-                        self._dirty.get(lit.predicate, 0)
-                        for lit in rule.body_literals
-                    ),
-                    default=0,
-                )
-                if rid in self._view_memo and body_tick <= self._view_seen.get(rid, -1):
-                    continue
-                self._view_seen[rid] = self._tick
-                self.stats.view_recomputes += 1
-                added, removed, rows = diff_rows(
-                    self._view_memo.get(rid, set()), self.engine.fire_rule(rule, self.db)
-                )
-                self._view_memo[rid] = rows
-                if not added and not removed:
-                    continue
-                progressed = True
-                for row in removed:
-                    self._queue.append(("retract", rule.head.predicate, row))
-                for row in added:
-                    self._queue.append(("insert", rule.head.predicate, row))
-                self._settle_counting()
-            if not progressed:
-                return
-        raise NDlogError(
-            "incremental evaluation did not reach a fixpoint (view sweep bound "
-            "exceeded)"
-        )
 
 
 def evaluate(

@@ -17,9 +17,9 @@ A :class:`Table` stores ground tuples for one predicate, with:
   (derivations/deliveries) observed for it.  :meth:`Table.upsert`
   increments the count of the current row, :meth:`Table.release`
   decrements it and reports when the last support is gone, and the
-  incremental-deletion machinery (:class:`~repro.ndlog.seminaive.
-  IncrementalEvaluator`, the distributed engine's retraction rounds) uses
-  the two to decide when a derived tuple must actually be retracted.
+  executor's retraction rounds (:mod:`repro.dn.executor`, which the
+  distributed engine and the centralized incremental evaluator both run)
+  use the two to decide when a derived tuple must actually be retracted.
 
 Rows are stored bare: a table maps each primary key to its row tuple, with
 the support counts (and soft-state deadlines) in dicts of their own beside

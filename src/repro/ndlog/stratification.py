@@ -91,22 +91,6 @@ class DependencyGraph:
         return {p for p in adjacency if p in reachable(p)}
 
 
-def needs_recompute(rule: Rule) -> bool:
-    """Must a rule be recomputed (and diffed) rather than delta-maintained?
-
-    Aggregate heads fold whole groups, so a deletion inside a group cannot
-    be applied as a per-binding count decrement — the group is recomputed
-    over the post-deletion body and the old/new outputs are diffed
-    (:func:`repro.ndlog.aggregates.diff_rows` centrally; the distributed
-    executor re-folds and compares only the changed groups).  Non-aggregate rules —
-    including rules with negated literals, which get compiled
-    negation-delta variants — are maintained incrementally by derivation
-    counting.
-    """
-
-    return rule.head.has_aggregate
-
-
 @dataclass
 class Stratification:
     """Predicate → stratum assignment plus rule evaluation order."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dn.engine import DistributedEngine, EngineConfig
+from repro.dn.engine import DistributedEngine, EngineConfig, create_engine
 from repro.dn.network import Topology
 from repro.ndlog.parser import parse_program
 from repro.ndlog.seminaive import evaluate
@@ -425,3 +425,37 @@ class TestCyclicSupport:
         assert engine.run().quiescent
         fresh = evaluate(program, [("link", fact) for fact in engine.topology.link_facts()])
         assert set(engine.rows("reach")) == set(fresh.rows("reach"))
+
+
+class TestNodeLocalCyclicSupport:
+    """Rows that support each other around a cycle inside one node are
+    over-deleted on any lost support and re-derived while they still have
+    a derivation (delete and re-derive), on one shard and on two."""
+
+    REACH = """
+    reach(@X,A,B) :- hop(@X,A,B).
+    reach(@X,A,C) :- hop(@X,A,B), reach(@X,B,C).
+    """
+    HOPS = [(0, "a", "b"), (0, "b", "c"), (0, "c", "a"), (0, "c", "d")]
+
+    def run(self, shards: int):
+        config = EngineConfig(
+            seed=1, link_predicate=None, shards=shards, shard_transport="inline"
+        )
+        program = parse_program(self.REACH, "reach")
+        engine = create_engine(program, Topology.from_edges([(0, 1, 1)]), config=config)
+        engine.schedule_fact_delete("hop", (0, "c", "d"), at=1.0)
+        trace = engine.run(extra_facts=[("hop", hop) for hop in self.HOPS])
+        assert trace.quiescent
+        return set(engine.rows("reach")), trace.fingerprint()
+
+    def test_cutting_the_exit_leaves_no_reach_through_it(self):
+        # a, b and c reach d only through c->d; once it is cut, their reach
+        # rows to d are still counted alive by each other around the cycle
+        fresh = evaluate(
+            parse_program(self.REACH, "reach"), [("hop", hop) for hop in self.HOPS[:3]]
+        )
+        (one, one_print), (two, two_print) = self.run(1), self.run(2)
+        assert one == set(fresh.rows("reach"))
+        assert two == one
+        assert two_print == one_print

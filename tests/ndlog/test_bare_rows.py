@@ -35,6 +35,14 @@ move instead of firing it whole, and emits group changes in group-key
 order.  The from-scratch
 and incremental parts of every digest are unchanged, and the distributed
 engine ends every run on equal tables and per-settle change multisets.
+
+Four were re-pinned when the incremental evaluator became the executor's
+settle on one node: ``distance_vector``, ``edge_cases``, ``heartbeat`` and
+``path_vector``.  Their incremental part now runs the distributed engine's
+rounds (each ``apply`` one settle of the location-stripped program) instead
+of the evaluator's own; ``link_state``'s incremental firings happen to come
+out in the same sequence.  With the incremental part skipped, every
+digest is what it was before.
 """
 
 import hashlib
@@ -58,12 +66,12 @@ ENGINES = {"codegen": RuleEngine, "reference": ReferenceEngine}
 
 #: corpus program → digest (generated code and reference derive alike)
 PINS = {
-    "distance_vector": "56acdf49f5cc1f7c",
-    "edge_cases": "f35480dc2e89ead7",
+    "distance_vector": "7a3ce8e9a588f0f4",
+    "edge_cases": "ceb8e5f3b0708e9b",
     "fallback": "29a4f6a514032e2b",
-    "heartbeat": "0bc61c336b0376e7",
+    "heartbeat": "4436ff6294b2e6c7",
     "link_state": "ecd4a0918252ab63",
-    "path_vector": "7567571a6016363c",
+    "path_vector": "b23f14f76b13bcd5",
     "policy_path_vector": "c43410f19147fa0b",
 }
 

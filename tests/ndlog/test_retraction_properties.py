@@ -17,10 +17,15 @@ from repro.ndlog.ast import NDlogError
 from repro.ndlog.parser import parse_program
 from repro.ndlog.codegen import codegen_rule
 from repro.ndlog.functions import builtin_registry
-from repro.ndlog.plan import NEGATION_DELTA_SUFFIX, negation_delta_rules
+from repro.ndlog.localization import localize_program
+from repro.ndlog.plan import NEGATION_DELTA_SUFFIX, negation_delta_rules, settle_plan
 from repro.ndlog.seminaive import IncrementalEvaluator, evaluate
 from repro.ndlog.store import Table
+from repro.protocols.distancevector import distance_vector_program
+from repro.protocols.heartbeat import heartbeat_program
+from repro.protocols.linkstate import link_state_program
 from repro.protocols.pathvector import path_vector_program
+from repro.protocols.policy import policy_path_vector_program
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +185,69 @@ class TestIncrementalMatchesScratch:
         inc = IncrementalEvaluator(path_vector_program())
         inc.load([("link", ("a", "b", 1)), ("link", ("b", "a", 1))])
         inc.apply(deletes=[("link", ("a", "b", 1)), ("link", ("b", "a", 1))])
-        assert inc.stats.retractions > 0
+        assert inc.stats.tuples_deleted > 0
         assert inc.db.rows("path") == []
         assert inc.db.rows("bestPath") == []
+
+
+# ---------------------------------------------------------------------------
+# Over-delete and re-derive (DRed) on the executor
+# ---------------------------------------------------------------------------
+
+
+class TestOverdelete:
+    def test_bundled_programs_overdelete_only_link_state_paths(self):
+        # the engine runs the localized programs: only link_state's lpath
+        # is recursive through purely local rules, so every other bundled
+        # program settles exactly as it did before over-deletion existed
+        programs = {
+            "distance_vector": distance_vector_program(),
+            "heartbeat": heartbeat_program(),
+            "link_state": link_state_program(),
+            "path_vector": path_vector_program(),
+            "policy_path_vector": policy_path_vector_program(),
+        }
+        overdeleted = {
+            name: settle_plan(localize_program(program).program).overdeleted
+            for name, program in programs.items()
+        }
+        assert overdeleted == {
+            "distance_vector": frozenset(),
+            "heartbeat": frozenset(),
+            "link_state": frozenset({"lpath"}),
+            "path_vector": frozenset(),
+            "policy_path_vector": frozenset(),
+        }
+
+    def test_overdeleted_row_that_feeds_nothing_is_rederived(self):
+        # b(1) blocks one of p(5,7)'s two derivations: p(5,7) is
+        # over-deleted, and its loss retracts no q row (q keeps X<2 only),
+        # so only p's own lost row makes its check due and re-derive it
+        source = """
+        p(@X,Y) :- e(@X,Y).
+        p(@X,Z) :- e(@X,Y), q(@Y,Z), !b(@Y).
+        q(@X,Y) :- p(@X,Y), X<2.
+        """
+        facts = [("e", (5, 1)), ("e", (5, 0)), ("e", (1, 7)), ("e", (0, 7))]
+        inc = IncrementalEvaluator(parse_program(source, "incremental"))
+        inc.load(facts)
+        inc.insert("b", (1,))
+        scratch = evaluate(parse_program(source, "scratch"), facts + [("b", (1,))])
+        assert (5, 7) in inc.db.rows("p")
+        assert nonempty(inc.db.snapshot()) == nonempty(scratch.snapshot())
+
+    def test_round_bound_stops_a_displacement_livelock(self):
+        # centrally every node floods every LSA, and a re-costed link's old
+        # and new LSA displace each other around the flood without end
+        links = [(a, b, 1) for a, b in ((1, 2), (2, 3), (3, 4))]
+        inc = IncrementalEvaluator(link_state_program(), max_rounds=500)
+        inc.load([("link", link) for link in links + [(b, a, c) for a, b, c in links]])
+        with pytest.raises(NDlogError, match="500 rounds"):
+            inc.insert("link", (1, 2, 4))
+
+    def test_unstratifiable_program_is_refused(self):
+        with pytest.raises(NDlogError, match="stratifiable"):
+            IncrementalEvaluator(parse_program("p(@X) :- q(@X), !p(@X)."))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def test_cli_loads_only_the_client():
     assert not under_any(modules, ("repro.dn", "repro.ndlog", "repro.logic"))
 
 
+def test_centralized_evaluation_loads_no_engine():
+    """``IncrementalEvaluator`` runs the engine's executor, imported when
+    one is built: ``repro.dn`` imports this module, so a module-level import
+    would close the cycle."""
+
+    modules = loaded_after("import repro.ndlog.seminaive")
+    assert "repro.ndlog.seminaive" in modules
+    assert not under(modules, "repro.dn")
+
+
 def test_engine_and_parser_load_no_logic():
     for entry in ("repro.dn.engine", "repro.ndlog.parser"):
         modules = loaded_after(f"import {entry}")
