@@ -198,8 +198,8 @@ class TestIncrementalMatchesScratch:
 class TestOverdelete:
     def test_bundled_programs_overdelete_only_link_state_paths(self):
         # the engine runs the localized programs: only link_state's lpath
-        # is recursive through purely local rules, so every other bundled
-        # program settles exactly as it did before over-deletion existed
+        # is recursive through purely local rules, so no other bundled
+        # program (the benchmark's included) ever over-deletes a row
         programs = {
             "distance_vector": distance_vector_program(),
             "heartbeat": heartbeat_program(),
