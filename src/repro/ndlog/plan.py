@@ -40,6 +40,7 @@ from .ast import (
     Program,
     Rule,
 )
+from .stratification import DependencyGraph
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +534,6 @@ def view_plan(program: Program, rule: Rule, derive: int) -> Optional[ViewPlan]:
     )
 
 
-def _reached(bodies: dict[str, frozenset[str]], start: str) -> set[str]:
-    """The predicates of ``bodies`` that ``start`` reaches through one or
-    more of their body predicate sets."""
-
-    reached: set[str] = set()
-    stack = [start]
-    while stack:
-        for body in bodies[stack.pop()]:
-            if body in bodies and body not in reached:
-                reached.add(body)
-                stack.append(body)
-    return reached
-
-
 def settle_plan(program: Program) -> SettlePlan:
     """The :class:`SettlePlan` of a (localized) program."""
 
@@ -607,9 +594,10 @@ def settle_plan(program: Program) -> SettlePlan:
     # lost support, and a lost row makes its own check due, whose repair
     # re-asserts what is still derivable (insertion rounds re-derive the
     # rest: DRed)
-    overdeleted = frozenset(
-        predicate for predicate in sweep_rules if predicate in _reached(sweep_bodies, predicate)
+    sweepable = Program(
+        program.name, [derived[i] for positions in sweep_rules.values() for i in positions]
     )
+    overdeleted = frozenset(DependencyGraph(sweepable).recursive_predicates())
     for predicate in overdeleted:
         sweep_bodies[predicate] |= {predicate}
     # FIFO eviction removes rows without a deletion delta, so no key is ever

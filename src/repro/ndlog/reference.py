@@ -29,7 +29,7 @@ from ..terms import EvaluationError, FunctionRegistry, Var, ground_eval
 from .aggregates import aggregate_rows
 from .ast import Assignment, BodyItem, Condition, Literal, NDlogError, Rule
 from .functions import builtin_registry
-from .plan import comparison_fn, negation_delta_rules, order_body
+from .plan import comparison_fn, order_body
 from .seminaive import DeltaIndex, _hashable
 from .store import Database
 
@@ -71,7 +71,6 @@ class ReferenceEngine:
         # caches key by rule identity and retain the rule object so a
         # recycled id() can never alias a stale entry
         self._order_cache: dict[int, tuple[Rule, list[BodyItem]]] = {}
-        self._negation_cache: dict[int, tuple[Rule, tuple[tuple[str, Rule], ...]]] = {}
 
     def precompile(self, rules: Iterable[Rule]) -> None:
         """Order every rule body up front (an unorderable body raises here,
@@ -79,18 +78,6 @@ class ReferenceEngine:
 
         for rule in rules:
             self.ordered_body(rule)
-
-    def negation_variants(self, rule: Rule) -> tuple[tuple[str, Rule], ...]:
-        """The cached negation-delta variants of a rule (see
-        :func:`repro.ndlog.plan.negation_delta_rules`)."""
-
-        entry = self._negation_cache.get(id(rule))
-        if entry is None or entry[0] is not rule:
-            variants = negation_delta_rules(rule)
-            self.precompile(variant for _, variant in variants)
-            entry = (rule, variants)
-            self._negation_cache[id(rule)] = entry
-        return entry[1]
 
     def ordered_body(self, rule: Rule) -> list[BodyItem]:
         entry = self._order_cache.get(id(rule))

@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ..terms import FunctionRegistry
-from .ast import Fact, NDlogError, Program, Rule
+from ..terms import FunctionRegistry, Var
+from .ast import Fact, HeadLiteral, Literal, MaterializeDecl, NDlogError, Program, Rule
 from .codegen import CodegenRule, codegen_rule
 from .functions import builtin_registry
 from .localization import strip_locations
 from .plan import (  # noqa: F401  (re-exported: public API of this module)
     NEGATION_DELTA_SUFFIX,
     comparison_fn,
-    negation_delta_rules,
     order_body,
 )
 from .store import Database
@@ -121,7 +120,6 @@ class RuleEngine:
         # caches key by rule identity and retain the rule object so a
         # recycled id() can never alias a stale entry
         self._plan_cache: dict[int, tuple[Rule, CodegenRule]] = {}
-        self._negation_cache: dict[int, tuple[Rule, tuple[tuple[str, Rule], ...]]] = {}
 
     def precompile(self, rules: Iterable[Rule]) -> None:
         """Compile every rule up front, at program-load time, so no code
@@ -143,22 +141,6 @@ class RuleEngine:
         compiled = codegen_rule(rule, self.registry)
         self._plan_cache[id(rule)] = (rule, compiled)
         return compiled
-
-    def negation_variants(self, rule: Rule) -> tuple[tuple[str, Rule], ...]:
-        """The cached negation-delta variants of a rule.
-
-        ``(negated_predicate, variant_rule)`` pairs (see
-        :func:`repro.ndlog.plan.negation_delta_rules`); variants are
-        precompiled so retraction rounds pay no per-round analysis.
-        """
-
-        entry = self._negation_cache.get(id(rule))
-        if entry is None or entry[0] is not rule:
-            variants = negation_delta_rules(rule)
-            self.precompile(variant for _, variant in variants)
-            entry = (rule, variants)
-            self._negation_cache[id(rule)] = entry
-        return entry[1]
 
     def fire_rule(
         self,
@@ -339,6 +321,11 @@ class Evaluator:
         return db, stats
 
 
+#: the suffix of the base predicate that holds the facts an
+#: :class:`IncrementalEvaluator` is handed for a derived predicate
+FACT_SUFFIX = "__fact"
+
+
 def row_key(row: tuple) -> tuple:
     """A hashable stand-in for a row (per-value ``_hashable`` fallback)."""
 
@@ -362,15 +349,22 @@ class IncrementalEvaluator:
     <repro.dn.executor.FixpointExecutor.settle>` of its deletions (forced)
     then its insertions: derivation counts, over-delete and re-derive of
     recursive predicates (DRed), negation-delta variants, group-scoped
-    aggregate maintenance and keyed refills.  Every predicate handed to
-    :meth:`apply` is protected, as the engine protects injected facts.
-    ``stats`` is the node's :class:`~repro.dn.node.NodeStats`.
+    aggregate maintenance and keyed refills.  ``stats`` is the node's
+    :class:`~repro.dn.node.NodeStats`.
 
-    After any ``apply`` the database equals the from-scratch fixpoint of the
-    surviving base facts (the property tests in
-    ``tests/ndlog/test_retraction_properties.py`` check this on randomized
-    programs and insert/delete sequences).  A settle that needs more than
-    ``max_rounds`` rounds raises :class:`NDlogError`.
+    Base predicates handed to :meth:`apply` are protected, as the engine
+    protects injected facts.  A fact of a predicate that a plain rule
+    derives is stored in the base predicate ``p__fact`` instead
+    (:data:`FACT_SUFFIX`), and the copy rule ``p(...) :- p__fact(...)`` is
+    added to the node's program when the first such fact arrives, so ``p``
+    stays unprotected: over-deleted, checked and re-derived like any other
+    derived predicate.  ``db`` holds those auxiliary tables too.
+
+    After any ``apply`` the database equals, on the program's predicates,
+    the from-scratch fixpoint of the surviving base facts (the property
+    tests in ``tests/ndlog/test_retraction_properties.py`` check this on
+    randomized programs and insert/delete sequences).  A settle that needs
+    more than ``max_rounds`` rounds raises :class:`NDlogError`.
     """
 
     def __init__(
@@ -390,6 +384,13 @@ class IncrementalEvaluator:
         self.engine = RULE_ENGINE(registry)
         self.max_rounds = max_rounds
         local = strip_locations(program)
+        heads = {rule.head.predicate for rule in program.rules}
+        views = {rule.head.predicate for rule in program.rules if rule.head.has_aggregate}
+        self._heads = heads
+        #: the predicates only plain rules derive: their facts go to a fact
+        #: table, and those that have had one hold a copy rule
+        self._copyable = heads - views
+        self._copied: set[str] = set()
         self._node = Node(0, local, self.engine)
         self._executor = FixpointExecutor(local, self.engine)
         self.db = self._node.db
@@ -415,11 +416,45 @@ class IncrementalEvaluator:
 
         ops = [("delete", predicate, tuple(values)) for predicate, values in deletes]
         ops += [("insert", predicate, tuple(values)) for predicate, values in inserts]
+        copyable = self._copyable
+        for predicate in {predicate for _, predicate, _ in ops} & (copyable - self._copied):
+            self._add_copy_rule(predicate)
+        ops = [
+            (kind, predicate + FACT_SUFFIX if predicate in copyable else predicate, row)
+            for kind, predicate, row in ops
+        ]
         for _, predicate, _ in ops:
-            self._executor.protect(predicate)
+            if predicate not in self._heads:
+                self._executor.protect(predicate)
         sends = self._executor.settle(self._node, ops, 0.0, [], max_rounds=self.max_rounds)
         assert not sends, "a program without locations sends nothing"
         return self.db
+
+    def _add_copy_rule(self, predicate: str) -> None:
+        """Derive ``predicate`` from its fact table from now on.
+
+        The node's database stays a fixpoint of the extended program (the
+        fact table is empty), so only the executor is rebuilt.
+        """
+
+        from ..dn.executor import FixpointExecutor
+
+        facts = predicate + FACT_SUFFIX
+        self._copied.add(predicate)
+        local = self._executor.program
+        args = tuple(Var(f"V{i}") for i in range(local.rules_for(predicate)[0].head.arity))
+        rule = Rule(facts, HeadLiteral(predicate, args), (Literal(facts, args),))
+        materialized = dict(local.materialized)
+        decl = materialized.get(predicate)
+        if decl is not None:
+            # keyed as the predicate, so a fact displaces one under its key
+            materialized[facts] = MaterializeDecl(facts, float("inf"), float("inf"), decl.keys)
+            self.db.declare_from(materialized[facts])
+        local = Program(local.name, [*local.rules, rule], list(local.facts), materialized)
+        executor = FixpointExecutor(local, self.engine)
+        executor.protected |= self._executor.protected
+        self._executor = executor
+        self._node.program = local
 
 
 def evaluate(
