@@ -27,10 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "MaterializeDecl", "NDlogError", "Program", "Rule",
     ),
     "functions": ("BUILTIN_FUNCTIONS", "builtin_registry"),
-    "localization": (
-        "LocalizationResult", "is_localized", "localize_program", "localize_rule",
-        "strip_locations",
-    ),
+    "localization": ("LocalizationResult", "is_localized", "localize_program", "localize_rule"),
     "parser": ("ParseError", "parse_program", "parse_rule", "tokenize"),
     "plan": ("negation_delta_rules", "order_body"),
     "seminaive": (

@@ -32,7 +32,6 @@ from .codegen import CodegenRule, codegen_rule
 from .functions import builtin_registry
 from .localization import strip_locations
 from .plan import (  # noqa: F401  (re-exported: public API of this module)
-    NEGATION_DELTA_SUFFIX,
     comparison_fn,
     order_body,
 )

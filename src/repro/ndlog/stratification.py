@@ -72,11 +72,8 @@ class DependencyGraph:
         adjacency: dict[str, set[str]] = {}
         for dep in self.dependencies:
             adjacency.setdefault(dep.head, set()).add(dep.body)
-        reachable_cache: dict[str, set[str]] = {}
 
         def reachable(start: str) -> set[str]:
-            if start in reachable_cache:
-                return reachable_cache[start]
             seen: set[str] = set()
             stack = list(adjacency.get(start, ()))
             while stack:
@@ -85,7 +82,6 @@ class DependencyGraph:
                     continue
                 seen.add(node)
                 stack.extend(adjacency.get(node, ()))
-            reachable_cache[start] = seen
             return seen
 
         return {p for p in adjacency if p in reachable(p)}
