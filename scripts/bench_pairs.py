@@ -6,10 +6,12 @@
         [--label NAME]
 
 The *change* is this working tree, or ``--change <ref>``; the *base* is
-``<ref>``.  A ref is exported with ``git archive`` into a temporary
-directory (``$TMPDIR``), so nothing is added to the repository's ``.git``
-and a killed run leaves nothing to prune; two past commits (``--base A
---change B``) are compared the same way as a commit and the tree.  Each
+``<ref>``.  Both sides run in a temporary directory (``$TMPDIR``): a ref
+is exported with ``git archive``, and the working tree is copied file by
+file (what ``git ls-files --cached --others --exclude-standard`` lists:
+tracked and untracked files, not ignored ones).  So both sides are plain
+trees in the same place, nothing is added to the repository's ``.git``
+and a killed run leaves nothing to prune.  Each
 pair runs ``python3 -m bench run <workload>`` once on each tree, in turn,
 and the tree that goes first alternates from pair to pair, so a host that
 drifts during the pairs drifts against both sides alike.
@@ -51,16 +53,29 @@ def git(*args: str, cwd: Path = REPO_ROOT) -> str:
     ).stdout.strip()
 
 
-def export_tree(ref: str, dest: Path) -> str:
+def export_tree(ref: str, dest: Path, root: Path = REPO_ROOT) -> str:
     """``ref``'s committed files under ``dest``; returns its SHA."""
 
-    sha = git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    sha = git("rev-parse", "--verify", f"{ref}^{{commit}}", cwd=root)
     archive = dest.with_suffix(".tar")
-    git("archive", "--format=tar", f"--output={archive}", sha)
+    git("archive", "--format=tar", f"--output={archive}", sha, cwd=root)
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return sha
+
+
+def copy_worktree(dest: Path, root: Path = REPO_ROOT) -> None:
+    """The working tree's tracked and untracked files (not ignored ones)
+    under ``dest``; a tracked file deleted from the tree is left out."""
+
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=root)
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def clear_pycache(root: Path) -> None:
@@ -159,18 +174,25 @@ def report(workload: str, summary: dict[str, dict]) -> list[str]:
     return lines
 
 
-def sides(base: str, change: str | None, scratch: Path) -> tuple[dict[str, Path], dict]:
-    """The two trees the pairs run in, exported under ``scratch``, and the
-    session's record of each: the change side is this working tree unless
-    ``change`` names a ref."""
+def sides(
+    base: str, change: str | None, scratch: Path, root: Path = REPO_ROOT
+) -> tuple[dict[str, Path], dict]:
+    """The two trees the pairs run in, both under ``scratch``, and the
+    session's record of each: the change side is a copy of ``root``'s
+    working tree unless ``change`` names a ref."""
 
-    trees = {"base": scratch / "base", "change": REPO_ROOT}
-    record = {"base": {"ref": base, "sha": export_tree(base, trees["base"])}}
+    trees = {side: scratch / side for side in SIDES}
+    record = {"base": {"ref": base, "sha": export_tree(base, trees["base"], root)}}
     if change is None:
-        record["change"] = {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+        copy_worktree(trees["change"], root)
+        record["change"] = {
+            "sha": git("rev-parse", "HEAD", cwd=root),
+            "dirty": bool(git("status", "--porcelain", cwd=root)),
+        }
     else:
-        trees["change"] = scratch / "change"
-        record["change"] = {"ref": change, "sha": export_tree(change, trees["change"]), "dirty": False}
+        record["change"] = {
+            "ref": change, "sha": export_tree(change, trees["change"], root), "dirty": False
+        }
     return trees, record
 
 

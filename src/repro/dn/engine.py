@@ -6,7 +6,8 @@ P2 / declarative-networking execution model:
 
 1. the program is **localized** (:mod:`repro.ndlog.localization`) so every
    rule body reads tuples at a single node, and base tuples go to the node
-   their location specifier names;
+   their location specifier names (facts name base predicates and nodes
+   of the topology only: :meth:`~repro.ndlog.ast.Program.check_base_fact`);
 2. execution is **batched semi-naive**: the tuples arriving at a node at
    one simulation timestamp are drained as one delta batch, each triggered
    rule firing once per round with the whole batch as its delta; derived
@@ -277,7 +278,11 @@ class DistributedEngine:
         return fact.values[fact.location]
 
     def seed_facts(self, extra_facts: Iterable[Fact | tuple] = ()) -> None:
-        """Queue initial facts (program facts, topology links, extras) at t=0."""
+        """Queue initial facts (program facts, topology links, extras) at t=0.
+
+        Each fact must name a base predicate and a node of the topology
+        (:meth:`~repro.ndlog.ast.Program.check_base_fact`); the first that
+        does not raises :class:`NDlogError` and nothing is queued."""
 
         facts: list[tuple[NodeId, str, tuple]] = []
         for fact in self.program.facts:
@@ -292,15 +297,15 @@ class DistributedEngine:
                 predicate, values = item
                 values = tuple(values)
                 facts.append((values[0], predicate, values))
+        check = self.program.check_base_fact
+        located = dict.fromkeys((node_id, predicate) for node_id, predicate, _ in facts)
+        for node_id, predicate in located:
+            check(predicate, node_id, self.nodes)
         if self.config.link_predicate:
-            self.host.protect(self.config.link_predicate)
+            check(self.config.link_predicate)
             for link_fact in self.topology.link_facts():
                 facts.append((link_fact[0], self.config.link_predicate, tuple(link_fact)))
         self._base_facts = facts
-        # injected base facts are exempt from consistency sweeps (no rule
-        # derives them, so derivability must not be demanded)
-        for predicate in dict.fromkeys(predicate for _, predicate, _ in facts):
-            self.host.protect(predicate)
         if facts:
             # configuration is loaded, not simulated: one weighted event
             # stands for the whole burst, at one unit of event budget per
@@ -471,7 +476,7 @@ class DistributedEngine:
 
         self._assert_safe_point("inject_fact")
         values = tuple(values)
-        self.host.protect(predicate)
+        self.program.check_base_fact(predicate, values[0], self.nodes)
         self._enqueue(values[0], ("insert", predicate, values))
 
     def delete_fact(self, predicate: str, values: tuple) -> None:
@@ -484,13 +489,16 @@ class DistributedEngine:
 
         self._assert_safe_point("delete_fact")
         values = tuple(values)
+        self.program.check_base_fact(predicate, values[0], self.nodes)
         self._enqueue(values[0], ("delete", predicate, values))
 
     def schedule_fact_delete(self, predicate: str, values: tuple, at: float) -> None:
         """Delete a located fact at an absolute simulation time (the
         deletion counterpart of :meth:`schedule_fact`)."""
 
-        self.scheduler.schedule_at(at, Event("delete", (predicate, tuple(values))))
+        values = tuple(values)
+        self.program.check_base_fact(predicate, values[0], self.nodes)
+        self.scheduler.schedule_at(at, Event("delete", (predicate, values)))
 
     def refresh_soft_state(self) -> None:
         """Run one soft-state refresh round now (safe points only).
@@ -638,10 +646,11 @@ class DistributedEngine:
                 self._enqueue(link.src, ("insert", self.config.link_predicate, link.as_fact()))
 
     def schedule_fact(self, predicate: str, values: tuple, at: float) -> None:
-        """Inject a located fact at an absolute simulation time."""
+        """Inject a located base fact at an absolute simulation time."""
 
-        self.host.protect(predicate)
-        self.scheduler.schedule_at(at, Event("inject", (predicate, tuple(values))))
+        values = tuple(values)
+        self.program.check_base_fact(predicate, values[0], self.nodes)
+        self.scheduler.schedule_at(at, Event("inject", (predicate, values)))
 
     # ------------------------------------------------------------------
     # Running and observing
@@ -791,7 +800,7 @@ class DistributedEngine:
         """The state of this engine between two events: its program digest,
         the scheduler's whole queue (:meth:`EventScheduler.export_state`),
         each node's pending ops and flush mark, channel RNG, trace,
-        topology, protected predicates, base facts, monitor state, and each
+        topology, base facts, monitor state, and each
         node's :meth:`Node.export_state`.
 
         Reading it changes nothing, so two captures in a row are equal.  The
@@ -815,7 +824,6 @@ class DistributedEngine:
             },
             "trace": self.trace,
             "topology": self.topology.export_state(),
-            "protected": sorted(self.host.protected),
             "base_facts": list(self._base_facts),
             "nodes": self.host.export_nodes(),
             "monitors": [
@@ -849,8 +857,6 @@ class DistributedEngine:
         self.channel._random.setstate(state["channel"]["random_state"])
         self.channel.dropped = state["channel"]["dropped"]
         self.trace = state["trace"]
-        for predicate in state["protected"]:
-            self.host.protect(predicate)
         self._base_facts = [
             (node_id, predicate, tuple(values))
             for node_id, predicate, values in state["base_facts"]

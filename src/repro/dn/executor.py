@@ -206,19 +206,6 @@ class FixpointExecutor:
         self._sweep_bodies = plan.sweep_bodies
         self._sweep_plans = plan.sweep_plans
         self._view_reads = plan.view_reads
-        #: predicates seeded with base facts (injected, not derived): the
-        #: sweep must never judge them by rule derivability
-        self.protected: set[str] = set()
-
-    def protect(self, predicate: str) -> bool:
-        """Exclude a predicate from consistency sweeps (it carries injected
-        base facts, which no rule needs to re-derive).  Returns ``True``
-        when the predicate was not protected before."""
-
-        if predicate in self.protected:
-            return False
-        self.protected.add(predicate)
-        return True
 
     def _triggered(self, delta) -> tuple[tuple, tuple[int, ...]]:
         """The fire functions of the non-aggregate rules and the positions
@@ -372,22 +359,20 @@ class FixpointExecutor:
             # touched, but its sweep never came due (no body predicate lost
             # a row): check the keys now; a dirty one is left as the full
             # sweep would leave it, and remembered
-            if (
-                predicate not in self.protected
-                and predicate not in node.unswept
-                and not self._keys_consistent(node, predicate, keys)
+            if predicate not in node.unswept and not self._keys_consistent(
+                node, predicate, keys
             ):
                 node.unswept.add(predicate)
         if rounds and obs_metrics.ENABLED:
             obs_metrics.observe("engine.fixpoint_rounds", rounds)
 
     def _sweep_due(self, deleted: set[str]) -> Iterable[str]:
-        """The sweepable predicates whose check is due: unprotected, and
-        reading a predicate that lost rows."""
+        """The sweepable predicates whose check is due: those reading a
+        predicate that lost rows."""
 
         bodies = self._sweep_bodies
         for predicate in self._sweep_rules:
-            if predicate not in self.protected and not bodies[predicate].isdisjoint(deleted):
+            if not bodies[predicate].isdisjoint(deleted):
                 yield predicate
 
     def _sweep_is_clean(
@@ -452,9 +437,8 @@ class FixpointExecutor:
         (``purge`` ops — recorded as ``retract``), derivable rows whose
         primary key went empty are re-asserted.  Stored rows that *are*
         derivable are left alone (so equal-cost tie winners are not
-        churned), and predicates carrying injected base facts
-        (:meth:`protect`) are skipped.  Sound at settle points because a
-        purely-local predicate's entire support is in this node's tables.
+        churned).  Sound at settle points because a purely-local
+        predicate's entire support is in this node's tables.
         Enqueued ops run through the normal rounds, so cascades (and their
         own sweeps) follow until the node is exactly consistent.
         """
@@ -478,12 +462,12 @@ class FixpointExecutor:
     ) -> dict[str, list[tuple]]:
         """One deletion round: decide, fire old-database joins, remove.
 
-        Counted retracts release one support, except that an unprotected
-        over-deleted predicate (``plan.overdeleted``) loses its stored row
-        on any; forced deletes/expiries match the stored row; the
-        retraction joins fire while the condemned rows
-        are still stored (the deletion delta joins against the *old*
-        database) and only then are the rows removed.  Every op on a
+        Counted retracts release one support, except that an over-deleted
+        predicate (``plan.overdeleted``) loses its stored row on any;
+        forced deletes/expiries match the stored row; the retraction joins
+        fire while the condemned rows are still stored (the deletion delta
+        joins against the *old* database) and only then are the rows
+        removed.  Every op on a
         sweepable predicate records its primary key in ``touched`` — the
         keys the settle-end check (:meth:`_sweep_is_clean`) re-derives.
         Returns the removed rows by predicate.
@@ -500,7 +484,6 @@ class FixpointExecutor:
         pending_inserts: Optional[set[tuple]] = None
         sweepable = self._sweep_rules
         overdeleted = self.plan.overdeleted
-        protected = self.protected
         db = node.db
         node_id = node.id
         for kind, predicate, rows in del_runs:
@@ -509,7 +492,7 @@ class FixpointExecutor:
             if predicate in sweepable:
                 touched.setdefault(predicate, set()).update(map(table.key_of, rows))
             if kind == "retract":
-                if predicate in overdeleted and predicate not in protected:
+                if predicate in overdeleted:
                     # counts cannot see cyclic support: the row goes
                     # whatever its count, and the settle-end check
                     # re-asserts it while it is still derivable (DRed)

@@ -3,11 +3,14 @@
 :class:`~repro.dn.engine.DistributedEngine` keeps everything global and
 hands everything per node to its node host.  Two hosts answer one
 surface — ``nodes`` (node id → a node or row view answering ``rows``,
-``select``, ``holds``, ``snapshot`` and carrying ``stats``), ``protected``,
-``flush`` (settle one same-timestamp wave into the engine's sinks, yielding
-each node id after its settle), ``refresh``, ``protect``, ``expired``,
-``soft_deadlines``, ``export_nodes`` / ``load_nodes`` (a capture's node
-half), ``begin_segment`` / ``end_segment`` and ``close``:
+``select``, ``holds``, ``snapshot`` and carrying ``stats``), ``flush``
+(settle one same-timestamp wave into the engine's sinks, yielding each
+node id after its settle), ``refresh``, ``expired``, ``soft_deadlines``,
+``export_nodes`` / ``load_nodes`` (a capture's node half),
+``begin_segment`` / ``end_segment`` and ``close``.  A host holds node
+states and nothing per predicate: the engine hands facts to base
+predicates only (:meth:`~repro.ndlog.ast.Program.check_base_fact`), so
+every derived row is one the program derives.
 
 * :class:`ShardWorker` (here) holds :class:`~repro.dn.node.Node` objects
   and runs the :class:`~repro.dn.executor.FixpointExecutor` in its own
@@ -61,8 +64,6 @@ class ShardWorker:
             node_id: Node(node_id, program, rule_engine=rule_engine) for node_id in node_ids
         }
         self.executor = FixpointExecutor(program, rule_engine)
-        #: predicates carrying injected base facts (sweep-exempt)
-        self.protected = self.executor.protected
 
     def flush(
         self, now: float, items: list[tuple[NodeId, list[Op]]], changes: list, send
@@ -105,11 +106,6 @@ class ShardWorker:
         for node_id, predicate, values in items:
             self.nodes[node_id].db.table(predicate).refresh(tuple(values), now)
 
-    def protect(self, predicate: str) -> bool:
-        """Exempt a predicate from consistency sweeps; True when new."""
-
-        return self.executor.protect(predicate)
-
     def expired(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
         """Each node's soft-state rows past their lifetime (the expiry scan)."""
 
@@ -146,20 +142,16 @@ class ShardWorker:
             self.nodes[node_id].load_state(state)
 
     def checkpoint(self) -> bytes:
-        """The nodes' state at a settle point, pickled with the protected
-        predicates: what a respawned worker restores."""
+        """The nodes' state at a settle point, pickled: what a respawned
+        worker restores."""
 
-        state = (sorted(self.protected), self.export_nodes())
-        return pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(self.export_nodes(), pickle.HIGHEST_PROTOCOL)
 
     def restore(self, checkpoint: bytes) -> bool:
         """Adopt a :meth:`checkpoint`: the worker ends bit-identical to the
         one whose state it was."""
 
-        protected, states = pickle.loads(checkpoint)
-        for predicate in protected:
-            self.protect(predicate)
-        self.load_nodes(states)
+        self.load_nodes(pickle.loads(checkpoint))
         return True
 
     def begin_segment(self) -> None:

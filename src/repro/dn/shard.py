@@ -44,8 +44,8 @@ shard_timeout``) raises :class:`ShardCrash` in the supervisor, which
 respawns the worker: the new worker loads its shard's last *checkpoint*
 (each member's :meth:`~repro.dn.node.Node.export_state`, pickled by the
 worker and opaque to the supervisor), re-executes the state-changing
-requests logged since (``flush_batch``, ``refresh``, ``protect``; no fault
-probes, results and worker metrics dropped), and the failed request is
+requests logged since (``flush_batch`` and ``refresh``; no fault probes,
+results and worker metrics dropped), and the failed request is
 retried.  A request is logged only once its result has returned, so the
 new worker stands exactly where the dead one stood before the fatal
 request and the retry recomputes what it would have produced —
@@ -425,8 +425,6 @@ class ShardSupervisor:
         #: the shards with member nodes (the only ones ever addressed)
         self._occupied = [shard for shard, members in enumerate(self.members) if members]
         self.nodes = {node_id: RemoteNode(node_id, program) for node_id in topology.nodes}
-        #: the predicates protected on every worker
-        self.protected: set[str] = set()
         self._soft_state = any(decl.is_soft_state for decl in program.materialized.values())
         self._closed = False
         self._clients: list[object] = [
@@ -649,16 +647,6 @@ class ShardSupervisor:
             self._call(shard, "refresh", (now, batch))
             self._logged(shard, "refresh", (now, batch), len(batch))
 
-    def protect(self, predicate: str) -> bool:
-        # logged, as no ops: a predicate is protected at most once
-        if predicate in self.protected:
-            return False
-        self.protected.add(predicate)
-        for shard in self._occupied:
-            self._call(shard, "protect", (predicate,))
-            self._logged(shard, "protect", (predicate,), 0)
-        return True
-
     def expired(self, now: float) -> dict[NodeId, list[tuple[str, tuple]]]:
         expired: dict[NodeId, list[tuple[str, tuple]]] = {}
         for shard in self._occupied:
@@ -693,10 +681,9 @@ class ShardSupervisor:
         respawn checkpoint (with an empty log), and rebuild the row views
         from their rows."""
 
-        protected = sorted(self.protected)
         for shard in self._occupied:
             members = {node_id: states[node_id] for node_id in self.members[shard]}
-            checkpoint = pickle.dumps((protected, members), pickle.HIGHEST_PROTOCOL)
+            checkpoint = pickle.dumps(members, pickle.HIGHEST_PROTOCOL)
             self._call(shard, "restore", (checkpoint,))
             self._checkpoints[shard] = checkpoint
             self._logs[shard] = []

@@ -24,7 +24,7 @@ interned pointers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Container, Iterator, Optional, Union
 
 from ..terms import COMPARISONS, Const, Func, Term, Var
 
@@ -442,6 +442,26 @@ class Program:
 
     def predicates(self) -> set[str]:
         return self.base_predicates() | self.derived_predicates()
+
+    def check_base_fact(
+        self, predicate: str, node: object = None, nodes: Optional[Container] = None
+    ) -> None:
+        """Refuse a fact a run of this program may not be handed: one of a
+        predicate some rule derives (a row the program never derives is
+        not its state), or, given the ``nodes`` of a network, one located
+        at ``node`` outside them."""
+
+        for rule in self.rules:
+            if rule.head.predicate == predicate:
+                raise NDlogError(
+                    f"fact of {predicate!r} refused: rule {rule.name} derives it, and "
+                    "facts go to base predicates only (derive it from one instead)"
+                )
+        if nodes is not None and node not in nodes:
+            raise NDlogError(
+                f"fact of {predicate!r} refused: it is located at node {node!r}, "
+                "which the topology lacks"
+            )
 
     def predicate_arities(self) -> dict[str, int]:
         arities: dict[str, int] = {}

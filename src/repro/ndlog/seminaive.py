@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ..terms import FunctionRegistry, Var
-from .ast import Fact, HeadLiteral, Literal, MaterializeDecl, NDlogError, Program, Rule
+from ..terms import FunctionRegistry
+from .ast import Fact, NDlogError, Program, Rule
 from .codegen import CodegenRule, codegen_rule
 from .functions import builtin_registry
 from .localization import strip_locations
@@ -320,11 +320,6 @@ class Evaluator:
         return db, stats
 
 
-#: the suffix of the base predicate that holds the facts an
-#: :class:`IncrementalEvaluator` is handed for a derived predicate
-FACT_SUFFIX = "__fact"
-
-
 def row_key(row: tuple) -> tuple:
     """A hashable stand-in for a row (per-value ``_hashable`` fallback)."""
 
@@ -351,13 +346,11 @@ class IncrementalEvaluator:
     aggregate maintenance and keyed refills.  ``stats`` is the node's
     :class:`~repro.dn.node.NodeStats`.
 
-    Base predicates handed to :meth:`apply` are protected, as the engine
-    protects injected facts.  A fact of a predicate that a plain rule
-    derives is stored in the base predicate ``p__fact`` instead
-    (:data:`FACT_SUFFIX`), and the copy rule ``p(...) :- p__fact(...)`` is
-    added to the node's program when the first such fact arrives, so ``p``
-    stays unprotected: over-deleted, checked and re-derived like any other
-    derived predicate.  ``db`` holds those auxiliary tables too.
+    Facts go to base predicates only, as on the engine: :meth:`apply` (and
+    so :meth:`load`, :meth:`insert` and :meth:`delete`) refuses a batch
+    naming a predicate some rule derives with :class:`NDlogError`
+    (:meth:`~repro.ndlog.ast.Program.check_base_fact`) before changing
+    anything.
 
     After any ``apply`` the database equals, on the program's predicates,
     the from-scratch fixpoint of the surviving base facts (the property
@@ -383,13 +376,6 @@ class IncrementalEvaluator:
         self.engine = RULE_ENGINE(registry)
         self.max_rounds = max_rounds
         local = strip_locations(program)
-        heads = {rule.head.predicate for rule in program.rules}
-        views = {rule.head.predicate for rule in program.rules if rule.head.has_aggregate}
-        self._heads = heads
-        #: the predicates only plain rules derive: their facts go to a fact
-        #: table, and those that have had one hold a copy rule
-        self._copyable = heads - views
-        self._copied: set[str] = set()
         self._node = Node(0, local, self.engine)
         self._executor = FixpointExecutor(local, self.engine)
         self.db = self._node.db
@@ -415,45 +401,11 @@ class IncrementalEvaluator:
 
         ops = [("delete", predicate, tuple(values)) for predicate, values in deletes]
         ops += [("insert", predicate, tuple(values)) for predicate, values in inserts]
-        copyable = self._copyable
-        for predicate in {predicate for _, predicate, _ in ops} & (copyable - self._copied):
-            self._add_copy_rule(predicate)
-        ops = [
-            (kind, predicate + FACT_SUFFIX if predicate in copyable else predicate, row)
-            for kind, predicate, row in ops
-        ]
-        for _, predicate, _ in ops:
-            if predicate not in self._heads:
-                self._executor.protect(predicate)
+        for predicate in dict.fromkeys(predicate for _, predicate, _ in ops):
+            self.program.check_base_fact(predicate)
         sends = self._executor.settle(self._node, ops, 0.0, [], max_rounds=self.max_rounds)
         assert not sends, "a program without locations sends nothing"
         return self.db
-
-    def _add_copy_rule(self, predicate: str) -> None:
-        """Derive ``predicate`` from its fact table from now on.
-
-        The node's database stays a fixpoint of the extended program (the
-        fact table is empty), so only the executor is rebuilt.
-        """
-
-        from ..dn.executor import FixpointExecutor
-
-        facts = predicate + FACT_SUFFIX
-        self._copied.add(predicate)
-        local = self._executor.program
-        args = tuple(Var(f"V{i}") for i in range(local.rules_for(predicate)[0].head.arity))
-        rule = Rule(facts, HeadLiteral(predicate, args), (Literal(facts, args),))
-        materialized = dict(local.materialized)
-        decl = materialized.get(predicate)
-        if decl is not None:
-            # keyed as the predicate, so a fact displaces one under its key
-            materialized[facts] = MaterializeDecl(facts, float("inf"), float("inf"), decl.keys)
-            self.db.declare_from(materialized[facts])
-        local = Program(local.name, [*local.rules, rule], list(local.facts), materialized)
-        executor = FixpointExecutor(local, self.engine)
-        executor.protected |= self._executor.protected
-        self._executor = executor
-        self._node.program = local
 
 
 def evaluate(

@@ -26,8 +26,8 @@ fingerprint perturbation the observability contract forbids.  Instead we
    honors initial bindings and solves body prefixes), and recurse into the
    ground rows of positive body literals.
 
-Leaves are **base facts**: predicates the engine's node host protects
-(externally injected) or predicates no rule derives.  Memoization, cycle
+Leaves are **base facts**: rows of predicates no rule derives, the only
+predicates the engine hands facts to.  Memoization, cycle
 detection, and depth/derivation caps keep the search bounded; rule order
 and sorted bindings keep output deterministic.
 
@@ -132,14 +132,13 @@ class _Explainer:
         self.rules_by_head: dict[str, list[Rule]] = {}
         for rule in engine.program.rules:
             self.rules_by_head.setdefault(rule.head.predicate, []).append(rule)
-        self.protected = set(engine.host.protected)
         self.interp = ReferenceEngine(engine.registry)
         self.max_depth = max_depth
         self.max_derivations = max_derivations
         self._memo: dict[tuple, dict] = {}
 
     def is_base(self, predicate: str) -> bool:
-        return predicate in self.protected or predicate not in self.rules_by_head
+        return predicate not in self.rules_by_head
 
     def explain(self, predicate: str, values: tuple, depth: int = 0, stack: frozenset = frozenset()):
         node = {"predicate": predicate, "values": list(values)}

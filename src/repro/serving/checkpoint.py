@@ -28,7 +28,9 @@ from typing import Optional
 
 #: On-disk format tag, first token of a snapshot file's header line.  Bump
 #: it whenever the pickled body changes shape: older files then fall back
-#: to full ledger replay instead of being misread.  (``/12``: the engine
+#: to full ledger replay instead of being misread.  (``/13``: the engine
+#: capture names no protected predicates, as facts go to base predicates
+#: only; a ``/12`` capture carried them.  Since ``/12`` the engine
 #: capture carries its program digest, and a capture of another program is
 #: refused for full replay; a ``/11`` capture named no program.  Since
 #: ``/11`` each table capture is its rows and deadlines only; a ``/10``
@@ -51,7 +53,7 @@ from typing import Optional
 #: soft-state tables only; ``/4`` carried ``(key, values, inserted_at,
 #: expires_at, count)`` per row; ``/3`` pickled the Trace's records as
 #: dataclasses in bare lists.)
-SNAPSHOT_FORMAT = "fvn-snapshot/12"
+SNAPSHOT_FORMAT = "fvn-snapshot/13"
 
 
 def _header(body: bytes) -> bytes:

@@ -430,10 +430,16 @@ class RouteService:
             values = args.get("values")
             if not isinstance(args.get("predicate"), str) or not isinstance(values, list):
                 raise ProtocolError(f"{verb} needs 'predicate' (string) and 'values' (list)")
-            if not values or as_tuple(values)[0] not in self.engine.nodes:
-                raise ProtocolError(
-                    f"{verb}: values[0] must be the located node, got {values[:1]!r}"
+            if not values:
+                raise ProtocolError(f"{verb}: values[0] must be the located node, got []")
+            # refused before the ledger sees it: a derived predicate or an
+            # unknown node
+            try:
+                self.engine.program.check_base_fact(
+                    args["predicate"], as_tuple(values)[0], self.engine.nodes
                 )
+            except NDlogError as exc:
+                raise ProtocolError(f"{verb}: {exc}") from None
 
     def _apply(self, verb: str, args: dict) -> dict:
         """Schedule one (already canonicalized) update and settle.  Ledger

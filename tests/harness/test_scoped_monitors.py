@@ -9,11 +9,16 @@ it runs the monitor's own check function over every row of the node and
 asserts the two active violation sets identical.
 
 Healthy runs have no violation at a settle point, so every cell also plants
-some through the engine — traced base facts in derived predicates: a cyclic
-candidate route, a best route no candidate supports, a selection over an
-empty group — and fails and restores the planted best route's first-hop
-link, which only the ``link`` fallback of :class:`RouteValidityMonitor`
-sees.  The cells cover the plain and policy path-vector programs on tree,
+some through the engine — a cyclic candidate route, a best route no
+candidate supports, a selection over an empty group — and fails and
+restores the planted best route's first-hop link, which only the ``link``
+fallback of :class:`RouteValidityMonitor` sees.  Facts go to base
+predicates only, so each planted predicate ``p`` is derived from a base
+predicate ``plant_p`` by the plant rule ``p(...) :- plant_p(...)``, which
+:func:`with_plant_rules` appends to the cell's program: the plants and
+their removals are facts of ``plant_p``.
+
+The cells cover the plain and policy path-vector programs on tree,
 power_law and waxman topologies with churn and loss 0.2, a size-capped
 ``path`` table (untraced FIFO eviction), a soft-state ``link`` table, 1 and
 2 inline shards, and serving updates.
@@ -31,6 +36,7 @@ from repro.obs import metrics as obs_metrics
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE, path_vector_program
 from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
+from repro.serving import service as service_mod
 from repro.serving.config import ServerConfig
 from repro.serving.service import RouteService
 
@@ -72,20 +78,34 @@ def plants(program, node, hop) -> list[tuple[str, tuple]]:
     """Base facts planting one violation of each scoped kind at ``node``:
     a cyclic candidate route (whose selection is cyclic too), a best route
     leaving over the link to ``hop`` that no candidate supports, and a
-    selection over an empty candidate group."""
+    selection over an empty candidate group.  Each names ``plant_p``, from
+    which the plant rule derives the planted predicate ``p``."""
 
     cyclic = (node, hop, node, GHOST)
     if schema_for_program(program) is POLICY_SCHEMA:
         return [
-            ("route", (node, GHOST, cyclic, 5, 0, 5)),
-            ("bestRoute", (node, GHOST + 1, (node, hop, GHOST + 1), 3, 3)),
-            ("bestRouteRank", (node, GHOST + 2, 1)),
+            ("plant_route", (node, GHOST, cyclic, 5, 0, 5)),
+            ("plant_bestRoute", (node, GHOST + 1, (node, hop, GHOST + 1), 3, 3)),
+            ("plant_bestRouteRank", (node, GHOST + 2, 1)),
         ]
     return [
-        ("path", (node, GHOST, cyclic, 5)),
-        ("bestPath", (node, GHOST + 1, (node, hop, GHOST + 1), 3)),
-        ("bestPathCost", (node, GHOST + 2, 1)),
+        ("plant_path", (node, GHOST, cyclic, 5)),
+        ("plant_bestPath", (node, GHOST + 1, (node, hop, GHOST + 1), 3)),
+        ("plant_bestPathCost", (node, GHOST + 2, 1)),
     ]
+
+
+def with_plant_rules(program):
+    """``program`` with the plant rule ``p(@A0,...) :- plant_p(@A0,...)``
+    appended for each predicate :func:`plants` plants in."""
+
+    rules = []
+    for base, row in plants(program, 0, 0):
+        args = "@" + ",".join(f"A{i}" for i in range(len(row)))
+        rules.append(f"{base} {base.removeprefix('plant_')}({args}) :- {base}({args}).")
+    for rule in parse_program("\n".join(rules), "plants").rules:
+        program.add_rule(rule)
+    return program
 
 
 def plant_and_remove(engine, program, topology) -> None:
@@ -113,6 +133,7 @@ def run_cell(program, family, size, shards, *, churn=3, loss=0.2, until=float("i
         family, size=size, seed=2, policy=policy, churn_events=churn, loss=loss
     )
     config = EngineConfig(seed=2, shards=shards, shard_transport="inline", max_events=2_000_000)
+    program = with_plant_rules(program)
     with shadowed() as calls:
         engine = create_engine(program, scenario.topology, config=config)
         try:
@@ -196,6 +217,10 @@ def test_serving_updates(tmp_path, monkeypatch):
 
     # an in-process service turns metrics on for the whole process
     monkeypatch.setattr(obs_metrics, "ENABLED", obs_metrics.ENABLED)
+    build = service_mod.build_serving_program
+    monkeypatch.setattr(
+        service_mod, "build_serving_program", lambda config: with_plant_rules(build(config))
+    )
     with shadowed() as calls:
         service = RouteService(
             ServerConfig(state_dir=str(tmp_path), family="tree", size=10)

@@ -236,60 +236,6 @@ class TestOverdelete:
         assert (5, 7) in inc.db.rows("p")
         assert nonempty(inc.db.snapshot()) == nonempty(scratch.snapshot())
 
-    def test_fact_of_a_recursive_predicate_leaves_it_rederivable(self):
-        # reach(z,z) is handed in: it goes to reach__fact, so reach stays
-        # over-deleted and checked, and the a-b cycle keeps no stale
-        # reach(a,c) or reach(b,c) alive once e(b,c) is gone
-        source = """
-        reach(@X,Y) :- e(@X,Y).
-        reach(@X,Z) :- e(@X,Y), reach(@Y,Z).
-        """
-        facts = [("e", ("a", "b")), ("e", ("b", "a")), ("reach", ("z", "z"))]
-        inc = IncrementalEvaluator(parse_program(source, "incremental"))
-        inc.load(facts + [("e", ("b", "c"))])
-        inc.delete("e", ("b", "c"))
-        snapshot = nonempty(inc.db.snapshot())
-        assert snapshot.pop("reach__fact") == {("z", "z")}
-        scratch = evaluate(parse_program(source, "scratch"), facts)
-        assert snapshot == nonempty(scratch.snapshot())
-        inc.delete("reach", ("z", "z"))
-        assert ("z", "z") not in inc.db.rows("reach")
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["insert", "delete"]),
-                st.sampled_from(["e", "f", "q"]),
-                st.tuples(*[st.integers(min_value=0, max_value=3)] * 2),
-            ),
-            min_size=1,
-            max_size=25,
-        )
-    )
-    def test_facts_of_derived_predicates_match_scratch(self, ops):
-        # q is derived from two directions and also handed facts: a fact
-        # of q counts as one more derivation, and deleting a q row that
-        # was never handed in deletes nothing
-        source = """
-        q(@X,Y) :- e(@X,Y).
-        q(@X,Y) :- f(@X,Y).
-        r(@X,Z) :- q(@X,Y), q(@Y,Z).
-        """
-        inc = IncrementalEvaluator(parse_program(source, "incremental"))
-        facts: dict[tuple, None] = {}
-        for op, predicate, row in ops:
-            if op == "insert":
-                facts[(predicate, row)] = None
-                inc.insert(predicate, row)
-            else:
-                facts.pop((predicate, row), None)
-                inc.delete(predicate, row)
-        snapshot = nonempty(inc.db.snapshot())
-        snapshot.pop("q__fact", None)
-        scratch = evaluate(parse_program(source, "scratch"), list(facts))
-        assert snapshot == nonempty(scratch.snapshot())
-
     def test_round_bound_stops_a_displacement_livelock(self):
         # centrally every node floods every LSA, and a re-costed link's old
         # and new LSA displace each other around the flood without end

@@ -326,6 +326,7 @@ class TestRecovery:
             pytest.param(9, "monitor classes pickled under repro.fvn.monitors", id="format-9"),
             pytest.param(10, "each table's index positions", id="format-10"),
             pytest.param(11, "no program digest", id="format-11"),
+            pytest.param(12, "the predicates the engine protected", id="format-12"),
         ],
     )
     def test_intact_older_format_snapshot_falls_back_to_replay(
@@ -335,7 +336,7 @@ class TestRecovery:
         current format does not — is refused for full replay even sealed
         with a valid checksum, so none of it reaches an engine."""
 
-        assert SNAPSHOT_FORMAT == "fvn-snapshot/12"
+        assert SNAPSHOT_FORMAT == "fvn-snapshot/13"
         reference = self.reseal_as(tmp_path, f"fvn-snapshot/{version}")
         assert self.recover(tmp_path) == ("replay", reference)
 

@@ -418,6 +418,23 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="located"):
             service.apply_update("set_fact", {"predicate": "link", "values": [99, 0, 1]})
 
+    @pytest.mark.parametrize("verb", ["set_fact", "del_fact"])
+    def test_fact_of_a_derived_predicate_is_refused_before_the_wal(self, tmp_path, verb):
+        config = ServerConfig(
+            state_dir=str(tmp_path), family="tree", size=6, policy="gao_rexford"
+        )
+        svc = RouteService(config)
+        try:
+            svc.apply_update("link_fail", {"src": 0, "dst": 1})
+            wal = svc.ledger_path.read_bytes()
+            row = [0, 1000, [0, 1, 1000], 1, 0, 1]
+            with pytest.raises(ProtocolError, match="'route' refused: rule pv1 derives it"):
+                svc.apply_update(verb, {"predicate": "route", "values": row})
+            assert svc.seq == 1
+            assert svc.ledger_path.read_bytes() == wal
+        finally:
+            svc.close()
+
     def test_unknown_query_verb(self, service):
         with pytest.raises(ProtocolError, match="unknown query verb"):
             service.query("nonsense", {})

@@ -89,17 +89,45 @@ def test_directions_come_from_the_benchmark_declaration(tool):
 
 
 def test_the_change_side_is_the_tree_or_a_ref(tool, tmp_path):
-    head = tool.git("rev-parse", "HEAD")
+    # a throwaway repository: the test needs no .git of its own checkout
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "bench" / "__main__.py").write_text("committed\n")
+    (repo / "BENCHMARK.json").write_text("{}\n")
+    (repo / ".gitignore").write_text("out/\n")
+    tool.git("init", "-q", cwd=repo)
+    tool.git("add", "-A", cwd=repo)
+    tool.git(
+        "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+        "-c", "commit.gpgsign=false", "commit", "-q", "-m", "base", cwd=repo,
+    )
+    head = tool.git("rev-parse", "HEAD", cwd=repo)
+    # the working tree: an edited file, an untracked one and an ignored one
+    (repo / "bench" / "__main__.py").write_text("edited\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "run.json").write_text("ignored\n")
     (tmp_path / "tree").mkdir()
     (tmp_path / "refs").mkdir()
-    trees, record = tool.sides("HEAD", None, tmp_path / "tree")
-    assert trees["change"] == REPO_ROOT
-    assert record["change"]["sha"] == head and "ref" not in record["change"]
-    assert (trees["base"] / "BENCHMARK.json").is_file()
+
+    trees, record = tool.sides("HEAD", None, tmp_path / "tree", repo)
+    assert trees == {"base": tmp_path / "tree" / "base", "change": tmp_path / "tree" / "change"}
+    assert (trees["base"] / "bench" / "__main__.py").read_text() == "committed\n"
+    assert not (trees["base"] / "new.py").exists()
+    # the change side is a copy of the tree's files, not the tree itself
+    assert (trees["change"] / "bench" / "__main__.py").read_text() == "edited\n"
+    assert (trees["change"] / "new.py").read_text() == "untracked\n"
+    assert (trees["change"] / "BENCHMARK.json").is_file()
+    assert not (trees["change"] / "out").exists()
+    assert not (trees["change"] / ".git").exists()
+    assert record == {
+        "base": {"ref": "HEAD", "sha": head},
+        "change": {"sha": head, "dirty": True},
+    }
     # --change <ref>: both sides are exported commits, neither is dirty
-    trees, record = tool.sides("HEAD", "HEAD", tmp_path / "refs")
+    trees, record = tool.sides("HEAD", "HEAD", tmp_path / "refs", repo)
     assert trees["change"] == tmp_path / "refs" / "change"
-    assert (trees["change"] / "bench" / "__main__.py").is_file()
+    assert (trees["change"] / "bench" / "__main__.py").read_text() == "committed\n"
     assert record == {
         "base": {"ref": "HEAD", "sha": head},
         "change": {"ref": "HEAD", "sha": head, "dirty": False},
