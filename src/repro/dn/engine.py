@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
@@ -297,10 +298,14 @@ class DistributedEngine:
                 predicate, values = item
                 values = tuple(values)
                 facts.append((values[0], predicate, values))
+        # per distinct predicate and node, not per fact: a policy run seeds
+        # tens of thousands of facts
         check = self.program.check_base_fact
-        located = dict.fromkeys((node_id, predicate) for node_id, predicate, _ in facts)
-        for node_id, predicate in located:
-            check(predicate, node_id, self.nodes)
+        for predicate in sorted(set(map(itemgetter(1), facts))):
+            check(predicate)
+        if not self.nodes.keys() >= set(map(itemgetter(0), facts)):
+            for node_id, predicate, _ in facts:
+                check(predicate, node_id, self.nodes)
         if self.config.link_predicate:
             check(self.config.link_predicate)
             for link_fact in self.topology.link_facts():
