@@ -20,10 +20,11 @@ wall time, worker count).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
+
+from ..obs.metrics import percentile
 
 LEDGER_NAME = "ledger.jsonl"
 RESULTS_NAME = "results.jsonl"
@@ -264,21 +265,6 @@ def read_results(path: Path) -> list[RunRecord]:
             if line:
                 records.append(RunRecord.from_dict(json.loads(line)))
     return records
-
-
-def percentile(values, fraction: float) -> float:
-    """Nearest-rank percentile of ``values`` (0 when empty).
-
-    Matches the histogram percentiles in :mod:`repro.obs.metrics` so the
-    per-cell ``p50``/``p95`` figures in ``summary.json`` and the campaign
-    metrics snapshot agree on methodology.
-    """
-
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def summarize(records: list[RunRecord]) -> dict:

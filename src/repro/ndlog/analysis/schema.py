@@ -1,9 +1,10 @@
 """Schema and type-inference pass (codes NDL101–NDL104).
 
-Arity consistency generalises :meth:`repro.ndlog.ast.Program.check` into a
-multi-diagnostic walk; ``materialize`` declarations are checked against the
-inferred arity (``keys`` positions are 1-based) and against the set of
-predicates the program actually mentions.
+Arity consistency (NDL101) is :meth:`repro.ndlog.ast.Program.arity_findings`,
+whose first finding :meth:`~repro.ndlog.ast.Program.check` refuses;
+``materialize`` declarations are checked against each predicate's first-seen
+arity (``keys`` positions are 1-based) and against the set of predicates
+the program actually mentions.
 
 Type inference is a union-find over *slots* — ``(predicate, position)``
 pairs — seeded by fact constants, builtin-function signatures, arithmetic,
@@ -109,37 +110,6 @@ def _const_type(value: object) -> Optional[str]:
     if isinstance(value, (tuple, list)):
         return "path"
     return None
-
-
-def _check_arities(program: Program) -> tuple[list[Diagnostic], dict[str, int]]:
-    """NDL101 plus the first-seen arity per predicate."""
-
-    out: list[Diagnostic] = []
-    arities: dict[str, int] = {}
-    reported: set[str] = set()
-
-    def note(pred: str, arity: int, where: str, rule: Optional[str], span) -> None:
-        known = arities.setdefault(pred, arity)
-        if known != arity and pred not in reported:
-            reported.add(pred)
-            out.append(
-                Diagnostic(
-                    "NDL101",
-                    f"predicate {pred!r} used with arity {arity} in {where} "
-                    f"but {known} elsewhere",
-                    rule=rule,
-                    predicate=pred,
-                    span=span,
-                )
-            )
-
-    for r in program.rules:
-        note(r.head.predicate, r.head.arity, f"rule {r.name} head", r.name, r.head.span)
-        for lit in r.body_literals:
-            note(lit.predicate, lit.arity, f"rule {r.name} body", r.name, lit.span)
-    for f in program.facts:
-        note(f.predicate, len(f.values), "fact", None, f.span)
-    return out, arities
 
 
 def _check_materialize(program: Program, arities: dict[str, int]) -> list[Diagnostic]:
@@ -291,9 +261,9 @@ def _infer_types(program: Program) -> list[Diagnostic]:
 def check_schema(program: Program) -> list[Diagnostic]:
     """Run the schema pass: arities, materialize declarations, field types."""
 
-    diags, arities = _check_arities(program)
-    diags.extend(_check_materialize(program, arities))
-    if not any(d.code == "NDL101" for d in diags):
+    arity = [Diagnostic(*f) for f in program.arity_findings()]
+    diags = arity + _check_materialize(program, program.predicate_arities())
+    if not arity:
         # type inference over inconsistent arities would double-report
         diags.extend(_infer_types(program))
     return diags

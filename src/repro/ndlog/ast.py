@@ -24,7 +24,7 @@ interned pointers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Optional, Union
+from typing import Container, Iterable, Iterator, Optional, Union
 
 from ..terms import COMPARISONS, Const, Func, Term, Var
 
@@ -60,6 +60,26 @@ def _cite(span: Optional["Span"]) -> str:
     error messages so parsed-program failures point at their source."""
 
     return f" (line {span})" if span is not None else ""
+
+
+#: A well-formedness finding: ``(code, message, rule, predicate, span)``,
+#: the fields of the ``fvn-lint`` :class:`~repro.ndlog.analysis.Diagnostic`
+#: that wraps it (``docs/ANALYSIS.md`` lists the codes).
+Finding = tuple[str, str, Optional[str], Optional[str], Optional[Span]]
+
+
+def refuse(findings: Iterable[Finding], prefix: str = "") -> None:
+    """Raise :class:`NDlogError` from the first of ``findings``, naming its
+    code: the loader's half of a well-formedness rule, whose every finding
+    ``fvn-lint`` reports."""
+
+    for code, message, rule, _predicate, span in findings:
+        where = f" [rule {rule}]" if rule else ""
+        raise NDlogError(f"{prefix}{code}: {message}{where}{_cite(span)}")
+
+
+def _names(variables: Iterable[Var]) -> str:
+    return ", ".join(sorted(v.name for v in variables))
 
 
 def render_term(term: Term) -> str:
@@ -300,9 +320,9 @@ class Rule:
         return [lit.predicate for lit in self.body_literals]
 
     # -- well-formedness -----------------------------------------------------
-    def check_safety(self) -> None:
-        """Range restriction: every head/condition/negated variable must be
-        bound by a positive body literal or by an assignment."""
+    def bound_variables(self) -> set[Var]:
+        """Variables bound by a positive body literal, or by an assignment
+        whose right side is bound (iterated to a fixpoint)."""
 
         bound: set[Var] = set()
         for lit in self.positive_literals:
@@ -314,29 +334,51 @@ class Rule:
                 if assign.variable not in bound and assign.expression.free_vars() <= bound:
                     bound.add(assign.variable)
                     changed = True
-        unbound_head = self.head.variables() - bound
-        if unbound_head:
-            names = ", ".join(sorted(v.name for v in unbound_head))
-            raise NDlogError(
-                f"rule {self.name}: unsafe head variables {{{names}}}"
-                f"{_cite(self.head.span or self.span)}"
+        return bound
+
+    def safety_findings(self) -> Iterator[Finding]:
+        """Range restriction (NDL001–NDL003): every head, negated-literal,
+        condition and assignment variable must be bound."""
+
+        bound = self.bound_variables()
+        unbound = self.head.variables() - bound
+        if unbound:
+            yield (
+                "NDL001",
+                f"head variables {{{_names(unbound)}}} of {self.head.predicate!r} are "
+                "not bound by any positive body literal or assignment",
+                self.name, self.head.predicate, self.head.span or self.span,
             )
         for lit in self.negative_literals:
             unbound = lit.variables() - bound
             if unbound:
-                names = ", ".join(sorted(v.name for v in unbound))
-                raise NDlogError(
-                    f"rule {self.name}: unsafe variables {{{names}}} in negated "
-                    f"literal {lit}{_cite(lit.span or self.span)}"
+                yield (
+                    "NDL002",
+                    f"variables {{{_names(unbound)}}} in negated literal {lit} are "
+                    "unbound — negation would range over an infinite domain",
+                    self.name, lit.predicate, lit.span or self.span,
                 )
         for cond in self.conditions:
             unbound = cond.variables() - bound
             if unbound:
-                names = ", ".join(sorted(v.name for v in unbound))
-                raise NDlogError(
-                    f"rule {self.name}: unsafe variables {{{names}}} in condition "
-                    f"{cond}{_cite(cond.span or self.span)}"
+                yield (
+                    "NDL003",
+                    f"variables {{{_names(unbound)}}} in condition {cond} are never bound",
+                    self.name, None, cond.span or self.span,
                 )
+        for assign in self.assignments:
+            if assign.variable not in bound:
+                unbound = assign.expression.free_vars() - bound
+                yield (
+                    "NDL003",
+                    f"assignment {assign} depends on unbound variables {{{_names(unbound)}}}",
+                    self.name, None, assign.span or self.span,
+                )
+
+    def check_safety(self) -> None:
+        """Refuse the rule's first range-restriction finding."""
+
+        refuse(self.safety_findings())
 
     @property
     def is_local(self) -> bool:
@@ -463,40 +505,50 @@ class Program:
                 "which the topology lacks"
             )
 
-    def predicate_arities(self) -> dict[str, int]:
-        arities: dict[str, int] = {}
+    def _arity_uses(self) -> Iterator[tuple[str, int, str, Optional[str], Optional[Span]]]:
         for r in self.rules:
-            arities.setdefault(r.head.predicate, r.head.arity)
+            yield r.head.predicate, r.head.arity, f"rule {r.name} head", r.name, r.head.span
             for lit in r.body_literals:
-                arities.setdefault(lit.predicate, lit.arity)
+                yield lit.predicate, lit.arity, f"rule {r.name} body", r.name, lit.span
         for f in self.facts:
-            arities.setdefault(f.predicate, len(f.values))
+            yield f.predicate, len(f.values), "fact", None, f.span
+
+    def predicate_arities(self) -> dict[str, int]:
+        """Each predicate's first-seen arity."""
+
+        arities: dict[str, int] = {}
+        for pred, arity, *_ in self._arity_uses():
+            arities.setdefault(pred, arity)
         return arities
+
+    def arity_findings(self) -> Iterator[Finding]:
+        """Consistent arities (NDL101): each predicate's first use with an
+        arity other than its first-seen one."""
+
+        arities: dict[str, int] = {}
+        reported: set[str] = set()
+        for pred, arity, where, rule, span in self._arity_uses():
+            known = arities.setdefault(pred, arity)
+            if known != arity and pred not in reported:
+                reported.add(pred)
+                yield (
+                    "NDL101",
+                    f"predicate {pred!r} used with arity {arity} in {where} "
+                    f"but {known} elsewhere",
+                    rule, pred, span,
+                )
 
     def lifetime_of(self, predicate: str) -> float:
         decl = self.materialized.get(predicate)
         return decl.lifetime if decl else float("inf")
 
     def check(self) -> None:
-        """Program-level sanity checks: safety and consistent arities."""
-
-        arities: dict[str, int] = {}
-
-        def note(pred: str, arity: int, where: str, span: Optional[Span] = None) -> None:
-            if pred in arities and arities[pred] != arity:
-                raise NDlogError(
-                    f"predicate {pred!r} used with arity {arity} in {where} "
-                    f"but {arities[pred]} elsewhere{_cite(span)}"
-                )
-            arities.setdefault(pred, arity)
+        """Refuse an ill-formed program: its first range-restriction
+        (NDL001–NDL003) or arity (NDL101) finding."""
 
         for r in self.rules:
             r.check_safety()
-            note(r.head.predicate, r.head.arity, f"rule {r.name} head", r.head.span)
-            for lit in r.body_literals:
-                note(lit.predicate, lit.arity, f"rule {r.name} body", lit.span)
-        for f in self.facts:
-            note(f.predicate, len(f.values), "fact", f.span)
+        refuse(self.arity_findings())
 
     def __str__(self) -> str:
         lines = [f"/* program {self.name} */"]

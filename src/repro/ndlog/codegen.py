@@ -135,12 +135,13 @@ class _RuleEmitter:
             "_EMPTY": _EMPTY,
             "_SCAN": _SCAN,
         }
+        # raw rules reach here through the public RuleEngine.precompile; a
+        # dead plan derives nothing, so its head needs no binding
         if not layout.dead:
-            unsafe = layout.unsafe_head_variables()
+            unsafe = rule.head.variables() - rule.bound_variables()
             if unsafe:
-                raise NDlogError(
-                    f"rule {rule.name}: unsafe head variables {{{', '.join(unsafe)}}}"
-                )
+                names = ", ".join(sorted(v.name for v in unsafe))
+                raise NDlogError(f"rule {rule.name}: unsafe head variables {{{names}}}")
         self.slot_names = self._allocate_slot_names(layout.slots)
         self._counters: dict[str, int] = {}
         self.source = self._generate()

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..terms import Term
-from .ast import HeadLiteral, Literal, MaterializeDecl, NDlogError, Program, Rule
+from .ast import BodyItem, Finding, HeadLiteral, Literal, MaterializeDecl, Program, Rule, refuse
 
 
 #: Suffix appended to a relation name for its shipped-to-destination variant.
@@ -70,17 +70,48 @@ def is_localized(rule: Rule) -> bool:
     return len(_body_locations(rule)) <= 1
 
 
-def _find_connecting_literal(rule: Rule, loc_a: Term, loc_b: Term) -> Optional[Literal]:
-    """A positive body literal located at ``loc_a`` that also carries ``loc_b``.
+def _shipment(rule: Rule, loc_a: Term, loc_b: Term) -> Optional[tuple[Literal, Term]]:
+    """The positive body literal to ship, and where to: located at one of
+    the two locations and carrying the other (the ``link`` role in the
+    rewrite), such that every other located positive literal sits at the
+    target.  ``None`` when no orientation makes the body local."""
 
-    Such a literal plays the role of the ``link`` relation in the rewrite:
-    shipping it to ``loc_b`` makes the rest of the body local.
-    """
-
-    for lit in rule.positive_literals:
-        if lit.location_term == loc_a and any(arg == loc_b for arg in lit.args):
-            return lit
+    for source, target in ((loc_a, loc_b), (loc_b, loc_a)):
+        for connecting in rule.positive_literals:
+            if connecting.location_term == source and target in connecting.args:
+                break
+        else:
+            continue
+        if all(
+            lit is connecting or lit.location_term in (None, target)
+            for lit in rule.positive_literals
+        ):
+            return connecting, target
     return None
+
+
+def link_findings(rule: Rule) -> Iterator[Finding]:
+    """Link restriction (NDL301/NDL302): a rule body spans at most two
+    locations, joined by a literal that can be shipped to make it local."""
+
+    locations = _body_locations(rule)
+    if len(locations) > 2:
+        rendered = ", ".join(str(loc) for loc in locations)
+        yield (
+            "NDL301",
+            f"rule {rule.name} body spans {len(locations)} locations ({rendered}); "
+            "only link-restricted rules (at most two) are localizable",
+            rule.name, rule.head.predicate, rule.span,
+        )
+    elif len(locations) == 2 and _shipment(rule, *locations) is None:
+        loc_a, loc_b = locations
+        yield (
+            "NDL302",
+            f"rule {rule.name} is not link-restricted: no positive body literal "
+            f"connecting {loc_a} and {loc_b} can be shipped to make the body "
+            "single-location",
+            rule.name, rule.head.predicate, rule.span,
+        )
 
 
 def localize_rule(
@@ -97,57 +128,32 @@ def localize_rule(
     :class:`NDlogError` for rules that are not link-restricted.
     """
 
-    locations = _body_locations(rule)
-    if len(locations) <= 1:
+    if is_localized(rule):
         return [rule]
-    if len(locations) > 2:
-        raise NDlogError(
-            f"rule {rule.name}: body spans {len(locations)} locations; only "
-            "link-restricted rules (two locations) can be localized"
-        )
-    loc_a, loc_b = locations
-    # Choose the orientation: ship the connecting literal from loc_x to loc_y
-    # where loc_y hosts the remaining (majority) literals.
-    for source, target in ((loc_a, loc_b), (loc_b, loc_a)):
-        connecting = _find_connecting_literal(rule, source, target)
-        if connecting is None:
-            continue
-        others = [
-            lit
-            for lit in rule.positive_literals
-            if lit is not connecting and lit.location_term not in (None, target)
-        ]
-        if others:
-            continue  # shipping this literal would not make the body local
-        # interned like parsed predicate names (the distributed engine keys
-        # trigger maps and tables by these generated names on the hot path)
-        aux_pred = sys.intern(connecting.predicate + LINK_DESTINATION_SUFFIX)
-        # Reorder arguments so the target location comes first (location 0).
-        target_index = next(
-            i for i, arg in enumerate(connecting.args) if arg == target
-        )
-        reordered = (
-            (connecting.args[target_index],)
-            + connecting.args[:target_index]
-            + connecting.args[target_index + 1 :]
-        )
-        if aux_pred not in aux_rules:
-            aux_head = HeadLiteral(aux_pred, reordered, location=0)
-            aux_rules[aux_pred] = Rule(
-                f"{rule.name}_ship_{connecting.predicate}", aux_head, (connecting,)
-            )
-            if aux_sources is not None:
-                aux_sources[aux_pred] = (connecting.predicate, target_index)
-        shipped = Literal(aux_pred, reordered, location=0, negated=False)
-        new_body = tuple(
-            shipped if item is connecting else item for item in rule.body
-        )
-        rewritten = Rule(rule.name, rule.head, new_body)
-        return [rewritten]
-    raise NDlogError(
-        f"rule {rule.name}: not link-restricted — no body literal connects "
-        f"{loc_a} and {loc_b}"
+    refuse(link_findings(rule))
+    shipment = _shipment(rule, *_body_locations(rule))
+    assert shipment is not None  # link_findings refuses a rule without one
+    connecting, target = shipment
+    # interned like parsed predicate names (the distributed engine keys
+    # trigger maps and tables by these generated names on the hot path)
+    aux_pred = sys.intern(connecting.predicate + LINK_DESTINATION_SUFFIX)
+    # Reorder arguments so the target location comes first (location 0).
+    target_index = connecting.args.index(target)
+    reordered = (
+        (connecting.args[target_index],)
+        + connecting.args[:target_index]
+        + connecting.args[target_index + 1 :]
     )
+    if aux_pred not in aux_rules:
+        aux_head = HeadLiteral(aux_pred, reordered, location=0)
+        aux_rules[aux_pred] = Rule(
+            f"{rule.name}_ship_{connecting.predicate}", aux_head, (connecting,)
+        )
+        if aux_sources is not None:
+            aux_sources[aux_pred] = (connecting.predicate, target_index)
+    shipped = Literal(aux_pred, reordered, location=0, negated=False)
+    new_body = tuple(shipped if item is connecting else item for item in rule.body)
+    return [Rule(rule.name, rule.head, new_body)]
 
 
 def localize_program(program: Program) -> LocalizationResult:
@@ -209,7 +215,7 @@ def strip_locations(program: Program) -> Program:
     on one node.  Rule names, materialize declarations and facts are kept.
     """
 
-    def unlocated(item):
+    def unlocated(item: BodyItem) -> BodyItem:
         return replace(item, location=None) if isinstance(item, Literal) else item
 
     stripped = Program(program.name)

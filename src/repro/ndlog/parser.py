@@ -229,11 +229,7 @@ class Parser:
             self.stream.expect(".")
             if not rule_name:
                 rule_name = f"r{len(program.rules) + 1}"
-            rule = Rule(rule_name, head, tuple(body), span=clause_span)
-            if self.strict:
-                program.add_rule(rule)
-            else:
-                program.rules.append(rule)
+            program.rules.append(Rule(rule_name, head, tuple(body), span=clause_span))
             return
         # otherwise it's a fact
         self.stream.expect(".")

@@ -53,7 +53,7 @@ def order_body(rule: Rule) -> list[BodyItem]:
 
     Positive literals come in source order; each assignment/condition/negated
     literal is placed as soon as its variables are bound.  Raises when the
-    rule cannot be ordered (should have been caught by ``check_safety``).
+    rule cannot be ordered (:meth:`Program.check` refuses such a rule first).
     """
 
     pending: list[BodyItem] = list(rule.body)
@@ -198,11 +198,6 @@ class RuleLayout:
     slots: dict[Var, int]
     delta_candidates: tuple[tuple[int, str], ...]
     dead: bool
-
-    def unsafe_head_variables(self) -> list[str]:
-        return sorted(
-            v.name for v in self.rule.head.variables() if v not in self.slots
-        )
 
 
 def rule_layout(rule: Rule) -> RuleLayout:

@@ -43,7 +43,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: Every metric the subsystem may record, grouped by layer.  Counters
 #: carry a running total (integral but for ``engine.gc_time_*``, seconds);
@@ -98,11 +98,15 @@ _KNOWN = frozenset(METRIC_NAMES)
 ENABLED = os.environ.get("FVN_OBS", "") not in ("", "0")
 
 
-def _percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of a sorted, non-empty list."""
+def percentile(values: Iterable[float], fraction: float) -> float:
+    """Nearest-rank percentile of ``values`` (0 when empty): the histogram
+    figures here and the per-cell ``p50``/``p95`` of a campaign summary."""
 
-    rank = max(1, math.ceil(fraction * len(values)))
-    return values[min(rank, len(values)) - 1]
+    ordered = sorted(values)
+    if not ordered:
+        return 0.0
+    rank = max(1, math.ceil(fraction * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 class MetricsRegistry:
@@ -171,8 +175,8 @@ class MetricsRegistry:
                 "sum": round(sum(vals), 6),
                 "min": round(vals[0], 6),
                 "max": round(vals[-1], 6),
-                "p50": round(_percentile(vals, 0.50), 6),
-                "p95": round(_percentile(vals, 0.95), 6),
+                "p50": round(percentile(vals, 0.50), 6),
+                "p95": round(percentile(vals, 0.95), 6),
             }
         return {
             "counters": {name: self._counters[name] for name in sorted(self._counters)},

@@ -184,6 +184,14 @@ class RouteService:
         else:
             self.seq = restored_seq
             self.recovered_from = "snapshot+replay"
+        # every tail record passes the check a live update passes before
+        # any replays (a ledger written before a check, or edited, may not)
+        for seq, (verb, args, _key) in enumerate(updates[self.seq:], self.seq + 1):
+            try:
+                self._validate_update(verb, args)
+            except ProtocolError as exc:
+                self.close()
+                raise ServiceError(f"ledger seq {seq} ({verb}) is refused: {exc}") from None
         for verb, args, key in updates[self.seq:]:
             ack = self._apply(verb, args)
             if key is not None:

@@ -1,6 +1,7 @@
 """In-process coverage of :class:`repro.serving.service.RouteService`:
 update application, query answers, what-if isolation, and validation."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -434,6 +435,27 @@ class TestValidation:
             assert svc.ledger_path.read_bytes() == wal
         finally:
             svc.close()
+
+    def test_refused_ledger_record_stops_boot_before_replay(self, tmp_path):
+        """A ledger written before facts went to base predicates only may
+        hold a fact of a derived predicate: boot names the record instead
+        of replaying the ledger up to it."""
+
+        from repro.serving.service import LEDGER_NAME, ServiceError
+
+        records = [
+            {"seq": 1, "verb": "link_fail", "args": {"src": 0, "dst": 1}},
+            {"seq": 2, "verb": "set_fact",
+             "args": {"predicate": "path", "values": [0, 1, [0, 1], 1]}},
+        ]
+        (tmp_path / LEDGER_NAME).write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        config = ServerConfig(state_dir=str(tmp_path), family="tree", size=6)
+        with pytest.raises(
+            ServiceError, match=r"ledger seq 2 \(set_fact\) is refused: .*'path' refused"
+        ):
+            RouteService(config)
 
     def test_unknown_query_verb(self, service):
         with pytest.raises(ProtocolError, match="unknown query verb"):

@@ -108,7 +108,9 @@ def test_engine_tree_run_loads_no_networkx():
 
 def test_power_law_converge_loads_no_networkx():
     """The bench ``converge`` op's shape: a power_law graph, an engine, a
-    run and its fingerprint."""
+    run and its fingerprint.  Nor does it load the static analyzer: the
+    engine refuses an ill-formed program through the same rule functions
+    ``fvn-lint`` wraps, which live in the modules the engine runs."""
 
     modules = loaded_after(
         "from repro.dn import create_engine\n"
@@ -122,6 +124,7 @@ def test_power_law_converge_loads_no_networkx():
     assert "repro.dn.engine" in modules
     assert not under(modules, "networkx")
     assert not under_any(modules, VERIFICATION)
+    assert not under(modules, "repro.ndlog.analysis")
 
 
 def test_campaign_runs_load_nothing_the_runner_did_not():
