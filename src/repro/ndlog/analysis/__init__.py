@@ -10,6 +10,12 @@ Program` and returns an :class:`AnalysisReport` of coded diagnostics (see
 * location-specifier well-formedness (NDL3xx),
 
 plus a per-predicate monotonicity classification (``report.monotonicity``).
+Range restriction, arity, stratification and link restriction are the
+runtime's own rule functions (:meth:`~repro.ndlog.ast.Rule.safety_findings`,
+:meth:`~repro.ndlog.ast.Program.arity_findings`,
+:meth:`~repro.ndlog.stratification.DependencyGraph.stratification_findings`,
+:func:`~repro.ndlog.localization.link_findings`), whose first finding the
+loader refuses; their passes wrap each finding as a :class:`Diagnostic`.
 
 Static *obligation discharge* — proving campaign monitor properties ahead
 of time with the tactic prover — is part of the verification arc
