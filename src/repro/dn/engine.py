@@ -78,6 +78,7 @@ from ..obs import tracing as obs_tracing
 from ..terms import FunctionRegistry
 from .collector import collector_paused
 from .events import Event, EventScheduler
+from .executor import FixpointExecutor
 from .host import ShardWorker
 from .network import Channel, NodeId, Topology
 from .node import Node
@@ -185,7 +186,7 @@ class DistributedEngine:
         self.registry = registry or builtin_registry()
         self.rule_engine = seminaive.RULE_ENGINE(self.registry)
         # compile the localized program once; every node shares the plans
-        # (and forked shard workers inherit them through the codegen cache)
+        # (and shard workers fork with them, built on this rule engine)
         self.rule_engine.precompile(self.program.rules)
         self.scheduler = EventScheduler()
         # Resolve the loss channel's seed once so every run — including
@@ -213,7 +214,10 @@ class DistributedEngine:
         self.host = (
             host(self)
             if host is not None
-            else ShardWorker(self.program, topology.nodes, self.rule_engine)
+            else ShardWorker(
+                topology.nodes,
+                FixpointExecutor(self.program, self.rule_engine, self.program_digest),
+            )
         )
         #: node id → its :class:`Node` (a sharded host's: a row view)
         self.nodes: dict[NodeId, Node] = self.host.nodes

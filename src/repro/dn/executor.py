@@ -181,15 +181,19 @@ class FixpointExecutor:
     plan and its compiled code (both shared by every engine over an equal
     program), bound to ``rule_engine``, and a memo of the rules each
     delta-predicate set triggers.  Stateless across calls apart from
-    those, so a single executor serves all nodes of an engine or shard
-    worker.  Aggregate rules are named by their position in
-    ``program.rules``.
+    those, so a single executor serves all nodes of an engine, every shard
+    worker of a sharded one included.  ``digest`` is the program's
+    :func:`~repro.ndlog.codegen.program_digest`, which an engine holds
+    already (see :func:`~repro.ndlog.codegen.compile_settle`).  Aggregate
+    rules are named by their position in ``program.rules``.
     """
 
-    def __init__(self, program: Program, rule_engine: RuleEngine) -> None:
+    def __init__(
+        self, program: Program, rule_engine: RuleEngine, digest: Optional[str] = None
+    ) -> None:
         self.program = program
         self.rule_engine = rule_engine
-        code = compile_settle(program, rule_engine)
+        code = compile_settle(program, rule_engine, digest)
         plan = self.plan = code.plan
         self._code = code
         #: delta predicate (or predicate set) → (fire functions of the triggered

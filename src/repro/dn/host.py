@@ -31,8 +31,6 @@ import pickle
 from operator import itemgetter
 from typing import Iterator
 
-from ..ndlog.ast import Program
-from ..ndlog.seminaive import RuleEngine
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .executor import FixpointExecutor, Op
@@ -54,16 +52,18 @@ _SHIPPED = itemgetter(2, 3, 4)
 class ShardWorker:
     """The nodes of one host and the executor that settles them.
 
-    ``program`` is the engine's *localized* program and ``rule_engine`` its
-    compiled rules: a single-process engine shares its own, and a forked
-    shard worker builds one that finds its code in the cache it inherited.
+    ``executor`` runs the engine's *localized* program on its compiled
+    rules, which the nodes share: a single-process engine builds one for
+    its own worker, and a sharded engine's supervisor one for all of its
+    shards' workers, each built before its process forks.
     """
 
-    def __init__(self, program: Program, node_ids, rule_engine: RuleEngine) -> None:
+    def __init__(self, node_ids, executor: FixpointExecutor) -> None:
+        program, rule_engine = executor.program, executor.rule_engine
         self.nodes: dict[NodeId, Node] = {
             node_id: Node(node_id, program, rule_engine=rule_engine) for node_id in node_ids
         }
-        self.executor = FixpointExecutor(program, rule_engine)
+        self.executor = executor
 
     def flush(
         self, now: float, items: list[tuple[NodeId, list[Op]]], changes: list, send

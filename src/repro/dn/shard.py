@@ -30,7 +30,12 @@ engine's own ``_send``, so loss-channel RNG draws happen in the
 single-process order for cross- and intra-shard messages alike.  What needs
 deadlines — the expiry scan, the soft-state monitor — is a worker request.
 Workers fork from an engine that has already compiled the localized
-program, so they inherit its generated rule code.  The worker-kept node
+program, and they fork ready: the supervisor builds each shard's
+:class:`~repro.dn.host.ShardWorker` — its nodes, on the one
+:class:`~repro.dn.executor.FixpointExecutor` every shard shares — before
+the fork and keeps no reference to it after, so a child inherits its worker
+with the generated code and only answers the start-up handshake (a respawn
+forks a freshly built one the same way).  The worker-kept node
 counters (tuples stored and deleted, rule firings) and worker metrics come
 home at every segment end, a ``run()``'s or a serving settle's.  So for
 every shard count, partition strategy and transport (``"process"``: one
@@ -72,10 +77,9 @@ import pickle
 import signal
 import time
 import traceback
-from typing import Collection, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from ..ndlog.ast import NDlogError, Program
-from ..ndlog import seminaive
 from ..ndlog.store import _make_key_getter, select_rows
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -83,11 +87,13 @@ from ..terms import FunctionRegistry
 from .collector import collector_paused, freeze_inherited_heap
 from .engine import DistributedEngine, EngineConfig
 from .executor import FixpointExecutor, Op
-from .faults import FaultInjector, FaultPlan
 from .host import ChangeRecord, SendRecord, ShardWorker
 from .network import NodeId, Topology
 from .node import NodeStats
 from .partition import edge_cut, partition_nodes, shard_members
+
+if TYPE_CHECKING:  # loaded by inject_faults: an engine without faults runs none
+    from .faults import FaultInjector
 
 #: change kinds that store a row (the rest remove one)
 _ADDED = frozenset(("insert", "replace"))
@@ -115,8 +121,9 @@ class ShardTimeout(ShardCrash):
     treated as crashed (it is killed before the respawn)."""
 
 
-def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> None:
-    """Entry point of a shard worker process: serve requests until EOF."""
+def _shard_worker_main(conn, worker: ShardWorker, coordinator_end) -> None:
+    """Entry point of a shard worker process, forked with its ``worker``
+    built: serve requests until EOF."""
 
     # the fork copied the coordinator's end of this pipe as well: close it,
     # so that the coordinator's death (a SIGKILL included) reads as EOF here
@@ -126,14 +133,7 @@ def _shard_worker_main(conn, program, node_ids, registry, coordinator_end) -> No
     freeze_inherited_heap()
     # nor are the coordinator's metrics this worker's: drains return its own
     obs_metrics.registry().reset()
-    try:
-        rule_engine = seminaive.RULE_ENGINE(registry)
-        rule_engine.precompile(program.rules)
-        worker = ShardWorker(program, node_ids, rule_engine)
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
-        return
-    conn.send(("ok", True))  # construction handshake
+    conn.send(("ok", True))  # the handshake: the worker is serving
     while True:
         try:
             message = conn.recv()
@@ -207,8 +207,10 @@ class InlineShardClient:
 class ProcessShardClient:
     """One shard worker OS process, spoken to over a pipe.
 
+    The process forks with its :class:`ShardWorker` built, and the client
+    keeps no reference to it: the worker's nodes live in the child only.
     The protocol is strictly one outstanding request per client
-    (``submit`` → ``result``; the construction handshake is the first), so
+    (``submit`` → ``result``; the start-up handshake is the first), so
     a supervisor can submit to every shard and collect in a fixed order
     without deadlock.  Worker tracebacks are re-raised as
     :class:`ShardError`; process death, broken pipes and (when ``timeout``
@@ -216,32 +218,28 @@ class ProcessShardClient:
     supervisor can respawn.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        node_ids: list[NodeId],
-        registry: FunctionRegistry,
-        *,
-        timeout: Optional[float] = None,
-    ) -> None:
-        # fork is the cheap path on Linux (no pickling of the program, and
-        # the coordinator's compiled rules come along); fall back to the
-        # platform default where fork is unavailable
+    def __init__(self, worker: ShardWorker, *, timeout: Optional[float] = None) -> None:
+        # the worker, its nodes and its executor's compiled code reach the
+        # child through the fork, unpickled
         try:
             context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context()
+        except ValueError as exc:  # pragma: no cover - non-fork platforms
+            raise ShardError(
+                "the process shard transport forks its workers, which this "
+                "platform cannot; use shard_transport='inline'"
+            ) from exc
         self.timeout = timeout
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_shard_worker_main,
-            args=(child, program, node_ids, registry, self._conn),
+            args=(child, worker, self._conn),
             daemon=True,
-            name=f"fvn-shard-{node_ids[:1]}",
+            name=f"fvn-shard-{list(worker.nodes)[:1]}",
         )
+        # start() drops the process object's reference to its arguments
         self._process.start()
         child.close()
-        self._pending = True  # construction handshake
+        self._pending = True  # the start-up handshake
         self._shut = False
 
     def submit(self, method: str, args: tuple) -> None:
@@ -411,12 +409,10 @@ class ShardSupervisor:
                 "expected 'process' or 'inline'"
             )
         program = self.program = engine.program
-        self.registry = engine.registry
-        self.rule_engine = engine.rule_engine
-        # plan and compile what the workers' executors run (the settle,
-        # negation variants, group plans) before they fork: they inherit
-        # the caches
-        FixpointExecutor(program, engine.rule_engine)
+        #: what every shard's worker settles with: the settle compiled on the
+        #: engine's rules, under the engine's program digest, before any
+        #: worker forks
+        self._executor = FixpointExecutor(program, engine.rule_engine, engine.program_digest)
         topology = engine.topology
         #: node id → shard index (deterministic; see :mod:`repro.dn.partition`)
         self.partition_map = partition_nodes(topology, cfg.shards, cfg.partition)
@@ -431,7 +427,7 @@ class ShardSupervisor:
             self._spawn_client(shard) for shard in range(cfg.shards)
         ]
         for client in self._clients:
-            client.result()  # the construction handshakes, the forks overlapped
+            client.result()  # the start-up handshakes
         #: respawns performed per shard (bounded by ``cfg.shard_restarts``)
         self.shard_restarts: list[int] = [0] * cfg.shards
         #: checkpoints taken per shard (see :meth:`begin_segment`)
@@ -452,17 +448,17 @@ class ShardSupervisor:
         self.fault_injector: Optional[FaultInjector] = None
 
     def _spawn_client(self, shard: int):
-        """Start one shard's worker (its handshake is the caller's to collect)."""
+        """Build one shard's worker here and start it: a process forks with
+        it ready (its handshake is the caller's to collect)."""
 
         cfg = self.config
         shard_nodes = self.members[shard]
+        worker = ShardWorker(shard_nodes, self._executor)
         if cfg.shard_transport == "process" and shard_nodes:
-            return ProcessShardClient(
-                self.program, shard_nodes, self.registry, timeout=cfg.shard_timeout
-            )
+            return ProcessShardClient(worker, timeout=cfg.shard_timeout)
         # inline transport, and empty shards (never addressed —
         # not worth an OS process)
-        return InlineShardClient(ShardWorker(self.program, shard_nodes, self.rule_engine))
+        return InlineShardClient(worker)
 
     # ------------------------------------------------------------------
     # Supervision: fault probes, crash recovery, checkpoints
@@ -791,6 +787,8 @@ class ShardedEngine(DistributedEngine):
         layers).  Shard-scoped probes happen once per attempted worker
         request, with the shard index as the probe scope.
         """
+
+        from .faults import FaultInjector, FaultPlan
 
         if isinstance(plan, FaultInjector):
             injector = plan

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
+from ..jsonl import append_jsonl, canonical_json
 from ..obs.metrics import percentile
 
 LEDGER_NAME = "ledger.jsonl"
@@ -174,52 +175,9 @@ class RunRecord:
         return sum(m.get("active_at_end", 0) for m in self.monitors)
 
 
-def canonical_json(data) -> str:
-    """Deterministic single-line JSON (sorted keys, no stray whitespace)."""
-
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 # ----------------------------------------------------------------------
 # Ledger (resume journal)
 # ----------------------------------------------------------------------
-
-def append_jsonl(path: Path, data: Mapping) -> None:
-    """Append one canonical-JSON line to an append-only journal.
-
-    The write is flushed before returning, so a SIGKILL loses at most the
-    torn tail of the line being written — which :func:`read_jsonl` (and
-    :func:`read_ledger`) skip on recovery.  Shared by the campaign ledger
-    and the serving layer's update ledger (``docs/SERVING.md``).
-    """
-
-    with path.open("a") as handle:
-        handle.write(canonical_json(data) + "\n")
-        handle.flush()
-
-
-def read_jsonl(path: Path) -> list[dict]:
-    """Read a journal written by :func:`append_jsonl`, skipping torn lines.
-
-    Only the *final* line of a journal can legitimately be torn (appends
-    are flushed whole); malformed lines anywhere are skipped with the same
-    tolerance so a recovered file never wedges recovery.
-    """
-
-    records: list[dict] = []
-    if not path.exists():
-        return records
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail of a killed process
-    return records
-
 
 def append_ledger(path: Path, record: RunRecord) -> None:
     append_jsonl(path, record.to_dict())

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from ...terms import Term
 from ..ast import NDlogError, Program, Rule
-from ..localization import _body_locations, link_findings, localize_program
+from ..localization import _body_locations, link_findings, localize_rule
 from .diagnostics import Diagnostic
 
 
@@ -57,16 +57,21 @@ def _check_localized_rule(
 
 
 def check_locations(program: Program) -> list[Diagnostic]:
-    """Run the location pass pre- and post-localization."""
+    """Run the location pass pre- and post-localization.  Rules localize
+    one by one, so a rule refused above keeps no other from the
+    post-localization checks; those run over the rewrite in
+    :func:`~repro.ndlog.localization.localize_program`'s order (shipping
+    rules first)."""
 
     out = [Diagnostic(*f) for rule in program.rules for f in link_findings(rule)]
-    try:
-        localized = localize_program(program).program
-    except NDlogError:
-        # a link-restriction finding above, or an unsafe rule (the safety
-        # pass reports it): there is no localized rewrite to check
-        return out
+    shipping: dict[str, Rule] = {}
+    rewritten: list[Rule] = []
+    for rule in program.rules:
+        try:
+            rewritten.extend(localize_rule(rule, shipping))
+        except NDlogError:
+            continue  # its link-restriction finding is reported above
     span_of = {r.name: r.span for r in program.rules}
-    for rule in localized.rules:
+    for rule in [*shipping.values(), *rewritten]:
         out.extend(_check_localized_rule(rule, span_of))
     return out

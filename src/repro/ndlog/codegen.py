@@ -1365,13 +1365,15 @@ def program_digest(program: Program) -> str:
 _SETTLE_CACHE: dict[str, tuple[SettlePlan, dict]] = {}
 
 
-def compile_settle(program: Program, rule_engine) -> SettleCode:
+def compile_settle(program: Program, rule_engine, digest: Optional[str] = None) -> SettleCode:
     """Plan and compile ``program``'s settle (once per program content) and
     bind it to ``rule_engine``: each derived rule is called through the
     engine's ``deriver`` (for generated rules, compiled now, off the hot
-    path)."""
+    path).  ``digest`` is ``program``'s :func:`program_digest` where the
+    caller holds it (an engine does); without it the program is digested
+    here."""
 
-    key = program_digest(program)
+    key = digest or program_digest(program)
     cached = _SETTLE_CACHE.get(key)
     if cached is None:
         plan = settle_plan(program)

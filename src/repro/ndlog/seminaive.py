@@ -193,11 +193,10 @@ class RuleEngine:
 
 
 #: The rule engine class every evaluator builds — :class:`Evaluator`,
-#: :class:`IncrementalEvaluator`, :class:`~repro.dn.engine.DistributedEngine`
-#: and :class:`~repro.dn.shard.ShardWorker` all call
-#: ``RULE_ENGINE(registry)``.  The library never reassigns it; tests swap in
-#: :class:`repro.ndlog.reference.ReferenceEngine` to run a suite against the
-#: reference interpreter (forked shard workers inherit the swap).
+#: :class:`IncrementalEvaluator` and :class:`~repro.dn.engine.DistributedEngine`
+#: all call ``RULE_ENGINE(registry)``.  The library never reassigns it; tests
+#: swap in :class:`repro.ndlog.reference.ReferenceEngine` to run a suite
+#: against the reference interpreter (shard workers fork with their engine's).
 RULE_ENGINE = RuleEngine
 
 

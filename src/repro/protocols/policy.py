@@ -22,10 +22,10 @@ verification arc (:mod:`repro.bgp`) models and reasons about it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional
 
-from ..ndlog.ast import Program
-from ..ndlog.parser import parse_program
+if TYPE_CHECKING:  # an annotation only: a scenario's policy facts load no NDlog
+    from ..ndlog.ast import Program
 
 
 NodeId = Hashable
@@ -329,6 +329,8 @@ def policy_path_vector_source(*, max_cost: int = 1024) -> str:
 
 def policy_path_vector_program(*, max_cost: int = 1024) -> Program:
     """The parsed policy path-vector program."""
+
+    from ..ndlog.parser import parse_program  # loaded by the first parse only
 
     return parse_program(policy_path_vector_source(max_cost=max_cost), "policy_pathvector")
 

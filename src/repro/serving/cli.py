@@ -25,7 +25,6 @@ import os
 import sys
 from typing import Optional
 
-from .client import ServingClient, ServingError, read_server_info
 from .protocol import QUERY_VERBS, UPDATE_VERBS
 
 
@@ -233,6 +232,8 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _client_args(args: argparse.Namespace) -> dict:
+    from .client import ServingError
+
     if args.args is not None:
         parsed = json.loads(args.args)
         if not isinstance(parsed, dict):
@@ -255,23 +256,30 @@ def _client_args(args: argparse.Namespace) -> dict:
 
 
 def _send(args: argparse.Namespace) -> int:
-    host, port = args.host, args.port
-    if host is None or port is None:
-        if args.state_dir is None:
-            raise ServingError("need --state-dir or --host/--port to find the daemon")
-        info = read_server_info(args.state_dir)
-        host = host if host is not None else info["host"]
-        port = port if port is not None else info["port"]
-    request_key = getattr(args, "key", None)
-    with ServingClient(host, port, timeout=args.timeout, retries=args.retries) as client:
-        if args.verb in UPDATE_VERBS:
-            # client.update auto-keys when retrying, so `update --retries N`
-            # without an explicit --key is still exactly-once
-            result = client.update(
-                args.verb, request_key=request_key, **_client_args(args)
-            )
-        else:
-            result = client.call(args.verb, _client_args(args))
+    # the client loads here only, as the daemon stack does in ``serve``
+    from .client import ServingClient, ServingError, read_server_info
+
+    try:
+        host, port = args.host, args.port
+        if host is None or port is None:
+            if args.state_dir is None:
+                raise ServingError("need --state-dir or --host/--port to find the daemon")
+            info = read_server_info(args.state_dir)
+            host = host if host is not None else info["host"]
+            port = port if port is not None else info["port"]
+        request_key = getattr(args, "key", None)
+        with ServingClient(host, port, timeout=args.timeout, retries=args.retries) as client:
+            if args.verb in UPDATE_VERBS:
+                # client.update auto-keys when retrying, so `update --retries N`
+                # without an explicit --key is still exactly-once
+                result = client.update(
+                    args.verb, request_key=request_key, **_client_args(args)
+                )
+            else:
+                result = client.call(args.verb, _client_args(args))
+    except ServingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0
 
@@ -282,9 +290,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "serve":
             return _serve(args)
         return _send(args)
-    except ServingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 130
     except BrokenPipeError:

@@ -22,7 +22,6 @@ import json
 import os
 from pathlib import Path
 
-from ..dn.faults import SERVING_SCOPE
 from .config import ServerConfig
 from .protocol import (
     QUERY_VERBS,
@@ -130,6 +129,8 @@ class RouteServer:
         injector = self.service.fault_injector
         if injector is None:
             return None
+        from ..dn.faults import SERVING_SCOPE  # loaded with the injector
+
         return injector.draw("reset_connection", SERVING_SCOPE)
 
     def _dispatch(self, line: bytes) -> tuple[bytes, bool]:

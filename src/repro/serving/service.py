@@ -53,9 +53,8 @@ from ..dn.engine import (
     create_engine,
     restore_engine,
 )
-from ..dn.faults import SERVING_SCOPE, load_injector
 from ..dn.monitors import build_monitor, schema_for_program
-from ..harness.records import append_jsonl, canonical_json, read_jsonl
+from ..jsonl import append_jsonl, canonical_json, read_jsonl
 from ..ndlog.ast import MaterializeDecl, NDlogError, Program
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -121,8 +120,13 @@ class RouteService:
         #: ``"replay"``, or ``"snapshot+replay"``
         self.recovered_from = "boot"
         #: chaos-testing injector shared with the sharded engine and the
-        #: socket front end (None when ``config.fault_plan`` is unset)
-        self.fault_injector = load_injector(config.fault_plan)
+        #: socket front end (None when ``config.fault_plan`` is unset: a
+        #: plain daemon loads no fault machinery)
+        self.fault_injector = None
+        if config.fault_plan is not None:
+            from ..dn.faults import load_injector
+
+            self.fault_injector = load_injector(config.fault_plan)
         self.engine: Optional[DistributedEngine] = None
         # serving always keeps metrics on (they power the ``metrics`` wire
         # verb and never perturb the fingerprint); tracing costs a span list
@@ -314,6 +318,8 @@ class RouteService:
         }
         payload = seal_snapshot(snapshot)
         if self.fault_injector is not None:
+            from ..dn.faults import SERVING_SCOPE
+
             fault = self.fault_injector.draw("tear_snapshot", SERVING_SCOPE)
             if fault is not None:
                 # tear the write: leave a truncated file at the final path,

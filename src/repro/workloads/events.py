@@ -10,9 +10,10 @@ protocol simulators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Literal, Optional
+from typing import TYPE_CHECKING, Hashable, Iterable, Literal, Optional
 
-from ..dn.engine import DistributedEngine
+if TYPE_CHECKING:  # an annotation only: generating a scenario loads no engine
+    from ..dn.engine import DistributedEngine
 
 
 EventKind = Literal["fail_link", "restore_link", "set_cost", "inject_fact"]

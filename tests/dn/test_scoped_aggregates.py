@@ -22,7 +22,8 @@ from contextlib import contextmanager
 
 import pytest
 
-import repro.dn.host as host_module
+import repro.dn.engine as engine_module
+import repro.dn.shard as shard_module
 from repro.dn import EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.executor import FixpointExecutor
 from repro.ndlog.aggregates import group_rows
@@ -62,7 +63,10 @@ def shadowed():
 
     ShadowViews.calls.clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(host_module, "FixpointExecutor", ShadowViews)
+        # where the engine and a sharded engine's supervisor build the
+        # executor their workers settle with
+        for module in (engine_module, shard_module):
+            patch.setattr(module, "FixpointExecutor", ShadowViews)
         yield ShadowViews.calls
 
 

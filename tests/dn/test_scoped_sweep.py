@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dn.host as host_module
+import repro.dn.engine as engine_module
+import repro.dn.shard as shard_module
 from repro.dn import EngineConfig, ShardedEngine, Topology, create_engine
 from repro.dn.executor import FixpointExecutor
 from repro.ndlog.ast import MaterializeDecl
@@ -78,7 +79,10 @@ def shadowed():
     over hypothesis examples)."""
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(host_module, "FixpointExecutor", ShadowExecutor)
+        # where the engine and a sharded engine's supervisor build the
+        # executor their workers settle with
+        for module in (engine_module, shard_module):
+            patch.setattr(module, "FixpointExecutor", ShadowExecutor)
         yield ShadowExecutor.verdicts
 
 

@@ -8,13 +8,17 @@ coordinator respawns the dead worker, which loads its shard's last
 checkpoint and re-executes the requests logged since, so the fault leaves
 no observable residue.  Long-lived engines checkpoint at run-segment
 starts; their recovery log stays bounded by live state plus one segment.
+The sweeps run on both transports: a process worker, first or respawned,
+forks with its worker built by the coordinator, which keeps none of it.
 """
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,7 @@ from repro.dn import (
 )
 from repro.dn.faults import ANY_SCOPE
 from repro.dn.monitors import schema_for_program, standard_monitors
+from repro.dn.host import ShardWorker
 from repro.dn.shard import ProcessShardClient, ShardCrash
 from repro.ndlog.ast import MaterializeDecl, NDlogError
 from repro.protocols.policy import policy_path_vector_program
@@ -115,29 +120,35 @@ class TestKillResyncIdentity:
         assert faulted["fingerprint"] == control["fingerprint"]
         assert faulted["monitors_ok"]
 
+    @pytest.mark.parametrize("transport", ["inline", "process"])
     @pytest.mark.parametrize("at", [1, 2, 9, 25])
-    def test_kill_at_many_request_indexes(self, at):
+    def test_kill_at_many_request_indexes(self, at, transport):
         control = execute()
         faulted = execute(
-            faults=FaultPlan((Fault(kind="kill_worker", scope=ANY_SCOPE, at=at),))
+            transport=transport,
+            faults=FaultPlan((Fault(kind="kill_worker", scope=ANY_SCOPE, at=at),)),
         )
         assert faulted["injected"]
         assert faulted["fingerprint"] == control["fingerprint"]
 
+    @pytest.mark.parametrize("transport", ["inline", "process"])
     @pytest.mark.parametrize("scope", [0, 1, 2])
-    def test_kill_each_worker(self, scope):
+    def test_kill_each_worker(self, scope, transport):
         control = execute()
         faulted = execute(
-            faults=FaultPlan((Fault(kind="kill_worker", scope=scope, at=3),))
+            transport=transport,
+            faults=FaultPlan((Fault(kind="kill_worker", scope=scope, at=3),)),
         )
         assert faulted["injected"]
         assert faulted["restarts"][scope] >= 1
         assert faulted["fingerprint"] == control["fingerprint"]
 
-    def test_multiple_kills_and_soft_state(self):
+    @pytest.mark.parametrize("transport", ["inline", "process"])
+    def test_multiple_kills_and_soft_state(self, transport):
         control = execute(soft=True)
         faulted = execute(
             soft=True,
+            transport=transport,
             faults=FaultPlan(
                 (
                     Fault(kind="kill_worker", scope=ANY_SCOPE, at=4),
@@ -166,13 +177,25 @@ class TestProcessTransportSupervision:
         assert len(faulted["injected"]) == 2
         assert faulted["fingerprint"] == control["fingerprint"]
 
-    def test_delayed_worker_hits_timeout_and_respawns(self):
+    @pytest.mark.parametrize("at", [1, 6, 14])
+    def test_sever_at_many_request_indexes(self, at):
+        control = execute()
+        faulted = execute(
+            transport="process",
+            faults=FaultPlan((Fault(kind="sever_pipe", scope=ANY_SCOPE, at=at),)),
+        )
+        assert faulted["injected"]
+        assert sum(faulted["restarts"]) >= 1
+        assert faulted["fingerprint"] == control["fingerprint"]
+
+    @pytest.mark.parametrize("at", [1, 4])
+    def test_delayed_worker_hits_timeout_and_respawns(self, at):
         control = execute(transport="process")
         faulted = execute(
             transport="process",
             shard_timeout=0.5,
             faults=FaultPlan(
-                (Fault(kind="delay_pipe", scope=ANY_SCOPE, at=4, arg=30.0),)
+                (Fault(kind="delay_pipe", scope=ANY_SCOPE, at=at, arg=30.0),)
             ),
         )
         assert faulted["injected"]
@@ -297,6 +320,63 @@ class TestClientClose:
         finally:
             engine.close()
 
+
+class TestForkReady:
+    """The coordinator builds each worker, forks it ready, and drops it."""
+
+    @staticmethod
+    def track_workers(monkeypatch) -> list[list[weakref.ref]]:
+        """Weak references to the nodes of every worker built in this
+        process, one list per worker, in build order."""
+
+        built = []
+        build = ShardWorker.__init__
+
+        def tracked(worker, node_ids, executor):
+            build(worker, node_ids, executor)
+            built.append([weakref.ref(node) for node in worker.nodes.values()])
+
+        monkeypatch.setattr(ShardWorker, "__init__", tracked)
+        return built
+
+    def test_the_coordinator_holds_no_pre_fork_node(self, monkeypatch):
+        built = self.track_workers(monkeypatch)
+        scenario = generate_scenario("tree", size=8, seed=0, policy="gao_rexford")
+        config = EngineConfig(seed=0, shards=2, shard_transport="process")
+        engine = create_engine(policy_path_vector_program(), scenario.topology, config=config)
+        try:
+            gc.collect()
+            assert [len(nodes) for nodes in built] == [4, 4]
+            assert all(node() is None for nodes in built for node in nodes)
+            # the children hold them: every worker answers and settles
+            trace = engine.run(extra_facts=scenario.policy_fact_list())
+            assert trace.quiescent
+            engine.validate_shards()
+        finally:
+            engine.close()
+
+    def test_a_respawn_forks_a_fresh_worker(self, monkeypatch):
+        """Each respawn builds a new pre-fork worker, which restores the
+        shard's checkpoint and replays its log to the fault-free state."""
+
+        control = segmented(shards=1)
+        built = self.track_workers(monkeypatch)
+        faulted = segmented(
+            transport="process",
+            faults=FaultPlan(
+                (
+                    Fault(kind="kill_worker", scope=0, at=3),
+                    Fault(kind="sever_pipe", scope=1, at=5),
+                )
+            ),
+        )
+        gc.collect()
+        assert faulted["restarts"] == [1, 1]
+        assert len(built) == 2 + 2
+        assert all(node() is None for nodes in built for node in nodes)
+        assert all(checkpoint and logged for checkpoint, logged in faulted["revives"])
+        assert faulted["fingerprint"] == control["fingerprint"]
+        assert faulted["tables"] == control["tables"]
 
 
 def long_lived(shards=2, transport="inline", cycles=40):

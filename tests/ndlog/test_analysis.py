@@ -165,6 +165,18 @@ class TestLocationPass:
         (diag,) = report.by_code("NDL304")
         assert diag.is_error and diag.predicate == "dead"
 
+    def test_an_unsafe_rule_keeps_the_rest_checked(self):
+        """The post-localization checks run rule by rule: an unsafe rule
+        (localizable, but refused by the loader) hides no NDL304."""
+
+        report = analyze("r1 p(@X,Y) :- q(@X).\nr2 p2(@S) :- link(@S,D), !dead(@D,S).")
+        assert {d.code for d in report.errors} == {"NDL001", "NDL304"}
+        assert report.by_code("NDL304")[0].rule == "r2"
+
+    def test_an_unlocalizable_rule_keeps_the_rest_checked(self):
+        report = analyze("r1 p(@X) :- q(@X), s(@Y).\nr2 p2(@S) :- link(@S,D), !dead(@D,S).")
+        assert {d.code for d in report.errors} == {"NDL302", "NDL304"}
+
 
 class TestMonotonicityPass:
     SOURCE = (

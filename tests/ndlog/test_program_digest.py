@@ -4,7 +4,8 @@ The digest is a function of the program text alone — equal across builds,
 parses, pickles and hash seeds — and moves under any change to what runs:
 a rule term, a soft-state lifetime, a fact.  The settle cache and the
 discharge cache are keyed by it, and an engine refuses to restore a
-capture taken under another program.
+capture taken under another program.  An engine digests once: its
+executor, shared by a sharded engine's workers, takes the engine's digest.
 """
 
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.dn import create_engine
 from repro.dn.engine import DistributedEngine, EngineConfig, restore_engine
 from repro.fvn import discharge
 from repro.harness import CampaignSpec
@@ -25,7 +27,7 @@ from repro.ndlog.codegen import program_digest
 from repro.ndlog.localization import localize_program
 from repro.ndlog.parser import parse_program
 from repro.protocols.pathvector import PATH_VECTOR_SOURCE
-from repro.protocols.policy import policy_path_vector_source
+from repro.protocols.policy import policy_path_vector_program, policy_path_vector_source
 from repro.scenarios import generate_scenario
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -78,6 +80,25 @@ class TestEqual:
         assert engine.program_digest == program_digest(localize_program(program).program)
         # the settle cache is keyed by the same digest
         assert engine.program_digest in codegen._SETTLE_CACHE
+
+
+@pytest.mark.parametrize("shards, transport", [(1, "inline"), (2, "inline"), (2, "process")])
+def test_one_digest_per_engine(monkeypatch, shards, transport):
+    digested = []
+    text = codegen.program_text
+
+    def counted(program):
+        digested.append(program.name)
+        return text(program)
+
+    monkeypatch.setattr(codegen, "program_text", counted)
+    program = policy_path_vector_program()
+    config = EngineConfig(seed=0, shards=shards, shard_transport=transport)
+    engine = create_engine(program, generate_scenario("tree", size=8).topology, config=config)
+    try:
+        assert digested == ["policy_pathvector_localized"]
+    finally:
+        engine.close()
 
 
 class TestDiffers:

@@ -97,6 +97,17 @@ def test_analysis_template_programs(program):
     assert_parity(program)
 
 
+def test_an_unsafe_rule_beside_a_remote_negation():
+    """``fvn-lint`` reports both errors; the loader refuses the unsafe
+    rule (NDL001), and no entry point refuses NDL304."""
+
+    source = "r1 p(@X,Y) :- q(@X).\nr2 p2(@S) :- link(@S,D), !dead(@D,S)."
+    program = parse_program(source, "t", strict=False)
+    assert {d.code for d in analyze_program(program).errors} == {"NDL001", "NDL304"}
+    assert source in analysis_test_sources()
+    assert_parity(program)
+
+
 @settings(max_examples=80, deadline=None)
 @given(text=fuzz_tests.program_texts())
 def test_fuzz_programs(text):

@@ -13,7 +13,7 @@ import pytest
 from repro.dn.engine import DistributedEngine, EngineConfig, restore_engine
 from repro.dn.monitors import MONITOR_KINDS, build_monitor
 from repro.dn.trace import Trace
-from repro.harness.records import canonical_json
+from repro.jsonl import canonical_json
 from repro.protocols import pathvector
 from repro.protocols.pathvector import path_vector_program
 from repro.scenarios import generate_scenario

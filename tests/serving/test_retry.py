@@ -18,7 +18,7 @@ from repro.serving import (
     ServingClient,
     ServingError,
 )
-from repro.harness.records import read_jsonl
+from repro.jsonl import read_jsonl
 from repro.serving.checkpoint import open_snapshot
 from repro.serving.client import read_server_info
 

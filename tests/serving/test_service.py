@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness.records import read_jsonl
+from repro.jsonl import read_jsonl
 from repro.obs import metrics as obs_metrics
 from repro.scenarios import generate_scenario
 from repro.serving import ProtocolError, RouteService, ServerConfig

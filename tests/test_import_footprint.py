@@ -20,6 +20,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: the verification arc: what a serving daemon or an engine run never needs
 VERIFICATION = ("repro.logic", "repro.fvn", "repro.bgp")
+#: what compiles and runs a program: what generating a scenario never needs
+RUNTIME = ("repro.dn.engine", "repro.ndlog.parser", "repro.ndlog.codegen")
+#: what a daemon without a fault plan never runs
+UNUSED_BY_A_PLAIN_DAEMON = ("repro.dn.faults", "repro.harness", "repro.serving.client")
 
 
 def loaded_after(script: str, *args: str) -> set[str]:
@@ -77,19 +81,59 @@ def test_engine_and_parser_load_no_logic():
         assert not under(modules, "repro.logic"), entry
 
 
-def test_tree_daemon_loads_neither_networkx_nor_the_prover(tmp_path):
+def test_scenario_generation_loads_no_engine():
+    """The bench ``serve`` client's start: it generates the daemon's
+    scenario and talks to it, so it compiles no engine and no parser."""
+
     modules = loaded_after(
-        "import sys\n"
-        "import repro.serving.cli\n"
-        "from repro.serving import RouteService, ServerConfig\n"
-        "service = RouteService(ServerConfig(state_dir=sys.argv[1], family='tree', size=8))\n"
-        "assert service.apply_update('link_fail', {'src': 0, 'dst': 1})['settled']\n"
-        "service.close()\n",
-        str(tmp_path / "state"),
+        "from repro.scenarios import generate_scenario\n"
+        "from repro.serving import ServingClient\n"
+        "generate_scenario('tree', size=28, seed=0)\n"
     )
+    assert "repro.scenarios.generator" in modules
+    assert not under_any(modules, RUNTIME)
+
+
+def test_policy_facts_load_no_engine():
+    modules = loaded_after(
+        "from repro.scenarios import generate_scenario\n"
+        "scenario = generate_scenario('power_law', size=28, seed=0, policy='gao_rexford')\n"
+        "assert scenario.policy_fact_list()\n"
+    )
+    assert "repro.protocols.policy" in modules
+    assert not under_any(modules, RUNTIME)
+
+
+TREE_DAEMON = (
+    "import sys\n"
+    "import repro.serving.cli\n"
+    "from repro.serving import RouteService, ServerConfig\n"
+    "plan = sys.argv[2] if len(sys.argv) > 2 else None\n"
+    "service = RouteService(\n"
+    "    ServerConfig(state_dir=sys.argv[1], family='tree', size=8, fault_plan=plan)\n"
+    ")\n"
+    "assert service.apply_update('link_fail', {'src': 0, 'dst': 1})['settled']\n"
+    "service.close()\n"
+)
+
+
+def test_tree_daemon_loads_neither_networkx_nor_the_prover(tmp_path):
+    """Nor what it does not run: the fault machinery without a fault plan,
+    the campaign harness (the update ledger is :mod:`repro.jsonl`'s) and
+    the client."""
+
+    modules = loaded_after(TREE_DAEMON, str(tmp_path / "state"))
     assert "repro.serving.service" in modules
     assert not under(modules, "networkx")
     assert not under_any(modules, VERIFICATION)
+    assert not under_any(modules, UNUSED_BY_A_PLAIN_DAEMON)
+
+
+def test_daemon_with_a_fault_plan_loads_the_faults(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"faults": [{"kind": "tear_snapshot", "scope": "serving", "at": 99}]}\n')
+    modules = loaded_after(TREE_DAEMON, str(tmp_path / "state"), str(plan))
+    assert "repro.dn.faults" in modules
 
 
 def test_engine_tree_run_loads_no_networkx():
