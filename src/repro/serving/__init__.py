@@ -12,12 +12,12 @@ RouteServer` exposes it over a newline-JSON socket protocol
 is the matching client, and ``python -m repro.serving serve|query|update``
 the CLI.
 
-Durability reuses the harness's ledger machinery: every update is appended
-to a write-ahead JSONL ledger before it is applied, and periodic snapshots
-(on any shard count) are stamped with ``Trace.fingerprint()`` — a SIGKILL'd
-daemon restarts from the snapshot, replays the ledger tail, and provably
-reaches byte-identical state (:mod:`repro.serving.checkpoint`,
-``docs/SERVING.md``).
+Durability shares the campaign ledger's journal format (:mod:`repro.jsonl`):
+every update is appended to a write-ahead JSONL ledger before it is
+applied, and periodic snapshots (on any shard count) are stamped with
+``Trace.fingerprint()`` — a SIGKILL'd daemon restarts from the snapshot,
+replays the ledger tail, and provably reaches byte-identical state
+(:mod:`repro.serving.checkpoint`, ``docs/SERVING.md``).
 """
 
 from .._lazy import lazy_exports

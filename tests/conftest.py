@@ -14,8 +14,8 @@ and monitor suites: its channel loses every ``retract`` message.
 code (what every engine runs) and the reference interpreter it is checked
 against.  Each parameter installs its evaluator as
 ``repro.ndlog.seminaive.RULE_ENGINE`` for the test's duration — the one
-attribute every evaluator, engine and forked shard worker builds its rule
-engine from.  The two are trace-fingerprint-identical, so a claim that
+attribute every evaluator and engine builds its rule engine from (shard
+workers fork with their engine's).  The two are trace-fingerprint-identical, so a claim that
 holds on one must hold on the other.
 """
 
