@@ -40,13 +40,17 @@ the shares are those of the daemon's update path alone.
 
 ``--campaign`` runs round 0 of the bench ``campaign`` workload — its 24
 run descriptors (tree / power_law / waxman at 20 nodes, two policies,
-churn 0 and 2, two seeds, all four monitors) — through ``execute_run`` in
-this process, once unmeasured (codegen and parse caches fill), then
-:data:`CAMPAIGN_REPS` times with and without monitors — each run's two
-arms back to back, the first of them alternating.  Its header gives the
-monitors' share of the monitored runs' process CPU time (the median over
-reps, and bench's ``monitors.overhead_pct`` ratio over the same CPU
-seconds); its tables sample the monitored runs.
+churn 0 and 2, two seeds, all four monitors) — the way a pool worker does:
+grouped into cells (``repro.harness.runner.cells``) and each cell through
+``execute_cell`` in this process, so a no-churn run and its churned
+sibling share one pre-churn convergence.  Once unmeasured (codegen and
+parse caches fill), then :data:`CAMPAIGN_REPS` times with and without
+monitors — each cell's two arms back to back, the first of them
+alternating.  Its header says how many runs shared a prefix and what share
+of the monitored runs' process CPU time the shared prefixes took, and
+gives the monitors' share of that CPU time (the median over reps, and
+bench's ``monitors.overhead_pct`` ratio over the same CPU seconds); its
+tables sample the monitored cells.
 
 Every report's header also counts CPython's cyclic-collector passes and
 their milliseconds per op (or update, or run) with a ``gc.callbacks``
@@ -81,7 +85,8 @@ from collections import Counter
 from typing import Callable
 
 from repro.dn import EngineConfig, create_engine
-from repro.harness import CampaignSpec, execute_run
+from repro.harness import CampaignSpec
+from repro.harness import runner as campaign_runner
 from repro.protocols.policy import policy_path_vector_program
 from repro.scenarios import generate_scenario
 from repro.serving.config import ServerConfig
@@ -248,10 +253,11 @@ def run_serve(service, script: list[tuple]) -> dict:
     }
 
 
-def prepare_campaign(size: int = 20, seed: int = 0) -> list[dict]:
+def prepare_campaign(size: int = 20, seed: int = 0) -> list[list[dict]]:
     """Round 0 of the bench ``campaign`` workload at ``seed``: its 24 run
-    descriptors as plain data, each run once (untimed: whichever arm ran
-    first would pay the codegen and parse caches)."""
+    descriptors as plain data, grouped into the cells a campaign submits,
+    each cell run once (untimed: whichever arm ran first would pay the
+    codegen and parse caches)."""
 
     base = seed * 1000
     spec = CampaignSpec(
@@ -267,49 +273,84 @@ def prepare_campaign(size: int = 20, seed: int = 0) -> list[dict]:
         max_events=150_000,
         record_stale_routes=False,
     )
-    descriptors = [descriptor.to_dict() for descriptor in spec.expand()]
-    for data in descriptors:
-        execute_run(data)
-    return descriptors
+    cells = [
+        [descriptor.to_dict() for descriptor in cell]
+        for cell in campaign_runner.cells(spec.expand())
+    ]
+    for cell in cells:
+        campaign_runner.execute_cell(cell)
+    return cells
 
 
-def run_campaign_arms(descriptors: list[dict], reps: int, interval: float) -> tuple:
-    """Each run of ``descriptors`` with monitors and without, back to back,
-    ``reps`` times; the arm that goes first alternates run by run and rep
+class PrefixTally:
+    """Process CPU seconds of the no-churn prefixes that cells shared, while
+    the ``with`` block runs (it wraps the runner's prefix step)."""
+
+    def __init__(self) -> None:
+        self.shared = 0
+        self.cpu = 0.0
+
+    def __enter__(self) -> "PrefixTally":
+        converge = self._converge = campaign_runner._Execution.converge
+
+        def timed(execution, horizon: float) -> bool:
+            start = time.process_time()
+            shared = converge(execution, horizon)
+            if shared:
+                self.shared += 1
+                self.cpu += time.process_time() - start
+            return shared
+
+        campaign_runner._Execution.converge = timed
+        return self
+
+    def __exit__(self, *exc) -> None:
+        campaign_runner._Execution.converge = self._converge
+
+
+def run_campaign_arms(cells: list[list[dict]], reps: int, interval: float) -> tuple:
+    """Each cell of ``cells`` with monitors and without, back to back,
+    ``reps`` times; the arm that goes first alternates cell by cell and rep
     by rep, so drift in the host's speed lands on both arms alike.
 
-    Returns ``(outcome, shares, ticks, self_ticks, inclusive_ticks)``: the
-    last monitored pass's totals, per rep the process CPU seconds of the
-    two arms (``(with, without)``), and the monitored runs' samples.
+    Returns ``(outcome, shares, prefixes, ticks, self_ticks,
+    inclusive_ticks)``: the last monitored pass's totals, per rep the
+    process CPU seconds of the two arms (``(with, without)``), the shared
+    prefixes of the monitored arm (a :class:`PrefixTally`), and the
+    monitored cells' samples.
     """
 
     shares = []
     ticks, own, inclusive = 0, Counter(), Counter()
+    prefixes = PrefixTally()
     records: list[dict] = []
     for rep in range(reps):
         cpu = {True: 0.0, False: 0.0}
         records = []
-        for index, data in enumerate(descriptors):
+        for index, cell in enumerate(cells):
             first = (rep + index) % 2 == 0
             for monitored in (first, not first):
-                run = data if monitored else dict(data, monitors=[])
+                work = cell if monitored else [dict(data, monitors=[]) for data in cell]
                 start = time.process_time()
-                record, run_ticks, run_own, run_inclusive = sample(
-                    lambda _: execute_run(run), interval
-                )
-                cpu[monitored] += time.process_time() - start
                 if monitored:
-                    records.append(record)
+                    with prefixes:
+                        cell_records, run_ticks, run_own, run_inclusive = sample(
+                            lambda _: campaign_runner.execute_cell(work), interval
+                        )
+                    records += cell_records
                     ticks += run_ticks
                     own.update(run_own)
                     inclusive.update(run_inclusive)
+                else:
+                    campaign_runner.execute_cell(work)
+                cpu[monitored] += time.process_time() - start
         shares.append((cpu[True], cpu[False]))
     outcome = {
         "routes": sum(record["route_count"] for record in records),
         "messages": sum(record["messages"] for record in records),
         "quiescent": all(record["quiescent"] for record in records),
     }
-    return outcome, shares, ticks, own, inclusive
+    return outcome, shares, prefixes, ticks, own, inclusive
 
 
 def cost_centre(code) -> str:
@@ -413,21 +454,28 @@ def main() -> None:
     if args.campaign:
         args.sample = True
         args.size = args.size or 20
-        descriptors = prepare_campaign(args.size)
+        cells = prepare_campaign(args.size)
+        runs = sum(len(cell) for cell in cells)
         title = f"campaign round-0 size-{args.size} profile"
         start = time.perf_counter()
         with tally:
-            outcome, cpu, ticks, own, inclusive = run_campaign_arms(
-                descriptors, CAMPAIGN_REPS, SAMPLE_INTERVAL
+            outcome, cpu, prefixes, ticks, own, inclusive = run_campaign_arms(
+                cells, CAMPAIGN_REPS, SAMPLE_INTERVAL
             )
         elapsed = time.perf_counter() - start
-        units, unit = 2 * CAMPAIGN_REPS * len(descriptors), "run"
+        units, unit = 2 * CAMPAIGN_REPS * runs, "run"
         instrument = (
-            f"for {len(descriptors)} runs x {CAMPAIGN_REPS} reps x with/without monitors "
-            f"{every}; tables: the monitored runs"
+            f"for {runs} runs in {len(cells)} cells x {CAMPAIGN_REPS} reps x with/without "
+            f"monitors {every}; tables: the monitored cells"
         )
         readings = sorted((with_s - without_s) / with_s for with_s, without_s in cpu)
         with_s, without_s = (sum(arm) for arm in zip(*cpu))
+        notes.append(
+            f"prefixes: {2 * prefixes.shared // CAMPAIGN_REPS} of {runs} runs shared a "
+            f"pre-churn convergence ({prefixes.shared // CAMPAIGN_REPS} cells); the shared "
+            f"prefixes took {100.0 * prefixes.cpu / with_s:.1f}% of the monitored runs' "
+            f"process CPU ({prefixes.cpu:.2f}s of {with_s:.2f}s)"
+        )
         notes.append(
             f"monitors: {100.0 * readings[len(readings) // 2]:.1f}% of the monitored runs' "
             f"process CPU, median of {len(readings)} reps (range "

@@ -36,16 +36,16 @@ def update_goldens(request):
 def reference_rules():
     """A context manager: inside it, every evaluator and engine built runs
     its rules on :class:`repro.ndlog.reference.ReferenceEngine` (it swaps
-    ``repro.ndlog.seminaive.RULE_ENGINE``).  Session-scoped so hypothesis
+    ``repro.ndlog.rules.RULE_ENGINE``).  Session-scoped so hypothesis
     tests can use it."""
 
-    from repro.ndlog import seminaive
+    from repro.ndlog import rules
     from repro.ndlog.reference import ReferenceEngine
 
     @contextlib.contextmanager
     def install():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(seminaive, "RULE_ENGINE", ReferenceEngine)
+            patch.setattr(rules, "RULE_ENGINE", ReferenceEngine)
             yield
 
     return install

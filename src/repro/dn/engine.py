@@ -26,7 +26,7 @@ P2 / declarative-networking execution model:
 That is the only execution mode, and generated code (one
 :class:`~repro.ndlog.codegen.CodegenRule` per rule, compiled once and
 shared by every node) the only rule evaluator; differential tests point
-:data:`repro.ndlog.seminaive.RULE_ENGINE` at the reference interpreter.
+:data:`repro.ndlog.rules.RULE_ENGINE` at the reference interpreter.
 The centralized :class:`~repro.ndlog.seminaive.IncrementalEvaluator` runs
 the same settle on one node.  The counting scheme is exact for programs
 whose recursion is well-founded (the path-vector program's cycle check
@@ -72,7 +72,7 @@ from ..ndlog.ast import Fact, NDlogError, Program
 from ..ndlog.codegen import program_digest
 from ..ndlog.functions import builtin_registry
 from ..ndlog.localization import localize_program
-from ..ndlog import seminaive
+from ..ndlog import rules
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..terms import FunctionRegistry
@@ -184,7 +184,7 @@ class DistributedEngine:
         self.topology = topology
         self.config = config or EngineConfig()
         self.registry = registry or builtin_registry()
-        self.rule_engine = seminaive.RULE_ENGINE(self.registry)
+        self.rule_engine = rules.RULE_ENGINE(self.registry)
         # compile the localized program once; every node shares the plans
         # (and shard workers fork with them, built on this rule engine)
         self.rule_engine.precompile(self.program.rules)
@@ -683,6 +683,22 @@ class DistributedEngine:
                 self.seed_facts(extra_facts)
             with obs_tracing.span("engine.run"):
                 self.advance(until, self.config.max_events)
+        self.end_segment()
+        return self.trace
+
+    def continue_run(self, *, until: float = float("inf"), max_events: int) -> Trace:
+        """Go on with the segment the last :meth:`run` ended, up to
+        ``until`` within ``max_events`` more events, as if that run had
+        not stopped: no new segment starts, so the trace keeps the records
+        and the shards take no checkpoint.  A campaign runs a churned run
+        on from the no-churn run it shares a prefix with this way (within
+        what is left of its budget); for the records, the run and its
+        continuation are one run.
+        """
+
+        with collector_paused():
+            with obs_tracing.span("engine.run"):
+                self.advance(until, max_events)
         self.end_segment()
         return self.trace
 

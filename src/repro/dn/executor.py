@@ -51,7 +51,7 @@ from ..ndlog.aggregates import group_rows, order_key
 from ..ndlog.ast import NDlogError, Program
 from ..ndlog.codegen import compile_settle
 from ..ndlog.plan import NEGATION_DELTA_SUFFIX
-from ..ndlog.seminaive import DeltaIndex, RuleEngine, row_key
+from ..ndlog.rules import DeltaIndex, RuleEngine, row_key
 from ..obs import metrics as obs_metrics
 from .node import Node
 

@@ -4,7 +4,7 @@ Each simulated node owns a :class:`~repro.ndlog.store.Database` holding the
 tuples whose location specifier names that node, plus counters used by the
 experiments (messages sent/received, rule firings).  Every node also holds a
 reference to the run's shared rule engine (built by
-:data:`repro.ndlog.seminaive.RULE_ENGINE`), so rule firings at a node reuse
+:data:`repro.ndlog.rules.RULE_ENGINE`), so rule firings at a node reuse
 the generated code of the localized program (compiled once at engine
 construction) instead of re-analyzing rules per delivery.  The node stays a
 thin state container so it is easy to snapshot and compare against the
@@ -19,8 +19,8 @@ from typing import Collection, Optional
 
 from ..ndlog.aggregates import group_rows
 from ..ndlog.ast import Program
-from ..ndlog import seminaive
-from ..ndlog.seminaive import RuleEngine
+from ..ndlog import rules
+from ..ndlog.rules import RuleEngine
 from ..ndlog.store import Database
 from .network import NodeId
 
@@ -66,7 +66,7 @@ class Node:
         # compiled localized program for the whole network.  Standalone
         # nodes (tests, tooling) get a private engine on demand.
         self.rule_engine = (
-            rule_engine if rule_engine is not None else seminaive.RULE_ENGINE()
+            rule_engine if rule_engine is not None else rules.RULE_ENGINE()
         )
         #: position of a view (aggregate) rule in ``program.rules`` → its
         #: output at this node as group key → row, kept up to date group by

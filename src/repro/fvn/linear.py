@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ..ndlog.ast import Program
 from ..ndlog.functions import builtin_registry
-from ..ndlog.seminaive import RuleEngine
+from ..ndlog.rules import RuleEngine
 from ..ndlog.store import Database
 from ..terms import FunctionRegistry
 

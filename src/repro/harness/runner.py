@@ -9,15 +9,25 @@ descriptor carries every seed, a run's result is a pure function of its
 descriptor — the same whether it executes inline, in a worker process, or
 in a resumed campaign.
 
-:func:`run_campaign` drives a descriptor list through a
-``ProcessPoolExecutor`` (chunked, results streamed back in descriptor
-order), appending each completed record to the campaign's ledger as it
-lands.  A killed campaign therefore restarts exactly where it stopped:
+The unit of campaign work is a **cell** (:func:`cells`): runs that differ
+only in their churn count converge the same network, so a no-churn run and
+a churned sibling execute as one :func:`execute_cell` on one engine, which
+records the no-churn run where the churned one's first churn event would
+land and runs the churned one on from there.  Every record stays
+byte-identical to its own :func:`execute_run`.
+
+:func:`run_campaign` submits cells to a ``ProcessPoolExecutor`` (one future
+per cell) or runs them inline, appending each record to the campaign's
+ledger as its cell lands; ``results.jsonl`` is written in descriptor order
+at the end.  A killed campaign therefore restarts exactly where it stopped:
 resume re-reads the ledger, skips completed runs, and executes the rest.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import dataclasses
 import functools
 import json
 import os
@@ -27,11 +37,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..dn.collector import freeze_inherited_heap
 from ..dn.engine import DistributedEngine, EngineConfig, create_engine
 from ..dn.monitors import MonitorSchema, build_monitor, clean_report, schema_for_program
+from ..dn.network import Topology
 from ..ndlog.ast import MaterializeDecl, Program
 from ..ndlog.codegen import program_digest
 from ..ndlog.localization import localize_program
@@ -133,14 +144,19 @@ def _stale_routes(
     scenario: Scenario,
     schema: MonitorSchema,
 ) -> tuple[int, int]:
-    """Selected routes diverging from a fresh reliable run on the final
-    topology: (stale = held but wrong, missing = absent but derivable)."""
+    """Selected routes diverging from a fresh reliable run on the engine's
+    topology as it stands: (stale = held but wrong, missing = absent but
+    derivable).  The reference runs on a loss-free copy of the topology,
+    so the engine can run on after."""
 
-    for link in scenario.topology.links():
-        link.loss = 0.0  # the reference fixpoint is loss-free
+    state = engine.topology.export_state()
+    state["links"] = [
+        (src, dst, cost, delay, 0.0, up)  # the reference fixpoint is loss-free
+        for src, dst, cost, delay, _, up in state["links"]
+    ]
     fresh = DistributedEngine(
         build_program(descriptor),
-        scenario.topology,
+        Topology.from_state(state),
         config=EngineConfig(seed=descriptor.seed, max_events=descriptor.max_events),
     )
     fresh.run(until=descriptor.until, extra_facts=scenario.policy_fact_list())
@@ -155,10 +171,295 @@ def _stale_routes(
 CRASH_RUN_ENV = "FVN_FAULT_CRASH_RUN_ID"
 
 
+def _crashed(descriptor: RunDescriptor, error: str) -> dict:
+    """The containment record of a run that raised or whose worker died."""
+
+    return RunRecord.crashed(
+        descriptor.run_id,
+        descriptor.index,
+        json.loads(json.dumps(descriptor.to_dict())),
+        error,
+    ).to_dict()
+
+
+def cells(descriptors: list[RunDescriptor]) -> list[list[RunDescriptor]]:
+    """Group runs into the units of campaign work.
+
+    A **cell** is the runs whose descriptors are equal except for
+    ``run_id``, ``index`` and ``churn_events``: they converge the same
+    network, and differ only from the first churn event on.  A cell's
+    no-churn run and its first churned run go together (see
+    :func:`execute_cell`); every other run is a cell of its own.  Cells
+    come in the order of their first runs.
+    """
+
+    groups: dict[RunDescriptor, list[RunDescriptor]] = {}
+    for descriptor in descriptors:
+        key = dataclasses.replace(descriptor, index=0, run_id="", churn_events=0)
+        groups.setdefault(key, []).append(descriptor)
+    out: list[list[RunDescriptor]] = []
+    for members in groups.values():
+        calm = next((d for d in members if not d.churn_events), None)
+        churned = next((d for d in members if d.churn_events), None)
+        pair = [calm, churned] if calm is not None and churned is not None else []
+        if pair:
+            out.append(pair)
+        out.extend([d] for d in members if d not in pair)
+    return out
+
+
+class _Execution:
+    """One engine, with its monitors, built for the runs of a cell.
+
+    The scenario is the last run's (a churned run's, when the cell pairs
+    two): the churn schedule is the one thing in it that the churn count
+    changes, and it is applied only for a run that has churn.  Monitors a
+    static proof lets every run of the cell skip are not attached; each
+    record reports the kinds its own run proved as clean.
+    """
+
+    def __init__(self, cell: list[RunDescriptor], static_proofs: bool) -> None:
+        last = cell[-1]
+        self.scenario = _materialize(last)
+        program = build_program(last)
+        self.schema = schema_for_program(program)
+        self.proofs = {d.run_id: _proofs(d, program, static_proofs) for d in cell}
+        # honors ``engine = [{shards = N}]`` / ``shards = [...]`` overrides:
+        # shards > 1 builds the process-sharded coordinator, whose results
+        # are byte-identical to the single-process engine for the same
+        # descriptor
+        self.engine = create_engine(
+            program, self.scenario.topology, config=last.engine_config()
+        )
+        self.monitors = {
+            kind: build_monitor(kind, self.schema)
+            for kind in last.monitors
+            if any(kind not in proven for proven, _ in self.proofs.values())
+        }
+        for monitor in self.monitors.values():
+            self.engine.attach_monitor(monitor)
+        #: has :meth:`converge` run the no-churn prefix?
+        self.converged = False
+
+    def converge(self, horizon: float) -> bool:
+        """Run the no-churn prefix up to ``horizon`` (the first churn event,
+        or ``until`` when that is earlier): can the no-churn run be recorded
+        here?  Only when its queue drained strictly before ``horizon`` — a
+        churned run's events all come later, so up to here it made exactly
+        these steps."""
+
+        engine = self.engine
+        engine.run(until=horizon, extra_facts=self.scenario.policy_fact_list())
+        self.converged = True
+        return engine.scheduler.is_empty and engine.scheduler.now < horizon
+
+    def finish(self, descriptor: RunDescriptor, started: float, obs: bool) -> dict:
+        """Run ``descriptor`` to its end on this engine — from the start,
+        or on from a no-churn prefix within what is left of its event
+        budget — and record it."""
+
+        engine = self.engine
+        try:
+            if descriptor.churn_events:
+                self.scenario.churn.apply_to_engine(engine)
+            if self.converged:  # on from the prefix, in the same segment
+                engine.continue_run(
+                    until=descriptor.until,
+                    max_events=descriptor.max_events - engine.scheduler.processed,
+                )
+            else:
+                engine.run(until=descriptor.until, extra_facts=self.scenario.policy_fact_list())
+            # before close: a sharded engine's workers hold soft-state deadlines
+            engine.finalize_monitors()
+        finally:
+            engine.close()  # a no-op single-process; frees shard workers
+        return self.record(descriptor, self.monitors, started, obs)
+
+    def record_prefix(self, descriptor: RunDescriptor, started: float, obs: bool) -> dict:
+        """Record the no-churn run at the end of a shared prefix, leaving
+        the engine and its monitors as they are for the churned run.  Each
+        monitor is finalized as a copy of its state (the ``__dict__``
+        without ``_engine`` that a capture carries); its metrics and spans
+        go to copies of the registry and tracer, and the live ones stay at
+        the prefix."""
+
+        with _obs_aside(obs):
+            twins = {}
+            for kind, monitor in self.monitors.items():
+                twin = copy.copy(monitor)
+                twin.__dict__.update(
+                    copy.deepcopy(
+                        {key: value for key, value in monitor.__dict__.items() if key != "_engine"}
+                    )
+                )
+                twin.finalize(self.engine.scheduler.now)
+                twins[kind] = twin
+            return self.record(descriptor, twins, started, obs)
+
+    def record(
+        self, descriptor: RunDescriptor, monitors: dict, started: float, obs: bool
+    ) -> dict:
+        """The record of ``descriptor`` off the engine as it stands, with
+        ``monitors`` finalized; ``wall_time`` runs from ``started``."""
+
+        engine, schema = self.engine, self.schema
+        proven, provenance = self.proofs[descriptor.run_id]
+        trace = engine.trace
+        trace.seeds["scenario"] = descriptor.seed
+        stale = missing = None
+        if descriptor.record_stale_routes:
+            stale, missing = _stale_routes(engine, descriptor, self.scenario, schema)
+        # reports interleave in descriptor.monitors order: a proven kind gets
+        # the clean report a violation-free dynamic check would have produced
+        reports = [
+            clean_report(kind) if kind in proven else monitors[kind].report()
+            for kind in descriptor.monitors
+        ]
+        obs_block: Optional[dict] = None
+        if obs:
+            wall = time.perf_counter() - started
+            obs_metrics.inc("harness.runs")
+            obs_metrics.observe("harness.run_seconds", wall)
+            obs_tracing.tracer().record(
+                "harness.run", started, wall, {"run_id": descriptor.run_id}
+            )
+            obs_block = {
+                "metrics": obs_metrics.registry().export(),
+                "trace": obs_tracing.tracer().export(),
+            }
+        record = RunRecord(
+            run_id=descriptor.run_id,
+            index=descriptor.index,
+            params=descriptor.to_dict(),
+            seeds=dict(trace.seeds),
+            quiescent=trace.quiescent,
+            finished_at=trace.finished_at,
+            convergence_time=trace.last_change_time(),
+            events=trace.events_processed,
+            messages=trace.message_count,
+            delivered_messages=trace.delivered_message_count,
+            dropped_messages=engine.channel.dropped,
+            retraction_messages=trace.retraction_message_count,
+            retractions=trace.retraction_count,
+            state_changes=trace.state_change_count,
+            route_count=len(engine.rows(schema.best_predicate)),
+            stale_routes=stale,
+            missing_routes=missing,
+            monitors=reports,
+            monitors_ok=all(
+                monitors[kind].ok for kind in descriptor.monitors if kind not in proven
+            ),
+            static_proofs=provenance,
+            obs=obs_block,
+            program_digest=engine.program_digest,
+            wall_time=round(time.perf_counter() - started, 6),
+        )
+        return record.to_dict()
+
+
+def _proofs(
+    descriptor: RunDescriptor, program: Program, static_proofs: bool
+) -> tuple[set[str], Optional[dict]]:
+    """The monitor kinds ``descriptor``'s run may skip, and the proof
+    provenance its record carries (see :func:`execute_run`)."""
+
+    if not static_proofs:
+        return set(), None
+    from ..fvn.discharge import discharge_program
+
+    discharge = discharge_program(program, policy=descriptor.policy)
+    proven: set[str] = set()
+    if descriptor.churn_events == 0 and descriptor.loss == 0.0:  # monotone
+        proven = set(discharge.proven_monitors) & set(descriptor.monitors)
+    provenance = discharge.to_dict()
+    provenance["skipped_monitors"] = sorted(proven)
+    return proven, provenance
+
+
+def _start_obs(obs: bool) -> None:
+    if obs:
+        # pool workers are reused across cells: start from a clean slate so
+        # each record's obs block covers exactly what its run depends on
+        obs_metrics.enable()
+        obs_metrics.registry().reset()
+        obs_tracing.enable()
+        obs_tracing.tracer().reset()
+    else:
+        obs_metrics.disable()
+        obs_tracing.disable()
+
+
+@contextlib.contextmanager
+def _obs_aside(obs: bool) -> Iterator[None]:
+    """Record metrics and spans into copies of the live registry and
+    tracer inside the block, and put the live ones back after: what only
+    the no-churn run of a shared prefix does is not its churned sibling's."""
+
+    if not obs:
+        yield
+        return
+    tracer = obs_tracing.tracer()
+    spans, dropped = len(tracer.spans), tracer.dropped
+    live = obs_metrics.registry().export()
+    try:
+        with obs_metrics.scratch_registry():
+            obs_metrics.registry().merge(live)
+            yield
+    finally:
+        del tracer.spans[spans:]
+        tracer.dropped = dropped
+
+
+def _run_cell(cell: list[RunDescriptor], static_proofs: bool, obs: bool) -> list[dict]:
+    """Execute a cell of one run, or of a no-churn run and a churned run
+    (see :func:`execute_cell`); one record per run, in cell order."""
+
+    for descriptor in cell:
+        if os.environ.get(CRASH_RUN_ENV) == descriptor.run_id:
+            os._exit(17)
+    _start_obs(obs)
+    started = time.perf_counter()
+    execution = _Execution(cell, static_proofs)
+    if len(cell) == 1:
+        return [execution.finish(cell[0], started, obs)]
+    calm, churned = cell
+    horizon = min(
+        min((event.at for event in execution.scenario.churn.events), default=float("inf")),
+        calm.until,
+    )
+    try:
+        shared = execution.converge(horizon)  # both runs' steps
+    except BaseException:
+        execution.engine.close()
+        raise
+    # from here on, what fails is one run's own step and crashes its record only
+    if not shared:
+        # the no-churn run goes on alone; the churned one starts afresh
+        return [
+            _or_crashed(calm, lambda: execution.finish(calm, started, obs)),
+            _or_crashed(churned, lambda: _run_cell([churned], static_proofs, obs)[0]),
+        ]
+    aside = time.perf_counter()
+    first = _or_crashed(calm, lambda: execution.record_prefix(calm, started, obs))
+    aside = time.perf_counter() - aside
+    # the churned run's wall covers the prefix, not the no-churn record
+    return [first, _or_crashed(churned, lambda: execution.finish(churned, started + aside, obs))]
+
+
+def _or_crashed(descriptor: RunDescriptor, step: Callable[[], dict]) -> dict:
+    """``step()``'s record, or ``descriptor``'s crashed record if it raised."""
+
+    try:
+        return step()
+    except Exception:
+        return _crashed(descriptor, traceback.format_exc())
+
+
 def execute_run(
     descriptor_data: dict, static_proofs: bool = False, obs: bool = False
 ) -> dict:
-    """Execute one run from its plain-data descriptor (worker entry point).
+    """Execute one run from its plain-data descriptor: a cell of one run
+    (:func:`execute_cell`).
 
     With ``obs`` the run executes under the :mod:`repro.obs` metrics
     registry and tracer and attaches their exports to the record's
@@ -167,7 +468,7 @@ def execute_run(
 
     With ``static_proofs`` the monitor properties are discharged ahead of
     execution (:mod:`repro.fvn.discharge`, cached per program ×
-    policy, so a pool worker proves once for its whole chunk): proven
+    policy, so a pool worker proves once for all its cells): proven
     monitor kinds are not attached at all — they are recorded with the
     clean report a violation-free dynamic check would produce, and the
     proof scripts land in the record's ledger-only ``static_proofs`` field.
@@ -181,107 +482,36 @@ def execute_run(
     byte-identical to a fully runtime-monitored run of the same descriptor.
     """
 
-    descriptor = RunDescriptor.from_dict(descriptor_data)
-    if os.environ.get(CRASH_RUN_ENV) == descriptor.run_id:
-        os._exit(17)
-    if obs:
-        # pool workers are reused across runs: start from a clean slate so
-        # each record's obs block covers exactly its own run
-        obs_metrics.enable()
-        obs_metrics.registry().reset()
-        obs_tracing.enable()
-        obs_tracing.tracer().reset()
-    else:
-        obs_metrics.disable()
-        obs_tracing.disable()
-    started = time.perf_counter()
-    scenario = _materialize(descriptor)
-    program = build_program(descriptor)
-    schema = schema_for_program(program)
-    proven: set[str] = set()
-    provenance: Optional[dict] = None
-    if static_proofs:
-        from ..fvn.discharge import discharge_program
+    (record,) = _run_cell([RunDescriptor.from_dict(descriptor_data)], static_proofs, obs)
+    return record
 
-        discharge = discharge_program(program, policy=descriptor.policy)
-        monotone = descriptor.churn_events == 0 and descriptor.loss == 0.0
-        if monotone:
-            proven = set(discharge.proven_monitors) & set(descriptor.monitors)
-        provenance = discharge.to_dict()
-        provenance["skipped_monitors"] = sorted(proven)
-    # honors ``engine = [{shards = N}]`` / ``shards = [...]`` overrides:
-    # shards > 1 builds the process-sharded coordinator, whose results are
-    # byte-identical to the single-process engine for the same descriptor
-    engine = create_engine(
-        program, scenario.topology, config=descriptor.engine_config()
+
+def execute_cell(
+    cell_data: list[dict], static_proofs: bool = False, obs: bool = False
+) -> list[dict]:
+    """Execute one cell (:func:`cells`) from its plain-data descriptors:
+    the worker entry point.  Returns one record per run, in cell order.
+
+    A lone run is :func:`execute_run`.  A no-churn run and a churned run
+    share one scenario, engine and set of monitors: the engine runs until
+    the first churn event, and when its queue drained strictly before that
+    (and before ``until``) the no-churn run is recorded from the live
+    engine there — stale routes included — and the churned run goes on on
+    the same engine with its churn scheduled, within what is left of its
+    event budget.  Either record is byte-identical to its own
+    :func:`execute_run`, and its ``wall_time`` covers the shared prefix.
+    When the queue did not drain in time the no-churn run goes on alone and
+    the churned run executes on its own.  An exception in the shared
+    prefix (or in building the cell) raises, as both runs' failure; one
+    after it is the run's whose step raised, recorded as
+    ``status="crashed"`` beside its sibling's record.
+    """
+
+    if len(cell_data) == 1:
+        return [execute_run(cell_data[0], static_proofs, obs)]
+    return _run_cell(
+        [RunDescriptor.from_dict(data) for data in cell_data], static_proofs, obs
     )
-    monitors = {
-        kind: build_monitor(kind, schema)
-        for kind in descriptor.monitors
-        if kind not in proven
-    }
-    for monitor in monitors.values():
-        engine.attach_monitor(monitor)
-    if scenario.churn is not None:
-        scenario.churn.apply_to_engine(engine)
-    try:
-        trace = engine.run(
-            until=descriptor.until, extra_facts=scenario.policy_fact_list()
-        )
-        # before close: a sharded engine's workers hold soft-state deadlines
-        engine.finalize_monitors()
-    finally:
-        engine.close()  # a no-op single-process; frees shard workers
-    trace.seeds["scenario"] = descriptor.seed
-    stale = missing = None
-    if descriptor.record_stale_routes:
-        stale, missing = _stale_routes(engine, descriptor, scenario, schema)
-    # reports interleave in descriptor.monitors order: a proven kind gets
-    # the clean report a violation-free dynamic check would have produced
-    reports = [
-        clean_report(kind) if kind in proven else monitors[kind].report()
-        for kind in descriptor.monitors
-    ]
-    obs_block: Optional[dict] = None
-    if obs:
-        wall = time.perf_counter() - started
-        obs_metrics.inc("harness.runs")
-        obs_metrics.observe("harness.run_seconds", wall)
-        obs_tracing.tracer().record(
-            "harness.run", started, wall, {"run_id": descriptor.run_id}
-        )
-        obs_block = {
-            "metrics": obs_metrics.registry().export(),
-            "trace": obs_tracing.tracer().export(),
-        }
-    record = RunRecord(
-        run_id=descriptor.run_id,
-        index=descriptor.index,
-        params=descriptor.to_dict(),
-        seeds=dict(trace.seeds),
-        quiescent=trace.quiescent,
-        finished_at=trace.finished_at,
-        convergence_time=trace.last_change_time(),
-        events=trace.events_processed,
-        messages=trace.message_count,
-        delivered_messages=trace.delivered_message_count,
-        dropped_messages=engine.channel.dropped,
-        retraction_messages=trace.retraction_message_count,
-        retractions=trace.retraction_count,
-        state_changes=trace.state_change_count,
-        route_count=len(engine.rows(schema.best_predicate)),
-        stale_routes=stale,
-        missing_routes=missing,
-        monitors=reports,
-        monitors_ok=all(monitor.ok for monitor in monitors.values()),
-        static_proofs=provenance,
-        obs=obs_block,
-        program_digest=engine.program_digest,
-        wall_time=round(time.perf_counter() - started, 6),
-    )
-    return record.to_dict()
-
-
 @dataclass
 class CampaignResult:
     """The outcome of one :func:`run_campaign` invocation."""
@@ -307,73 +537,85 @@ POOL_BREAK_LIMIT = 2
 
 
 def _run_pool(
-    todo: list[RunDescriptor],
+    todo: list[list[RunDescriptor]],
     workers: int,
     finish: Callable[[dict], None],
-    crashed: Callable[[RunDescriptor, str], dict],
     static_proofs: bool = False,
     obs: bool = False,
 ) -> None:
-    """Drive ``todo`` through process pools, containing worker deaths.
+    """Drive the cells ``todo`` through process pools, containing worker
+    deaths.
 
-    An exception *raised* by a run is deterministic — it is recorded as a
-    crashed record immediately.  A worker process *dying* (``os._exit``,
-    SIGKILL, OOM) breaks the whole ``ProcessPoolExecutor``, which cannot
-    say *whose* worker died: every unfinished run is resubmitted to a
-    fresh pool.  After :data:`POOL_BREAK_LIMIT` breaks the remaining runs
-    are executed one per pool, where a break is unambiguously the
+    An exception *raised* by a cell is deterministic — its runs are
+    recorded as crashed immediately (one raised after a shared prefix is
+    already the churned run's crashed record, see :func:`execute_cell`).  A
+    worker process *dying* (``os._exit``, SIGKILL, OOM) breaks the whole
+    ``ProcessPoolExecutor``, which cannot say *whose* worker died: every
+    unfinished cell is resubmitted to a fresh pool.  After
+    :data:`POOL_BREAK_LIMIT` breaks the remaining cells split into single
+    runs, executed one per pool, where a break is unambiguously the
     submitted run's own death and is contained as a crashed record — so a
     run that reliably kills its worker costs a bounded number of respawns
-    and never takes its cohort (or the campaign) down with it.
+    and never takes its cell, its cohort or the campaign down with it.
     """
 
     remaining = list(todo)
     breaks = 0
     while remaining:
         isolate = breaks >= POOL_BREAK_LIMIT
+        if isolate:
+            remaining = [[descriptor] for cell in remaining for descriptor in cell]
         batch = remaining[:1] if isolate else remaining
         deferred = remaining[1:] if isolate else []
-        requeue: list[RunDescriptor] = []
+        requeue: list[list[RunDescriptor]] = []
         # a forked worker never frees the heap it inherited: freeze it
         with ProcessPoolExecutor(
             max_workers=workers, initializer=freeze_inherited_heap
         ) as pool:
             futures = [
                 (
-                    descriptor,
-                    pool.submit(execute_run, descriptor.to_dict(), static_proofs, obs),
+                    cell,
+                    pool.submit(
+                        execute_cell, [d.to_dict() for d in cell], static_proofs, obs
+                    ),
                 )
-                for descriptor in batch
+                for cell in batch
             ]
-            for position, (descriptor, future) in enumerate(futures):
+            for position, (cell, future) in enumerate(futures):
                 try:
-                    finish(future.result())
+                    for record in future.result():
+                        finish(record)
                 except BrokenProcessPool as exc:
                     breaks += 1
                     if isolate:
+                        (descriptor,) = cell
                         finish(
-                            crashed(
+                            _crashed(
                                 descriptor,
                                 f"worker process died ({type(exc).__name__}: {exc})",
                             )
                         )
                     else:
-                        requeue.append(descriptor)
+                        requeue.append(cell)
                     # the pool is gone: salvage finished futures, requeue
                     # the rest, and respawn
                     for later, after in futures[position + 1:]:
                         if after.done() and after.exception() is None:
-                            finish(after.result())
+                            for record in after.result():
+                                finish(record)
                         elif after.done() and not isinstance(
                             after.exception(), BrokenProcessPool
                         ):
-                            finish(crashed(later, f"run raised: {after.exception()}"))
+                            for descriptor in later:
+                                finish(_crashed(descriptor, f"run raised: {after.exception()}"))
                         else:
                             after.cancel()
                             requeue.append(later)
                     break
                 except Exception:
-                    finish(crashed(descriptor, traceback.format_exc()))
+                    error = traceback.format_exc()
+                    for descriptor in cell:
+                        finish(_crashed(descriptor, error))
         remaining = requeue + deferred
 
 
@@ -425,12 +667,15 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign spec, streaming records to ``out_dir``.
 
-    ``workers > 1`` fans runs out over a process pool (per-run futures,
-    records written back in submission order).  A run whose worker *dies*
-    (OOM kill, segfault, injected crash) does not abort the campaign: the
-    pool is respawned, the victim is retried once, and a persistent death
-    is contained as a ``status="crashed"`` :class:`RunRecord` carrying the
-    cause.  With ``resume`` (the default) runs already completed in the
+    The runs to execute are grouped into cells (:func:`cells`), executed
+    inline or, with ``workers > 1``, over a process pool (one future per
+    cell); each cell's records reach the ledger when the cell lands, and
+    ``results.jsonl`` lists them in descriptor order.  A run whose worker
+    *dies* (OOM kill, segfault, injected crash) does not abort the
+    campaign: the pool is respawned and the unfinished cells retried,
+    after :data:`POOL_BREAK_LIMIT` breaks one run per pool, and a
+    persistent death is contained as a ``status="crashed"``
+    :class:`RunRecord` carrying the cause.  With ``resume`` (the default) runs already completed in the
     ledger, with the same params and program digest, are skipped —
     crashed records are kept for the audit trail but re-executed — so
     re-invoking a killed campaign continues where it stopped;
@@ -499,23 +744,21 @@ def run_campaign(
         if progress is not None:
             progress(record, completed, len(descriptors))
 
-    def crashed(descriptor: RunDescriptor, error: str) -> dict:
-        return RunRecord.crashed(
-            descriptor.run_id,
-            descriptor.index,
-            json.loads(json.dumps(descriptor.to_dict())),
-            error,
-        ).to_dict()
-
     if todo:
+        work = cells(todo)
         if workers <= 1:
-            for descriptor in todo:
+            for cell in work:
                 try:
-                    finish(execute_run(descriptor.to_dict(), spec.static_proofs, obs_enabled))
+                    records = execute_cell(
+                        [d.to_dict() for d in cell], spec.static_proofs, obs_enabled
+                    )
                 except Exception:
-                    finish(crashed(descriptor, traceback.format_exc()))
+                    error = traceback.format_exc()
+                    records = [_crashed(descriptor, error) for descriptor in cell]
+                for record in records:
+                    finish(record)
         else:
-            _run_pool(todo, workers, finish, crashed, spec.static_proofs, obs_enabled)
+            _run_pool(work, workers, finish, spec.static_proofs, obs_enabled)
 
     records = [done[descriptor.run_id] for descriptor in descriptors]
     wall_time = time.perf_counter() - started

@@ -30,9 +30,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "localization": ("LocalizationResult", "is_localized", "localize_program", "localize_rule"),
     "parser": ("ParseError", "parse_program", "parse_rule", "tokenize"),
     "plan": ("negation_delta_rules", "order_body"),
-    "seminaive": (
-        "EvaluationStats", "Evaluator", "IncrementalEvaluator", "RuleEngine", "evaluate",
-    ),
+    "rules": ("RuleEngine",),
+    "seminaive": ("EvaluationStats", "Evaluator", "IncrementalEvaluator", "evaluate"),
     "store": ("Database", "Table"),
     "stratification": ("DependencyGraph", "Stratification", "stratify"),
 })

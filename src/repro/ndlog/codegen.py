@@ -631,7 +631,7 @@ class CodegenRule:
     """One rule compiled to generated Python source.
 
     ``fire`` and ``derive`` take ``(db, view=None)``: ``view`` is a
-    semi-naive delta view (a :class:`~repro.ndlog.seminaive.DeltaIndex`)
+    semi-naive delta view (a :class:`~repro.ndlog.rules.DeltaIndex`)
     restricting the join to one pass per delta-matched positive literal,
     or ``None`` for a full evaluation.  The emitted source is kept
     on :attr:`source` for debugging and golden tests.
@@ -1379,7 +1379,7 @@ def compile_settle(program: Program, rule_engine, digest: Optional[str] = None) 
         plan = settle_plan(program)
         source = generate_settle_source(plan)
         from .aggregates import order_key
-        from .seminaive import DeltaIndex, row_key
+        from .rules import DeltaIndex, row_key
 
         if len(_SETTLE_CACHE) >= _CODEGEN_CACHE_MAX:
             _SETTLE_CACHE.clear()

@@ -16,8 +16,8 @@ Two kinds of caller use it:
   solve_body`) and over body *prefixes* (:meth:`ReferenceEngine.
   solve_items`), which generated code does not offer;
 * **tests**: :class:`ReferenceEngine` is call-compatible with
-  :class:`~repro.ndlog.seminaive.RuleEngine`, so a test swaps it in for
-  :data:`repro.ndlog.seminaive.RULE_ENGINE` (the ``rule_tier`` fixture) and
+  :class:`~repro.ndlog.rules.RuleEngine`, so a test swaps it in for
+  :data:`repro.ndlog.rules.RULE_ENGINE` (the ``rule_tier`` fixture) and
   runs a whole suite — centralized, distributed or sharded — against it.
 """
 
@@ -30,7 +30,7 @@ from .aggregates import aggregate_rows
 from .ast import Assignment, BodyItem, Condition, Literal, NDlogError, Rule
 from .functions import builtin_registry
 from .plan import comparison_fn, order_body
-from .seminaive import DeltaIndex, _hashable
+from .rules import DeltaIndex, _hashable
 from .store import Database
 
 Bindings = dict[Var, object]
@@ -243,6 +243,6 @@ class ReferenceEngine:
 
     def deriver(self, rule: Rule) -> Callable[..., list[tuple]]:
         """:meth:`derive` bound to ``rule``, called ``(db, view=None)`` by a
-        compiled settle (see :meth:`repro.ndlog.seminaive.RuleEngine.deriver`)."""
+        compiled settle (see :meth:`repro.ndlog.rules.RuleEngine.deriver`)."""
 
         return lambda db, view=None: self.derive(rule, db, delta=view)

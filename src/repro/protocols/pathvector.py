@@ -20,7 +20,6 @@ from ..dn.network import Topology
 from ..dn.trace import Trace
 from ..ndlog.ast import Program
 from ..ndlog.parser import parse_program
-from ..ndlog.seminaive import evaluate
 from ..ndlog.store import Database
 
 
@@ -69,6 +68,9 @@ class PathVectorProtocol:
     # ------------------------------------------------------------------
     def run_centralized(self) -> Database:
         """Evaluate the program centrally over the topology's link facts."""
+
+        # imported here: a distributed run loads no centralized evaluator
+        from ..ndlog.seminaive import evaluate
 
         facts = [("link", fact) for fact in self.topology.link_facts()]
         self._database = evaluate(self.program, facts)

@@ -13,7 +13,7 @@ and monitor suites: its channel loses every ``retract`` message.
 ``rule_tier`` parametrizes a test over the two rule evaluators: generated
 code (what every engine runs) and the reference interpreter it is checked
 against.  Each parameter installs its evaluator as
-``repro.ndlog.seminaive.RULE_ENGINE`` for the test's duration — the one
+``repro.ndlog.rules.RULE_ENGINE`` for the test's duration — the one
 attribute every evaluator and engine builds its rule engine from (shard
 workers fork with their engine's).  The two are trace-fingerprint-identical, so a claim that
 holds on one must hold on the other.
@@ -25,7 +25,7 @@ import pytest
 
 from repro.dn.engine import DistributedEngine
 from repro.dn.trace import Trace
-from repro.ndlog import seminaive
+from repro.ndlog import rules
 from repro.ndlog.reference import ReferenceEngine
 
 
@@ -117,7 +117,7 @@ def retract_dropping_engine():
 
 #: the rule engine class each ``rule_tier`` parameter installs
 RULE_TIERS = {
-    "codegen": seminaive.RuleEngine,
+    "codegen": rules.RuleEngine,
     "reference": ReferenceEngine,
 }
 
@@ -127,5 +127,5 @@ def rule_tier(request, monkeypatch) -> str:
     """Run the test on one rule evaluator; returns its name.  Narrow the set
     with ``@pytest.mark.parametrize("rule_tier", [...], indirect=True)``."""
 
-    monkeypatch.setattr(seminaive, "RULE_ENGINE", RULE_TIERS[request.param])
+    monkeypatch.setattr(rules, "RULE_ENGINE", RULE_TIERS[request.param])
     return request.param

@@ -51,7 +51,7 @@ import pathlib
 import pytest
 
 from repro.dn import DistributedEngine, EngineConfig, Topology
-from repro.ndlog import seminaive
+from repro.ndlog import rules
 from repro.ndlog.ast import Literal
 from repro.ndlog.codegen import codegen_rule
 from repro.ndlog.functions import builtin_registry
@@ -165,7 +165,7 @@ def derived_digest(name: str, engine_class) -> str:
         fire_everything(engine_class(builtin_registry()), evaluate(program, facts))
     churned = [fact for fact in facts if fact[0] != "link"][::4]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seminaive, "RULE_ENGINE", Recording)
+        patch.setattr(rules, "RULE_ENGINE", Recording)
         if centralized:
             evaluator = IncrementalEvaluator(program)
             evaluator.load(facts)

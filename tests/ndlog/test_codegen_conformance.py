@@ -15,7 +15,7 @@ templates mirror ``test_retraction_properties.py``, and each template is
 also checked on its own, as is every text of the golden corpus
 (``tests/ndlog/corpus``).  The reference runs
 inside the ``reference_rules`` fixture, which swaps
-``repro.ndlog.seminaive.RULE_ENGINE`` — the attribute every evaluator and
+``repro.ndlog.rules.RULE_ENGINE`` — the attribute every evaluator and
 engine builds its rule engine from.
 """
 

@@ -29,7 +29,7 @@ VERIFICATION = ("repro.logic", "repro.fvn", "repro.metarouting", "repro.bgp")
 
 #: (importing module, enclosing function, imported module) → why it may
 ALLOWED = {
-    ("repro.harness.runner", "execute_run", "repro.fvn.discharge"): (
+    ("repro.harness.runner", "_proofs", "repro.fvn.discharge"): (
         "a campaign run with static_proofs discharges its monitor properties "
         "ahead of execution"
     ),

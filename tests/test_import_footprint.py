@@ -66,12 +66,29 @@ def test_cli_loads_only_the_client():
 
 def test_centralized_evaluation_loads_no_engine():
     """``IncrementalEvaluator`` runs the engine's executor, imported when
-    one is built: ``repro.dn`` imports this module, so a module-level import
-    would close the cycle."""
+    one is built, so ``evaluate`` and the translation checks compile no
+    engine."""
 
     modules = loaded_after("import repro.ndlog.seminaive")
     assert "repro.ndlog.seminaive" in modules
     assert not under(modules, "repro.dn")
+
+
+def test_engine_loads_no_centralized_evaluator():
+    """The engine builds its rule engine from ``repro.ndlog.rules``: running
+    a program compiles neither ``Evaluator`` nor ``IncrementalEvaluator``
+    (``repro.ndlog.seminaive``)."""
+
+    modules = loaded_after(
+        "import repro.dn.engine\n"
+        "from repro.protocols.pathvector import path_vector_program\n"
+        "from repro.scenarios import generate_scenario\n"
+        "repro.dn.engine.DistributedEngine(\n"
+        "    path_vector_program(), generate_scenario('tree', size=6).topology\n"
+        ").run()\n"
+    )
+    assert "repro.ndlog.rules" in modules
+    assert "repro.ndlog.seminaive" not in modules
 
 
 def test_engine_and_parser_load_no_logic():
