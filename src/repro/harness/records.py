@@ -13,8 +13,9 @@ to two JSONL artifacts:
   byte-identical ``results.jsonl``, which is what ``fvn-campaign diff``
   compares.
 
-``summary.json`` aggregates the campaign (per-cell means, violation totals,
-wall time, worker count).
+``summary.json`` aggregates the campaign (its ``cells``: per grid point
+means over the seeds — not the runner's cells of runs that differ only in
+churn — violation totals, wall time, worker count).
 """
 
 from __future__ import annotations

@@ -69,8 +69,8 @@ from .spec import CampaignSpec, RunDescriptor
 
 @functools.lru_cache(maxsize=8)
 def _parsed(source: str, name: str) -> Program:
-    """One lex + parse per source text per process (a pool worker runs its
-    whole chunk, and every stale-route reference engine, off two texts).
+    """One lex + parse per source text per process (a pool worker runs all
+    its cells, and every stale-route reference engine, off two texts).
     The cached program is never handed out: see :func:`build_program`."""
 
     return parse_program(source, name)

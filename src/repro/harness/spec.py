@@ -222,9 +222,9 @@ class CampaignSpec:
         """The spec's deterministic run grid, in stable order.
 
         Ordering (outermost → innermost): family, size, policy, churn,
-        loss, engine entry, seed — so seeds of one cell are adjacent, which
-        keeps process-pool chunks cache-friendly (same program/topology
-        family per chunk).  Raises :class:`SpecError` when a run of the
+        loss, engine entry, seed — so the seeds of one grid point are
+        adjacent (the runner regroups runs into cells of runs that differ
+        only in churn: :func:`repro.harness.runner.cells`).  Raises :class:`SpecError` when a run of the
         ``disagree`` policy would get a topology with no triangle to embed
         its gadget on (read from each generated topology).
         """
